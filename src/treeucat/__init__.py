@@ -13,7 +13,7 @@ from .density import (
 from .forced import Forced, PruneReport, Unimodal, find_forced_vertex, prune_insignificant
 from .greedy import Component, Decomposition, TraceEvent, decompose, ucat
 from .interval import interval_ucat
-from .sweep import Subdivision, SweepResult, remainder, sweep
+from .sweep import Subdivision, SweepResult, sweep
 from .tree import (
     EdgePoint,
     MergeRecord,

@@ -58,10 +58,6 @@ class EdgeLinearDensity:
     def max_value(self) -> Fraction:
         return max(self._values.values())
 
-    def total_mass(self) -> Fraction:
-        """Sum of vertex values (not an integral; used as progress measure)."""
-        return sum(self._values.values(), Fraction(0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeLinearDensity):
             return NotImplemented

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
 from .density import EdgeLinearDensity, extend_to_refinement
 from .errors import DocumentError
 from .greedy import Component, Decomposition
-from .rational import as_fraction, frac_str
+from .rational import as_fraction
 from .sweep import SweepResult
-from .tree import MetricTree, VertexId, is_valid_vertex_id
-
-_USER_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*\Z")
+from .tree import _USER_ID, MetricTree, VertexId, is_valid_vertex_id
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,19 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     return tree, EdgeLinearDensity(tree, values)
 
 
-def _instance_payload(tree: MetricTree, f: EdgeLinearDensity) -> dict:
+def _tree_payload(tree: MetricTree) -> dict:
     return {
         "vertices": list(tree.vertices),
         "edges": [
-            {"u": u, "w": w, "length": frac_str(length)}
-            for u, w, length in tree.edge_list
+            {"u": u, "w": w, "length": str(length)} for u, w, length in tree.edge_list
         ],
-        "density": {v: frac_str(f.value(v)) for v in tree.vertices},
+    }
+
+
+def _instance_payload(tree: MetricTree, f: EdgeLinearDensity) -> dict:
+    return {
+        **_tree_payload(tree),
+        "density": {v: str(f.value(v)) for v in tree.vertices},
     }
 
 
@@ -177,20 +179,11 @@ def decomposition_from_document(
 
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:
     doc = {
-        "tree": {
-            "vertices": list(d.refined_tree.vertices),
-            "edges": [
-                {"u": u, "w": w, "length": frac_str(length)}
-                for u, w, length in d.refined_tree.edge_list
-            ],
-        },
+        "tree": _tree_payload(d.refined_tree),
         "components": [
             {
                 "mode": c.mode,
-                "values": {
-                    v: frac_str(c.density.value(v))
-                    for v in d.refined_tree.vertices
-                },
+                "values": {v: str(c.density.value(v)) for v in d.refined_tree.vertices},
             }
             for c in d.components
         ],
@@ -201,20 +194,14 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
 
 
 def serialize_sweep(result: SweepResult) -> str:
-    tree = result.refined_tree
+    tree = result.h.tree
     doc = {
-        "tree": {
-            "vertices": list(tree.vertices),
-            "edges": [
-                {"u": u, "w": w, "length": frac_str(length)}
-                for u, w, length in tree.edge_list
-            ],
-        },
+        "tree": _tree_payload(tree),
         "origin": result.origin,
-        "h": {v: frac_str(result.h.value(v)) for v in tree.vertices},
-        "remainder": {v: frac_str(result.remainder.value(v)) for v in tree.vertices},
+        "h": {v: str(result.h.value(v)) for v in tree.vertices},
+        "remainder": {v: str(result.remainder.value(v)) for v in tree.vertices},
         "subdivisions": [
-            {"vertex": s.vertex, "u": s.u, "w": s.w, "t": frac_str(s.t)}
+            {"vertex": s.vertex, "u": s.u, "w": s.w, "t": str(s.t)}
             for s in result.subdivisions
         ],
     }
@@ -249,13 +236,13 @@ def render_dot(d: Decomposition) -> str:
     modes = {c.mode for c in d.components}
     lines = ["graph decomposition {", "  node [style=filled, fillcolor=white];"]
     for v in d.refined_tree.vertices:
-        attrs = [f'label="{v}\\nf={frac_str(f.value(v))}"']
+        attrs = [f'label="{v}\\nf={f.value(v)}"']
         if v in color:
             attrs.append(f'fillcolor="{color[v]}"')
         if v in modes:
             attrs.append("shape=doublecircle")
         lines.append(f'  "{v}" [{", ".join(attrs)}];')
     for u, w, length in d.refined_tree.edge_list:
-        lines.append(f'  "{u}" -- "{w}" [label="{frac_str(length)}"];')
+        lines.append(f'  "{u}" -- "{w}" [label="{length}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

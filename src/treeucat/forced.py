@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping, Sequence
 
 from .density import EdgeLinearDensity, ModeWitness, is_unimodal, support_is_empty
 from .errors import InternalInvariantError, ZeroDensity
@@ -46,27 +48,45 @@ def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:
     """Remove prunable leaves in ascending id order until none remain.
 
     A leaf is prunable when its value is at most its unique neighbor's.
-    The last vertex is never removed. Once a vertex becomes a leaf its
-    neighbor can only disappear in the final two-vertex step, so a leaf's
-    prunability never changes while it waits in the queue; pushing each
-    vertex when it turns into a prunable leaf visits everything exactly
-    once in the required order.
+    The last vertex is never removed; it stands for a unimodal density,
+    whose reported mode is the smallest-id global argmax, as
+    `is_unimodal` confirms.
     """
     if support_is_empty(f):
         raise ZeroDensity("cannot prune the identically-zero density")
-    tree = f.tree
-    alive = set(tree.vertices)
-    degree = {v: tree.degree(v) for v in alive}
+    report = _prune(f.tree.adjacency(), f.values)
+    if isinstance(report.verdict, Unimodal):
+        witness = is_unimodal(f)
+        if witness != ModeWitness(report.verdict.mode, f.max_value()):
+            raise InternalInvariantError(
+                f"pruning reached one vertex but density is not unimodal: {witness}"
+            )
+    return report
+
+
+def _prune(
+    adj: Mapping[VertexId, Sequence[VertexId]], values: Mapping[VertexId, Fraction]
+) -> PruneReport:
+    """The prune over sorted adjacency lists and vertex values, which must
+    not all be zero; neither map is modified.
+
+    Once a vertex becomes a leaf its neighbor can only disappear in the
+    final two-vertex step, so a leaf's prunability never changes while it
+    waits in the queue; pushing each vertex when it turns into a prunable
+    leaf visits everything exactly once in the required order.
+    """
+    alive = set(adj)
+    degree = {v: len(nbs) for v, nbs in adj.items()}
 
     def sole_neighbor(v: VertexId) -> VertexId:
-        return next(nb for nb in tree.neighbors(v) if nb in alive)
+        return next(nb for nb in adj[v] if nb in alive)
 
     def prunable(v: VertexId) -> bool:
         return degree[v] <= 1 and (
-            degree[v] == 0 or f.value(v) <= f.value(sole_neighbor(v))
+            degree[v] == 0 or values[v] <= values[sole_neighbor(v)]
         )
 
-    queue = [v for v in tree.vertices if degree[v] == 1 and prunable(v)]
+    queue = [v for v in adj if degree[v] == 1 and prunable(v)]
     heapq.heapify(queue)
     while queue and len(alive) > 1:
         leaf = heapq.heappop(queue)
@@ -79,20 +99,17 @@ def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:
             heapq.heappush(queue, nb)
 
     if len(alive) == 1:
-        witness = is_unimodal(f)
-        if not isinstance(witness, ModeWitness):
-            raise InternalInvariantError(
-                f"pruning reached one vertex but density is not unimodal: {witness}"
-            )
-        return PruneReport(frozenset(alive), (), Unimodal(witness.mode))
+        top = max(values.values())
+        mode = min(v for v, val in values.items() if val == top)
+        return PruneReport(frozenset(alive), (), Unimodal(mode))
 
     forced = tuple(sorted(v for v in alive if degree[v] == 1))
     if len(forced) < 2:
         raise InternalInvariantError(
             f"prune fixpoint {sorted(alive)} has fewer than two forced leaves"
         )
-    top = max(f.value(v) for v in forced)
-    chosen = min(v for v in forced if f.value(v) == top)
+    top = max(values[v] for v in forced)
+    chosen = min(v for v in forced if values[v] == top)
     return PruneReport(frozenset(alive), forced, Forced(chosen))
 
 
@@ -108,7 +125,8 @@ def find_forced_vertex(f: EdgeLinearDensity) -> VertexId:
     mode in every minimal decomposition; decompose relies only on some
     minimal decomposition having a mode there.
     """
-    report = prune_insignificant(f)
-    if isinstance(report.verdict, Unimodal):
-        return report.verdict.mode
-    return report.verdict.chosen
+    return _forced_vertex(prune_insignificant(f).verdict)
+
+
+def _forced_vertex(verdict: Unimodal | Forced) -> VertexId:
+    return verdict.mode if isinstance(verdict, Unimodal) else verdict.chosen

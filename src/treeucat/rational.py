@@ -31,8 +31,3 @@ def as_fraction(value) -> Fraction:
             f"floats are not accepted (got {value!r}); pass a string like '1/3'"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
-
-
-def frac_str(value: Fraction) -> str:
-    """Canonical string form: "5", "-2/3"."""
-    return str(value)

@@ -4,15 +4,21 @@ Sweeping from an origin vertex v produces the largest edge-linear function
 h that has its mode at v and is dominated by f along every path leaving v.
 Where h hits zero strictly inside an edge, the edge is subdivided so that
 both h and the remainder f - h stay edge-linear.
+
+`_sweep` does this on a mutable `Refinement` and turns the value map it is
+given into the remainder; `decompose` calls it once per iteration on its
+single working state. `sweep` is the pure public form over a density.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .density import EdgeLinearDensity
-from .tree import EdgePoint, MetricTree, VertexId, subdivide_all
+from .errors import UnknownVertex
+from .tree import Refinement, VertexId
 
 _ZERO = Fraction(0)
 
@@ -30,8 +36,8 @@ class Subdivision:
 
 @dataclass(frozen=True)
 class SweepResult:
-    refined_tree: MetricTree
-    f_refined: EdgeLinearDensity
+    """h and the remainder f - h, both on the refined tree `h.tree`."""
+
     h: EdgeLinearDensity
     remainder: EdgeLinearDensity
     origin: VertexId
@@ -46,49 +52,58 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     but smaller than the drop) inserts a vertex at t = h(u)/drop, where both
     h and the fresh remainder value f(u) - h(u) are exact.
     """
-    tree = f.tree
-    orientation = tree.root_at(v)
-    h: dict[VertexId, Fraction] = {v: f.value(v)}
-    cuts: list[tuple[EdgePoint, Fraction]] = []
-    for u, w in orientation.oriented_edges():
-        fu, fw = f.value(u), f.value(w)
-        hu = h[u]
-        if fu < fw:
-            h[w] = hu
-            continue
-        drop = fu - fw
-        if hu >= drop:
-            h[w] = hu - drop
-        else:
-            h[w] = _ZERO
-            if hu > 0:
-                cuts.append((EdgePoint(u, w, hu / drop), fu - hu))
-
-    if cuts:
-        refined, names = subdivide_all(tree, [point for point, _ in cuts])
-    else:
-        refined, names = tree, ()
-
-    f_values = dict(f.values)
-    subdivisions = []
-    for (point, f_at_cut), name in zip(cuts, names):
-        f_values[name] = f_at_cut
-        h[name] = _ZERO
-        subdivisions.append(Subdivision(name, point.u, point.w, point.t))
-
-    f_refined = EdgeLinearDensity(refined, f_values)
-    h_density = EdgeLinearDensity(refined, h)
-    r_values = {x: f_values[x] - h[x] for x in f_values}
+    if not f.tree.has_vertex(v):
+        raise UnknownVertex(f"no vertex {v!r}")
+    state = Refinement(f.tree)
+    rest = dict(f.values)
+    h, subdivisions = _sweep(state, rest, v)
+    refined = state.freeze()
     return SweepResult(
-        refined_tree=refined,
-        f_refined=f_refined,
-        h=h_density,
-        remainder=EdgeLinearDensity(refined, r_values),
+        h=EdgeLinearDensity(refined, h),
+        remainder=EdgeLinearDensity(refined, rest),
         origin=v,
-        subdivisions=tuple(subdivisions),
+        subdivisions=subdivisions,
     )
 
 
-def remainder(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
-    """Same computation as `sweep`; named for callers after f - h."""
-    return sweep(f, v)
+def _sweep(
+    state: Refinement, f: dict[VertexId, Fraction], v: VertexId
+) -> tuple[dict[VertexId, Fraction], tuple[Subdivision, ...]]:
+    """Sweep f from v on `state`; returns h and the cuts made.
+
+    h propagates breadth-first from v, children in id order, and every
+    cut is then split in that order, so `_s<N>` names follow visit order.
+    On return `state` holds the refined tree and f, extended to the cut
+    vertices, holds the remainder f - h.
+    """
+    h: dict[VertexId, Fraction] = {v: f[v]}
+    cuts: list[tuple[VertexId, VertexId, Fraction, Fraction]] = []
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        fu, hu = f[u], h[u]
+        for w in state.adj[u]:
+            if w in h:
+                continue
+            queue.append(w)
+            fw = f[w]
+            if fu < fw:
+                h[w] = hu
+                continue
+            drop = fu - fw
+            if hu >= drop:
+                h[w] = hu - drop
+            else:
+                h[w] = _ZERO
+                if hu > 0:
+                    cuts.append((u, w, hu / drop, fu - hu))
+
+    subdivisions = []
+    for u, w, t, f_at_cut in cuts:
+        name = state.split(u, w, t)
+        f[name] = f_at_cut
+        h[name] = _ZERO
+        subdivisions.append(Subdivision(name, u, w, t))
+    for x, hx in h.items():
+        f[x] -= hx
+    return h, tuple(subdivisions)

@@ -1,8 +1,11 @@
 """Immutable finite metric trees and their structural transforms.
 
 A tree is a set of string vertex ids plus unordered edges with strictly
-positive rational lengths. All operations return new trees; nothing is
-mutated in place, so values can be shared freely across threads.
+positive rational lengths. `MetricTree` is immutable: all its operations
+return new trees, so values can be shared freely across threads. The one
+mutable helper is `Refinement`, a private working copy that subdivision,
+the sweep and the greedy loop split in place and freeze into a
+`MetricTree` once, at the end; the tree it was copied from never changes.
 
 Vertex ids supplied by users must match ``[A-Za-z0-9][A-Za-z0-9_-]*``.
 The prefix ``_`` is reserved for synthetic subdivision vertices, which are
@@ -13,6 +16,7 @@ identical trees.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,16 +83,12 @@ class Orientation:
 
 @dataclass(frozen=True)
 class MergeRecord:
-    """Everything needed to reverse one edge contraction.
-
-    `moved` lists the edges (neighbor, length) that were re-attached from
-    the removed vertex to the survivor.
-    """
+    """One edge contraction: `removed` merged into `survivor` across an
+    edge of the given length."""
 
     survivor: VertexId
     removed: VertexId
     length: Fraction
-    moved: tuple[tuple[VertexId, Fraction], ...]
 
 
 class MetricTree:
@@ -196,9 +196,6 @@ class MetricTree:
     def degree(self, v: VertexId) -> int:
         return len(self.neighbors(v))
 
-    def leaves(self) -> tuple[VertexId, ...]:
-        return tuple(v for v in self._vertices if len(self._adj[v]) <= 1)
-
     def total_length(self) -> Fraction:
         return sum(self._lengths.values(), Fraction(0))
 
@@ -257,30 +254,45 @@ class MetricTree:
         ]
         new_edges.extend((survivor, nb, length) for nb, length in moved)
         vertices = [v for v in self._vertices if v != removed]
-        record = MergeRecord(survivor, removed, self._lengths[key], moved)
+        record = MergeRecord(survivor, removed, self._lengths[key])
         return (
             MetricTree(vertices, new_edges, _synth_counter=self._synth_counter),
             record,
         )
 
-    def uncontract(self, record: MergeRecord) -> "MetricTree":
-        """Reverse a contraction performed on this tree's predecessor."""
-        if record.survivor not in self._vertex_set:
-            raise UnknownVertex(f"survivor {record.survivor!r} missing")
-        if record.removed in self._vertex_set:
-            raise DuplicateVertexId(f"{record.removed!r} already present")
-        new_edges = []
-        restored = {nb for nb, _ in record.moved}
-        for (a, b), length in self._lengths.items():
-            if a == record.survivor and b in restored:
-                new_edges.append((record.removed, b, length))
-            elif b == record.survivor and a in restored:
-                new_edges.append((record.removed, a, length))
-            else:
-                new_edges.append((a, b, length))
-        new_edges.append((record.survivor, record.removed, record.length))
-        vertices = list(self._vertices) + [record.removed]
-        return MetricTree(vertices, new_edges, _synth_counter=self._synth_counter)
+
+class Refinement:
+    """Mutable working copy of a tree that only ever gains subdivisions.
+
+    It holds the same sorted adjacency lists, `edge_key` lengths and `_s<N>`
+    counter as the tree it copies, trusts its callers instead of
+    re-validating, and is turned back into a validated `MetricTree` by
+    `freeze`. The source tree is never touched.
+    """
+
+    __slots__ = ("adj", "lengths", "counter")
+
+    def __init__(self, tree: MetricTree):
+        self.adj = {v: list(nbs) for v, nbs in tree._adj.items()}
+        self.lengths = dict(tree._lengths)
+        self.counter = tree._synth_counter
+
+    def split(self, u: VertexId, w: VertexId, t: Fraction) -> VertexId:
+        """Insert the next `_s<N>` on edge (u, w) at fraction t from u."""
+        total = self.lengths.pop(edge_key(u, w))
+        name = f"_s{self.counter}"
+        self.counter += 1
+        self.lengths[edge_key(u, name)] = total * t
+        self.lengths[edge_key(name, w)] = total * (1 - t)
+        for a, b in ((u, w), (w, u)):
+            self.adj[a].remove(b)
+            insort(self.adj[a], name)
+        self.adj[name] = sorted((u, w))
+        return name
+
+    def freeze(self) -> MetricTree:
+        edges = [(u, w, length) for (u, w), length in self.lengths.items()]
+        return MetricTree(self.adj, edges, _synth_counter=self.counter)
 
 
 def subdivide_all(
@@ -292,33 +304,21 @@ def subdivide_all(
     matching what repeated single subdivisions would produce. Each edge may
     appear at most once per call.
     """
-    lengths = dict(tree._lengths)
-    counter = tree._synth_counter
-    new_vertices: list[VertexId] = []
+    seen = set()
     for point in points:
         key = edge_key(point.u, point.w)
         if key not in tree._lengths:
             raise UnknownEdge(f"no edge {point.u!r}-{point.w!r}")
-        if key not in lengths:
+        if key in seen:
             raise ValueError(f"edge {key} subdivided twice in one batch")
         if point.t == 0 or point.t == 1:
             raise EndpointSubdivision(
                 f"t={point.t} on edge {point.u!r}-{point.w!r} is an endpoint"
             )
-        total = lengths.pop(key)
-        # t is measured from point.u regardless of canonical edge order
-        t_from_first = point.t if key[0] == point.u else 1 - point.t
-        name = f"_s{counter}"
-        counter += 1
-        new_vertices.append(name)
-        lengths[edge_key(key[0], name)] = total * t_from_first
-        lengths[edge_key(name, key[1])] = total * (1 - t_from_first)
-    vertices = list(tree._vertices) + new_vertices
-    edges = [(u, w, length) for (u, w), length in lengths.items()]
-    return (
-        MetricTree(vertices, edges, _synth_counter=counter),
-        tuple(new_vertices),
-    )
+        seen.add(key)
+    state = Refinement(tree)
+    names = tuple(state.split(point.u, point.w, point.t) for point in points)
+    return state.freeze(), names
 
 
 def path_between(tree: MetricTree, a: VertexId, b: VertexId) -> tuple[VertexId, ...]:

@@ -31,7 +31,6 @@ from .errors import (
     UnknownVertex,
 )
 from .greedy import Decomposition
-from .interval import interval_ucat as interval_ucat  # re-exported cross-check
 from .tree import MetricTree, VertexId
 
 _ZERO = Fraction(0)

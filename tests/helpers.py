@@ -3,14 +3,23 @@
 The reference implementations here are deliberately naive and share no
 logic with the package: the sweep oracle uses a closed form over paths,
 and the unimodality oracle checks excursion-set connectivity directly.
+`forced_region` reads the package's prune verdict and describes the set
+that verdict forces a mode into.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from fractions import Fraction
 
-from treeucat import EdgeLinearDensity, MetricTree
+from treeucat import (
+    EdgeLinearDensity,
+    MetricTree,
+    Unimodal,
+    path_between,
+    prune_insignificant,
+)
 
 
 def path_instance(values, prefix="v"):
@@ -29,6 +38,36 @@ def star_instance(center_value, leaf_values):
     tree = MetricTree(names, edges)
     values = {"c": center_value, **leaf_values}
     return tree, EdgeLinearDensity(tree, values)
+
+
+def monotone_arm_instance(seed: int, arm: int) -> EdgeLinearDensity:
+    """Three random bumps followed by a strictly decreasing arm of the
+    requested length; the count stays 3 whatever the arm length."""
+    rng = random.Random(seed)
+    peaks = [rng.randint(7, 9) for _ in range(3)]
+    valleys = [rng.randint(0, 2) for _ in range(2)]
+    values = [peaks[0], valleys[0], peaks[1], valleys[1], peaks[2]]
+    values += [Fraction(peaks[2] * (arm - i), arm) for i in range(1, arm + 1)]
+    _, f = path_instance(values)
+    return f
+
+
+def forced_region(f: EdgeLinearDensity) -> set:
+    """Vertices among which every decomposition of f has a mode.
+
+    Forced verdict: the chosen core leaf v plus every pruned vertex whose
+    path into the surviving core enters it at v, i.e. v's side of the edge
+    to its one core neighbor u. A component anchored outside that branch
+    is non-increasing along u -> v, and f(v) > f(u). Unimodal verdict: the
+    argmax set, since only a global argmax can anchor f itself.
+    """
+    report = prune_insignificant(f)
+    if isinstance(report.verdict, Unimodal):
+        top = f.max_value()
+        return {x for x in f.tree.vertices if f.value(x) == top}
+    v = report.verdict.chosen
+    (u,) = [n for n in f.tree.neighbors(v) if n in report.surviving]
+    return {x for x in f.tree.vertices if v in path_between(f.tree, u, x)}
 
 
 def sweep_oracle_h(f: EdgeLinearDensity, origin) -> dict:

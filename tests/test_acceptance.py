@@ -22,17 +22,15 @@ from treeucat import (
     EdgePoint,
     MetricTree,
     ModeWitness,
-    Unimodal,
     check_decomposition,
     decompose,
+    extend_to_refinement,
     feasible_with_modes,
     find_forced_vertex,
     gen_instance,
     interval_ucat,
     is_unimodal,
     normalize,
-    path_between,
-    prune_insignificant,
     support_is_empty,
     sweep,
     ucat,
@@ -46,7 +44,7 @@ from treeucat.documents import (
     serialize_instance,
 )
 
-from helpers import path_instance, star_instance
+from helpers import forced_region, monotone_arm_instance, path_instance, star_instance
 
 
 def test_criterion_1_greedy_matches_oracle():
@@ -97,9 +95,11 @@ def test_criterion_4_sweep_contracts():
         vertices = tree.vertices
         v = vertices[seed % len(vertices)]
         result = sweep(f, v)
-        for x in result.refined_tree.vertices:
+        lifted = extend_to_refinement(f, result.h.tree)
+        assert result.remainder.tree == result.h.tree, (seed, v)
+        for x in result.h.tree.vertices:
             hx = result.h.value(x)
-            fx = result.f_refined.value(x)
+            fx = lifted.value(x)
             assert 0 <= hx <= fx, (seed, v, x)
             assert result.remainder.value(x) == fx - hx, (seed, v, x)
         assert result.remainder.value(v) == 0, (seed, v)
@@ -134,19 +134,6 @@ def test_criterion_5_homeomorphism_invariance():
         assert ucat(normalized) == expected, seed
 
 
-def _forced_region(f: EdgeLinearDensity) -> set:
-    # Forced verdict: the chosen core leaf v plus every pruned vertex whose
-    # path into the surviving core enters it at v, i.e. v's side of the
-    # edge to its one core neighbor.  Unimodal verdict: the argmax set.
-    report = prune_insignificant(f)
-    if isinstance(report.verdict, Unimodal):
-        top = f.max_value()
-        return {x for x in f.tree.vertices if f.value(x) == top}
-    v = report.verdict.chosen
-    (u,) = [n for n in f.tree.neighbors(v) if n in report.surviving]
-    return {x for x in f.tree.vertices if v in path_between(f.tree, u, x)}
-
-
 def test_criterion_6_forced_vertex_exclusion():
     # For the criterion-1 instances with ucat = k >= 1: every k-set of
     # anchors outside the prune's forced region must be infeasible.  For a
@@ -170,7 +157,7 @@ def test_criterion_6_forced_vertex_exclusion():
             continue
         k = ucat_oracle(f, 7)
         v = find_forced_vertex(f)
-        region = _forced_region(f)
+        region = forced_region(f)
         assert v in region, (seed, v, region)
         outside = [x for x in tree.vertices if x not in region]
         for anchors in itertools.combinations(outside, k):
@@ -200,7 +187,7 @@ def test_criterion_7_hand_fixtures():
     assert len(result.subdivisions) == 1
     cut = result.subdivisions[0]
     assert (cut.u, cut.w, cut.t) == ("Q", "R", Fraction(2, 3))
-    assert result.f_refined.value(cut.vertex) == 1
+    assert extend_to_refinement(f, result.h.tree).value(cut.vertex) == 1
 
     # path (1, 2, 1, 2, 1): two components with modes at the two bumps
     _, twin = path_instance([1, 2, 1, 2, 1])
@@ -209,25 +196,13 @@ def test_criterion_7_hand_fixtures():
     assert [c.mode for c in d.components] == ["v2", "v4"]
 
 
-def _monotone_arm_instance(seed: int, arm: int) -> EdgeLinearDensity:
-    # three random bumps followed by a strictly decreasing arm of the
-    # requested length; the count stays 3 whatever the arm length
-    rng = random.Random(seed)
-    peaks = [rng.randint(7, 9) for _ in range(3)]
-    valleys = [rng.randint(0, 2) for _ in range(2)]
-    values = [peaks[0], valleys[0], peaks[1], valleys[1], peaks[2]]
-    values += [Fraction(peaks[2] * (arm - i), arm) for i in range(1, arm + 1)]
-    _, f = path_instance(values)
-    return f
-
-
 def test_criterion_8_complexity_smoke():
     # informative, not gating: doubling the vertex count at fixed component
     # count should roughly double decompose time; the measured ratio is
     # reported as a warning so it shows up in the run summary
     samples = {}
     for arm in (200, 400):
-        instances = [_monotone_arm_instance(seed, arm) for seed in range(20)]
+        instances = [monotone_arm_instance(seed, arm) for seed in range(20)]
         for f in instances:
             assert len(decompose(f)[0].components) == 3
         started = time.perf_counter()

@@ -17,14 +17,13 @@ from treeucat import (
     find_forced_vertex,
     gen_instance,
     is_unimodal,
-    normalize,
     prune_insignificant,
     support_is_empty,
     ucat_oracle,
 )
 from treeucat.errors import ZeroDensity
 
-from helpers import path_instance, star_instance
+from helpers import forced_region, path_instance, star_instance
 
 
 def test_unimodal_path_reports_single_survivor():
@@ -170,31 +169,28 @@ def test_prune_fixpoint_confluent_up_to_plateau_endgame():
                 assert randomized == report.surviving
 
 
-def test_no_strict_decomposition_omits_the_forced_vertex():
-    # an observation on these 60 normalized instances, not a theorem: with
-    # up to k = ucat anchors, forcing every component strictly below its
-    # own peak at v is infeasible here, so v carries a mode in every
-    # minimal decomposition of each of them.  It fails in general, even
-    # without constant edges: the path (2, 3, 2, 4, 3) reports v4, yet
-    # anchors (v2, v5) avoid it (see
-    # test_no_vertex_is_forced_on_rising_second_peak).  What always holds
-    # is the branch exclusion of acceptance criterion 6.  Normalizing
-    # matters because a constant edge lets a mode slide between its
-    # endpoints.  Sets cover all multisets: merging components with a
-    # shared anchor preserves the strict gap, and a zero component can
-    # never satisfy it.
+def test_strict_avoidance_infeasible_outside_the_forced_region():
+    # negative coverage of feasible_avoiding_vertex: no anchor set of size
+    # up to k = ucat that lies wholly outside the prune's forced region
+    # (helpers.forced_region) admits a decomposition, so the stricter
+    # problem that also keeps every component below its peak at the
+    # reported vertex v must come back infeasible.  This is branch
+    # exclusion (acceptance criterion 6), which holds for every size; that
+    # v itself carries a mode does not (see
+    # test_no_vertex_is_forced_on_rising_second_peak).  Every size is
+    # tried, because a zero component cannot satisfy the strict gap.
     checked = 0
     for seed in range(60):
         _, f = gen_instance(seed, 6, 3)
         if support_is_empty(f):
             continue
-        g, _ = normalize(f)
-        k = ucat_oracle(g, 6)
-        v = find_forced_vertex(g)
-        others = [x for x in g.tree.vertices if x != v]
+        k = ucat_oracle(f, 6)
+        v = find_forced_vertex(f)
+        region = forced_region(f)
+        outside = [x for x in f.tree.vertices if x not in region]
         for size in range(1, k + 1):
-            for anchors in itertools.combinations(others, size):
-                assert feasible_avoiding_vertex(g, anchors, v) is None, (
+            for anchors in itertools.combinations(outside, size):
+                assert feasible_avoiding_vertex(f, anchors, v) is None, (
                     seed,
                     anchors,
                     v,

@@ -11,15 +11,19 @@ from treeucat import (
     TraceEvent,
     check_decomposition,
     decompose,
+    extend_to_refinement,
+    find_forced_vertex,
     gen_instance,
     interval_ucat,
     is_unimodal,
     support_is_empty,
+    sweep,
     ucat,
     ucat_oracle,
 )
+from treeucat.documents import parse_instance, serialize_instance
 
-from helpers import path_instance, star_instance
+from helpers import monotone_arm_instance, path_instance, star_instance
 
 
 def _component_maps(decomposition):
@@ -165,3 +169,78 @@ def test_modes_are_distinct_vertices():
         d, _ = decompose(f)
         modes = [c.mode for c in d.components]
         assert len(modes) == len(set(modes))
+
+
+def _replay(f):
+    # decompose spelled out with the public step API on immutable
+    # densities: earlier components move to each refined tree through
+    # extend_to_refinement, not through the loop's own interpolation
+    modes, components, trace = [], [], []
+    current = f
+    while not support_is_empty(current):
+        v = find_forced_vertex(current)
+        result = sweep(current, v)
+        refined = result.h.tree
+        components = [extend_to_refinement(c, refined) for c in components]
+        components.append(result.h)
+        modes.append(v)
+        current = result.remainder
+        trace.append(
+            TraceEvent(
+                len(modes),
+                v,
+                tuple(s.vertex for s in result.subdivisions),
+                sum(current.values.values(), Fraction(0)),
+            )
+        )
+    return modes, current.tree, components, extend_to_refinement(f, current.tree), trace
+
+
+def test_decompose_matches_replayed_public_steps():
+    instances = [gen_instance(seed, 30, 6)[1] for seed in range(40)]
+    instances += [path_instance([1, 3] * n + [1])[1] for n in (1, 6, 20)]
+    instances += [monotone_arm_instance(seed, 60) for seed in range(3)]
+    cuts = 0
+    for i, f in enumerate(instances):
+        d, trace = decompose(f)
+        modes, tree, components, lifted, replay_trace = _replay(f)
+        assert [c.mode for c in d.components] == modes, i
+        assert d.refined_tree.vertices == tree.vertices, i
+        assert d.refined_tree.edge_list == tree.edge_list, i
+        assert [c.density for c in d.components] == components, i
+        assert d.input_on_refined == lifted, i
+        assert trace == replay_trace, i
+        cuts += sum(len(event.subdivided) for event in trace)
+    assert cuts > 0
+
+
+def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
+    # the loop validates nothing: one tree and one density come from the
+    # parse, one tree and k + 1 densities (input and components) at the end
+    built = {MetricTree: 0, EdgeLinearDensity: 0}
+
+    def count_builds(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[cls] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in built:
+        count_builds(cls)
+
+    texts = [serialize_instance(*gen_instance(seed, 30, 6)) for seed in range(20)]
+    texts.append(serialize_instance(*path_instance([4, 1, 4, 1, 4])))
+    cuts = 0
+    for text in texts:
+        for cls in built:
+            built[cls] = 0
+        _, f = parse_instance(text)
+        d, trace = decompose(f)
+        k = len(d.components)
+        assert built[MetricTree] <= 2, text
+        assert built[EdgeLinearDensity] <= k + 2, text
+        cuts += sum(len(event.subdivided) for event in trace)
+    assert cuts > 0

@@ -9,6 +9,7 @@ from treeucat import (
     decompose,
     gen_instance,
     normalize,
+    prune_insignificant,
     support_is_empty,
     sweep,
     ucat,
@@ -18,13 +19,35 @@ from treeucat import (
 from helpers import sweep_oracle_h
 
 
+def _snapshot(f):
+    tree = f.tree
+    return tree.vertices, tree.edge_list, dict(tree.adjacency()), dict(f.values)
+
+
 def test_decompose_leaves_inputs_untouched():
-    tree, f = gen_instance(8, 10, 5)
-    edges_before = tree.edge_list
-    values_before = dict(f.values)
-    decompose(f)
-    assert tree.edge_list == edges_before
-    assert dict(f.values) == values_before
+    cuts = 0
+    for seed in range(30):
+        tree, f = gen_instance(seed, 12, 5)
+        before = _snapshot(f)
+        d, _ = decompose(f)
+        assert _snapshot(f) == before, seed
+        # nor the synthetic-name counter: a second run names cuts alike
+        assert decompose(f)[0] == d, seed
+        cuts += len(d.refined_tree.vertices) - len(tree.vertices)
+    assert cuts > 0
+
+
+def test_sweep_and_prune_leave_their_argument_unchanged():
+    cuts = 0
+    for seed in range(30):
+        tree, f = gen_instance(seed, 12, 5)
+        before = _snapshot(f)
+        for v in tree.vertices:
+            cuts += len(sweep(f, v).subdivisions)
+        if not support_is_empty(f):
+            prune_insignificant(f)
+        assert _snapshot(f) == before, seed
+    assert cuts > 0
 
 
 def test_ucat_invariant_under_subdivision_and_normalize():

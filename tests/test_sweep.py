@@ -11,9 +11,9 @@ from treeucat import (
     MetricTree,
     ModeWitness,
     Subdivision,
+    extend_to_refinement,
     gen_instance,
     is_unimodal,
-    remainder,
     sweep,
     value_at,
 )
@@ -26,7 +26,7 @@ def test_monotone_decreasing_sweeps_clean():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
     f = EdgeLinearDensity(tree, {"A": 3, "B": 2, "C": 1})
     result = sweep(f, "A")
-    assert result.refined_tree == tree
+    assert result.h.tree == tree
     assert dict(result.h.values) == {"A": Fraction(3), "B": Fraction(2), "C": Fraction(1)}
     assert all(v == 0 for v in result.remainder.values.values())
     assert result.subdivisions == ()
@@ -51,11 +51,13 @@ def test_zero_crossing_inserts_subdivision():
 
     assert result.origin == "P"
     assert result.subdivisions == (Subdivision("_s1", "Q", "R", Fraction(2, 3)),)
-    assert result.refined_tree.vertices == ("P", "Q", "R", "_s1")
-    assert result.refined_tree.edge_length("Q", "_s1") == Fraction(2, 3)
-    assert result.refined_tree.edge_length("_s1", "R") == Fraction(1, 3)
+    refined = result.h.tree
+    assert refined.vertices == ("P", "Q", "R", "_s1")
+    assert refined.edge_length("Q", "_s1") == Fraction(2, 3)
+    assert refined.edge_length("_s1", "R") == Fraction(1, 3)
+    assert result.remainder.tree == refined
 
-    assert dict(result.f_refined.values) == {
+    assert dict(extend_to_refinement(f, refined).values) == {
         "P": Fraction(2),
         "Q": Fraction(3),
         "_s1": Fraction(1),
@@ -96,7 +98,7 @@ def test_zero_crossing_dense_samples():
 def test_height_stays_zero_past_support_gap():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
     f = EdgeLinearDensity(tree, {"A": 1, "B": 0, "C": 1})
-    result = remainder(f, "A")
+    result = sweep(f, "A")
     assert dict(result.h.values) == {"A": Fraction(1), "B": Fraction(0), "C": Fraction(0)}
     assert dict(result.remainder.values) == {
         "A": Fraction(0),
@@ -135,8 +137,9 @@ def test_branching_cuts_named_in_visit_order():
         Subdivision("_s1", "B", "C", Fraction(1, 5)),
         Subdivision("_s2", "B", "D", Fraction(1, 5)),
     )
-    assert result.f_refined.value("_s1") == 4
-    assert result.f_refined.value("_s2") == 4
+    lifted = extend_to_refinement(f, result.h.tree)
+    assert lifted.value("_s1") == 4
+    assert lifted.value("_s2") == 4
     assert result.h.value("_s1") == 0
     assert result.remainder.value("_s2") == 4
 
@@ -170,10 +173,11 @@ def test_result_invariants_on_random_instances():
         tree, f = gen_instance(seed, 10, 6)
         for v in tree.vertices:
             result = sweep(f, v)
-            fr = result.f_refined
+            fr = extend_to_refinement(f, result.h.tree)
+            assert result.remainder.tree == result.h.tree
             assert result.h.value(v) == f.value(v)
             assert result.remainder.value(v) == 0
-            for x in result.refined_tree.vertices:
+            for x in result.h.tree.vertices:
                 hx = result.h.value(x)
                 assert 0 <= hx <= fr.value(x)
                 assert hx + result.remainder.value(x) == fr.value(x)
@@ -188,8 +192,8 @@ def test_deterministic_across_calls():
     v = tree.vertices[0]
     first = sweep(f, v)
     second = sweep(f, v)
-    assert first.refined_tree == second.refined_tree
-    assert first.refined_tree.vertices == second.refined_tree.vertices
+    assert first.h.tree == second.h.tree
+    assert first.h.tree.vertices == second.h.tree.vertices
     assert first.h == second.h
     assert first.remainder == second.remainder
     assert first.subdivisions == second.subdivisions

@@ -192,14 +192,6 @@ def test_contract_single_edge_to_point():
     assert record.survivor == "A"
 
 
-def test_contract_then_uncontract_restores_tree():
-    tree = MetricTree(
-        ["A", "B", "C", "D"], [("A", "B", 1), ("B", "C", "1/2"), ("C", "D", 2)]
-    )
-    contracted, record = tree.contract_edge("B", "C")
-    assert contracted.uncontract(record) == tree
-
-
 def test_contract_unknown_edge():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
     with pytest.raises(UnknownEdge):
