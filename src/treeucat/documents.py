@@ -4,12 +4,20 @@ All numbers travel as strings ("3", "1/3", "0.25") and convert exactly to
 rationals, so files round-trip without any loss. Instance files may only
 use user ids; decomposition files may also contain the tool's synthetic
 `_s<N>` subdivision vertices.
+
+Hostile input ends in `DocumentError`, in bounded time: nesting too deep
+for the JSON parser is reported, not raised as `RecursionError`, and a
+numeral may have at most `MAX_NUMERAL_CHARS` characters and a decimal
+exponent of at most `MAX_DECIMAL_EXPONENT` in absolute value, so that
+"1e10000000" cannot ask for a 33-million-bit integer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,6 +27,11 @@ from .greedy import Component, Decomposition
 from .rational import as_fraction
 from .sweep import SweepResult
 from .tree import _USER_ID, MetricTree, VertexId, is_valid_vertex_id
+
+MAX_NUMERAL_CHARS = 10_000
+MAX_DECIMAL_EXPONENT = 1_000
+# the exponent's digits after leading zeros; underscores group digits
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
 
 
 @dataclass(frozen=True)
@@ -36,6 +49,10 @@ def _load_json(text: str):
         raise DocumentError(
             f"line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("document is nested too deeply") from None
+    except ValueError as err:  # e.g. an integer literal past int's digit limit
+        raise DocumentError(str(err)) from None
 
 
 def _check_sections(data, required: set, what: str) -> None:
@@ -51,12 +68,27 @@ def _number(raw, what: str):
     if not isinstance(raw, str):
         raise DocumentError(
             f"{what}: numbers must be exact strings like \"3\", \"1/3\" or \"0.25\","
-            f" got {raw!r}"
+            f" got {reprlib.repr(raw)}"
         )
+    if len(raw) > MAX_NUMERAL_CHARS:
+        raise DocumentError(
+            f"{what}: numeral has {len(raw)} characters, at most"
+            f" {MAX_NUMERAL_CHARS} are allowed"
+        )
+    exponent = _EXPONENT.search(raw)
+    if exponent is not None:
+        digits = exponent[1].replace("_", "")
+        too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+        if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise DocumentError(
+                f"{what}: decimal exponent of {reprlib.repr(raw)} exceeds"
+                f" {MAX_DECIMAL_EXPONENT} in absolute value"
+            )
     try:
         return as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise DocumentError(f"{what}: not an exact number: {raw!r}") from None
+        shown = reprlib.repr(raw)
+        raise DocumentError(f"{what}: not an exact number: {shown}") from None
 
 
 def _parse_tree_sections(data, what: str, allow_synthetic: bool) -> MetricTree:
@@ -81,6 +113,12 @@ def _parse_tree_sections(data, what: str, allow_synthetic: bool) -> MetricTree:
             raise DocumentError(
                 f"{what}: edge {i} must be an object with keys u, w, length"
             )
+        for end in ("u", "w"):
+            if not isinstance(entry[end], str):
+                raise DocumentError(
+                    f"{what}: edge {i} endpoint {reprlib.repr(entry[end])}"
+                    " is not a string"
+                )
         edges.append(
             (entry["u"], entry["w"], _number(entry["length"], f"{what}: edge {i} length"))
         )
@@ -148,8 +186,10 @@ def parse_decomposition(text: str) -> DecompositionDocument:
                 f"component {i} must be an object with keys mode, values"
             )
         mode = entry["mode"]
-        if not tree.has_vertex(mode):
-            raise DocumentError(f"component {i}: mode {mode!r} is not a tree vertex")
+        if not isinstance(mode, str) or not tree.has_vertex(mode):
+            raise DocumentError(
+                f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
+            )
         values = _values_map(entry["values"], f"component {i} values")
         components.append(Component(mode, EdgeLinearDensity(tree, values)))
 

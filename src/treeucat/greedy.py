@@ -2,12 +2,36 @@
 
 Repeat three steps until nothing is left: pick a vertex where some minimal
 decomposition has a mode, sweep a unimodal component off from there, keep
-the remainder. The input is validated once, when its density is built;
-the loop then runs on one mutable `Refinement` and plain value maps: the
-remainder, the input (row 0) and one row per component. Whenever a sweep
-subdivides an edge, every row gains the interpolated value at the new
-vertex. The refined `MetricTree` and the densities are built once, after
-the loop.
+the remainder. The input is validated once, when its density is built.
+The loop then runs on one mutable `Refinement` and on plain integer value
+maps, the input's values times D, the lcm of their denominators: the
+remainder, the input (row 0) and one row per component, the component
+rows holding their support and its boundary only. Whenever a sweep
+subdivides an edge, every row gains its value at the new vertex. The
+refined `MetricTree` and the densities, their values divided by D again,
+are built once, after the loop.
+
+Why every value stays in (1/D)Z. Call a component *parallel* on an edge
+of the refinement when its difference along the edge equals the input's,
+and *constant* when its difference is 0. Invariant: on every edge, each
+component is constant or parallel, and at most one is parallel. It holds
+before the first sweep, which has no components. Since the remainder is
+the input minus the components, its difference on an edge is then the
+input's (no component parallel) or 0 (one is). A sweep gives h, on each
+oriented edge u -> w, one of three differences: 0 where it copies h(u)
+over a rise or stays at 0, the remainder's where it pays the drop, and
+the remainder's on (u, cut) then 0 on (cut, w) where it clamps at a cut.
+So h is constant or has the remainder's difference, which makes it
+parallel only where no earlier component is, and the invariant survives.
+A cut needs a falling remainder, so every earlier component is constant
+on the cut edge. At the cut vertex each component therefore takes its
+value at u, the input takes input(u) - h(u), h takes 0 and the remainder
+r(u) - h(u); h itself takes h(u) or h(u) - drop at original vertices.
+All of these are sums and differences of lattice values, so by induction
+the scaled rows hold integers, and only cut positions t and edge lengths
+leave the lattice. The loop still computes each row at a cut as an
+interpolation, with `divmod`, and a nonzero remainder there is a broken
+invariant, not a rounding.
 """
 
 from __future__ import annotations
@@ -18,7 +42,7 @@ from fractions import Fraction
 from .density import EdgeLinearDensity, support_is_empty
 from .errors import InternalInvariantError
 from .forced import Unimodal, _forced_vertex, _prune
-from .sweep import _sweep
+from .sweep import _from_lattice, _sweep, _to_lattice
 from .tree import MetricTree, Refinement, VertexId
 
 
@@ -48,15 +72,16 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
 
     The zero density decomposes into no components at all. Iteration count
     is bounded by the vertex count of the refined tree, and a sweep from a
-    unimodal remainder must leave nothing; breaking either means a bug, not
-    a hard input, and aborts loudly.
+    unimodal remainder must leave nothing; breaking either, or a row value
+    at a cut off the lattice, means a bug, not a hard input, and aborts
+    loudly.
     """
     if support_is_empty(f):
         return Decomposition(f.tree, (), f), []
 
     state = Refinement(f.tree)
-    rest = dict(f.values)
-    rows = [dict(f.values)]
+    scale, rest = _to_lattice(f.values)
+    rows = [dict(rest)]
     modes: list[VertexId] = []
     trace: list[TraceEvent] = []
     while True:
@@ -68,20 +93,28 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         verdict = _prune(state.adj, rest).verdict
         v = _forced_vertex(verdict)
         h, cuts = _sweep(state, rest, v)
-        for values in rows:
-            for cut in cuts:
-                values[cut.vertex] = (1 - cut.t) * values[cut.u] + cut.t * values[cut.w]
+        for cut in cuts:
+            for values in rows:
+                at_u, at_w = values.get(cut.u, 0), values.get(cut.w, 0)
+                step, off = divmod(cut.t.numerator * (at_w - at_u), cut.t.denominator)
+                if off:
+                    raise InternalInvariantError(
+                        f"row value at {cut.vertex!r} is off the lattice (1/{scale})Z"
+                    )
+                if at_u + step:
+                    values[cut.vertex] = at_u + step
         rows.append(h)
         modes.append(v)
+        total = sum(rest.values())  # the remainder is nonnegative
         trace.append(
             TraceEvent(
                 iteration=iteration,
                 forced_vertex=v,
                 subdivided=tuple(cut.vertex for cut in cuts),
-                remaining_mass=sum(rest.values(), Fraction(0)),
+                remaining_mass=Fraction(total, scale),
             )
         )
-        if all(val == 0 for val in rest.values()):
+        if total == 0:
             break
         if isinstance(verdict, Unimodal):
             raise InternalInvariantError(
@@ -89,7 +122,10 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
             )
 
     tree = state.freeze()
-    lifted = [EdgeLinearDensity(tree, values) for values in rows]
+    lifted = [
+        EdgeLinearDensity(tree, _from_lattice(values, scale, tree.vertices))
+        for values in rows
+    ]
     components = tuple(Component(m, d) for m, d in zip(modes, lifted[1:]))
     return Decomposition(tree, components, lifted[0]), trace
 

@@ -5,9 +5,12 @@ h that has its mode at v and is dominated by f along every path leaving v.
 Where h hits zero strictly inside an edge, the edge is subdivided so that
 both h and the remainder f - h stay edge-linear.
 
-`_sweep` does this on a mutable `Refinement` and turns the value map it is
-given into the remainder; `decompose` calls it once per iteration on its
-single working state. `sweep` is the pure public form over a density.
+`_sweep` does this on a mutable `Refinement` over integer values, the
+density scaled by the lcm D of its denominators (see `greedy.py` for why
+the loop never leaves that lattice), and turns the value map it is given
+into the remainder; `decompose` calls it once per iteration on its single
+working state. `sweep` is the pure public form over a density: it scales
+by D, calls `_sweep` and divides by D again.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Mapping
 
 from .density import EdgeLinearDensity
 from .errors import UnknownVertex
 from .tree import Refinement, VertexId
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,32 @@ class SweepResult:
     subdivisions: tuple[Subdivision, ...]
 
 
+def _to_lattice(
+    values: Mapping[VertexId, Fraction]
+) -> tuple[int, dict[VertexId, int]]:
+    """D, the lcm of the values' denominators, and the values times D."""
+    scale = lcm(*(val.denominator for val in values.values()))
+    return scale, {
+        v: val.numerator * (scale // val.denominator) for v, val in values.items()
+    }
+
+
+def _from_lattice(
+    values: Mapping[VertexId, int], scale: int, vertices: Iterable[VertexId]
+) -> dict[VertexId, Fraction]:
+    """The exact values x / D on `vertices`; a vertex missing from
+    `values` is 0. Equal numerators share one `Fraction`."""
+    fractions: dict[int, Fraction] = {}
+    out = {}
+    for v in vertices:
+        x = values.get(v, 0)
+        frac = fractions.get(x)
+        if frac is None:
+            frac = fractions[x] = Fraction(x, scale)
+        out[v] = frac
+    return out
+
+
 def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     """Propagate h away from v and split edges where h vanishes.
 
@@ -55,54 +84,59 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     if not f.tree.has_vertex(v):
         raise UnknownVertex(f"no vertex {v!r}")
     state = Refinement(f.tree)
-    rest = dict(f.values)
+    scale, rest = _to_lattice(f.values)
     h, subdivisions = _sweep(state, rest, v)
     refined = state.freeze()
+    vertices = refined.vertices
     return SweepResult(
-        h=EdgeLinearDensity(refined, h),
-        remainder=EdgeLinearDensity(refined, rest),
+        h=EdgeLinearDensity(refined, _from_lattice(h, scale, vertices)),
+        remainder=EdgeLinearDensity(refined, _from_lattice(rest, scale, vertices)),
         origin=v,
         subdivisions=subdivisions,
     )
 
 
 def _sweep(
-    state: Refinement, f: dict[VertexId, Fraction], v: VertexId
-) -> tuple[dict[VertexId, Fraction], tuple[Subdivision, ...]]:
-    """Sweep f from v on `state`; returns h and the cuts made.
+    state: Refinement, f: dict[VertexId, int], v: VertexId
+) -> tuple[dict[VertexId, int], tuple[Subdivision, ...]]:
+    """Sweep the integer values f from v on `state`; returns h and the cuts.
 
     h propagates breadth-first from v, children in id order, and every
     cut is then split in that order, so `_s<N>` names follow visit order.
+    A vertex whose h is 0 is not expanded: h stays 0 beyond it, so h is
+    returned on its support, the support's neighbours and the cut vertices
+    only, and is 0 everywhere else. The work is O(|supp h|), not O(n).
     On return `state` holds the refined tree and f, extended to the cut
-    vertices, holds the remainder f - h.
+    vertices, holds the remainder f - h; entries outside h are untouched.
     """
-    h: dict[VertexId, Fraction] = {v: f[v]}
-    cuts: list[tuple[VertexId, VertexId, Fraction, Fraction]] = []
-    queue = deque([v])
+    h: dict[VertexId, int] = {v: f[v]}
+    cuts: list[tuple[VertexId, VertexId, Fraction, int]] = []
+    queue = deque([v] if f[v] else ())
     while queue:
         u = queue.popleft()
-        fu, hu = f[u], h[u]
+        fu, hu = f[u], h[u]  # hu > 0
         for w in state.adj[u]:
             if w in h:
                 continue
-            queue.append(w)
             fw = f[w]
             if fu < fw:
                 h[w] = hu
+                queue.append(w)
                 continue
             drop = fu - fw
-            if hu >= drop:
+            if hu > drop:
                 h[w] = hu - drop
+                queue.append(w)
             else:
-                h[w] = _ZERO
-                if hu > 0:
-                    cuts.append((u, w, hu / drop, fu - hu))
+                h[w] = 0
+                if hu < drop:
+                    cuts.append((u, w, Fraction(hu, drop), fu - hu))
 
     subdivisions = []
     for u, w, t, f_at_cut in cuts:
         name = state.split(u, w, t)
         f[name] = f_at_cut
-        h[name] = _ZERO
+        h[name] = 0
         subdivisions.append(Subdivision(name, u, w, t))
     for x, hx in h.items():
         f[x] -= hx

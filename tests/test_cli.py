@@ -68,6 +68,25 @@ def test_decompose_rejects_unknown_edge_endpoint(tmp_path, capsys):
     assert "'C'" in capsys.readouterr().err
 
 
+def test_deeply_nested_document_exits_2_without_traceback(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "nested too deeply" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_huge_numerals_exit_2(tmp_path, capsys):
+    for bad in ("1e1000000", "1e10000000"):
+        doc = {"vertices": ["A"], "edges": [], "density": {"A": bad}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["decompose", str(path)]) == 2
+        assert "decimal exponent" in capsys.readouterr().err
+
+
 def test_ucat_command(tmp_path, capsys):
     tree, f = path_instance([1, 2, 1, 2, 1])
     path = _write_instance(tmp_path, "in.json", tree, f)

@@ -7,6 +7,8 @@ import pytest
 
 from treeucat import MetricTree, EdgeLinearDensity, decompose, gen_instance, sweep
 from treeucat.documents import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_NUMERAL_CHARS,
     DecompositionDocument,
     decomposition_from_document,
     instance_digest,
@@ -102,6 +104,54 @@ def test_malformed_numbers_rejected():
         doc = {"vertices": ["A"], "edges": [], "density": {"A": bad}}
         with pytest.raises(DocumentError, match="not an exact number"):
             parse_instance(json.dumps(doc))
+
+
+def test_numerals_past_the_bounds_rejected():
+    # "1e10000000" alone would build a 33-million-bit numerator
+    huge = [
+        "1e1000000",
+        "1e10000000",
+        "-2.5E+1001",
+        "1e-1001",
+        "1e1_000_000",
+        f"1e{10 ** 40}",
+        "1" * (MAX_NUMERAL_CHARS + 1),
+        "1/" + "3" * MAX_NUMERAL_CHARS,
+    ]
+    for bad in huge:
+        doc = {"vertices": ["A"], "edges": [], "density": {"A": bad}}
+        with pytest.raises(DocumentError, match="numeral has|decimal exponent"):
+            parse_instance(json.dumps(doc))
+        doc = {
+            "vertices": ["A", "B"],
+            "edges": [{"u": "A", "w": "B", "length": bad}],
+            "density": {"A": "1", "B": "1"},
+        }
+        with pytest.raises(DocumentError, match="numeral has|decimal exponent"):
+            parse_instance(json.dumps(doc))
+    # the bounds themselves are accepted; 4,300 digits is Python's default
+    # limit for converting one integer
+    long_fraction = "7" * 4300 + "/" + "9" * 4300
+    for good, value in [
+        (long_fraction, Fraction(int("7" * 4300), int("9" * 4300))),
+        (f"1e{MAX_DECIMAL_EXPONENT}", Fraction(10**MAX_DECIMAL_EXPONENT)),
+        (f"5E-{MAX_DECIMAL_EXPONENT}", Fraction(5, 10**MAX_DECIMAL_EXPONENT)),
+        ("1e0_0_7", Fraction(10**7)),
+        (" " * (MAX_NUMERAL_CHARS - 1) + "7", Fraction(7)),
+    ]:
+        doc = {"vertices": ["A"], "edges": [], "density": {"A": good}}
+        _, f = parse_instance(json.dumps(doc))
+        assert f.value("A") == value
+
+
+def test_deep_nesting_and_long_literals_are_document_errors():
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        parse_instance("[" * 100000)
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        parse_decomposition('{"tree": ' * 100000)
+    # an integer literal past Python's digit limit for int conversion
+    with pytest.raises(DocumentError):
+        parse_decomposition('{"ucat": ' + "9" * 5000 + "}")
 
 
 def test_instance_rejects_synthetic_ids():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -244,3 +246,48 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
         assert built[EdgeLinearDensity] <= k + 2, text
         cuts += sum(len(event.subdivided) for event in trace)
     assert cuts > 0
+
+
+def _lattice_instances():
+    # gen_instance trees; the same shapes with value denominators 2-12 and
+    # lengths p/q; alternating paths; criterion 8's monotone arms
+    instances = [gen_instance(seed, 25, 6)[1] for seed in range(30)]
+    rng = random.Random(4)
+    for seed in range(30):
+        tree, _ = gen_instance(seed, 25, 0)
+        edges = []
+        for u, w, _ in tree.edge_list:
+            q = rng.randint(1, 6)
+            edges.append((u, w, Fraction(rng.randint(1, 3 * q), q)))
+        values = {}
+        for v in tree.vertices:
+            d = rng.randint(2, 12)
+            values[v] = Fraction(rng.randint(0, 9 * d), d)
+        tree = MetricTree(tree.vertices, edges)
+        instances.append(EdgeLinearDensity(tree, values))
+    instances += [path_instance([1, 3] * n + [1])[1] for n in (1, 6, 20)]
+    instances += [monotone_arm_instance(seed, 60) for seed in range(3)]
+    return instances
+
+
+def test_every_value_lies_on_the_input_lattice():
+    # the argument in greedy.py's docstring: on every refined edge each
+    # component is constant or parallel to the lifted input, at most one
+    # is parallel, and so every value is an integer multiple of 1/D
+    cuts = parallel = 0
+    for i, f in enumerate(_lattice_instances()):
+        scale = math.lcm(*(val.denominator for val in f.values.values()))
+        d, trace = decompose(f)
+        lifted = d.input_on_refined
+        for density in [lifted] + [c.density for c in d.components]:
+            values = density.values.values()
+            assert all((val * scale).denominator == 1 for val in values), i
+        for u, w, _ in d.refined_tree.edge_list:
+            delta = lifted.value(w) - lifted.value(u)
+            diffs = [c.density.value(w) - c.density.value(u) for c in d.components]
+            assert all(diff in (0, delta) for diff in diffs), (i, u, w)
+            assert sum(diff != 0 for diff in diffs) <= 1, (i, u, w)
+            parallel += delta != 0 and delta in diffs
+        cuts += sum(len(event.subdivided) for event in trace)
+    assert cuts > 0
+    assert parallel > 0

@@ -18,6 +18,8 @@ from treeucat import (
     value_at,
 )
 from treeucat.errors import UnknownVertex
+from treeucat.sweep import _sweep, _to_lattice
+from treeucat.tree import Refinement
 
 from helpers import path_instance, star_instance, sweep_oracle_h
 
@@ -107,6 +109,56 @@ def test_height_stays_zero_past_support_gap():
     }
     # h hit zero exactly at B, so no subdivision is needed
     assert result.subdivisions == ()
+
+
+# values scaled far past the small-int cache, so that `is` tells an entry
+# the sweep left alone from one it rewrote with an equal value
+_BIG = 10**30
+
+
+def _bounded_sweep(f, v):
+    """Run `_sweep` and check that it worked on supp h and its boundary
+    only; returns h, the lattice scale and the cuts."""
+    state = Refinement(f.tree)
+    scale, rest = _to_lattice(f.values)
+    scale *= _BIG
+    rest = {x: val * _BIG for x, val in rest.items()}
+    before = dict(rest)
+    h, cuts = _sweep(state, rest, v)
+    support = {x for x, hx in h.items() if hx > 0}
+    # neighbours before the cuts: a cut edge's far end is then one of them
+    frontier = {y for x in support & f.tree.vertex_set for y in f.tree.neighbors(x)}
+    # the origin stays in h when f(v) = 0, with h(v) = 0
+    assert set(h) <= support | frontier | {c.vertex for c in cuts} | {v}
+    for x, value in before.items():
+        if x not in h:
+            assert rest[x] is value, x
+    return h, scale, cuts
+
+
+def test_sweep_stops_at_the_zero_frontier():
+    # the support-gap path of test_height_stays_zero_past_support_gap: h
+    # reaches 0 at B, so C is never visited
+    tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
+    f = EdgeLinearDensity(tree, {"A": 1, "B": 0, "C": 1})
+    h, _, cuts = _bounded_sweep(f, "A")
+    assert h == {"A": _BIG, "B": 0}
+    assert cuts == ()
+
+
+def test_sweep_work_is_bounded_by_the_support():
+    unvisited = cuts = 0
+    for seed in range(60):
+        tree, f = gen_instance(seed, 16, 6)
+        for v in tree.vertices:
+            h, scale, made = _bounded_sweep(f, v)
+            expected = sweep_oracle_h(f, v)
+            for x in tree.vertices:
+                assert Fraction(h.get(x, 0), scale) == expected[x], (seed, v, x)
+            unvisited += len(tree.vertex_set - set(h))
+            cuts += len(made)
+    assert unvisited > 0
+    assert cuts > 0
 
 
 def test_sweep_from_star_leaf():
