@@ -16,30 +16,42 @@ from .errors import NegativeValue, TreeMismatch, UnknownVertex
 from .rational import as_fraction
 from .tree import EdgePoint, MergeRecord, MetricTree, VertexId
 
+_ZERO = Fraction(0)
+
 
 class EdgeLinearDensity:
     """Nonnegative vertex values bound to one specific tree.
 
     Mixing a density with a different tree is always a hard error, never a
     silent re-index; use `extend_to_refinement` to move to a refined tree.
+    The support, the vertices with a nonzero value in `tree.vertices`
+    order, is recorded while the values are validated.
     """
 
-    __slots__ = ("_tree", "_values")
+    __slots__ = ("_tree", "_values", "_support")
 
     def __init__(self, tree: MetricTree, values: Mapping[VertexId, object]):
+        vertex_set = tree.vertex_set
         converted: dict[VertexId, Fraction] = {}
+        nonzero = set()
         for v, raw in values.items():
-            if not tree.has_vertex(v):
+            if v not in vertex_set:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
             val = as_fraction(raw)
-            if val < 0:
-                raise NegativeValue(f"density value {val} at {v!r} is negative")
+            if val:  # most values are 0 and skip the comparison
+                if val < 0:
+                    raise NegativeValue(f"density value {val} at {v!r} is negative")
+                nonzero.add(v)
             converted[v] = val
+        support = []
         for v in tree.vertices:
             if v not in converted:
                 raise TreeMismatch(f"no density value for vertex {v!r}")
+            if v in nonzero:
+                support.append(v)
         self._tree = tree
         self._values = converted
+        self._support = tuple(support)
 
     @property
     def tree(self) -> MetricTree:
@@ -49,6 +61,11 @@ class EdgeLinearDensity:
     def values(self) -> Mapping[VertexId, Fraction]:
         return MappingProxyType(self._values)
 
+    @property
+    def support(self) -> tuple[VertexId, ...]:
+        """The vertices with a nonzero value, in `tree.vertices` order."""
+        return self._support
+
     def value(self, v: VertexId) -> Fraction:
         try:
             return self._values[v]
@@ -56,7 +73,7 @@ class EdgeLinearDensity:
             raise UnknownVertex(f"no vertex {v!r}") from None
 
     def max_value(self) -> Fraction:
-        return max(self._values.values())
+        return max((self._values[v] for v in self._support), default=_ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeLinearDensity):
@@ -89,7 +106,7 @@ class NotUnimodal:
 
 def support_is_empty(f: EdgeLinearDensity) -> bool:
     """True iff all vertex values are 0 (edge-linearity then forces f = 0)."""
-    return all(val == 0 for val in f.values.values())
+    return not f.support
 
 
 def value_at(f: EdgeLinearDensity, p: EdgePoint) -> Fraction:
@@ -105,15 +122,51 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     unimodal iff no edge oriented away from the root rises. Which argmax is
     chosen does not matter: were two maxima separated by a dip, the edge
     climbing back up would be reported from either root.
+
+    A breadth-first search from the root expands positive vertices only.
+    If it meets no rising edge and reaches the whole support, every edge
+    it did not look at joins two zeros, so f is unimodal; this costs
+    O(|supp f| + its boundary). Otherwise the whole tree is scanned in
+    `root_at` order, and the first rising edge of that order is reported.
     """
-    if support_is_empty(f):
+    support = f.support
+    if not support:
         return NotUnimodal(edge=None, zero_density=True)
+    values = f.values
     top = f.max_value()
-    root = min(v for v in f.tree.vertices if f.value(v) == top)
+    root = next(v for v in support if values[v] == top)
+    if _falls_from_root_on_support(f, root):
+        return ModeWitness(root, top)
     for u, w in f.tree.root_at(root).oriented_edges():
-        if f.value(u) < f.value(w):
+        if values[u] < values[w]:
             return NotUnimodal(edge=(u, w))
     return ModeWitness(root, top)
+
+
+def _falls_from_root_on_support(f: EdgeLinearDensity, root: VertexId) -> bool:
+    """True iff a breadth-first search from `root` through positive
+    vertices meets no rising edge and reaches every positive vertex."""
+    values = f.values
+    adjacency = f.tree.adjacency()
+    parent = {root: None}
+    frontier = [root]
+    reached = 1
+    while frontier:
+        nxt = []
+        for u in frontier:
+            at_u = values[u]
+            for w in adjacency[u]:
+                if w == parent[u]:
+                    continue
+                at_w = values[w]
+                if at_u < at_w:
+                    return False
+                if at_w:
+                    parent[w] = u
+                    nxt.append(w)
+        reached += len(nxt)
+        frontier = nxt
+    return reached == len(f.support)
 
 
 def normalize(f: EdgeLinearDensity) -> tuple[EdgeLinearDensity, list[MergeRecord]]:

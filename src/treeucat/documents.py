@@ -18,7 +18,9 @@ import hashlib
 import json
 import re
 import reprlib
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 from .density import EdgeLinearDensity, extend_to_refinement
@@ -32,6 +34,7 @@ MAX_NUMERAL_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
 # the exponent's digits after leading zeros; underscores group digits
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,29 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     return tree, EdgeLinearDensity(tree, values)
 
 
+def _numeral(value: Fraction, what: str) -> str:
+    """`str(value)`; a value too long for Python to write is a DocumentError."""
+    try:
+        return str(value)
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise DocumentError(
+            f"cannot write {what}: its numerator or denominator has more than"
+            f" {sys.get_int_max_str_digits():,} digits, the output limit"
+        ) from None
+
+
+def _values_payload(f: EdgeLinearDensity, vertices, what: str) -> dict:
+    return {
+        v: _numeral(f.value(v), f"the value of {what} at vertex {v}") for v in vertices
+    }
+
+
 def _tree_payload(tree: MetricTree) -> dict:
     return {
         "vertices": list(tree.vertices),
         "edges": [
-            {"u": u, "w": w, "length": str(length)} for u, w, length in tree.edge_list
+            {"u": u, "w": w, "length": _numeral(length, f"the length of edge {u}-{w}")}
+            for u, w, length in tree.edge_list
         ],
     }
 
@@ -152,7 +173,7 @@ def _tree_payload(tree: MetricTree) -> dict:
 def _instance_payload(tree: MetricTree, f: EdgeLinearDensity) -> dict:
     return {
         **_tree_payload(tree),
-        "density": {v: str(f.value(v)) for v in tree.vertices},
+        "density": _values_payload(f, tree.vertices, "the density"),
     }
 
 
@@ -179,6 +200,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
     raw_components = data["components"]
     if not isinstance(raw_components, list):
         raise DocumentError("components must be a list")
+    zeros = dict.fromkeys(tree.vertices, _ZERO)  # a vertex a component omits is 0
     components = []
     for i, entry in enumerate(raw_components):
         if not isinstance(entry, dict) or set(entry) != {"mode", "values"}:
@@ -190,7 +212,8 @@ def parse_decomposition(text: str) -> DecompositionDocument:
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        values = _values_map(entry["values"], f"component {i} values")
+        values = dict(zeros)
+        values.update(_values_map(entry["values"], f"component {i} values"))
         components.append(Component(mode, EdgeLinearDensity(tree, values)))
 
     count = data["ucat"]
@@ -218,14 +241,17 @@ def decomposition_from_document(
 
 
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:
+    """JSON text of `d`; each component lists its nonzero values only."""
     doc = {
         "tree": _tree_payload(d.refined_tree),
         "components": [
             {
                 "mode": c.mode,
-                "values": {v: str(c.density.value(v)) for v in d.refined_tree.vertices},
+                "values": _values_payload(
+                    c.density, c.density.support, f"component {i}"
+                ),
             }
-            for c in d.components
+            for i, c in enumerate(d.components)
         ],
         "ucat": len(d.components),
         "provenance": dict(provenance),
@@ -238,10 +264,15 @@ def serialize_sweep(result: SweepResult) -> str:
     doc = {
         "tree": _tree_payload(tree),
         "origin": result.origin,
-        "h": {v: str(result.h.value(v)) for v in tree.vertices},
-        "remainder": {v: str(result.remainder.value(v)) for v in tree.vertices},
+        "h": _values_payload(result.h, tree.vertices, "h"),
+        "remainder": _values_payload(result.remainder, tree.vertices, "the remainder"),
         "subdivisions": [
-            {"vertex": s.vertex, "u": s.u, "w": s.w, "t": str(s.t)}
+            {
+                "vertex": s.vertex,
+                "u": s.u,
+                "w": s.w,
+                "t": _numeral(s.t, f"the position of cut {s.vertex}"),
+            }
             for s in result.subdivisions
         ],
     }
@@ -270,9 +301,8 @@ def render_dot(d: Decomposition) -> str:
     color: dict[VertexId, str] = {}
     for i, component in enumerate(d.components):
         shade = _PALETTE[i % len(_PALETTE)]
-        for v in d.refined_tree.vertices:
-            if component.density.value(v) > 0 and v not in color:
-                color[v] = shade
+        for v in component.density.support:
+            color.setdefault(v, shade)
     modes = {c.mode for c in d.components}
     lines = ["graph decomposition {", "  node [style=filled, fillcolor=white];"]
     for v in d.refined_tree.vertices:

@@ -15,10 +15,10 @@ def as_fraction(value) -> Fraction:
     Floats are refused: they carry binary rounding and would make exact
     zero detection meaningless.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"expected a rational, got bool {value!r}")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"expected a rational, got bool {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

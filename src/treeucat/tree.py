@@ -203,6 +203,8 @@ class MetricTree:
         return MappingProxyType(self._adj)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, MetricTree):
             return NotImplemented
         return self._vertex_set == other._vertex_set and self._lengths == other._lengths

@@ -68,7 +68,10 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     """Re-derive what a valid decomposition of f must satisfy and test it.
 
     The input is lifted onto the decomposition's tree independently; the
-    decomposition's own record of it is deliberately ignored.
+    decomposition's own record of it is deliberately ignored. Components
+    are summed, and checked for unimodality, over their supports only, so
+    the check costs O(n) plus, per component, its support and the edges
+    leaving it.
     """
     lifted = extend_to_refinement(f, d.refined_tree)
     for component in d.components:
@@ -77,9 +80,14 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
                 f"component with mode {component.mode!r} lives on a different tree"
             )
 
+    totals: dict[VertexId, Fraction] = {}
+    for component in d.components:
+        density = component.density
+        for v in density.support:
+            totals[v] = totals.get(v, _ZERO) + density.value(v)
     mismatches = []
     for v in d.refined_tree.vertices:
-        total = sum((c.density.value(v) for c in d.components), _ZERO)
+        total = totals.get(v, _ZERO)
         if total != lifted.value(v):
             mismatches.append((v, lifted.value(v), total))
 

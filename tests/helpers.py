@@ -4,11 +4,14 @@ The reference implementations here are deliberately naive and share no
 logic with the package: the sweep oracle uses a closed form over paths,
 and the unimodality oracle checks excursion-set connectivity directly.
 `forced_region` reads the package's prune verdict and describes the set
-that verdict forces a mode into.
+that verdict forces a mode into. `dense_decomposition_text` writes a
+decomposition the way documents were written before components listed
+their nonzero values only.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -123,3 +126,25 @@ def unimodal_by_excursions(f: EdgeLinearDensity) -> bool:
 def random_path_values(rng, max_len, max_value):
     n = rng.randint(1, max_len)
     return [rng.randint(0, max_value) for _ in range(n)]
+
+
+def dense_decomposition_text(d, provenance) -> str:
+    """The document of `d` with every component listing every refined
+    vertex, zeros included, as earlier versions wrote it."""
+    vertices = d.refined_tree.vertices
+    doc = {
+        "tree": {
+            "vertices": list(vertices),
+            "edges": [
+                {"u": u, "w": w, "length": str(length)}
+                for u, w, length in d.refined_tree.edge_list
+            ],
+        },
+        "components": [
+            {"mode": c.mode, "values": {v: str(c.density.value(v)) for v in vertices}}
+            for c in d.components
+        ],
+        "ucat": len(d.components),
+        "provenance": dict(provenance),
+    }
+    return json.dumps(doc, indent=2) + "\n"

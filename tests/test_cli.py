@@ -5,11 +5,16 @@ import json
 
 import pytest
 
-from treeucat import gen_instance
+from treeucat import decompose, gen_instance
 from treeucat.cli import main
-from treeucat.documents import parse_decomposition, parse_instance, serialize_instance
+from treeucat.documents import (
+    instance_digest,
+    parse_decomposition,
+    parse_instance,
+    serialize_instance,
+)
 
-from helpers import path_instance, star_instance
+from helpers import dense_decomposition_text, path_instance, star_instance
 
 
 def _write_instance(tmp_path, name, tree, f):
@@ -87,6 +92,32 @@ def test_huge_numerals_exit_2(tmp_path, capsys):
         assert "decimal exponent" in capsys.readouterr().err
 
 
+def test_output_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # each input numeral fits in the bounds, but the cut values and lengths
+    # have numerators and denominators of more than 4,300 digits
+    big = 10**3000
+    names = [f"v{i}" for i in range(1, 6)]
+    doc = {
+        "vertices": names,
+        "edges": [{"u": u, "w": w, "length": "1"} for u, w in zip(names, names[1:])],
+        "density": dict(
+            zip(names, ["0", f"4/{big + 3}", f"1/{big + 7}", f"3/{big + 9}", "0"])
+        ),
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["decompose", str(path)], ["sweep", str(path), "--vertex", "v2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert "at vertex _s1" in captured.err
+        assert "4,300 digits, the output limit" in captured.err
+        assert "Traceback" not in captured.err
+    assert main(["ucat", str(path)]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
 def test_ucat_command(tmp_path, capsys):
     tree, f = path_instance([1, 2, 1, 2, 1])
     path = _write_instance(tmp_path, "in.json", tree, f)
@@ -111,6 +142,18 @@ def test_check_round_trip(tmp_path, capsys):
     assert "component 1: ok" in text
     assert "count: 2" in text
     assert "overall: ok" in text
+
+
+def test_check_accepts_dense_documents(tmp_path, capsys):
+    for seed in range(10):
+        tree, f = gen_instance(seed, 10, 4)
+        instance = _write_instance(tmp_path, "in.json", tree, f)
+        d, _ = decompose(f)
+        provenance = {"tool": "treeucat", "input_digest": instance_digest(tree, f)}
+        out = tmp_path / "dense.json"
+        out.write_text(dense_decomposition_text(d, provenance), encoding="utf-8")
+        assert main(["check", instance, str(out)]) == 0
+        assert capsys.readouterr().out.endswith("overall: ok\n")
 
 
 def test_check_flags_tampered_value(tmp_path, capsys):

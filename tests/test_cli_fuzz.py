@@ -3,9 +3,11 @@ returns one of the documented exit codes 0, 1, 2 or 3 and never raises.
 
 Mutations start from a valid instance and a valid decomposition of it:
 truncation, deep nesting, a node replaced by a value of the wrong type, a
-numeral replaced by a huge or malformed one, and an id replaced by an
-unknown one. Examples are derived from the test itself (`derandomize`)
-and no example database is kept, so every run checks the same inputs.
+numeral replaced by a huge or malformed one, an id replaced by an unknown
+one, and a value map (a component's `values`, an instance's `density`)
+that loses an entry or gains a "0" entry or an entry for an unknown id.
+Examples are derived from the test itself (`derandomize`) and no example
+database is kept, so every run checks the same inputs.
 """
 
 from __future__ import annotations
@@ -78,9 +80,15 @@ def _get(node, path):
     return node
 
 
+def _vertices(data):
+    return data["tree"]["vertices"] if "tree" in data else data["vertices"]
+
+
 @st.composite
 def mutated(draw, text):
-    kind = draw(st.sampled_from(["truncate", "nest", "type", "numeral", "id", "none"]))
+    kind = draw(
+        st.sampled_from(["truncate", "nest", "type", "numeral", "id", "map", "none"])
+    )
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
     if kind == "nest":
@@ -93,6 +101,19 @@ def mutated(draw, text):
     if kind == "type":
         path = draw(st.sampled_from(paths))
         return json.dumps(_replace(data, path, draw(st.sampled_from(WRONG_TYPES))))
+    if kind == "map":
+        maps = [p for p in paths if p and p[-1] in ("values", "density")]
+        path = draw(st.sampled_from(maps))
+        entries = dict(_get(data, path))
+        change = draw(st.sampled_from(["delete", "zero", "unknown"]))
+        if change == "delete":
+            if entries:
+                del entries[draw(st.sampled_from(sorted(entries)))]
+        elif change == "zero":
+            entries[draw(st.sampled_from(sorted(_vertices(data))))] = "0"
+        else:
+            entries[draw(st.sampled_from(IDS))] = draw(st.sampled_from(["0", "1"]))
+        return json.dumps(_replace(data, path, entries))
     # numerals and ids are the string leaves; which kind a leaf is does not
     # matter to the parser, so either list may land anywhere
     leaves = [p for p in paths if p and isinstance(_get(data, p), str)]

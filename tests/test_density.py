@@ -147,6 +147,60 @@ def test_is_unimodal_matches_excursion_connectivity():
         assert isinstance(is_unimodal(f), ModeWitness) == unimodal_by_excursions(f)
 
 
+def _reference_is_unimodal(f):
+    """The whole-tree rule: root at the smallest-id argmax and report the
+    first rising edge in `root_at` order."""
+    if all(f.value(v) == 0 for v in f.tree.vertices):
+        return NotUnimodal(edge=None, zero_density=True)
+    top = max(f.value(v) for v in f.tree.vertices)
+    root = min(v for v in f.tree.vertices if f.value(v) == top)
+    for u, w in f.tree.root_at(root).oriented_edges():
+        if f.value(u) < f.value(w):
+            return NotUnimodal(edge=(u, w))
+    return ModeWitness(root, top)
+
+
+def _zero_heavy_density(rng):
+    """A random tree, ids shuffled so that id order is not visit order,
+    with values that fall away from a random peak through plateaus to
+    zeros; some get a bump beyond a zero, some random values."""
+    n = rng.randint(1, 14)
+    names = [f"x{i}" for i in rng.sample(range(100), n)]
+    edges = [(names[i], names[rng.randrange(i)], 1) for i in range(1, n)]
+    tree = MetricTree(names, edges)
+    peak = rng.choice(names)
+    values = {peak: rng.randint(0, 3)}
+    for closer, farther in tree.root_at(peak).oriented_edges():
+        values[farther] = max(0, values[closer] - rng.choice([0, 0, 1, 2, 3]))
+    kind = rng.random()
+    if kind < 0.3:
+        zeros = [v for v in names if values[v] == 0]
+        if zeros:
+            values[rng.choice(zeros)] = rng.randint(1, 3)
+    elif kind < 0.6:
+        for v in rng.sample(names, rng.randint(1, n)):
+            values[v] = rng.randint(0, 4)
+    return EdgeLinearDensity(tree, values)
+
+
+def test_is_unimodal_matches_the_whole_tree_rule():
+    rng = random.Random(5)
+    seen = {"unimodal with zeros": 0, "rise from a zero": 0, "rise": 0, "zero": 0}
+    for _ in range(400):
+        f = _zero_heavy_density(rng)
+        assert f.support == tuple(v for v in f.tree.vertices if f.value(v) != 0)
+        got = is_unimodal(f)
+        assert got == _reference_is_unimodal(f)
+        if isinstance(got, ModeWitness):
+            if len(f.support) < len(f.tree.vertices):
+                seen["unimodal with zeros"] += 1
+        elif got.zero_density:
+            seen["zero"] += 1
+        else:
+            seen["rise from a zero" if f.value(got.edge[0]) == 0 else "rise"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_verdict_stable_under_subdivision():
     rng = random.Random(11)
     for seed in range(40):

@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from treeucat import MetricTree, EdgeLinearDensity, decompose, gen_instance, sweep
+from treeucat import (
+    EdgeLinearDensity,
+    MetricTree,
+    check_decomposition,
+    decompose,
+    gen_instance,
+    sweep,
+)
 from treeucat.documents import (
     MAX_DECIMAL_EXPONENT,
     MAX_NUMERAL_CHARS,
@@ -26,7 +33,7 @@ from treeucat.errors import (
     UnknownVertex,
 )
 
-from helpers import path_instance
+from helpers import dense_decomposition_text, path_instance
 
 PROVENANCE = {"tool": "treeucat test", "input_digest": "sha256:0"}
 
@@ -211,6 +218,95 @@ def test_decomposition_round_trip():
         for parsed, original in zip(doc.components, d.components):
             assert parsed.mode == original.mode
             assert dict(parsed.density.values) == dict(original.density.values)
+
+
+def _decomposed(seed):
+    if seed < 3:
+        _, f = path_instance([[0, 4, 1, 3, 0], [1, 2, 1, 2, 1], [4, 0, 4, 0, 4]][seed])
+    else:
+        _, f = gen_instance(seed, 12, 4)
+    return f, decompose(f)[0]
+
+
+def test_components_list_their_nonzero_values_in_vertex_order():
+    for seed in range(30):
+        _, d = _decomposed(seed)
+        data = json.loads(serialize_decomposition(d, PROVENANCE))
+        assert data["tree"]["vertices"] == list(d.refined_tree.vertices)
+        for entry, component in zip(data["components"], d.components):
+            listed = [
+                v for v in d.refined_tree.vertices if component.density.value(v) != 0
+            ]
+            assert list(entry["values"]) == listed
+            assert all(Fraction(x) > 0 for x in entry["values"].values())
+
+
+def test_absent_vertex_parses_as_zero():
+    _, f = path_instance([0, 4, 1, 3, 0])
+    d, _ = decompose(f)
+    data = json.loads(serialize_decomposition(d, PROVENANCE))
+    assert "v1" not in data["components"][0]["values"]
+    doc = parse_decomposition(json.dumps(data))
+    assert doc.components[0].density.value("v1") == 0
+    assert doc.components[0].density.values.keys() == set(doc.tree.vertices)
+
+    # one entry less: that vertex reads 0, every other value is unchanged
+    del data["components"][1]["values"]["v4"]
+    doc = parse_decomposition(json.dumps(data))
+    parsed = doc.components[1].density
+    assert parsed.value("v4") == 0
+    for v in doc.tree.vertices:
+        if v != "v4":
+            assert parsed.value(v) == d.components[1].density.value(v)
+
+
+def test_dense_documents_still_parse_and_check():
+    for seed in range(30):
+        f, d = _decomposed(seed)
+        sparse = parse_decomposition(serialize_decomposition(d, PROVENANCE))
+        dense = parse_decomposition(dense_decomposition_text(d, PROVENANCE))
+        assert dense.tree == sparse.tree == d.refined_tree
+        assert dense.tree.vertices == sparse.tree.vertices
+        assert dense.components == sparse.components == d.components
+        report = check_decomposition(f, decomposition_from_document(dense, f))
+        assert report.overall
+
+
+def test_listed_component_values_are_still_validated():
+    _, f = path_instance([0, 4, 1, 3, 0])
+    d, _ = decompose(f)
+    good = json.loads(serialize_decomposition(d, PROVENANCE))
+    cases = [
+        ("v2", "-1", NegativeValue, "negative"),
+        ("v2", 4, DocumentError, "exact strings"),
+        ("v2", "1e1001", DocumentError, "decimal exponent"),
+        ("v2", "1" * (MAX_NUMERAL_CHARS + 1), DocumentError, "numeral has"),
+        ("v2", "abc", DocumentError, "not an exact number"),
+        ("v9", "1", TreeMismatch, "'v9', not a tree vertex"),
+        ("_s99", "0", TreeMismatch, "'_s99', not a tree vertex"),
+    ]
+    for vertex, raw, error, message in cases:
+        bad = json.loads(json.dumps(good))
+        bad["components"][0]["values"][vertex] = raw
+        with pytest.raises(error, match=message):
+            parse_decomposition(json.dumps(bad))
+    # a listed zero is legal and changes nothing
+    listed_zero = json.loads(json.dumps(good))
+    listed_zero["components"][0]["values"]["v1"] = "0"
+    doc = parse_decomposition(json.dumps(listed_zero))
+    assert doc.components == d.components
+
+
+def test_component_with_no_values_is_identically_zero():
+    _, f = path_instance([0, 4, 1, 3, 0])
+    d, _ = decompose(f)
+    data = json.loads(serialize_decomposition(d, PROVENANCE))
+    data["components"][1]["values"] = {}
+    doc = parse_decomposition(json.dumps(data))
+    assert doc.components[1].density.support == ()
+    report = check_decomposition(f, decomposition_from_document(doc, f))
+    assert not report.overall
+    assert report.components[1].detail == "component is identically zero"
 
 
 def test_decomposition_tree_may_contain_synthetic_ids():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from treeucat import (
     ucat,
     ucat_oracle,
 )
+from treeucat.documents import decomposition_from_document, parse_decomposition
 from treeucat.errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -111,6 +113,49 @@ def test_zero_component_is_flagged():
     report = check_decomposition(f, d)
     assert not report.components[1].ok
     assert "zero" in report.components[1].detail
+
+
+def _from_document(f, parts):
+    """Bind a document whose components list only the given values."""
+    doc = {
+        "tree": {
+            "vertices": list(f.tree.vertices),
+            "edges": [
+                {"u": u, "w": w, "length": str(length)}
+                for u, w, length in f.tree.edge_list
+            ],
+        },
+        "components": [
+            {"mode": mode, "values": {v: str(x) for v, x in values.items()}}
+            for mode, values in parts
+        ],
+        "ucat": len(parts),
+        "provenance": {"tool": "test", "input_digest": "sha256:0"},
+    }
+    return decomposition_from_document(parse_decomposition(json.dumps(doc)), f)
+
+
+def test_rise_beyond_an_omitted_zero_is_flagged():
+    # v2 is listed by no component, so it reads 0; v3 and v4 sit beyond it
+    # on the path from the mode v1
+    _, f = path_instance([2, 0, 1, 1, 0])
+    d = _from_document(f, [("v1", {"v1": 2, "v3": 1, "v4": 1})])
+    report = check_decomposition(f, d)
+    assert report.sum_ok
+    assert not report.components[0].ok
+    assert report.components[0].detail == (
+        "value rises along edge v2-v3 away from the maximum"
+    )
+    assert not report.overall
+
+
+def test_sum_mismatch_at_a_vertex_no_component_lists():
+    _, f = path_instance([1, 2, 1, 0])
+    d = _from_document(f, [("v2", {"v1": 1, "v2": 2})])
+    report = check_decomposition(f, d)
+    assert report.sum_mismatches == (("v3", Fraction(1), Fraction(0)),)
+    assert report.components[0].ok
+    assert not report.overall
 
 
 def test_component_on_foreign_tree_rejected():
