@@ -6,23 +6,13 @@ from .density import (
     NotUnimodal,
     extend_to_refinement,
     is_unimodal,
-    normalize,
     support_is_empty,
-    value_at,
 )
 from .forced import Forced, PruneReport, Unimodal, find_forced_vertex, prune_insignificant
 from .greedy import Component, Decomposition, TraceEvent, decompose, ucat
 from .interval import interval_ucat
 from .sweep import Subdivision, SweepResult, sweep
-from .tree import (
-    EdgePoint,
-    MergeRecord,
-    MetricTree,
-    Orientation,
-    VertexId,
-    path_between,
-    subdivide_all,
-)
+from .tree import MetricTree, Orientation, VertexId
 from .verify import (
     CheckReport,
     ComponentCheck,

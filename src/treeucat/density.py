@@ -2,7 +2,10 @@
 
 A density assigns a nonnegative rational to every vertex and is linearly
 interpolated along edges. The interpolant itself is never stored; every
-algorithm in this package works with vertex values only.
+algorithm in this package works with vertex values only. A vertex the
+constructor is not given a value for is 0, so a density can be built from
+its support alone; instance documents, which must list every vertex, are
+checked for that in `documents.parse_instance`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Mapping
 
 from .errors import NegativeValue, TreeMismatch, UnknownVertex
 from .rational import as_fraction
-from .tree import EdgePoint, MergeRecord, MetricTree, VertexId
+from .tree import MetricTree, VertexId
 
 _ZERO = Fraction(0)
 
@@ -24,16 +27,17 @@ class EdgeLinearDensity:
 
     Mixing a density with a different tree is always a hard error, never a
     silent re-index; use `extend_to_refinement` to move to a refined tree.
-    The support, the vertices with a nonzero value in `tree.vertices`
-    order, is recorded while the values are validated.
+    `values` may omit vertices, which then hold 0; every value it does give
+    is validated. The support, the vertices with a nonzero value in
+    `tree.vertices` order, is recorded while the values are validated.
     """
 
     __slots__ = ("_tree", "_values", "_support")
 
     def __init__(self, tree: MetricTree, values: Mapping[VertexId, object]):
         vertex_set = tree.vertex_set
-        converted: dict[VertexId, Fraction] = {}
-        nonzero = set()
+        converted = dict.fromkeys(tree.vertices, _ZERO)
+        nonzero = []
         for v, raw in values.items():
             if v not in vertex_set:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
@@ -41,17 +45,11 @@ class EdgeLinearDensity:
             if val:  # most values are 0 and skip the comparison
                 if val < 0:
                     raise NegativeValue(f"density value {val} at {v!r} is negative")
-                nonzero.add(v)
+                nonzero.append(v)
             converted[v] = val
-        support = []
-        for v in tree.vertices:
-            if v not in converted:
-                raise TreeMismatch(f"no density value for vertex {v!r}")
-            if v in nonzero:
-                support.append(v)
         self._tree = tree
         self._values = converted
-        self._support = tuple(support)
+        self._support = tuple(sorted(nonzero))  # tree.vertices is sorted
 
     @property
     def tree(self) -> MetricTree:
@@ -109,12 +107,6 @@ def support_is_empty(f: EdgeLinearDensity) -> bool:
     return not f.support
 
 
-def value_at(f: EdgeLinearDensity, p: EdgePoint) -> Fraction:
-    """Exact value of the interpolant at a point of an edge."""
-    f.tree.edge_length(p.u, p.w)  # raises UnknownEdge for foreign edges
-    return (1 - p.t) * f.value(p.u) + p.t * f.value(p.w)
-
-
 def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     """Decide unimodality; return a mode witness or one violating edge.
 
@@ -167,32 +159,6 @@ def _falls_from_root_on_support(f: EdgeLinearDensity, root: VertexId) -> bool:
         reached += len(nxt)
         frontier = nxt
     return reached == len(f.support)
-
-
-def normalize(f: EdgeLinearDensity) -> tuple[EdgeLinearDensity, list[MergeRecord]]:
-    """Contract every constant edge (equal endpoint values) to a fixpoint.
-
-    Contractions run in lexicographic edge order, rescanning after each one.
-    The returned records allow lifting results back: a component lifts by
-    giving both endpoints of each contracted edge its survivor's value.
-    """
-    tree = f.tree
-    values = dict(f.values)
-    records: list[MergeRecord] = []
-    while True:
-        constant = next(
-            (
-                (u, w)
-                for u, w, _ in tree.edge_list
-                if values[u] == values[w]
-            ),
-            None,
-        )
-        if constant is None:
-            return EdgeLinearDensity(tree, values), records
-        tree, record = tree.contract_edge(*constant)
-        del values[record.removed]
-        records.append(record)
 
 
 def extend_to_refinement(

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .density import EdgeLinearDensity, extend_to_refinement
-from .errors import DocumentError
+from .errors import DocumentError, TreeMismatch
 from .greedy import Component, Decomposition
 from .rational import as_fraction
 from .sweep import SweepResult
@@ -34,7 +34,6 @@ MAX_NUMERAL_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
 # the exponent's digits after leading zeros; underscores group digits
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,21 @@ def _values_map(raw, what: str) -> dict:
 
 
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
-    """Parse an instance document; tree and density errors propagate."""
+    """Parse an instance document; tree and density errors propagate.
+
+    An instance's density must list every vertex: unlike a decomposition's
+    components, an absent vertex here is an error, not a 0. The listed
+    values are validated first, by the density's constructor.
+    """
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
     tree = _parse_tree_sections(data, "instance", allow_synthetic=False)
     values = _values_map(data["density"], "density")
-    return tree, EdgeLinearDensity(tree, values)
+    f = EdgeLinearDensity(tree, values)
+    for v in tree.vertices:
+        if v not in values:
+            raise TreeMismatch(f"no density value for vertex {v!r}")
+    return tree, f
 
 
 def _numeral(value: Fraction, what: str) -> str:
@@ -200,7 +208,6 @@ def parse_decomposition(text: str) -> DecompositionDocument:
     raw_components = data["components"]
     if not isinstance(raw_components, list):
         raise DocumentError("components must be a list")
-    zeros = dict.fromkeys(tree.vertices, _ZERO)  # a vertex a component omits is 0
     components = []
     for i, entry in enumerate(raw_components):
         if not isinstance(entry, dict) or set(entry) != {"mode", "values"}:
@@ -212,8 +219,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        values = dict(zeros)
-        values.update(_values_map(entry["values"], f"component {i} values"))
+        values = _values_map(entry["values"], f"component {i} values")
         components.append(Component(mode, EdgeLinearDensity(tree, values)))
 
     count = data["ucat"]

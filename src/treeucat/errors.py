@@ -39,10 +39,6 @@ class UnknownEdge(TreeUcatError):
     pass
 
 
-class EndpointSubdivision(TreeUcatError):
-    """Subdividing at t = 0 or t = 1 would duplicate an existing vertex."""
-
-
 # -- densities ---------------------------------------------------------------
 
 class DensityError(TreeUcatError):

@@ -122,10 +122,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
             )
 
     tree = state.freeze()
-    lifted = [
-        EdgeLinearDensity(tree, _from_lattice(values, scale, tree.vertices))
-        for values in rows
-    ]
+    lifted = [EdgeLinearDensity(tree, _from_lattice(values, scale)) for values in rows]
     components = tuple(Component(m, d) for m, d in zip(modes, lifted[1:]))
     return Decomposition(tree, components, lifted[0]), trace
 

@@ -10,7 +10,9 @@ density scaled by the lcm D of its denominators (see `greedy.py` for why
 the loop never leaves that lattice), and turns the value map it is given
 into the remainder; `decompose` calls it once per iteration on its single
 working state. `sweep` is the pure public form over a density: it scales
-by D, calls `_sweep` and divides by D again.
+by D, calls `_sweep` and divides by D again. `_from_lattice` does that
+division for nonzero values only, since a density reads a vertex it is
+not given as 0; `decompose` builds its final densities the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .density import EdgeLinearDensity
 from .errors import UnknownVertex
@@ -58,18 +60,18 @@ def _to_lattice(
 
 
 def _from_lattice(
-    values: Mapping[VertexId, int], scale: int, vertices: Iterable[VertexId]
+    values: Mapping[VertexId, int], scale: int
 ) -> dict[VertexId, Fraction]:
-    """The exact values x / D on `vertices`; a vertex missing from
-    `values` is 0. Equal numerators share one `Fraction`."""
+    """The nonzero values x / D; a vertex missing from the result is 0.
+    Equal numerators share one `Fraction`."""
     fractions: dict[int, Fraction] = {}
     out = {}
-    for v in vertices:
-        x = values.get(v, 0)
-        frac = fractions.get(x)
-        if frac is None:
-            frac = fractions[x] = Fraction(x, scale)
-        out[v] = frac
+    for v, x in values.items():
+        if x:
+            frac = fractions.get(x)
+            if frac is None:
+                frac = fractions[x] = Fraction(x, scale)
+            out[v] = frac
     return out
 
 
@@ -87,10 +89,9 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     scale, rest = _to_lattice(f.values)
     h, subdivisions = _sweep(state, rest, v)
     refined = state.freeze()
-    vertices = refined.vertices
     return SweepResult(
-        h=EdgeLinearDensity(refined, _from_lattice(h, scale, vertices)),
-        remainder=EdgeLinearDensity(refined, _from_lattice(rest, scale, vertices)),
+        h=EdgeLinearDensity(refined, _from_lattice(h, scale)),
+        remainder=EdgeLinearDensity(refined, _from_lattice(rest, scale)),
         origin=v,
         subdivisions=subdivisions,
     )

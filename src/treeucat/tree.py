@@ -1,10 +1,10 @@
-"""Immutable finite metric trees and their structural transforms.
+"""Immutable finite metric trees and the producer's working copy of one.
 
 A tree is a set of string vertex ids plus unordered edges with strictly
-positive rational lengths. `MetricTree` is immutable: all its operations
-return new trees, so values can be shared freely across threads. The one
-mutable helper is `Refinement`, a private working copy that subdivision,
-the sweep and the greedy loop split in place and freeze into a
+positive rational lengths. `MetricTree` is immutable, so values can be
+shared freely across threads; its one transform, `root_at`, returns a new
+`Orientation`. The one mutable helper is `Refinement`, a private working
+copy that the sweep and the greedy loop split in place and freeze into a
 `MetricTree` once, at the end; the tree it was copied from never changes.
 
 Vertex ids supplied by users must match ``[A-Za-z0-9][A-Za-z0-9_-]*``.
@@ -21,13 +21,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     CycleDetected,
     Disconnected,
     DuplicateVertexId,
-    EndpointSubdivision,
     InvalidVertexId,
     NonPositiveLength,
     UnknownEdge,
@@ -51,20 +50,6 @@ def edge_key(u: VertexId, w: VertexId) -> tuple[VertexId, VertexId]:
 
 
 @dataclass(frozen=True)
-class EdgePoint:
-    """A point on edge (u, w) at fraction t of its length, measured from u."""
-
-    u: VertexId
-    w: VertexId
-    t: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", as_fraction(self.t))
-        if not 0 <= self.t <= 1:
-            raise ValueError(f"edge parameter t={self.t} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class Orientation:
     """Rooted view of a tree: parent pointers toward root, BFS visit order.
 
@@ -79,16 +64,6 @@ class Orientation:
     def oriented_edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
         """Edges as (parent, child) pairs in BFS discovery order."""
         return tuple((self.parent[w], w) for w in self.order[1:])
-
-
-@dataclass(frozen=True)
-class MergeRecord:
-    """One edge contraction: `removed` merged into `survivor` across an
-    edge of the given length."""
-
-    survivor: VertexId
-    removed: VertexId
-    length: Fraction
 
 
 class MetricTree:
@@ -193,12 +168,6 @@ class MetricTree:
         except KeyError:
             raise UnknownVertex(f"no vertex {v!r}") from None
 
-    def degree(self, v: VertexId) -> int:
-        return len(self.neighbors(v))
-
-    def total_length(self) -> Fraction:
-        return sum(self._lengths.values(), Fraction(0))
-
     def adjacency(self) -> Mapping[VertexId, tuple[VertexId, ...]]:
         return MappingProxyType(self._adj)
 
@@ -233,36 +202,6 @@ class MetricTree:
                     queue.append(nb)
         return Orientation(root, MappingProxyType(parent), tuple(order))
 
-    def subdivide(self, point: EdgePoint) -> tuple["MetricTree", VertexId]:
-        """Split one edge at an interior point; returns (new tree, new id)."""
-        refined, names = subdivide_all(self, [point])
-        return refined, names[0]
-
-    def contract_edge(self, u: VertexId, w: VertexId) -> tuple["MetricTree", MergeRecord]:
-        """Collapse edge (u, w); the lexicographically smaller id survives."""
-        key = edge_key(u, w)
-        if key not in self._lengths:
-            raise UnknownEdge(f"no edge {u!r}-{w!r}")
-        survivor, removed = key
-        moved = tuple(
-            (nb, self._lengths[edge_key(removed, nb)])
-            for nb in self._adj[removed]
-            if nb != survivor
-        )
-        new_edges = [
-            (a, b, length)
-            for (a, b), length in self._lengths.items()
-            if removed not in (a, b)
-        ]
-        new_edges.extend((survivor, nb, length) for nb, length in moved)
-        vertices = [v for v in self._vertices if v != removed]
-        record = MergeRecord(survivor, removed, self._lengths[key])
-        return (
-            MetricTree(vertices, new_edges, _synth_counter=self._synth_counter),
-            record,
-        )
-
-
 class Refinement:
     """Mutable working copy of a tree that only ever gains subdivisions.
 
@@ -295,40 +234,3 @@ class Refinement:
     def freeze(self) -> MetricTree:
         edges = [(u, w, length) for (u, w), length in self.lengths.items()]
         return MetricTree(self.adj, edges, _synth_counter=self.counter)
-
-
-def subdivide_all(
-    tree: MetricTree, points: Sequence[EdgePoint]
-) -> tuple[MetricTree, tuple[VertexId, ...]]:
-    """Subdivide several distinct edges in one pass.
-
-    Synthetic names `_s<N>` are assigned in the order the points are given,
-    matching what repeated single subdivisions would produce. Each edge may
-    appear at most once per call.
-    """
-    seen = set()
-    for point in points:
-        key = edge_key(point.u, point.w)
-        if key not in tree._lengths:
-            raise UnknownEdge(f"no edge {point.u!r}-{point.w!r}")
-        if key in seen:
-            raise ValueError(f"edge {key} subdivided twice in one batch")
-        if point.t == 0 or point.t == 1:
-            raise EndpointSubdivision(
-                f"t={point.t} on edge {point.u!r}-{point.w!r} is an endpoint"
-            )
-        seen.add(key)
-    state = Refinement(tree)
-    names = tuple(state.split(point.u, point.w, point.t) for point in points)
-    return state.freeze(), names
-
-
-def path_between(tree: MetricTree, a: VertexId, b: VertexId) -> tuple[VertexId, ...]:
-    """Vertices of the unique a-b path, endpoints included."""
-    orientation = tree.root_at(a)
-    if b not in tree.vertex_set:
-        raise UnknownVertex(f"no vertex {b!r}")
-    path = [b]
-    while path[-1] != a:
-        path.append(orientation.parent[path[-1]])
-    return tuple(reversed(path))

@@ -3,6 +3,9 @@
 The reference implementations here are deliberately naive and share no
 logic with the package: the sweep oracle uses a closed form over paths,
 and the unimodality oracle checks excursion-set connectivity directly.
+The tree transforms `subdivide`, `normalize` and `path_between` build
+`MetricTree`s from edge lists and never touch the producer's working
+state, so tests that feed their output to a referee run no producer code.
 `forced_region` reads the package's prune verdict and describes the set
 that verdict forces a mode into. `dense_decomposition_text` writes a
 decomposition the way documents were written before components listed
@@ -16,13 +19,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from treeucat import (
-    EdgeLinearDensity,
-    MetricTree,
-    Unimodal,
-    path_between,
-    prune_insignificant,
-)
+from treeucat import EdgeLinearDensity, MetricTree, Unimodal, prune_insignificant
 
 
 def path_instance(values, prefix="v"):
@@ -41,6 +38,64 @@ def star_instance(center_value, leaf_values):
     tree = MetricTree(names, edges)
     values = {"c": center_value, **leaf_values}
     return tree, EdgeLinearDensity(tree, values)
+
+
+def subdivide(tree: MetricTree, u, w, t):
+    """`tree` with edge (u, w) split at fraction t of its length from u.
+
+    The new vertex is `_s<N>`, N one past the largest synthetic id in the
+    tree (or 1); returns the new tree and that id.
+    """
+    synthetic = [int(v[2:]) for v in tree.vertices if v.startswith("_s")]
+    name = f"_s{max(synthetic, default=0) + 1}"
+    length = tree.edge_length(u, w)
+    edges = [(a, b, ab) for a, b, ab in tree.edge_list if {a, b} != {u, w}]
+    edges += [(u, name, length * t), (name, w, length * (1 - t))]
+    return MetricTree([*tree.vertices, name], edges), name
+
+
+def normalize(f: EdgeLinearDensity) -> EdgeLinearDensity:
+    """f with every constant edge (equal endpoint values) contracted.
+
+    Each set of vertices joined by constant edges becomes its smallest id,
+    which keeps the set's common value; every other edge keeps its length.
+    """
+    tree = f.tree
+    survivor = {}
+    for v in tree.vertices:  # ascending, so v is the smallest id of its set
+        if v in survivor:
+            continue
+        survivor[v] = v
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in tree.neighbors(u):
+                if w not in survivor and f.value(w) == f.value(u):
+                    survivor[w] = v
+                    stack.append(w)
+    kept = sorted(set(survivor.values()))
+    edges = [
+        (survivor[u], survivor[w], length)
+        for u, w, length in tree.edge_list
+        if survivor[u] != survivor[w]
+    ]
+    return EdgeLinearDensity(MetricTree(kept, edges), {v: f.value(v) for v in kept})
+
+
+def path_between(tree: MetricTree, a, b) -> tuple:
+    """Vertices of the unique a-b path, endpoints included."""
+    parent = {a: None}
+    queue = deque([a])
+    while queue:
+        u = queue.popleft()
+        for w in tree.neighbors(u):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def monotone_arm_instance(seed: int, arm: int) -> EdgeLinearDensity:

@@ -19,7 +19,6 @@ import pytest
 
 from treeucat import (
     EdgeLinearDensity,
-    EdgePoint,
     MetricTree,
     ModeWitness,
     check_decomposition,
@@ -30,7 +29,6 @@ from treeucat import (
     gen_instance,
     interval_ucat,
     is_unimodal,
-    normalize,
     support_is_empty,
     sweep,
     ucat,
@@ -44,7 +42,14 @@ from treeucat.documents import (
     serialize_instance,
 )
 
-from helpers import forced_region, monotone_arm_instance, path_instance, star_instance
+from helpers import (
+    forced_region,
+    monotone_arm_instance,
+    normalize,
+    path_instance,
+    star_instance,
+    subdivide,
+)
 
 
 def test_criterion_1_greedy_matches_oracle():
@@ -125,12 +130,12 @@ def test_criterion_5_homeomorphism_invariance():
                 break
             u, w, _ = edges[rng.randrange(len(edges))]
             t = Fraction(rng.randint(1, 11), 12)
-            current_tree, s = current_tree.subdivide(EdgePoint(u, w, t))
+            current_tree, s = subdivide(current_tree, u, w, t)
             values[s] = (1 - t) * values[u] + t * values[w]
         subdivided = EdgeLinearDensity(current_tree, values)
         assert ucat(subdivided) == expected, seed
 
-        normalized, _ = normalize(f)
+        normalized = normalize(f)
         assert ucat(normalized) == expected, seed
 
 

@@ -73,6 +73,20 @@ def test_decompose_rejects_unknown_edge_endpoint(tmp_path, capsys):
     assert "'C'" in capsys.readouterr().err
 
 
+def test_decompose_rejects_density_missing_a_vertex(tmp_path, capsys):
+    doc = {
+        "vertices": ["A", "B"],
+        "edges": [{"u": "A", "w": "B", "length": "1"}],
+        "density": {"A": "1"},
+    }
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no density value for vertex 'B'\n"
+    assert captured.out == ""
+
+
 def test_deeply_nested_document_exits_2_without_traceback(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000, encoding="utf-8")

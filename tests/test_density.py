@@ -7,53 +7,89 @@ import pytest
 
 from treeucat import (
     EdgeLinearDensity,
-    EdgePoint,
     MetricTree,
     ModeWitness,
     NotUnimodal,
     extend_to_refinement,
     gen_instance,
     is_unimodal,
-    normalize,
     support_is_empty,
-    value_at,
 )
-from treeucat.errors import NegativeValue, TreeMismatch, UnknownEdge
+from treeucat.errors import NegativeValue, TreeMismatch
 
-from helpers import path_instance, star_instance, unimodal_by_excursions
+from helpers import (
+    normalize,
+    path_instance,
+    star_instance,
+    subdivide,
+    unimodal_by_excursions,
+)
 
 
 def test_values_bound_to_tree():
+    # each value given is checked, whether or not the map lists every vertex
     tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    with pytest.raises(TreeMismatch, match="'C'"):
-        EdgeLinearDensity(tree, {"A": 1, "B": 1, "C": 1})
-    with pytest.raises(TreeMismatch, match="'B'"):
-        EdgeLinearDensity(tree, {"A": 1})
-    with pytest.raises(NegativeValue):
-        EdgeLinearDensity(tree, {"A": 1, "B": -1})
-    with pytest.raises(TypeError):
-        EdgeLinearDensity(tree, {"A": 1, "B": 0.5})
+    for extra in ({"A": 1, "B": 1}, {}):
+        with pytest.raises(TreeMismatch, match="'C'"):
+            EdgeLinearDensity(tree, {**extra, "C": 1})
+    for given in ({"A": 1, "B": -1}, {"B": -1}):
+        with pytest.raises(NegativeValue):
+            EdgeLinearDensity(tree, given)
+    for given in ({"A": 1, "B": 0.5}, {"B": 0.5}, {"B": 0.0}):
+        with pytest.raises(TypeError):
+            EdgeLinearDensity(tree, given)
 
 
-def test_value_at_interpolates():
-    tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    f = EdgeLinearDensity(tree, {"A": 2, "B": 0})
-    assert value_at(f, EdgePoint("A", "B", Fraction(2, 3))) == Fraction(2, 3)
-    assert value_at(f, EdgePoint("A", "B", 0)) == 2
-    assert value_at(f, EdgePoint("B", "A", Fraction(1, 3))) == Fraction(2, 3)
-
-
-def test_value_at_constant_edge():
-    tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    f = EdgeLinearDensity(tree, {"A": 5, "B": 5})
-    assert value_at(f, EdgePoint("A", "B", Fraction(1, 7))) == 5
-
-
-def test_value_at_unknown_edge():
+def test_absent_vertex_is_zero():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
-    f = EdgeLinearDensity(tree, {"A": 1, "B": 1, "C": 1})
-    with pytest.raises(UnknownEdge):
-        value_at(f, EdgePoint("A", "C", Fraction(1, 2)))
+    f = EdgeLinearDensity(tree, {"B": "3/2"})
+    assert dict(f.values) == {"A": 0, "B": Fraction(3, 2), "C": 0}
+    assert all(type(x) is Fraction for x in f.values.values())
+    assert f.value("A") == 0
+    assert f.support == ("B",)
+
+
+def test_empty_map_is_the_zero_density():
+    _, dense = path_instance([0, 0, 0])
+    f = EdgeLinearDensity(dense.tree, {})
+    assert f.support == ()
+    assert support_is_empty(f)
+    assert f.max_value() == 0
+    assert f == dense and hash(f) == hash(dense)
+
+
+def _plateau_path(rng):
+    """A path with plateaus and zeros inside it, its vertices named out of
+    id order, and the same values listed densely."""
+    n = rng.randint(1, 16)
+    names = [f"p{i}" for i in rng.sample(range(40), n)]
+    edges = [(names[i], names[i + 1], 1) for i in range(n - 1)]
+    values = {v: rng.choice([0, 0, 0, 1, 2, 2, Fraction(5, 2)]) for v in names}
+    return MetricTree(names, edges), values
+
+
+def test_support_map_builds_the_same_density_as_the_full_map():
+    rng = random.Random(8)
+    instances = [gen_instance(seed, 14, 3) for seed in range(120)]
+    instances = [(tree, dict(f.values)) for tree, f in instances]
+    instances += [_plateau_path(rng) for _ in range(120)]
+    interior_zeros = 0
+    for tree, values in instances:
+        dense = EdgeLinearDensity(tree, values)
+        keys = [v for v in values if values[v]]
+        rng.shuffle(keys)  # the order given must not matter
+        sparse = EdgeLinearDensity(tree, {v: values[v] for v in keys})
+        assert sparse == dense
+        assert hash(sparse) == hash(dense)
+        assert sparse.support == dense.support
+        assert sparse.support == tuple(v for v in tree.vertices if values[v])
+        assert dict(sparse.values) == dict(dense.values)
+        assert list(sparse.values) == list(tree.vertices)
+        assert sparse.max_value() == dense.max_value()
+        assert support_is_empty(sparse) == support_is_empty(dense)
+        inner = [v for v in tree.vertices if len(tree.neighbors(v)) > 1]
+        interior_zeros += any(not values[v] for v in inner)
+    assert interior_zeros >= 100
 
 
 def test_unimodal_path_witness():
@@ -102,8 +138,7 @@ def test_support_is_empty_cases():
 
 def test_normalize_contracts_constant_edge():
     _, f = path_instance([1, 2, 2, 1])
-    normalized, records = normalize(f)
-    assert len(records) == 1
+    normalized = normalize(f)
     assert normalized.tree.vertices == ("v1", "v2", "v4")
     assert dict(normalized.values) == {
         "v1": Fraction(1),
@@ -114,27 +149,22 @@ def test_normalize_contracts_constant_edge():
 
 def test_normalize_no_constant_edges_is_identity():
     _, f = path_instance([1, 2, 1])
-    normalized, records = normalize(f)
-    assert records == []
-    assert normalized == f
+    assert normalize(f) == f
 
 
 def test_normalize_constant_tree_to_single_vertex():
     tree = MetricTree(["C", "X", "Y"], [("C", "X", 1), ("C", "Y", 1)])
     f = EdgeLinearDensity(tree, {"C": 3, "X": 3, "Y": 3})
-    normalized, records = normalize(f)
+    normalized = normalize(f)
     assert len(normalized.tree.vertices) == 1
     assert normalized.max_value() == 3
-    assert len(records) == 2
 
 
 def test_normalize_idempotent_and_preserves_verdict():
     for seed in range(40):
         _, f = gen_instance(seed, 9, 3)
-        normalized, _ = normalize(f)
-        again, records = normalize(normalized)
-        assert records == []
-        assert again == normalized
+        normalized = normalize(f)
+        assert normalize(normalized) == normalized
         if not support_is_empty(f):
             assert isinstance(is_unimodal(f), ModeWitness) == isinstance(
                 is_unimodal(normalized), ModeWitness
@@ -210,7 +240,7 @@ def test_verdict_stable_under_subdivision():
             continue
         u, w, _ = edges[rng.randrange(len(edges))]
         t = Fraction(rng.randint(1, 7), 8)
-        refined, s = tree.subdivide(EdgePoint(u, w, t))
+        refined, s = subdivide(tree, u, w, t)
         values = dict(f.values)
         values[s] = (1 - t) * f.value(u) + t * f.value(w)
         g = EdgeLinearDensity(refined, values)
@@ -222,7 +252,7 @@ def test_verdict_stable_under_subdivision():
 def test_extend_to_refinement_interpolates():
     tree = MetricTree(["A", "B"], [("A", "B", 4)])
     f = EdgeLinearDensity(tree, {"A": 4, "B": 0})
-    refined, s = tree.subdivide(EdgePoint("A", "B", Fraction(1, 4)))
+    refined, s = subdivide(tree, "A", "B", Fraction(1, 4))
     lifted = extend_to_refinement(f, refined)
     assert lifted.value(s) == 3
     assert lifted.value("A") == 4 and lifted.value("B") == 0
@@ -234,7 +264,7 @@ def test_extend_to_refinement_chain_of_cuts():
     refined = tree
     for _ in range(3):
         cut = refined.edge_list[0]
-        refined, _ = refined.subdivide(EdgePoint(cut[0], cut[1], Fraction(1, 2)))
+        refined, _ = subdivide(refined, cut[0], cut[1], Fraction(1, 2))
     lifted = extend_to_refinement(f, refined)
     total = sum(lifted.values.values())
     assert lifted.value("B") == 8 and lifted.value("A") == 0

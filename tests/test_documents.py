@@ -204,6 +204,33 @@ def test_tree_and_density_errors_propagate():
         parse_instance(json.dumps(doc))
 
 
+def test_instance_density_must_list_every_vertex():
+    doc = {
+        "vertices": ["A", "B"],
+        "edges": [{"u": "A", "w": "B", "length": "1"}],
+        "density": {"A": "1"},
+    }
+    with pytest.raises(TreeMismatch, match="no density value for vertex 'B'"):
+        parse_instance(json.dumps(doc))
+    # a listed zero is enough
+    doc["density"]["B"] = "0"
+    _, f = parse_instance(json.dumps(doc))
+    assert f.support == ("A",)
+
+
+def test_listed_density_values_are_checked_before_missing_ones():
+    doc = {
+        "vertices": ["A", "B"],
+        "edges": [{"u": "A", "w": "B", "length": "1"}],
+        "density": {"A": "1", "C": "1"},
+    }
+    with pytest.raises(TreeMismatch, match="'C', not a tree vertex"):
+        parse_instance(json.dumps(doc))
+    doc["density"] = {"A": "-1"}
+    with pytest.raises(NegativeValue):
+        parse_instance(json.dumps(doc))
+
+
 def test_decomposition_round_trip():
     for values in ([1, 2, 1, 2, 1], [0, 4, 1, 3, 0], [4, 1, 4, 1, 4]):
         _, f = path_instance(values)

@@ -5,10 +5,8 @@ from fractions import Fraction
 
 from treeucat import (
     EdgeLinearDensity,
-    EdgePoint,
     decompose,
     gen_instance,
-    normalize,
     prune_insignificant,
     support_is_empty,
     sweep,
@@ -16,7 +14,7 @@ from treeucat import (
     ucat_oracle,
 )
 
-from helpers import sweep_oracle_h
+from helpers import normalize, subdivide, sweep_oracle_h
 
 
 def _snapshot(f):
@@ -63,12 +61,12 @@ def test_ucat_invariant_under_subdivision_and_normalize():
                 break
             u, w, _ = edges[rng.randrange(len(edges))]
             t = Fraction(rng.randint(1, 5), 6)
-            current_tree, s = current_tree.subdivide(EdgePoint(u, w, t))
+            current_tree, s = subdivide(current_tree, u, w, t)
             values[s] = (1 - t) * values[u] + t * values[w]
         subdivided = EdgeLinearDensity(current_tree, values)
         assert ucat(subdivided) == expected, seed
 
-        normalized, _ = normalize(f)
+        normalized = normalize(f)
         assert ucat(normalized) == expected, seed
 
 

@@ -1,0 +1,64 @@
+"""The referees share no algorithmic code with the producer.
+
+`check_decomposition`, `ucat_oracle` and `interval_ucat` are evidence that
+`decompose` is right only because they do not run its machinery. These
+tests read the referee modules' imports, and those of the test helpers
+that build referee inputs, so that a shared import fails here instead of
+passing unnoticed.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treeucat"
+REFEREES = ("verify.py", "interval.py", "simplex.py")
+PRODUCER = {"forced", "sweep"}
+ALLOWED = {"greedy": {"Decomposition"}, "tree": {"MetricTree", "VertexId"}}
+
+
+def _package_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for each import of a treeucat module in `path`; name
+    is None when the module itself is imported."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "treeucat" and not module.startswith("treeucat."):
+                    continue
+                module = module.removeprefix("treeucat").removeprefix(".")
+            for alias in node.names:
+                if module:
+                    found.append((module, alias.name))
+                else:  # `from . import x` imports module x
+                    found.append((alias.name, None))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("treeucat."):
+                    found.append((alias.name.removeprefix("treeucat."), None))
+    return found
+
+
+def test_referees_import_no_producer_code():
+    for filename in REFEREES:
+        for module, name in _package_imports(PACKAGE / filename):
+            what = f"{filename} imports {name or module} from {module}"
+            assert module.split(".")[0] not in PRODUCER, what
+            if module in ALLOWED:
+                assert name in ALLOWED[module], what
+
+
+def test_reference_helpers_use_no_producer_state():
+    helpers = Path(__file__).resolve().parent / "helpers.py"
+    banned = {"Refinement", "sweep", "_sweep"}
+    tree = ast.parse(helpers.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                assert alias.name.split(".")[-1] not in banned, alias.name
+            module = getattr(node, "module", None) or ""
+            assert module.split(".")[-1] not in banned, module
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in banned, node.attr

@@ -7,7 +7,6 @@ import pytest
 
 from treeucat import (
     EdgeLinearDensity,
-    EdgePoint,
     MetricTree,
     ModeWitness,
     Subdivision,
@@ -15,13 +14,12 @@ from treeucat import (
     gen_instance,
     is_unimodal,
     sweep,
-    value_at,
 )
 from treeucat.errors import UnknownVertex
 from treeucat.sweep import _sweep, _to_lattice
 from treeucat.tree import Refinement
 
-from helpers import path_instance, star_instance, sweep_oracle_h
+from helpers import path_instance, star_instance, subdivide, sweep_oracle_h
 
 
 def test_monotone_decreasing_sweeps_clean():
@@ -89,12 +87,11 @@ def test_zero_crossing_dense_samples():
         t = Fraction(num, 12)
         expected = max(Fraction(0), 2 - 3 * t)
         if t <= Fraction(2, 3):
-            local = t / Fraction(2, 3)
-            got = value_at(h, EdgePoint("Q", "_s1", local))
+            u, w, local = "Q", "_s1", t / Fraction(2, 3)
         else:
-            local = (t - Fraction(2, 3)) / Fraction(1, 3)
-            got = value_at(h, EdgePoint("_s1", "R", local))
-        assert got == expected
+            u, w, local = "_s1", "R", (t - Fraction(2, 3)) / Fraction(1, 3)
+        assert h.tree.has_edge(u, w)
+        assert (1 - local) * h.value(u) + local * h.value(w) == expected
 
 
 def test_height_stays_zero_past_support_gap():
@@ -260,7 +257,7 @@ def test_invariant_under_prior_subdivision():
             continue
         u, w, _ = edges[rng.randrange(len(edges))]
         t = Fraction(rng.randint(1, 9), 10)
-        refined, s = tree.subdivide(EdgePoint(u, w, t))
+        refined, s = subdivide(tree, u, w, t)
         values = dict(f.values)
         values[s] = (1 - t) * f.value(u) + t * f.value(w)
         g = EdgeLinearDensity(refined, values)

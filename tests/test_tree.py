@@ -1,21 +1,29 @@
+"""MetricTree validation and queries, plus the independent tree transforms
+of `helpers` (subdivision, constant-edge contraction, paths) that the
+invariance tests and the referee tests build their inputs with."""
+
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
 
-from treeucat import EdgePoint, MetricTree, subdivide_all
+from treeucat import EdgeLinearDensity, MetricTree, sweep
 from treeucat.errors import (
     CycleDetected,
     Disconnected,
     DuplicateVertexId,
-    EndpointSubdivision,
     InvalidVertexId,
     NonPositiveLength,
     UnknownEdge,
     UnknownVertex,
 )
-from treeucat.tree import path_between
+
+from helpers import normalize, path_between, path_instance, subdivide
+
+
+def _total_length(tree):
+    return sum(length for _, _, length in tree.edge_list)
 
 
 def test_smallest_valid_multi_edge_tree():
@@ -68,7 +76,7 @@ def test_unknown_endpoint_named_in_error():
 def test_fractional_lengths_exact():
     tree = MetricTree(["A", "B"], [("A", "B", "2/3")])
     assert tree.edge_length("A", "B") == Fraction(2, 3)
-    assert tree.total_length() == Fraction(2, 3)
+    assert tree.edge_list == (("A", "B", Fraction(2, 3)),)
 
 
 def test_float_length_rejected():
@@ -111,11 +119,11 @@ def test_root_at_children_in_lexicographic_order():
 
 def test_subdivide_splits_lengths():
     tree = MetricTree(["A", "B"], [("A", "B", 3)])
-    refined, s = tree.subdivide(EdgePoint("A", "B", Fraction(2, 3)))
+    refined, s = subdivide(tree, "A", "B", Fraction(2, 3))
     assert s == "_s1"
     assert refined.edge_length("A", s) == 2
     assert refined.edge_length(s, "B") == 1
-    assert refined.total_length() == tree.total_length()
+    assert _total_length(refined) == _total_length(tree)
     assert len(refined.vertices) == len(tree.vertices) + 1
     # the input tree is untouched
     assert tree.has_edge("A", "B")
@@ -123,79 +131,60 @@ def test_subdivide_splits_lengths():
 
 def test_subdivide_twice_repeated_halving():
     tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    tree, s1 = tree.subdivide(EdgePoint("A", "B", Fraction(1, 2)))
-    tree, s2 = tree.subdivide(EdgePoint("A", s1, Fraction(1, 2)))
+    tree, s1 = subdivide(tree, "A", "B", Fraction(1, 2))
+    tree, s2 = subdivide(tree, "A", s1, Fraction(1, 2))
     assert (s1, s2) == ("_s1", "_s2")
     assert tree.edge_length("A", s2) == Fraction(1, 4)
     assert tree.edge_length(s2, s1) == Fraction(1, 4)
     assert tree.edge_length(s1, "B") == Fraction(1, 2)
 
 
-def test_subdivide_endpoint_rejected():
-    tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    with pytest.raises(EndpointSubdivision):
-        tree.subdivide(EdgePoint("A", "B", 0))
-    with pytest.raises(EndpointSubdivision):
-        tree.subdivide(EdgePoint("A", "B", 1))
-
-
 def test_subdivide_unknown_edge():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
     with pytest.raises(UnknownEdge):
-        tree.subdivide(EdgePoint("A", "C", Fraction(1, 2)))
+        subdivide(tree, "A", "C", Fraction(1, 2))
 
 
-def test_edge_point_validation():
-    with pytest.raises(ValueError):
-        EdgePoint("A", "B", 2)
-    with pytest.raises(TypeError):
-        EdgePoint("A", "B", 0.5)
-
-
-def test_subdivide_all_orients_t_from_given_endpoint():
+def test_subdivide_orients_t_from_given_endpoint():
     tree = MetricTree(["A", "B"], [("A", "B", 4)])
     # same point named from either end
-    refined1, _ = subdivide_all(tree, [EdgePoint("A", "B", Fraction(1, 4))])
-    refined2, _ = subdivide_all(tree, [EdgePoint("B", "A", Fraction(3, 4))])
+    refined1, _ = subdivide(tree, "A", "B", Fraction(1, 4))
+    refined2, _ = subdivide(tree, "B", "A", Fraction(3, 4))
     assert refined1.edge_length("A", "_s1") == 1
     assert refined2.edge_length("A", "_s1") == 1
 
 
 def test_synthetic_counter_resumes_after_existing_names():
+    # a tree that already holds _s7 names the next cut a sweep makes _s8
     tree = MetricTree(["A", "B", "_s7"], [("A", "_s7", 1), ("_s7", "B", 1)])
-    refined, s = tree.subdivide(EdgePoint("A", "_s7", Fraction(1, 2)))
-    assert s == "_s8"
+    f = EdgeLinearDensity(tree, {"A": 1, "_s7": 2})
+    result = sweep(f, "A")
+    assert [s.vertex for s in result.subdivisions] == ["_s8"]
+    assert result.subdivisions[0].u == "_s7"
+    assert result.h.tree.vertices == ("A", "B", "_s7", "_s8")
 
 
 def test_contract_middle_edge_of_path():
-    tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
-    contracted, record = tree.contract_edge("B", "C")
-    assert contracted.vertices == ("A", "B")
-    assert record.survivor == "B"
-    assert record.removed == "C"
-    assert contracted.has_edge("A", "B")
+    _, f = path_instance([1, 2, 2])
+    contracted = normalize(f).tree
+    assert contracted.vertices == ("v1", "v2")
+    assert contracted.has_edge("v1", "v2")
 
 
 def test_contract_star_leaf():
     tree = MetricTree(
         ["C", "X", "Y", "Z"], [("C", "X", 1), ("C", "Y", 1), ("C", "Z", 1)]
     )
-    contracted, _ = tree.contract_edge("C", "X")
+    f = EdgeLinearDensity(tree, {"C": 1, "X": 1, "Y": 2, "Z": 3})
+    contracted = normalize(f).tree
     assert contracted.vertices == ("C", "Y", "Z")
     assert contracted.neighbors("C") == ("Y", "Z")
 
 
 def test_contract_single_edge_to_point():
     tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    contracted, record = tree.contract_edge("A", "B")
-    assert contracted.vertices == ("A",)
-    assert record.survivor == "A"
-
-
-def test_contract_unknown_edge():
-    tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
-    with pytest.raises(UnknownEdge):
-        tree.contract_edge("A", "C")
+    f = EdgeLinearDensity(tree, {"A": 1, "B": 1})
+    assert normalize(f).tree.vertices == ("A",)
 
 
 def test_path_between():

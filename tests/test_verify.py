@@ -16,7 +16,6 @@ from treeucat import (
     feasible_with_modes,
     gen_instance,
     interval_ucat,
-    path_between,
     support_is_empty,
     ucat,
     ucat_oracle,
@@ -29,7 +28,7 @@ from treeucat.errors import (
     UnknownVertex,
 )
 
-from helpers import path_instance, random_path_values, star_instance
+from helpers import path_between, path_instance, random_path_values, star_instance
 
 
 def _assert_certificate_valid(f, certificate):
