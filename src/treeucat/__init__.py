@@ -12,7 +12,7 @@ from .forced import Forced, PruneReport, Unimodal, find_forced_vertex, prune_ins
 from .greedy import Component, Decomposition, TraceEvent, decompose, ucat
 from .interval import interval_ucat
 from .sweep import Subdivision, SweepResult, sweep
-from .tree import MetricTree, Orientation, VertexId
+from .tree import MetricTree, VertexId
 from .verify import (
     CheckReport,
     ComponentCheck,

@@ -129,7 +129,7 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     root = next(v for v in support if values[v] == top)
     if _falls_from_root_on_support(f, root):
         return ModeWitness(root, top)
-    for u, w in f.tree.root_at(root).oriented_edges():
+    for u, w in f.tree.root_at(root):
         if values[u] < values[w]:
             return NotUnimodal(edge=(u, w))
     return ModeWitness(root, top)

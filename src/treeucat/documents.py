@@ -3,7 +3,9 @@
 All numbers travel as strings ("3", "1/3", "0.25") and convert exactly to
 rationals, so files round-trip without any loss. Instance files may only
 use user ids; decomposition files may also contain the tool's synthetic
-`_s<N>` subdivision vertices.
+`_s<N>` subdivision vertices. A decomposition names the instance it was
+made for by the digest of that instance, and `decomposition_from_document`
+binds it to an instance only when the digests match.
 
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
@@ -242,8 +244,18 @@ def parse_decomposition(text: str) -> DecompositionDocument:
 def decomposition_from_document(
     doc: DecompositionDocument, f: EdgeLinearDensity
 ) -> Decomposition:
-    """Bind a parsed decomposition to the instance it claims to decompose."""
-    return Decomposition(doc.tree, doc.components, extend_to_refinement(f, doc.tree))
+    """Bind a parsed decomposition to the instance it claims to decompose.
+
+    A document whose `input_digest` is not f's is refused; the components
+    are not checked here, that is `check_decomposition`'s job.
+    """
+    expected = instance_digest(f.tree, f)
+    if doc.provenance["input_digest"] != expected:
+        raise DocumentError(
+            "decomposition was produced for a different instance"
+            f" (digest {doc.provenance['input_digest']}, instance has {expected})"
+        )
+    return Decomposition(doc.tree, doc.components)
 
 
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:
@@ -297,13 +309,15 @@ _PALETTE = (
 )
 
 
-def render_dot(d: Decomposition) -> str:
-    """DOT rendering: one color per component's support, modes doubled.
+def render_dot(d: Decomposition, f: EdgeLinearDensity) -> str:
+    """DOT rendering of a decomposition of f: vertices labelled with f
+    lifted onto the refined tree, one color per component's support,
+    modes doubled.
 
     A vertex in several supports takes the color of the earliest component,
     matching the greedy peel order.
     """
-    f = d.input_on_refined
+    lifted = extend_to_refinement(f, d.refined_tree)
     color: dict[VertexId, str] = {}
     for i, component in enumerate(d.components):
         shade = _PALETTE[i % len(_PALETTE)]
@@ -312,7 +326,7 @@ def render_dot(d: Decomposition) -> str:
     modes = {c.mode for c in d.components}
     lines = ["graph decomposition {", "  node [style=filled, fillcolor=white];"]
     for v in d.refined_tree.vertices:
-        attrs = [f'label="{v}\\nf={f.value(v)}"']
+        attrs = [f'label="{v}\\nf={lifted.value(v)}"']
         if v in color:
             attrs.append(f'fillcolor="{color[v]}"')
         if v in modes:

@@ -5,15 +5,16 @@ decomposition has a mode, sweep a unimodal component off from there, keep
 the remainder. The input is validated once, when its density is built.
 The loop then runs on one mutable `Refinement` and on plain integer value
 maps, the input's values times D, the lcm of their denominators: the
-remainder, the input (row 0) and one row per component, the component
-rows holding their support and its boundary only. Whenever a sweep
-subdivides an edge, every row gains its value at the new vertex. The
-refined `MetricTree` and the densities, their values divided by D again,
-are built once, after the loop.
+remainder and one row per component, each row holding the component's
+support and its boundary only. Whenever a sweep subdivides an edge, every
+row gains its value at the new vertex. The refined `MetricTree` and the
+components' densities, their values divided by D again, are built once,
+after the loop. The input itself is not carried: a caller that needs it
+on the refined tree lifts it there with `extend_to_refinement`.
 
-Why every value stays in (1/D)Z. Call a component *parallel* on an edge
-of the refinement when its difference along the edge equals the input's,
-and *constant* when its difference is 0. Invariant: on every edge, each
+Why a cut copies every row. Call a component *parallel* on an edge of the
+refinement when its difference along the edge equals the input's, and
+*constant* when its difference is 0. Invariant: on every edge, each
 component is constant or parallel, and at most one is parallel. It holds
 before the first sweep, which has no components. Since the remainder is
 the input minus the components, its difference on an edge is then the
@@ -24,14 +25,11 @@ the remainder's on (u, cut) then 0 on (cut, w) where it clamps at a cut.
 So h is constant or has the remainder's difference, which makes it
 parallel only where no earlier component is, and the invariant survives.
 A cut needs a falling remainder, so every earlier component is constant
-on the cut edge. At the cut vertex each component therefore takes its
-value at u, the input takes input(u) - h(u), h takes 0 and the remainder
-r(u) - h(u); h itself takes h(u) or h(u) - drop at original vertices.
-All of these are sums and differences of lattice values, so by induction
-the scaled rows hold integers, and only cut positions t and edge lengths
-leave the lattice. The loop still computes each row at a cut as an
-interpolation, with `divmod`, and a nonzero remainder there is a broken
-invariant, not a rounding.
+on the cut edge, and at the cut vertex it takes its value at u. The loop
+copies that value, and a row that differs at u and w is a broken
+invariant, which it reports. h takes 0 at the cut and the remainder
+r(u) - h(u), so by induction the scaled rows hold integers, and only cut
+positions t and edge lengths leave the lattice (1/D)Z.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ class Component:
 class Decomposition:
     refined_tree: MetricTree
     components: tuple[Component, ...]
-    input_on_refined: EdgeLinearDensity
 
 
 @dataclass(frozen=True)
@@ -72,16 +69,16 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
 
     The zero density decomposes into no components at all. Iteration count
     is bounded by the vertex count of the refined tree, and a sweep from a
-    unimodal remainder must leave nothing; breaking either, or a row value
-    at a cut off the lattice, means a bug, not a hard input, and aborts
-    loudly.
+    unimodal remainder must leave nothing; breaking either, or a component
+    that is not constant on a cut edge, means a bug, not a hard input, and
+    aborts loudly.
     """
     if support_is_empty(f):
-        return Decomposition(f.tree, (), f), []
+        return Decomposition(f.tree, ()), []
 
     state = Refinement(f.tree)
     scale, rest = _to_lattice(f.values)
-    rows = [dict(rest)]
+    rows: list[dict[VertexId, int]] = []
     modes: list[VertexId] = []
     trace: list[TraceEvent] = []
     while True:
@@ -95,14 +92,13 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         h, cuts = _sweep(state, rest, v)
         for cut in cuts:
             for values in rows:
-                at_u, at_w = values.get(cut.u, 0), values.get(cut.w, 0)
-                step, off = divmod(cut.t.numerator * (at_w - at_u), cut.t.denominator)
-                if off:
+                at_u = values.get(cut.u, 0)
+                if at_u != values.get(cut.w, 0):
                     raise InternalInvariantError(
-                        f"row value at {cut.vertex!r} is off the lattice (1/{scale})Z"
+                        f"a component is not constant on cut edge {cut.u!r}-{cut.w!r}"
                     )
-                if at_u + step:
-                    values[cut.vertex] = at_u + step
+                if at_u:
+                    values[cut.vertex] = at_u
         rows.append(h)
         modes.append(v)
         total = sum(rest.values())  # the remainder is nonnegative
@@ -122,9 +118,11 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
             )
 
     tree = state.freeze()
-    lifted = [EdgeLinearDensity(tree, _from_lattice(values, scale)) for values in rows]
-    components = tuple(Component(m, d) for m, d in zip(modes, lifted[1:]))
-    return Decomposition(tree, components, lifted[0]), trace
+    components = tuple(
+        Component(m, EdgeLinearDensity(tree, _from_lattice(values, scale)))
+        for m, values in zip(modes, rows)
+    )
+    return Decomposition(tree, components), trace
 
 
 def ucat(f: EdgeLinearDensity) -> int:

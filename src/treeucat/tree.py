@@ -2,15 +2,15 @@
 
 A tree is a set of string vertex ids plus unordered edges with strictly
 positive rational lengths. `MetricTree` is immutable, so values can be
-shared freely across threads; its one transform, `root_at`, returns a new
-`Orientation`. The one mutable helper is `Refinement`, a private working
+shared freely across threads; `root_at` lists its edges oriented away
+from a root. The one mutable helper is `Refinement`, a private working
 copy that the sweep and the greedy loop split in place and freeze into a
 `MetricTree` once, at the end; the tree it was copied from never changes.
 
 Vertex ids supplied by users must match ``[A-Za-z0-9][A-Za-z0-9_-]*``.
 The prefix ``_`` is reserved for synthetic subdivision vertices, which are
-named ``_s<N>`` from a per-tree monotone counter so repeated runs produce
-identical trees.
+named ``_s<N>``, counting up from one past the largest such name already
+in the tree, so repeated runs produce identical trees.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -49,34 +48,12 @@ def edge_key(u: VertexId, w: VertexId) -> tuple[VertexId, VertexId]:
     return (u, w) if u <= w else (w, u)
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Rooted view of a tree: parent pointers toward root, BFS visit order.
-
-    Children are visited in lexicographic order, so `order` (and the
-    derived oriented edge list) is deterministic.
-    """
-
-    root: VertexId
-    parent: Mapping[VertexId, VertexId]
-    order: tuple[VertexId, ...]
-
-    def oriented_edges(self) -> tuple[tuple[VertexId, VertexId], ...]:
-        """Edges as (parent, child) pairs in BFS discovery order."""
-        return tuple((self.parent[w], w) for w in self.order[1:])
-
-
 class MetricTree:
     """Validated immutable metric tree."""
 
-    __slots__ = ("_vertex_set", "_vertices", "_lengths", "_adj", "_synth_counter")
+    __slots__ = ("_vertex_set", "_vertices", "_lengths", "_adj")
 
-    def __init__(
-        self,
-        vertices: Iterable[VertexId],
-        edges: Iterable[tuple] = (),
-        _synth_counter: int | None = None,
-    ):
+    def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple] = ()):
         vlist = list(vertices)
         seen = set()
         for v in vlist:
@@ -130,11 +107,6 @@ class MetricTree:
         self._vertices = tuple(sorted(seen))
         self._lengths = lengths
         self._adj = {v: tuple(sorted(nbs)) for v, nbs in adj.items()}
-        if _synth_counter is None:
-            _synth_counter = 1 + max(
-                (int(v[2:]) for v in seen if _SYNTH_ID.match(v)), default=0
-            )
-        self._synth_counter = _synth_counter
 
     # -- queries -------------------------------------------------------------
 
@@ -184,29 +156,30 @@ class MetricTree:
     def __repr__(self) -> str:
         return f"MetricTree({len(self._vertices)} vertices, {len(self._lengths)} edges)"
 
-    # -- transforms ----------------------------------------------------------
-
-    def root_at(self, root: VertexId) -> Orientation:
-        """Orient all edges away from `root` (BFS, children in lex order)."""
+    def root_at(self, root: VertexId) -> tuple[tuple[VertexId, VertexId], ...]:
+        """Edges as (parent, child) pairs, oriented away from `root`, in
+        breadth-first discovery order with children in id order."""
         if root not in self._vertex_set:
             raise UnknownVertex(f"no vertex {root!r}")
-        parent: dict[VertexId, VertexId] = {}
-        order = [root]
+        edges = []
+        parent = {root: None}
         queue = deque([root])
         while queue:
             cur = queue.popleft()
             for nb in self._adj[cur]:
-                if nb != parent.get(cur):
+                if nb != parent[cur]:
                     parent[nb] = cur
-                    order.append(nb)
+                    edges.append((cur, nb))
                     queue.append(nb)
-        return Orientation(root, MappingProxyType(parent), tuple(order))
+        return tuple(edges)
+
 
 class Refinement:
     """Mutable working copy of a tree that only ever gains subdivisions.
 
-    It holds the same sorted adjacency lists, `edge_key` lengths and `_s<N>`
-    counter as the tree it copies, trusts its callers instead of
+    It holds the same sorted adjacency lists and `edge_key` lengths as the
+    tree it copies, and a counter one past the largest `_s<N>` there, so
+    fresh names never collide. It trusts its callers instead of
     re-validating, and is turned back into a validated `MetricTree` by
     `freeze`. The source tree is never touched.
     """
@@ -216,7 +189,9 @@ class Refinement:
     def __init__(self, tree: MetricTree):
         self.adj = {v: list(nbs) for v, nbs in tree._adj.items()}
         self.lengths = dict(tree._lengths)
-        self.counter = tree._synth_counter
+        self.counter = 1 + max(
+            (int(v[2:]) for v in tree.vertices if _SYNTH_ID.match(v)), default=0
+        )
 
     def split(self, u: VertexId, w: VertexId, t: Fraction) -> VertexId:
         """Insert the next `_s<N>` on edge (u, w) at fraction t from u."""
@@ -233,4 +208,4 @@ class Refinement:
 
     def freeze(self) -> MetricTree:
         edges = [(u, w, length) for (u, w), length in self.lengths.items()]
-        return MetricTree(self.adj, edges, _synth_counter=self.counter)
+        return MetricTree(self.adj, edges)

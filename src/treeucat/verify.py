@@ -67,11 +67,11 @@ class FeasibilityCertificate:
 def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     """Re-derive what a valid decomposition of f must satisfy and test it.
 
-    The input is lifted onto the decomposition's tree independently; the
-    decomposition's own record of it is deliberately ignored. Components
-    are summed, and checked for unimodality, over their supports only, so
-    the check costs O(n) plus, per component, its support and the edges
-    leaving it.
+    The input is lifted onto the decomposition's tree here, independently
+    of how the decomposition was made; a decomposition does not carry it.
+    Components are summed, and checked for unimodality, over their supports
+    only, so the check costs O(n) plus, per component, its support and the
+    edges leaving it.
     """
     lifted = extend_to_refinement(f, d.refined_tree)
     for component in d.components:
@@ -126,15 +126,10 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     )
 
 
-def _toward(tree: MetricTree, m: VertexId):
-    """Edges as (closer, farther) pairs relative to m."""
-    return tree.root_at(m).oriented_edges()
-
-
 def _path_minima(f: EdgeLinearDensity, m: VertexId) -> dict[VertexId, Fraction]:
     """For each vertex, the minimum of f along its path to m."""
     minima = {m: f.value(m)}
-    for closer, farther in _toward(f.tree, m):
+    for closer, farther in f.tree.root_at(m):
         minima[farther] = min(minima[closer], f.value(farther))
     return minima
 
@@ -163,7 +158,7 @@ def feasible_with_modes(
         # the vertex sums pin the only component to f itself, so feasibility
         # is exactly "f never rises away from the anchor"
         m = mode_list[0]
-        for closer, farther in _toward(f.tree, m):
+        for closer, farther in f.tree.root_at(m):
             if f.value(closer) < f.value(farther):
                 return None
         certificate = FeasibilityCertificate(mode_list, (dict(f.values),))
@@ -247,12 +242,12 @@ def _solve(
 
     rows: list[tuple[list, str, Fraction]] = []
     for alpha in range(k - 1):
-        for closer, farther in _toward(tree, modes[alpha]):
+        for closer, farther in tree.root_at(modes[alpha]):
             row = [0] * nvars
             row[var(alpha, closer)] = 1
             row[var(alpha, farther)] = -1
             rows.append((row, simplex.GREATER_EQUAL, _ZERO))
-    for closer, farther in _toward(tree, modes[k - 1]):
+    for closer, farther in tree.root_at(modes[k - 1]):
         row = [0] * nvars
         for alpha in range(k - 1):
             row[var(alpha, farther)] += 1
@@ -321,7 +316,7 @@ def _validate_certificate(
                 raise InternalInvariantError(
                     f"certificate negative at {v!r} for anchor {m!r}"
                 )
-        for closer, farther in _toward(f.tree, m):
+        for closer, farther in f.tree.root_at(m):
             if component[closer] < component[farther]:
                 raise InternalInvariantError(
                     f"certificate rises along {closer}-{farther} away from {m!r}"

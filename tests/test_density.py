@@ -184,7 +184,7 @@ def _reference_is_unimodal(f):
         return NotUnimodal(edge=None, zero_density=True)
     top = max(f.value(v) for v in f.tree.vertices)
     root = min(v for v in f.tree.vertices if f.value(v) == top)
-    for u, w in f.tree.root_at(root).oriented_edges():
+    for u, w in f.tree.root_at(root):
         if f.value(u) < f.value(w):
             return NotUnimodal(edge=(u, w))
     return ModeWitness(root, top)
@@ -200,7 +200,7 @@ def _zero_heavy_density(rng):
     tree = MetricTree(names, edges)
     peak = rng.choice(names)
     values = {peak: rng.randint(0, 3)}
-    for closer, farther in tree.root_at(peak).oriented_edges():
+    for closer, farther in tree.root_at(peak):
         values[farther] = max(0, values[closer] - rng.choice([0, 0, 1, 2, 3]))
     kind = rng.random()
     if kind < 0.3:

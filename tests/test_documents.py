@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import treeucat.documents
+import treeucat.verify
 from treeucat import (
     EdgeLinearDensity,
     MetricTree,
@@ -36,6 +38,11 @@ from treeucat.errors import (
 from helpers import dense_decomposition_text, path_instance
 
 PROVENANCE = {"tool": "treeucat test", "input_digest": "sha256:0"}
+
+
+def _provenance(f):
+    """Provenance naming f, so that the document binds to f."""
+    return {"tool": "treeucat test", "input_digest": instance_digest(f.tree, f)}
 
 
 def test_instance_round_trip():
@@ -290,8 +297,8 @@ def test_absent_vertex_parses_as_zero():
 def test_dense_documents_still_parse_and_check():
     for seed in range(30):
         f, d = _decomposed(seed)
-        sparse = parse_decomposition(serialize_decomposition(d, PROVENANCE))
-        dense = parse_decomposition(dense_decomposition_text(d, PROVENANCE))
+        sparse = parse_decomposition(serialize_decomposition(d, _provenance(f)))
+        dense = parse_decomposition(dense_decomposition_text(d, _provenance(f)))
         assert dense.tree == sparse.tree == d.refined_tree
         assert dense.tree.vertices == sparse.tree.vertices
         assert dense.components == sparse.components == d.components
@@ -327,7 +334,7 @@ def test_listed_component_values_are_still_validated():
 def test_component_with_no_values_is_identically_zero():
     _, f = path_instance([0, 4, 1, 3, 0])
     d, _ = decompose(f)
-    data = json.loads(serialize_decomposition(d, PROVENANCE))
+    data = json.loads(serialize_decomposition(d, _provenance(f)))
     data["components"][1]["values"] = {}
     doc = parse_decomposition(json.dumps(data))
     assert doc.components[1].density.support == ()
@@ -383,13 +390,35 @@ def test_decomposition_validation_errors():
 def test_document_binds_to_instance():
     _, f = path_instance([0, 4, 1, 3, 0])
     d, _ = decompose(f)
-    doc = parse_decomposition(serialize_decomposition(d, PROVENANCE))
+    doc = parse_decomposition(serialize_decomposition(d, _provenance(f)))
     bound = decomposition_from_document(doc, f)
-    assert bound.input_on_refined.value("_s1") == 2
+    assert bound.refined_tree == d.refined_tree
+    assert bound.components == d.components
 
     _, other = path_instance([1, 2, 1])
-    with pytest.raises(TreeMismatch):
+    with pytest.raises(DocumentError, match="different instance"):
         decomposition_from_document(doc, other)
+
+
+def test_parse_bind_and_check_lift_the_input_once(monkeypatch):
+    lifts = []
+    for module in (treeucat.documents, treeucat.verify):
+        original = module.extend_to_refinement
+
+        def counted(*args, original=original):
+            lifts.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "extend_to_refinement", counted)
+
+    for seed in range(5):
+        f, d = _decomposed(seed)
+        text = serialize_decomposition(d, _provenance(f))
+        lifts.clear()
+        doc = parse_decomposition(text)
+        report = check_decomposition(f, decomposition_from_document(doc, f))
+        assert report.overall
+        assert len(lifts) == 1, seed
 
 
 def test_sweep_serialization():
@@ -408,7 +437,7 @@ def test_sweep_serialization():
 def test_render_dot_structure():
     _, f = path_instance([0, 4, 1, 3, 0])
     d, _ = decompose(f)
-    dot = render_dot(d)
+    dot = render_dot(d, f)
     assert dot.startswith("graph decomposition {")
     assert dot.rstrip().endswith("}")
     assert dot.count("doublecircle") == 2

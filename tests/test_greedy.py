@@ -43,7 +43,6 @@ def test_unimodal_input_gives_single_component():
     assert d.components[0].mode == "B"
     assert d.components[0].density == f
     assert d.refined_tree == tree
-    assert d.input_on_refined == f
     assert trace == [TraceEvent(1, "B", (), Fraction(0))]
 
 
@@ -76,7 +75,6 @@ def test_zero_density_empty_decomposition():
     assert d.components == ()
     assert trace == []
     assert d.refined_tree == f.tree
-    assert d.input_on_refined == f
     assert ucat(f) == 0
 
 
@@ -101,7 +99,7 @@ def test_second_mode_on_synthetic_vertex():
     assert [c.mode for c in d.components] == ["v2", "_s1"]
     assert d.refined_tree.edge_length("v4", "_s1") == Fraction(1, 3)
     assert d.refined_tree.edge_length("_s1", "v5") == Fraction(2, 3)
-    assert d.input_on_refined.value("_s1") == 2
+    assert extend_to_refinement(f, d.refined_tree).value("_s1") == 2
     assert trace[0].subdivided == ("_s1",)
     assert ucat_oracle(f, 7) == 2
 
@@ -126,8 +124,9 @@ def test_two_subdivisions_and_lifting():
     assert d.refined_tree.edge_length("v3", "_s2") == Fraction(1, 3)
     assert d.refined_tree.edge_length("_s2", "v2") == Fraction(2, 3)
     # the input re-expressed on the refined tree interpolates its own values
-    assert d.input_on_refined.value("_s1") == 3
-    assert d.input_on_refined.value("_s2") == 3
+    lifted = extend_to_refinement(f, d.refined_tree)
+    assert lifted.value("_s1") == 3
+    assert lifted.value("_s2") == 3
     assert ucat_oracle(f, 7) == 3
 
 
@@ -144,9 +143,10 @@ def test_components_sum_and_are_unimodal():
     for seed in range(60):
         _, f = gen_instance(seed, 12, 5)
         d, trace = decompose(f)
+        lifted = extend_to_refinement(f, d.refined_tree)
         for v in d.refined_tree.vertices:
             total = sum(c.density.value(v) for c in d.components)
-            assert total == d.input_on_refined.value(v)
+            assert total == lifted.value(v)
         for c in d.components:
             witness = is_unimodal(c.density)
             assert isinstance(witness, ModeWitness)
@@ -195,7 +195,7 @@ def _replay(f):
                 sum(current.values.values(), Fraction(0)),
             )
         )
-    return modes, current.tree, components, extend_to_refinement(f, current.tree), trace
+    return modes, current.tree, components, trace
 
 
 def test_decompose_matches_replayed_public_steps():
@@ -205,12 +205,11 @@ def test_decompose_matches_replayed_public_steps():
     cuts = 0
     for i, f in enumerate(instances):
         d, trace = decompose(f)
-        modes, tree, components, lifted, replay_trace = _replay(f)
+        modes, tree, components, replay_trace = _replay(f)
         assert [c.mode for c in d.components] == modes, i
         assert d.refined_tree.vertices == tree.vertices, i
         assert d.refined_tree.edge_list == tree.edge_list, i
         assert [c.density for c in d.components] == components, i
-        assert d.input_on_refined == lifted, i
         assert trace == replay_trace, i
         cuts += sum(len(event.subdivided) for event in trace)
     assert cuts > 0
@@ -218,7 +217,7 @@ def test_decompose_matches_replayed_public_steps():
 
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     # the loop validates nothing: one tree and one density come from the
-    # parse, one tree and k + 1 densities (input and components) at the end
+    # parse, one tree and k densities, the components, at the end
     built = {MetricTree: 0, EdgeLinearDensity: 0}
 
     def count_builds(cls):
@@ -243,7 +242,7 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
         d, trace = decompose(f)
         k = len(d.components)
         assert built[MetricTree] <= 2, text
-        assert built[EdgeLinearDensity] <= k + 2, text
+        assert built[EdgeLinearDensity] <= k + 1, text
         cuts += sum(len(event.subdivided) for event in trace)
     assert cuts > 0
 
@@ -278,7 +277,7 @@ def test_every_value_lies_on_the_input_lattice():
     for i, f in enumerate(_lattice_instances()):
         scale = math.lcm(*(val.denominator for val in f.values.values()))
         d, trace = decompose(f)
-        lifted = d.input_on_refined
+        lifted = extend_to_refinement(f, d.refined_tree)
         for density in [lifted] + [c.density for c in d.components]:
             values = density.values.values()
             assert all((val * scale).denominator == 1 for val in values), i

@@ -89,15 +89,6 @@ def test_refined_tree_accounting():
         assert refined - original == set(created)
 
 
-def test_input_on_refined_is_the_lifted_input():
-    from treeucat import extend_to_refinement
-
-    for seed in range(40):
-        _, f = gen_instance(seed, 10, 5)
-        d, _ = decompose(f)
-        assert d.input_on_refined == extend_to_refinement(f, d.refined_tree)
-
-
 def test_sweep_closed_form_on_larger_trees():
     for seed in range(30):
         tree, f = gen_instance(seed, 16, 8)

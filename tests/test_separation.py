@@ -4,7 +4,9 @@
 `decompose` is right only because they do not run its machinery. These
 tests read the referee modules' imports, and those of the test helpers
 that build referee inputs, so that a shared import fails here instead of
-passing unnoticed.
+passing unnoticed. In the other direction, the producer modules import
+no referee or document code, and never lift a density onto a refined
+tree: that is the referees' work.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treeucat"
 REFEREES = ("verify.py", "interval.py", "simplex.py")
 PRODUCER = {"forced", "sweep"}
+PRODUCER_FILES = ("greedy.py", "sweep.py", "forced.py")
+REFEREE_SIDE = {"verify", "interval", "simplex", "documents"}
 ALLOWED = {"greedy": {"Decomposition"}, "tree": {"MetricTree", "VertexId"}}
 
 
@@ -48,6 +52,14 @@ def test_referees_import_no_producer_code():
             assert module.split(".")[0] not in PRODUCER, what
             if module in ALLOWED:
                 assert name in ALLOWED[module], what
+
+
+def test_producer_imports_no_referee_code():
+    for filename in PRODUCER_FILES:
+        for module, name in _package_imports(PACKAGE / filename):
+            what = f"{filename} imports {name or module} from {module}"
+            assert module.split(".")[0] not in REFEREE_SIDE, what
+            assert "extend_to_refinement" not in (module, name), what
 
 
 def test_reference_helpers_use_no_producer_state():

@@ -86,24 +86,17 @@ def test_float_length_rejected():
 
 def test_root_at_center_of_path():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
-    orientation = tree.root_at("B")
-    assert orientation.parent["A"] == "B"
-    assert orientation.parent["C"] == "B"
-    assert orientation.order == ("B", "A", "C")
+    assert tree.root_at("B") == (("B", "A"), ("B", "C"))
 
 
 def test_root_at_end_of_path():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
-    orientation = tree.root_at("A")
-    assert orientation.parent == {"B": "A", "C": "B"}
-    assert orientation.oriented_edges() == (("A", "B"), ("B", "C"))
+    assert tree.root_at("A") == (("A", "B"), ("B", "C"))
 
 
 def test_root_at_single_vertex():
     tree = MetricTree(["A"], [])
-    orientation = tree.root_at("A")
-    assert dict(orientation.parent) == {}
-    assert orientation.order == ("A",)
+    assert tree.root_at("A") == ()
 
 
 def test_root_at_unknown_vertex():
@@ -114,7 +107,7 @@ def test_root_at_unknown_vertex():
 
 def test_root_at_children_in_lexicographic_order():
     tree = MetricTree(["c", "z", "y", "x"], [("c", "z", 1), ("c", "y", 1), ("c", "x", 1)])
-    assert tree.root_at("c").order == ("c", "x", "y", "z")
+    assert tree.root_at("c") == (("c", "x"), ("c", "y"), ("c", "z"))
 
 
 def test_subdivide_splits_lengths():

@@ -20,7 +20,11 @@ from treeucat import (
     ucat,
     ucat_oracle,
 )
-from treeucat.documents import decomposition_from_document, parse_decomposition
+from treeucat.documents import (
+    decomposition_from_document,
+    instance_digest,
+    parse_decomposition,
+)
 from treeucat.errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -50,7 +54,7 @@ def _hand_decomposition(f, parts):
     components = tuple(
         Component(mode, EdgeLinearDensity(f.tree, values)) for mode, values in parts
     )
-    return Decomposition(f.tree, components, f)
+    return Decomposition(f.tree, components)
 
 
 def test_valid_decomposition_passes():
@@ -129,7 +133,7 @@ def _from_document(f, parts):
             for mode, values in parts
         ],
         "ucat": len(parts),
-        "provenance": {"tool": "test", "input_digest": "sha256:0"},
+        "provenance": {"tool": "test", "input_digest": instance_digest(f.tree, f)},
     }
     return decomposition_from_document(parse_decomposition(json.dumps(doc)), f)
 
@@ -160,7 +164,7 @@ def test_sum_mismatch_at_a_vertex_no_component_lists():
 def test_component_on_foreign_tree_rejected():
     _, f = path_instance([1, 2, 1])
     other_tree, other = path_instance([1, 2, 1], prefix="w")
-    d = Decomposition(f.tree, (Component("w2", other),), f)
+    d = Decomposition(f.tree, (Component("w2", other),))
     with pytest.raises(TreeMismatch):
         check_decomposition(f, d)
 
@@ -168,7 +172,7 @@ def test_component_on_foreign_tree_rejected():
 def test_decomposition_tree_must_refine_input_tree():
     _, f = path_instance([1, 2, 1])
     other_tree, g = path_instance([1, 2, 1], prefix="w")
-    d = Decomposition(other_tree, (Component("w2", g),), g)
+    d = Decomposition(other_tree, (Component("w2", g),))
     with pytest.raises(TreeMismatch):
         check_decomposition(f, d)
 
