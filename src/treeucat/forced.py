@@ -17,7 +17,6 @@ vertex is avoided by some minimal decomposition.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -45,11 +44,11 @@ class PruneReport:
 
 
 def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:
-    """Remove prunable leaves in ascending id order until none remain.
+    """Remove prunable leaves until none remain.
 
     A leaf is prunable when its value is at most its unique neighbor's.
     The last vertex is never removed; it stands for a unimodal density,
-    whose reported mode is the smallest-id global argmax, as
+    whose reported mode and survivor are the smallest-id global argmax, as
     `is_unimodal` confirms.
     """
     if support_is_empty(f):
@@ -67,50 +66,44 @@ def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:
 def _prune(
     adj: Mapping[VertexId, Sequence[VertexId]], values: Mapping[VertexId, Fraction]
 ) -> PruneReport:
-    """The prune over sorted adjacency lists and vertex values, which must
-    not all be zero; neither map is modified.
+    """The prune over adjacency lists and vertex values, which must not all
+    be zero; neither map is modified. `degree` counts live neighbors: 0 for
+    a pruned vertex or the last one left. A vertex is looked at once, when
+    it becomes a leaf, as its neighbor then stays until they are the last two.
 
-    Once a vertex becomes a leaf its neighbor can only disappear in the
-    final two-vertex step, so a leaf's prunability never changes while it
-    waits in the queue; pushing each vertex when it turns into a prunable
-    leaf visits everything exactly once in the required order.
+    Fact (a): the result does not depend on the removal order. A prunable
+    leaf x of a live subtree, with neighbor u, is a prunable leaf of every
+    smaller subtree holding x and u. Say one maximal order stops at a core
+    C of two or more vertices and another removes x, the first it removes
+    from C: it does so from a subtree holding C, so x is a prunable leaf of
+    C, a contradiction. So every order keeps C, and by the same argument
+    stops at C; or else every order reaches one vertex, which one depending
+    on the order, and the report names the smallest-id global argmax.
     """
-    alive = set(adj)
     degree = {v: len(nbs) for v, nbs in adj.items()}
+    leaves = [v for v, d in degree.items() if d == 1]
+    for leaf in leaves:  # the list grows as vertices turn into leaves
+        nb = next(u for u in adj[leaf] if degree[u])
+        if values[leaf] <= values[nb]:
+            degree[leaf] = 0
+            degree[nb] -= 1
+            if degree[nb] == 1:
+                leaves.append(nb)
+            elif not degree[nb]:  # nb is the last vertex
+                break
 
-    def sole_neighbor(v: VertexId) -> VertexId:
-        return next(nb for nb in adj[v] if nb in alive)
+    core = frozenset(v for v, d in degree.items() if d)
+    if not core:
+        mode = min(values, key=lambda v: (-values[v], v))
+        return PruneReport(frozenset({mode}), (), Unimodal(mode))
 
-    def prunable(v: VertexId) -> bool:
-        return degree[v] <= 1 and (
-            degree[v] == 0 or values[v] <= values[sole_neighbor(v)]
-        )
-
-    queue = [v for v in adj if degree[v] == 1 and prunable(v)]
-    heapq.heapify(queue)
-    while queue and len(alive) > 1:
-        leaf = heapq.heappop(queue)
-        if leaf not in alive or not prunable(leaf):
-            continue
-        nb = sole_neighbor(leaf)
-        alive.remove(leaf)
-        degree[nb] -= 1
-        if degree[nb] == 1 and nb in alive and prunable(nb):
-            heapq.heappush(queue, nb)
-
-    if len(alive) == 1:
-        top = max(values.values())
-        mode = min(v for v, val in values.items() if val == top)
-        return PruneReport(frozenset(alive), (), Unimodal(mode))
-
-    forced = tuple(sorted(v for v in alive if degree[v] == 1))
+    forced = tuple(sorted(v for v in core if degree[v] == 1))
     if len(forced) < 2:
         raise InternalInvariantError(
-            f"prune fixpoint {sorted(alive)} has fewer than two forced leaves"
+            f"prune fixpoint {sorted(core)} has fewer than two forced leaves"
         )
-    top = max(values[v] for v in forced)
-    chosen = min(v for v in forced if values[v] == top)
-    return PruneReport(frozenset(alive), forced, Forced(chosen))
+    chosen = min(forced, key=lambda v: (-values[v], v))
+    return PruneReport(core, forced, Forced(chosen))
 
 
 def find_forced_vertex(f: EdgeLinearDensity) -> VertexId:

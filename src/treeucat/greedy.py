@@ -30,6 +30,11 @@ copies that value, and a row that differs at u and w is a broken
 invariant, which it reports. h takes 0 at the cut and the remainder
 r(u) - h(u), so by induction the scaled rows hold integers, and only cut
 positions t and edge lengths leave the lattice (1/D)Z.
+
+Fact (b), the core only shrinks. Away from the origin, a sweep keeps a
+rise of the remainder, keeps a fall falling or flat, and cuts a fall into
+a flat and a falling half. So all the last prune removed stays prunable,
+and by fact (a) in `forced.py` the next core is in the last plus the cuts.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .errors import (
     CycleDetected,
     Disconnected,
     DuplicateVertexId,
+    InvalidTree,
     InvalidVertexId,
     NonPositiveLength,
     UnknownEdge,
@@ -55,6 +56,8 @@ class MetricTree:
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple] = ()):
         vlist = list(vertices)
+        if not vlist:
+            raise InvalidTree("a tree needs at least one vertex")
         seen = set()
         for v in vlist:
             if not isinstance(v, str) or not is_valid_vertex_id(v):
@@ -88,19 +91,17 @@ class MetricTree:
             adj[u].append(w)
             adj[w].append(u)
 
-        if vlist:
-            start = vlist[0]
-            reached = {start}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nb in adj[cur]:
-                    if nb not in reached:
-                        reached.add(nb)
-                        queue.append(nb)
-            if len(reached) != len(seen):
-                missing = sorted(seen - reached)[0]
-                raise Disconnected(f"vertex {missing!r} unreachable from {start!r}")
+        start = vlist[0]
+        reached = {start}
+        queue = deque([start])
+        while queue:
+            for nb in adj[queue.popleft()]:
+                if nb not in reached:
+                    reached.add(nb)
+                    queue.append(nb)
+        if len(reached) != len(seen):
+            missing = sorted(seen - reached)[0]
+            raise Disconnected(f"vertex {missing!r} unreachable from {start!r}")
         # connected with |E| = |V| - 1 is acyclic; |E| > |V| - 1 was caught above
 
         self._vertex_set = frozenset(seen)

@@ -6,8 +6,9 @@ and the unimodality oracle checks excursion-set connectivity directly.
 The tree transforms `subdivide`, `normalize` and `path_between` build
 `MetricTree`s from edge lists and never touch the producer's working
 state, so tests that feed their output to a referee run no producer code.
-`forced_region` reads the package's prune verdict and describes the set
-that verdict forces a mode into. `dense_decomposition_text` writes a
+`reference_peel` prunes leaves one at a time from the tree and the
+density alone, in any order it is given, and `forced_region` reads the
+set it forces a mode into. `dense_decomposition_text` writes a
 decomposition the way documents were written before components listed
 their nonzero values only.
 """
@@ -19,7 +20,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from treeucat import EdgeLinearDensity, MetricTree, Unimodal, prune_insignificant
+from treeucat import EdgeLinearDensity, MetricTree
 
 
 def path_instance(values, prefix="v"):
@@ -110,21 +111,53 @@ def monotone_arm_instance(seed: int, arm: int) -> EdgeLinearDensity:
     return f
 
 
+def reference_peel(f: EdgeLinearDensity, rng: random.Random | None = None):
+    """(core, chosen): f's tree with prunable leaves removed one at a time.
+
+    A leaf is prunable when its value is at most its one live neighbor's.
+    Each step rescans every live vertex and removes the smallest-id
+    prunable leaf, or a uniformly random one when `rng` is given, until
+    none is left or one vertex is. With two or more survivors, chosen is
+    the tallest core leaf, ties broken by id; with one, it is the
+    smallest-id global argmax, since which plateau vertex survives depends
+    on the order.
+    """
+    tree = f.tree
+    alive = set(tree.vertices)
+    while len(alive) > 1:
+        candidates, core_leaves = [], []
+        for v in sorted(alive):
+            neighbors = [n for n in tree.neighbors(v) if n in alive]
+            if len(neighbors) == 1:
+                if f.value(v) <= f.value(neighbors[0]):
+                    candidates.append(v)
+                else:
+                    core_leaves.append(v)
+        if not candidates:
+            break
+        alive.remove(rng.choice(candidates) if rng else candidates[0])
+    if len(alive) == 1:
+        top = f.max_value()
+        return frozenset(alive), min(v for v in tree.vertices if f.value(v) == top)
+    top = max(f.value(v) for v in core_leaves)
+    return frozenset(alive), min(v for v in core_leaves if f.value(v) == top)
+
+
 def forced_region(f: EdgeLinearDensity) -> set:
     """Vertices among which every decomposition of f has a mode.
 
-    Forced verdict: the chosen core leaf v plus every pruned vertex whose
-    path into the surviving core enters it at v, i.e. v's side of the edge
-    to its one core neighbor u. A component anchored outside that branch
-    is non-increasing along u -> v, and f(v) > f(u). Unimodal verdict: the
-    argmax set, since only a global argmax can anchor f itself.
+    Several survivors of `reference_peel`: the chosen core leaf v plus every
+    pruned vertex whose path into the core enters it at v, i.e. v's side
+    of the edge to its one core neighbor u. A component anchored outside
+    that branch is non-increasing along u -> v, and f(v) > f(u). One
+    survivor: the argmax set, since only a global argmax can anchor f
+    itself.
     """
-    report = prune_insignificant(f)
-    if isinstance(report.verdict, Unimodal):
+    core, v = reference_peel(f)
+    if len(core) == 1:
         top = f.max_value()
         return {x for x in f.tree.vertices if f.value(x) == top}
-    v = report.verdict.chosen
-    (u,) = [n for n in f.tree.neighbors(v) if n in report.surviving]
+    (u,) = [n for n in f.tree.neighbors(v) if n in core]
     return {x for x in f.tree.vertices if v in path_between(f.tree, u, x)}
 
 

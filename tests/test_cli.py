@@ -87,6 +87,22 @@ def test_decompose_rejects_density_missing_a_vertex(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_empty_tree_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(
+        json.dumps({"vertices": [], "edges": [], "density": {}}), encoding="utf-8"
+    )
+    for args in (
+        ["decompose", str(path)],
+        ["check", str(path), str(path)],
+        ["sweep", str(path), "--vertex", "v1"],
+    ):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.err == "error: a tree needs at least one vertex\n", args
+        assert captured.out == ""
+
+
 def test_deeply_nested_document_exits_2_without_traceback(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000, encoding="utf-8")

@@ -23,7 +23,7 @@ from treeucat import (
 )
 from treeucat.errors import ZeroDensity
 
-from helpers import forced_region, path_instance, star_instance
+from helpers import forced_region, path_instance, reference_peel, star_instance
 
 
 def test_unimodal_path_reports_single_survivor():
@@ -75,12 +75,12 @@ def test_single_vertex_is_its_own_mode():
 
 
 def test_plateau_mode_is_the_unimodality_witness():
-    # pruning eats the plateau from the lexicographic end, so the literal
-    # survivor (v2) differs from the witness mode (v1); the verdict carries
-    # the witness so that is_unimodal(f) agrees with it
+    # which plateau vertex the peel leaves last depends on the removal
+    # order, so a unimodal report names the smallest-id argmax (v1) as
+    # both its survivor and its mode, and is_unimodal(f) agrees with it
     _, f = path_instance([2, 2, 1])
     report = prune_insignificant(f)
-    assert report.surviving == frozenset({"v2"})
+    assert report.surviving == frozenset({"v1"})
     assert report.verdict == Unimodal("v1")
     assert is_unimodal(f) == ModeWitness("v1", Fraction(2))
 
@@ -136,37 +136,25 @@ def test_strict_peaks_always_survive():
                 assert v in report.surviving
 
 
-def _random_maximal_prune(f: EdgeLinearDensity, rng: random.Random) -> frozenset:
-    tree = f.tree
-    alive = set(tree.vertices)
-    while len(alive) > 1:
-        candidates = []
-        for v in sorted(alive):
-            neighbors = [n for n in tree.neighbors(v) if n in alive]
-            if len(neighbors) == 1 and f.value(v) <= f.value(neighbors[0]):
-                candidates.append(v)
-        if not candidates:
-            break
-        alive.remove(rng.choice(candidates))
-    return frozenset(alive)
-
-
 def test_prune_fixpoint_confluent_up_to_plateau_endgame():
     # removal order only matters when the last two survivors share one
-    # value; then either singleton may remain, and the verdict kind is
-    # still the same
+    # value; then either singleton may remain, and the verdict is still the
+    # same: the reference peel, in id order and in random orders, agrees
+    # with the package's order-free one
     rng = random.Random(99)
     for seed in range(80):
         _, f = gen_instance(seed, 9, 4)
         if support_is_empty(f):
             continue
         report = prune_insignificant(f)
-        for _ in range(3):
-            randomized = _random_maximal_prune(f, rng)
+        expected = find_forced_vertex(f)
+        for order in (None, rng, rng, rng):
+            core, chosen = reference_peel(f, order)
+            assert chosen == expected, seed
             if len(report.surviving) == 1:
-                assert len(randomized) == 1
+                assert len(core) == 1, seed
             else:
-                assert randomized == report.surviving
+                assert core == report.surviving, seed
 
 
 def test_strict_avoidance_infeasible_outside_the_forced_region():

@@ -8,6 +8,7 @@ import pytest
 
 from treeucat import (
     EdgeLinearDensity,
+    Forced,
     MetricTree,
     ModeWitness,
     TraceEvent,
@@ -18,6 +19,7 @@ from treeucat import (
     gen_instance,
     interval_ucat,
     is_unimodal,
+    prune_insignificant,
     support_is_empty,
     sweep,
     ucat,
@@ -25,7 +27,7 @@ from treeucat import (
 )
 from treeucat.documents import parse_instance, serialize_instance
 
-from helpers import monotone_arm_instance, path_instance, star_instance
+from helpers import monotone_arm_instance, path_instance, reference_peel, star_instance
 
 
 def _component_maps(decomposition):
@@ -213,6 +215,56 @@ def test_decompose_matches_replayed_public_steps():
         assert trace == replay_trace, i
         cuts += sum(len(event.subdivided) for event in trace)
     assert cuts > 0
+
+
+def _plateau_instance(seed):
+    # a random recursive tree whose ids are a shuffled range, values drawn
+    # from three levels so plateaus are common, and fractional lengths
+    rng = random.Random(seed)
+    n = rng.randint(2, 24)
+    names = [f"x{i:02d}" for i in rng.sample(range(100), n)]
+    edges = []
+    for i in range(1, n):
+        length = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        edges.append((names[i], names[rng.randrange(i)], length))
+    tree = MetricTree(sorted(names), edges)
+    return EdgeLinearDensity(tree, {v: rng.choice((0, 2, 2, 5)) for v in names})
+
+
+def test_prune_matches_reference_peel_along_the_greedy_loop():
+    # the greedy loop replayed through the public sweep; at every iteration
+    # the package's prune agrees with the independent reference peel, and a
+    # forced core lies inside the previous core plus the previous sweep's
+    # cut vertices: a sweep never makes a pruned vertex unprunable
+    instances = [gen_instance(seed, 30, 6)[1] for seed in range(60)]
+    instances += [_plateau_instance(seed) for seed in range(100)]
+    instances += [path_instance([1, 3] * n + [1])[1] for n in (1, 6, 20)]
+    instances += [monotone_arm_instance(seed, 60) for seed in range(3)]
+    iterations = forced = 0
+    for i, f in enumerate(instances):
+        modes, previous, current = [], None, f
+        while not support_is_empty(current):
+            report = prune_insignificant(current)
+            core, chosen = reference_peel(current)
+            verdict = report.verdict
+            if isinstance(verdict, Forced):
+                assert len(core) > 1, i
+                assert report.surviving == core, i
+                assert verdict.chosen == chosen, i
+                if previous is not None:
+                    assert core <= previous, i
+                forced += 1
+            else:
+                assert len(core) == 1, i
+                assert verdict.mode == chosen, i
+            result = sweep(current, chosen)
+            cut = {s.vertex for s in result.subdivisions}
+            previous = core | cut if isinstance(verdict, Forced) else None
+            modes.append(chosen)
+            current = result.remainder
+            iterations += 1
+        assert [c.mode for c in decompose(f)[0].components] == modes, i
+    assert forced > 0 and iterations > forced
 
 
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):

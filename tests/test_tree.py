@@ -13,6 +13,7 @@ from treeucat.errors import (
     CycleDetected,
     Disconnected,
     DuplicateVertexId,
+    InvalidTree,
     InvalidVertexId,
     NonPositiveLength,
     UnknownEdge,
@@ -31,6 +32,12 @@ def test_smallest_valid_multi_edge_tree():
     assert tree.vertices == ("A", "B", "C")
     assert tree.edge_length("A", "B") == 1
     assert tree.neighbors("B") == ("A", "C")
+
+
+def test_empty_tree_rejected():
+    with pytest.raises(InvalidTree, match="a tree needs at least one vertex") as info:
+        MetricTree([], [])
+    assert not isinstance(info.value, CycleDetected)
 
 
 def test_triangle_is_a_cycle():
