@@ -5,14 +5,14 @@ interpolated along edges. The interpolant itself is never stored; every
 algorithm in this package works with vertex values only. A vertex the
 constructor is not given a value for is 0, so a density can be built from
 its support alone; instance documents, which must list every vertex, are
-checked for that in `documents.parse_instance`.
+checked for that in `documents.parse_instance`. Only nonzero values are
+stored, so a density's memory grows with its support, not with the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping
 
 from .errors import NegativeValue, TreeMismatch, UnknownVertex
@@ -28,16 +28,15 @@ class EdgeLinearDensity:
     Mixing a density with a different tree is always a hard error, never a
     silent re-index; use `extend_to_refinement` to move to a refined tree.
     `values` may omit vertices, which then hold 0; every value it does give
-    is validated. The support, the vertices with a nonzero value in
-    `tree.vertices` order, is recorded while the values are validated.
+    is validated. Only the support map, the nonzero values in `tree.vertices`
+    order, is stored; `values` builds the full map, in O(n), on each call.
     """
 
-    __slots__ = ("_tree", "_values", "_support")
+    __slots__ = ("_tree", "_values")
 
     def __init__(self, tree: MetricTree, values: Mapping[VertexId, object]):
         vertex_set = tree.vertex_set
-        converted = dict.fromkeys(tree.vertices, _ZERO)
-        nonzero = []
+        stored = {}
         for v, raw in values.items():
             if v not in vertex_set:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
@@ -45,11 +44,9 @@ class EdgeLinearDensity:
             if val:  # most values are 0 and skip the comparison
                 if val < 0:
                     raise NegativeValue(f"density value {val} at {v!r} is negative")
-                nonzero.append(v)
-            converted[v] = val
+                stored[v] = val
         self._tree = tree
-        self._values = converted
-        self._support = tuple(sorted(nonzero))  # tree.vertices is sorted
+        self._values = dict(sorted(stored.items()))  # tree.vertices is sorted
 
     @property
     def tree(self) -> MetricTree:
@@ -57,21 +54,21 @@ class EdgeLinearDensity:
 
     @property
     def values(self) -> Mapping[VertexId, Fraction]:
-        return MappingProxyType(self._values)
+        """Every vertex's value, in `tree.vertices` order; O(n) per call."""
+        return {v: self._values.get(v, _ZERO) for v in self._tree.vertices}
 
     @property
     def support(self) -> tuple[VertexId, ...]:
         """The vertices with a nonzero value, in `tree.vertices` order."""
-        return self._support
+        return tuple(self._values)
 
     def value(self, v: VertexId) -> Fraction:
-        try:
-            return self._values[v]
-        except KeyError:
-            raise UnknownVertex(f"no vertex {v!r}") from None
+        if v not in self._tree.vertex_set:
+            raise UnknownVertex(f"no vertex {v!r}")
+        return self._values.get(v, _ZERO)
 
     def max_value(self) -> Fraction:
-        return max((self._values[v] for v in self._support), default=_ZERO)
+        return max(self._values.values(), default=_ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeLinearDensity):
@@ -79,10 +76,10 @@ class EdgeLinearDensity:
         return self._tree == other._tree and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash((self._tree, tuple(sorted(self._values.items()))))
+        return hash((self._tree, tuple(self._values.items())))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{v}={self._values[v]}" for v in self._tree.vertices[:4])
+        shown = ", ".join(f"{v}={self.value(v)}" for v in self._tree.vertices[:4])
         more = ", ..." if len(self._tree.vertices) > 4 else ""
         return f"EdgeLinearDensity({shown}{more})"
 
@@ -104,7 +101,7 @@ class NotUnimodal:
 
 def support_is_empty(f: EdgeLinearDensity) -> bool:
     """True iff all vertex values are 0 (edge-linearity then forces f = 0)."""
-    return not f.support
+    return not f._values
 
 
 def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
@@ -121,16 +118,15 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     O(|supp f| + its boundary). Otherwise the whole tree is scanned in
     `root_at` order, and the first rising edge of that order is reported.
     """
-    support = f.support
-    if not support:
+    values = f._values  # absent means 0
+    if not values:
         return NotUnimodal(edge=None, zero_density=True)
-    values = f.values
     top = f.max_value()
-    root = next(v for v in support if values[v] == top)
+    root = next(v for v, val in values.items() if val == top)
     if _falls_from_root_on_support(f, root):
         return ModeWitness(root, top)
     for u, w in f.tree.root_at(root):
-        if values[u] < values[w]:
+        if values.get(u, _ZERO) < values.get(w, _ZERO):
             return NotUnimodal(edge=(u, w))
     return ModeWitness(root, top)
 
@@ -138,7 +134,7 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
 def _falls_from_root_on_support(f: EdgeLinearDensity, root: VertexId) -> bool:
     """True iff a breadth-first search from `root` through positive
     vertices meets no rising edge and reaches every positive vertex."""
-    values = f.values
+    values = f._values  # absent means 0
     adjacency = f.tree.adjacency()
     parent = {root: None}
     frontier = [root]
@@ -150,7 +146,7 @@ def _falls_from_root_on_support(f: EdgeLinearDensity, root: VertexId) -> bool:
             for w in adjacency[u]:
                 if w == parent[u]:
                     continue
-                at_w = values[w]
+                at_w = values.get(w, _ZERO)
                 if at_u < at_w:
                     return False
                 if at_w:
@@ -158,7 +154,7 @@ def _falls_from_root_on_support(f: EdgeLinearDensity, root: VertexId) -> bool:
                     nxt.append(w)
         reached += len(nxt)
         frontier = nxt
-    return reached == len(f.support)
+    return reached == len(values)
 
 
 def extend_to_refinement(
@@ -172,13 +168,13 @@ def extend_to_refinement(
     """
     original = f.tree
     if original == refined:
-        return EdgeLinearDensity(refined, dict(f.values))
+        return EdgeLinearDensity(refined, f._values)
     for v in original.vertices:
         if not refined.has_vertex(v):
             raise TreeMismatch(f"refinement lost vertex {v!r}")
 
     old_set = original.vertex_set
-    values: dict[VertexId, Fraction] = {v: f.value(v) for v in original.vertices}
+    values = dict(f._values)
     covered = set(original.vertices)
     for u, w, length in original.edge_list:
         chain = _subdivision_chain(refined, old_set, u, w)

@@ -83,6 +83,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
 
     state = Refinement(f.tree)
     scale, rest = _to_lattice(f.values)
+    total = sum(rest.values())  # the remainder is nonnegative
     rows: list[dict[VertexId, int]] = []
     modes: list[VertexId] = []
     trace: list[TraceEvent] = []
@@ -95,7 +96,9 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         verdict = _prune(state.adj, rest).verdict
         v = _forced_vertex(verdict)
         h, cuts = _sweep(state, rest, v)
+        total -= sum(h.values())  # h is 0 at the cuts
         for cut in cuts:
+            total += rest[cut.vertex]
             for values in rows:
                 at_u = values.get(cut.u, 0)
                 if at_u != values.get(cut.w, 0):
@@ -106,7 +109,6 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
                     values[cut.vertex] = at_u
         rows.append(h)
         modes.append(v)
-        total = sum(rest.values())  # the remainder is nonnegative
         trace.append(
             TraceEvent(
                 iteration=iteration,

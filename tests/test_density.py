@@ -15,7 +15,7 @@ from treeucat import (
     is_unimodal,
     support_is_empty,
 )
-from treeucat.errors import NegativeValue, TreeMismatch
+from treeucat.errors import NegativeValue, TreeMismatch, UnknownVertex
 
 from helpers import (
     normalize,
@@ -46,7 +46,11 @@ def test_absent_vertex_is_zero():
     assert dict(f.values) == {"A": 0, "B": Fraction(3, 2), "C": 0}
     assert all(type(x) is Fraction for x in f.values.values())
     assert f.value("A") == 0
+    assert type(f.value("A")) is Fraction
     assert f.support == ("B",)
+    for density in (f, EdgeLinearDensity(tree, {})):
+        with pytest.raises(UnknownVertex, match="'Z'"):
+            density.value("Z")
 
 
 def test_empty_map_is_the_zero_density():

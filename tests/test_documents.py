@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,36 @@ def test_component_with_no_values_is_identically_zero():
     report = check_decomposition(f, decomposition_from_document(doc, f))
     assert not report.overall
     assert report.components[1].detail == "component is identically zero"
+
+
+def test_empty_components_parse_in_memory_bounded_by_the_document():
+    # 2,000 components that list no values on a 3,000-vertex path: a
+    # density that filled in its zeros would hold 6 M of them (~200 MiB)
+    n, k = 3000, 2000
+    names = [f"v{i}" for i in range(1, n + 1)]
+    text = json.dumps(
+        {
+            "tree": {
+                "vertices": names,
+                "edges": [
+                    {"u": names[i], "w": names[i + 1], "length": "1"}
+                    for i in range(n - 1)
+                ],
+            },
+            "components": [{"mode": "v1", "values": {}}] * k,
+            "ucat": k,
+            "provenance": PROVENANCE,
+        }
+    )
+    tracemalloc.start()
+    try:
+        doc = parse_decomposition(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(doc.components) == k
+    assert all(c.density.support == () for c in doc.components)
 
 
 def test_decomposition_tree_may_contain_synthetic_ids():

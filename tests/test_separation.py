@@ -79,3 +79,15 @@ def test_reference_helpers_use_no_producer_state():
             assert node.attr not in banned, node.attr
         elif isinstance(node, ast.Name):
             assert node.id not in banned, node.id
+
+
+def test_only_the_density_module_reads_its_storage():
+    # the stored support map is private to `density.py`: every other module,
+    # and the reference helpers, read a density through its public methods
+    helpers = Path(__file__).resolve().parent / "helpers.py"
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "density.py"]
+    for path in [*paths, helpers]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                what = f"{path.name} reads .{node.attr}"
+                assert node.attr not in {"_values", "_support"}, what
