@@ -162,9 +162,16 @@ def extend_to_refinement(
 ) -> EdgeLinearDensity:
     """Re-express f on a tree obtained from f.tree by edge subdivisions.
 
-    Vertices of `refined` that are not vertices of f.tree must sit on
-    subdivision chains of original edges; they receive the interpolated
-    value. Any structural disagreement raises TreeMismatch.
+    A vertex of `refined` that is not a vertex of f.tree must have exactly
+    two neighbours and lie on a chain of such vertices that joins the ends
+    of an original edge and adds up to its length; it receives the
+    interpolated value. Any structural disagreement raises TreeMismatch.
+
+    Each chain is walked once, from its smaller-id end, and an unsubdivided
+    edge is checked once, from its smaller id, so the lift costs O(n) on the
+    refined tree. Every vertex a walk passes has exactly two neighbours and
+    `refined` is connected, so every new vertex lies on a walked chain and
+    coverage needs no separate check.
     """
     original = f.tree
     if original == refined:
@@ -174,52 +181,35 @@ def extend_to_refinement(
             raise TreeMismatch(f"refinement lost vertex {v!r}")
 
     old_set = original.vertex_set
-    values = dict(f._values)
-    covered = set(original.vertices)
-    for u, w, length in original.edge_list:
-        chain = _subdivision_chain(refined, old_set, u, w)
-        run = Fraction(0)
-        prev = u
-        for s in chain:
-            run += refined.edge_length(prev, s)
-            prev = s
-        total = run + refined.edge_length(prev, w)
-        if total != length:
-            raise TreeMismatch(
-                f"edge {u!r}-{w!r}: refined chain length {total} != {length}"
-            )
-        run = Fraction(0)
-        prev = u
-        fu, fw = f.value(u), f.value(w)
-        for s in chain:
-            run += refined.edge_length(prev, s)
-            t = run / length
-            values[s] = (1 - t) * fu + t * fw
-            covered.add(s)
-            prev = s
-    if covered != refined.vertex_set:
-        extra = sorted(refined.vertex_set - covered)[0]
-        raise TreeMismatch(f"refined vertex {extra!r} lies on no original edge")
-    return EdgeLinearDensity(refined, values)
-
-
-def _subdivision_chain(
-    refined: MetricTree, old_set: frozenset, u: VertexId, w: VertexId
-) -> list[VertexId]:
-    """Interior vertices of the refined path replacing original edge (u, w)."""
-    if refined.has_edge(u, w):
-        return []
-    for first in refined.neighbors(u):
-        if first in old_set:
-            continue
-        # subdivision vertices always have degree 2, so chains never branch
-        chain = [first]
-        prev, cur = u, first
-        while cur not in old_set and len(refined.neighbors(cur)) == 2:
-            nxt = next(x for x in refined.neighbors(cur) if x != prev)
-            prev, cur = cur, nxt
-            if cur not in old_set:
-                chain.append(cur)
-        if cur == w:
-            return chain
-    raise TreeMismatch(f"no refined chain found for edge {u!r}-{w!r}")
+    adjacency = refined.adjacency()
+    lifted = {}  # chain vertex -> value, for every chain walked so far
+    for u in original.vertices:
+        for first in adjacency[u]:
+            if first in lifted or (first in old_set and first < u):
+                continue  # walked, or checked, from its other end
+            chain = []
+            prev, cur = u, first
+            run = refined.edge_length(u, first)
+            while cur not in old_set:
+                nbs = adjacency[cur]
+                if len(nbs) != 2:
+                    raise TreeMismatch(
+                        f"refined vertex {cur!r} lies on no original edge"
+                    )
+                chain.append((cur, run))
+                prev, cur = cur, nbs[0] if nbs[1] == prev else nbs[1]
+                run += refined.edge_length(prev, cur)
+            if not original.has_edge(u, cur):
+                raise TreeMismatch(
+                    f"refined path {u!r}-{cur!r} is not an original edge"
+                )
+            length = original.edge_length(u, cur)
+            if run != length:
+                raise TreeMismatch(
+                    f"edge {u!r}-{cur!r}: refined chain length {run} != {length}"
+                )
+            fu, fw = f.value(u), f.value(cur)
+            for s, at in chain:
+                t = at / length
+                lifted[s] = (1 - t) * fu + t * fw
+    return EdgeLinearDensity(refined, {**f._values, **lifted})

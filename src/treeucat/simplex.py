@@ -19,7 +19,6 @@ _ONE = Fraction(1)
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
-EQUAL = "=="
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ def maximize(
 ) -> LPResult:
     """Maximize c.x subject to the given rows; all variables are >= 0.
 
-    Each constraint is (coefficients, relation, rhs) with relation one of
-    "<=", ">=", "==". Passing an all-zero objective turns this into a pure
+    Each constraint is (coefficients, relation, rhs) with relation "<=" or
+    ">=". Passing an all-zero objective turns this into a pure
     feasibility check (phase 2 then exits immediately).
     """
     cost = [as_fraction(ci) for ci in c]
@@ -56,7 +55,7 @@ def maximize(
             row[n + i] = _ONE
         elif relation == GREATER_EQUAL:
             row[n + i] = -_ONE
-        elif relation != EQUAL:
+        else:
             raise ValueError(f"unknown relation {relation!r}")
         row[-1] = as_fraction(rhs)
         if row[-1] < 0:

@@ -69,9 +69,11 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
 
     The input is lifted onto the decomposition's tree here, independently
     of how the decomposition was made; a decomposition does not carry it.
-    Components are summed, and checked for unimodality, over their supports
-    only, so the check costs O(n) plus, per component, its support and the
-    edges leaving it.
+    The lift walks each subdivision chain once, in O(n). Components are
+    summed, and checked for unimodality, over their supports only, so a
+    check whose components all pass costs O(n) plus, per component, its
+    support and the edges leaving it. Each component that fails adds one
+    O(n) scan of the whole tree, to name a rising edge as its witness.
     """
     lifted = extend_to_refinement(f, d.refined_tree)
     for component in d.components:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from treeucat import (
     MetricTree,
     ModeWitness,
     NotUnimodal,
+    check_decomposition,
+    decompose,
     extend_to_refinement,
     gen_instance,
     is_unimodal,
@@ -260,6 +263,15 @@ def test_extend_to_refinement_interpolates():
     lifted = extend_to_refinement(f, refined)
     assert lifted.value(s) == 3
     assert lifted.value("A") == 4 and lifted.value("B") == 0
+    # chain vertices are told apart from original ones by the tree alone,
+    # never by the `_s<N>` naming the producer uses
+    for first, second in (("x1", "x2"), ("_s1", "_s2")):
+        chain = MetricTree(
+            ["A", "B", first, second],
+            [("A", first, 1), (first, second, 1), (second, "B", 2)],
+        )
+        lifted = extend_to_refinement(f, chain)
+        assert (lifted.value(first), lifted.value(second)) == (3, 2)
 
 
 def test_extend_to_refinement_chain_of_cuts():
@@ -286,6 +298,22 @@ def test_extend_to_refinement_rejects_foreign_tree():
     grown = MetricTree(["A", "B", "X"], [("A", "B", 1), ("B", "X", 1)])
     with pytest.raises(TreeMismatch):
         extend_to_refinement(f, grown)
+    # a new vertex of degree 3: _s1 on the chain of A-B, with X hanging off it
+    branched = MetricTree(
+        ["A", "B", "_s1", "X"],
+        [("A", "_s1", Fraction(1, 2)), ("_s1", "B", Fraction(1, 2)), ("_s1", "X", 1)],
+    )
+    with pytest.raises(TreeMismatch):
+        extend_to_refinement(f, branched)
+    # a refined path A-C, but A and C are not adjacent in the path A-B-C
+    path = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
+    g = EdgeLinearDensity(path, {"A": 1, "B": 2, "C": 1})
+    rerouted = MetricTree(
+        ["A", "B", "C", "_s1"],
+        [("A", "_s1", 1), ("_s1", "C", 1), ("C", "B", 1)],
+    )
+    with pytest.raises(TreeMismatch):
+        extend_to_refinement(g, rerouted)
 
 
 def test_extend_to_refinement_rejects_wrong_lengths():
@@ -294,3 +322,44 @@ def test_extend_to_refinement_rejects_wrong_lengths():
     stretched = MetricTree(["A", "B", "_s1"], [("A", "_s1", 1), ("_s1", "B", 2)])
     with pytest.raises(TreeMismatch):
         extend_to_refinement(f, stretched)
+
+
+def _hub(d: int) -> EdgeLinearDensity:
+    """Hub c with d zero leaves and the path a-m-c-b; `decompose` cuts
+    every c-z edge, so c ends with d subdivided edges."""
+    leaves = [f"z{i}" for i in range(d)]
+    edges = [("a", "m", 1), ("m", "c", 1), ("c", "b", 1)]
+    edges += [("c", z, 1) for z in leaves]
+    tree = MetricTree(["a", "m", "c", "b", *leaves], edges)
+    return EdgeLinearDensity(tree, {"a": 6, "m": 1, "c": 4, "b": 6})
+
+
+def _python_calls_during(fn, *args) -> int:
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_lift_work_grows_linearly_with_subdivided_edges_at_a_vertex():
+    # counted calls, not wall time: a lift that searches a vertex's chains
+    # once per edge grows about 15x from d = 500 to 2,000, a single walk 4x
+    counts = []
+    for d in (500, 2000):
+        f = _hub(d)
+        decomposition, _ = decompose(f)
+        assert len(decomposition.components) == 2
+        assert check_decomposition(f, decomposition).overall
+        refined = decomposition.refined_tree
+        assert len(refined.vertices) == 2 * d + 4
+        counts.append(_python_calls_during(extend_to_refinement, f, refined))
+    assert counts[1] <= 4.5 * counts[0], counts

@@ -15,7 +15,8 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treeucat"
-REFEREES = ("verify.py", "interval.py", "simplex.py")
+# density.py holds the referees' lift, `extend_to_refinement`
+REFEREES = ("verify.py", "interval.py", "simplex.py", "density.py")
 PRODUCER = {"forced", "sweep"}
 PRODUCER_FILES = ("greedy.py", "sweep.py", "forced.py")
 REFEREE_SIDE = {"verify", "interval", "simplex", "documents"}
