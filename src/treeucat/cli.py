@@ -40,10 +40,9 @@ def cmd_decompose(args) -> int:
     decomposition, trace = decompose(f)
     if args.trace:
         for event in trace:
-            subdivided = ", ".join(event.subdivided) or "none"
             print(
                 f"iteration {event.iteration}: mode {event.forced_vertex},"
-                f" subdivided {subdivided}, remaining mass {event.remaining_mass}",
+                f" remaining mass {event.remaining_mass}",
                 file=sys.stderr,
             )
     provenance = {

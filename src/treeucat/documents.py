@@ -2,8 +2,9 @@
 
 All numbers travel as strings ("3", "1/3", "0.25") and convert exactly to
 rationals, so files round-trip without any loss. Instance files may only
-use user ids; decomposition files may also contain the tool's synthetic
-`_s<N>` subdivision vertices. A decomposition names the instance it was
+use user ids; decomposition files may also contain synthetic `_s<N>`
+subdivision vertices, as a decomposition on a refinement does. A
+decomposition names the instance it was
 made for by the digest of that instance, and `decomposition_from_document`
 binds it to an instance only when the digests match.
 

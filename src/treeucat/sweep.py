@@ -2,17 +2,20 @@
 
 Sweeping from an origin vertex v produces the largest edge-linear function
 h that has its mode at v and is dominated by f along every path leaving v.
-Where h hits zero strictly inside an edge, the edge is subdivided so that
-both h and the remainder f - h stay edge-linear.
+Where h hits zero strictly inside an edge, the paper subdivides the edge
+so that both h and the remainder f - h stay edge-linear; the public
+`sweep` does so.
 
-`_sweep` does this on a mutable `Refinement` over integer values, the
-density scaled by the lcm D of its denominators (see `greedy.py` for why
-the loop never leaves that lattice), and turns the value map it is given
-into the remainder; `decompose` calls it once per iteration on its single
-working state. `sweep` is the pure public form over a density: it scales
-by D, calls `_sweep` and divides by D again. `_from_lattice` does that
-division for nonzero values only, since a density reads a vertex it is
-not given as 0; `decompose` builds its final densities the same way.
+`_sweep` is the one sweep core, over adjacency lists and integer values,
+the density scaled by the lcm D of its denominators. It places no vertex:
+where h clamps at 0 inside an edge u -> w it sets h(w) = 0 and reports the
+clamp (u, w, h(u), drop). It turns the value map it is given into the
+remainder. `decompose` ignores the clamps and so stays on the input tree
+(`greedy.py` proves that no cut is needed); `sweep` turns each clamp into
+an `_s<N>` vertex at t = h(u)/drop, where h is 0 and the remainder is
+f(u) - h(u), and builds its refined tree once. `_from_lattice` divides by
+D for nonzero values only, since a density reads a vertex it is not given
+as 0; `decompose` builds its final densities the same way.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .density import EdgeLinearDensity
 from .errors import UnknownVertex
-from .tree import Refinement, VertexId
+from .tree import MetricTree, VertexId, edge_key
 
 
 @dataclass(frozen=True)
@@ -81,42 +84,65 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     Rule per oriented edge u -> w: rising f copies h(u); falling f pays the
     drop, clamped at zero. A clamp strictly inside the edge (h(u) positive
     but smaller than the drop) inserts a vertex at t = h(u)/drop, where both
-    h and the fresh remainder value f(u) - h(u) are exact.
+    h and the fresh remainder value f(u) - h(u) are exact. New vertices are
+    named `_s<N>` in visit order, counting up from one past the largest
+    such name already in the tree.
     """
-    if not f.tree.has_vertex(v):
+    tree = f.tree
+    if not tree.has_vertex(v):
         raise UnknownVertex(f"no vertex {v!r}")
-    state = Refinement(f.tree)
     scale, rest = _to_lattice(f.values)
-    h, subdivisions = _sweep(state, rest, v)
-    refined = state.freeze()
+    h, clamps = _sweep(tree.adjacency(), rest, v)
+    subdivisions: tuple[Subdivision, ...] = ()
+    if clamps:
+        # a valid id that starts with `_` is `_s<N>`
+        first = 1 + max(
+            (int(x[2:]) for x in tree.vertices if x.startswith("_")), default=0
+        )
+        subdivisions = tuple(
+            Subdivision(f"_s{first + i}", u, w, Fraction(hu, drop))
+            for i, (u, w, hu, drop) in enumerate(clamps)
+        )
+        cut = {edge_key(s.u, s.w): s for s in subdivisions}
+        edges = []
+        for a, b, length in tree.edge_list:
+            s = cut.get((a, b))
+            if s is None:
+                edges.append((a, b, length))
+            else:
+                edges.append((s.u, s.vertex, length * s.t))
+                edges.append((s.vertex, s.w, length * (1 - s.t)))
+                rest[s.vertex] = rest[s.u]  # f(u) - h(u); h is 0 at the cut
+        tree = MetricTree([*tree.vertices, *(s.vertex for s in subdivisions)], edges)
     return SweepResult(
-        h=EdgeLinearDensity(refined, _from_lattice(h, scale)),
-        remainder=EdgeLinearDensity(refined, _from_lattice(rest, scale)),
+        h=EdgeLinearDensity(tree, _from_lattice(h, scale)),
+        remainder=EdgeLinearDensity(tree, _from_lattice(rest, scale)),
         origin=v,
         subdivisions=subdivisions,
     )
 
 
 def _sweep(
-    state: Refinement, f: dict[VertexId, int], v: VertexId
-) -> tuple[dict[VertexId, int], tuple[Subdivision, ...]]:
-    """Sweep the integer values f from v on `state`; returns h and the cuts.
+    adj: Mapping[VertexId, Sequence[VertexId]], f: dict[VertexId, int], v: VertexId
+) -> tuple[dict[VertexId, int], list[tuple[VertexId, VertexId, int, int]]]:
+    """Sweep the integer values f from v; returns h and the clamps.
 
-    h propagates breadth-first from v, children in id order, and every
-    cut is then split in that order, so `_s<N>` names follow visit order.
-    A vertex whose h is 0 is not expanded: h stays 0 beyond it, so h is
-    returned on its support, the support's neighbours and the cut vertices
-    only, and is 0 everywhere else. The work is O(|supp h|), not O(n).
-    On return `state` holds the refined tree and f, extended to the cut
-    vertices, holds the remainder f - h; entries outside h are untouched.
+    h propagates breadth-first from v, children in id order. A
+    vertex whose h is 0 is not expanded: h stays 0 beyond it, so h is
+    returned on its support and the support's neighbours only, and is 0
+    everywhere else. The work is O(|supp h|), not O(n). Where h(u) is
+    positive but below the drop of an edge u -> w, h reaches 0 inside the
+    edge: h(w) is set to 0, no vertex is placed, and (u, w, h(u), drop) is
+    recorded, in visit order. On return f holds the remainder f - h on the
+    same vertices; entries outside h are untouched.
     """
     h: dict[VertexId, int] = {v: f[v]}
-    cuts: list[tuple[VertexId, VertexId, Fraction, int]] = []
+    clamps = []
     queue = deque([v] if f[v] else ())
     while queue:
         u = queue.popleft()
         fu, hu = f[u], h[u]  # hu > 0
-        for w in state.adj[u]:
+        for w in adj[u]:
             if w in h:
                 continue
             fw = f[w]
@@ -131,14 +157,7 @@ def _sweep(
             else:
                 h[w] = 0
                 if hu < drop:
-                    cuts.append((u, w, Fraction(hu, drop), fu - hu))
-
-    subdivisions = []
-    for u, w, t, f_at_cut in cuts:
-        name = state.split(u, w, t)
-        f[name] = f_at_cut
-        h[name] = 0
-        subdivisions.append(Subdivision(name, u, w, t))
+                    clamps.append((u, w, hu, drop))
     for x, hx in h.items():
         f[x] -= hx
-    return h, tuple(subdivisions)
+    return h, clamps

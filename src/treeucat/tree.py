@@ -1,22 +1,22 @@
-"""Immutable finite metric trees and the producer's working copy of one.
+"""Immutable finite metric trees.
 
 A tree is a set of string vertex ids plus unordered edges with strictly
 positive rational lengths. `MetricTree` is immutable, so values can be
 shared freely across threads; `root_at` lists its edges oriented away
-from a root. The one mutable helper is `Refinement`, a private working
-copy that the sweep and the greedy loop split in place and freeze into a
-`MetricTree` once, at the end; the tree it was copied from never changes.
+from a root. There is no mutable tree: the greedy loop runs on the input
+tree's adjacency, and the public `sweep` builds its refined tree once,
+from an edge list.
 
 Vertex ids supplied by users must match ``[A-Za-z0-9][A-Za-z0-9_-]*``.
-The prefix ``_`` is reserved for synthetic subdivision vertices, which are
-named ``_s<N>``, counting up from one past the largest such name already
-in the tree, so repeated runs produce identical trees.
+The prefix ``_`` is reserved for synthetic subdivision vertices, which
+only `sweep` makes. It names them ``_s<N>``, counting up from one past the
+largest such name already in the tree, so repeated runs produce identical
+trees.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import insort
 from collections import deque
 from fractions import Fraction
 from types import MappingProxyType
@@ -173,40 +173,3 @@ class MetricTree:
                     edges.append((cur, nb))
                     queue.append(nb)
         return tuple(edges)
-
-
-class Refinement:
-    """Mutable working copy of a tree that only ever gains subdivisions.
-
-    It holds the same sorted adjacency lists and `edge_key` lengths as the
-    tree it copies, and a counter one past the largest `_s<N>` there, so
-    fresh names never collide. It trusts its callers instead of
-    re-validating, and is turned back into a validated `MetricTree` by
-    `freeze`. The source tree is never touched.
-    """
-
-    __slots__ = ("adj", "lengths", "counter")
-
-    def __init__(self, tree: MetricTree):
-        self.adj = {v: list(nbs) for v, nbs in tree._adj.items()}
-        self.lengths = dict(tree._lengths)
-        self.counter = 1 + max(
-            (int(v[2:]) for v in tree.vertices if _SYNTH_ID.match(v)), default=0
-        )
-
-    def split(self, u: VertexId, w: VertexId, t: Fraction) -> VertexId:
-        """Insert the next `_s<N>` on edge (u, w) at fraction t from u."""
-        total = self.lengths.pop(edge_key(u, w))
-        name = f"_s{self.counter}"
-        self.counter += 1
-        self.lengths[edge_key(u, name)] = total * t
-        self.lengths[edge_key(name, w)] = total * (1 - t)
-        for a, b in ((u, w), (w, u)):
-            self.adj[a].remove(b)
-            insort(self.adj[a], name)
-        self.adj[name] = sorted((u, w))
-        return name
-
-    def freeze(self) -> MetricTree:
-        edges = [(u, w, length) for (u, w), length in self.lengths.items()]
-        return MetricTree(self.adj, edges)

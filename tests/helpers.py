@@ -6,8 +6,10 @@ and the unimodality oracle checks excursion-set connectivity directly.
 The tree transforms `subdivide`, `normalize` and `path_between` build
 `MetricTree`s from edge lists and never touch the producer's working
 state, so tests that feed their output to a referee run no producer code.
-`reference_peel` prunes leaves one at a time from the tree and the
-density alone, in any order it is given, and `forced_region` reads the
+`project` restricts a density on a refinement to the vertices of the
+tree it refines, and so turns a decomposition on a refinement into one on
+that tree. `reference_peel` prunes leaves one at a time from the tree and
+the density alone, in any order it is given, and `forced_region` reads the
 set it forces a mode into. `dense_decomposition_text` writes a
 decomposition the way documents were written before components listed
 their nonzero values only.
@@ -53,6 +55,36 @@ def subdivide(tree: MetricTree, u, w, t):
     edges = [(a, b, ab) for a, b, ab in tree.edge_list if {a, b} != {u, w}]
     edges += [(u, name, length * t), (name, w, length * (1 - t))]
     return MetricTree([*tree.vertices, name], edges), name
+
+
+def project(g: EdgeLinearDensity, tree: MetricTree) -> EdgeLinearDensity:
+    """g on `tree`, whose vertices g.tree holds: each vertex of `tree` keeps
+    its value and the vertices a refinement added are dropped.
+
+    A vertex a refinement adds has degree 2, and deleting it merges its two
+    edges; a unimodal g stays unimodal (the lemma in `greedy.py`), so the
+    projections of a decomposition's components decompose the projection
+    of their sum.
+    """
+    return EdgeLinearDensity(tree, {v: g.value(v) for v in tree.vertices})
+
+
+def comb_instance(k: int, spacing: int = 10) -> EdgeLinearDensity:
+    """A plateau path p1..pn, n = spacing * k, at value k, carrying k evenly
+    spaced pendants, each a valley q of value 1 and then a spike s of value
+    k + 1; all lengths 1, n + 2k vertices, and ucat = k. A sweep from a
+    spike reaches the plateau at 1 and clamps inside the edge into every
+    other valley."""
+    n = spacing * k
+    plateau = [f"p{i}" for i in range(1, n + 1)]
+    edges = [(a, b, 1) for a, b in zip(plateau, plateau[1:])]
+    values = dict.fromkeys(plateau, k)
+    for j in range(1, k + 1):
+        base, valley, spike = plateau[spacing * j - spacing // 2 - 1], f"q{j}", f"s{j}"
+        edges += [(base, valley, 1), (valley, spike, 1)]
+        values[valley], values[spike] = 1, k + 1
+    tree = MetricTree(list(values), edges)
+    return EdgeLinearDensity(tree, values)
 
 
 def normalize(f: EdgeLinearDensity) -> EdgeLinearDensity:

@@ -57,8 +57,10 @@ def test_decompose_trace_goes_to_stderr(tmp_path, capsys):
     path = _write_instance(tmp_path, "in.json", tree, f)
     assert main(["decompose", path, "--trace"]) == 0
     err = capsys.readouterr().err
-    assert "iteration 1: mode v2, subdivided none, remaining mass 2" in err
-    assert "iteration 2: mode v4, subdivided none, remaining mass 0" in err
+    assert err.splitlines() == [
+        "iteration 1: mode v2, remaining mass 2",
+        "iteration 2: mode v4, remaining mass 0",
+    ]
 
 
 def test_decompose_rejects_unknown_edge_endpoint(tmp_path, capsys):
@@ -123,8 +125,9 @@ def test_huge_numerals_exit_2(tmp_path, capsys):
 
 
 def test_output_past_the_digit_limit_exits_2(tmp_path, capsys):
-    # each input numeral fits in the bounds, but the cut values and lengths
-    # have numerators and denominators of more than 4,300 digits
+    # each input numeral fits in the bounds, but the remainder at v4, which
+    # is the second component's mode value and the sweep's value at its
+    # cut, has a denominator of more than 4,300 digits
     big = 10**3000
     names = [f"v{i}" for i in range(1, 6)]
     doc = {
@@ -136,12 +139,16 @@ def test_output_past_the_digit_limit_exits_2(tmp_path, capsys):
     }
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    for argv in (["decompose", str(path)], ["sweep", str(path), "--vertex", "v2"]):
+    runs = (
+        (["decompose", str(path)], "of component 1 at vertex v4"),
+        (["sweep", str(path), "--vertex", "v2"], "of the remainder at vertex _s1"),
+    )
+    for argv, where in runs:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write ")
-        assert "at vertex _s1" in captured.err
+        assert where in captured.err
         assert "4,300 digits, the output limit" in captured.err
         assert "Traceback" not in captured.err
     assert main(["ucat", str(path)]) == 0

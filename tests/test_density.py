@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from treeucat import (
+    Component,
+    Decomposition,
     EdgeLinearDensity,
     MetricTree,
     ModeWitness,
@@ -17,6 +19,7 @@ from treeucat import (
     gen_instance,
     is_unimodal,
     support_is_empty,
+    sweep,
 )
 from treeucat.errors import NegativeValue, TreeMismatch, UnknownVertex
 
@@ -325,8 +328,8 @@ def test_extend_to_refinement_rejects_wrong_lengths():
 
 
 def _hub(d: int) -> EdgeLinearDensity:
-    """Hub c with d zero leaves and the path a-m-c-b; `decompose` cuts
-    every c-z edge, so c ends with d subdivided edges."""
+    """Hub c with d zero leaves and the path a-m-c-b; the sweep from a
+    cuts every c-z edge, so c ends with d subdivided edges."""
     leaves = [f"z{i}" for i in range(d)]
     edges = [("a", "m", 1), ("m", "c", 1), ("c", "b", 1)]
     edges += [("c", z, 1) for z in leaves]
@@ -356,10 +359,13 @@ def test_lift_work_grows_linearly_with_subdivided_edges_at_a_vertex():
     counts = []
     for d in (500, 2000):
         f = _hub(d)
-        decomposition, _ = decompose(f)
-        assert len(decomposition.components) == 2
-        assert check_decomposition(f, decomposition).overall
-        refined = decomposition.refined_tree
+        assert len(decompose(f)[0].components) == 2
+        # the paper's decomposition: the sweep from a, then its remainder,
+        # unimodal with mode b, both on the refinement the sweep makes
+        first = sweep(f, "a")
+        refined = first.h.tree
         assert len(refined.vertices) == 2 * d + 4
+        components = (Component("a", first.h), Component("b", first.remainder))
+        assert check_decomposition(f, Decomposition(refined, components)).overall
         counts.append(_python_calls_during(extend_to_refinement, f, refined))
     assert counts[1] <= 4.5 * counts[0], counts

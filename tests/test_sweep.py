@@ -17,7 +17,6 @@ from treeucat import (
 )
 from treeucat.errors import UnknownVertex
 from treeucat.sweep import _sweep, _to_lattice
-from treeucat.tree import Refinement
 
 from helpers import path_instance, star_instance, subdivide, sweep_oracle_h
 
@@ -115,22 +114,25 @@ _BIG = 10**30
 
 def _bounded_sweep(f, v):
     """Run `_sweep` and check that it worked on supp h and its boundary
-    only; returns h, the lattice scale and the cuts."""
-    state = Refinement(f.tree)
+    only; returns h, the lattice scale and the clamps."""
     scale, rest = _to_lattice(f.values)
     scale *= _BIG
     rest = {x: val * _BIG for x, val in rest.items()}
     before = dict(rest)
-    h, cuts = _sweep(state, rest, v)
+    h, clamps = _sweep(f.tree.adjacency(), rest, v)
+    assert set(rest) == f.tree.vertex_set
     support = {x for x, hx in h.items() if hx > 0}
-    # neighbours before the cuts: a cut edge's far end is then one of them
-    frontier = {y for x in support & f.tree.vertex_set for y in f.tree.neighbors(x)}
+    frontier = {y for x in support for y in f.tree.neighbors(x)}
     # the origin stays in h when f(v) = 0, with h(v) = 0
-    assert set(h) <= support | frontier | {c.vertex for c in cuts} | {v}
+    assert set(h) <= support | frontier | {v}
     for x, value in before.items():
         if x not in h:
             assert rest[x] is value, x
-    return h, scale, cuts
+    # a clamp (u, w, h(u), drop): h reaches 0 inside u -> w, and w holds 0
+    for u, w, hu, drop in clamps:
+        assert f.tree.has_edge(u, w) and h[u] == hu and h[w] == 0
+        assert 0 < hu < drop == before[u] - before[w]
+    return h, scale, clamps
 
 
 def test_sweep_stops_at_the_zero_frontier():
@@ -138,13 +140,13 @@ def test_sweep_stops_at_the_zero_frontier():
     # reaches 0 at B, so C is never visited
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
     f = EdgeLinearDensity(tree, {"A": 1, "B": 0, "C": 1})
-    h, _, cuts = _bounded_sweep(f, "A")
+    h, _, clamps = _bounded_sweep(f, "A")
     assert h == {"A": _BIG, "B": 0}
-    assert cuts == ()
+    assert clamps == []
 
 
 def test_sweep_work_is_bounded_by_the_support():
-    unvisited = cuts = 0
+    unvisited = clamps = 0
     for seed in range(60):
         tree, f = gen_instance(seed, 16, 6)
         for v in tree.vertices:
@@ -153,9 +155,9 @@ def test_sweep_work_is_bounded_by_the_support():
             for x in tree.vertices:
                 assert Fraction(h.get(x, 0), scale) == expected[x], (seed, v, x)
             unvisited += len(tree.vertex_set - set(h))
-            cuts += len(made)
+            clamps += len(made)
     assert unvisited > 0
-    assert cuts > 0
+    assert clamps > 0
 
 
 def test_sweep_from_star_leaf():
