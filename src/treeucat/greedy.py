@@ -39,7 +39,10 @@ rise of the remainder, keeps a flat flat, and keeps a fall falling or
 flat: a clamped edge falls from r(u) - h(u) to r(w), strictly. At the
 origin the remainder becomes 0. So every leaf the last prune removed is
 removable again in the same order, and by fact (a) in `forced.py` the
-next core lies inside the last one.
+next core lies inside the last one. The loop relies on this: it peels
+the input once and keeps that `Peel` through every iteration, so a
+pruned vertex is never looked at again, and after each sweep h the peel
+re-examines the core leaves in supp h only (see `forced.py`).
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import TYPE_CHECKING
 
 from .density import EdgeLinearDensity, support_is_empty
 from .errors import InternalInvariantError
-from .forced import Unimodal, _forced_vertex, _prune
+from .forced import Peel, Unimodal, _forced_vertex
 from .sweep import _from_lattice, _sweep, _to_lattice
 from .tree import VertexId
 
@@ -99,11 +102,12 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
     rows: list[dict[VertexId, int]] = []
     modes: list[VertexId] = []
     trace: list[TraceEvent] = []
+    peel = Peel(adj, rest)  # reads rest, which each sweep lowers in place
     while True:
         iteration = len(modes) + 1
         if iteration > len(adj):
             raise InternalInvariantError(f"decompose exceeded {len(adj)} iterations")
-        verdict = _prune(adj, rest).verdict
+        verdict = peel.verdict
         v = _forced_vertex(verdict)
         h, _ = _sweep(adj, rest, v)
         total -= sum(h.values())
@@ -116,6 +120,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
             raise InternalInvariantError(
                 f"sweeping the unimodal remainder from {v!r} left a nonzero rest"
             )
+        peel.after_sweep(h)
 
     components = tuple(
         Component(m, EdgeLinearDensity(f.tree, _from_lattice(values, scale)))

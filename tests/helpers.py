@@ -12,13 +12,16 @@ that tree. `reference_peel` prunes leaves one at a time from the tree and
 the density alone, in any order it is given, and `forced_region` reads the
 set it forces a mode into. `dense_decomposition_text` writes a
 decomposition the way documents were written before components listed
-their nonzero values only.
+their nonzero values only. `python_calls_during` counts the Python and
+C function calls a call makes, a measure of work that, unlike wall time,
+does not vary from run to run.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -85,6 +88,34 @@ def comb_instance(k: int, spacing: int = 10) -> EdgeLinearDensity:
         values[valley], values[spike] = 1, k + 1
     tree = MetricTree(list(values), edges)
     return EdgeLinearDensity(tree, values)
+
+
+def recursive_tree_instance(seed: int, n: int, top: int = 9) -> EdgeLinearDensity:
+    """A random recursive tree on v0..v{n-1}: vertex i joins a uniform
+    earlier vertex; unit lengths and uniform integer values 0..top, all
+    drawn from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[i], names[rng.randrange(i)], 1) for i in range(1, n)]
+    values = {v: rng.randint(0, top) for v in names}
+    return EdgeLinearDensity(MetricTree(names, edges), values)
+
+
+def python_calls_during(fn, *args) -> int:
+    """The "call" and "c_call" profiler events while fn(*args) runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def normalize(f: EdgeLinearDensity) -> EdgeLinearDensity:

@@ -203,8 +203,10 @@ def test_criterion_7_hand_fixtures():
 
 def test_criterion_8_complexity_smoke():
     # informative, not gating: doubling the vertex count at fixed component
-    # count should roughly double decompose time; the measured ratio is
-    # reported as a warning so it shows up in the run summary
+    # count should roughly double decompose time, and so should doubling an
+    # alternating path, whose component count n/2 doubles with it; the
+    # measured ratios are reported as warnings so they show up in the run
+    # summary
     samples = {}
     for arm in (200, 400):
         instances = [monotone_arm_instance(seed, arm) for seed in range(20)]
@@ -222,6 +224,23 @@ def test_criterion_8_complexity_smoke():
         "(~2 expected for linear scaling per iteration)"
     )
     assert samples[200] > 0 and samples[400] > 0
+
+    paths = {}
+    for n in (400, 800):
+        _, f = path_instance([1, 3] * (n // 2))
+        assert len(decompose(f)[0].components) == n // 2
+        started = time.perf_counter()
+        for _ in range(5):
+            decompose(f)
+        paths[n] = (time.perf_counter() - started) / 5
+    ratio = paths[800] / paths[400]
+    warnings.warn(
+        "complexity smoke: mean decompose time on alternating paths "
+        f"{paths[400] * 1000:.1f} ms at 400 vertices (ucat 200), "
+        f"{paths[800] * 1000:.1f} ms at 800 vertices (ucat 400), ratio "
+        f"{ratio:.2f} (~2 expected for a loop linear in n + sum of |supp|)"
+    )
+    assert paths[400] > 0 and paths[800] > 0
 
 
 def test_criterion_9_cli_round_trip(tmp_path, capsys):

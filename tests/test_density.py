@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ from treeucat.errors import NegativeValue, TreeMismatch, UnknownVertex
 from helpers import (
     normalize,
     path_instance,
+    python_calls_during,
     star_instance,
     subdivide,
     unimodal_by_excursions,
@@ -337,22 +337,6 @@ def _hub(d: int) -> EdgeLinearDensity:
     return EdgeLinearDensity(tree, {"a": 6, "m": 1, "c": 4, "b": 6})
 
 
-def _python_calls_during(fn, *args) -> int:
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_lift_work_grows_linearly_with_subdivided_edges_at_a_vertex():
     # counted calls, not wall time: a lift that searches a vertex's chains
     # once per edge grows about 15x from d = 500 to 2,000, a single walk 4x
@@ -367,5 +351,5 @@ def test_lift_work_grows_linearly_with_subdivided_edges_at_a_vertex():
         assert len(refined.vertices) == 2 * d + 4
         components = (Component("a", first.h), Component("b", first.remainder))
         assert check_decomposition(f, Decomposition(refined, components)).overall
-        counts.append(_python_calls_during(extend_to_refinement, f, refined))
+        counts.append(python_calls_during(extend_to_refinement, f, refined))
     assert counts[1] <= 4.5 * counts[0], counts

@@ -21,7 +21,8 @@ from treeucat import (
     support_is_empty,
     ucat_oracle,
 )
-from treeucat.errors import ZeroDensity
+from treeucat.errors import InternalInvariantError, ZeroDensity
+from treeucat.forced import Peel
 
 from helpers import forced_region, path_instance, reference_peel, star_instance
 
@@ -218,3 +219,15 @@ def test_strict_avoidance_feasible_away_from_forced_vertex():
     assert certificate is not None
     for m, component in zip(certificate.modes, certificate.components):
         assert component["v3"] < component[m]
+
+
+def test_peel_raises_on_a_core_with_fewer_than_two_leaves():
+    # a tree's core of two or more vertices has two leaves or more; an
+    # adjacency with a cycle is the way to a core with fewer, and the
+    # running leaf count catches it in O(1)
+    triangle = {"a": ("b", "c"), "b": ("a", "c"), "c": ("a", "b")}
+    with pytest.raises(InternalInvariantError, match="fewer than two forced"):
+        Peel(triangle, {"a": 1, "b": 1, "c": 1})
+    tailed = {**triangle, "a": ("b", "c", "d"), "d": ("a",)}
+    with pytest.raises(InternalInvariantError, match="fewer than two forced"):
+        Peel(tailed, {"a": 1, "b": 1, "c": 1, "d": 5})

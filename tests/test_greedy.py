@@ -15,6 +15,7 @@ from treeucat import (
     ModeWitness,
     Subdivision,
     TraceEvent,
+    Unimodal,
     check_decomposition,
     decompose,
     extend_to_refinement,
@@ -28,13 +29,19 @@ from treeucat import (
     ucat,
     ucat_oracle,
 )
+from treeucat import greedy
 from treeucat.documents import parse_instance, serialize_instance
+from treeucat.errors import InternalInvariantError
+from treeucat.forced import Peel
+from treeucat.sweep import _sweep
 
 from helpers import (
     comb_instance,
     monotone_arm_instance,
     path_instance,
     project,
+    python_calls_during,
+    recursive_tree_instance,
     reference_peel,
     star_instance,
 )
@@ -351,6 +358,89 @@ def test_prune_matches_reference_peel_along_the_greedy_loop():
             iterations += 1
         assert [c.mode for c in decompose(f)[0].components] == modes, i
     assert nested > 0 and iterations > forced
+
+
+def test_held_peel_matches_reference_peel_at_every_iteration(monkeypatch):
+    # a real decompose run, watched before each sweep: the one peel it
+    # holds across the loop has the core (its vertices of nonzero live
+    # degree), the leaf count and the chosen vertex of the independent
+    # reference peel of the current remainder, and its core lies inside
+    # the last one (fact (b) in greedy.py)
+    peels, checked = [], []
+
+    class HeldPeel(Peel):
+        def __init__(self, adj, values):
+            super().__init__(adj, values)
+            peels.append(self)
+
+    def watched_sweep(adj, rest, v):
+        (peel,) = peels
+        core = frozenset(x for x, d in peel.degree.items() if d)
+        expected_core, chosen = reference_peel(EdgeLinearDensity(f.tree, rest))
+        assert v == chosen
+        if len(expected_core) == 1:
+            assert not core and peel.verdict == Unimodal(chosen)
+        else:
+            assert core == expected_core and peel.verdict == Forced(chosen)
+            assert peel.leaves == sum(peel.degree[x] == 1 for x in core)
+            assert not checked or core <= checked[-1]
+        checked.append(core)
+        return _sweep(adj, rest, v)
+
+    monkeypatch.setattr(greedy, "Peel", HeldPeel)
+    monkeypatch.setattr(greedy, "_sweep", watched_sweep)
+    instances = [gen_instance(seed, 30, 6)[1] for seed in range(60)]
+    instances += [_plateau_instance(seed) for seed in range(100)]
+    instances += [path_instance([1, 3] * n + [1])[1] for n in (1, 6, 20)]
+    instances += [monotone_arm_instance(seed, 60) for seed in range(3)]
+    instances += [comb_instance(k, spacing=3) for k in (2, 5, 12)]
+    instances += [recursive_tree_instance(seed, 60) for seed in range(40)]
+    iterations = forced = 0
+    for f in instances:
+        peels.clear()
+        checked.clear()
+        d, _ = decompose(f)
+        assert len(checked) == len(d.components) > 0
+        iterations += len(checked)
+        forced += sum(bool(core) for core in checked)
+    assert iterations > forced > len(instances)
+
+
+def test_decompose_raises_when_a_unimodal_remainder_leaves_a_rest(monkeypatch):
+    def short_sweep(adj, rest, v):
+        h, clamps = _sweep(adj, rest, v)
+        h[v] -= 1
+        rest[v] += 1
+        return h, clamps
+
+    monkeypatch.setattr(greedy, "_sweep", short_sweep)
+    _, f = path_instance([1, 2, 1])
+    with pytest.raises(InternalInvariantError, match="left a nonzero rest"):
+        decompose(f)
+
+
+def test_decompose_work_grows_linearly_on_alternating_paths():
+    # counted calls, not wall time: ucat = n/2, and a loop that peels the
+    # whole remainder once per component grows about 15x from n = 400 to
+    # 1,600; one peel held across the loop grows 4x
+    counts = []
+    for n in (400, 1600):
+        _, f = path_instance([1, 3] * (n // 2))
+        assert len(decompose(f)[0].components) == n // 2
+        counts.append(python_calls_during(decompose, f))
+    assert counts[1] <= 4.5 * counts[0], counts
+
+
+def test_decompose_work_on_combs_grows_no_faster_than_the_output():
+    # every component of a comb covers its plateau, so the output's sum of
+    # supports grows as k^2, and the counted work may grow no faster
+    counts, supports = [], []
+    for k in (25, 50):
+        f = comb_instance(k)
+        d, _ = decompose(f)
+        supports.append(sum(len(c.density.support) for c in d.components))
+        counts.append(python_calls_during(decompose, f))
+    assert counts[1] / counts[0] <= supports[1] / supports[0], (counts, supports)
 
 
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
