@@ -42,7 +42,7 @@ class EdgeLinearDensity:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
             val = as_fraction(raw)
             if val:  # most values are 0 and skip the comparison
-                if val < 0:
+                if val.numerator < 0:  # a Fraction's denominator is positive
                     raise NegativeValue(f"density value {val} at {v!r} is negative")
                 stored[v] = val
         self._tree = tree

@@ -13,6 +13,10 @@ for the JSON parser is reported, not raised as `RecursionError`, and a
 numeral may have at most `MAX_NUMERAL_CHARS` characters and a decimal
 exponent of at most `MAX_DECIMAL_EXPONENT` in absolute value, so that
 "1e10000000" cannot ask for a 33-million-bit integer.
+
+Each parse converts a numeral string once: numerals equal as strings share
+one `Fraction` within a document, and nothing is kept between documents.
+The writer emits exactly the text of `json.dumps(payload, indent=2)`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Mapping
 
 from .density import EdgeLinearDensity, extend_to_refinement
@@ -69,12 +74,21 @@ def _check_sections(data, required: set, what: str) -> None:
         raise DocumentError(f"{what} has unknown section {key!r}")
 
 
-def _number(raw, what: str):
+def _number(raw, what: str, numerals: dict[str, Fraction]) -> Fraction:
+    """The value of the numeral `raw`, checked once per distinct string.
+
+    `numerals` maps each numeral this document has already read to its
+    value; only a numeral that passed every check enters it, so a repeat
+    of a bad one fails at its first position, with the same message.
+    """
     if not isinstance(raw, str):
         raise DocumentError(
             f"{what}: numbers must be exact strings like \"3\", \"1/3\" or \"0.25\","
             f" got {reprlib.repr(raw)}"
         )
+    value = numerals.get(raw)
+    if value is not None:
+        return value
     if len(raw) > MAX_NUMERAL_CHARS:
         raise DocumentError(
             f"{what}: numeral has {len(raw)} characters, at most"
@@ -90,13 +104,17 @@ def _number(raw, what: str):
                 f" {MAX_DECIMAL_EXPONENT} in absolute value"
             )
     try:
-        return as_fraction(raw)
+        value = as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
         shown = reprlib.repr(raw)
         raise DocumentError(f"{what}: not an exact number: {shown}") from None
+    numerals[raw] = value
+    return value
 
 
-def _parse_tree_sections(data, what: str, allow_synthetic: bool) -> MetricTree:
+def _parse_tree_sections(
+    data, what: str, numerals: dict[str, Fraction], allow_synthetic: bool
+) -> MetricTree:
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise DocumentError(f"{what}: vertices must be a list of id strings")
@@ -124,16 +142,15 @@ def _parse_tree_sections(data, what: str, allow_synthetic: bool) -> MetricTree:
                     f"{what}: edge {i} endpoint {reprlib.repr(entry[end])}"
                     " is not a string"
                 )
-        edges.append(
-            (entry["u"], entry["w"], _number(entry["length"], f"{what}: edge {i} length"))
-        )
+        length = _number(entry["length"], f"{what}: edge {i} length", numerals)
+        edges.append((entry["u"], entry["w"], length))
     return MetricTree(vertices, edges)
 
 
-def _values_map(raw, what: str) -> dict:
+def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must map vertex ids to value strings")
-    return {v: _number(x, f"{what}[{v}]") for v, x in raw.items()}
+    return {v: _number(x, f"{what}[{v}]", numerals) for v, x in raw.items()}
 
 
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
@@ -145,8 +162,9 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     """
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
-    tree = _parse_tree_sections(data, "instance", allow_synthetic=False)
-    values = _values_map(data["density"], "density")
+    numerals: dict[str, Fraction] = {}
+    tree = _parse_tree_sections(data, "instance", numerals, allow_synthetic=False)
+    values = _values_map(data["density"], "density", numerals)
     f = EdgeLinearDensity(tree, values)
     for v in tree.vertices:
         if v not in values:
@@ -163,6 +181,36 @@ def _numeral(value: Fraction, what: str) -> str:
             f"cannot write {what}: its numerator or denominator has more than"
             f" {sys.get_int_max_str_digits():,} digits, the output limit"
         ) from None
+
+
+def _dumps(doc) -> str:
+    """`json.dumps(doc, indent=2) + "\\n"`, for dicts, lists, strs and ints.
+
+    With `indent`, `json.dumps` on CPython 3.11 leaves its C encoder for
+    pure-Python generators; this writer makes the same text with one call
+    per value, and escapes every string, keys included, with the C escaper
+    `json.dumps` itself uses (`ensure_ascii=True`).
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_escape(k) + ": " + _encode(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(obj) is int:
+        return repr(obj)
+    raise TypeError(f"cannot write a {type(obj).__name__} into a document")
 
 
 def _values_payload(f: EdgeLinearDensity, vertices, what: str) -> dict:
@@ -189,7 +237,7 @@ def _instance_payload(tree: MetricTree, f: EdgeLinearDensity) -> dict:
 
 
 def serialize_instance(tree: MetricTree, f: EdgeLinearDensity) -> str:
-    return json.dumps(_instance_payload(tree, f), indent=2) + "\n"
+    return _dumps(_instance_payload(tree, f))
 
 
 def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
@@ -206,7 +254,8 @@ def parse_decomposition(text: str) -> DecompositionDocument:
         data, {"tree", "components", "ucat", "provenance"}, "decomposition"
     )
     _check_sections(data["tree"], {"vertices", "edges"}, "tree")
-    tree = _parse_tree_sections(data["tree"], "tree", allow_synthetic=True)
+    numerals: dict[str, Fraction] = {}
+    tree = _parse_tree_sections(data["tree"], "tree", numerals, allow_synthetic=True)
 
     raw_components = data["components"]
     if not isinstance(raw_components, list):
@@ -222,7 +271,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        values = _values_map(entry["values"], f"component {i} values")
+        values = _values_map(entry["values"], f"component {i} values", numerals)
         components.append(Component(mode, EdgeLinearDensity(tree, values)))
 
     count = data["ucat"]
@@ -275,7 +324,7 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
         "ucat": len(d.components),
         "provenance": dict(provenance),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc)
 
 
 def serialize_sweep(result: SweepResult) -> str:
@@ -295,7 +344,7 @@ def serialize_sweep(result: SweepResult) -> str:
             for s in result.subdivisions
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc)
 
 
 _PALETTE = (

@@ -74,7 +74,7 @@ class MetricTree:
             if u == w:
                 raise CycleDetected(f"self-loop at {u!r}")
             length = as_fraction(raw_len)
-            if length <= 0:
+            if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {u!r}-{w!r} has length {length}")
             key = edge_key(u, w)
             if key in lengths:

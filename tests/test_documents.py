@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -38,7 +39,13 @@ from treeucat.errors import (
     UnknownVertex,
 )
 
-from helpers import dense_decomposition_text, path_instance
+from helpers import (
+    comb_instance,
+    dense_decomposition_text,
+    monotone_arm_instance,
+    path_instance,
+    python_calls_during,
+)
 
 PROVENANCE = {"tool": "treeucat test", "input_digest": "sha256:0"}
 
@@ -159,6 +166,81 @@ def test_numerals_past_the_bounds_rejected():
         doc = {"vertices": ["A"], "edges": [], "density": {"A": good}}
         _, f = parse_instance(json.dumps(doc))
         assert f.value("A") == value
+
+
+def test_a_repeated_bad_numeral_fails_at_its_first_position():
+    # a numeral enters the document's memo only once it passed every check
+    for bad, message in [
+        ("1e2000", "decimal exponent of '1e2000' exceeds 1000 in absolute value"),
+        (
+            "1" * (MAX_NUMERAL_CHARS + 1),
+            f"numeral has {MAX_NUMERAL_CHARS + 1} characters,"
+            f" at most {MAX_NUMERAL_CHARS} are allowed",
+        ),
+        ("1/0", "not an exact number: '1/0'"),
+    ]:
+        doc = {
+            "vertices": ["A", "B"],
+            "edges": [{"u": "A", "w": "B", "length": "1"}],
+            "density": {"A": bad, "B": bad},
+        }
+        with pytest.raises(DocumentError) as err:
+            parse_instance(json.dumps(doc))
+        assert str(err.value) == f"density[A]: {message}"
+        doc["edges"][0]["length"] = bad
+        with pytest.raises(DocumentError) as err:
+            parse_instance(json.dumps(doc))
+        assert str(err.value) == f"instance: edge 0 length: {message}"
+
+        doc = {
+            "tree": {"vertices": ["A"], "edges": []},
+            "components": [
+                {"mode": "A", "values": {"A": bad}},
+                {"mode": "A", "values": {"A": bad}},
+            ],
+            "ucat": 2,
+            "provenance": PROVENANCE,
+        }
+        with pytest.raises(DocumentError) as err:
+            parse_decomposition(json.dumps(doc))
+        assert str(err.value) == f"component 0 values[A]: {message}"
+
+
+def _parsed_fractions(doc: DecompositionDocument) -> list:
+    values = [length for _, _, length in doc.tree.edge_list]
+    for c in doc.components:
+        values += [c.density.value(v) for v in c.density.support]
+    return values
+
+
+def test_equal_numerals_share_one_value_within_a_document_only():
+    text = json.dumps(
+        {
+            "vertices": ["A", "B", "C"],
+            "edges": [
+                {"u": "A", "w": "B", "length": "3/7"},
+                {"u": "B", "w": "C", "length": "3/7"},
+            ],
+            "density": {"A": "3/7", "B": "2", "C": "3/7"},
+        }
+    )
+    tree, f = parse_instance(text)
+    shared = tree.edge_length("A", "B")
+    assert shared == Fraction(3, 7)
+    assert tree.edge_length("B", "C") is shared
+    assert f.value("A") is shared and f.value("C") is shared
+    again, g = parse_instance(text)
+    assert again.edge_length("A", "B") is not shared
+    assert g.value("B") is not f.value("B")
+
+    f, d = _decomposed(5)
+    text = serialize_decomposition(d, _provenance(f))
+    first = _parsed_fractions(parse_decomposition(text))
+    second = _parsed_fractions(parse_decomposition(text))
+    assert len(first) > len(set(first))  # some numeral repeats
+    assert len({id(x) for x in first}) == len(set(first))
+    # no cache outlives a parse: two parses share no object
+    assert not {id(x) for x in first} & {id(x) for x in second}
 
 
 def test_deep_nesting_and_long_literals_are_document_errors():
@@ -477,6 +559,108 @@ def test_sweep_serialization():
     lengths = {(e["u"], e["w"]): e["length"] for e in data["tree"]["edges"]}
     assert lengths[("Q", "_s1")] == "2/3"
     assert lengths[("R", "_s1")] == "1/3"
+
+
+def _tree_fields(tree: MetricTree) -> dict:
+    return {
+        "vertices": list(tree.vertices),
+        "edges": [
+            {"u": u, "w": w, "length": str(length)} for u, w, length in tree.edge_list
+        ],
+    }
+
+
+def _stdlib_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _fractional_tree_instance(seed: int, n: int = 40):
+    """A random recursive tree with fractional lengths and values, as in the
+    benchmark's random-trees corpus."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [
+        (names[i], names[rng.randrange(i)], Fraction(rng.randint(1, 30), 10))
+        for i in range(1, n)
+    ]
+    values = {v: Fraction(rng.randint(0, 90), rng.choice([1, 3, 7, 10])) for v in names}
+    tree = MetricTree(names, edges)
+    return tree, EdgeLinearDensity(tree, values)
+
+
+def test_writer_matches_the_stdlib_encoder():
+    # the payloads are built here, from the objects, so that json.dumps
+    # stays the reference for every byte the serializers write
+    instances = [gen_instance(seed, 10, 5) for seed in range(20)]
+    comb = comb_instance(10)
+    instances.append((comb.tree, comb))
+    instances += [_fractional_tree_instance(seed) for seed in range(3)]
+    path, _ = path_instance([0, 0, 0])
+    instances.append((path, EdgeLinearDensity(path, {})))  # "components": []
+    point = MetricTree(["A"], [])
+    instances.append((point, EdgeLinearDensity(point, {"A": 1})))  # "edges": []
+    provenance = {
+        "tool": 'tree"ucat\\ \x07\t caf\u00e9 \u2713 \U0001d11e',
+        "input_digest": "sha256:0",
+    }
+    shapes = set()
+    for tree, f in instances:
+        density = {v: str(f.value(v)) for v in tree.vertices}
+        expected = _stdlib_text({**_tree_fields(tree), "density": density})
+        assert serialize_instance(tree, f) == expected
+
+        d, _ = decompose(f)
+        components = [
+            {
+                "mode": c.mode,
+                "values": {v: str(c.density.value(v)) for v in c.density.support},
+            }
+            for c in d.components
+        ]
+        expected = _stdlib_text(
+            {
+                "tree": _tree_fields(d.refined_tree),
+                "components": components,
+                "ucat": len(components),
+                "provenance": provenance,
+            }
+        )
+        assert serialize_decomposition(d, provenance) == expected
+        shapes.add("no components" if not components else "components")
+
+        for v in tree.vertices[:3]:
+            result = sweep(f, v)
+            refined = result.h.tree
+            cuts = [
+                {"vertex": s.vertex, "u": s.u, "w": s.w, "t": str(s.t)}
+                for s in result.subdivisions
+            ]
+            expected = _stdlib_text(
+                {
+                    "tree": _tree_fields(refined),
+                    "origin": v,
+                    "h": {u: str(result.h.value(u)) for u in refined.vertices},
+                    "remainder": {
+                        u: str(result.remainder.value(u)) for u in refined.vertices
+                    },
+                    "subdivisions": cuts,
+                }
+            )
+            assert serialize_sweep(result) == expected
+            shapes.add("cuts" if cuts else "no cuts")
+    assert shapes == {"components", "no components", "cuts", "no cuts"}
+
+
+def test_serialize_makes_a_bounded_number_of_calls_per_listed_item():
+    # counted calls, not wall time: json.dumps with indent runs the
+    # pure-Python encoder, about 45 calls per listed vertex, edge and value
+    f = monotone_arm_instance(1, 600)
+    d, _ = decompose(f)
+    tree = d.refined_tree
+    listed = len(tree.vertices) + len(tree.edge_list)
+    listed += sum(len(c.density.support) for c in d.components)
+    calls = python_calls_during(serialize_decomposition, d, PROVENANCE)
+    assert calls <= 12 * listed, (calls, listed)
 
 
 def test_render_dot_structure():
