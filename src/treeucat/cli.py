@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import __version__
 from .documents import (
@@ -32,7 +31,13 @@ ORACLE_SIZE_GUIDANCE = 8
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        return file.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def cmd_decompose(args) -> int:
@@ -51,11 +56,11 @@ def cmd_decompose(args) -> int:
     }
     text = serialize_decomposition(decomposition, provenance)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     if args.render:
-        Path(args.render).write_text(render_dot(decomposition, f), encoding="utf-8")
+        _write(args.render, render_dot(decomposition, f))
     return 0
 
 

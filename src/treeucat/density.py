@@ -11,12 +11,12 @@ stored, so a density's memory grows with its support, not with the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import NegativeValue, TreeMismatch, UnknownVertex
 from .rational import as_fraction
+from .record import Record
 from .tree import MetricTree, VertexId
 
 _ZERO = Fraction(0)
@@ -84,19 +84,25 @@ class EdgeLinearDensity:
         return f"EdgeLinearDensity({shown}{more})"
 
 
-@dataclass(frozen=True)
-class ModeWitness:
-    mode: VertexId
-    max_value: Fraction
+class ModeWitness(Record):
+    __slots__ = ("mode", "max_value")
+
+    def __init__(self, mode: VertexId, max_value: Fraction):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "max_value", max_value)
 
 
-@dataclass(frozen=True)
-class NotUnimodal:
+class NotUnimodal(Record):
     """Failure evidence: one oriented edge rising away from the chosen peak,
     or the zero-density marker (no witness edge exists in that case)."""
 
-    edge: tuple[VertexId, VertexId] | None
-    zero_density: bool = False
+    __slots__ = ("edge", "zero_density")
+
+    def __init__(
+        self, edge: tuple[VertexId, VertexId] | None, zero_density: bool = False
+    ):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "zero_density", zero_density)
 
 
 def support_is_empty(f: EdgeLinearDensity) -> bool:

@@ -26,15 +26,15 @@ import json
 import re
 import reprlib
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Mapping
 
 from .density import EdgeLinearDensity, extend_to_refinement
 from .errors import DocumentError, TreeMismatch
 from .greedy import Component, Decomposition
 from .rational import as_fraction
+from .record import Record
 from .sweep import SweepResult
 from .tree import _USER_ID, MetricTree, VertexId, is_valid_vertex_id
 
@@ -44,12 +44,20 @@ MAX_DECIMAL_EXPONENT = 1_000
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
 
 
-@dataclass(frozen=True)
-class DecompositionDocument:
-    tree: MetricTree
-    components: tuple[Component, ...]
-    ucat: int
-    provenance: Mapping[str, str]
+class DecompositionDocument(Record):
+    __slots__ = ("tree", "components", "ucat", "provenance")
+
+    def __init__(
+        self,
+        tree: MetricTree,
+        components: tuple[Component, ...],
+        ucat: int,
+        provenance: Mapping[str, str],
+    ):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "ucat", ucat)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def _load_json(text: str):
@@ -74,24 +82,26 @@ def _check_sections(data, required: set, what: str) -> None:
         raise DocumentError(f"{what} has unknown section {key!r}")
 
 
-def _number(raw, what: str, numerals: dict[str, Fraction]) -> Fraction:
+def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
     """The value of the numeral `raw`, checked once per distinct string.
 
     `numerals` maps each numeral this document has already read to its
     value; only a numeral that passed every check enters it, so a repeat
-    of a bad one fails at its first position, with the same message.
+    of a bad one fails at its first position, with the same message. An
+    error message names the numeral `label.format(a, b)`, formatted only
+    when the numeral fails.
     """
     if not isinstance(raw, str):
         raise DocumentError(
-            f"{what}: numbers must be exact strings like \"3\", \"1/3\" or \"0.25\","
-            f" got {reprlib.repr(raw)}"
+            f"{label.format(a, b)}: numbers must be exact strings like \"3\","
+            f" \"1/3\" or \"0.25\", got {reprlib.repr(raw)}"
         )
     value = numerals.get(raw)
     if value is not None:
         return value
     if len(raw) > MAX_NUMERAL_CHARS:
         raise DocumentError(
-            f"{what}: numeral has {len(raw)} characters, at most"
+            f"{label.format(a, b)}: numeral has {len(raw)} characters, at most"
             f" {MAX_NUMERAL_CHARS} are allowed"
         )
     exponent = _EXPONENT.search(raw)
@@ -100,14 +110,16 @@ def _number(raw, what: str, numerals: dict[str, Fraction]) -> Fraction:
         too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
         if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise DocumentError(
-                f"{what}: decimal exponent of {reprlib.repr(raw)} exceeds"
-                f" {MAX_DECIMAL_EXPONENT} in absolute value"
+                f"{label.format(a, b)}: decimal exponent of {reprlib.repr(raw)}"
+                f" exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
             )
     try:
         value = as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
         shown = reprlib.repr(raw)
-        raise DocumentError(f"{what}: not an exact number: {shown}") from None
+        raise DocumentError(
+            f"{label.format(a, b)}: not an exact number: {shown}"
+        ) from None
     numerals[raw] = value
     return value
 
@@ -142,7 +154,7 @@ def _parse_tree_sections(
                     f"{what}: edge {i} endpoint {reprlib.repr(entry[end])}"
                     " is not a string"
                 )
-        length = _number(entry["length"], f"{what}: edge {i} length", numerals)
+        length = _number(entry["length"], numerals, "{}: edge {} length", what, i)
         edges.append((entry["u"], entry["w"], length))
     return MetricTree(vertices, edges)
 
@@ -150,7 +162,7 @@ def _parse_tree_sections(
 def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must map vertex ids to value strings")
-    return {v: _number(x, f"{what}[{v}]", numerals) for v, x in raw.items()}
+    return {v: _number(x, numerals, "{}[{}]", what, v) for v, x in raw.items()}
 
 
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
@@ -172,14 +184,16 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     return tree, f
 
 
-def _numeral(value: Fraction, what: str) -> str:
-    """`str(value)`; a value too long for Python to write is a DocumentError."""
+def _numeral(value: Fraction, label: str, a, b=None) -> str:
+    """`str(value)`; a value too long for Python to write is a DocumentError,
+    whose message names the value `label.format(a, b)`."""
     try:
         return str(value)
     except ValueError:  # an integer past the interpreter's digit limit
         raise DocumentError(
-            f"cannot write {what}: its numerator or denominator has more than"
-            f" {sys.get_int_max_str_digits():,} digits, the output limit"
+            f"cannot write {label.format(a, b)}: its numerator or denominator"
+            f" has more than {sys.get_int_max_str_digits():,} digits, the output"
+            " limit"
         ) from None
 
 
@@ -215,7 +229,8 @@ def _encode(obj, newline: str) -> str:
 
 def _values_payload(f: EdgeLinearDensity, vertices, what: str) -> dict:
     return {
-        v: _numeral(f.value(v), f"the value of {what} at vertex {v}") for v in vertices
+        v: _numeral(f.value(v), "the value of {} at vertex {}", what, v)
+        for v in vertices
     }
 
 
@@ -223,7 +238,11 @@ def _tree_payload(tree: MetricTree) -> dict:
     return {
         "vertices": list(tree.vertices),
         "edges": [
-            {"u": u, "w": w, "length": _numeral(length, f"the length of edge {u}-{w}")}
+            {
+                "u": u,
+                "w": w,
+                "length": _numeral(length, "the length of edge {}-{}", u, w),
+            }
             for u, w, length in tree.edge_list
         ],
     }
@@ -339,7 +358,7 @@ def serialize_sweep(result: SweepResult) -> str:
                 "vertex": s.vertex,
                 "u": s.u,
                 "w": s.w,
-                "t": _numeral(s.t, f"the position of cut {s.vertex}"),
+                "t": _numeral(s.t, "the position of cut {}", s.vertex),
             }
             for s in result.subdivisions
         ],

@@ -25,31 +25,42 @@ in supp h itself, and nothing pruned comes back (fact (b) in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
 
 from .density import EdgeLinearDensity, ModeWitness, is_unimodal, support_is_empty
 from .errors import InternalInvariantError, ZeroDensity
+from .record import Record
 from .tree import VertexId
 
 
-@dataclass(frozen=True)
-class Unimodal:
-    mode: VertexId
+class Unimodal(Record):
+    __slots__ = ("mode",)
+
+    def __init__(self, mode: VertexId):
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class Forced:
-    chosen: VertexId
+class Forced(Record):
+    __slots__ = ("chosen",)
+
+    def __init__(self, chosen: VertexId):
+        object.__setattr__(self, "chosen", chosen)
 
 
-@dataclass(frozen=True)
-class PruneReport:
-    surviving: frozenset
-    forced_leaves: tuple[VertexId, ...]
-    verdict: Unimodal | Forced
+class PruneReport(Record):
+    __slots__ = ("surviving", "forced_leaves", "verdict")
+
+    def __init__(
+        self,
+        surviving: frozenset,
+        forced_leaves: tuple[VertexId, ...],
+        verdict: Unimodal | Forced,
+    ):
+        object.__setattr__(self, "surviving", surviving)
+        object.__setattr__(self, "forced_leaves", forced_leaves)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:

@@ -47,40 +47,44 @@ re-examines the core leaves in supp h only (see `forced.py`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .density import EdgeLinearDensity, support_is_empty
 from .errors import InternalInvariantError
 from .forced import Peel, Unimodal, _forced_vertex
+from .record import Record
 from .sweep import _from_lattice, _sweep, _to_lattice
-from .tree import VertexId
-
-if TYPE_CHECKING:
-    from .tree import MetricTree
+from .tree import MetricTree, VertexId
 
 
-@dataclass(frozen=True)
-class Component:
-    mode: VertexId
-    density: EdgeLinearDensity
+class Component(Record):
+    __slots__ = ("mode", "density")
+
+    def __init__(self, mode: VertexId, density: EdgeLinearDensity):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "density", density)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The components and the tree they live on. `decompose` returns the
     input tree; `check_decomposition` also accepts any refinement of it."""
 
-    refined_tree: MetricTree
-    components: tuple[Component, ...]
+    __slots__ = ("refined_tree", "components")
+
+    def __init__(self, refined_tree: MetricTree, components: tuple[Component, ...]):
+        object.__setattr__(self, "refined_tree", refined_tree)
+        object.__setattr__(self, "components", components)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    iteration: int
-    forced_vertex: VertexId
-    remaining_mass: Fraction
+class TraceEvent(Record):
+    __slots__ = ("iteration", "forced_vertex", "remaining_mass")
+
+    def __init__(
+        self, iteration: int, forced_vertex: VertexId, remaining_mass: Fraction
+    ):
+        object.__setattr__(self, "iteration", iteration)
+        object.__setattr__(self, "forced_vertex", forced_vertex)
+        object.__setattr__(self, "remaining_mass", remaining_mass)
 
 
 def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:

@@ -8,8 +8,8 @@ density along the path, in path order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import NegativeValue
 from .rational import as_fraction

@@ -8,11 +8,11 @@ Intended for the desk-scale systems built by the feasibility oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .rational import as_fraction
+from .record import Record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -21,11 +21,18 @@ LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: tuple[Fraction, ...] | None
-    objective: Fraction | None
+class LPResult(Record):
+    __slots__ = ("status", "x", "objective")
+
+    def __init__(
+        self,
+        status: str,  # "optimal" | "infeasible" | "unbounded"
+        x: tuple[Fraction, ...] | None,
+        objective: Fraction | None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "objective", objective)
 
 
 def maximize(

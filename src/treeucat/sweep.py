@@ -21,35 +21,45 @@ as 0; `decompose` builds its final densities the same way.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
 
 from .density import EdgeLinearDensity
 from .errors import UnknownVertex
+from .record import Record
 from .tree import MetricTree, VertexId, edge_key
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(Record):
     """One vertex inserted by a sweep: on edge (u, w), u the origin side,
     at fraction t of the edge length from u."""
 
-    vertex: VertexId
-    u: VertexId
-    w: VertexId
-    t: Fraction
+    __slots__ = ("vertex", "u", "w", "t")
+
+    def __init__(self, vertex: VertexId, u: VertexId, w: VertexId, t: Fraction):
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """h and the remainder f - h, both on the refined tree `h.tree`."""
 
-    h: EdgeLinearDensity
-    remainder: EdgeLinearDensity
-    origin: VertexId
-    subdivisions: tuple[Subdivision, ...]
+    __slots__ = ("h", "remainder", "origin", "subdivisions")
+
+    def __init__(
+        self,
+        h: EdgeLinearDensity,
+        remainder: EdgeLinearDensity,
+        origin: VertexId,
+        subdivisions: tuple[Subdivision, ...],
+    ):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "remainder", remainder)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "subdivisions", subdivisions)
 
 
 def _to_lattice(

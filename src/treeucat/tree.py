@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import (
     CycleDetected,

@@ -11,9 +11,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from . import simplex
 from .density import (
@@ -31,37 +30,55 @@ from .errors import (
     UnknownVertex,
 )
 from .greedy import Decomposition
+from .record import Record
 from .tree import MetricTree, VertexId
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ComponentCheck:
-    index: int
-    ok: bool
-    detail: str
+class ComponentCheck(Record):
+    __slots__ = ("index", "ok", "detail")
+
+    def __init__(self, index: int, ok: bool, detail: str):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    sum_ok: bool
-    sum_mismatches: tuple[tuple[VertexId, Fraction, Fraction], ...]
-    components: tuple[ComponentCheck, ...]
-    count: int
-    overall: bool
+class CheckReport(Record):
+    __slots__ = ("sum_ok", "sum_mismatches", "components", "count", "overall")
+
+    def __init__(
+        self,
+        sum_ok: bool,
+        sum_mismatches: tuple[tuple[VertexId, Fraction, Fraction], ...],
+        components: tuple[ComponentCheck, ...],
+        count: int,
+        overall: bool,
+    ):
+        object.__setattr__(self, "sum_ok", sum_ok)
+        object.__setattr__(self, "sum_mismatches", sum_mismatches)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "overall", overall)
 
 
-@dataclass(frozen=True)
-class FeasibilityCertificate:
+class FeasibilityCertificate(Record):
     """Explicit component values witnessing that the given anchors suffice.
 
     components[i] is anchored at modes[i] and non-increasing away from it;
     all components sum to the density vertex by vertex.
     """
 
-    modes: tuple[VertexId, ...]
-    components: tuple[Mapping[VertexId, Fraction], ...]
+    __slots__ = ("modes", "components")
+
+    def __init__(
+        self,
+        modes: tuple[VertexId, ...],
+        components: tuple[Mapping[VertexId, Fraction], ...],
+    ):
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "components", components)
 
 
 def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeucat
 from treeucat import decompose, gen_instance
 from treeucat.cli import main
 from treeucat.documents import (
@@ -306,6 +310,34 @@ def test_stdin_input(monkeypatch, capsys):
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert main(["ucat", str(tmp_path / "no_such.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    tree, f = path_instance([1, 2, 1])
+    path = _write_instance(tmp_path, "in.json", tree, f)
+    for flag in ("--output", "--render"):
+        target = str(tmp_path / "no_such_dir" / "out")
+        assert main(["decompose", path, flag, target]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+
+
+def test_cli_import_leaves_out_start_up_heavy_modules():
+    # `-S` skips `site`, whose `.pth` files may import `typing` or
+    # `pathlib` themselves and so hide an import the package makes
+    src = str(Path(treeucat.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import treeucat.cli;"
+        " print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    )
+    heavy = ["dataclasses", "inspect", "typing", "pathlib"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *heavy],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_version_flag(capsys):
