@@ -83,6 +83,10 @@ class EdgeLinearDensity:
         more = ", ..." if len(self._tree.vertices) > 4 else ""
         return f"EdgeLinearDensity({shown}{more})"
 
+    def __reduce__(self):
+        # rebuilt through the validating constructor, under every protocol
+        return EdgeLinearDensity, (self._tree, self._values)
+
 
 class ModeWitness(Record):
     __slots__ = ("mode", "max_value")

@@ -157,6 +157,10 @@ class MetricTree:
     def __repr__(self) -> str:
         return f"MetricTree({len(self._vertices)} vertices, {len(self._lengths)} edges)"
 
+    def __reduce__(self):
+        # rebuilt through the validating constructor, under every protocol
+        return MetricTree, (self._vertices, self.edge_list)
+
     def root_at(self, root: VertexId) -> tuple[tuple[VertexId, VertexId], ...]:
         """Edges as (parent, child) pairs, oriented away from `root`, in
         breadth-first discovery order with children in id order."""

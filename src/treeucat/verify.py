@@ -351,15 +351,51 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
     smaller sets were already rejected at earlier stages, so sets cover
     the full multiset search. Sizes beyond the vertex count reduce the
     same way and need no stage of their own.
+
+    A candidate that misses the far side of a rising edge is skipped
+    without solving anything. Lemma: if f(y) > f(x) on an edge (x, y),
+    every feasible anchor set holds a vertex on y's side, the part of the
+    tree that removing the edge leaves with y. Proof: a component anchored
+    on x's side is non-increasing along the path from its anchor through
+    x to y, so it is at least as large at x as at y; were every anchor on
+    x's side, summing the components would give f(x) >= f(y). Each side
+    is a bitmask over the vertices, so the test is a few integer ANDs, and
+    the candidates it keeps are tried in the same order, so the first
+    feasible one, and k, do not move.
     """
     if support_is_empty(f):
         return 0
     vertices = f.tree.vertices
+    bits = [1 << i for i in range(len(vertices))]
+    sides = _rising_sides(f, dict(zip(vertices, bits)))
     for k in range(1, min(k_max, len(vertices)) + 1):
-        for candidate in itertools.combinations(vertices, k):
-            if feasible_with_modes(f, candidate) is not None:
-                return k
+        masks = itertools.combinations(bits, k)
+        for candidate, chosen in zip(itertools.combinations(vertices, k), masks):
+            mask = sum(chosen)
+            for side in sides:
+                if not mask & side:
+                    break
+            else:
+                if feasible_with_modes(f, candidate) is not None:
+                    return k
     raise ExceedsKMax(k_max)
+
+
+def _rising_sides(f: EdgeLinearDensity, bit: dict[VertexId, int]) -> list[int]:
+    """The far side of every rising edge as a vertex bitmask, smallest
+    first, since a small side is the one a candidate most likely misses."""
+    tree = f.tree
+    edges = tree.root_at(tree.vertices[0])
+    below = dict(bit)  # each vertex's subtree under the root
+    for parent, child in reversed(edges):
+        below[parent] |= below[child]
+    everything = below[tree.vertices[0]]
+    sides = []
+    for parent, child in edges:
+        rise = f.value(child) - f.value(parent)
+        if rise:
+            sides.append(below[child] if rise > 0 else everything ^ below[child])
+    return sorted(sides, key=int.bit_count)
 
 
 def gen_instance(

@@ -14,7 +14,9 @@ set it forces a mode into. `dense_decomposition_text` writes a
 decomposition the way documents were written before components listed
 their nonzero values only. `python_calls_during` counts the Python and
 C function calls a call makes, a measure of work that, unlike wall time,
-does not vary from run to run.
+does not vary from run to run. `reference_maximize` is the two-phase
+simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
+must agree with, pivot for pivot.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from collections import deque
 from fractions import Fraction
 
 from treeucat import EdgeLinearDensity, MetricTree
+from treeucat.rational import as_fraction
+from treeucat.simplex import LESS_EQUAL, GREATER_EQUAL, LPResult
 
 
 def path_instance(values, prefix="v"):
@@ -299,3 +303,119 @@ def dense_decomposition_text(d, provenance) -> str:
         "provenance": dict(provenance),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_maximize(c, constraints) -> LPResult:
+    """Maximize c.x over the rows, all variables >= 0, on `Fraction`s.
+
+    The same two-phase tableau method as `simplex.maximize`, with Bland's
+    rule, every row owning a slack and an artificial slot, and the
+    tableau kept in true values: each pivot divides the pivot row by its
+    entry. This is the solver the package used before its integer
+    tableau.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    cost = [as_fraction(ci) for ci in c]
+    n = len(cost)
+    m = len(constraints)
+    # columns: structural 0..n-1, slacks n..n+m-1, artificials n+m.., rhs
+    width = n + 2 * m
+    rows = []
+    for i, (coeffs, relation, rhs) in enumerate(constraints):
+        if len(coeffs) != n:
+            raise ValueError(f"row {i}: {len(coeffs)} coefficients, expected {n}")
+        row = [zero] * (width + 1)
+        for j, a in enumerate(coeffs):
+            row[j] = as_fraction(a)
+        if relation == LESS_EQUAL:
+            row[n + i] = one
+        elif relation == GREATER_EQUAL:
+            row[n + i] = -one
+        else:
+            raise ValueError(f"unknown relation {relation!r}")
+        row[-1] = as_fraction(rhs)
+        if row[-1] < 0:
+            row = [-a for a in row]
+        rows.append(row)
+
+    basis, artificials = [], []
+    for i in range(m):
+        if rows[i][n + i] == one:
+            basis.append(n + i)
+        else:
+            col = n + m + i
+            rows[i][col] = one
+            basis.append(col)
+            artificials.append(col)
+
+    real_cols = list(range(n + m))
+
+    def reduced(costs):
+        obj = list(costs)
+        for i, col in enumerate(basis):
+            factor = costs[col]
+            if factor != 0:
+                for j, a in enumerate(rows[i]):
+                    if a != 0:
+                        obj[j] -= factor * a
+        return obj
+
+    def pivot(obj, leave, enter):
+        row = rows[leave]
+        inv = one / row[enter]
+        if inv != 1:
+            rows[leave] = row = [a * inv for a in row]
+        for other in rows:
+            if other is not row and other[enter] != 0:
+                factor = other[enter]
+                for j, a in enumerate(row):
+                    if a != 0:
+                        other[j] -= factor * a
+        factor = obj[enter]
+        if factor != 0:
+            for j, a in enumerate(row):
+                if a != 0:
+                    obj[j] -= factor * a
+        basis[leave] = enter
+
+    def run(obj, allowed):
+        while True:
+            enter = next((j for j in allowed if obj[j] < 0), None)
+            if enter is None:
+                return "optimal"
+            leave = best = None
+            for i, row in enumerate(rows):
+                if row[enter] > 0:
+                    ratio = row[-1] / row[enter]
+                    if (
+                        leave is None
+                        or ratio < best
+                        or (ratio == best and basis[i] < basis[leave])
+                    ):
+                        leave, best = i, ratio
+            if leave is None:
+                return "unbounded"
+            pivot(obj, leave, enter)
+
+    if artificials:
+        phase1 = [zero] * (width + 1)
+        for col in artificials:
+            phase1[col] = one
+        obj = reduced(phase1)
+        run(obj, real_cols + artificials)
+        if obj[-1] != 0:
+            return LPResult("infeasible", None, None)
+        for i in range(m):
+            if basis[i] >= n + m:
+                enter = next((j for j in real_cols if rows[i][j] != 0), None)
+                if enter is not None:
+                    pivot(obj, i, enter)
+
+    obj = reduced([-ci for ci in cost] + [zero] * (width + 1 - n))
+    if run(obj, real_cols) == "unbounded":
+        return LPResult("unbounded", None, None)
+    x = [zero] * width
+    for i, col in enumerate(basis):
+        x[col] = rows[i][-1]
+    solution = tuple(x[:n])
+    return LPResult("optimal", solution, sum((a * b for a, b in zip(cost, solution)), zero))

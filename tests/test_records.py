@@ -201,9 +201,9 @@ def test_not_unimodal_defaults_to_a_witness_edge():
 def test_pickle_and_copy_round_trips(cls, fields, text):
     record = cls(**fields)
     copies = [copy.copy(record), copy.deepcopy(record)]
-    # from protocol 2 on: `MetricTree` and `EdgeLinearDensity` use slots
-    # without `__getstate__`, which protocols 0 and 1 cannot pickle
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    # every protocol, 0 and 1 included: the slot classes `MetricTree` and
+    # `EdgeLinearDensity` rebuild through their validating constructors
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copies.append(pickle.loads(pickle.dumps(record, protocol)))
     for other in copies:
         assert type(other) is cls

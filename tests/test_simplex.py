@@ -1,0 +1,153 @@
+"""The integer tableau against the `Fraction` tableau it replaces.
+
+`simplex.maximize` pivots on a fraction-free integer tableau;
+`helpers.reference_maximize` runs the same method on `Fraction`s. Both use
+Bland's rule, so they must take the same pivots and return the same
+status, point and objective, on the oracle's own systems and on random
+rational ones. Every "infeasible" is backed by a Farkas vector that
+`maximize` checks before it answers.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from treeucat import simplex, verify
+from treeucat.errors import InternalInvariantError
+from treeucat.simplex import GREATER_EQUAL, LESS_EQUAL, maximize
+
+from helpers import reference_maximize
+
+
+def _same(c, rows):
+    """maximize(c, rows), after checking it against the reference."""
+    result = maximize(c, rows)
+    expected = reference_maximize(c, rows)
+    assert (result.status, result.x, result.objective) == (
+        expected.status,
+        expected.x,
+        expected.objective,
+    ), (c, rows)
+    return result
+
+
+def _oracle_calls(monkeypatch, solver):
+    """Both feasibility questions for the candidate pairs and triples of
+    small `gen_instance` trees, solved by `solver`: the certificates, and
+    each system with the solver's result."""
+    solved = []
+
+    def recording(c, rows):
+        result = solver(c, rows)
+        solved.append((c, rows, (result.status, result.x, result.objective)))
+        return result
+
+    monkeypatch.setattr(simplex, "maximize", recording)
+    certificates = []
+    for seed in range(20):
+        tree, f = verify.gen_instance(seed, 6, 4)
+        vertices = tree.vertices
+        if verify.support_is_empty(f) or len(vertices) < 2:
+            continue
+        avoid = vertices[seed % len(vertices)]
+        for k in (2, 3):
+            for candidate in itertools.combinations(vertices, k):
+                certificates.append(verify.feasible_with_modes(f, candidate))
+                certificates.append(
+                    verify.feasible_avoiding_vertex(f, candidate, avoid)
+                )
+    return certificates, solved
+
+
+def test_oracle_systems_match_the_reference(monkeypatch):
+    certificates, solved = _oracle_calls(monkeypatch, maximize)
+    expected_certificates, expected = _oracle_calls(monkeypatch, reference_maximize)
+    assert len(solved) > 150
+    assert solved == expected
+    assert {status for _, _, (status, _, _) in solved} == {"optimal", "infeasible"}
+    assert certificates == expected_certificates
+    assert any(c is not None for c in certificates)
+
+
+def _random_lp(rng):
+    n, m = rng.randint(1, 5), rng.randint(1, 6)
+
+    def value():
+        if rng.random() < 0.3:
+            return 0
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    c = [value() for _ in range(n)] if rng.random() < 0.7 else [0] * n
+    rows = [
+        ([value() for _ in range(n)], rng.choice([LESS_EQUAL, GREATER_EQUAL]), value())
+        for _ in range(m)
+    ]
+    if rng.random() < 0.3:  # a repeated row, so one artificial may stay basic
+        rows.append(rows[0])
+    return c, rows
+
+
+def test_random_rational_lps_match_the_reference():
+    rng = random.Random(20)
+    statuses = {}
+    for _ in range(1500):
+        c, rows = _random_lp(rng)
+        status = _same(c, rows).status
+        statuses[status] = statuses.get(status, 0) + 1
+    # negative right-hand sides, >= rows, unbounded and degenerate cases
+    assert set(statuses) == {"optimal", "infeasible", "unbounded"}
+    assert min(statuses.values()) > 100
+
+
+def test_redundant_row_keeps_its_artificial_at_zero():
+    # x1 + x2 >= 1 twice and x1 + x2 <= 1: phase 1 ends with both
+    # artificials basic at zero, and both are driven out on -1 entries
+    rows = [([1, 1], GREATER_EQUAL, 1), ([1, 1], GREATER_EQUAL, 1), ([1, 1], LESS_EQUAL, 1)]
+    result = _same([Fraction(1, 2), 1], rows)
+    assert result.x == (Fraction(0), Fraction(1))
+    assert result.objective == 1
+
+
+def test_negative_drive_out_pivot():
+    # phase 1 ends at once with both artificials basic at zero; driving out
+    # the first pivots on x1's +1, after which the second row reads
+    # -s1 - s2 = 0 and is driven out on s1's -1, so D would turn negative
+    rows = [
+        ([1, -1], GREATER_EQUAL, 0),
+        ([-1, 1], GREATER_EQUAL, 0),
+        ([1, 0], LESS_EQUAL, 3),
+    ]
+    result = _same([1, 1], rows)
+    assert result.x == (Fraction(3), Fraction(3))
+    assert result.objective == 6
+    rows[2] = ([Fraction(2, 3), 0], LESS_EQUAL, Fraction(1, 2))
+    assert _same([1, Fraction(1, 5)], rows).x == (Fraction(3, 4), Fraction(3, 4))
+
+
+def test_infeasible_and_unbounded():
+    assert _same([1], [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 2)]).status == (
+        "infeasible"
+    )
+    assert _same([1, 0], [([1, -1], LESS_EQUAL, 1)]).status == "unbounded"
+    assert _same([0, 0], [([1, -1], LESS_EQUAL, -1)]).x == (0, 1)
+
+
+def test_a_wrong_farkas_vector_is_refused():
+    # x <= 1 and x >= 2: an objective row of zeros reads z = (0, 1), which
+    # gives x's column a positive product, so it is no certificate
+    rows = [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 2)]
+    with pytest.raises(InternalInvariantError):
+        simplex._check_farkas(1, rows, [0] * 5, 1)
+
+
+def test_bad_rows_are_refused():
+    with pytest.raises(ValueError):
+        maximize([1, 1], [([1], LESS_EQUAL, 1)])
+    with pytest.raises(ValueError):
+        maximize([1], [([1], "==", 1)])
+    with pytest.raises(TypeError):
+        maximize([1], [([0.5], LESS_EQUAL, 1)])

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from treeucat import simplex, verify
 from treeucat import (
     Component,
     Decomposition,
@@ -329,3 +331,82 @@ def test_gen_instance_rejects_bad_arguments():
         gen_instance(0, 0, 4)
     with pytest.raises(ValueError):
         gen_instance(0, 5, -1)
+
+
+def _far_side(tree, x, y):
+    """The vertices that removing edge x-y leaves with y."""
+    return {v for v in tree.vertices if y in path_between(tree, x, v)}
+
+
+def _tried_candidates(monkeypatch, f):
+    """ucat_oracle's answer and the candidates it gave to the LP check."""
+    tried = []
+
+    def recording(g, candidate):
+        tried.append(tuple(candidate))
+        return feasible_with_modes(g, candidate)
+
+    monkeypatch.setattr(verify, "feasible_with_modes", recording)
+    k = ucat_oracle(f, len(f.tree.vertices))
+    monkeypatch.undo()
+    return k, tried
+
+
+def test_rising_edge_rule_skips_only_infeasible_candidates(monkeypatch):
+    skipped = 0
+    for seed in range(200):
+        tree, f = gen_instance(seed, 7, 4)
+        if support_is_empty(f):
+            continue
+        sides = [
+            _far_side(tree, x, y) if f.value(y) > f.value(x) else _far_side(tree, y, x)
+            for x, y, _ in tree.edge_list
+            if f.value(x) != f.value(y)
+        ]
+        k, tried = _tried_candidates(monkeypatch, f)
+        # every candidate up to the feasible one the oracle stopped at
+        candidates = itertools.chain.from_iterable(
+            itertools.combinations(tree.vertices, size) for size in range(1, k + 1)
+        )
+        for candidate in candidates:
+            misses = any(side.isdisjoint(candidate) for side in sides)
+            # a candidate is skipped exactly when it misses a far side
+            assert (candidate not in tried) == misses, (seed, candidate)
+            if misses:
+                skipped += 1
+                assert feasible_with_modes(f, candidate) is None, (seed, candidate)
+            if candidate == tried[-1]:
+                break
+    assert skipped > 1500
+
+
+def test_rising_edge_rule_does_not_move_the_answer():
+    def unfiltered(f):
+        vertices = f.tree.vertices
+        for k in range(1, len(vertices) + 1):
+            for candidate in itertools.combinations(vertices, k):
+                if feasible_with_modes(f, candidate) is not None:
+                    return k
+
+    for seed in range(60):
+        tree, f = gen_instance(seed, 7, 9)
+        if not support_is_empty(f):
+            assert ucat_oracle(f, 7) == unfiltered(f), seed
+
+
+def test_oracle_solves_few_lps(monkeypatch):
+    # a counted gate: without the rising-edge rule these 100 trees took 180
+    # LP solves; with it they take 49
+    solves = 0
+    solve = simplex.maximize
+
+    def counting(c, rows):
+        nonlocal solves
+        solves += 1
+        return solve(c, rows)
+
+    monkeypatch.setattr(simplex, "maximize", counting)
+    for seed in range(100):
+        tree, f = gen_instance(seed, 7, 9)
+        ucat_oracle(f, len(tree.vertices))
+    assert 0 < solves <= 60
