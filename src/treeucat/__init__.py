@@ -10,6 +10,7 @@ from .density import (
 )
 from .forced import Forced, PruneReport, Unimodal, find_forced_vertex, prune_insignificant
 from .greedy import Component, Decomposition, TraceEvent, decompose, ucat
+from .instances import gen_instance
 from .interval import interval_ucat
 from .sweep import Subdivision, SweepResult, sweep
 from .tree import MetricTree, VertexId
@@ -20,7 +21,6 @@ from .verify import (
     check_decomposition,
     feasible_avoiding_vertex,
     feasible_with_modes,
-    gen_instance,
     ucat_oracle,
 )
 

@@ -22,8 +22,9 @@ from .documents import (
 )
 from .errors import ExceedsKMax, InternalInvariantError, TreeUcatError
 from .greedy import decompose
+from .instances import gen_instance
 from .sweep import sweep
-from .verify import check_decomposition, gen_instance, ucat_oracle
+from .verify import check_decomposition, ucat_oracle
 
 ORACLE_SIZE_GUIDANCE = 8
 

@@ -48,6 +48,15 @@ class EdgeLinearDensity:
         self._tree = tree
         self._values = dict(sorted(stored.items()))  # tree.vertices is sorted
 
+    @classmethod
+    def _of_support(cls, tree: MetricTree, support: dict) -> EdgeLinearDensity:
+        """The density on `tree` whose support map is `support`, which another
+        density already validated and ordered; it is shared, not copied."""
+        f = cls.__new__(cls)
+        f._tree = tree
+        f._values = support
+        return f
+
     @property
     def tree(self) -> MetricTree:
         return self._tree
@@ -61,6 +70,11 @@ class EdgeLinearDensity:
     def support(self) -> tuple[VertexId, ...]:
         """The vertices with a nonzero value, in `tree.vertices` order."""
         return tuple(self._values)
+
+    def items(self):
+        """A read-only view of the support map: (vertex, nonzero value)
+        pairs in `tree.vertices` order."""
+        return self._values.items()
 
     def value(self, v: VertexId) -> Fraction:
         if v not in self._tree.vertex_set:
@@ -122,49 +136,65 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     chosen does not matter: were two maxima separated by a dip, the edge
     climbing back up would be reported from either root.
 
-    A breadth-first search from the root expands positive vertices only.
-    If it meets no rising edge and reaches the whole support, every edge
-    it did not look at joins two zeros, so f is unimodal; this costs
-    O(|supp f| + its boundary). Otherwise the whole tree is scanned in
-    `root_at` order, and the first rising edge of that order is reported.
+    Values are compared as integer pairs, each value's `(numerator,
+    denominator)` read once, by cross-multiplication. A breadth-first
+    search from the root expands positive vertices only. If it meets no
+    rising edge and reaches the whole support, every edge it did not look
+    at joins two zeros, so f is unimodal; this costs O(|supp f| + its
+    boundary). Otherwise a second search, over every vertex in `root_at`
+    order, stops at the first rising edge of that order and reports it; it
+    costs the part of that order before the edge.
     """
     values = f._values  # absent means 0
     if not values:
         return NotUnimodal(edge=None, zero_density=True)
-    top = f.max_value()
-    root = next(v for v, val in values.items() if val == top)
-    if _falls_from_root_on_support(f, root):
-        return ModeWitness(root, top)
-    for u, w in f.tree.root_at(root):
-        if values.get(u, _ZERO) < values.get(w, _ZERO):
-            return NotUnimodal(edge=(u, w))
-    return ModeWitness(root, top)
-
-
-def _falls_from_root_on_support(f: EdgeLinearDensity, root: VertexId) -> bool:
-    """True iff a breadth-first search from `root` through positive
-    vertices meets no rising edge and reaches every positive vertex."""
-    values = f._values  # absent means 0
+    ratios = {v: val.as_integer_ratio() for v, val in values.items()}
+    top, below = 0, 1  # the largest value so far, top / below
+    for v, (p, q) in ratios.items():  # in id order, so ties keep the first
+        if p * below > top * q:
+            root, top, below = v, p, q
     adjacency = f.tree.adjacency()
+    if _falls_from_root_on_support(adjacency, ratios, root):
+        return ModeWitness(root, values[root])
+    parent = {root: None}
+    frontier = [root]
+    while frontier:  # every vertex, in `root_at` order, to the first rise
+        nxt = []
+        for u in frontier:
+            at_u = ratios.get(u)
+            for w in adjacency[u]:
+                if w == parent[u]:
+                    continue
+                at_w = ratios.get(w)
+                if at_w and (not at_u or at_u[0] * at_w[1] < at_w[0] * at_u[1]):
+                    return NotUnimodal(edge=(u, w))
+                parent[w] = u
+                nxt.append(w)
+        frontier = nxt
+    return ModeWitness(root, values[root])
+
+
+def _falls_from_root_on_support(adjacency, ratios, root: VertexId) -> bool:
+    """True iff a breadth-first search from `root` through the positive
+    vertices, the keys of `ratios`, meets no rising edge and reaches them
+    all."""
     parent = {root: None}
     frontier = [root]
     reached = 1
     while frontier:
         nxt = []
         for u in frontier:
-            at_u = values[u]
+            p, q = ratios[u]
             for w in adjacency[u]:
-                if w == parent[u]:
-                    continue
-                at_w = values.get(w, _ZERO)
-                if at_u < at_w:
-                    return False
-                if at_w:
+                if w in ratios and w != parent[u]:
+                    a, b = ratios[w]
+                    if p * b < a * q:
+                        return False
                     parent[w] = u
                     nxt.append(w)
         reached += len(nxt)
         frontier = nxt
-    return reached == len(values)
+    return reached == len(ratios)
 
 
 def extend_to_refinement(
@@ -185,7 +215,7 @@ def extend_to_refinement(
     """
     original = f.tree
     if original == refined:
-        return EdgeLinearDensity(refined, f._values)
+        return EdgeLinearDensity._of_support(refined, f._values)
     for v in original.vertices:
         if not refined.has_vertex(v):
             raise TreeMismatch(f"refinement lost vertex {v!r}")

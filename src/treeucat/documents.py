@@ -156,7 +156,7 @@ def _parse_tree_sections(
                 )
         length = _number(entry["length"], numerals, "{}: edge {} length", what, i)
         edges.append((entry["u"], entry["w"], length))
-    return MetricTree(vertices, edges)
+    return MetricTree._of_checked_ids(vertices, edges)
 
 
 def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:

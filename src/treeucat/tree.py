@@ -56,8 +56,6 @@ class MetricTree:
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple] = ()):
         vlist = list(vertices)
-        if not vlist:
-            raise InvalidTree("a tree needs at least one vertex")
         seen = set()
         for v in vlist:
             if not isinstance(v, str) or not is_valid_vertex_id(v):
@@ -65,6 +63,24 @@ class MetricTree:
             if v in seen:
                 raise DuplicateVertexId(f"duplicate vertex id {v!r}")
             seen.add(v)
+        self._build(vlist, seen, edges)
+
+    @classmethod
+    def _of_checked_ids(cls, vertices: list, edges: Iterable[tuple]) -> MetricTree:
+        """A tree whose vertex ids are strings the caller has already
+        matched against the id rules; every other check still runs."""
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                raise DuplicateVertexId(f"duplicate vertex id {v!r}")
+            seen.add(v)
+        tree = cls.__new__(cls)
+        tree._build(vertices, seen, edges)
+        return tree
+
+    def _build(self, vlist: list, seen: set, edges: Iterable[tuple]) -> None:
+        if not vlist:
+            raise InvalidTree("a tree needs at least one vertex")
         lengths: dict[tuple[VertexId, VertexId], Fraction] = {}
         for u, w, raw_len in edges:
             if u not in seen:

@@ -1,18 +1,21 @@
-"""Independent verification: validity checking, minimality oracle, instances.
+"""Independent verification: validity checking and the minimality oracle.
 
 Nothing here reuses the greedy machinery. Decompositions are re-checked
 from first principles, and minimality is decided by exhaustive exact
 linear feasibility over candidate mode sets, so producer and checker can
-only agree by being right.
+only agree by being right. Both stay exact and do their arithmetic on
+integers: the check reads each value as its `(numerator, denominator)`
+pair, and each feasibility question scales f by the lcm of its own
+denominators.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import random
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from . import simplex
 from .density import (
@@ -30,6 +33,7 @@ from .errors import (
     UnknownVertex,
 )
 from .greedy import Decomposition
+from .instances import gen_instance  # also public as treeucat.verify.gen_instance
 from .record import Record
 from .tree import MetricTree, VertexId
 
@@ -89,50 +93,46 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     The lift walks each subdivision chain once, in O(n). Components are
     summed, and checked for unimodality, over their supports only, so a
     check whose components all pass costs O(n) plus, per component, its
-    support and the edges leaving it. Each component that fails adds one
-    O(n) scan of the whole tree, to name a rising edge as its witness.
+    support and the edges leaving it. A component that fails adds the
+    breadth-first prefix of the tree up to its first rising edge. Values
+    are read as integer `(numerator, denominator)` pairs, summed over a
+    running common denominator and compared with f by cross-multiplying;
+    a `Fraction` is built only for a reported mismatch.
     """
     lifted = extend_to_refinement(f, d.refined_tree)
+    totals = {}  # vertex -> (numerator, denominator) of its sum
     for component in d.components:
         if component.density.tree != d.refined_tree:
             raise TreeMismatch(
                 f"component with mode {component.mode!r} lives on a different tree"
             )
-
-    totals: dict[VertexId, Fraction] = {}
-    for component in d.components:
-        density = component.density
-        for v in density.support:
-            totals[v] = totals.get(v, _ZERO) + density.value(v)
+        for v, value in component.density.items():
+            pair = value.as_integer_ratio()
+            totals[v] = _add(totals[v], pair) if v in totals else pair
+    target = dict(lifted.items())
     mismatches = []
     for v in d.refined_tree.vertices:
-        total = totals.get(v, _ZERO)
-        if total != lifted.value(v):
-            mismatches.append((v, lifted.value(v), total))
+        value = target.get(v, _ZERO)
+        total, (p, q) = totals.get(v, (0, 1)), value.as_integer_ratio()
+        if total != (p, q) and total[0] * q != p * total[1]:
+            mismatches.append((v, value, Fraction(*total)))
 
     component_checks = []
     for index, component in enumerate(d.components):
-        witness = is_unimodal(component.density)
+        mode, density = component.mode, component.density
+        witness = is_unimodal(density)
+        detail = ""
         if not isinstance(witness, ModeWitness):
-            if witness.zero_density:
-                detail = "component is identically zero"
-            else:
+            detail = "component is identically zero"
+            if not witness.zero_density:
                 u, w = witness.edge
                 detail = f"value rises along edge {u}-{w} away from the maximum"
-            component_checks.append(ComponentCheck(index, False, detail))
-            continue
-        at_mode = component.density.value(component.mode)
-        if at_mode != witness.max_value:
-            component_checks.append(
-                ComponentCheck(
-                    index,
-                    False,
-                    f"recorded mode {component.mode} carries {at_mode}, "
-                    f"maximum is {witness.max_value}",
-                )
+        elif density.value(mode) != witness.max_value:
+            detail = (
+                f"recorded mode {mode} carries {density.value(mode)}, "
+                f"maximum is {witness.max_value}"
             )
-            continue
-        component_checks.append(ComponentCheck(index, True, ""))
+        component_checks.append(ComponentCheck(index, not detail, detail))
 
     sum_ok = not mismatches
     overall = sum_ok and all(c.ok for c in component_checks)
@@ -145,11 +145,21 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     )
 
 
-def _path_minima(f: EdgeLinearDensity, m: VertexId) -> dict[VertexId, Fraction]:
-    """For each vertex, the minimum of f along its path to m."""
-    minima = {m: f.value(m)}
-    for closer, farther in f.tree.root_at(m):
-        minima[farther] = min(minima[closer], f.value(farther))
+def _add(a, b):
+    """The sum of two (numerator, denominator) pairs, over the lcm of the
+    denominators."""
+    (p, q), (r, s) = a, b
+    if q == s:
+        return p + r, q
+    g = gcd(q, s)
+    return p * (s // g) + r * (q // g), q // g * s
+
+
+def _path_minima(tree: MetricTree, scaled, m: VertexId) -> dict[VertexId, int]:
+    """For each vertex, the minimum of `scaled` along its path to m."""
+    minima = {m: scaled[m]}
+    for closer, farther in tree.root_at(m):
+        minima[farther] = min(minima[closer], scaled[farther])
     return minima
 
 
@@ -172,24 +182,7 @@ def feasible_with_modes(
     if support_is_empty(f):
         zeros = {v: _ZERO for v in f.tree.vertices}
         return FeasibilityCertificate(mode_list, tuple(dict(zeros) for _ in mode_list))
-
-    if len(mode_list) == 1:
-        # the vertex sums pin the only component to f itself, so feasibility
-        # is exactly "f never rises away from the anchor"
-        m = mode_list[0]
-        for closer, farther in f.tree.root_at(m):
-            if f.value(closer) < f.value(farther):
-                return None
-        certificate = FeasibilityCertificate(mode_list, (dict(f.values),))
-        _validate_certificate(f, certificate)
-        return certificate
-
-    if not _mass_prefilter(f, mode_list):
-        return None
-    certificate = _solve(f, mode_list, avoid=None)
-    if certificate is not None:
-        _validate_certificate(f, certificate)
-    return certificate
+    return _feasible(f, mode_list, avoid=None)
 
 
 def feasible_avoiding_vertex(
@@ -211,11 +204,8 @@ def feasible_avoiding_vertex(
             raise UnknownVertex(f"{m!r} is not a vertex")
     if support_is_empty(f):
         return None
-    if not _mass_prefilter(f, mode_list):
-        return None
-    certificate = _solve(f, mode_list, avoid=avoid)
+    certificate = _feasible(f, mode_list, avoid)
     if certificate is not None:
-        _validate_certificate(f, certificate)
         for m, component in zip(certificate.modes, certificate.components):
             if component[avoid] >= component[m]:
                 raise InternalInvariantError(
@@ -224,20 +214,50 @@ def feasible_avoiding_vertex(
     return certificate
 
 
-def _mass_prefilter(f: EdgeLinearDensity, modes: tuple[VertexId, ...]) -> bool:
+def _feasible(
+    f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
+) -> FeasibilityCertificate | None:
+    """Prefilter, solve and validate, for a nonzero f scaled to integers
+    once, by the lcm of its own denominators.
+
+    With one anchor and no vertex to avoid, the vertex sums pin the only
+    component to f itself, and the prefilter has just checked that f never
+    rises away from the anchor, so no system is solved.
+    """
+    scale = 1
+    for _, value in f.items():
+        scale = lcm(scale, value.denominator)
+    scaled = {v: 0 for v in f.tree.vertices}  # scale * f, in integers
+    for v, value in f.items():
+        scaled[v] = value.numerator * (scale // value.denominator)
+    if not _mass_prefilter(f.tree, scaled, modes):
+        return None
+    if len(modes) == 1 and avoid is None:
+        certificate = FeasibilityCertificate(modes, (dict(f.values),))
+    else:
+        certificate = _solve(f.tree, scaled, scale, modes, avoid)
+    if certificate is not None:
+        _validate_certificate(f, certificate)
+    return certificate
+
+
+def _mass_prefilter(tree: MetricTree, scaled, modes: tuple[VertexId, ...]) -> bool:
     """Necessary condition: a component is capped by the minimum of f along
     the path to its anchor (it is below f everywhere and rises toward the
     anchor), so the caps must cover f at every vertex."""
-    minima = [_path_minima(f, m) for m in modes]
-    for v in f.tree.vertices:
-        cap = sum((mn[v] for mn in minima), _ZERO)
-        if cap < f.value(v):
+    minima = [_path_minima(tree, scaled, m) for m in modes]
+    for v in tree.vertices:
+        if sum(mn[v] for mn in minima) < scaled[v]:
             return False
     return True
 
 
 def _solve(
-    f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
+    tree: MetricTree,
+    scaled,
+    scale: int,
+    modes: tuple[VertexId, ...],
+    avoid: VertexId | None,
 ) -> FeasibilityCertificate | None:
     """Set up and solve the anchored-components system.
 
@@ -246,9 +266,9 @@ def _solve(
     that is feasible at zero except for a few rows, keeping the simplex
     warm start cheap. With `avoid`, a gap variable is maximized subject to
     every component staying that far below its anchor value at `avoid`;
-    strict avoidance means a positive optimum.
+    strict avoidance means a positive optimum. The rows are posed for the
+    integers scale * f, and the solution is divided back by scale.
     """
-    tree = f.tree
     vertices = tree.vertices
     position = {v: i for i, v in enumerate(vertices)}
     k = len(modes)
@@ -259,44 +279,34 @@ def _solve(
     def var(alpha: int, v: VertexId) -> int:
         return alpha * nv + position[v]
 
-    rows: list[tuple[list, str, Fraction]] = []
-    for alpha in range(k - 1):
+    rows: list[tuple[list, str, int]] = []
+
+    def add(relation, rhs, *terms):
+        row = [0] * nvars
+        for col, coefficient in terms:
+            row[col] += coefficient
+        rows.append((row, relation, rhs))
+
+    others, ge = range(k - 1), simplex.GREATER_EQUAL
+    for alpha in others:
         for closer, farther in tree.root_at(modes[alpha]):
-            row = [0] * nvars
-            row[var(alpha, closer)] = 1
-            row[var(alpha, farther)] = -1
-            rows.append((row, simplex.GREATER_EQUAL, _ZERO))
-    for closer, farther in tree.root_at(modes[k - 1]):
-        row = [0] * nvars
-        for alpha in range(k - 1):
-            row[var(alpha, farther)] += 1
-            row[var(alpha, closer)] -= 1
-        rows.append(
-            (row, simplex.GREATER_EQUAL, f.value(farther) - f.value(closer))
-        )
+            add(ge, 0, (var(alpha, closer), 1), (var(alpha, farther), -1))
+    for closer, farther in tree.root_at(modes[-1]):
+        terms = [(var(a, farther), 1) for a in others]
+        terms += [(var(a, closer), -1) for a in others]
+        add(ge, scaled[farther] - scaled[closer], *terms)
     for v in vertices:
-        row = [0] * nvars
-        for alpha in range(k - 1):
-            row[var(alpha, v)] = 1
-        rows.append((row, simplex.LESS_EQUAL, f.value(v)))
+        add(simplex.LESS_EQUAL, scaled[v], *[(var(a, v), 1) for a in others])
 
     objective = [0] * nvars
     if avoid is not None:
         objective[gap] = 1
-        for alpha in range(k - 1):
-            row = [0] * nvars
-            row[var(alpha, modes[alpha])] += 1
-            row[var(alpha, avoid)] -= 1
-            row[gap] -= 1
-            rows.append((row, simplex.GREATER_EQUAL, _ZERO))
-        row = [0] * nvars
-        for alpha in range(k - 1):
-            row[var(alpha, avoid)] += 1
-            row[var(alpha, modes[k - 1])] -= 1
-        row[gap] -= 1
-        rows.append(
-            (row, simplex.GREATER_EQUAL, f.value(avoid) - f.value(modes[k - 1]))
-        )
+        for alpha in others:
+            terms = (var(alpha, modes[alpha]), 1), (var(alpha, avoid), -1)
+            add(ge, 0, *terms, (gap, -1))
+        terms = [(var(a, avoid), 1) for a in others]
+        terms += [(var(a, modes[-1]), -1) for a in others]
+        add(ge, scaled[avoid] - scaled[modes[-1]], *terms, (gap, -1))
 
     result = simplex.maximize(objective, rows)
     if result.status == "infeasible":
@@ -306,37 +316,44 @@ def _solve(
     if avoid is not None and result.objective <= 0:
         return None
 
-    components: list[dict[VertexId, Fraction]] = []
-    for alpha in range(k - 1):
-        components.append({v: result.x[var(alpha, v)] for v in vertices})
-    components.append(
-        {
-            v: f.value(v) - sum((c[v] for c in components), _ZERO)
-            for v in vertices
-        }
-    )
-    return FeasibilityCertificate(modes, tuple(components))
+    components = [
+        {v: result.x[var(alpha, v)] for v in vertices} for alpha in others
+    ]
+    last = {}
+    for v in vertices:
+        p, q = reduce(_add, [c[v].as_integer_ratio() for c in components], (0, 1))
+        last[v] = Fraction(scaled[v] * q - p, q * scale)
+    if scale != 1:
+        components = [{v: y / scale for v, y in c.items()} for c in components]
+    return FeasibilityCertificate(modes, (*components, last))
 
 
 def _validate_certificate(
     f: EdgeLinearDensity, certificate: FeasibilityCertificate
 ) -> None:
-    """Check every constraint of the literal system on the returned values;
-    a failure is a solver bug, never a property of the input."""
+    """Check every constraint of the literal system on the returned values,
+    read as integer pairs; a failure is a solver bug, never a property of
+    the input."""
+    ratios = [
+        {v: x.as_integer_ratio() for v, x in c.items()}
+        for c in certificate.components
+    ]
     for v in f.tree.vertices:
-        total = sum((c[v] for c in certificate.components), _ZERO)
-        if total != f.value(v):
+        a, b = reduce(_add, [r[v] for r in ratios])
+        p, q = f.value(v).as_integer_ratio()
+        if a * q != p * b:
             raise InternalInvariantError(
-                f"certificate sums to {total} at {v!r}, expected {f.value(v)}"
+                f"certificate sums to {Fraction(a, b)} at {v!r}, expected {f.value(v)}"
             )
-    for m, component in zip(certificate.modes, certificate.components):
-        for v in f.tree.vertices:
-            if component[v] < 0:
+    for m, r in zip(certificate.modes, ratios):
+        for v, (p, _) in r.items():
+            if p < 0:
                 raise InternalInvariantError(
                     f"certificate negative at {v!r} for anchor {m!r}"
                 )
         for closer, farther in f.tree.root_at(m):
-            if component[closer] < component[farther]:
+            (a, b), (p, q) = r[closer], r[farther]
+            if a * q < p * b:
                 raise InternalInvariantError(
                     f"certificate rises along {closer}-{farther} away from {m!r}"
                 )
@@ -392,45 +409,9 @@ def _rising_sides(f: EdgeLinearDensity, bit: dict[VertexId, int]) -> list[int]:
     everything = below[tree.vertices[0]]
     sides = []
     for parent, child in edges:
-        rise = f.value(child) - f.value(parent)
+        a, b = f.value(parent).as_integer_ratio()
+        p, q = f.value(child).as_integer_ratio()
+        rise = p * b - a * q
         if rise:
             sides.append(below[child] if rise > 0 else everything ^ below[child])
     return sorted(sides, key=int.bit_count)
-
-
-def gen_instance(
-    seed: int, max_vertices: int, max_value_numerator: int
-) -> tuple[MetricTree, EdgeLinearDensity]:
-    """Seeded pseudo-random instance; identical across runs and platforms.
-
-    The shape is a uniform random labeled tree (random tree sequence
-    decoded against a leaf heap), edges have unit length, and values are
-    uniform integers in [0, max_value_numerator].
-    """
-    if max_vertices < 1:
-        raise ValueError("max_vertices must be at least 1")
-    if max_value_numerator < 0:
-        raise ValueError("max_value_numerator must be nonnegative")
-    rng = random.Random(seed)
-    n = rng.randint(1, max_vertices)
-    names = [f"v{i}" for i in range(1, n + 1)]
-    edges = []
-    if n >= 2:
-        sequence = [rng.randint(1, n) for _ in range(n - 2)]
-        degree = [1] * (n + 1)
-        for x in sequence:
-            degree[x] += 1
-        leaves = [i for i in range(1, n + 1) if degree[i] == 1]
-        heapq.heapify(leaves)
-        for x in sequence:
-            leaf = heapq.heappop(leaves)
-            edges.append((f"v{leaf}", f"v{x}", 1))
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(leaves, x)
-        a = heapq.heappop(leaves)
-        b = heapq.heappop(leaves)
-        edges.append((f"v{a}", f"v{b}", 1))
-    tree = MetricTree(names, edges)
-    values = {v: rng.randint(0, max_value_numerator) for v in names}
-    return tree, EdgeLinearDensity(tree, values)

@@ -16,7 +16,11 @@ their nonzero values only. `python_calls_during` counts the Python and
 C function calls a call makes, a measure of work that, unlike wall time,
 does not vary from run to run. `reference_maximize` is the two-phase
 simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
-must agree with, pivot for pivot.
+must agree with, pivot for pivot. `reference_is_unimodal` and
+`reference_check_decomposition` are the referee's checks as they were
+written on `Fraction` arithmetic, before values were read as integer
+pairs; the package's must give equal answers. `many_denominator_instance`
+is a path whose values have large, pairwise different denominators.
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ import sys
 from collections import deque
 from fractions import Fraction
 
-from treeucat import EdgeLinearDensity, MetricTree
+from treeucat import EdgeLinearDensity, MetricTree, extend_to_refinement
+from treeucat.density import ModeWitness, NotUnimodal
+from treeucat.errors import TreeMismatch
 from treeucat.rational import as_fraction
 from treeucat.simplex import LESS_EQUAL, GREATER_EQUAL, LPResult
+from treeucat.verify import CheckReport, ComponentCheck
 
 
 def path_instance(values, prefix="v"):
@@ -419,3 +426,101 @@ def reference_maximize(c, constraints) -> LPResult:
         x[col] = rows[i][-1]
     solution = tuple(x[:n])
     return LPResult("optimal", solution, sum((a * b for a, b in zip(cost, solution)), zero))
+
+
+def many_denominator_instance(seed: int, n: int, digits: int = 1000):
+    """A unit path v1..vn whose values p/q alternate below 1 and in (3, 4),
+    each q a random odd `digits`-digit integer drawn from
+    `random.Random(seed)`, so that nearly every value has its own large
+    denominator."""
+    rng = random.Random(seed)
+    values = []
+    for i in range(n):
+        q = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+        p = rng.randrange(1, q) + (3 * q if i % 2 else 0)
+        values.append(Fraction(p, q))
+    return path_instance(values)[1]
+
+
+def reference_is_unimodal(f: EdgeLinearDensity):
+    """`is_unimodal` on `Fraction`s: a breadth-first search from the
+    smallest-id argmax through positive vertices; when it meets a rise or
+    misses part of the support, the first rising edge of `root_at` order."""
+    zero = Fraction(0)
+    support = set(f.support)
+    if not support:
+        return NotUnimodal(edge=None, zero_density=True)
+    top = f.max_value()
+    root = next(v for v in f.support if f.value(v) == top)
+    parent = {root: None}
+    frontier = [root]
+    reached = 1
+    falls = True
+    while frontier and falls:
+        nxt = []
+        for u in frontier:
+            for w in f.tree.neighbors(u):
+                if w == parent[u]:
+                    continue
+                if f.value(u) < f.value(w):
+                    falls = False
+                elif f.value(w) != zero:
+                    parent[w] = u
+                    nxt.append(w)
+        reached += len(nxt)
+        frontier = nxt
+    if falls and reached == len(support):
+        return ModeWitness(root, top)
+    for u, w in f.tree.root_at(root):
+        if f.value(u) < f.value(w):
+            return NotUnimodal(edge=(u, w))
+    return ModeWitness(root, top)
+
+
+def reference_check_decomposition(f: EdgeLinearDensity, d) -> CheckReport:
+    """`check_decomposition` on `Fraction`s: lift f, sum the components
+    vertex by vertex, and judge each one with `reference_is_unimodal`."""
+    zero = Fraction(0)
+    lifted = extend_to_refinement(f, d.refined_tree)
+    for component in d.components:
+        if component.density.tree != d.refined_tree:
+            raise TreeMismatch(
+                f"component with mode {component.mode!r} lives on a different tree"
+            )
+    totals = {}
+    for component in d.components:
+        for v in component.density.support:
+            totals[v] = totals.get(v, zero) + component.density.value(v)
+    mismatches = []
+    for v in d.refined_tree.vertices:
+        total = totals.get(v, zero)
+        if total != lifted.value(v):
+            mismatches.append((v, lifted.value(v), total))
+    checks = []
+    for index, component in enumerate(d.components):
+        witness = reference_is_unimodal(component.density)
+        if not isinstance(witness, ModeWitness):
+            if witness.zero_density:
+                detail = "component is identically zero"
+            else:
+                u, w = witness.edge
+                detail = f"value rises along edge {u}-{w} away from the maximum"
+            checks.append(ComponentCheck(index, False, detail))
+            continue
+        at_mode = component.density.value(component.mode)
+        if at_mode != witness.max_value:
+            detail = (
+                f"recorded mode {component.mode} carries {at_mode}, "
+                f"maximum is {witness.max_value}"
+            )
+            checks.append(ComponentCheck(index, False, detail))
+            continue
+        checks.append(ComponentCheck(index, True, ""))
+    sum_ok = not mismatches
+    return CheckReport(
+        sum_ok=sum_ok,
+        sum_mismatches=tuple(mismatches),
+        components=tuple(checks),
+        count=len(d.components),
+        overall=sum_ok and all(c.ok for c in checks),
+    )

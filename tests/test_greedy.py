@@ -445,17 +445,25 @@ def test_decompose_work_on_combs_grows_no_faster_than_the_output():
 
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     # the loop validates nothing: the one tree and one density come from
-    # the parse, and k densities, the components, on that tree at the end
+    # the parse, and k densities, the components, on that tree at the end;
+    # a build counts through the public constructor or the private one
     built = {MetricTree: 0, EdgeLinearDensity: 0}
+    unchecked = {MetricTree: "_of_checked_ids", EdgeLinearDensity: "_of_support"}
 
     def count_builds(cls):
         original = cls.__init__
+        original_unchecked = getattr(cls, unchecked[cls])
 
         def init(self, *args, **kwargs):
             built[cls] += 1
             original(self, *args, **kwargs)
 
+        def build(*args):
+            built[cls] += 1
+            return original_unchecked(*args)
+
         monkeypatch.setattr(cls, "__init__", init)
+        monkeypatch.setattr(cls, unchecked[cls], staticmethod(build))
 
     for cls in built:
         count_builds(cls)

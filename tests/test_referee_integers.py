@@ -1,0 +1,270 @@
+"""The referees in integers: the same answers, for less work.
+
+`check_decomposition` and `is_unimodal` read values as integer pairs and
+must give exactly the answers of their `Fraction` versions, kept in
+`helpers` as references: equal reports, mismatch rows and detail strings
+included, and equal witnesses, on valid decompositions and on ones broken
+in every way the check reports. The oracle poses its systems for f scaled
+to integers, and each must solve to the scale times the solution of the
+unscaled system. Counted gates, in profiler calls, pin the work.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from treeucat import (
+    Component,
+    Decomposition,
+    EdgeLinearDensity,
+    MetricTree,
+    check_decomposition,
+    decompose,
+    gen_instance,
+    is_unimodal,
+    simplex,
+    sweep,
+    ucat_oracle,
+    verify,
+)
+from treeucat.errors import TreeMismatch
+
+from helpers import (
+    comb_instance,
+    many_denominator_instance,
+    path_instance,
+    python_calls_during,
+    recursive_tree_instance,
+    reference_check_decomposition,
+    reference_is_unimodal,
+    reference_maximize,
+)
+
+
+def _assert_same(f, d):
+    got = check_decomposition(f, d)
+    assert got == reference_check_decomposition(f, d)
+    for component in d.components:
+        density = component.density
+        assert is_unimodal(density) == reference_is_unimodal(density)
+    return got
+
+
+def _with(d, index, component):
+    components = list(d.components)
+    components[index] = component
+    return Decomposition(d.refined_tree, tuple(components))
+
+
+def _perturbed(d, rng):
+    """Copies of d, each broken in one way: a value bumped, a value placed
+    at a random vertex, a dip, a dip to zero, a mode moved, and an all-zero
+    component added."""
+    tree = d.refined_tree
+    index = rng.randrange(len(d.components))
+    mode, density = d.components[index].mode, d.components[index].density
+    values = dict(density.items())
+    support = list(values)
+    v = rng.choice(support)
+    bump = Fraction(rng.randint(1, 5), rng.randint(1, 7))
+    changes = (
+        {v: values[v] + bump},
+        {rng.choice(tree.vertices): bump},
+        {v: values[v] * Fraction(rng.randint(1, 3), 4)},
+        {v: 0},
+    )
+    for change in changes:
+        changed = EdgeLinearDensity(tree, {**values, **change})
+        yield _with(d, index, Component(mode, changed))
+    yield _with(d, index, Component(rng.choice(tree.vertices), density))
+    zero = Component(rng.choice(tree.vertices), EdgeLinearDensity(tree, {}))
+    yield Decomposition(tree, (*d.components, zero))
+
+
+def _instances():
+    for seed in range(40):
+        yield recursive_tree_instance(seed, 3 + seed % 25)
+        yield gen_instance(seed, 12, 6)[1]
+    for seed in range(3):
+        yield many_denominator_instance(seed, 8)
+
+
+def test_check_agrees_with_the_fraction_reference():
+    rng = random.Random(16)
+    failing = 0
+    for f in _instances():
+        d, _ = decompose(f)
+        assert _assert_same(f, d).overall
+        if not d.components:
+            continue
+        for broken in _perturbed(d, rng):
+            failing += not _assert_same(f, broken).overall
+    assert failing > 300
+
+
+def test_check_agrees_on_sweep_refinements():
+    # sweep documents live on a refinement with `_s` cut vertices; h and the
+    # remainder, as two components, decompose the lifted input
+    cuts = 0
+    for seed in range(150):
+        tree, f = gen_instance(seed, 10, 5)
+        if not f.support:
+            continue
+        result = sweep(f, f.support[seed % len(f.support)])
+        cuts += len(result.subdivisions)
+        refined = result.h.tree
+        parts = [
+            Component(result.origin, result.h),
+            Component(refined.vertices[0], result.remainder),
+        ]
+        d = Decomposition(refined, tuple(parts))
+        report = _assert_same(f, d)
+        assert report.sum_ok
+    assert cuts > 20
+
+
+def test_check_agrees_on_random_components():
+    # components with random values, on random trees: sums rarely match and
+    # most components rise somewhere, often from a zero
+    rng = random.Random(7)
+    for _ in range(150):
+        f = recursive_tree_instance(rng.randrange(10**6), rng.randint(1, 15), 4)
+        tree = f.tree
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            chosen = rng.sample(tree.vertices, rng.randint(0, len(tree.vertices)))
+            values = {v: Fraction(rng.randint(0, 6), rng.randint(1, 3)) for v in chosen}
+            density = EdgeLinearDensity(tree, values)
+            parts.append(Component(rng.choice(tree.vertices), density))
+        _assert_same(f, Decomposition(tree, tuple(parts)))
+
+
+def test_a_component_off_the_tree_is_refused_alike():
+    f = recursive_tree_instance(3, 6)
+    d, _ = decompose(f)
+    edges = [(u, w, length + 1) for u, w, length in f.tree.edge_list]
+    other = MetricTree(f.tree.vertices, edges)
+    stray = Component(f.tree.vertices[0], EdgeLinearDensity(other, {}))
+    broken = Decomposition(d.refined_tree, (*d.components, stray))
+    messages = []
+    for check in (check_decomposition, reference_check_decomposition):
+        with pytest.raises(TreeMismatch) as caught:
+            check(f, broken)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
+    # each system the oracle solves is posed for scale * f, scale the lcm of
+    # f's denominators; solving it with the rhs divided back by scale, on
+    # the `Fraction` reference, must give the same status, and exactly
+    # 1/scale times the point and the objective
+    rng = random.Random(3)
+    solve = simplex.maximize
+    solved = []
+
+    def compared(c, rows):
+        result = solve(c, rows)
+        unscaled = [(row, rel, Fraction(rhs, scale)) for row, rel, rhs in rows]
+        expected = reference_maximize(c, unscaled)
+        assert result.status == expected.status
+        if result.status == "optimal":
+            assert result.x == tuple(scale * x for x in expected.x)
+            assert result.objective == scale * expected.objective
+        solved.append(result.status)
+        return result
+
+    monkeypatch.setattr(simplex, "maximize", compared)
+    scales = set()
+    for seed in range(30):
+        tree, g = gen_instance(seed, 6, 6)
+        values = {v: g.value(v) / rng.randint(1, 9) for v in tree.vertices}
+        f = EdgeLinearDensity(tree, values)
+        if not f.support or len(tree.vertices) < 2:
+            continue
+        scale = math.lcm(*(value.denominator for value in values.values()))
+        scales.add(scale)
+        avoid = tree.vertices[seed % len(tree.vertices)]
+        for k in (1, 2, 3):
+            for candidate in itertools.combinations(tree.vertices, k):
+                verify.feasible_with_modes(f, candidate)
+                verify.feasible_avoiding_vertex(f, candidate, avoid)
+    assert solved.count("optimal") > 100 and solved.count("infeasible") > 30
+    assert len(scales) > 5
+
+
+def test_check_works_less_per_listed_value_than_decompose():
+    # a counted gate: on combs the `Fraction` check made about 41 profiler
+    # calls per listed value, five times decompose's 8-9; now about 5
+    for k in (10, 20):
+        f = comb_instance(k)
+        d, _ = decompose(f)
+        listed = sum(len(c.density.support) for c in d.components)
+        checked = python_calls_during(check_decomposition, f, d) / listed
+        assert checked <= python_calls_during(decompose, f) / listed, k
+
+
+def test_check_on_many_denominators_works_no_more_than_before():
+    # the `Fraction` check made 1,648 profiler calls on this path; now 457
+    f = many_denominator_instance(1, 20)
+    d, _ = decompose(f)
+    assert check_decomposition(f, d).overall
+    assert python_calls_during(check_decomposition, f, d) <= 1648
+
+
+def test_failing_components_cost_their_prefix_not_the_tree():
+    # each component lists {v1, v3} on a long path of ones, so it rises on
+    # v2-v3; naming that edge once rooted the whole tree, so k such
+    # components cost O(k * n). Now k more components cost the same on a
+    # path four times as long (560 calls per 20 at the time of writing;
+    # the whole-tree scan took 13,840 at n = 200 and 49,840 at n = 800)
+    def calls(n, k):
+        tree, f = path_instance([1] * n)
+        listing = EdgeLinearDensity(tree, {"v1": 1, "v3": 1})
+        d = Decomposition(tree, tuple(Component("v1", listing) for _ in range(k)))
+        report = check_decomposition(f, d)
+        assert report.components[0].detail == (
+            "value rises along edge v2-v3 away from the maximum"
+        )
+        return python_calls_during(check_decomposition, f, d)
+
+    short = calls(200, 40) - calls(200, 20)
+    long = calls(800, 40) - calls(800, 20)
+    assert long <= 1.1 * short
+
+
+def test_oracle_work_is_pinned():
+    # a counted gate: the oracle on `Fraction`s made 120,499 profiler calls
+    # on these trees; in integers it makes about 61,000
+    total = 0
+    for seed in range(100):
+        tree, f = gen_instance(seed, 7, 9)
+        total += python_calls_during(ucat_oracle, f, len(tree.vertices))
+    assert total <= 70_000
+
+
+def test_a_broken_certificate_is_refused():
+    # the validation reads the certificate as integer pairs; each of its
+    # three checks must still fire on a certificate that breaks it
+    _, f = path_instance([Fraction(1, 3), Fraction(5, 6), Fraction(1, 2)])
+    good = verify.feasible_with_modes(f, ("v2",))
+    verify._validate_certificate(f, good)
+    broken = {
+        "sums to 1 at 'v1', expected 1/3": {"v1": 1},
+        "negative at 'v1' for anchor 'v2'": {"v1": Fraction(-1, 3)},
+        "rises along v2-v3 away from 'v2'": {"v2": Fraction(1, 3), "v3": Fraction(1)},
+    }
+    for message, change in broken.items():
+        values = {**good.components[0], **change}
+        if "sums" not in message:
+            other = {v: f.value(v) - values[v] for v in values}
+            certificate = verify.FeasibilityCertificate(("v2", "v2"), (values, other))
+        else:
+            certificate = verify.FeasibilityCertificate(("v2",), (values,))
+        with pytest.raises(verify.InternalInvariantError, match=message):
+            verify._validate_certificate(f, certificate)
