@@ -182,3 +182,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # python -m treeucat.cli
+    run()

@@ -16,7 +16,12 @@ exponent of at most `MAX_DECIMAL_EXPONENT` in absolute value, so that
 
 Each parse converts a numeral string once: numerals equal as strings share
 one `Fraction` within a document, and nothing is kept between documents.
-The writer emits exactly the text of `json.dumps(payload, indent=2)`.
+"p" or "p/q" in ASCII digits is read from its digits; any other spelling
+goes through `Fraction(str)`, with the same values and errors.
+
+A numeral is written from its `as_integer_ratio()`. Documents are
+fixed-shape templates, byte for byte the text of `json.dumps(payload,
+indent=2)`; the digest hashes the canonical compact text, written alike.
 """
 
 from __future__ import annotations
@@ -104,17 +109,24 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
             f"{label.format(a, b)}: numeral has {len(raw)} characters, at most"
             f" {MAX_NUMERAL_CHARS} are allowed"
         )
-    exponent = _EXPONENT.search(raw)
-    if exponent is not None:
-        digits = exponent[1].replace("_", "")
-        too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-        if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise DocumentError(
-                f"{label.format(a, b)}: decimal exponent of {reprlib.repr(raw)}"
-                f" exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
-            )
+    num, slash, den = raw.partition("/")
     try:
-        value = as_fraction(raw)
+        if raw.isascii() and (num + den).isdigit():
+            # "p" or "p/q" in ASCII digits, read without `Fraction`'s regex;
+            # int() refuses an empty part, as it does past its digit limit
+            value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        else:
+            exponent = _EXPONENT.search(raw)
+            if exponent is not None:
+                digits = exponent[1].replace("_", "")
+                too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                    raise DocumentError(
+                        f"{label.format(a, b)}: decimal exponent of"
+                        f" {reprlib.repr(raw)} exceeds {MAX_DECIMAL_EXPONENT}"
+                        " in absolute value"
+                    )
+            value = as_fraction(raw)
     except (ValueError, ZeroDivisionError, TypeError):
         shown = reprlib.repr(raw)
         raise DocumentError(
@@ -185,10 +197,12 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
 
 
 def _numeral(value: Fraction, label: str, a, b=None) -> str:
-    """`str(value)`; a value too long for Python to write is a DocumentError,
-    whose message names the value `label.format(a, b)`."""
+    """The text of `value`, "p" or "p/q" as `str` writes it; a value too long
+    for Python to write is a DocumentError, whose message names the value
+    `label.format(a, b)`."""
+    p, q = value.as_integer_ratio()
     try:
-        return str(value)
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # an integer past the interpreter's digit limit
         raise DocumentError(
             f"cannot write {label.format(a, b)}: its numerator or denominator"
@@ -197,74 +211,76 @@ def _numeral(value: Fraction, label: str, a, b=None) -> str:
         ) from None
 
 
-def _dumps(doc) -> str:
-    """`json.dumps(doc, indent=2) + "\\n"`, for dicts, lists, strs and ints.
-
-    With `indent`, `json.dumps` on CPython 3.11 leaves its C encoder for
-    pure-Python generators; this writer makes the same text with one call
-    per value, and escapes every string, keys included, with the C escaper
-    `json.dumps` itself uses (`ensure_ascii=True`).
-    """
-    return _encode(doc, "\n") + "\n"
-
-
-def _encode(obj, newline: str) -> str:
-    if isinstance(obj, str):
-        return _escape(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_escape(k) + ": " + _encode(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [_encode(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if type(obj) is int:
-        return repr(obj)
-    raise TypeError(f"cannot write a {type(obj).__name__} into a document")
+# The writers fill fixed-shape templates with the text `json.dumps(payload,
+# indent=2)` gives each section; `pad` is the indent of the line a section
+# opens on. Vertex ids go unescaped: a tree admits only ids of ASCII
+# letters, digits, "_" and "-".
+_EDGE = '{\n  "u": "%s",\n  "w": "%s",\n  "length": "%s"\n}'
+_INSTANCE = '{\n  "vertices": %s,\n  "edges": %s,\n  "density": %s\n}\n'
+_DECOMPOSITION = (
+    '{\n  "tree": {\n    "vertices": %s,\n    "edges": %s\n  },\n'
+    '  "components": %s,\n  "ucat": %d,\n  "provenance": %s\n}\n'
+)
+_COMPONENT = '{\n      "mode": %s,\n      "values": %s\n    }'
+_SWEEP = (
+    '{\n  "tree": {\n    "vertices": %s,\n    "edges": %s\n  },\n  "origin": %s,\n'
+    '  "h": %s,\n  "remainder": %s,\n  "subdivisions": %s\n}\n'
+)
+_CUT = (
+    '{\n      "vertex": "%s",\n      "u": "%s",\n'
+    '      "w": "%s",\n      "t": "%s"\n    }'
+)
 
 
-def _values_payload(f: EdgeLinearDensity, vertices, what: str) -> dict:
-    return {
-        v: _numeral(f.value(v), "the value of {} at vertex {}", what, v)
-        for v in vertices
-    }
+def _block(members, pad, brackets="{}"):
+    """A JSON object or list of written `members`, one per line."""
+    if not members:
+        return brackets
+    inner = "\n  " + pad
+    body = ("," + inner).join(members)
+    return brackets[0] + inner + body + "\n" + pad + brackets[1]
 
 
-def _tree_payload(tree: MetricTree) -> dict:
-    return {
-        "vertices": list(tree.vertices),
-        "edges": [
-            {
-                "u": u,
-                "w": w,
-                "length": _numeral(length, "the length of edge {}-{}", u, w),
-            }
-            for u, w, length in tree.edge_list
-        ],
-    }
+def _tree_sections(tree, pad):
+    """The "vertices" and "edges" sections of `tree`, opening at `pad`."""
+    edge = _EDGE.replace("\n", "\n  " + pad)
+    edges = [
+        edge % (u, w, _numeral(length, "the length of edge {}-{}", u, w))
+        for u, w, length in tree.edge_list
+    ]
+    vertices = [f'"{v}"' for v in tree.vertices]
+    return _block(vertices, pad, "[]"), _block(edges, pad, "[]")
 
 
-def _instance_payload(tree: MetricTree, f: EdgeLinearDensity) -> dict:
-    return {
-        **_tree_payload(tree),
-        "density": _values_payload(f, tree.vertices, "the density"),
-    }
+def _values_text(items, pad, what):
+    """The value map of the (vertex, value) pairs `items`."""
+    label = "the value of {} at vertex {}"
+    members = [f'"{v}": "{_numeral(x, label, what, v)}"' for v, x in items]
+    return _block(members, pad)
 
 
 def serialize_instance(tree: MetricTree, f: EdgeLinearDensity) -> str:
-    return _dumps(_instance_payload(tree, f))
+    density = _values_text(f.values.items(), "  ", "the density")
+    return _INSTANCE % (*_tree_sections(tree, "  "), density)
 
 
 def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
-    """Digest of the canonical serialization; independent of formatting."""
-    canonical = json.dumps(
-        _instance_payload(tree, f), sort_keys=True, separators=(",", ":")
+    """Digest of the canonical text, independent of formatting: the sha256
+    of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`, written
+    directly, with `tree.vertices` already in sorted order."""
+    density = [
+        f'"{v}":"{_numeral(x, "the value of {} at vertex {}", "the density", v)}"'
+        for v, x in f.values.items()
+    ]
+    edges = [
+        '{"length":"%s","u":"%s","w":"%s"}'
+        % (_numeral(length, "the length of edge {}-{}", u, w), u, w)
+        for u, w, length in tree.edge_list
+    ]
+    canonical = '{"density":{%s},"edges":[%s],"vertices":["%s"]}' % (
+        ",".join(density), ",".join(edges), '","'.join(tree.vertices)
     )
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def parse_decomposition(text: str) -> DecompositionDocument:
@@ -329,41 +345,33 @@ def decomposition_from_document(
 
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:
     """JSON text of `d`; each component lists its nonzero values only."""
-    doc = {
-        "tree": _tree_payload(d.refined_tree),
-        "components": [
-            {
-                "mode": c.mode,
-                "values": _values_payload(
-                    c.density, c.density.support, f"component {i}"
-                ),
-            }
-            for i, c in enumerate(d.components)
-        ],
-        "ucat": len(d.components),
-        "provenance": dict(provenance),
-    }
-    return _dumps(doc)
+    pad = "      "  # a component's "values" line
+    components = [
+        _COMPONENT
+        % (_escape(c.mode), _values_text(c.density.items(), pad, f"component {i}"))
+        for i, c in enumerate(d.components)
+    ]
+    tool = [_escape(key) + ": " + _escape(text) for key, text in provenance.items()]
+    return _DECOMPOSITION % (
+        *_tree_sections(d.refined_tree, "    "),
+        _block(components, "  ", "[]"),
+        len(components),
+        _block(tool, "  "),
+    )
 
 
 def serialize_sweep(result: SweepResult) -> str:
-    tree = result.h.tree
-    doc = {
-        "tree": _tree_payload(tree),
-        "origin": result.origin,
-        "h": _values_payload(result.h, tree.vertices, "h"),
-        "remainder": _values_payload(result.remainder, tree.vertices, "the remainder"),
-        "subdivisions": [
-            {
-                "vertex": s.vertex,
-                "u": s.u,
-                "w": s.w,
-                "t": _numeral(s.t, "the position of cut {}", s.vertex),
-            }
-            for s in result.subdivisions
-        ],
-    }
-    return _dumps(doc)
+    cuts = [
+        _CUT % (s.vertex, s.u, s.w, _numeral(s.t, "the position of cut {}", s.vertex))
+        for s in result.subdivisions
+    ]
+    return _SWEEP % (
+        *_tree_sections(result.h.tree, "    "),
+        _escape(result.origin),
+        _values_text(result.h.values.items(), "  ", "h"),
+        _values_text(result.remainder.values.items(), "  ", "the remainder"),
+        _block(cuts, "  ", "[]"),
+    )
 
 
 _PALETTE = (

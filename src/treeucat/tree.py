@@ -165,7 +165,12 @@ class MetricTree:
             return True
         if not isinstance(other, MetricTree):
             return NotImplemented
-        return self._vertex_set == other._vertex_set and self._lengths == other._lengths
+        if self._vertex_set != other._vertex_set:
+            return False
+        # lengths compared as integer pairs, not through Fraction.__eq__
+        # and its numbers.Rational check; both pairs are in lowest terms
+        mine = {key: x.as_integer_ratio() for key, x in self._lengths.items()}
+        return mine == {key: x.as_integer_ratio() for key, x in other._lengths.items()}
 
     def __hash__(self) -> int:
         return hash((self._vertex_set, tuple(sorted(self._lengths.items()))))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -338,6 +339,45 @@ def test_cli_import_leaves_out_start_up_heavy_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "\n"
+
+
+@pytest.mark.parametrize("module", ["treeucat", "treeucat.cli"])
+def test_python_dash_m_runs_the_commands(module, tmp_path):
+    # `python -m` must run the command and return its exit status, not
+    # define the commands and exit 0
+    src = str(Path(treeucat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=tmp_path,
+            env=env,
+        )
+
+    tree, f = path_instance([1, 2, 1, 2, 1])
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    good = tmp_path / "d.json"
+    assert main(["decompose", instance, "--output", str(good)]) == 0
+    doc = json.loads(good.read_text(encoding="utf-8"))
+    doc["components"][1]["values"]["v5"] = "2"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc), encoding="utf-8")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"tree": ', encoding="utf-8")
+
+    proc = run("check", instance, str(good))
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "overall: ok")
+    proc = run("check", instance, str(tampered))
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (1, "overall: FAIL")
+    proc = run("check", instance, str(malformed))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 1, column 10")
+    proc = run("--version")
+    assert (proc.returncode, proc.stdout) == (0, f"treeucat {treeucat.__version__}\n")
 
 
 def test_version_flag(capsys):

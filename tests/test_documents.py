@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import reprlib
 import tracemalloc
 from fractions import Fraction
 
@@ -204,6 +206,49 @@ def test_a_repeated_bad_numeral_fails_at_its_first_position():
         with pytest.raises(DocumentError) as err:
             parse_decomposition(json.dumps(doc))
         assert str(err.value) == f"component 0 values[A]: {message}"
+
+
+def _read_as_density(raw):
+    """The value the instance parse gives the numeral `raw`, or the message
+    of the DocumentError it raises."""
+    doc = {"vertices": ["A"], "edges": [], "density": {"A": raw}}
+    try:
+        return parse_instance(json.dumps(doc))[1].value("A")
+    except DocumentError as err:
+        return str(err)
+
+
+def _read_by_fraction(raw):
+    """What `Fraction(raw)`, the reader for every spelling before digit
+    numerals had their own path, makes of `raw`, in the same form."""
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        return f"density[A]: not an exact number: {reprlib.repr(raw)}"
+
+
+def test_digit_numerals_read_as_fraction_reads_them():
+    # "p" and "p/q" in ASCII digits skip Fraction's regex; every spelling
+    # must still give Fraction(raw)'s value, or its error at the same place
+    spellings = [
+        "7", "007", "0", "0/5", "00/0005", "6/4", "12345/678901234",
+        "+3", " 3 ", "3\n", "-0", "1_000", "1_000/3", "1__0",
+        "\u0661\u0662", "\u0661\u0662/\u0663", "\uff11\uff12", "\u00b2", "1\u00b2",
+        "1/0", "0/0", "1.5", "1e5", "1E-3", "5/", "/5", "1//2", "3/-4", "3/+4",
+        "3 /4", "", "/",
+        "7" * 4300, "7" * 4301, "1/" + "9" * 4300, "1/" + "9" * 4301,
+        "7" * 4300 + "/" + "9" * 4300,
+    ]
+    outcomes = set()
+    for raw in spellings:
+        got, expected = _read_as_density(raw), _read_by_fraction(raw)
+        assert got == expected, raw[:20]
+        assert type(got) is type(expected), raw[:20]
+        outcomes.add(type(got))
+    assert outcomes == {Fraction, str}
+    # the four refusals the digit path itself must still make
+    for raw in ("1/0", "7" * 4301, "1/" + "9" * 4301, "5/"):
+        assert "not an exact number" in _read_as_density(raw)
 
 
 def _parsed_fractions(doc: DecompositionDocument) -> list:
@@ -651,16 +696,65 @@ def test_writer_matches_the_stdlib_encoder():
     assert shapes == {"components", "no components", "cuts", "no cuts"}
 
 
+def test_digest_is_the_sha256_of_the_sorted_compact_json():
+    # the payload is built here, so that json.dumps stays the reference for
+    # the canonical text the digest writes directly
+    instances = [gen_instance(seed, 10, 5) for seed in range(20)]
+    comb = comb_instance(10)
+    instances.append((comb.tree, comb))
+    instances += [_fractional_tree_instance(seed) for seed in range(3)]
+    point = MetricTree(["A"], [])
+    instances.append((point, EdgeLinearDensity(point, {"A": "2/3"})))  # "edges": []
+    for tree, f in instances:
+        density = {v: str(f.value(v)) for v in tree.vertices}
+        payload = {**_tree_fields(tree), "density": density}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        expected = "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert instance_digest(tree, f) == expected
+
+    # a numeral too long to write is a DocumentError that names it
+    tree = MetricTree(["A", "B"], [("A", "B", 1)])
+    f = EdgeLinearDensity(tree, {"A": 1, "B": Fraction(1, 10**5000)})
+    with pytest.raises(DocumentError, match="value of the density at vertex B.*4,300"):
+        instance_digest(tree, f)
+    tree = MetricTree(["A", "B"], [("A", "B", 10**5000)])
+    with pytest.raises(DocumentError, match="length of edge A-B.*4,300"):
+        instance_digest(tree, EdgeLinearDensity(tree, {"A": 1}))
+
+
 def test_serialize_makes_a_bounded_number_of_calls_per_listed_item():
     # counted calls, not wall time: json.dumps with indent runs the
-    # pure-Python encoder, about 45 calls per listed vertex, edge and value
+    # pure-Python encoder, about 45 calls per listed vertex, edge and value;
+    # the fixed-shape writer makes about 1.7, one `_numeral` and the two
+    # builtins it calls per numeral
     f = monotone_arm_instance(1, 600)
     d, _ = decompose(f)
     tree = d.refined_tree
     listed = len(tree.vertices) + len(tree.edge_list)
     listed += sum(len(c.density.support) for c in d.components)
     calls = python_calls_during(serialize_decomposition, d, PROVENANCE)
-    assert calls <= 12 * listed, (calls, listed)
+    assert calls <= 2.5 * listed, (calls, listed)
+
+
+def test_parse_makes_a_bounded_number_of_calls_per_distinct_numeral():
+    # counted calls, not wall time: a path whose n values are all "7", and
+    # the same path with n distinct values, differ by the reading of n - 1
+    # more numerals. Through Fraction(str) each cost 21 to 28 calls; read
+    # from its digits, "p" costs 6 and "p/q" 7
+    n = 400
+    names = [f"v{i}" for i in range(1, n + 1)]
+    edges = [{"u": u, "w": w, "length": "1"} for u, w in zip(names, names[1:])]
+
+    def calls_to_read(values):
+        text = json.dumps(
+            {"vertices": names, "edges": edges, "density": dict(zip(names, values))}
+        )
+        return python_calls_during(parse_instance, text)
+
+    repeated = calls_to_read(["7"] * n)
+    for spell in (str, lambda i: f"{i}/{n + 1}"):
+        extra = calls_to_read([spell(i) for i in range(1, n + 1)]) - repeated
+        assert extra <= 10 * (n - 1), (spell(n), extra)
 
 
 def test_render_dot_structure():

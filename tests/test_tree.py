@@ -200,3 +200,21 @@ def test_equality_ignores_construction_order():
     t2 = MetricTree(["C", "A", "B"], [("B", "C", 2), ("B", "A", 1)])
     assert t1 == t2
     assert hash(t1) == hash(t2)
+
+
+def test_equality_compares_lengths_as_exact_values():
+    # equal values spelled differently are equal trees with equal hashes;
+    # the comparison reads integer pairs, not Fraction.__eq__
+    halves = [MetricTree(["A", "B"], [("A", "B", x)]) for x in ("1/2", "0.5", "2/4")]
+    halves.append(MetricTree(["A", "B"], [("B", "A", Fraction(1, 2))]))
+    for tree in halves[1:]:
+        assert tree == halves[0]
+        assert hash(tree) == hash(halves[0])
+    for other in ("1/3", "1", "0.51"):
+        different = MetricTree(["A", "B"], [("A", "B", other)])
+        assert different != halves[0]
+        assert not different == halves[0]
+    assert MetricTree(["A", "C"], [("A", "C", "1/2")]) != halves[0]
+    path = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
+    star = MetricTree(["A", "B", "C"], [("A", "B", 1), ("A", "C", 1)])
+    assert path != star
