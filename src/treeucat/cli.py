@@ -24,7 +24,7 @@ from .errors import ExceedsKMax, InternalInvariantError, TreeUcatError
 from .greedy import decompose
 from .instances import gen_instance
 from .sweep import sweep
-from .verify import check_decomposition, ucat_oracle
+from .verify import check_decomposition, oracle_pieces, ucat_oracle
 
 ORACLE_SIZE_GUIDANCE = 8
 
@@ -92,11 +92,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    tree, f = parse_instance(_read(args.input))
-    if len(tree.vertices) > ORACLE_SIZE_GUIDANCE:
+    _, f = parse_instance(_read(args.input))
+    _, searched = oracle_pieces(f)
+    largest = max((len(piece.tree.vertices) for piece in searched), default=0)
+    if largest > ORACLE_SIZE_GUIDANCE:
         print(
-            f"warning: {len(tree.vertices)} vertices; the oracle enumerates"
-            f" mode sets and is meant for at most {ORACLE_SIZE_GUIDANCE}",
+            f"warning: {largest} vertices in the largest reduced piece; the"
+            " oracle enumerates mode sets on it and is meant for at most"
+            f" {ORACLE_SIZE_GUIDANCE}",
             file=sys.stderr,
         )
     print(ucat_oracle(f, args.max_k))

@@ -91,19 +91,17 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
     """The value of the numeral `raw`, checked once per distinct string.
 
     `numerals` maps each numeral this document has already read to its
-    value; only a numeral that passed every check enters it, so a repeat
-    of a bad one fails at its first position, with the same message. An
-    error message names the numeral `label.format(a, b)`, formatted only
-    when the numeral fails.
+    value. Callers look a string up there first and call this only on a
+    miss, so each distinct numeral costs one call; only a numeral that
+    passed every check enters the map, so a repeat of a bad one fails at
+    its first position, with the same message. An error message names the
+    numeral `label.format(a, b)`, formatted only when the numeral fails.
     """
     if not isinstance(raw, str):
         raise DocumentError(
             f"{label.format(a, b)}: numbers must be exact strings like \"3\","
             f" \"1/3\" or \"0.25\", got {reprlib.repr(raw)}"
         )
-    value = numerals.get(raw)
-    if value is not None:
-        return value
     if len(raw) > MAX_NUMERAL_CHARS:
         raise DocumentError(
             f"{label.format(a, b)}: numeral has {len(raw)} characters, at most"
@@ -166,7 +164,10 @@ def _parse_tree_sections(
                     f"{what}: edge {i} endpoint {reprlib.repr(entry[end])}"
                     " is not a string"
                 )
-        length = _number(entry["length"], numerals, "{}: edge {} length", what, i)
+        raw = entry["length"]
+        length = numerals.get(raw) if type(raw) is str else None
+        if length is None:
+            length = _number(raw, numerals, "{}: edge {} length", what, i)
         edges.append((entry["u"], entry["w"], length))
     return MetricTree._of_checked_ids(vertices, edges)
 
@@ -174,7 +175,13 @@ def _parse_tree_sections(
 def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must map vertex ids to value strings")
-    return {v: _number(x, numerals, "{}[{}]", what, v) for v, x in raw.items()}
+    values = {}
+    for v, x in raw.items():
+        value = numerals.get(x) if type(x) is str else None
+        if value is None:
+            value = _number(x, numerals, "{}[{}]", what, v)
+        values[v] = value
+    return values
 
 
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:

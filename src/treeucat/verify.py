@@ -1,9 +1,11 @@
 """Independent verification: validity checking and the minimality oracle.
 
 Nothing here reuses the greedy machinery. Decompositions are re-checked
-from first principles, and minimality is decided by exhaustive exact
-linear feasibility over candidate mode sets, so producer and checker can
-only agree by being right. Both stay exact and do their arithmetic on
+from first principles, so producer and checker can only agree by being
+right. Minimality is decided by reducing f to exact pieces, split at its
+zeros with monotone degree-2 vertices contracted: `interval_ucat` counts
+a path piece, and exhaustive exact linear feasibility over candidate mode
+sets decides every other one. Both stay exact and do their arithmetic on
 integers: the check reads each value as its `(numerator, denominator)`
 pair, and each feasibility question scales f by the lcm of its own
 denominators.
@@ -34,6 +36,7 @@ from .errors import (
 )
 from .greedy import Decomposition
 from .instances import gen_instance  # also public as treeucat.verify.gen_instance
+from .interval import interval_ucat
 from .record import Record
 from .tree import MetricTree, VertexId
 
@@ -155,10 +158,11 @@ def _add(a, b):
     return p * (s // g) + r * (q // g), q // g * s
 
 
-def _path_minima(tree: MetricTree, scaled, m: VertexId) -> dict[VertexId, int]:
-    """For each vertex, the minimum of `scaled` along its path to m."""
+def _path_minima(scaled, m: VertexId, edges) -> dict[VertexId, int]:
+    """For each vertex, the minimum of `scaled` along its path to m, given
+    the tree's `edges` oriented away from m."""
     minima = {m: scaled[m]}
-    for closer, farther in tree.root_at(m):
+    for closer, farther in edges:
         minima[farther] = min(minima[closer], scaled[farther])
     return minima
 
@@ -218,7 +222,8 @@ def _feasible(
     f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
 ) -> FeasibilityCertificate | None:
     """Prefilter, solve and validate, for a nonzero f scaled to integers
-    once, by the lcm of its own denominators.
+    once, by the lcm of its own denominators. Each distinct anchor is
+    rooted once, and all three steps read its oriented edges.
 
     With one anchor and no vertex to avoid, the vertex sums pin the only
     component to f itself, and the prefilter has just checked that f never
@@ -230,23 +235,24 @@ def _feasible(
     scaled = {v: 0 for v in f.tree.vertices}  # scale * f, in integers
     for v, value in f.items():
         scaled[v] = value.numerator * (scale // value.denominator)
-    if not _mass_prefilter(f.tree, scaled, modes):
+    oriented = {m: f.tree.root_at(m) for m in dict.fromkeys(modes)}
+    if not _mass_prefilter(scaled, modes, oriented):
         return None
     if len(modes) == 1 and avoid is None:
         certificate = FeasibilityCertificate(modes, (dict(f.values),))
     else:
-        certificate = _solve(f.tree, scaled, scale, modes, avoid)
+        certificate = _solve(f.tree, scaled, scale, modes, avoid, oriented)
     if certificate is not None:
-        _validate_certificate(f, certificate)
+        _validate_certificate(f, certificate, oriented)
     return certificate
 
 
-def _mass_prefilter(tree: MetricTree, scaled, modes: tuple[VertexId, ...]) -> bool:
+def _mass_prefilter(scaled, modes: tuple[VertexId, ...], oriented) -> bool:
     """Necessary condition: a component is capped by the minimum of f along
     the path to its anchor (it is below f everywhere and rises toward the
     anchor), so the caps must cover f at every vertex."""
-    minima = [_path_minima(tree, scaled, m) for m in modes]
-    for v in tree.vertices:
+    minima = [_path_minima(scaled, m, oriented[m]) for m in modes]
+    for v in scaled:
         if sum(mn[v] for mn in minima) < scaled[v]:
             return False
     return True
@@ -258,6 +264,7 @@ def _solve(
     scale: int,
     modes: tuple[VertexId, ...],
     avoid: VertexId | None,
+    oriented,
 ) -> FeasibilityCertificate | None:
     """Set up and solve the anchored-components system.
 
@@ -289,9 +296,9 @@ def _solve(
 
     others, ge = range(k - 1), simplex.GREATER_EQUAL
     for alpha in others:
-        for closer, farther in tree.root_at(modes[alpha]):
+        for closer, farther in oriented[modes[alpha]]:
             add(ge, 0, (var(alpha, closer), 1), (var(alpha, farther), -1))
-    for closer, farther in tree.root_at(modes[-1]):
+    for closer, farther in oriented[modes[-1]]:
         terms = [(var(a, farther), 1) for a in others]
         terms += [(var(a, closer), -1) for a in others]
         add(ge, scaled[farther] - scaled[closer], *terms)
@@ -329,11 +336,14 @@ def _solve(
 
 
 def _validate_certificate(
-    f: EdgeLinearDensity, certificate: FeasibilityCertificate
+    f: EdgeLinearDensity, certificate: FeasibilityCertificate, oriented=None
 ) -> None:
     """Check every constraint of the literal system on the returned values,
     read as integer pairs; a failure is a solver bug, never a property of
-    the input."""
+    the input. `oriented` maps each anchor to the tree's edges oriented
+    away from it, and is rooted here when not given."""
+    if oriented is None:
+        oriented = {m: f.tree.root_at(m) for m in dict.fromkeys(certificate.modes)}
     ratios = [
         {v: x.as_integer_ratio() for v, x in c.items()}
         for c in certificate.components
@@ -351,7 +361,7 @@ def _validate_certificate(
                 raise InternalInvariantError(
                     f"certificate negative at {v!r} for anchor {m!r}"
                 )
-        for closer, farther in f.tree.root_at(m):
+        for closer, farther in oriented[m]:
             (a, b), (p, q) = r[closer], r[farther]
             if a * q < p * b:
                 raise InternalInvariantError(
@@ -360,7 +370,91 @@ def _validate_certificate(
 
 
 def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
-    """Smallest k <= k_max with a feasible k-mode collection, by search.
+    """Smallest k <= k_max with a feasible k-mode collection: reduce, then
+    search. f is cut into exact pieces (`oracle_pieces`) and ucat(f) is
+    the sum of their counts: `interval_ucat` counts a path piece, and
+    `_search` every other piece, within k_max minus the pieces counted so
+    far. ExceedsKMax(k_max) is raised as soon as the total passes k_max.
+
+    Zero split. ucat(f) sums ucat(f|C) over the connected parts C of
+    {f > 0}. A unimodal component g <= f stays positive on the path from
+    its mode to any positive vertex, so its support is connected and lies
+    inside one part. A path that leaves a part in a tree never comes back,
+    so extending a component of f|C by 0 keeps it unimodal.
+
+    Contraction. Let x have degree 2 in a piece, neighbours a and b, and
+    f(a) >= f(x) >= f(b); merging a-x-b into one edge a-b keeps the count.
+    Deleting x keeps each component unimodal (`greedy.py`'s lemma): a path
+    leaving a mode other than x passes a, x and b in a row, and were x the
+    mode, the larger of a and b becomes one. Conversely, pick s in [0, 1]
+    with (1 - s)f(a) + s*f(b) = f(x) and set g_i(x) = (1 - s)g_i(a) +
+    s*g_i(b) for each component of the merged piece: each g_i(x) lies
+    between g_i(a) and g_i(b), and together they sum to f(x).
+
+    Edge lengths. ucat depends only on the vertex values and the tree's
+    shape, so a piece may carry unit lengths.
+    """
+    paths, searched = oracle_pieces(f)
+    total = sum(map(interval_ucat, paths))
+    for piece in searched:  # a budget below 1 finds nothing
+        k = _search(piece, k_max - total)
+        if k is None:
+            raise ExceedsKMax(k_max)
+        total += k
+    if total > k_max:
+        raise ExceedsKMax(k_max)
+    return total
+
+
+def oracle_pieces(
+    f: EdgeLinearDensity,
+) -> tuple[list[list[Fraction]], list[EdgeLinearDensity]]:
+    """The exact pieces `ucat_oracle` counts: the values of each path
+    piece in path order, and each other piece, with its monotone degree-2
+    vertices contracted until none is left, as a density on a unit-length
+    tree. Pieces come in the order of their smallest vertex."""
+    values = dict(f.items())
+    adjacency = f.tree.adjacency()
+    nbrs = {v: [w for w in adjacency[v] if w in values] for v in values}
+    paths, searched, seen = [], [], set()
+    for start in values:
+        if start in seen:
+            continue
+        part = [start]  # a connected part of {f > 0}, breadth first
+        seen.add(start)
+        for v in part:
+            part += [w for w in nbrs[v] if w not in seen]
+            seen.update(nbrs[v])
+        if all(len(nbrs[v]) <= 2 for v in part):
+            order = [next(v for v in part if len(nbrs[v]) < 2)]
+            while len(order) < len(part):
+                order += [w for w in nbrs[order[-1]] if w not in order[-2:]]
+            paths.append([values[v] for v in order])
+            continue
+        pending = [v for v in part if len(nbrs[v]) == 2]
+        while pending:  # a survivor's degree never changes
+            x = pending.pop()
+            if x not in nbrs:
+                continue
+            a, b = nbrs[x]
+            fa, fx, fb = values[a], values[x], values[b]
+            if fa <= fx <= fb or fa >= fx >= fb:
+                del nbrs[x]
+                nbrs[a][nbrs[a].index(x)] = b
+                nbrs[b][nbrs[b].index(x)] = a
+                pending += [w for w in (a, b) if len(nbrs[w]) == 2]
+        kept = sorted(v for v in part if v in nbrs)
+        edges = [(u, w, 1) for u in kept for w in nbrs[u] if u < w]
+        tree = MetricTree._of_checked_ids(kept, edges)
+        searched.append(
+            EdgeLinearDensity._of_support(tree, {v: values[v] for v in kept})
+        )
+    return paths, searched
+
+
+def _search(f: EdgeLinearDensity, k_max: int) -> int | None:
+    """Smallest k <= k_max with a feasible k-anchor set on f, by search,
+    or None if there is none; f is not identically zero.
 
     Candidates are vertex sets in lexicographic order. A multiset with a
     repeated anchor is feasible exactly when its support set is (merge
@@ -380,8 +474,6 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
     the candidates it keeps are tried in the same order, so the first
     feasible one, and k, do not move.
     """
-    if support_is_empty(f):
-        return 0
     vertices = f.tree.vertices
     bits = [1 << i for i in range(len(vertices))]
     sides = _rising_sides(f, dict(zip(vertices, bits)))
@@ -395,7 +487,7 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
             else:
                 if feasible_with_modes(f, candidate) is not None:
                     return k
-    raise ExceedsKMax(k_max)
+    return None
 
 
 def _rising_sides(f: EdgeLinearDensity, bit: dict[VertexId, int]) -> list[int]:

@@ -257,12 +257,26 @@ def test_oracle_command(tmp_path, capsys):
 
 
 def test_oracle_warns_on_large_instances(tmp_path, capsys):
+    # the guidance applies to the largest piece the search enumerates: a
+    # path is one `interval_ucat` piece, however long, so it does not warn
     tree, f = path_instance([1] * 9)
     path = _write_instance(tmp_path, "long.json", tree, f)
     assert main(["oracle", path, "--max-k", "2"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "1\n"
+    assert captured.err == ""
+
+    # a star whose leaves rise above the centre reduces to nothing smaller
+    tree, f = star_instance(1, {f"a{i}": 2 for i in range(8)})
+    star = _write_instance(tmp_path, "star.json", tree, f)
+    assert main(["oracle", star, "--max-k", "8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "8\n"
+    assert "warning: 9 vertices in the largest reduced piece" in captured.err
+    assert main(["oracle", star, "--max-k", "2"]) == 3
+    captured = capsys.readouterr()
     assert "warning: 9 vertices" in captured.err
+    assert "no feasible mode multiset" in captured.err
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -736,11 +736,14 @@ def test_serialize_makes_a_bounded_number_of_calls_per_listed_item():
     assert calls <= 2.5 * listed, (calls, listed)
 
 
-def test_parse_makes_a_bounded_number_of_calls_per_distinct_numeral():
+def test_parse_makes_a_bounded_number_of_calls_per_distinct_numeral(monkeypatch):
     # counted calls, not wall time: a path whose n values are all "7", and
     # the same path with n distinct values, differ by the reading of n - 1
     # more numerals. Through Fraction(str) each cost 21 to 28 calls; read
-    # from its digits, "p" costs 6 and "p/q" 7
+    # from its digits, "p" costs 8 and "p/q" 9. A numeral already read is
+    # looked up by the caller, without a call to `_number`: the repeated
+    # path took 10,838 calls when each of its 799 numerals made one, and
+    # takes 9,243 now
     n = 400
     names = [f"v{i}" for i in range(1, n + 1)]
     edges = [{"u": u, "w": w, "length": "1"} for u, w in zip(names, names[1:])]
@@ -752,9 +755,21 @@ def test_parse_makes_a_bounded_number_of_calls_per_distinct_numeral():
         return python_calls_during(parse_instance, text)
 
     repeated = calls_to_read(["7"] * n)
+    assert repeated <= 25 * n, repeated
     for spell in (str, lambda i: f"{i}/{n + 1}"):
         extra = calls_to_read([spell(i) for i in range(1, n + 1)]) - repeated
         assert extra <= 10 * (n - 1), (spell(n), extra)
+
+    read = []
+    number = treeucat.documents._number
+
+    def counting(raw, *args):
+        read.append(raw)
+        return number(raw, *args)
+
+    monkeypatch.setattr(treeucat.documents, "_number", counting)
+    calls_to_read(["7"] * n)
+    assert read == ["1", "7"]
 
 
 def test_render_dot_structure():

@@ -34,7 +34,13 @@ from treeucat.errors import (
     UnknownVertex,
 )
 
-from helpers import path_between, path_instance, random_path_values, star_instance
+from helpers import (
+    monotone_arm_instance,
+    path_between,
+    path_instance,
+    random_path_values,
+    star_instance,
+)
 
 
 def _assert_certificate_valid(f, certificate):
@@ -296,6 +302,7 @@ def test_oracle_agrees_with_interval_on_paths():
             assert support_is_empty(f)
             continue
         assert ucat_oracle(f, 6) == expected
+        assert verify._search(f, 6) == expected
         assert ucat(f) == expected
 
 
@@ -339,7 +346,8 @@ def _far_side(tree, x, y):
 
 
 def _tried_candidates(monkeypatch, f):
-    """ucat_oracle's answer and the candidates it gave to the LP check."""
+    """The search step's answer on the whole of f, unreduced, and the
+    candidates it gave to the LP check."""
     tried = []
 
     def recording(g, candidate):
@@ -347,7 +355,7 @@ def _tried_candidates(monkeypatch, f):
         return feasible_with_modes(g, candidate)
 
     monkeypatch.setattr(verify, "feasible_with_modes", recording)
-    k = ucat_oracle(f, len(f.tree.vertices))
+    k = verify._search(f, len(f.tree.vertices))
     monkeypatch.undo()
     return k, tried
 
@@ -396,7 +404,8 @@ def test_rising_edge_rule_does_not_move_the_answer():
 
 def test_oracle_solves_few_lps(monkeypatch):
     # a counted gate: without the rising-edge rule these 100 trees took 180
-    # LP solves; with it they take 49
+    # LP solves; with it they took 49, and searching reduced pieces only
+    # they take 19
     solves = 0
     solve = simplex.maximize
 
@@ -409,4 +418,130 @@ def test_oracle_solves_few_lps(monkeypatch):
     for seed in range(100):
         tree, f = gen_instance(seed, 7, 9)
         ucat_oracle(f, len(tree.vertices))
-    assert 0 < solves <= 60
+    assert 0 < solves <= 25
+
+
+def _largest_searched(f):
+    _, searched = verify.oracle_pieces(f)
+    return max((len(piece.tree.vertices) for piece in searched), default=0)
+
+
+def test_oracle_pieces_split_at_zeros_and_contract_monotone_vertices():
+    # c carries leaves a and b and the rising chain d1-d2-d3; the zero at z
+    # cuts off the path p1-p2. The chain contracts onto d3, and the path
+    # piece keeps its values in path order
+    values = {"a": 2, "b": 2, "c": 1, "d1": 3, "d2": 4, "d3": 5, "z": 0}
+    values |= {"p1": 1, "p2": 2}
+    edges = [("c", "a"), ("c", "b"), ("c", "d1"), ("d1", "d2"), ("d2", "d3")]
+    edges += [("d3", "z"), ("z", "p2"), ("p2", "p1")]
+    tree = MetricTree(values, [(u, w, 3) for u, w in edges])
+    f = EdgeLinearDensity(tree, values)
+    paths, searched = verify.oracle_pieces(f)
+    assert paths == [[1, 2]]
+    (piece,) = searched
+    assert piece.tree.edge_list == (("a", "c", 1), ("b", "c", 1), ("c", "d3", 1))
+    assert dict(piece.items()) == {"a": 2, "b": 2, "c": 1, "d3": 5}
+    assert ucat_oracle(f, 4) == ucat(f) == 4
+
+
+def test_reduced_oracle_equals_the_unreduced_search():
+    for seed in range(200):
+        tree, f = gen_instance(seed, 7, 9)
+        if support_is_empty(f):
+            assert ucat_oracle(f, 7) == 0
+        else:
+            assert ucat_oracle(f, 7) == verify._search(f, 7), seed
+
+
+def test_reduced_oracle_agrees_with_decompose_on_larger_trees():
+    ran = 0
+    for seed in range(100):
+        tree, f = gen_instance(seed, 20, 6)
+        if _largest_searched(f) <= 8:
+            ran += 1
+            assert ucat_oracle(f, len(tree.vertices)) == ucat(f), seed
+    assert ran >= 70
+
+
+def _with_leaves(f, at, leaves):
+    """f with extra leaves hung from vertex `at`, valued by `leaves`."""
+    edges = [(u, w, length) for u, w, length in f.tree.edge_list]
+    edges += [(at, leaf, 1) for leaf in leaves]
+    tree = MetricTree([*f.tree.vertices, *leaves], edges)
+    return EdgeLinearDensity(tree, {**f.values, **leaves})
+
+
+def test_reduced_oracle_on_arms():
+    # a criterion-8 arm is one path piece; hung from a branching vertex,
+    # its monotone run contracts away and the searched piece stays small
+    for seed in range(10):
+        f = monotone_arm_instance(seed, 200)
+        assert verify.oracle_pieces(f)[1] == []
+        assert ucat_oracle(f, 3) == ucat(f) == 3
+        branched = _with_leaves(f, "v3", {"x1": 1, "x2": Fraction(21, 2)})
+        assert _largest_searched(branched) <= 8
+        k = ucat(branched)
+        assert ucat_oracle(branched, k) == k
+        with pytest.raises(ExceedsKMax):
+            ucat_oracle(branched, k - 1)
+
+
+def test_reduced_oracle_on_forests_of_zeros():
+    split = 0
+    for seed in range(60):
+        tree, f = gen_instance(seed, 16, 5)
+        rng = random.Random(seed)
+        zeroed = {v: 0 if rng.random() < 0.3 else x for v, x in f.values.items()}
+        f = EdgeLinearDensity(tree, zeroed)
+        paths, searched = verify.oracle_pieces(f)
+        if len(paths) + len(searched) > 1:
+            split += 1
+        if _largest_searched(f) <= 8:
+            assert ucat_oracle(f, len(tree.vertices)) == ucat(f), seed
+    assert split >= 30
+
+
+def test_reduced_oracle_raises_below_ucat():
+    raised = 0
+    for seed in range(60):
+        tree, f = gen_instance(seed, 12, 6)
+        k = ucat(f)
+        if k == 0 or _largest_searched(f) > 8:
+            continue
+        for k_max in range(k):
+            with pytest.raises(ExceedsKMax) as excinfo:
+                ucat_oracle(f, k_max)
+            assert excinfo.value.k_max == k_max
+            assert str(excinfo.value) == str(ExceedsKMax(k_max))
+            raised += 1
+    assert raised >= 100
+
+
+def test_each_anchor_is_rooted_once_per_question(monkeypatch):
+    # the prefilter, the system and the certificate check all read one
+    # orientation of each distinct anchor
+    calls = 0
+    root_at = MetricTree.root_at
+
+    def counting(tree, root):
+        nonlocal calls
+        calls += 1
+        return root_at(tree, root)
+
+    monkeypatch.setattr(MetricTree, "root_at", counting)
+    answered = 0
+    for seed in range(60):
+        tree, f = gen_instance(seed, 7, 9)
+        if support_is_empty(f):
+            continue
+        rng = random.Random(seed)
+        for size in (1, 2, 3, 4):
+            anchors = [rng.choice(tree.vertices) for _ in range(size)]
+            calls = 0
+            if feasible_with_modes(f, anchors) is not None:
+                answered += 1
+            assert calls <= len(set(anchors)), (seed, anchors, calls)
+            calls = 0
+            verify.feasible_avoiding_vertex(f, anchors, rng.choice(tree.vertices))
+            assert calls <= len(set(anchors)), (seed, anchors, calls)
+    assert answered >= 50
