@@ -4,7 +4,6 @@ from .density import (
     EdgeLinearDensity,
     ModeWitness,
     NotUnimodal,
-    extend_to_refinement,
     is_unimodal,
     support_is_empty,
 )

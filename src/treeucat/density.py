@@ -26,7 +26,7 @@ class EdgeLinearDensity:
     """Nonnegative vertex values bound to one specific tree.
 
     Mixing a density with a different tree is always a hard error, never a
-    silent re-index; use `extend_to_refinement` to move to a refined tree.
+    silent re-index.
     `values` may omit vertices, which then hold 0; every value it does give
     is validated. Only the support map, the nonzero values in `tree.vertices`
     order, is stored; `values` builds the full map, in O(n), on each call.
@@ -196,60 +196,3 @@ def _falls_from_root_on_support(adjacency, ratios, root: VertexId) -> bool:
         frontier = nxt
     return reached == len(ratios)
 
-
-def extend_to_refinement(
-    f: EdgeLinearDensity, refined: MetricTree
-) -> EdgeLinearDensity:
-    """Re-express f on a tree obtained from f.tree by edge subdivisions.
-
-    A vertex of `refined` that is not a vertex of f.tree must have exactly
-    two neighbours and lie on a chain of such vertices that joins the ends
-    of an original edge and adds up to its length; it receives the
-    interpolated value. Any structural disagreement raises TreeMismatch.
-
-    Each chain is walked once, from its smaller-id end, and an unsubdivided
-    edge is checked once, from its smaller id, so the lift costs O(n) on the
-    refined tree. Every vertex a walk passes has exactly two neighbours and
-    `refined` is connected, so every new vertex lies on a walked chain and
-    coverage needs no separate check.
-    """
-    original = f.tree
-    if original == refined:
-        return EdgeLinearDensity._of_support(refined, f._values)
-    for v in original.vertices:
-        if not refined.has_vertex(v):
-            raise TreeMismatch(f"refinement lost vertex {v!r}")
-
-    old_set = original.vertex_set
-    adjacency = refined.adjacency()
-    lifted = {}  # chain vertex -> value, for every chain walked so far
-    for u in original.vertices:
-        for first in adjacency[u]:
-            if first in lifted or (first in old_set and first < u):
-                continue  # walked, or checked, from its other end
-            chain = []
-            prev, cur = u, first
-            run = refined.edge_length(u, first)
-            while cur not in old_set:
-                nbs = adjacency[cur]
-                if len(nbs) != 2:
-                    raise TreeMismatch(
-                        f"refined vertex {cur!r} lies on no original edge"
-                    )
-                chain.append((cur, run))
-                prev, cur = cur, nbs[0] if nbs[1] == prev else nbs[1]
-                run += refined.edge_length(prev, cur)
-            if not original.has_edge(u, cur):
-                raise TreeMismatch(
-                    f"refined path {u!r}-{cur!r} is not an original edge"
-                )
-            length = original.edge_length(u, cur)
-            if run != length:
-                raise TreeMismatch(
-                    f"edge {u!r}-{cur!r}: refined chain length {run} != {length}"
-                )
-            fu, fw = f.value(u), f.value(cur)
-            for s, at in chain:
-                t = at / length
-                lifted[s] = (1 - t) * fu + t * fw
-    return EdgeLinearDensity(refined, {**f._values, **lifted})

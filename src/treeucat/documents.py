@@ -1,12 +1,12 @@
 """Document formats: instances and decompositions as JSON-syntax text.
 
 All numbers travel as strings ("3", "1/3", "0.25") and convert exactly to
-rationals, so files round-trip without any loss. Instance files may only
-use user ids; decomposition files may also contain synthetic `_s<N>`
-subdivision vertices, as a decomposition on a refinement does. A
-decomposition names the instance it was
-made for by the digest of that instance, and `decomposition_from_document`
-binds it to an instance only when the digests match.
+rationals, so files round-trip without any loss. Instance and
+decomposition files use user ids only, as a decomposition lives on its
+instance's tree; synthetic `_s<N>` ids appear in sweep documents alone. A
+decomposition names the instance it was made for by the digest of that
+instance, and `decomposition_from_document` binds it to an instance only
+when the digests match.
 
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
@@ -35,13 +35,11 @@ from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
-from .density import EdgeLinearDensity, extend_to_refinement
+from .density import EdgeLinearDensity
 from .errors import DocumentError, TreeMismatch
-from .greedy import Component, Decomposition
 from .rational import as_fraction
-from .record import Record
-from .sweep import SweepResult
-from .tree import _USER_ID, MetricTree, VertexId, is_valid_vertex_id
+from .record import Component, Decomposition, Record
+from .tree import _USER_ID, MetricTree, VertexId
 
 MAX_NUMERAL_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
@@ -134,17 +132,14 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
     return value
 
 
-def _parse_tree_sections(
-    data, what: str, numerals: dict[str, Fraction], allow_synthetic: bool
-) -> MetricTree:
+def _parse_tree_sections(data, what: str, numerals: dict[str, Fraction]) -> MetricTree:
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise DocumentError(f"{what}: vertices must be a list of id strings")
     for v in vertices:
         if not isinstance(v, str):
             raise DocumentError(f"{what}: vertex id {v!r} is not a string")
-        ok = is_valid_vertex_id(v) if allow_synthetic else _USER_ID.match(v)
-        if not ok:
+        if not _USER_ID.match(v):
             raise DocumentError(
                 f"{what}: invalid vertex id {v!r} (ids match"
                 " [A-Za-z0-9][A-Za-z0-9_-]* and cannot start with '_')"
@@ -194,7 +189,7 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
     numerals: dict[str, Fraction] = {}
-    tree = _parse_tree_sections(data, "instance", numerals, allow_synthetic=False)
+    tree = _parse_tree_sections(data, "instance", numerals)
     values = _values_map(data["density"], "density", numerals)
     f = EdgeLinearDensity(tree, values)
     for v in tree.vertices:
@@ -297,7 +292,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
     )
     _check_sections(data["tree"], {"vertices", "edges"}, "tree")
     numerals: dict[str, Fraction] = {}
-    tree = _parse_tree_sections(data["tree"], "tree", numerals, allow_synthetic=True)
+    tree = _parse_tree_sections(data["tree"], "tree", numerals)
 
     raw_components = data["components"]
     if not isinstance(raw_components, list):
@@ -367,7 +362,7 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
     )
 
 
-def serialize_sweep(result: SweepResult) -> str:
+def serialize_sweep(result) -> str:
     cuts = [
         _CUT % (s.vertex, s.u, s.w, _numeral(s.t, "the position of cut {}", s.vertex))
         for s in result.subdivisions
@@ -394,14 +389,13 @@ _PALETTE = (
 
 
 def render_dot(d: Decomposition, f: EdgeLinearDensity) -> str:
-    """DOT rendering of a decomposition of f: vertices labelled with f
-    lifted onto the refined tree, one color per component's support,
-    modes doubled.
+    """DOT rendering of a decomposition of f, which lives on f.tree:
+    vertices labelled with f, one color per component's support, modes
+    doubled.
 
     A vertex in several supports takes the color of the earliest component,
     matching the greedy peel order.
     """
-    lifted = extend_to_refinement(f, d.refined_tree)
     color: dict[VertexId, str] = {}
     for i, component in enumerate(d.components):
         shade = _PALETTE[i % len(_PALETTE)]
@@ -410,7 +404,7 @@ def render_dot(d: Decomposition, f: EdgeLinearDensity) -> str:
     modes = {c.mode for c in d.components}
     lines = ["graph decomposition {", "  node [style=filled, fillcolor=white];"]
     for v in d.refined_tree.vertices:
-        attrs = [f'label="{v}\\nf={lifted.value(v)}"']
+        attrs = [f'label="{v}\\nf={f.value(v)}"']
         if v in color:
             attrs.append(f'fillcolor="{color[v]}"')
         if v in modes:

@@ -52,28 +52,9 @@ from fractions import Fraction
 from .density import EdgeLinearDensity, support_is_empty
 from .errors import InternalInvariantError
 from .forced import Peel, Unimodal, _forced_vertex
-from .record import Record
+from .record import Component, Decomposition, Record
 from .sweep import _from_lattice, _sweep, _to_lattice
-from .tree import MetricTree, VertexId
-
-
-class Component(Record):
-    __slots__ = ("mode", "density")
-
-    def __init__(self, mode: VertexId, density: EdgeLinearDensity):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "density", density)
-
-
-class Decomposition(Record):
-    """The components and the tree they live on. `decompose` returns the
-    input tree; `check_decomposition` also accepts any refinement of it."""
-
-    __slots__ = ("refined_tree", "components")
-
-    def __init__(self, refined_tree: MetricTree, components: tuple[Component, ...]):
-        object.__setattr__(self, "refined_tree", refined_tree)
-        object.__setattr__(self, "components", components)
+from .tree import VertexId
 
 
 class TraceEvent(Record):

@@ -9,12 +9,10 @@ density along the path, in path order.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
+from math import lcm
 
 from .errors import NegativeValue
 from .rational import as_fraction
-
-_ZERO = Fraction(0)
 
 
 def interval_ucat(values: Sequence) -> int:
@@ -25,27 +23,36 @@ def interval_ucat(values: Sequence) -> int:
     pay the drop on descents, floor at zero), subtract, repeat. Each pass
     zeroes everything through the peak's descending run, so the number of
     passes is the answer.
+
+    The values are scaled once to integers by the lcm of their
+    denominators. A pass works in place and walks right of the peak only
+    while the bump is positive; the next one starts at peak + 1.
     """
-    r = [as_fraction(x) for x in values]
-    for i, x in enumerate(r):
+    fractions = [as_fraction(x) for x in values]
+    for i, x in enumerate(fractions):
         if x < 0:
             raise NegativeValue(f"value {x} at position {i} is negative")
+    scale = lcm(*(x.denominator for x in fractions))
+    r = [x.numerator * (scale // x.denominator) for x in fractions]
     n = len(r)
-    count = 0
+    count = start = 0
     while True:
-        start = next((j for j in range(n) if r[j] > 0), None)
-        if start is None:
+        while start < n and not r[start]:
+            start += 1
+        if start == n:
             return count
         count += 1
         peak = start
         while peak + 1 < n and r[peak + 1] >= r[peak]:
             peak += 1
-        h = [_ZERO] * n
-        for j in range(start, peak + 1):
-            h[j] = r[j]
-        for j in range(peak + 1, n):
-            if r[j - 1] < r[j]:
-                h[j] = h[j - 1]
-            else:
-                h[j] = max(h[j - 1] - (r[j - 1] - r[j]), _ZERO)
-        r = [rj - hj for rj, hj in zip(r, h)]
+        bump = prev = r[peak]
+        r[start : peak + 1] = [0] * (peak + 1 - start)
+        j = peak + 1
+        while bump and j < n:
+            cur = r[j]
+            if cur < prev:
+                bump = max(bump - (prev - cur), 0)
+            r[j] = cur - bump
+            prev = cur
+            j += 1
+        start = peak + 1

@@ -9,8 +9,9 @@ no assignment or deletion after construction. `__reduce__` rebuilds a
 record from its fields, so `pickle` and `copy` work although `__setattr__`
 refuses every write.
 
-The base imports nothing and generates no code, so the records cost the
-command line's start-up nothing beyond their class bodies.
+The module imports nothing and generates no code, so the records cost
+the command line's start-up nothing beyond their class bodies. Referees
+read `Component` and `Decomposition` here, not from their producer.
 """
 
 
@@ -40,3 +41,22 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+class Component(Record):
+    __slots__ = ("mode", "density")
+
+    def __init__(self, mode, density):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "density", density)
+
+
+class Decomposition(Record):
+    """The components and the tree they live on, which for a decomposition
+    of f is f.tree: `check_decomposition` refuses any other tree."""
+
+    __slots__ = ("refined_tree", "components")
+
+    def __init__(self, refined_tree, components):
+        object.__setattr__(self, "refined_tree", refined_tree)
+        object.__setattr__(self, "components", components)

@@ -20,13 +20,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from . import simplex
-from .density import (
-    EdgeLinearDensity,
-    ModeWitness,
-    extend_to_refinement,
-    is_unimodal,
-    support_is_empty,
-)
+from .density import EdgeLinearDensity, ModeWitness, is_unimodal, support_is_empty
 from .errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -34,10 +28,9 @@ from .errors import (
     TreeMismatch,
     UnknownVertex,
 )
-from .greedy import Decomposition
 from .instances import gen_instance  # also public as treeucat.verify.gen_instance
 from .interval import interval_ucat
-from .record import Record
+from .record import Decomposition, Record
 from .tree import MetricTree, VertexId
 
 _ZERO = Fraction(0)
@@ -91,30 +84,32 @@ class FeasibilityCertificate(Record):
 def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     """Re-derive what a valid decomposition of f must satisfy and test it.
 
-    The input is lifted onto the decomposition's tree here, independently
-    of how the decomposition was made; a decomposition does not carry it.
-    The lift walks each subdivision chain once, in O(n). Components are
-    summed, and checked for unimodality, over their supports only, so a
-    check whose components all pass costs O(n) plus, per component, its
+    A decomposition of f lives on f.tree: any other tree, a refinement of
+    it included, is a TreeMismatch that names the first difference, and so
+    is a component on a tree other than the decomposition's. Components
+    are summed, and checked for unimodality, over their supports only, so
+    a check whose components all pass costs O(n) plus, per component, its
     support and the edges leaving it. A component that fails adds the
     breadth-first prefix of the tree up to its first rising edge. Values
     are read as integer `(numerator, denominator)` pairs, summed over a
     running common denominator and compared with f by cross-multiplying;
     a `Fraction` is built only for a reported mismatch.
     """
-    lifted = extend_to_refinement(f, d.refined_tree)
+    tree = d.refined_tree
+    if tree != f.tree:
+        raise TreeMismatch(_first_difference(f.tree, tree))
     totals = {}  # vertex -> (numerator, denominator) of its sum
     for component in d.components:
-        if component.density.tree != d.refined_tree:
+        if component.density.tree != tree:
             raise TreeMismatch(
                 f"component with mode {component.mode!r} lives on a different tree"
             )
         for v, value in component.density.items():
             pair = value.as_integer_ratio()
             totals[v] = _add(totals[v], pair) if v in totals else pair
-    target = dict(lifted.items())
+    target = dict(f.items())
     mismatches = []
-    for v in d.refined_tree.vertices:
+    for v in tree.vertices:
         value = target.get(v, _ZERO)
         total, (p, q) = totals.get(v, (0, 1)), value.as_integer_ratio()
         if total != (p, q) and total[0] * q != p * total[1]:
@@ -146,6 +141,27 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
         count=len(d.components),
         overall=overall,
     )
+
+
+def _first_difference(tree: MetricTree, other: MetricTree) -> str:
+    """The first difference of `other` from `tree`, which it does not
+    equal: a vertex of `tree` it lacks, else one it adds, else the first
+    edge of `tree`, in `edge_list` order, it lacks or gives another length."""
+    for v in tree.vertices:
+        if not other.has_vertex(v):
+            return f"the decomposition's tree lacks instance vertex {v!r}"
+    for v in other.vertices:
+        if not tree.has_vertex(v):
+            return f"the decomposition's tree adds vertex {v!r}"
+    for u, w, length in tree.edge_list:
+        if not other.has_edge(u, w):
+            return f"the decomposition's tree lacks instance edge {u!r}-{w!r}"
+        if other.edge_length(u, w) != length:
+            return (
+                f"edge {u!r}-{w!r} has length {other.edge_length(u, w)} in the"
+                f" decomposition's tree, {length} in the instance"
+            )
+    raise InternalInvariantError("trees differ, yet no difference was found")
 
 
 def _add(a, b):

@@ -8,7 +8,8 @@ The tree transforms `subdivide`, `normalize` and `path_between` build
 state, so tests that feed their output to a referee run no producer code.
 `project` restricts a density on a refinement to the vertices of the
 tree it refines, and so turns a decomposition on a refinement into one on
-that tree. `reference_peel` prunes leaves one at a time from the tree and
+that tree; `lift_through_cuts` goes the other way, reading f at each cut
+vertex a `sweep` made. `reference_peel` prunes leaves one at a time from the tree and
 the density alone, in any order it is given, and `forced_region` reads the
 set it forces a mode into. `dense_decomposition_text` writes a
 decomposition the way documents were written before components listed
@@ -19,7 +20,9 @@ simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
 must agree with, pivot for pivot. `reference_is_unimodal` and
 `reference_check_decomposition` are the referee's checks as they were
 written on `Fraction` arithmetic, before values were read as integer
-pairs; the package's must give equal answers. `many_denominator_instance`
+pairs; the package's must give equal answers. `reference_interval_ucat`
+is `interval_ucat` as it was written on `Fraction`s, rebuilding the value
+list and rescanning from the left on each pass. `many_denominator_instance`
 is a path whose values have large, pairwise different denominators.
 """
 
@@ -31,9 +34,9 @@ import sys
 from collections import deque
 from fractions import Fraction
 
-from treeucat import EdgeLinearDensity, MetricTree, extend_to_refinement
+from treeucat import EdgeLinearDensity, MetricTree
 from treeucat.density import ModeWitness, NotUnimodal
-from treeucat.errors import TreeMismatch
+from treeucat.errors import NegativeValue, TreeMismatch
 from treeucat.rational import as_fraction
 from treeucat.simplex import LESS_EQUAL, GREATER_EQUAL, LPResult
 from treeucat.verify import CheckReport, ComponentCheck
@@ -81,6 +84,18 @@ def project(g: EdgeLinearDensity, tree: MetricTree) -> EdgeLinearDensity:
     of their sum.
     """
     return EdgeLinearDensity(tree, {v: g.value(v) for v in tree.vertices})
+
+
+def lift_through_cuts(f: EdgeLinearDensity, refined: MetricTree, cuts):
+    """f on `refined`, the tree that the `Subdivision` records `cuts` made
+    from f.tree: they are applied in order, and the cut at fraction t of
+    edge u-w reads (1 - t) * f(u) + t * f(w)."""
+    values = dict(f.items())
+    zero = Fraction(0)
+    for cut in cuts:
+        at_u, at_w = values.get(cut.u, zero), values.get(cut.w, zero)
+        values[cut.vertex] = (1 - cut.t) * at_u + cut.t * at_w
+    return EdgeLinearDensity(refined, values)
 
 
 def comb_instance(k: int, spacing: int = 10) -> EdgeLinearDensity:
@@ -477,11 +492,42 @@ def reference_is_unimodal(f: EdgeLinearDensity):
     return ModeWitness(root, top)
 
 
-def reference_check_decomposition(f: EdgeLinearDensity, d) -> CheckReport:
-    """`check_decomposition` on `Fraction`s: lift f, sum the components
-    vertex by vertex, and judge each one with `reference_is_unimodal`."""
+def reference_interval_ucat(values) -> int:
+    """`interval_ucat` on `Fraction`s, each pass rebuilding the whole value
+    list and looking for the first positive entry from the left."""
+    r = [as_fraction(x) for x in values]
+    for i, x in enumerate(r):
+        if x < 0:
+            raise NegativeValue(f"value {x} at position {i} is negative")
     zero = Fraction(0)
-    lifted = extend_to_refinement(f, d.refined_tree)
+    n = len(r)
+    count = 0
+    while True:
+        start = next((j for j in range(n) if r[j] > 0), None)
+        if start is None:
+            return count
+        count += 1
+        peak = start
+        while peak + 1 < n and r[peak + 1] >= r[peak]:
+            peak += 1
+        h = [zero] * n
+        for j in range(start, peak + 1):
+            h[j] = r[j]
+        for j in range(peak + 1, n):
+            if r[j - 1] < r[j]:
+                h[j] = h[j - 1]
+            else:
+                h[j] = max(h[j - 1] - (r[j - 1] - r[j]), zero)
+        r = [rj - hj for rj, hj in zip(r, h)]
+
+
+def reference_check_decomposition(f: EdgeLinearDensity, d) -> CheckReport:
+    """`check_decomposition` on `Fraction`s: refuse a tree other than
+    f's, sum the components vertex by vertex, and judge each one with
+    `reference_is_unimodal`."""
+    zero = Fraction(0)
+    if d.refined_tree != f.tree:
+        raise TreeMismatch("the decomposition's tree is not the instance's")
     for component in d.components:
         if component.density.tree != d.refined_tree:
             raise TreeMismatch(
@@ -494,8 +540,8 @@ def reference_check_decomposition(f: EdgeLinearDensity, d) -> CheckReport:
     mismatches = []
     for v in d.refined_tree.vertices:
         total = totals.get(v, zero)
-        if total != lifted.value(v):
-            mismatches.append((v, lifted.value(v), total))
+        if total != f.value(v):
+            mismatches.append((v, f.value(v), total))
     checks = []
     for index, component in enumerate(d.components):
         witness = reference_is_unimodal(component.density)

@@ -23,7 +23,6 @@ from treeucat import (
     ModeWitness,
     check_decomposition,
     decompose,
-    extend_to_refinement,
     feasible_with_modes,
     find_forced_vertex,
     gen_instance,
@@ -44,6 +43,7 @@ from treeucat.documents import (
 
 from helpers import (
     forced_region,
+    lift_through_cuts,
     monotone_arm_instance,
     normalize,
     path_instance,
@@ -100,7 +100,7 @@ def test_criterion_4_sweep_contracts():
         vertices = tree.vertices
         v = vertices[seed % len(vertices)]
         result = sweep(f, v)
-        lifted = extend_to_refinement(f, result.h.tree)
+        lifted = lift_through_cuts(f, result.h.tree, result.subdivisions)
         assert result.remainder.tree == result.h.tree, (seed, v)
         for x in result.h.tree.vertices:
             hx = result.h.value(x)
@@ -192,7 +192,8 @@ def test_criterion_7_hand_fixtures():
     assert len(result.subdivisions) == 1
     cut = result.subdivisions[0]
     assert (cut.u, cut.w, cut.t) == ("Q", "R", Fraction(2, 3))
-    assert extend_to_refinement(f, result.h.tree).value(cut.vertex) == 1
+    lifted = lift_through_cuts(f, result.h.tree, result.subdivisions)
+    assert lifted.value(cut.vertex) == 1
 
     # path (1, 2, 1, 2, 1): two components with modes at the two bumps
     _, twin = path_instance([1, 2, 1, 2, 1])

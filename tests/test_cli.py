@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 import treeucat
-from treeucat import decompose, gen_instance
+from treeucat import Component, Decomposition, decompose, gen_instance, sweep
 from treeucat.cli import main
 from treeucat.documents import (
     instance_digest,
     parse_decomposition,
     parse_instance,
+    serialize_decomposition,
     serialize_instance,
 )
 
@@ -237,6 +238,48 @@ def test_check_tree_mismatch_with_forged_digest(tmp_path, capsys):
     doc["provenance"]["input_digest"] = instance_digest(other_tree, other)
     out.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", other_path, str(out)]) == 2
+
+
+def test_check_refuses_a_decomposition_on_a_sweep_refinement(tmp_path, capsys):
+    # h and the remainder of a sweep decompose f on the refinement the
+    # sweep made, and the digest is f's; the `_s1` id is refused at parse
+    tree, f = path_instance([0, 4, 1, 3, 0])
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    result = sweep(f, "v2")
+    parts = (Component("v2", result.h), Component("v4", result.remainder))
+    provenance = {"tool": "treeucat", "input_digest": instance_digest(tree, f)}
+    out = tmp_path / "d.json"
+    out.write_text(
+        serialize_decomposition(Decomposition(result.h.tree, parts), provenance),
+        encoding="utf-8",
+    )
+    assert main(["check", instance, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tree: invalid vertex id '_s1' (ids match"
+        " [A-Za-z0-9][A-Za-z0-9_-]* and cannot start with '_')\n"
+    )
+
+
+def test_check_names_an_altered_edge_length(tmp_path, capsys):
+    # the digest covers the instance, not the decomposition's own tree, so
+    # it stays intact; the referee names the edge and both lengths
+    tree, f = path_instance([1, 2, 1, 2, 1])
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    out = tmp_path / "d.json"
+    assert main(["decompose", instance, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["tree"]["edges"][1] == {"u": "v2", "w": "v3", "length": "1"}
+    doc["tree"]["edges"][1]["length"] = "5/2"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", instance, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: edge 'v2'-'v3' has length 5/2 in the decomposition's tree,"
+        " 1 in the instance\n"
+    )
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -6,26 +6,19 @@ from fractions import Fraction
 import pytest
 
 from treeucat import (
-    Component,
-    Decomposition,
     EdgeLinearDensity,
     MetricTree,
     ModeWitness,
     NotUnimodal,
-    check_decomposition,
-    decompose,
-    extend_to_refinement,
     gen_instance,
     is_unimodal,
     support_is_empty,
-    sweep,
 )
 from treeucat.errors import NegativeValue, TreeMismatch, UnknownVertex
 
 from helpers import (
     normalize,
     path_instance,
-    python_calls_during,
     star_instance,
     subdivide,
     unimodal_by_excursions,
@@ -257,99 +250,3 @@ def test_verdict_stable_under_subdivision():
         assert isinstance(is_unimodal(f), ModeWitness) == isinstance(
             is_unimodal(g), ModeWitness
         )
-
-
-def test_extend_to_refinement_interpolates():
-    tree = MetricTree(["A", "B"], [("A", "B", 4)])
-    f = EdgeLinearDensity(tree, {"A": 4, "B": 0})
-    refined, s = subdivide(tree, "A", "B", Fraction(1, 4))
-    lifted = extend_to_refinement(f, refined)
-    assert lifted.value(s) == 3
-    assert lifted.value("A") == 4 and lifted.value("B") == 0
-    # chain vertices are told apart from original ones by the tree alone,
-    # never by the `_s<N>` naming the producer uses
-    for first, second in (("x1", "x2"), ("_s1", "_s2")):
-        chain = MetricTree(
-            ["A", "B", first, second],
-            [("A", first, 1), (first, second, 1), (second, "B", 2)],
-        )
-        lifted = extend_to_refinement(f, chain)
-        assert (lifted.value(first), lifted.value(second)) == (3, 2)
-
-
-def test_extend_to_refinement_chain_of_cuts():
-    tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    f = EdgeLinearDensity(tree, {"A": 0, "B": 8})
-    refined = tree
-    for _ in range(3):
-        cut = refined.edge_list[0]
-        refined, _ = subdivide(refined, cut[0], cut[1], Fraction(1, 2))
-    lifted = extend_to_refinement(f, refined)
-    total = sum(lifted.values.values())
-    assert lifted.value("B") == 8 and lifted.value("A") == 0
-    assert total == sum(
-        8 * pos for pos in (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1)
-    )
-
-
-def test_extend_to_refinement_rejects_foreign_tree():
-    tree = MetricTree(["A", "B"], [("A", "B", 1)])
-    f = EdgeLinearDensity(tree, {"A": 1, "B": 1})
-    other = MetricTree(["A", "C"], [("A", "C", 1)])
-    with pytest.raises(TreeMismatch):
-        extend_to_refinement(f, other)
-    grown = MetricTree(["A", "B", "X"], [("A", "B", 1), ("B", "X", 1)])
-    with pytest.raises(TreeMismatch):
-        extend_to_refinement(f, grown)
-    # a new vertex of degree 3: _s1 on the chain of A-B, with X hanging off it
-    branched = MetricTree(
-        ["A", "B", "_s1", "X"],
-        [("A", "_s1", Fraction(1, 2)), ("_s1", "B", Fraction(1, 2)), ("_s1", "X", 1)],
-    )
-    with pytest.raises(TreeMismatch):
-        extend_to_refinement(f, branched)
-    # a refined path A-C, but A and C are not adjacent in the path A-B-C
-    path = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
-    g = EdgeLinearDensity(path, {"A": 1, "B": 2, "C": 1})
-    rerouted = MetricTree(
-        ["A", "B", "C", "_s1"],
-        [("A", "_s1", 1), ("_s1", "C", 1), ("C", "B", 1)],
-    )
-    with pytest.raises(TreeMismatch):
-        extend_to_refinement(g, rerouted)
-
-
-def test_extend_to_refinement_rejects_wrong_lengths():
-    tree = MetricTree(["A", "B"], [("A", "B", 2)])
-    f = EdgeLinearDensity(tree, {"A": 1, "B": 1})
-    stretched = MetricTree(["A", "B", "_s1"], [("A", "_s1", 1), ("_s1", "B", 2)])
-    with pytest.raises(TreeMismatch):
-        extend_to_refinement(f, stretched)
-
-
-def _hub(d: int) -> EdgeLinearDensity:
-    """Hub c with d zero leaves and the path a-m-c-b; the sweep from a
-    cuts every c-z edge, so c ends with d subdivided edges."""
-    leaves = [f"z{i}" for i in range(d)]
-    edges = [("a", "m", 1), ("m", "c", 1), ("c", "b", 1)]
-    edges += [("c", z, 1) for z in leaves]
-    tree = MetricTree(["a", "m", "c", "b", *leaves], edges)
-    return EdgeLinearDensity(tree, {"a": 6, "m": 1, "c": 4, "b": 6})
-
-
-def test_lift_work_grows_linearly_with_subdivided_edges_at_a_vertex():
-    # counted calls, not wall time: a lift that searches a vertex's chains
-    # once per edge grows about 15x from d = 500 to 2,000, a single walk 4x
-    counts = []
-    for d in (500, 2000):
-        f = _hub(d)
-        assert len(decompose(f)[0].components) == 2
-        # the paper's decomposition: the sweep from a, then its remainder,
-        # unimodal with mode b, both on the refinement the sweep makes
-        first = sweep(f, "a")
-        refined = first.h.tree
-        assert len(refined.vertices) == 2 * d + 4
-        components = (Component("a", first.h), Component("b", first.remainder))
-        assert check_decomposition(f, Decomposition(refined, components)).overall
-        counts.append(python_calls_during(extend_to_refinement, f, refined))
-    assert counts[1] <= 4.5 * counts[0], counts

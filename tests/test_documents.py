@@ -513,14 +513,14 @@ def _paper_decomposition():
     return f, Decomposition(result.h.tree, components)
 
 
-def test_decomposition_tree_may_contain_synthetic_ids():
-    # decompose places no vertex, but check still reads decompositions on a
-    # refinement, such as the paper's greedy makes
+def test_decomposition_tree_may_not_contain_synthetic_ids():
+    # a decomposition lives on its instance's tree, whose ids are user ids:
+    # one on the refinement the paper's greedy makes is refused at parse,
+    # with the instance's id rule, although its digest names the instance
     f, d = _paper_decomposition()
     text = serialize_decomposition(d, _provenance(f))
-    doc = parse_decomposition(text)
-    assert doc.tree.has_vertex("_s1")
-    assert check_decomposition(f, decomposition_from_document(doc, f)).overall
+    with pytest.raises(DocumentError, match="'_s1'.*cannot start with '_'"):
+        parse_decomposition(text)
 
 
 def test_decomposition_validation_errors():
@@ -570,27 +570,6 @@ def test_document_binds_to_instance():
     _, other = path_instance([1, 2, 1])
     with pytest.raises(DocumentError, match="different instance"):
         decomposition_from_document(doc, other)
-
-
-def test_parse_bind_and_check_lift_the_input_once(monkeypatch):
-    lifts = []
-    for module in (treeucat.documents, treeucat.verify):
-        original = module.extend_to_refinement
-
-        def counted(*args, original=original):
-            lifts.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(module, "extend_to_refinement", counted)
-
-    for seed in range(5):
-        f, d = _decomposed(seed)
-        text = serialize_decomposition(d, _provenance(f))
-        lifts.clear()
-        doc = parse_decomposition(text)
-        report = check_decomposition(f, decomposition_from_document(doc, f))
-        assert report.overall
-        assert len(lifts) == 1, seed
 
 
 def test_sweep_serialization():
@@ -773,10 +752,14 @@ def test_parse_makes_a_bounded_number_of_calls_per_distinct_numeral(monkeypatch)
 
 
 def test_render_dot_structure():
-    _, f = path_instance([0, 4, 1, 3, 0])
+    tree, f = path_instance([0, 4, 1, 3, 0])
     d, _ = decompose(f)
     assert render_dot(d, f).count("_s") == 0
-    f, d = _paper_decomposition()
+    # two components on the input tree with disjoint supports, one color each
+    first = EdgeLinearDensity(tree, {"v2": 4, "v3": 1})
+    second = EdgeLinearDensity(tree, {"v4": 3})
+    d = Decomposition(tree, (Component("v2", first), Component("v4", second)))
+    assert check_decomposition(f, d).overall
     dot = render_dot(d, f)
     assert dot.startswith("graph decomposition {")
     assert dot.rstrip().endswith("}")
@@ -786,5 +769,4 @@ def test_render_dot_structure():
     assert 'fillcolor="lightblue"' in dot
     assert 'fillcolor="lightpink"' in dot
     assert '"v1" -- "v2" [label="1"];' in dot
-    # the synthetic vertex appears with its interpolated input value
-    assert 'label="_s1\\nf=2"' in dot
+    assert '"v4" [label="v4\\nf=3", fillcolor="lightpink", shape=doublecircle];' in dot

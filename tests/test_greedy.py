@@ -18,7 +18,6 @@ from treeucat import (
     Unimodal,
     check_decomposition,
     decompose,
-    extend_to_refinement,
     find_forced_vertex,
     gen_instance,
     interval_ucat,
@@ -37,6 +36,7 @@ from treeucat.sweep import _sweep
 
 from helpers import (
     comb_instance,
+    lift_through_cuts,
     monotone_arm_instance,
     path_instance,
     project,
@@ -144,7 +144,7 @@ def test_second_mode_beside_the_paper_cut():
     assert result.subdivisions == (Subdivision("_s1", "v4", "v5", Fraction(1, 3)),)
     assert result.h.tree.edge_length("v4", "_s1") == Fraction(1, 3)
     assert result.h.tree.edge_length("_s1", "v5") == Fraction(2, 3)
-    assert extend_to_refinement(f, result.h.tree).value("_s1") == 2
+    assert lift_through_cuts(f, result.h.tree, result.subdivisions).value("_s1") == 2
     assert find_forced_vertex(result.remainder) == "_s1"
     assert result.remainder.value("_s1") == result.remainder.value("v4") == 2
     assert ucat_oracle(f, 7) == 2
@@ -181,7 +181,7 @@ def test_two_subdivisions_and_lifting():
     assert refined.edge_length("v3", "_s2") == Fraction(1, 3)
     assert refined.edge_length("_s2", "v2") == Fraction(2, 3)
     # the input re-expressed on the refined tree interpolates its own values
-    lifted = extend_to_refinement(f, refined)
+    lifted = lift_through_cuts(f, refined, subdivisions)
     assert lifted.value("_s1") == 3
     assert lifted.value("_s2") == 3
     assert ucat_oracle(f, 7) == 3

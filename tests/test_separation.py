@@ -4,9 +4,9 @@
 `decompose` is right only because they do not run its machinery. These
 tests read the referee modules' imports, and those of the test helpers
 that build referee inputs, so that a shared import fails here instead of
-passing unnoticed. In the other direction, the producer modules import
-no referee or document code, and never lift a density onto a refined
-tree: that is the referees' work.
+passing unnoticed. The document layer, which the referees' inputs pass
+through, is held to the same rule. In the other direction, the producer
+modules import no referee or document code.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treeucat"
-# density.py holds the referees' lift, `extend_to_refinement`
-REFEREES = ("verify.py", "interval.py", "simplex.py", "density.py")
-PRODUCER = {"forced", "sweep"}
+REFEREES = ("verify.py", "interval.py", "simplex.py", "density.py", "documents.py")
+PRODUCER = {"forced", "sweep", "greedy"}
 PRODUCER_FILES = ("greedy.py", "sweep.py", "forced.py")
 REFEREE_SIDE = {"verify", "interval", "simplex", "documents"}
-ALLOWED = {"greedy": {"Decomposition"}, "tree": {"MetricTree", "VertexId"}}
+# `_USER_ID` is the id rule the document layer checks each id with
+ALLOWED = {"tree": {"MetricTree", "VertexId", "_USER_ID"}}
 
 
 def _package_imports(path: Path) -> list[tuple[str, str | None]]:
@@ -60,7 +60,6 @@ def test_producer_imports_no_referee_code():
         for module, name in _package_imports(PACKAGE / filename):
             what = f"{filename} imports {name or module} from {module}"
             assert module.split(".")[0] not in REFEREE_SIDE, what
-            assert "extend_to_refinement" not in (module, name), what
 
 
 def test_reference_helpers_use_no_producer_state():

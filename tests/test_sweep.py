@@ -10,7 +10,6 @@ from treeucat import (
     MetricTree,
     ModeWitness,
     Subdivision,
-    extend_to_refinement,
     gen_instance,
     is_unimodal,
     sweep,
@@ -18,7 +17,13 @@ from treeucat import (
 from treeucat.errors import UnknownVertex
 from treeucat.sweep import _sweep, _to_lattice
 
-from helpers import path_instance, star_instance, subdivide, sweep_oracle_h
+from helpers import (
+    lift_through_cuts,
+    path_instance,
+    star_instance,
+    subdivide,
+    sweep_oracle_h,
+)
 
 
 def test_monotone_decreasing_sweeps_clean():
@@ -56,7 +61,7 @@ def test_zero_crossing_inserts_subdivision():
     assert refined.edge_length("_s1", "R") == Fraction(1, 3)
     assert result.remainder.tree == refined
 
-    assert dict(extend_to_refinement(f, refined).values) == {
+    assert dict(lift_through_cuts(f, refined, result.subdivisions).values) == {
         "P": Fraction(2),
         "Q": Fraction(3),
         "_s1": Fraction(1),
@@ -188,7 +193,7 @@ def test_branching_cuts_named_in_visit_order():
         Subdivision("_s1", "B", "C", Fraction(1, 5)),
         Subdivision("_s2", "B", "D", Fraction(1, 5)),
     )
-    lifted = extend_to_refinement(f, result.h.tree)
+    lifted = lift_through_cuts(f, result.h.tree, result.subdivisions)
     assert lifted.value("_s1") == 4
     assert lifted.value("_s2") == 4
     assert result.h.value("_s1") == 0
@@ -224,7 +229,7 @@ def test_result_invariants_on_random_instances():
         tree, f = gen_instance(seed, 10, 6)
         for v in tree.vertices:
             result = sweep(f, v)
-            fr = extend_to_refinement(f, result.h.tree)
+            fr = lift_through_cuts(f, result.h.tree, result.subdivisions)
             assert result.remainder.tree == result.h.tree
             assert result.h.value(v) == f.value(v)
             assert result.remainder.value(v) == 0

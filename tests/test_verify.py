@@ -40,6 +40,7 @@ from helpers import (
     path_instance,
     random_path_values,
     star_instance,
+    subdivide,
 )
 
 
@@ -177,12 +178,46 @@ def test_component_on_foreign_tree_rejected():
         check_decomposition(f, d)
 
 
-def test_decomposition_tree_must_refine_input_tree():
+def test_decomposition_tree_must_be_input_tree():
     _, f = path_instance([1, 2, 1])
     other_tree, g = path_instance([1, 2, 1], prefix="w")
     d = Decomposition(other_tree, (Component("w2", g),))
-    with pytest.raises(TreeMismatch):
+    with pytest.raises(TreeMismatch, match="lacks instance vertex 'v1'"):
         check_decomposition(f, d)
+    # a refinement of the input tree is refused too, naming the vertex it adds
+    refined, s = subdivide(f.tree, "v1", "v2", Fraction(1, 2))
+    g = EdgeLinearDensity(refined, {"v1": 1, s: Fraction(3, 2), "v2": 2, "v3": 1})
+    d = Decomposition(refined, (Component("v2", g),))
+    with pytest.raises(TreeMismatch, match="adds vertex '_s1'"):
+        check_decomposition(f, d)
+
+
+def test_tree_mismatch_names_the_first_difference():
+    # lacked vertices come first, then added ones, then edges in
+    # `edge_list` order; an empty decomposition needs no component checks
+    _, f = path_instance([1, 2, 1])
+
+    def refusal(vertices, edges):
+        d = Decomposition(MetricTree(vertices, edges), ())
+        with pytest.raises(TreeMismatch) as caught:
+            check_decomposition(f, d)
+        return str(caught.value)
+
+    assert "lacks instance vertex 'v3'" in refusal(
+        ["a", "v1", "v2"], [("a", "v1", 1), ("v1", "v2", 1)]
+    )
+    assert "adds vertex 'a'" in refusal(
+        ["a", "v1", "v2", "v3"], [("a", "v1", 1), ("v1", "v2", 1), ("v2", "v3", 1)]
+    )
+    assert "lacks instance edge 'v1'-'v2'" in refusal(
+        ["v1", "v2", "v3"], [("v1", "v3", 1), ("v3", "v2", 1)]
+    )
+    assert refusal(
+        ["v1", "v2", "v3"], [("v1", "v2", 3), ("v2", "v3", Fraction(1, 2))]
+    ) == (
+        "edge 'v1'-'v2' has length 3 in the decomposition's tree,"
+        " 1 in the instance"
+    )
 
 
 def test_unimodal_density_feasible_at_its_mode():
