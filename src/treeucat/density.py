@@ -30,9 +30,12 @@ class EdgeLinearDensity:
     `values` may omit vertices, which then hold 0; every value it does give
     is validated. Only the support map, the nonzero values in `tree.vertices`
     order, is stored; `values` builds the full map, in O(n), on each call.
+    `_digest` is where `documents.instance_digest` keeps the digest of the
+    instance (f.tree, f) once it is computed; equality, hashing and pickling
+    ignore it.
     """
 
-    __slots__ = ("_tree", "_values")
+    __slots__ = ("_tree", "_values", "_digest")
 
     def __init__(self, tree: MetricTree, values: Mapping[VertexId, object]):
         vertex_set = tree.vertex_set
@@ -47,6 +50,7 @@ class EdgeLinearDensity:
                 stored[v] = val
         self._tree = tree
         self._values = dict(sorted(stored.items()))  # tree.vertices is sorted
+        self._digest = None
 
     @classmethod
     def _of_support(cls, tree: MetricTree, support: dict) -> EdgeLinearDensity:
@@ -55,6 +59,7 @@ class EdgeLinearDensity:
         f = cls.__new__(cls)
         f._tree = tree
         f._values = support
+        f._digest = None
         return f
 
     @property

@@ -8,6 +8,10 @@ decomposition names the instance it was made for by the digest of that
 instance, and `decomposition_from_document` binds it to an instance only
 when the digests match.
 
+A decomposition's tree section is validated once, where it meets the
+instance: `parse_decomposition` builds no tree, and binding compares the
+section with the instance's tree and puts the components on it.
+
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
 numeral may have at most `MAX_NUMERAL_CHARS` characters and a decimal
@@ -36,7 +40,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
 from .density import EdgeLinearDensity
-from .errors import DocumentError, TreeMismatch
+from .errors import DocumentError, NegativeValue, TreeMismatch
 from .rational import as_fraction
 from .record import Component, Decomposition, Record
 from .tree import _USER_ID, MetricTree, VertexId
@@ -48,16 +52,27 @@ _EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
 
 
 class DecompositionDocument(Record):
-    __slots__ = ("tree", "components", "ucat", "provenance")
+    """A decomposition document as parsed, before it meets an instance.
+
+    `vertices` and `edges` are the tree section as listed: distinct valid
+    ids, and (u, w, length) triples whose endpoints and lengths are not yet
+    checked. Each component is a `(mode, support)` pair: its mode, a listed
+    id, and its nonzero values, nonnegative, on listed ids, in id order.
+    `decomposition_from_document` makes the tree and the densities.
+    """
+
+    __slots__ = ("vertices", "edges", "components", "ucat", "provenance")
 
     def __init__(
         self,
-        tree: MetricTree,
-        components: tuple[Component, ...],
+        vertices: tuple[VertexId, ...],
+        edges: tuple[tuple[VertexId, VertexId, Fraction], ...],
+        components: tuple[tuple[VertexId, dict[VertexId, Fraction]], ...],
         ucat: int,
         provenance: Mapping[str, str],
     ):
-        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "ucat", ucat)
         object.__setattr__(self, "provenance", provenance)
@@ -132,7 +147,9 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
     return value
 
 
-def _parse_tree_sections(data, what: str, numerals: dict[str, Fraction]) -> MetricTree:
+def _tree_section(data, what: str, numerals: dict[str, Fraction]) -> tuple:
+    """The listed vertex ids, each a valid user id, and the listed edges as
+    (u, w, length) triples; a tree is not built here."""
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise DocumentError(f"{what}: vertices must be a list of id strings")
@@ -164,7 +181,7 @@ def _parse_tree_sections(data, what: str, numerals: dict[str, Fraction]) -> Metr
         if length is None:
             length = _number(raw, numerals, "{}: edge {} length", what, i)
         edges.append((entry["u"], entry["w"], length))
-    return MetricTree._of_checked_ids(vertices, edges)
+    return vertices, edges
 
 
 def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
@@ -179,6 +196,21 @@ def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
     return values
 
 
+def _support(raw, what: str, listed: set, numerals: dict[str, Fraction]) -> dict:
+    """A component's nonzero values, in id order, which is the `vertices`
+    order of every tree; each listed id must be in `listed`, and each value
+    must be nonnegative, as `EdgeLinearDensity` requires."""
+    support = {}
+    for v, value in _values_map(raw, what, numerals).items():
+        if v not in listed:
+            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
+        if value:  # most listed values are nonzero; a listed 0 is dropped
+            if value.numerator < 0:  # a Fraction's denominator is positive
+                raise NegativeValue(f"density value {value} at {v!r} is negative")
+            support[v] = value
+    return dict(sorted(support.items()))
+
+
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     """Parse an instance document; tree and density errors propagate.
 
@@ -189,7 +221,7 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
     numerals: dict[str, Fraction] = {}
-    tree = _parse_tree_sections(data, "instance", numerals)
+    tree = MetricTree._of_checked_ids(*_tree_section(data, "instance", numerals))
     values = _values_map(data["density"], "density", numerals)
     f = EdgeLinearDensity(tree, values)
     for v in tree.vertices:
@@ -269,7 +301,13 @@ def serialize_instance(tree: MetricTree, f: EdgeLinearDensity) -> str:
 def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
     """Digest of the canonical text, independent of formatting: the sha256
     of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`, written
-    directly, with `tree.vertices` already in sorted order."""
+    directly, with `tree.vertices` already in sorted order.
+
+    The digest of (f.tree, f) is computed once per density and kept on f,
+    which is immutable; a digest for any other tree is not kept."""
+    own = tree is f.tree
+    if own and f._digest is not None:
+        return f._digest
     density = [
         f'"{v}":"{_numeral(x, "the value of {} at vertex {}", "the density", v)}"'
         for v, x in f.values.items()
@@ -282,17 +320,26 @@ def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
     canonical = '{"density":{%s},"edges":[%s],"vertices":["%s"]}' % (
         ",".join(density), ",".join(edges), '","'.join(tree.vertices)
     )
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    digest = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    if own:
+        f._digest = digest
+    return digest
 
 
 def parse_decomposition(text: str) -> DecompositionDocument:
+    """Parse a decomposition document, checking each item on its own.
+
+    The tree section's ids must be distinct valid user ids; whether its
+    edges make a tree, and the instance's tree, is decided at binding.
+    """
     data = _load_json(text)
     _check_sections(
         data, {"tree", "components", "ucat", "provenance"}, "decomposition"
     )
     _check_sections(data["tree"], {"vertices", "edges"}, "tree")
     numerals: dict[str, Fraction] = {}
-    tree = _parse_tree_sections(data["tree"], "tree", numerals)
+    vertices, edges = _tree_section(data["tree"], "tree", numerals)
+    listed = MetricTree._distinct_ids(vertices)
 
     raw_components = data["components"]
     if not isinstance(raw_components, list):
@@ -304,12 +351,12 @@ def parse_decomposition(text: str) -> DecompositionDocument:
                 f"component {i} must be an object with keys mode, values"
             )
         mode = entry["mode"]
-        if not isinstance(mode, str) or not tree.has_vertex(mode):
+        if not isinstance(mode, str) or mode not in listed:
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        values = _values_map(entry["values"], f"component {i} values", numerals)
-        components.append(Component(mode, EdgeLinearDensity(tree, values)))
+        what = f"component {i} values"
+        components.append((mode, _support(entry["values"], what, listed, numerals)))
 
     count = data["ucat"]
     if not isinstance(count, int) or isinstance(count, bool):
@@ -325,7 +372,9 @@ def parse_decomposition(text: str) -> DecompositionDocument:
         if not isinstance(provenance[key], str):
             raise DocumentError(f"provenance {key} must be a string")
 
-    return DecompositionDocument(tree, tuple(components), count, dict(provenance))
+    return DecompositionDocument(
+        tuple(vertices), tuple(edges), tuple(components), count, dict(provenance)
+    )
 
 
 def decomposition_from_document(
@@ -333,8 +382,13 @@ def decomposition_from_document(
 ) -> Decomposition:
     """Bind a parsed decomposition to the instance it claims to decompose.
 
-    A document whose `input_digest` is not f's is refused; the components
-    are not checked here, that is `check_decomposition`'s job.
+    A document whose `input_digest` is not f's is refused. A tree section
+    that lists f.tree, compared in O(n), is not validated again: the
+    components are put on f.tree itself. Any other section is built as a
+    tree, so an invalid one raises its `InvalidTree` here, and the
+    components are put on it, for `check_decomposition` to refuse with a
+    `TreeMismatch` that names the first difference. The components are
+    not checked here, that is `check_decomposition`'s job.
     """
     expected = instance_digest(f.tree, f)
     if doc.provenance["input_digest"] != expected:
@@ -342,7 +396,14 @@ def decomposition_from_document(
             "decomposition was produced for a different instance"
             f" (digest {doc.provenance['input_digest']}, instance has {expected})"
         )
-    return Decomposition(doc.tree, doc.components)
+    tree = f.tree
+    if not tree._is_listed_by(doc.vertices, doc.edges):
+        tree = MetricTree._of_checked_ids(list(doc.vertices), doc.edges)
+    components = tuple(
+        Component(mode, EdgeLinearDensity._of_support(tree, support))
+        for mode, support in doc.components
+    )
+    return Decomposition(tree, components)
 
 
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:

@@ -58,14 +58,41 @@ from .tree import VertexId
 
 
 class TraceEvent(Record):
-    __slots__ = ("iteration", "forced_vertex", "remaining_mass")
+    """One iteration of `decompose`: its number, its forced vertex, and the
+    remainder's vertex sum after its sweep.
+
+    `decompose` records the mass on its lattice, as the integer total / D,
+    and the `Fraction` is built on the first read of `remaining_mass`: its
+    gcd runs on integers the size of D, which on many large denominators
+    would cost more than the rest of the iteration.
+    """
+
+    __slots__ = ("iteration", "forced_vertex", "_mass")
+    _names = ("iteration", "forced_vertex", "remaining_mass")
 
     def __init__(
         self, iteration: int, forced_vertex: VertexId, remaining_mass: Fraction
     ):
         object.__setattr__(self, "iteration", iteration)
         object.__setattr__(self, "forced_vertex", forced_vertex)
-        object.__setattr__(self, "remaining_mass", remaining_mass)
+        object.__setattr__(self, "_mass", remaining_mass)
+
+    @classmethod
+    def _on_lattice(
+        cls, iteration: int, forced_vertex: VertexId, total: int, scale: int
+    ) -> TraceEvent:
+        """The event whose remaining mass is total / scale, not yet built."""
+        event = cls(iteration, forced_vertex, None)
+        object.__setattr__(event, "_mass", (total, scale))
+        return event
+
+    @property
+    def remaining_mass(self) -> Fraction:
+        mass = self._mass
+        if type(mass) is tuple:  # (total, scale), built once, on this read
+            mass = Fraction(*mass)
+            object.__setattr__(self, "_mass", mass)
+        return mass
 
 
 def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
@@ -98,7 +125,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         total -= sum(h.values())
         rows.append(h)
         modes.append(v)
-        trace.append(TraceEvent(iteration, v, Fraction(total, scale)))
+        trace.append(TraceEvent._on_lattice(iteration, v, total, scale))
         if total == 0:
             break
         if isinstance(verdict, Unimodal):

@@ -7,7 +7,9 @@ only (never with a tuple, nor with another class's record holding the
 same fields), a hash of the fields, the repr `Name(field=value, ...)`, and
 no assignment or deletion after construction. `__reduce__` rebuilds a
 record from its fields, so `pickle` and `copy` work although `__setattr__`
-refuses every write.
+refuses every write. A record that stores a field in another form
+lists its field names in `_names` instead, and reads each one as an
+attribute of that name.
 
 The module imports nothing and generates no code, so the records cost
 the command line's start-up nothing beyond their class bodies. Referees
@@ -18,8 +20,12 @@ read `Component` and `Decomposition` here, not from their producer.
 class Record:
     __slots__ = ()
 
+    @property
+    def _names(self) -> tuple:
+        return self.__slots__
+
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -30,7 +36,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):

@@ -52,7 +52,7 @@ def edge_key(u: VertexId, w: VertexId) -> tuple[VertexId, VertexId]:
 class MetricTree:
     """Validated immutable metric tree."""
 
-    __slots__ = ("_vertex_set", "_vertices", "_lengths", "_adj")
+    __slots__ = ("_vertex_set", "_vertices", "_lengths", "_edge_list", "_adj")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple] = ()):
         vlist = list(vertices)
@@ -69,14 +69,22 @@ class MetricTree:
     def _of_checked_ids(cls, vertices: list, edges: Iterable[tuple]) -> MetricTree:
         """A tree whose vertex ids are strings the caller has already
         matched against the id rules; every other check still runs."""
-        seen = set()
-        for v in vertices:
-            if v in seen:
-                raise DuplicateVertexId(f"duplicate vertex id {v!r}")
-            seen.add(v)
         tree = cls.__new__(cls)
-        tree._build(vertices, seen, edges)
+        tree._build(vertices, cls._distinct_ids(vertices), edges)
         return tree
+
+    @staticmethod
+    def _distinct_ids(vertices: list) -> set:
+        """The set of the ids `vertices`; a repeated id is a
+        DuplicateVertexId that names its first repeat."""
+        seen = set(vertices)
+        if len(seen) < len(vertices):
+            seen = set()
+            for v in vertices:
+                if v in seen:
+                    raise DuplicateVertexId(f"duplicate vertex id {v!r}")
+                seen.add(v)
+        return seen
 
     def _build(self, vlist: list, seen: set, edges: Iterable[tuple]) -> None:
         if not vlist:
@@ -89,10 +97,10 @@ class MetricTree:
                 raise UnknownVertex(f"edge endpoint {w!r} is not a vertex")
             if u == w:
                 raise CycleDetected(f"self-loop at {u!r}")
-            length = as_fraction(raw_len)
+            length = raw_len if type(raw_len) is Fraction else as_fraction(raw_len)
             if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {u!r}-{w!r} has length {length}")
-            key = edge_key(u, w)
+            key = (u, w) if u <= w else (w, u)
             if key in lengths:
                 raise CycleDetected(f"parallel edge {u!r}-{w!r}")
             lengths[key] = length
@@ -102,8 +110,11 @@ class MetricTree:
                 f"{len(lengths)} edges on {len(seen)} vertices imply a cycle"
             )
 
+        # in (u, w) order, each vertex meets its smaller neighbours first,
+        # then its larger ones, each in ascending order: adjacency is sorted
+        edge_list = tuple((u, w, lengths[u, w]) for u, w in sorted(lengths))
         adj: dict[VertexId, list[VertexId]] = {v: [] for v in seen}
-        for u, w in lengths:
+        for u, w, _ in edge_list:
             adj[u].append(w)
             adj[w].append(u)
 
@@ -123,7 +134,8 @@ class MetricTree:
         self._vertex_set = frozenset(seen)
         self._vertices = tuple(sorted(seen))
         self._lengths = lengths
-        self._adj = {v: tuple(sorted(nbs)) for v, nbs in adj.items()}
+        self._edge_list = edge_list
+        self._adj = {v: tuple(nbs) for v, nbs in adj.items()}
 
     # -- queries -------------------------------------------------------------
 
@@ -137,7 +149,9 @@ class MetricTree:
 
     @property
     def edge_list(self) -> tuple[tuple[VertexId, VertexId, Fraction], ...]:
-        return tuple((u, w, self._lengths[(u, w)]) for u, w in sorted(self._lengths))
+        """(u, w, length) with u < w, sorted by (u, w); sorted once, when
+        the tree is built."""
+        return self._edge_list
 
     def has_vertex(self, v: VertexId) -> bool:
         return v in self._vertex_set
@@ -160,6 +174,25 @@ class MetricTree:
     def adjacency(self) -> Mapping[VertexId, tuple[VertexId, ...]]:
         return MappingProxyType(self._adj)
 
+    def _is_listed_by(self, vertices, edges) -> bool:
+        """True iff the ids `vertices` and the (u, w, length) triples `edges`
+        list exactly this tree: every vertex once, every edge once and with
+        its length. O(n); lengths are compared as integer pairs."""
+        n = len(self._vertices)
+        if len(vertices) != n or len(edges) != n - 1:
+            return False
+        if frozenset(vertices) != self._vertex_set:
+            return False
+        lengths = self._lengths
+        keys = set()
+        for u, w, length in edges:
+            key = (u, w) if u <= w else (w, u)
+            mine = lengths.get(key)
+            if mine is None or mine.as_integer_ratio() != length.as_integer_ratio():
+                return False
+            keys.add(key)
+        return len(keys) == n - 1
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -173,14 +206,14 @@ class MetricTree:
         return mine == {key: x.as_integer_ratio() for key, x in other._lengths.items()}
 
     def __hash__(self) -> int:
-        return hash((self._vertex_set, tuple(sorted(self._lengths.items()))))
+        return hash((self._vertex_set, self._edge_list))
 
     def __repr__(self) -> str:
         return f"MetricTree({len(self._vertices)} vertices, {len(self._lengths)} edges)"
 
     def __reduce__(self):
         # rebuilt through the validating constructor, under every protocol
-        return MetricTree, (self._vertices, self.edge_list)
+        return MetricTree, (self._vertices, self._edge_list)
 
     def root_at(self, root: VertexId) -> tuple[tuple[VertexId, VertexId], ...]:
         """Edges as (parent, child) pairs, oriented away from `root`, in

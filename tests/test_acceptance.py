@@ -35,6 +35,8 @@ from treeucat import (
 )
 from treeucat.cli import main
 from treeucat.documents import (
+    decomposition_from_document,
+    instance_digest,
     parse_decomposition,
     parse_instance,
     serialize_decomposition,
@@ -262,13 +264,15 @@ def test_criterion_9_cli_round_trip(tmp_path, capsys):
     for values in ([1, 2, 1], [1, 2, 1, 2, 1], [0, 4, 1, 3, 0], [4, 1, 4, 1, 4]):
         _, f = path_instance(values)
         d, _ = decompose(f)
-        provenance = {"tool": "treeucat test", "input_digest": "sha256:0"}
+        digest = instance_digest(f.tree, f)
+        provenance = {"tool": "treeucat test", "input_digest": digest}
         text = serialize_decomposition(d, provenance)
         doc = parse_decomposition(text)
-        assert doc.tree == d.refined_tree
+        bound = decomposition_from_document(doc, f)
+        assert bound.refined_tree == d.refined_tree
         assert doc.ucat == len(d.components)
         assert doc.provenance == provenance
-        for parsed, original in zip(doc.components, d.components):
+        for parsed, original in zip(bound.components, d.components):
             assert parsed.mode == original.mode
             assert dict(parsed.density.values) == dict(original.density.values)
         # a second serialize of the parsed form reproduces the text

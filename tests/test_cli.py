@@ -13,6 +13,7 @@ import treeucat
 from treeucat import Component, Decomposition, decompose, gen_instance, sweep
 from treeucat.cli import main
 from treeucat.documents import (
+    decomposition_from_document,
     instance_digest,
     parse_decomposition,
     parse_instance,
@@ -36,7 +37,8 @@ def test_decompose_to_stdout(tmp_path, capsys):
     out = capsys.readouterr().out
     doc = parse_decomposition(out)
     assert doc.ucat == 2
-    assert [c.mode for c in doc.components] == ["v2", "v4"]
+    bound = decomposition_from_document(doc, f)
+    assert [c.mode for c in bound.components] == ["v2", "v4"]
     assert doc.provenance["input_digest"].startswith("sha256:")
     assert doc.provenance["tool"].startswith("treeucat ")
 
@@ -280,6 +282,66 @@ def test_check_names_an_altered_edge_length(tmp_path, capsys):
         "error: edge 'v2'-'v3' has length 5/2 in the decomposition's tree,"
         " 1 in the instance\n"
     )
+
+
+def _duplicate_edge(tree):
+    tree["edges"].append(dict(tree["edges"][0]))
+
+
+def _close_a_cycle(tree):
+    tree["edges"].append({"u": "v1", "w": "v3", "length": "2"})
+
+
+def _unlisted_endpoint(tree):
+    tree["edges"][0]["w"] = "v9"
+
+
+def _duplicate_vertex(tree):
+    tree["vertices"].append("v1")
+
+
+def _zero_length(tree):
+    tree["edges"][0]["length"] = "0"
+
+
+def _drop_last_vertex(tree):
+    tree["vertices"].remove("v6")
+    tree["edges"] = [e for e in tree["edges"] if "v6" not in (e["u"], e["w"])]
+
+
+def _add_a_vertex(tree):
+    tree["vertices"].append("v7")
+    tree["edges"].append({"u": "v6", "w": "v7", "length": "1"})
+
+
+@pytest.mark.parametrize(
+    "alter, message",
+    [
+        (_duplicate_edge, "parallel edge 'v1'-'v2'"),
+        (_close_a_cycle, "6 edges on 6 vertices imply a cycle"),
+        (_unlisted_endpoint, "edge endpoint 'v9' is not a vertex"),
+        (_duplicate_vertex, "duplicate vertex id 'v1'"),
+        (_zero_length, "edge 'v1'-'v2' has length 0"),
+        (_drop_last_vertex, "the decomposition's tree lacks instance vertex 'v6'"),
+        (_add_a_vertex, "the decomposition's tree adds vertex 'v7'"),
+    ],
+)
+def test_check_refuses_a_malformed_tree_section(alter, message, tmp_path, capsys):
+    # the digest is the instance's, so the tree section is what is refused:
+    # a repeated id at parse, every other fault where the section meets the
+    # instance, each with exit 2 and one line
+    tree, f = path_instance([1, 2, 1, 2, 1, 0])
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    out = tmp_path / "d.json"
+    assert main(["decompose", instance, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    alter(doc["tree"])
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", instance, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_oracle_command(tmp_path, capsys):

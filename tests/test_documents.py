@@ -251,9 +251,11 @@ def test_digit_numerals_read_as_fraction_reads_them():
         assert "not an exact number" in _read_as_density(raw)
 
 
-def _parsed_fractions(doc: DecompositionDocument) -> list:
-    values = [length for _, _, length in doc.tree.edge_list]
-    for c in doc.components:
+def _parsed_fractions(doc: DecompositionDocument, f) -> list:
+    """The lengths of the document's tree section and the values of its
+    components, as bound to f."""
+    values = [length for _, _, length in doc.edges]
+    for c in decomposition_from_document(doc, f).components:
         values += [c.density.value(v) for v in c.density.support]
     return values
 
@@ -280,8 +282,8 @@ def test_equal_numerals_share_one_value_within_a_document_only():
 
     f, d = _decomposed(5)
     text = serialize_decomposition(d, _provenance(f))
-    first = _parsed_fractions(parse_decomposition(text))
-    second = _parsed_fractions(parse_decomposition(text))
+    first = _parsed_fractions(parse_decomposition(text), f)
+    second = _parsed_fractions(parse_decomposition(text), f)
     assert len(first) > len(set(first))  # some numeral repeats
     assert len({id(x) for x in first}) == len(set(first))
     # no cache outlives a parse: two parses share no object
@@ -372,14 +374,15 @@ def test_decomposition_round_trip():
     for values in ([1, 2, 1, 2, 1], [0, 4, 1, 3, 0], [4, 1, 4, 1, 4]):
         _, f = path_instance(values)
         d, _ = decompose(f)
-        text = serialize_decomposition(d, PROVENANCE)
+        text = serialize_decomposition(d, _provenance(f))
         doc = parse_decomposition(text)
-        assert doc.tree == d.refined_tree
-        assert doc.tree.vertices == d.refined_tree.vertices
+        bound = decomposition_from_document(doc, f)
+        assert bound.refined_tree == d.refined_tree
+        assert bound.refined_tree.vertices == d.refined_tree.vertices
         assert doc.ucat == len(d.components)
-        assert doc.provenance == PROVENANCE
-        assert len(doc.components) == len(d.components)
-        for parsed, original in zip(doc.components, d.components):
+        assert doc.provenance == _provenance(f)
+        assert len(bound.components) == len(d.components)
+        for parsed, original in zip(bound.components, d.components):
             assert parsed.mode == original.mode
             assert dict(parsed.density.values) == dict(original.density.values)
 
@@ -408,18 +411,18 @@ def test_components_list_their_nonzero_values_in_vertex_order():
 def test_absent_vertex_parses_as_zero():
     _, f = path_instance([0, 4, 1, 3, 0])
     d, _ = decompose(f)
-    data = json.loads(serialize_decomposition(d, PROVENANCE))
+    data = json.loads(serialize_decomposition(d, _provenance(f)))
     assert "v1" not in data["components"][0]["values"]
-    doc = parse_decomposition(json.dumps(data))
-    assert doc.components[0].density.value("v1") == 0
-    assert doc.components[0].density.values.keys() == set(doc.tree.vertices)
+    bound = decomposition_from_document(parse_decomposition(json.dumps(data)), f)
+    assert bound.components[0].density.value("v1") == 0
+    assert bound.components[0].density.values.keys() == set(bound.refined_tree.vertices)
 
     # one entry less: that vertex reads 0, every other value is unchanged
     del data["components"][1]["values"]["v4"]
-    doc = parse_decomposition(json.dumps(data))
-    parsed = doc.components[1].density
+    bound = decomposition_from_document(parse_decomposition(json.dumps(data)), f)
+    parsed = bound.components[1].density
     assert parsed.value("v4") == 0
-    for v in doc.tree.vertices:
+    for v in bound.refined_tree.vertices:
         if v != "v4":
             assert parsed.value(v) == d.components[1].density.value(v)
 
@@ -429,17 +432,20 @@ def test_dense_documents_still_parse_and_check():
         f, d = _decomposed(seed)
         sparse = parse_decomposition(serialize_decomposition(d, _provenance(f)))
         dense = parse_decomposition(dense_decomposition_text(d, _provenance(f)))
-        assert dense.tree == sparse.tree == d.refined_tree
-        assert dense.tree.vertices == sparse.tree.vertices
-        assert dense.components == sparse.components == d.components
-        report = check_decomposition(f, decomposition_from_document(dense, f))
+        assert dense == sparse  # listed zeros are dropped at parse
+        bound_dense = decomposition_from_document(dense, f)
+        bound_sparse = decomposition_from_document(sparse, f)
+        assert bound_dense.refined_tree == bound_sparse.refined_tree == d.refined_tree
+        assert bound_dense.refined_tree.vertices == bound_sparse.refined_tree.vertices
+        assert bound_dense.components == bound_sparse.components == d.components
+        report = check_decomposition(f, bound_dense)
         assert report.overall
 
 
 def test_listed_component_values_are_still_validated():
     _, f = path_instance([0, 4, 1, 3, 0])
     d, _ = decompose(f)
-    good = json.loads(serialize_decomposition(d, PROVENANCE))
+    good = json.loads(serialize_decomposition(d, _provenance(f)))
     cases = [
         ("v2", "-1", NegativeValue, "negative"),
         ("v2", 4, DocumentError, "exact strings"),
@@ -458,7 +464,7 @@ def test_listed_component_values_are_still_validated():
     listed_zero = json.loads(json.dumps(good))
     listed_zero["components"][0]["values"]["v1"] = "0"
     doc = parse_decomposition(json.dumps(listed_zero))
-    assert doc.components == d.components
+    assert decomposition_from_document(doc, f).components == d.components
 
 
 def test_component_with_no_values_is_identically_zero():
@@ -466,9 +472,9 @@ def test_component_with_no_values_is_identically_zero():
     d, _ = decompose(f)
     data = json.loads(serialize_decomposition(d, _provenance(f)))
     data["components"][1]["values"] = {}
-    doc = parse_decomposition(json.dumps(data))
-    assert doc.components[1].density.support == ()
-    report = check_decomposition(f, decomposition_from_document(doc, f))
+    bound = decomposition_from_document(parse_decomposition(json.dumps(data)), f)
+    assert bound.components[1].density.support == ()
+    report = check_decomposition(f, bound)
     assert not report.overall
     assert report.components[1].detail == "component is identically zero"
 
@@ -477,30 +483,29 @@ def test_empty_components_parse_in_memory_bounded_by_the_document():
     # 2,000 components that list no values on a 3,000-vertex path: a
     # density that filled in its zeros would hold 6 M of them (~200 MiB)
     n, k = 3000, 2000
-    names = [f"v{i}" for i in range(1, n + 1)]
+    tree, f = path_instance([1] * n)
     text = json.dumps(
         {
             "tree": {
-                "vertices": names,
+                "vertices": list(tree.vertices),
                 "edges": [
-                    {"u": names[i], "w": names[i + 1], "length": "1"}
-                    for i in range(n - 1)
+                    {"u": u, "w": w, "length": "1"} for u, w, _ in tree.edge_list
                 ],
             },
             "components": [{"mode": "v1", "values": {}}] * k,
             "ucat": k,
-            "provenance": PROVENANCE,
+            "provenance": _provenance(f),
         }
     )
     tracemalloc.start()
     try:
-        doc = parse_decomposition(text)
+        bound = decomposition_from_document(parse_decomposition(text), f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert len(doc.components) == k
-    assert all(c.density.support == () for c in doc.components)
+    assert len(bound.components) == k
+    assert all(c.density.support == () for c in bound.components)
 
 
 def _paper_decomposition():
@@ -566,6 +571,9 @@ def test_document_binds_to_instance():
     bound = decomposition_from_document(doc, f)
     assert bound.refined_tree == d.refined_tree
     assert bound.components == d.components
+    # a section that lists f.tree binds to f.tree itself
+    assert bound.refined_tree is f.tree
+    assert all(c.density.tree is f.tree for c in bound.components)
 
     _, other = path_instance([1, 2, 1])
     with pytest.raises(DocumentError, match="different instance"):

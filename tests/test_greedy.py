@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,14 @@ from treeucat import (
     ucat_oracle,
 )
 from treeucat import greedy
-from treeucat.documents import parse_instance, serialize_instance
+from treeucat.documents import (
+    decomposition_from_document,
+    instance_digest,
+    parse_decomposition,
+    parse_instance,
+    serialize_decomposition,
+    serialize_instance,
+)
 from treeucat.errors import InternalInvariantError
 from treeucat.forced import Peel
 from treeucat.sweep import _sweep
@@ -37,6 +47,7 @@ from treeucat.sweep import _sweep
 from helpers import (
     comb_instance,
     lift_through_cuts,
+    many_denominator_instance,
     monotone_arm_instance,
     path_instance,
     project,
@@ -112,6 +123,49 @@ def _paper_greedy(f):
         subdivisions += result.subdivisions
         current = result.remainder
     return modes, components, subdivisions
+
+
+def _fractions_built_during(fn, *args):
+    """The calls of `Fraction.__new__` while fn(*args) runs, and its result."""
+    code = Fraction.__new__.__code__
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is code:
+            built += 1
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return built, result
+
+
+def test_trace_masses_stay_on_the_lattice_until_read():
+    # each `Fraction(total, D)` runs gcd on integers the size of D, the lcm
+    # of every denominator; decompose builds only its components' values,
+    # one `Fraction` per distinct value of a component, and no trace mass
+    f = many_denominator_instance(1, 20)
+    built, (d, trace) = _fractions_built_during(decompose, f)
+    held = sum(len({id(x) for _, x in c.density.items()}) for c in d.components)
+    assert built == held, (built, held)
+    assert len(trace) == len(d.components) > 5
+    # read, each mass is the input's sum less the components so far
+    rest = sum(f.values.values())
+    for event, c in zip(trace, d.components):
+        rest -= sum(x for _, x in c.density.items())
+        assert event.remaining_mass == rest
+        assert event.remaining_mass is event.remaining_mass  # built once
+    # an event still on the lattice is the event built from its Fraction
+    direct = TraceEvent(2, "B", Fraction(3, 2))
+    assert repr(TraceEvent._on_lattice(2, "B", 6, 4)) == repr(direct) == (
+        "TraceEvent(iteration=2, forced_vertex='B', remaining_mass=Fraction(3, 2))"
+    )
+    unread = TraceEvent._on_lattice(2, "B", 6, 4)
+    assert unread == direct and hash(unread) == hash(direct)
+    assert pickle.loads(pickle.dumps(TraceEvent._on_lattice(2, "B", 6, 4))) == direct
 
 
 def test_trace_masses_start_below_the_input_sum():
@@ -481,6 +535,46 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
         assert built[EdgeLinearDensity] == k + 1, text
         clamps += _replay(f)[-1]
     assert clamps > 0
+
+    # a whole round trip, down to check, builds one tree, the instance's,
+    # and hashes the canonical text once: binding compares the document's
+    # tree section with f.tree and reuses the digest kept on f
+    arm = monotone_arm_instance(4, 600)
+    text = serialize_instance(arm.tree, arm)
+    trees, hashed = 0, 0
+    build, sha256 = MetricTree._build, hashlib.sha256
+
+    def counted_build(self, *args):
+        nonlocal trees
+        trees += 1
+        build(self, *args)
+
+    def counted_sha256(data):
+        nonlocal hashed
+        hashed += 1
+        return sha256(data)
+
+    monkeypatch.setattr(MetricTree, "_build", counted_build)
+    monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+    _, f = parse_instance(text)
+    d, _ = decompose(f)
+    digest = instance_digest(f.tree, f)
+    written = serialize_decomposition(d, {"tool": "test", "input_digest": digest})
+    bound = decomposition_from_document(parse_decomposition(written), f)
+    assert check_decomposition(f, bound).overall
+    assert (trees, hashed) == (1, 1)
+    assert bound.refined_tree is f.tree
+
+    # the digest kept on f is f's: a pickled copy, which keeps none,
+    # computes the same one, and another density on the same tree its own
+    again = pickle.loads(pickle.dumps(f))
+    assert instance_digest(again.tree, again) == digest
+    flat = EdgeLinearDensity(f.tree, {v: 1 for v in f.tree.vertices})
+    other = instance_digest(f.tree, flat)
+    assert other != digest
+    assert instance_digest(f.tree, f) == digest
+    assert instance_digest(f.tree, flat) == other
+    assert hashed == 3
 
 
 def _lattice_instances():
