@@ -3,14 +3,13 @@
 All numbers travel as strings ("3", "1/3", "0.25") and convert exactly to
 rationals, so files round-trip without any loss. Instance and
 decomposition files use user ids only, as a decomposition lives on its
-instance's tree; synthetic `_s<N>` ids appear in sweep documents alone. A
-decomposition names the instance it was made for by the digest of that
-instance, and `decomposition_from_document` binds it to an instance only
-when the digests match.
+instance's tree; synthetic `_s<N>` ids appear in sweep documents alone.
 
-A decomposition's tree section is validated once, where it meets the
-instance: `parse_decomposition` builds no tree, and binding compares the
-section with the instance's tree and puts the components on it.
+A decomposition document holds no tree. It names the instance it was made
+for by the digest of that instance, which covers the instance's vertices
+and edges, and `decomposition_from_document` binds it to an instance only
+when the digests match. Binding checks the document's ids against the
+instance's tree and puts the components on that tree.
 
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
@@ -54,25 +53,20 @@ _EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
 class DecompositionDocument(Record):
     """A decomposition document as parsed, before it meets an instance.
 
-    `vertices` and `edges` are the tree section as listed: distinct valid
-    ids, and (u, w, length) triples whose endpoints and lengths are not yet
-    checked. Each component is a `(mode, support)` pair: its mode, a listed
-    id, and its nonzero values, nonnegative, on listed ids, in id order.
-    `decomposition_from_document` makes the tree and the densities.
+    Each component is a `(mode, values)` pair: its mode, a string, and its
+    listed values, nonnegative, in listed order, a listed 0 included.
+    Whether the ids are the instance's is decided at binding, where
+    `decomposition_from_document` makes the densities.
     """
 
-    __slots__ = ("vertices", "edges", "components", "ucat", "provenance")
+    __slots__ = ("components", "ucat", "provenance")
 
     def __init__(
         self,
-        vertices: tuple[VertexId, ...],
-        edges: tuple[tuple[VertexId, VertexId, Fraction], ...],
         components: tuple[tuple[VertexId, dict[VertexId, Fraction]], ...],
         ucat: int,
         provenance: Mapping[str, str],
     ):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "ucat", ucat)
         object.__setattr__(self, "provenance", provenance)
@@ -147,9 +141,10 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
     return value
 
 
-def _tree_section(data, what: str, numerals: dict[str, Fraction]) -> tuple:
-    """The listed vertex ids, each a valid user id, and the listed edges as
-    (u, w, length) triples; a tree is not built here."""
+def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
+    """An instance's listed vertex ids, each a valid user id, and its listed
+    edges as (u, w, length) triples; a tree is not built here."""
+    what = "instance"
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise DocumentError(f"{what}: vertices must be a list of id strings")
@@ -196,19 +191,14 @@ def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
     return values
 
 
-def _support(raw, what: str, listed: set, numerals: dict[str, Fraction]) -> dict:
-    """A component's nonzero values, in id order, which is the `vertices`
-    order of every tree; each listed id must be in `listed`, and each value
-    must be nonnegative, as `EdgeLinearDensity` requires."""
-    support = {}
-    for v, value in _values_map(raw, what, numerals).items():
-        if v not in listed:
-            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
-        if value:  # most listed values are nonzero; a listed 0 is dropped
-            if value.numerator < 0:  # a Fraction's denominator is positive
-                raise NegativeValue(f"density value {value} at {v!r} is negative")
-            support[v] = value
-    return dict(sorted(support.items()))
+def _support(raw, what: str, numerals: dict[str, Fraction]) -> dict:
+    """A component's listed values, each nonnegative, as `EdgeLinearDensity`
+    requires; the ids are checked, and a listed 0 dropped, at binding."""
+    values = _values_map(raw, what, numerals)
+    for v, value in values.items():
+        if value.numerator < 0:  # a Fraction's denominator is positive
+            raise NegativeValue(f"density value {value} at {v!r} is negative")
+    return values
 
 
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
@@ -221,7 +211,7 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
     numerals: dict[str, Fraction] = {}
-    tree = MetricTree._of_checked_ids(*_tree_section(data, "instance", numerals))
+    tree = MetricTree._of_checked_ids(*_tree_section(data, numerals))
     values = _values_map(data["density"], "density", numerals)
     f = EdgeLinearDensity(tree, values)
     for v in tree.vertices:
@@ -251,10 +241,7 @@ def _numeral(value: Fraction, label: str, a, b=None) -> str:
 # letters, digits, "_" and "-".
 _EDGE = '{\n  "u": "%s",\n  "w": "%s",\n  "length": "%s"\n}'
 _INSTANCE = '{\n  "vertices": %s,\n  "edges": %s,\n  "density": %s\n}\n'
-_DECOMPOSITION = (
-    '{\n  "tree": {\n    "vertices": %s,\n    "edges": %s\n  },\n'
-    '  "components": %s,\n  "ucat": %d,\n  "provenance": %s\n}\n'
-)
+_DECOMPOSITION = '{\n  "components": %s,\n  "ucat": %d,\n  "provenance": %s\n}\n'
 _COMPONENT = '{\n      "mode": %s,\n      "values": %s\n    }'
 _SWEEP = (
     '{\n  "tree": {\n    "vertices": %s,\n    "edges": %s\n  },\n  "origin": %s,\n'
@@ -327,19 +314,11 @@ def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
 
 
 def parse_decomposition(text: str) -> DecompositionDocument:
-    """Parse a decomposition document, checking each item on its own.
-
-    The tree section's ids must be distinct valid user ids; whether its
-    edges make a tree, and the instance's tree, is decided at binding.
-    """
+    """Parse a decomposition document, checking each item on its own;
+    whether its ids are the instance's is decided at binding."""
     data = _load_json(text)
-    _check_sections(
-        data, {"tree", "components", "ucat", "provenance"}, "decomposition"
-    )
-    _check_sections(data["tree"], {"vertices", "edges"}, "tree")
+    _check_sections(data, {"components", "ucat", "provenance"}, "decomposition")
     numerals: dict[str, Fraction] = {}
-    vertices, edges = _tree_section(data["tree"], "tree", numerals)
-    listed = MetricTree._distinct_ids(vertices)
 
     raw_components = data["components"]
     if not isinstance(raw_components, list):
@@ -351,12 +330,12 @@ def parse_decomposition(text: str) -> DecompositionDocument:
                 f"component {i} must be an object with keys mode, values"
             )
         mode = entry["mode"]
-        if not isinstance(mode, str) or mode not in listed:
+        if not isinstance(mode, str):
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
         what = f"component {i} values"
-        components.append((mode, _support(entry["values"], what, listed, numerals)))
+        components.append((mode, _support(entry["values"], what, numerals)))
 
     count = data["ucat"]
     if not isinstance(count, int) or isinstance(count, bool):
@@ -372,9 +351,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
         if not isinstance(provenance[key], str):
             raise DocumentError(f"provenance {key} must be a string")
 
-    return DecompositionDocument(
-        tuple(vertices), tuple(edges), tuple(components), count, dict(provenance)
-    )
+    return DecompositionDocument(tuple(components), count, dict(provenance))
 
 
 def decomposition_from_document(
@@ -382,12 +359,9 @@ def decomposition_from_document(
 ) -> Decomposition:
     """Bind a parsed decomposition to the instance it claims to decompose.
 
-    A document whose `input_digest` is not f's is refused. A tree section
-    that lists f.tree, compared in O(n), is not validated again: the
-    components are put on f.tree itself. Any other section is built as a
-    tree, so an invalid one raises its `InvalidTree` here, and the
-    components are put on it, for `check_decomposition` to refuse with a
-    `TreeMismatch` that names the first difference. The components are
+    A document whose `input_digest` is not f's is refused; so is a mode, or
+    a listed id, that is not a vertex of f.tree. The components are put on
+    f.tree itself, each with its nonzero values in vertex order. They are
     not checked here, that is `check_decomposition`'s job.
     """
     expected = instance_digest(f.tree, f)
@@ -397,17 +371,27 @@ def decomposition_from_document(
             f" (digest {doc.provenance['input_digest']}, instance has {expected})"
         )
     tree = f.tree
-    if not tree._is_listed_by(doc.vertices, doc.edges):
-        tree = MetricTree._of_checked_ids(list(doc.vertices), doc.edges)
-    components = tuple(
-        Component(mode, EdgeLinearDensity._of_support(tree, support))
-        for mode, support in doc.components
-    )
-    return Decomposition(tree, components)
+    vertex_set = tree.vertex_set
+    components = []
+    for i, (mode, values) in enumerate(doc.components):
+        if mode not in vertex_set:
+            raise DocumentError(
+                f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
+            )
+        if not vertex_set.issuperset(values):
+            v = next(v for v in values if v not in vertex_set)
+            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
+        # tree.vertices is in id order; most listed values are nonzero
+        support = {v: x for v, x in sorted(values.items()) if x}
+        density = EdgeLinearDensity._of_support(tree, support)
+        components.append(Component(mode, density))
+    return Decomposition(tree, tuple(components))
 
 
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:
-    """JSON text of `d`; each component lists its nonzero values only."""
+    """JSON text of `d`; each component lists its nonzero values only. The
+    tree is not written: d lives on the instance that the provenance's
+    `input_digest` names."""
     pad = "      "  # a component's "values" line
     components = [
         _COMPONENT
@@ -416,7 +400,6 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
     ]
     tool = [_escape(key) + ": " + _escape(text) for key, text in provenance.items()]
     return _DECOMPOSITION % (
-        *_tree_sections(d.refined_tree, "    "),
         _block(components, "  ", "[]"),
         len(components),
         _block(tool, "  "),

@@ -69,22 +69,16 @@ class MetricTree:
     def _of_checked_ids(cls, vertices: list, edges: Iterable[tuple]) -> MetricTree:
         """A tree whose vertex ids are strings the caller has already
         matched against the id rules; every other check still runs."""
-        tree = cls.__new__(cls)
-        tree._build(vertices, cls._distinct_ids(vertices), edges)
-        return tree
-
-    @staticmethod
-    def _distinct_ids(vertices: list) -> set:
-        """The set of the ids `vertices`; a repeated id is a
-        DuplicateVertexId that names its first repeat."""
         seen = set(vertices)
-        if len(seen) < len(vertices):
+        if len(seen) < len(vertices):  # name the first repeat
             seen = set()
             for v in vertices:
                 if v in seen:
                     raise DuplicateVertexId(f"duplicate vertex id {v!r}")
                 seen.add(v)
-        return seen
+        tree = cls.__new__(cls)
+        tree._build(vertices, seen, edges)
+        return tree
 
     def _build(self, vlist: list, seen: set, edges: Iterable[tuple]) -> None:
         if not vlist:
@@ -173,25 +167,6 @@ class MetricTree:
 
     def adjacency(self) -> Mapping[VertexId, tuple[VertexId, ...]]:
         return MappingProxyType(self._adj)
-
-    def _is_listed_by(self, vertices, edges) -> bool:
-        """True iff the ids `vertices` and the (u, w, length) triples `edges`
-        list exactly this tree: every vertex once, every edge once and with
-        its length. O(n); lengths are compared as integer pairs."""
-        n = len(self._vertices)
-        if len(vertices) != n or len(edges) != n - 1:
-            return False
-        if frozenset(vertices) != self._vertex_set:
-            return False
-        lengths = self._lengths
-        keys = set()
-        for u, w, length in edges:
-            key = (u, w) if u <= w else (w, u)
-            mine = lengths.get(key)
-            if mine is None or mine.as_integer_ratio() != length.as_integer_ratio():
-                return False
-            keys.add(key)
-        return len(keys) == n - 1
 
     def __eq__(self, other) -> bool:
         if self is other:

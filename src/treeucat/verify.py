@@ -352,14 +352,12 @@ def _solve(
 
 
 def _validate_certificate(
-    f: EdgeLinearDensity, certificate: FeasibilityCertificate, oriented=None
+    f: EdgeLinearDensity, certificate: FeasibilityCertificate, oriented
 ) -> None:
     """Check every constraint of the literal system on the returned values,
     read as integer pairs; a failure is a solver bug, never a property of
     the input. `oriented` maps each anchor to the tree's edges oriented
-    away from it, and is rooted here when not given."""
-    if oriented is None:
-        oriented = {m: f.tree.root_at(m) for m in dict.fromkeys(certificate.modes)}
+    away from it."""
     ratios = [
         {v: x.as_integer_ratio() for v, x in c.items()}
         for c in certificate.components

@@ -306,17 +306,10 @@ def random_path_values(rng, max_len, max_value):
 
 
 def dense_decomposition_text(d, provenance) -> str:
-    """The document of `d` with every component listing every refined
-    vertex, zeros included, as earlier versions wrote it."""
+    """The document of `d` with every component listing every vertex of its
+    tree, zeros included."""
     vertices = d.refined_tree.vertices
     doc = {
-        "tree": {
-            "vertices": list(vertices),
-            "edges": [
-                {"u": u, "w": w, "length": str(length)}
-                for u, w, length in d.refined_tree.edge_list
-            ],
-        },
         "components": [
             {"mode": c.mode, "values": {v: str(c.density.value(v)) for v in vertices}}
             for c in d.components

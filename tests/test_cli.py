@@ -244,7 +244,8 @@ def test_check_tree_mismatch_with_forged_digest(tmp_path, capsys):
 
 def test_check_refuses_a_decomposition_on_a_sweep_refinement(tmp_path, capsys):
     # h and the remainder of a sweep decompose f on the refinement the
-    # sweep made, and the digest is f's; the `_s1` id is refused at parse
+    # sweep made, and the digest is f's; the cut vertex `_s1` that the
+    # components list is refused where the document meets the instance
     tree, f = path_instance([0, 4, 1, 3, 0])
     instance = _write_instance(tmp_path, "in.json", tree, f)
     result = sweep(f, "v2")
@@ -258,60 +259,87 @@ def test_check_refuses_a_decomposition_on_a_sweep_refinement(tmp_path, capsys):
     assert main(["check", instance, str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: tree: invalid vertex id '_s1' (ids match"
-        " [A-Za-z0-9][A-Za-z0-9_-]* and cannot start with '_')\n"
-    )
+    assert captured.err == "error: density value for '_s1', not a tree vertex\n"
 
 
-def test_check_names_an_altered_edge_length(tmp_path, capsys):
-    # the digest covers the instance, not the decomposition's own tree, so
-    # it stays intact; the referee names the edge and both lengths
+def test_check_refuses_a_document_with_a_tree_section(tmp_path, capsys):
+    # a decomposition names its instance by digest and holds no tree; a
+    # document written with the former `tree` section is refused as such
     tree, f = path_instance([1, 2, 1, 2, 1])
     instance = _write_instance(tmp_path, "in.json", tree, f)
     out = tmp_path / "d.json"
     assert main(["decompose", instance, "--output", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["tree"]["edges"][1] == {"u": "v2", "w": "v3", "length": "1"}
-    doc["tree"]["edges"][1]["length"] = "5/2"
+    assert list(doc) == ["components", "ucat", "provenance"]
+    doc["tree"] = {
+        "vertices": list(tree.vertices),
+        "edges": [
+            {"u": u, "w": w, "length": str(length)} for u, w, length in tree.edge_list
+        ],
+    }
     out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
     assert main(["check", instance, str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: edge 'v2'-'v3' has length 5/2 in the decomposition's tree,"
-        " 1 in the instance\n"
-    )
+    assert captured.err == "error: decomposition has unknown section 'tree'\n"
 
 
-def _duplicate_edge(tree):
-    tree["edges"].append(dict(tree["edges"][0]))
+def _unknown_mode(doc):
+    doc["components"][1]["mode"] = "v9"
 
 
-def _close_a_cycle(tree):
-    tree["edges"].append({"u": "v1", "w": "v3", "length": "2"})
+def _unknown_id(doc):
+    doc["components"][0]["values"]["v9"] = "1"
 
 
-def _unlisted_endpoint(tree):
-    tree["edges"][0]["w"] = "v9"
+def _unknown_id_listed_as_zero(doc):
+    doc["components"][0]["values"]["v9"] = "0"
 
 
-def _duplicate_vertex(tree):
-    tree["vertices"].append("v1")
+@pytest.mark.parametrize(
+    "alter, message",
+    [
+        (_unknown_mode, "component 1: mode 'v9' is not a tree vertex"),
+        (_unknown_id, "density value for 'v9', not a tree vertex"),
+        (_unknown_id_listed_as_zero, "density value for 'v9', not a tree vertex"),
+    ],
+)
+def test_check_refuses_ids_that_are_not_instance_vertices(
+    alter, message, tmp_path, capsys
+):
+    tree, f = path_instance([1, 2, 1, 2, 1])
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    out = tmp_path / "d.json"
+    assert main(["decompose", instance, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    alter(doc)
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", instance, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
-def _zero_length(tree):
-    tree["edges"][0]["length"] = "0"
+def _duplicate_edge(doc):
+    doc["edges"].append(dict(doc["edges"][0]))
 
 
-def _drop_last_vertex(tree):
-    tree["vertices"].remove("v6")
-    tree["edges"] = [e for e in tree["edges"] if "v6" not in (e["u"], e["w"])]
+def _close_a_cycle(doc):
+    doc["edges"].append({"u": "v1", "w": "v3", "length": "2"})
 
 
-def _add_a_vertex(tree):
-    tree["vertices"].append("v7")
-    tree["edges"].append({"u": "v6", "w": "v7", "length": "1"})
+def _unlisted_endpoint(doc):
+    doc["edges"][0]["w"] = "v9"
+
+
+def _duplicate_vertex(doc):
+    doc["vertices"].append("v1")
+
+
+def _zero_length(doc):
+    doc["edges"][0]["length"] = "0"
 
 
 @pytest.mark.parametrize(
@@ -322,21 +350,19 @@ def _add_a_vertex(tree):
         (_unlisted_endpoint, "edge endpoint 'v9' is not a vertex"),
         (_duplicate_vertex, "duplicate vertex id 'v1'"),
         (_zero_length, "edge 'v1'-'v2' has length 0"),
-        (_drop_last_vertex, "the decomposition's tree lacks instance vertex 'v6'"),
-        (_add_a_vertex, "the decomposition's tree adds vertex 'v7'"),
     ],
 )
 def test_check_refuses_a_malformed_tree_section(alter, message, tmp_path, capsys):
-    # the digest is the instance's, so the tree section is what is refused:
-    # a repeated id at parse, every other fault where the section meets the
-    # instance, each with exit 2 and one line
+    # the instance's tree section is altered after the decomposition was
+    # written for it: the instance is refused as it is read, with exit 2,
+    # one line and the tree's own message
     tree, f = path_instance([1, 2, 1, 2, 1, 0])
     instance = _write_instance(tmp_path, "in.json", tree, f)
     out = tmp_path / "d.json"
     assert main(["decompose", instance, "--output", str(out)]) == 0
-    doc = json.loads(out.read_text(encoding="utf-8"))
-    alter(doc["tree"])
-    out.write_text(json.dumps(doc), encoding="utf-8")
+    doc = json.loads(Path(instance).read_text(encoding="utf-8"))
+    alter(doc)
+    Path(instance).write_text(json.dumps(doc), encoding="utf-8")
     capsys.readouterr()
     assert main(["check", instance, str(out)]) == 2
     captured = capsys.readouterr()
@@ -486,7 +512,7 @@ def test_python_dash_m_runs_the_commands(module, tmp_path):
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(doc), encoding="utf-8")
     malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"tree": ', encoding="utf-8")
+    malformed.write_text('{"ucat": ', encoding="utf-8")
 
     proc = run("check", instance, str(good))
     assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "overall: ok")

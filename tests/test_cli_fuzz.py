@@ -81,7 +81,28 @@ def _get(node, path):
 
 
 def _vertices(data):
-    return data["tree"]["vertices"] if "tree" in data else data["vertices"]
+    """The ids a document names: an instance's vertices, or the modes and
+    value keys of a decomposition's components."""
+    if "vertices" in data:
+        return data["vertices"]
+    ids = {c["mode"] for c in data["components"]}
+    for c in data["components"]:
+        ids.update(c["values"])
+    return sorted(ids)
+
+
+def _id_positions(data):
+    """Where a document names an id: each a string leaf, or a value map's
+    path and the key in it. An instance names ids in its vertex list, its
+    edges and its density; a decomposition in its modes and value keys."""
+    ids = set(_vertices(data))
+    for path in _paths(data):
+        node = _get(data, path)
+        if isinstance(node, str) and node in ids:
+            yield path, None
+        elif path and path[-1] in ("values", "density"):
+            for key in node:
+                yield path, key
 
 
 @st.composite
@@ -114,12 +135,19 @@ def mutated(draw, text):
         else:
             entries[draw(st.sampled_from(IDS))] = draw(st.sampled_from(["0", "1"]))
         return json.dumps(_replace(data, path, entries))
-    # numerals and ids are the string leaves; which kind a leaf is does not
-    # matter to the parser, so either list may land anywhere
+    if kind == "id":
+        path, key = draw(st.sampled_from(list(_id_positions(data))))
+        new = draw(st.sampled_from(IDS))
+        if key is None:
+            return json.dumps(_replace(data, path, new))
+        entries = dict(_get(data, path))
+        entries[new] = entries.pop(key)
+        return json.dumps(_replace(data, path, entries))
+    # which kind a string leaf is does not matter to the parser, so a
+    # numeral may land anywhere
     leaves = [p for p in paths if p and isinstance(_get(data, p), str)]
     path = draw(st.sampled_from(leaves))
-    pool = NUMERALS if kind == "numeral" else IDS
-    return json.dumps(_replace(data, path, draw(st.sampled_from(pool))))
+    return json.dumps(_replace(data, path, draw(st.sampled_from(NUMERALS))))
 
 
 COMMANDS = [

@@ -195,7 +195,6 @@ def test_a_repeated_bad_numeral_fails_at_its_first_position():
         assert str(err.value) == f"instance: edge 0 length: {message}"
 
         doc = {
-            "tree": {"vertices": ["A"], "edges": []},
             "components": [
                 {"mode": "A", "values": {"A": bad}},
                 {"mode": "A", "values": {"A": bad}},
@@ -252,9 +251,8 @@ def test_digit_numerals_read_as_fraction_reads_them():
 
 
 def _parsed_fractions(doc: DecompositionDocument, f) -> list:
-    """The lengths of the document's tree section and the values of its
-    components, as bound to f."""
-    values = [length for _, _, length in doc.edges]
+    """The values of the document's components, as bound to f."""
+    values = []
     for c in decomposition_from_document(doc, f).components:
         values += [c.density.value(v) for v in c.density.support]
     return values
@@ -294,7 +292,7 @@ def test_deep_nesting_and_long_literals_are_document_errors():
     with pytest.raises(DocumentError, match="nested too deeply"):
         parse_instance("[" * 100000)
     with pytest.raises(DocumentError, match="nested too deeply"):
-        parse_decomposition('{"tree": ' * 100000)
+        parse_decomposition('{"components": ' * 100000)
     # an integer literal past Python's digit limit for int conversion
     with pytest.raises(DocumentError):
         parse_decomposition('{"ucat": ' + "9" * 5000 + "}")
@@ -377,14 +375,30 @@ def test_decomposition_round_trip():
         text = serialize_decomposition(d, _provenance(f))
         doc = parse_decomposition(text)
         bound = decomposition_from_document(doc, f)
-        assert bound.refined_tree == d.refined_tree
-        assert bound.refined_tree.vertices == d.refined_tree.vertices
+        assert bound.refined_tree is f.tree
         assert doc.ucat == len(d.components)
         assert doc.provenance == _provenance(f)
         assert len(bound.components) == len(d.components)
         for parsed, original in zip(bound.components, d.components):
             assert parsed.mode == original.mode
             assert dict(parsed.density.values) == dict(original.density.values)
+
+
+def test_document_size_depends_on_the_supports_not_on_the_tree():
+    # the same positive part followed by 10 and by 10,000 zero vertices:
+    # the components list the same values, and no tree is written
+    texts, sizes = [], set()
+    for zeros in (10, 10_000):
+        _, f = path_instance([1, 3, 1, 2, 5] + [0] * zeros)
+        d, _ = decompose(f)
+        texts.append(serialize_decomposition(d, PROVENANCE))
+        own = serialize_decomposition(d, _provenance(f))
+        sizes.add(len(own.encode()))
+        bound = decomposition_from_document(parse_decomposition(own), f)
+        assert bound.refined_tree is f.tree
+        assert bound.components == d.components
+    assert texts[0] == texts[1]
+    assert len(sizes) == 1
 
 
 def _decomposed(seed):
@@ -399,7 +413,7 @@ def test_components_list_their_nonzero_values_in_vertex_order():
     for seed in range(30):
         _, d = _decomposed(seed)
         data = json.loads(serialize_decomposition(d, PROVENANCE))
-        assert data["tree"]["vertices"] == list(d.refined_tree.vertices)
+        assert list(data) == ["components", "ucat", "provenance"]
         for entry, component in zip(data["components"], d.components):
             listed = [
                 v for v in d.refined_tree.vertices if component.density.value(v) != 0
@@ -432,12 +446,13 @@ def test_dense_documents_still_parse_and_check():
         f, d = _decomposed(seed)
         sparse = parse_decomposition(serialize_decomposition(d, _provenance(f)))
         dense = parse_decomposition(dense_decomposition_text(d, _provenance(f)))
-        assert dense == sparse  # listed zeros are dropped at parse
+        # listed zeros are dropped at binding
         bound_dense = decomposition_from_document(dense, f)
         bound_sparse = decomposition_from_document(sparse, f)
-        assert bound_dense.refined_tree == bound_sparse.refined_tree == d.refined_tree
-        assert bound_dense.refined_tree.vertices == bound_sparse.refined_tree.vertices
+        assert bound_dense.refined_tree is bound_sparse.refined_tree is f.tree
         assert bound_dense.components == bound_sparse.components == d.components
+        for parsed, original in zip(bound_dense.components, d.components):
+            assert parsed.density.support == original.density.support
         report = check_decomposition(f, bound_dense)
         assert report.overall
 
@@ -452,14 +467,21 @@ def test_listed_component_values_are_still_validated():
         ("v2", "1e1001", DocumentError, "decimal exponent"),
         ("v2", "1" * (MAX_NUMERAL_CHARS + 1), DocumentError, "numeral has"),
         ("v2", "abc", DocumentError, "not an exact number"),
-        ("v9", "1", TreeMismatch, "'v9', not a tree vertex"),
-        ("_s99", "0", TreeMismatch, "'_s99', not a tree vertex"),
     ]
     for vertex, raw, error, message in cases:
         bad = json.loads(json.dumps(good))
         bad["components"][0]["values"][vertex] = raw
         with pytest.raises(error, match=message):
             parse_decomposition(json.dumps(bad))
+    # an id that is not the instance's is refused where the document meets
+    # the instance, even with a listed zero
+    for vertex, raw in [("v9", "1"), ("_s99", "0")]:
+        bad = json.loads(json.dumps(good))
+        bad["components"][0]["values"][vertex] = raw
+        doc = parse_decomposition(json.dumps(bad))
+        with pytest.raises(TreeMismatch) as err:
+            decomposition_from_document(doc, f)
+        assert str(err.value) == f"density value for {vertex!r}, not a tree vertex"
     # a listed zero is legal and changes nothing
     listed_zero = json.loads(json.dumps(good))
     listed_zero["components"][0]["values"]["v1"] = "0"
@@ -486,12 +508,6 @@ def test_empty_components_parse_in_memory_bounded_by_the_document():
     tree, f = path_instance([1] * n)
     text = json.dumps(
         {
-            "tree": {
-                "vertices": list(tree.vertices),
-                "edges": [
-                    {"u": u, "w": w, "length": "1"} for u, w, _ in tree.edge_list
-                ],
-            },
             "components": [{"mode": "v1", "values": {}}] * k,
             "ucat": k,
             "provenance": _provenance(f),
@@ -520,23 +536,42 @@ def _paper_decomposition():
 
 def test_decomposition_tree_may_not_contain_synthetic_ids():
     # a decomposition lives on its instance's tree, whose ids are user ids:
-    # one on the refinement the paper's greedy makes is refused at parse,
-    # with the instance's id rule, although its digest names the instance
+    # one on the refinement the paper's greedy makes is refused at binding,
+    # although its digest names the instance
     f, d = _paper_decomposition()
-    text = serialize_decomposition(d, _provenance(f))
-    with pytest.raises(DocumentError, match="'_s1'.*cannot start with '_'"):
-        parse_decomposition(text)
+    doc = parse_decomposition(serialize_decomposition(d, _provenance(f)))
+    with pytest.raises(TreeMismatch) as err:
+        decomposition_from_document(doc, f)
+    assert str(err.value) == "density value for '_s1', not a tree vertex"
 
 
 def test_decomposition_validation_errors():
     _, f = path_instance([1, 2, 1])
     d, _ = decompose(f)
-    good = json.loads(serialize_decomposition(d, PROVENANCE))
+    good = json.loads(serialize_decomposition(d, _provenance(f)))
 
+    # a mode that is not a string is refused at parse; one that is not an
+    # instance vertex at binding, with the same message
+    for mode in [7, ["v1"]]:
+        bad = json.loads(json.dumps(good))
+        bad["components"][0]["mode"] = mode
+        with pytest.raises(DocumentError) as err:
+            parse_decomposition(json.dumps(bad))
+        assert str(err.value) == (
+            f"component 0: mode {reprlib.repr(mode)} is not a tree vertex"
+        )
     bad = json.loads(json.dumps(good))
     bad["components"][0]["mode"] = "v9"
-    with pytest.raises(DocumentError, match="mode 'v9'"):
+    doc = parse_decomposition(json.dumps(bad))
+    with pytest.raises(DocumentError) as err:
+        decomposition_from_document(doc, f)
+    assert str(err.value) == "component 0: mode 'v9' is not a tree vertex"
+
+    bad = json.loads(json.dumps(good))
+    bad["tree"] = {"vertices": list(f.tree.vertices), "edges": []}
+    with pytest.raises(DocumentError) as err:
         parse_decomposition(json.dumps(bad))
+    assert str(err.value) == "decomposition has unknown section 'tree'"
 
     bad = json.loads(json.dumps(good))
     bad["ucat"] = 5
@@ -651,7 +686,6 @@ def test_writer_matches_the_stdlib_encoder():
         ]
         expected = _stdlib_text(
             {
-                "tree": _tree_fields(d.refined_tree),
                 "components": components,
                 "ucat": len(components),
                 "provenance": provenance,
@@ -711,14 +745,11 @@ def test_digest_is_the_sha256_of_the_sorted_compact_json():
 
 def test_serialize_makes_a_bounded_number_of_calls_per_listed_item():
     # counted calls, not wall time: json.dumps with indent runs the
-    # pure-Python encoder, about 45 calls per listed vertex, edge and value;
-    # the fixed-shape writer makes about 1.7, one `_numeral` and the two
-    # builtins it calls per numeral
+    # pure-Python encoder, about 25 calls per listed value; the fixed-shape
+    # writer makes about 2, one `_numeral` and the builtins it calls
     f = monotone_arm_instance(1, 600)
     d, _ = decompose(f)
-    tree = d.refined_tree
-    listed = len(tree.vertices) + len(tree.edge_list)
-    listed += sum(len(c.density.support) for c in d.components)
+    listed = sum(len(c.density.support) for c in d.components)
     calls = python_calls_during(serialize_decomposition, d, PROVENANCE)
     assert calls <= 2.5 * listed, (calls, listed)
 

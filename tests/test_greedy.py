@@ -537,8 +537,8 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     assert clamps > 0
 
     # a whole round trip, down to check, builds one tree, the instance's,
-    # and hashes the canonical text once: binding compares the document's
-    # tree section with f.tree and reuses the digest kept on f
+    # and hashes the canonical text once: binding puts the components on
+    # f.tree and reuses the digest kept on f
     arm = monotone_arm_instance(4, 600)
     text = serialize_instance(arm.tree, arm)
     trees, hashed = 0, 0

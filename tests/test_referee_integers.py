@@ -255,7 +255,8 @@ def test_a_broken_certificate_is_refused():
     # three checks must still fire on a certificate that breaks it
     _, f = path_instance([Fraction(1, 3), Fraction(5, 6), Fraction(1, 2)])
     good = verify.feasible_with_modes(f, ("v2",))
-    verify._validate_certificate(f, good)
+    oriented = {"v2": f.tree.root_at("v2")}
+    verify._validate_certificate(f, good, oriented)
     broken = {
         "sums to 1 at 'v1', expected 1/3": {"v1": 1},
         "negative at 'v1' for anchor 'v2'": {"v1": Fraction(-1, 3)},
@@ -269,4 +270,4 @@ def test_a_broken_certificate_is_refused():
         else:
             certificate = verify.FeasibilityCertificate(("v2",), (values,))
         with pytest.raises(verify.InternalInvariantError, match=message):
-            verify._validate_certificate(f, certificate)
+            verify._validate_certificate(f, certificate, oriented)

@@ -130,13 +130,6 @@ def test_zero_component_is_flagged():
 def _from_document(f, parts):
     """Bind a document whose components list only the given values."""
     doc = {
-        "tree": {
-            "vertices": list(f.tree.vertices),
-            "edges": [
-                {"u": u, "w": w, "length": str(length)}
-                for u, w, length in f.tree.edge_list
-            ],
-        },
         "components": [
             {"mode": mode, "values": {v: str(x) for v, x in values.items()}}
             for mode, values in parts
