@@ -43,7 +43,7 @@ class EdgeLinearDensity:
         for v, raw in values.items():
             if v not in vertex_set:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
-            val = as_fraction(raw)
+            val = raw if type(raw) is Fraction else as_fraction(raw)
             if val:  # most values are 0 and skip the comparison
                 if val.numerator < 0:  # a Fraction's denominator is positive
                     raise NegativeValue(f"density value {val} at {v!r} is negative")
@@ -51,16 +51,6 @@ class EdgeLinearDensity:
         self._tree = tree
         self._values = dict(sorted(stored.items()))  # tree.vertices is sorted
         self._digest = None
-
-    @classmethod
-    def _of_support(cls, tree: MetricTree, support: dict) -> EdgeLinearDensity:
-        """The density on `tree` whose support map is `support`, which another
-        density already validated and ordered; it is shared, not copied."""
-        f = cls.__new__(cls)
-        f._tree = tree
-        f._values = support
-        f._digest = None
-        return f
 
     @property
     def tree(self) -> MetricTree:

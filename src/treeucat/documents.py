@@ -8,8 +8,9 @@ instance's tree; synthetic `_s<N>` ids appear in sweep documents alone.
 A decomposition document holds no tree. It names the instance it was made
 for by the digest of that instance, which covers the instance's vertices
 and edges, and `decomposition_from_document` binds it to an instance only
-when the digests match. Binding checks the document's ids against the
-instance's tree and puts the components on that tree.
+when the digests match. Binding builds each component on the instance's
+tree through `EdgeLinearDensity`, which refuses an id that is not a vertex
+of that tree and a negative value.
 
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
@@ -39,10 +40,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 
 from .density import EdgeLinearDensity
-from .errors import DocumentError, NegativeValue, TreeMismatch
+from .errors import DocumentError, TreeMismatch
 from .rational import as_fraction
 from .record import Component, Decomposition, Record
-from .tree import _USER_ID, MetricTree, VertexId
+from .tree import MetricTree, VertexId
 
 MAX_NUMERAL_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
@@ -54,9 +55,9 @@ class DecompositionDocument(Record):
     """A decomposition document as parsed, before it meets an instance.
 
     Each component is a `(mode, values)` pair: its mode, a string, and its
-    listed values, nonnegative, in listed order, a listed 0 included.
-    Whether the ids are the instance's is decided at binding, where
-    `decomposition_from_document` makes the densities.
+    listed values, in listed order, a listed 0 included. Whether the ids
+    are the instance's and the values nonnegative is decided at binding,
+    where `decomposition_from_document` makes the densities.
     """
 
     __slots__ = ("components", "ucat", "provenance")
@@ -142,8 +143,9 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
 
 
 def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
-    """An instance's listed vertex ids, each a valid user id, and its listed
-    edges as (u, w, length) triples; a tree is not built here."""
+    """An instance's listed vertex ids, each a string that does not start
+    with `_`, and its listed edges as (u, w, length) triples; the tree, built
+    from them by `MetricTree`, checks the rest."""
     what = "instance"
     vertices = data["vertices"]
     if not isinstance(vertices, list):
@@ -151,7 +153,7 @@ def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
     for v in vertices:
         if not isinstance(v, str):
             raise DocumentError(f"{what}: vertex id {v!r} is not a string")
-        if not _USER_ID.match(v):
+        if v.startswith("_"):
             raise DocumentError(
                 f"{what}: invalid vertex id {v!r} (ids match"
                 " [A-Za-z0-9][A-Za-z0-9_-]* and cannot start with '_')"
@@ -191,16 +193,6 @@ def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
     return values
 
 
-def _support(raw, what: str, numerals: dict[str, Fraction]) -> dict:
-    """A component's listed values, each nonnegative, as `EdgeLinearDensity`
-    requires; the ids are checked, and a listed 0 dropped, at binding."""
-    values = _values_map(raw, what, numerals)
-    for v, value in values.items():
-        if value.numerator < 0:  # a Fraction's denominator is positive
-            raise NegativeValue(f"density value {value} at {v!r} is negative")
-    return values
-
-
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     """Parse an instance document; tree and density errors propagate.
 
@@ -211,7 +203,7 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
     numerals: dict[str, Fraction] = {}
-    tree = MetricTree._of_checked_ids(*_tree_section(data, numerals))
+    tree = MetricTree(*_tree_section(data, numerals))
     values = _values_map(data["density"], "density", numerals)
     f = EdgeLinearDensity(tree, values)
     for v in tree.vertices:
@@ -335,7 +327,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
         what = f"component {i} values"
-        components.append((mode, _support(entry["values"], what, numerals)))
+        components.append((mode, _values_map(entry["values"], what, numerals)))
 
     count = data["ucat"]
     if not isinstance(count, int) or isinstance(count, bool):
@@ -359,10 +351,12 @@ def decomposition_from_document(
 ) -> Decomposition:
     """Bind a parsed decomposition to the instance it claims to decompose.
 
-    A document whose `input_digest` is not f's is refused; so is a mode, or
-    a listed id, that is not a vertex of f.tree. The components are put on
-    f.tree itself, each with its nonzero values in vertex order. They are
-    not checked here, that is `check_decomposition`'s job.
+    A document whose `input_digest` is not f's is refused; so is a mode
+    that is not a vertex of f.tree. Each component is then built on f.tree
+    itself by `EdgeLinearDensity`, which refuses a listed id that is not a
+    vertex of f.tree and a negative value. Whether the components are
+    unimodal and sum to f is not checked here, that is
+    `check_decomposition`'s job.
     """
     expected = instance_digest(f.tree, f)
     if doc.provenance["input_digest"] != expected:
@@ -378,13 +372,7 @@ def decomposition_from_document(
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        if not vertex_set.issuperset(values):
-            v = next(v for v in values if v not in vertex_set)
-            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
-        # tree.vertices is in id order; most listed values are nonzero
-        support = {v: x for v, x in sorted(values.items()) if x}
-        density = EdgeLinearDensity._of_support(tree, support)
-        components.append(Component(mode, density))
+        components.append(Component(mode, EdgeLinearDensity(tree, values)))
     return Decomposition(tree, tuple(components))
 
 

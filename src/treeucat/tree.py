@@ -36,12 +36,8 @@ from .rational import as_fraction
 
 VertexId = str
 
-_USER_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*\Z")
-_SYNTH_ID = re.compile(r"_s[0-9]+\Z")
-
-
-def is_valid_vertex_id(vid: str) -> bool:
-    return bool(_USER_ID.match(vid)) or bool(_SYNTH_ID.match(vid))
+# a user id, or a synthetic subdivision id `_s<N>`
+_ID = re.compile(r"(?:[A-Za-z0-9][A-Za-z0-9_-]*|_s[0-9]+)\Z")
 
 
 def edge_key(u: VertexId, w: VertexId) -> tuple[VertexId, VertexId]:
@@ -56,33 +52,18 @@ class MetricTree:
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple] = ()):
         vlist = list(vertices)
-        seen = set()
+        if not vlist:
+            raise InvalidTree("a tree needs at least one vertex")
         for v in vlist:
-            if not isinstance(v, str) or not is_valid_vertex_id(v):
+            if not isinstance(v, str) or not _ID.match(v):
                 raise InvalidVertexId(f"invalid vertex id {v!r}")
-            if v in seen:
-                raise DuplicateVertexId(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        self._build(vlist, seen, edges)
-
-    @classmethod
-    def _of_checked_ids(cls, vertices: list, edges: Iterable[tuple]) -> MetricTree:
-        """A tree whose vertex ids are strings the caller has already
-        matched against the id rules; every other check still runs."""
-        seen = set(vertices)
-        if len(seen) < len(vertices):  # name the first repeat
+        seen = set(vlist)
+        if len(seen) < len(vlist):  # name the first repeat
             seen = set()
-            for v in vertices:
+            for v in vlist:
                 if v in seen:
                     raise DuplicateVertexId(f"duplicate vertex id {v!r}")
                 seen.add(v)
-        tree = cls.__new__(cls)
-        tree._build(vertices, seen, edges)
-        return tree
-
-    def _build(self, vlist: list, seen: set, edges: Iterable[tuple]) -> None:
-        if not vlist:
-            raise InvalidTree("a tree needs at least one vertex")
         lengths: dict[tuple[VertexId, VertexId], Fraction] = {}
         for u, w, raw_len in edges:
             if u not in seen:

@@ -28,7 +28,6 @@ from .errors import (
     TreeMismatch,
     UnknownVertex,
 )
-from .instances import gen_instance  # also public as treeucat.verify.gen_instance
 from .interval import interval_ucat
 from .record import Decomposition, Record
 from .tree import MetricTree, VertexId
@@ -459,10 +458,8 @@ def oracle_pieces(
                 pending += [w for w in (a, b) if len(nbrs[w]) == 2]
         kept = sorted(v for v in part if v in nbrs)
         edges = [(u, w, 1) for u in kept for w in nbrs[u] if u < w]
-        tree = MetricTree._of_checked_ids(kept, edges)
-        searched.append(
-            EdgeLinearDensity._of_support(tree, {v: values[v] for v in kept})
-        )
+        tree = MetricTree(kept, edges)
+        searched.append(EdgeLinearDensity(tree, {v: values[v] for v in kept}))
     return paths, searched
 
 

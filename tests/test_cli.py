@@ -97,6 +97,21 @@ def test_decompose_rejects_density_missing_a_vertex(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_decompose_refuses_an_invalid_vertex_id(tmp_path, capsys):
+    # the tree's constructor matches each id, so the message is its own
+    doc = {
+        "vertices": ["A", "a b"],
+        "edges": [{"u": "A", "w": "a b", "length": "1"}],
+        "density": {"A": "1", "a b": "1"},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: invalid vertex id 'a b'\n"
+    assert captured.out == ""
+
+
 def test_empty_tree_exits_2(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(
@@ -320,6 +335,23 @@ def test_check_refuses_ids_that_are_not_instance_vertices(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_check_refuses_a_negative_component_value(tmp_path, capsys):
+    # binding builds each component with the density's constructor, which
+    # refuses the value
+    tree, f = path_instance([1, 2, 1, 2, 1])
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    out = tmp_path / "d.json"
+    assert main(["decompose", instance, "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    doc["components"][0]["values"]["v2"] = "-1"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", instance, str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: density value -1 at 'v2' is negative\n"
 
 
 def _duplicate_edge(doc):

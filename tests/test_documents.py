@@ -462,7 +462,6 @@ def test_listed_component_values_are_still_validated():
     d, _ = decompose(f)
     good = json.loads(serialize_decomposition(d, _provenance(f)))
     cases = [
-        ("v2", "-1", NegativeValue, "negative"),
         ("v2", 4, DocumentError, "exact strings"),
         ("v2", "1e1001", DocumentError, "decimal exponent"),
         ("v2", "1" * (MAX_NUMERAL_CHARS + 1), DocumentError, "numeral has"),
@@ -473,8 +472,15 @@ def test_listed_component_values_are_still_validated():
         bad["components"][0]["values"][vertex] = raw
         with pytest.raises(error, match=message):
             parse_decomposition(json.dumps(bad))
-    # an id that is not the instance's is refused where the document meets
-    # the instance, even with a listed zero
+    # a negative value is refused where the document meets the instance,
+    # by the density's constructor
+    bad = json.loads(json.dumps(good))
+    bad["components"][0]["values"]["v2"] = "-1"
+    doc = parse_decomposition(json.dumps(bad))
+    with pytest.raises(NegativeValue) as err:
+        decomposition_from_document(doc, f)
+    assert str(err.value) == "density value -1 at 'v2' is negative"
+    # so is an id that is not the instance's, even with a listed zero
     for vertex, raw in [("v9", "1"), ("_s99", "0")]:
         bad = json.loads(json.dumps(good))
         bad["components"][0]["values"][vertex] = raw

@@ -500,24 +500,17 @@ def test_decompose_work_on_combs_grows_no_faster_than_the_output():
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     # the loop validates nothing: the one tree and one density come from
     # the parse, and k densities, the components, on that tree at the end;
-    # a build counts through the public constructor or the private one
+    # each constructor is the only way to build its type
     built = {MetricTree: 0, EdgeLinearDensity: 0}
-    unchecked = {MetricTree: "_of_checked_ids", EdgeLinearDensity: "_of_support"}
 
     def count_builds(cls):
         original = cls.__init__
-        original_unchecked = getattr(cls, unchecked[cls])
 
         def init(self, *args, **kwargs):
             built[cls] += 1
             original(self, *args, **kwargs)
 
-        def build(*args):
-            built[cls] += 1
-            return original_unchecked(*args)
-
         monkeypatch.setattr(cls, "__init__", init)
-        monkeypatch.setattr(cls, unchecked[cls], staticmethod(build))
 
     for cls in built:
         count_builds(cls)
@@ -537,32 +530,30 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     assert clamps > 0
 
     # a whole round trip, down to check, builds one tree, the instance's,
-    # and hashes the canonical text once: binding puts the components on
-    # f.tree and reuses the digest kept on f
+    # one density per component on each side, and hashes the canonical text
+    # once: binding puts the components on f.tree and reuses the digest
+    # kept on f
     arm = monotone_arm_instance(4, 600)
     text = serialize_instance(arm.tree, arm)
-    trees, hashed = 0, 0
-    build, sha256 = MetricTree._build, hashlib.sha256
-
-    def counted_build(self, *args):
-        nonlocal trees
-        trees += 1
-        build(self, *args)
+    hashed = 0
+    sha256 = hashlib.sha256
 
     def counted_sha256(data):
         nonlocal hashed
         hashed += 1
         return sha256(data)
 
-    monkeypatch.setattr(MetricTree, "_build", counted_build)
     monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+    for cls in built:
+        built[cls] = 0
     _, f = parse_instance(text)
     d, _ = decompose(f)
     digest = instance_digest(f.tree, f)
     written = serialize_decomposition(d, {"tool": "test", "input_digest": digest})
     bound = decomposition_from_document(parse_decomposition(written), f)
     assert check_decomposition(f, bound).overall
-    assert (trees, hashed) == (1, 1)
+    k = len(d.components)
+    assert (built[MetricTree], built[EdgeLinearDensity], hashed) == (1, 1 + 2 * k, 1)
     assert bound.refined_tree is f.tree
 
     # the digest kept on f is f's: a pickled copy, which keeps none,

@@ -19,8 +19,8 @@ REFEREES = ("verify.py", "interval.py", "simplex.py", "density.py", "documents.p
 PRODUCER = {"forced", "sweep", "greedy"}
 PRODUCER_FILES = ("greedy.py", "sweep.py", "forced.py")
 REFEREE_SIDE = {"verify", "interval", "simplex", "documents"}
-# `_USER_ID` is the id rule the document layer checks each id with
-ALLOWED = {"tree": {"MetricTree", "VertexId", "_USER_ID"}}
+ALLOWED = {"tree": {"MetricTree", "VertexId"}}
+VALUE_TYPES = {"MetricTree", "EdgeLinearDensity"}
 
 
 def _package_imports(path: Path) -> list[tuple[str, str | None]]:
@@ -91,3 +91,16 @@ def test_only_the_density_module_reads_its_storage():
             if isinstance(node, ast.Attribute):
                 what = f"{path.name} reads .{node.attr}"
                 assert node.attr not in {"_values", "_support"}, what
+
+
+def test_value_types_are_built_by_their_constructor_only():
+    # a second, trusted way to build a tree or a density would skip its
+    # checks: no module calls `__new__`, and neither class defines a
+    # classmethod, the shape such a side door takes
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "__new__", f"{path.name}:{node.lineno} __new__"
+            elif isinstance(node, ast.ClassDef) and node.name in VALUE_TYPES:
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                assert "classmethod" not in names, f"{path.name}: {node.name}"

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import treeucat
 from treeucat import simplex, verify
 from treeucat.errors import InternalInvariantError
 from treeucat.simplex import GREATER_EQUAL, LESS_EQUAL, maximize
@@ -49,7 +50,7 @@ def _oracle_calls(monkeypatch, solver):
     monkeypatch.setattr(simplex, "maximize", recording)
     certificates = []
     for seed in range(20):
-        tree, f = verify.gen_instance(seed, 6, 4)
+        tree, f = treeucat.gen_instance(seed, 6, 4)
         vertices = tree.vertices
         if verify.support_is_empty(f) or len(vertices) < 2:
             continue
