@@ -2,6 +2,11 @@
 
 Exit codes are a stable contract: 0 success, 1 failed check or internal
 invariant, 2 parse or validation problem, 3 oracle bound exceeded.
+
+Each command imports the modules it runs inside its `cmd_*` function, so
+`check` and `oracle` load no producer code and `decompose` no referee
+code; only the document layer and the errors, which every command uses,
+are imported here.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ from .documents import (
     serialize_sweep,
 )
 from .errors import ExceedsKMax, InternalInvariantError, TreeUcatError
-from .greedy import decompose
-from .instances import gen_instance
-from .sweep import sweep
-from .verify import check_decomposition, oracle_pieces, ucat_oracle
 
 ORACLE_SIZE_GUIDANCE = 8
 
@@ -42,6 +43,8 @@ def _write(path: str, text: str) -> None:
 
 
 def cmd_decompose(args) -> int:
+    from .greedy import decompose
+
     tree, f = parse_instance(_read(args.input))
     decomposition, trace = decompose(f)
     if args.trace:
@@ -66,6 +69,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ucat(args) -> int:
+    from .greedy import decompose
+
     _, f = parse_instance(_read(args.input))
     decomposition, _ = decompose(f)
     print(len(decomposition.components))
@@ -73,6 +78,8 @@ def cmd_ucat(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .verify import check_decomposition
+
     _, f = parse_instance(_read(args.instance))
     doc = parse_decomposition(_read(args.decomposition))
     report = check_decomposition(f, decomposition_from_document(doc, f))
@@ -92,6 +99,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .verify import oracle_pieces, ucat_oracle
+
     _, f = parse_instance(_read(args.input))
     _, searched = oracle_pieces(f)
     largest = max((len(piece.tree.vertices) for piece in searched), default=0)
@@ -107,12 +116,16 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .sweeping import sweep
+
     _, f = parse_instance(_read(args.input))
     sys.stdout.write(serialize_sweep(sweep(f, args.vertex)))
     return 0
 
 
 def cmd_gen(args) -> int:
+    from .instances import gen_instance
+
     tree, f = gen_instance(args.seed, args.vertices, args.max_value)
     sys.stdout.write(serialize_instance(tree, f))
     return 0

@@ -53,7 +53,7 @@ from .density import EdgeLinearDensity, support_is_empty
 from .errors import InternalInvariantError
 from .forced import Peel, Unimodal, _forced_vertex
 from .record import Component, Decomposition, Record
-from .sweep import _from_lattice, _sweep, _to_lattice
+from .sweeping import _from_lattice, _sweep, _to_lattice
 from .tree import VertexId
 
 

@@ -387,7 +387,8 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
     search. f is cut into exact pieces (`oracle_pieces`) and ucat(f) is
     the sum of their counts: `interval_ucat` counts a path piece, and
     `_search` every other piece, within k_max minus the pieces counted so
-    far. ExceedsKMax(k_max) is raised as soon as the total passes k_max.
+    far. ExceedsKMax(k_max) is raised as soon as the total passes k_max;
+    a negative k_max raises ValueError before any work.
 
     Zero split. ucat(f) sums ucat(f|C) over the connected parts C of
     {f > 0}. A unimodal component g <= f stays positive on the path from
@@ -407,6 +408,8 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
     Edge lengths. ucat depends only on the vertex values and the tree's
     shape, so a piece may carry unit lengths.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
     paths, searched = oracle_pieces(f)
     total = sum(map(interval_ucat, paths))
     for piece in searched:  # a budget below 1 finds nothing

@@ -419,6 +419,15 @@ def test_oracle_command(tmp_path, capsys):
     assert "no feasible mode multiset" in capsys.readouterr().err
 
 
+def test_oracle_negative_max_k_is_a_usage_error(tmp_path, capsys):
+    tree, f = path_instance([1, 2, 1])
+    bump = _write_instance(tmp_path, "bump.json", tree, f)
+    assert main(["oracle", bump, "--max-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k_max must be nonnegative\n"
+
+
 def test_oracle_warns_on_large_instances(tmp_path, capsys):
     # the guidance applies to the largest piece the search enumerates: a
     # path is one `interval_ucat` piece, however long, so it does not warn

@@ -42,7 +42,7 @@ from treeucat.documents import (
 )
 from treeucat.errors import InternalInvariantError
 from treeucat.forced import Peel
-from treeucat.sweep import _sweep
+from treeucat.sweeping import _sweep
 
 from helpers import (
     comb_instance,

@@ -15,7 +15,7 @@ from treeucat import (
     sweep,
 )
 from treeucat.errors import UnknownVertex
-from treeucat.sweep import _sweep, _to_lattice
+from treeucat.sweeping import _sweep, _to_lattice
 
 from helpers import (
     lift_through_cuts,

@@ -307,6 +307,18 @@ def test_oracle_exceeds_k_max():
     assert "2" in str(excinfo.value)
 
 
+def test_oracle_refuses_a_negative_k_max_before_any_work(monkeypatch):
+    # a negative bound is a usage error, not a bound the search exceeded
+    def no_work(f):
+        raise AssertionError("ucat_oracle reduced f before checking k_max")
+
+    monkeypatch.setattr(verify, "oracle_pieces", no_work)
+    _, star = star_instance(1, {"a": 2, "b": 2, "d": 2})
+    for k_max in (-1, -5):
+        with pytest.raises(ValueError, match="^k_max must be nonnegative$"):
+            ucat_oracle(star, k_max)
+
+
 def test_oracle_scale_invariance():
     scale = Fraction(3, 7)
     for seed in range(30):
