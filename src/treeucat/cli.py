@@ -69,11 +69,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_ucat(args) -> int:
-    from .greedy import decompose
+    from .greedy import ucat
 
     _, f = parse_instance(_read(args.input))
-    decomposition, _ = decompose(f)
-    print(len(decomposition.components))
+    print(ucat(f))
     return 0
 
 
@@ -99,10 +98,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .verify import oracle_pieces, ucat_oracle
+    from .verify import _check_k_max, _count_pieces, oracle_pieces
 
+    _check_k_max(args.max_k)
     _, f = parse_instance(_read(args.input))
-    _, searched = oracle_pieces(f)
+    paths, searched = oracle_pieces(f)
     largest = max((len(piece.tree.vertices) for piece in searched), default=0)
     if largest > ORACLE_SIZE_GUIDANCE:
         print(
@@ -111,7 +111,7 @@ def cmd_oracle(args) -> int:
             f" {ORACLE_SIZE_GUIDANCE}",
             file=sys.stderr,
         )
-    print(ucat_oracle(f, args.max_k))
+    print(_count_pieces(paths, searched, args.max_k))
     return 0
 
 
@@ -188,10 +188,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as err:
         print(f"internal error: {err}", file=sys.stderr)
         return 1
-    except (TreeUcatError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (TreeUcatError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import NegativeValue, TreeMismatch, UnknownVertex
+from .errors import InternalInvariantError, NegativeValue, TreeMismatch, UnknownVertex
 from .rational import as_fraction
 from .record import Record
 from .tree import MetricTree, VertexId
@@ -166,7 +166,8 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
                 parent[w] = u
                 nxt.append(w)
         frontier = nxt
-    return ModeWitness(root, values[root])
+    # the failed support search left a rise here: its own, or a 0-to-positive edge
+    raise InternalInvariantError("support search failed, yet no edge rises")
 
 
 def _falls_from_root_on_support(adjacency, ratios, root: VertexId) -> bool:

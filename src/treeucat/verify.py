@@ -20,7 +20,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from . import simplex
-from .density import EdgeLinearDensity, ModeWitness, is_unimodal, support_is_empty
+from .density import EdgeLinearDensity, ModeWitness, is_unimodal
 from .errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -197,10 +197,6 @@ def feasible_with_modes(
     for m in mode_list:
         if not f.tree.has_vertex(m):
             raise UnknownVertex(f"mode {m!r} is not a vertex")
-
-    if support_is_empty(f):
-        zeros = {v: _ZERO for v in f.tree.vertices}
-        return FeasibilityCertificate(mode_list, tuple(dict(zeros) for _ in mode_list))
     return _feasible(f, mode_list, avoid=None)
 
 
@@ -221,8 +217,6 @@ def feasible_avoiding_vertex(
     for m in (*mode_list, avoid):
         if not f.tree.has_vertex(m):
             raise UnknownVertex(f"{m!r} is not a vertex")
-    if support_is_empty(f):
-        return None
     certificate = _feasible(f, mode_list, avoid)
     if certificate is not None:
         for m, component in zip(certificate.modes, certificate.components):
@@ -236,9 +230,10 @@ def feasible_avoiding_vertex(
 def _feasible(
     f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
 ) -> FeasibilityCertificate | None:
-    """Prefilter, solve and validate, for a nonzero f scaled to integers
-    once, by the lcm of its own denominators. Each distinct anchor is
-    rooted once, and all three steps read its oriented edges.
+    """Prefilter, solve and validate, for f scaled to integers once, by
+    the lcm of its own denominators; a zero f included, whose system
+    forces every component to 0. Each distinct anchor is rooted once, and
+    all three steps read its oriented edges.
 
     With one anchor and no vertex to avoid, the vertex sums pin the only
     component to f itself, and the prefilter has just checked that f never
@@ -408,9 +403,21 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
     Edge lengths. ucat depends only on the vertex values and the tree's
     shape, so a piece may carry unit lengths.
     """
+    _check_k_max(k_max)
+    return _count_pieces(*oracle_pieces(f), k_max)
+
+
+def _check_k_max(k_max: int) -> None:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    paths, searched = oracle_pieces(f)
+
+
+def _count_pieces(
+    paths: list[list[Fraction]], searched: list[EdgeLinearDensity], k_max: int
+) -> int:
+    """ucat of the pieces `oracle_pieces` gave, if at most k_max, else
+    ExceedsKMax(k_max); `treeucat oracle` passes the pieces it sized its
+    warning by, so it reduces f once."""
     total = sum(map(interval_ucat, paths))
     for piece in searched:  # a budget below 1 finds nothing
         k = _search(piece, k_max - total)

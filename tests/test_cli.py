@@ -428,6 +428,36 @@ def test_oracle_negative_max_k_is_a_usage_error(tmp_path, capsys):
     assert captured.err == "error: k_max must be nonnegative\n"
 
 
+def test_oracle_command_reduces_once(tmp_path, capsys, monkeypatch):
+    # the size warning and the count share one reduction of f
+    from treeucat import verify
+
+    calls = []
+    reduce_f = verify.oracle_pieces
+
+    def counted(f):
+        calls.append(f)
+        return reduce_f(f)
+
+    monkeypatch.setattr(verify, "oracle_pieces", counted)
+    tree, f = star_instance(1, {f"a{i}": 2 for i in range(8)})
+    star = _write_instance(tmp_path, "star.json", tree, f)
+    tree, f = path_instance([1, 2, 1, 2, 1])
+    twin = _write_instance(tmp_path, "twin.json", tree, f)
+    for argv, code in (
+        (["oracle", star, "--max-k", "8"], 0),
+        (["oracle", star, "--max-k", "2"], 3),
+        (["oracle", twin, "--max-k", "4"], 0),
+        (["oracle", star, "--max-k", "-1"], 2),
+    ):
+        calls.clear()
+        assert main(argv) == code
+        assert len(calls) == (code != 2), argv
+        err = capsys.readouterr().err
+    # the usage error comes before the size warning, which needs the pieces
+    assert err == "error: k_max must be nonnegative\n"
+
+
 def test_oracle_warns_on_large_instances(tmp_path, capsys):
     # the guidance applies to the largest piece the search enumerates: a
     # path is one `interval_ucat` piece, however long, so it does not warn

@@ -4,8 +4,9 @@
 `helpers.reference_maximize` runs the same method on `Fraction`s. Both use
 Bland's rule, so they must take the same pivots and return the same
 status, point and objective, on the oracle's own systems and on random
-rational ones. Every "infeasible" is backed by a Farkas vector that
-`maximize` checks before it answers.
+ones, whose rational rows are scaled to integers first. Every
+"infeasible" is backed by a Farkas vector that `maximize` checks before
+it answers. Only integer rows are accepted.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -52,7 +54,7 @@ def _oracle_calls(monkeypatch, solver):
     for seed in range(20):
         tree, f = treeucat.gen_instance(seed, 6, 4)
         vertices = tree.vertices
-        if verify.support_is_empty(f) or len(vertices) < 2:
+        if treeucat.support_is_empty(f) or len(vertices) < 2:
             continue
         avoid = vertices[seed % len(vertices)]
         for k in (2, 3):
@@ -74,7 +76,15 @@ def test_oracle_systems_match_the_reference(monkeypatch):
     assert any(c is not None for c in certificates)
 
 
+def _integer_row(values):
+    """`values` times the lcm of their denominators, as `int`s."""
+    scale = lcm(*(Fraction(a).denominator for a in values))
+    return [int(a * scale) for a in values]
+
+
 def _random_lp(rng):
+    """A random system with rational data, each row and the objective
+    scaled to integers by the lcm of their own denominators."""
     n, m = rng.randint(1, 5), rng.randint(1, 6)
 
     def value():
@@ -82,11 +92,13 @@ def _random_lp(rng):
             return 0
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
-    c = [value() for _ in range(n)] if rng.random() < 0.7 else [0] * n
-    rows = [
-        ([value() for _ in range(n)], rng.choice([LESS_EQUAL, GREATER_EQUAL]), value())
-        for _ in range(m)
-    ]
+    c = _integer_row([value() for _ in range(n)] if rng.random() < 0.7 else [0] * n)
+    rows = []
+    for _ in range(m):
+        coeffs = [value() for _ in range(n)]
+        relation, rhs = rng.choice([LESS_EQUAL, GREATER_EQUAL]), value()
+        *coeffs, rhs = _integer_row([*coeffs, rhs])
+        rows.append((coeffs, relation, rhs))
     if rng.random() < 0.3:  # a repeated row, so one artificial may stay basic
         rows.append(rows[0])
     return c, rows
@@ -108,9 +120,9 @@ def test_redundant_row_keeps_its_artificial_at_zero():
     # x1 + x2 >= 1 twice and x1 + x2 <= 1: phase 1 ends with both
     # artificials basic at zero, and both are driven out on -1 entries
     rows = [([1, 1], GREATER_EQUAL, 1), ([1, 1], GREATER_EQUAL, 1), ([1, 1], LESS_EQUAL, 1)]
-    result = _same([Fraction(1, 2), 1], rows)
+    result = _same([1, 2], rows)
     assert result.x == (Fraction(0), Fraction(1))
-    assert result.objective == 1
+    assert result.objective == 2
 
 
 def test_negative_drive_out_pivot():
@@ -125,8 +137,8 @@ def test_negative_drive_out_pivot():
     result = _same([1, 1], rows)
     assert result.x == (Fraction(3), Fraction(3))
     assert result.objective == 6
-    rows[2] = ([Fraction(2, 3), 0], LESS_EQUAL, Fraction(1, 2))
-    assert _same([1, Fraction(1, 5)], rows).x == (Fraction(3, 4), Fraction(3, 4))
+    rows[2] = ([4, 0], LESS_EQUAL, 3)
+    assert _same([5, 1], rows).x == (Fraction(3, 4), Fraction(3, 4))
 
 
 def test_infeasible_and_unbounded():
@@ -152,3 +164,5 @@ def test_bad_rows_are_refused():
         maximize([1], [([1], "==", 1)])
     with pytest.raises(TypeError):
         maximize([1], [([0.5], LESS_EQUAL, 1)])
+    with pytest.raises(TypeError):
+        maximize([1], [([Fraction(1, 2)], LESS_EQUAL, 1)])

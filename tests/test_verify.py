@@ -248,6 +248,30 @@ def test_zero_density_always_feasible():
     assert all(all(v == 0 for v in c.values()) for c in certificate.components)
 
 
+def test_zero_density_takes_the_general_path():
+    # every anchor tuple up to size 3, and every vertex to avoid: the
+    # system forces each component to 0, so the certificate is all zeros,
+    # and no component can stay strictly below its anchor value
+    trees = [
+        path_instance([0, 0, 0, 0])[0],
+        star_instance(0, {"a": 0, "b": 0, "d": 0})[0],
+        gen_instance(3, 5, 4)[0],
+    ]
+    for tree in trees:
+        f = EdgeLinearDensity(tree, {})
+        zeros = {v: Fraction(0) for v in tree.vertices}
+        for k in (1, 2, 3):
+            for modes in itertools.product(tree.vertices, repeat=k):
+                certificate = verify.feasible_with_modes(f, modes)
+                assert certificate == verify.FeasibilityCertificate(
+                    modes, tuple(zeros for _ in modes)
+                )
+                for component in certificate.components:
+                    assert {type(x) for x in component.values()} == {Fraction}
+                for avoid in tree.vertices:
+                    assert verify.feasible_avoiding_vertex(f, modes, avoid) is None
+
+
 def test_feasibility_errors():
     _, f = path_instance([1, 2, 1])
     with pytest.raises(EmptyModeSet):
