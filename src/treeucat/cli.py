@@ -4,9 +4,9 @@ Exit codes are a stable contract: 0 success, 1 failed check or internal
 invariant, 2 parse or validation problem, 3 oracle bound exceeded.
 
 Each command imports the modules it runs inside its `cmd_*` function, so
-`check` and `oracle` load no producer code and `decompose` no referee
-code; only the document layer and the errors, which every command uses,
-are imported here.
+`check` and `oracle` load no producer code, `decompose` no referee code
+and `check` no oracle code; only the document layer and the errors, which
+every command uses, are imported here.
 """
 
 from __future__ import annotations

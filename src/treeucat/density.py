@@ -44,12 +44,13 @@ class EdgeLinearDensity:
             if v not in vertex_set:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
             val = raw if type(raw) is Fraction else as_fraction(raw)
-            if val:  # most values are 0 and skip the comparison
-                if val.numerator < 0:  # a Fraction's denominator is positive
+            sign = val.numerator  # a Fraction's denominator is positive
+            if sign:
+                if sign < 0:
                     raise NegativeValue(f"density value {val} at {v!r} is negative")
                 stored[v] = val
         self._tree = tree
-        self._values = dict(sorted(stored.items()))  # tree.vertices is sorted
+        self._values = {v: stored[v] for v in sorted(stored)}  # tree.vertices is sorted
         self._digest = None
 
     @property
@@ -140,17 +141,25 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     order, stops at the first rising edge of that order and reports it; it
     costs the part of that order before the edge.
     """
-    values = f._values  # absent means 0
-    if not values:
+    return _unimodal_witness(
+        f, {v: val.as_integer_ratio() for v, val in f._values.items()}
+    )
+
+
+def _unimodal_witness(f: EdgeLinearDensity, ratios) -> ModeWitness | NotUnimodal:
+    """`is_unimodal(f)`, given `ratios`: the `(numerator, denominator)`
+    pair of each nonzero value of f, in `tree.vertices` order, as
+    `f.items()` lists them. A caller that has read the pairs for its own
+    use passes them here rather than have them read again."""
+    if not ratios:
         return NotUnimodal(edge=None, zero_density=True)
-    ratios = {v: val.as_integer_ratio() for v, val in values.items()}
     top, below = 0, 1  # the largest value so far, top / below
     for v, (p, q) in ratios.items():  # in id order, so ties keep the first
         if p * below > top * q:
             root, top, below = v, p, q
     adjacency = f.tree.adjacency()
     if _falls_from_root_on_support(adjacency, ratios, root):
-        return ModeWitness(root, values[root])
+        return ModeWitness(root, f._values[root])
     parent = {root: None}
     frontier = [root]
     while frontier:  # every vertex, in `root_at` order, to the first rise

@@ -49,6 +49,8 @@ MAX_NUMERAL_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
 # the exponent's digits after leading zeros; underscores group digits
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
+_EDGE_KEYS = frozenset({"u", "w", "length"})
+_COMPONENT_KEYS = frozenset({"mode", "values"})
 
 
 class DecompositionDocument(Record):
@@ -163,7 +165,7 @@ def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
         raise DocumentError(f"{what}: edges must be a list")
     edges = []
     for i, entry in enumerate(raw_edges):
-        if not isinstance(entry, dict) or set(entry) != {"u", "w", "length"}:
+        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
             raise DocumentError(
                 f"{what}: edge {i} must be an object with keys u, w, length"
             )
@@ -206,9 +208,10 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     tree = MetricTree(*_tree_section(data, numerals))
     values = _values_map(data["density"], "density", numerals)
     f = EdgeLinearDensity(tree, values)
-    for v in tree.vertices:
-        if v not in values:
-            raise TreeMismatch(f"no density value for vertex {v!r}")
+    if len(values) < len(tree.vertices):  # every listed id is a vertex
+        for v in tree.vertices:  # name the first missing one
+            if v not in values:
+                raise TreeMismatch(f"no density value for vertex {v!r}")
     return tree, f
 
 
@@ -317,7 +320,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
         raise DocumentError("components must be a list")
     components = []
     for i, entry in enumerate(raw_components):
-        if not isinstance(entry, dict) or set(entry) != {"mode", "values"}:
+        if not isinstance(entry, dict) or entry.keys() != _COMPONENT_KEYS:
             raise DocumentError(
                 f"component {i} must be an object with keys mode, values"
             )

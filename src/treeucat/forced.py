@@ -145,7 +145,9 @@ class Peel:
     def _peel(self, leaves: list[VertexId]) -> None:
         adj, values, degree, heap = self.adj, self.values, self.degree, self.heap
         for leaf in leaves:  # the list grows as vertices turn into leaves
-            nb = next(u for u in adj[leaf] if degree[u])
+            for nb in adj[leaf]:  # its one live neighbour
+                if degree[nb]:
+                    break
             if values[leaf] > values[nb]:
                 heappush(heap, (-values[leaf], leaf))
                 continue

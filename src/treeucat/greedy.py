@@ -9,7 +9,9 @@ the remainder and one row per component, each row holding the
 component's support and its boundary only. A sweep copies h(u), pays an
 integer drop or stops at 0, so every value stays an integer. The
 components' densities, their values divided by D again, are built once,
-after the loop, on the input tree itself.
+after the loop, on the input tree itself, through one memo for the run: a
+component value equal to an input value is the input's own `Fraction`,
+and each other value is built once.
 
 No cuts. The paper's sweep subdivides an edge u -> w where h reaches 0
 inside it; this loop's sweep sets h(w) = 0 there and places no vertex,
@@ -109,7 +111,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         return Decomposition(f.tree, ()), []
 
     adj = f.tree.adjacency()
-    scale, rest = _to_lattice(f.values)
+    scale, rest, fractions = _to_lattice(f)
     total = sum(rest.values())  # the remainder is nonnegative
     rows: list[dict[VertexId, int]] = []
     modes: list[VertexId] = []
@@ -135,8 +137,8 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         peel.after_sweep(h)
 
     components = tuple(
-        Component(m, EdgeLinearDensity(f.tree, _from_lattice(values, scale)))
-        for m, values in zip(modes, rows)
+        Component(m, EdgeLinearDensity(f.tree, _from_lattice(h, scale, fractions)))
+        for m, h in zip(modes, rows)
     )
     return Decomposition(f.tree, components), trace
 

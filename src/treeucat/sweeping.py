@@ -15,7 +15,10 @@ remainder. `decompose` ignores the clamps and so stays on the input tree
 an `_s<N>` vertex at t = h(u)/drop, where h is 0 and the remainder is
 f(u) - h(u), and builds its refined tree once. `_from_lattice` divides by
 D for nonzero values only, since a density reads a vertex it is not given
-as 0; `decompose` builds its final densities the same way.
+as 0; `decompose` builds its final densities the same way. Both divide
+through one memo per run, which `_to_lattice` seeds with the input's own
+values: a value equal to an input value is the input's `Fraction`, and
+each other value is built once per run.
 """
 
 from __future__ import annotations
@@ -63,21 +66,29 @@ class SweepResult(Record):
 
 
 def _to_lattice(
-    values: Mapping[VertexId, Fraction]
-) -> tuple[int, dict[VertexId, int]]:
-    """D, the lcm of the values' denominators, and the values times D."""
-    scale = lcm(*(val.denominator for val in values.values()))
-    return scale, {
-        v: val.numerator * (scale // val.denominator) for v, val in values.items()
-    }
+    f: EdgeLinearDensity,
+) -> tuple[int, dict[VertexId, int], dict[int, Fraction]]:
+    """D, the lcm of f's denominators; f's values times D, at every vertex;
+    and the memo `_from_lattice` divides back through, which maps each
+    nonzero D * f(v) to f's own `Fraction` f(v). Each value's
+    `(numerator, denominator)` pair is read once."""
+    support = [(v, val, *val.as_integer_ratio()) for v, val in f.items()]
+    scale = lcm(*[q for _, _, _, q in support])
+    lattice = dict.fromkeys(f.tree.vertices, 0)
+    fractions = {}
+    for v, val, p, q in support:
+        x = lattice[v] = p * (scale // q)
+        fractions[x] = val
+    return scale, lattice, fractions
 
 
 def _from_lattice(
-    values: Mapping[VertexId, int], scale: int
+    values: Mapping[VertexId, int], scale: int, fractions: dict[int, Fraction]
 ) -> dict[VertexId, Fraction]:
     """The nonzero values x / D; a vertex missing from the result is 0.
-    Equal numerators share one `Fraction`."""
-    fractions: dict[int, Fraction] = {}
+    `fractions` is the run's memo from x to x / D, seeded by `_to_lattice`:
+    a value equal to an input value is the input's own `Fraction`, and
+    each other value is built once per run, on its first miss."""
     out = {}
     for v, x in values.items():
         if x:
@@ -101,7 +112,7 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     tree = f.tree
     if not tree.has_vertex(v):
         raise UnknownVertex(f"no vertex {v!r}")
-    scale, rest = _to_lattice(f.values)
+    scale, rest, fractions = _to_lattice(f)
     h, clamps = _sweep(tree.adjacency(), rest, v)
     subdivisions: tuple[Subdivision, ...] = ()
     if clamps:
@@ -125,8 +136,8 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
                 rest[s.vertex] = rest[s.u]  # f(u) - h(u); h is 0 at the cut
         tree = MetricTree([*tree.vertices, *(s.vertex for s in subdivisions)], edges)
     return SweepResult(
-        h=EdgeLinearDensity(tree, _from_lattice(h, scale)),
-        remainder=EdgeLinearDensity(tree, _from_lattice(rest, scale)),
+        h=EdgeLinearDensity(tree, _from_lattice(h, scale, fractions)),
+        remainder=EdgeLinearDensity(tree, _from_lattice(rest, scale, fractions)),
         origin=v,
         subdivisions=subdivisions,
     )

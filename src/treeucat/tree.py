@@ -37,12 +37,25 @@ from .rational import as_fraction
 VertexId = str
 
 # a user id, or a synthetic subdivision id `_s<N>`
-_ID = re.compile(r"(?:[A-Za-z0-9][A-Za-z0-9_-]*|_s[0-9]+)\Z")
+_ID_PATTERN = r"(?:[A-Za-z0-9][A-Za-z0-9_-]*|_s[0-9]+)"
+_ID = re.compile(_ID_PATTERN + r"\Z")
+# ids joined by newlines, which no id contains
+_IDS = re.compile(rf"{_ID_PATTERN}(?:\n{_ID_PATTERN})*\Z")
 
 
 def edge_key(u: VertexId, w: VertexId) -> tuple[VertexId, VertexId]:
     """Canonical (sorted) form of an unordered edge."""
     return (u, w) if u <= w else (w, u)
+
+
+def _all_ids(vlist: list) -> bool:
+    """True iff every item is a valid id string: one match of the joined
+    text, whose newline count also catches an item holding a newline."""
+    try:
+        joined = "\n".join(vlist)
+    except TypeError:  # an item that is not a string
+        return False
+    return joined.count("\n") == len(vlist) - 1 and _IDS.match(joined) is not None
 
 
 class MetricTree:
@@ -54,9 +67,10 @@ class MetricTree:
         vlist = list(vertices)
         if not vlist:
             raise InvalidTree("a tree needs at least one vertex")
-        for v in vlist:
-            if not isinstance(v, str) or not _ID.match(v):
-                raise InvalidVertexId(f"invalid vertex id {v!r}")
+        if not _all_ids(vlist):  # name the first bad id
+            for v in vlist:
+                if not isinstance(v, str) or not _ID.match(v):
+                    raise InvalidVertexId(f"invalid vertex id {v!r}")
         seen = set(vlist)
         if len(seen) < len(vlist):  # name the first repeat
             seen = set()

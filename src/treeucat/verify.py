@@ -8,7 +8,8 @@ a path piece, and exhaustive exact linear feasibility over candidate mode
 sets decides every other one. Both stay exact and do their arithmetic on
 integers: the check reads each value as its `(numerator, denominator)`
 pair, and each feasibility question scales f by the lcm of its own
-denominators.
+denominators. The oracle imports `simplex` and `interval` inside the
+functions that use them, so `check` loads neither.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from . import simplex
-from .density import EdgeLinearDensity, ModeWitness, is_unimodal
+from .density import EdgeLinearDensity, ModeWitness, _unimodal_witness
 from .errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -28,7 +28,6 @@ from .errors import (
     TreeMismatch,
     UnknownVertex,
 )
-from .interval import interval_ucat
 from .record import Decomposition, Record
 from .tree import MetricTree, VertexId
 
@@ -89,35 +88,28 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     are summed, and checked for unimodality, over their supports only, so
     a check whose components all pass costs O(n) plus, per component, its
     support and the edges leaving it. A component that fails adds the
-    breadth-first prefix of the tree up to its first rising edge. Values
-    are read as integer `(numerator, denominator)` pairs, summed over a
-    running common denominator and compared with f by cross-multiplying;
-    a `Fraction` is built only for a reported mismatch.
+    breadth-first prefix of the tree up to its first rising edge. Each
+    listed value is read once, as its integer `(numerator, denominator)`
+    pair, which both the unimodality test and the sum use; sums run over
+    a running common denominator and are compared with f by
+    cross-multiplying, and a `Fraction` is built only for a reported
+    mismatch.
     """
     tree = d.refined_tree
     if tree != f.tree:
         raise TreeMismatch(_first_difference(f.tree, tree))
     totals = {}  # vertex -> (numerator, denominator) of its sum
-    for component in d.components:
-        if component.density.tree != tree:
-            raise TreeMismatch(
-                f"component with mode {component.mode!r} lives on a different tree"
-            )
-        for v, value in component.density.items():
-            pair = value.as_integer_ratio()
-            totals[v] = _add(totals[v], pair) if v in totals else pair
-    target = dict(f.items())
-    mismatches = []
-    for v in tree.vertices:
-        value = target.get(v, _ZERO)
-        total, (p, q) = totals.get(v, (0, 1)), value.as_integer_ratio()
-        if total != (p, q) and total[0] * q != p * total[1]:
-            mismatches.append((v, value, Fraction(*total)))
-
     component_checks = []
     for index, component in enumerate(d.components):
         mode, density = component.mode, component.density
-        witness = is_unimodal(density)
+        if density.tree != tree:
+            raise TreeMismatch(
+                f"component with mode {mode!r} lives on a different tree"
+            )
+        ratios = {v: value.as_integer_ratio() for v, value in density.items()}
+        for v, pair in ratios.items():
+            totals[v] = _add(totals[v], pair) if v in totals else pair
+        witness = _unimodal_witness(density, ratios)
         detail = ""
         if not isinstance(witness, ModeWitness):
             detail = "component is identically zero"
@@ -130,6 +122,13 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
                 f"maximum is {witness.max_value}"
             )
         component_checks.append(ComponentCheck(index, not detail, detail))
+    target = dict(f.items())
+    mismatches = []
+    for v in tree.vertices:
+        value = target.get(v, _ZERO)
+        total, (p, q) = totals.get(v, (0, 1)), value.as_integer_ratio()
+        if total != (p, q) and total[0] * q != p * total[1]:
+            mismatches.append((v, value, Fraction(*total)))
 
     sum_ok = not mismatches
     overall = sum_ok and all(c.ok for c in component_checks)
@@ -286,6 +285,8 @@ def _solve(
     strict avoidance means a positive optimum. The rows are posed for the
     integers scale * f, and the solution is divided back by scale.
     """
+    from . import simplex
+
     vertices = tree.vertices
     position = {v: i for i, v in enumerate(vertices)}
     k = len(modes)
@@ -418,6 +419,8 @@ def _count_pieces(
     """ucat of the pieces `oracle_pieces` gave, if at most k_max, else
     ExceedsKMax(k_max); `treeucat oracle` passes the pieces it sized its
     warning by, so it reduces f once."""
+    from .interval import interval_ucat
+
     total = sum(map(interval_ucat, paths))
     for piece in searched:  # a budget below 1 finds nothing
         k = _search(piece, k_max - total)

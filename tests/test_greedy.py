@@ -145,12 +145,20 @@ def _fractions_built_during(fn, *args):
 
 def test_trace_masses_stay_on_the_lattice_until_read():
     # each `Fraction(total, D)` runs gcd on integers the size of D, the lcm
-    # of every denominator; decompose builds only its components' values,
-    # one `Fraction` per distinct value of a component, and no trace mass
+    # of every denominator; decompose builds no trace mass, and of its
+    # components' values only those that are not input values, each once:
+    # a component value equal to an input value is the input's own object
     f = many_denominator_instance(1, 20)
     built, (d, trace) = _fractions_built_during(decompose, f)
-    held = sum(len({id(x) for _, x in c.density.items()}) for c in d.components)
-    assert built == held, (built, held)
+    own = {x: x for _, x in f.items()}
+    new = set()
+    for c in d.components:
+        for _, x in c.density.items():
+            if x in own:
+                assert x is own[x], x
+            else:
+                new.add(id(x))
+    assert built == len(new) > 0, (built, len(new))
     assert len(trace) == len(d.components) > 5
     # read, each mass is the input's sum less the components so far
     rest = sum(f.values.values())
@@ -495,6 +503,24 @@ def test_decompose_work_on_combs_grows_no_faster_than_the_output():
         supports.append(sum(len(c.density.support) for c in d.components))
         counts.append(python_calls_during(decompose, f))
     assert counts[1] / counts[0] <= supports[1] / supports[0], (counts, supports)
+
+
+def test_decompose_builds_no_fraction_the_input_holds():
+    # a counted gate: every component value on a monotone arm equals an
+    # input value, and building each anew made 604 `Fraction`s here
+    f = monotone_arm_instance(4, 600)
+    built, (d, _) = _fractions_built_during(decompose, f)
+    assert len(d.components) == 3
+    assert built <= 1, built
+
+
+def test_decompose_work_per_vertex_on_a_long_arm():
+    # a counted gate: 45,821 profiler calls (19.1 per vertex) when every
+    # component value was a new `Fraction` and each pruned leaf found its
+    # live neighbour through a generator
+    f = monotone_arm_instance(4, 2400)
+    calls = python_calls_during(decompose, f)
+    assert calls <= 13 * len(f.tree.vertices), calls
 
 
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):

@@ -158,7 +158,9 @@ def test_each_command_loads_only_its_own_side(tmp_path):
     assert package("verify", "simplex", "interval", "instances").isdisjoint(loaded)
 
     producer = package("greedy", "forced", "sweeping", "instances")
+    solvers = package("simplex", "interval")  # the oracle's, not check's
     for argv in (("check", "in.json", "d.json"), ("oracle", "in.json")):
         loaded = command(*argv)
         assert package("verify") <= loaded, argv
         assert producer.isdisjoint(loaded), argv
+        assert loaded & solvers == (solvers if argv[0] == "oracle" else set()), argv

@@ -120,7 +120,7 @@ _BIG = 10**30
 def _bounded_sweep(f, v):
     """Run `_sweep` and check that it worked on supp h and its boundary
     only; returns h, the lattice scale and the clamps."""
-    scale, rest = _to_lattice(f.values)
+    scale, rest, _ = _to_lattice(f)
     scale *= _BIG
     rest = {x: val * _BIG for x, val in rest.items()}
     before = dict(rest)

@@ -75,6 +75,23 @@ def test_duplicate_and_invalid_ids_rejected():
         MetricTree([""], [])
 
 
+@pytest.mark.parametrize("bad", ["a\nb", "a\n", "", 7, b"ab", "_x", "_s", "x y"])
+def test_first_invalid_id_is_named(bad):
+    # the ids are matched as one newline-joined text, and a miss names the
+    # first bad id with the per-id message; "a\nb" joins as two valid ids,
+    # so the newline count must catch it
+    ids = ["A", "_s3", bad, "also bad", "B"]
+    with pytest.raises(InvalidVertexId) as err:
+        MetricTree(ids, [])
+    assert str(err.value) == f"invalid vertex id {bad!r}"
+
+
+def test_synthetic_ids_stand_among_user_ids():
+    ids = ["b", "_s3", "a-1", "Z_9"]
+    edges = [("b", "_s3", 1), ("_s3", "a-1", 2), ("b", "Z_9", 1)]
+    assert MetricTree(ids, edges).vertices == tuple(sorted(ids))
+
+
 def test_unknown_endpoint_named_in_error():
     with pytest.raises(UnknownVertex, match="'Z'"):
         MetricTree(["A", "B"], [("A", "Z", 1)])
