@@ -35,7 +35,7 @@ _HOME = {
     "ucat": "greedy",
     "gen_instance": "instances",
     "interval_ucat": "interval",
-    "Subdivision": "sweeping",
+    "Cut": "sweeping",
     "SweepResult": "sweeping",
     "sweep": "sweeping",
     "MetricTree": "tree",

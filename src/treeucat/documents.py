@@ -1,9 +1,9 @@
-"""Document formats: instances and decompositions as JSON-syntax text.
+"""Document formats: instances, decompositions and sweeps as JSON-syntax text.
 
 All numbers travel as strings ("3", "1/3", "0.25") and convert exactly to
-rationals, so files round-trip without any loss. Instance and
-decomposition files use user ids only, as a decomposition lives on its
-instance's tree; synthetic `_s<N>` ids appear in sweep documents alone.
+rationals, so files round-trip without any loss. Every document lives on
+its instance's tree: a decomposition names it by digest, and a sweep
+document repeats it and reports each cut as an edge and a position on it.
 
 A decomposition document holds no tree. It names the instance it was made
 for by the digest of that instance, which covers the instance's vertices
@@ -145,21 +145,13 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
 
 
 def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
-    """An instance's listed vertex ids, each a string that does not start
-    with `_`, and its listed edges as (u, w, length) triples; the tree, built
-    from them by `MetricTree`, checks the rest."""
+    """An instance's listed vertex ids and its listed edges as (u, w,
+    length) triples; the tree, built from them by `MetricTree`, checks the
+    rest, each id included."""
     what = "instance"
     vertices = data["vertices"]
     if not isinstance(vertices, list):
         raise DocumentError(f"{what}: vertices must be a list of id strings")
-    for v in vertices:
-        if not isinstance(v, str):
-            raise DocumentError(f"{what}: vertex id {v!r} is not a string")
-        if v.startswith("_"):
-            raise DocumentError(
-                f"{what}: invalid vertex id {v!r} (ids match"
-                " [A-Za-z0-9][A-Za-z0-9_-]* and cannot start with '_')"
-            )
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise DocumentError(f"{what}: edges must be a list")
@@ -240,12 +232,9 @@ _DECOMPOSITION = '{\n  "components": %s,\n  "ucat": %d,\n  "provenance": %s\n}\n
 _COMPONENT = '{\n      "mode": %s,\n      "values": %s\n    }'
 _SWEEP = (
     '{\n  "tree": {\n    "vertices": %s,\n    "edges": %s\n  },\n  "origin": %s,\n'
-    '  "h": %s,\n  "remainder": %s,\n  "subdivisions": %s\n}\n'
+    '  "h": %s,\n  "remainder": %s,\n  "cuts": %s\n}\n'
 )
-_CUT = (
-    '{\n      "vertex": "%s",\n      "u": "%s",\n'
-    '      "w": "%s",\n      "t": "%s"\n    }'
-)
+_CUT = '{\n      "u": "%s",\n      "w": "%s",\n      "t": "%s"\n    }'
 
 
 def _block(members, pad, brackets="{}"):
@@ -398,10 +387,10 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
 
 
 def serialize_sweep(result) -> str:
-    cuts = [
-        _CUT % (s.vertex, s.u, s.w, _numeral(s.t, "the position of cut {}", s.vertex))
-        for s in result.subdivisions
-    ]
+    """JSON text of a `SweepResult`: the swept density's tree, the origin,
+    h and the remainder at every vertex, and the cuts."""
+    label = "the position of the cut on edge {}-{}"
+    cuts = [_CUT % (c.u, c.w, _numeral(c.t, label, c.u, c.w)) for c in result.cuts]
     return _SWEEP % (
         *_tree_sections(result.h.tree, "    "),
         _escape(result.origin),

@@ -2,19 +2,18 @@
 
 Sweeping from an origin vertex v produces the largest edge-linear function
 h that has its mode at v and is dominated by f along every path leaving v.
-Where h hits zero strictly inside an edge, the paper subdivides the edge
-so that both h and the remainder f - h stay edge-linear; the public
-`sweep` does so.
+Where h hits zero strictly inside an edge u -> w, the paper subdivides the
+edge there. `sweep` places no vertex: it sets h(w) = 0, keeps h and the
+remainder f - h on the input tree, and reports each such point as a
+`Cut(u, w, t)`, t = h(u)/drop. At the cut the paper's h is 0 and its
+remainder is f(u) - h(u), so nothing else needs storing; `greedy.py`
+proves that the cut vertex is not needed.
 
 `_sweep` is the one sweep core, over adjacency lists and integer values,
-the density scaled by the lcm D of its denominators. It places no vertex:
-where h clamps at 0 inside an edge u -> w it sets h(w) = 0 and reports the
-clamp (u, w, h(u), drop). It turns the value map it is given into the
-remainder. `decompose` ignores the clamps and so stays on the input tree
-(`greedy.py` proves that no cut is needed); `sweep` turns each clamp into
-an `_s<N>` vertex at t = h(u)/drop, where h is 0 and the remainder is
-f(u) - h(u), and builds its refined tree once. `_from_lattice` divides by
-D for nonzero values only, since a density reads a vertex it is not given
+the density scaled by the lcm D of its denominators. It reports each such
+clamp as (u, w, h(u), drop), which `decompose` ignores, and turns the
+value map it is given into the remainder. `_from_lattice` divides by D
+for nonzero values only, since a density reads a vertex it is not given
 as 0; `decompose` builds its final densities the same way. Both divide
 through one memo per run, which `_to_lattice` seeds with the input's own
 values: a value equal to an input value is the input's `Fraction`, and
@@ -31,38 +30,38 @@ from math import lcm
 from .density import EdgeLinearDensity
 from .errors import UnknownVertex
 from .record import Record
-from .tree import MetricTree, VertexId, edge_key
+from .tree import VertexId
 
 
-class Subdivision(Record):
-    """One vertex inserted by a sweep: on edge (u, w), u the origin side,
-    at fraction t of the edge length from u."""
+class Cut(Record):
+    """Where a sweep's h reaches 0 strictly inside edge (u, w), u the
+    origin side: at fraction t of the edge length from u, 0 < t < 1."""
 
-    __slots__ = ("vertex", "u", "w", "t")
+    __slots__ = ("u", "w", "t")
 
-    def __init__(self, vertex: VertexId, u: VertexId, w: VertexId, t: Fraction):
-        object.__setattr__(self, "vertex", vertex)
+    def __init__(self, u: VertexId, w: VertexId, t: Fraction):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "t", t)
 
 
 class SweepResult(Record):
-    """h and the remainder f - h, both on the refined tree `h.tree`."""
+    """h and the remainder f - h, both on f.tree, and the cuts in visit
+    order."""
 
-    __slots__ = ("h", "remainder", "origin", "subdivisions")
+    __slots__ = ("h", "remainder", "origin", "cuts")
 
     def __init__(
         self,
         h: EdgeLinearDensity,
         remainder: EdgeLinearDensity,
         origin: VertexId,
-        subdivisions: tuple[Subdivision, ...],
+        cuts: tuple[Cut, ...],
     ):
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "remainder", remainder)
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "subdivisions", subdivisions)
+        object.__setattr__(self, "cuts", cuts)
 
 
 def _to_lattice(
@@ -100,46 +99,23 @@ def _from_lattice(
 
 
 def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
-    """Propagate h away from v and split edges where h vanishes.
+    """Propagate h away from v, on f.tree.
 
     Rule per oriented edge u -> w: rising f copies h(u); falling f pays the
     drop, clamped at zero. A clamp strictly inside the edge (h(u) positive
-    but smaller than the drop) inserts a vertex at t = h(u)/drop, where both
-    h and the fresh remainder value f(u) - h(u) are exact. New vertices are
-    named `_s<N>` in visit order, counting up from one past the largest
-    such name already in the tree.
+    but smaller than the drop) sets h(w) = 0 and is reported as the cut
+    `Cut(u, w, h(u)/drop)`, in visit order.
     """
     tree = f.tree
     if not tree.has_vertex(v):
         raise UnknownVertex(f"no vertex {v!r}")
     scale, rest, fractions = _to_lattice(f)
     h, clamps = _sweep(tree.adjacency(), rest, v)
-    subdivisions: tuple[Subdivision, ...] = ()
-    if clamps:
-        # a valid id that starts with `_` is `_s<N>`
-        first = 1 + max(
-            (int(x[2:]) for x in tree.vertices if x.startswith("_")), default=0
-        )
-        subdivisions = tuple(
-            Subdivision(f"_s{first + i}", u, w, Fraction(hu, drop))
-            for i, (u, w, hu, drop) in enumerate(clamps)
-        )
-        cut = {edge_key(s.u, s.w): s for s in subdivisions}
-        edges = []
-        for a, b, length in tree.edge_list:
-            s = cut.get((a, b))
-            if s is None:
-                edges.append((a, b, length))
-            else:
-                edges.append((s.u, s.vertex, length * s.t))
-                edges.append((s.vertex, s.w, length * (1 - s.t)))
-                rest[s.vertex] = rest[s.u]  # f(u) - h(u); h is 0 at the cut
-        tree = MetricTree([*tree.vertices, *(s.vertex for s in subdivisions)], edges)
     return SweepResult(
         h=EdgeLinearDensity(tree, _from_lattice(h, scale, fractions)),
         remainder=EdgeLinearDensity(tree, _from_lattice(rest, scale, fractions)),
         origin=v,
-        subdivisions=subdivisions,
+        cuts=tuple(Cut(u, w, Fraction(hu, drop)) for u, w, hu, drop in clamps),
     )
 
 

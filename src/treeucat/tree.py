@@ -3,15 +3,11 @@
 A tree is a set of string vertex ids plus unordered edges with strictly
 positive rational lengths. `MetricTree` is immutable, so values can be
 shared freely across threads; `root_at` lists its edges oriented away
-from a root. There is no mutable tree: the greedy loop runs on the input
-tree's adjacency, and the public `sweep` builds its refined tree once,
-from an edge list.
+from a root. There is no mutable tree and no refined one: the greedy loop
+and the public `sweep` both run on the input tree's adjacency.
 
-Vertex ids supplied by users must match ``[A-Za-z0-9][A-Za-z0-9_-]*``.
-The prefix ``_`` is reserved for synthetic subdivision vertices, which
-only `sweep` makes. It names them ``_s<N>``, counting up from one past the
-largest such name already in the tree, so repeated runs produce identical
-trees.
+Every vertex id must match ``[A-Za-z0-9][A-Za-z0-9_-]*``; the constructor
+names the first one that does not, or that is not a string.
 """
 
 from __future__ import annotations
@@ -36,8 +32,7 @@ from .rational import as_fraction
 
 VertexId = str
 
-# a user id, or a synthetic subdivision id `_s<N>`
-_ID_PATTERN = r"(?:[A-Za-z0-9][A-Za-z0-9_-]*|_s[0-9]+)"
+_ID_PATTERN = r"[A-Za-z0-9][A-Za-z0-9_-]*"
 _ID = re.compile(_ID_PATTERN + r"\Z")
 # ids joined by newlines, which no id contains
 _IDS = re.compile(rf"{_ID_PATTERN}(?:\n{_ID_PATTERN})*\Z")

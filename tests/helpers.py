@@ -6,16 +6,19 @@ and the unimodality oracle checks excursion-set connectivity directly.
 The tree transforms `subdivide`, `normalize` and `path_between` build
 `MetricTree`s from edge lists and never touch the producer's working
 state, so tests that feed their output to a referee run no producer code.
-`project` restricts a density on a refinement to the vertices of the
-tree it refines, and so turns a decomposition on a refinement into one on
-that tree; `lift_through_cuts` goes the other way, reading f at each cut
-vertex a `sweep` made. `reference_peel` prunes leaves one at a time from the tree and
-the density alone, in any order it is given, and `forced_region` reads the
-set it forces a mode into. `dense_decomposition_text` writes a
+`paper_sweep` makes the paper's cutting sweep out of a `sweep` result: it
+puts a vertex at each reported cut through `subdivide` and reads f, h and
+the remainder there from the cut's edge and position alone. `project`
+goes the other way: it restricts a density on a refinement to the
+vertices of the tree it refines, and so turns a decomposition on a
+refinement into one on that tree. `reference_peel` prunes leaves one at a
+time from the tree and the density alone, in any order it is given, and
+`forced_region` reads the set it forces a mode into. `dense_decomposition_text` writes a
 decomposition the way documents were written before components listed
 their nonzero values only. `python_calls_during` counts the Python and
 C function calls a call makes, a measure of work that, unlike wall time,
-does not vary from run to run. `reference_maximize` is the two-phase
+does not vary from run to run, and `count_builds` counts the objects a
+class's constructor builds. `reference_maximize` is the two-phase
 simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
 must agree with, pivot for pivot. `reference_is_unimodal` and
 `reference_check_decomposition` are the referee's checks as they were
@@ -63,11 +66,15 @@ def star_instance(center_value, leaf_values):
 def subdivide(tree: MetricTree, u, w, t):
     """`tree` with edge (u, w) split at fraction t of its length from u.
 
-    The new vertex is `_s<N>`, N one past the largest synthetic id in the
-    tree (or 1); returns the new tree and that id.
+    The new vertex is `S<N>`, the first N = 1, 2, ... that is not already a
+    vertex id; returns the new tree and that id. An uppercase id sorts
+    before the lowercase ids of the test instances, so a cut vertex wins
+    the smallest-id ties that `find_forced_vertex` breaks.
     """
-    synthetic = [int(v[2:]) for v in tree.vertices if v.startswith("_s")]
-    name = f"_s{max(synthetic, default=0) + 1}"
+    n = 1
+    while tree.has_vertex(f"S{n}"):
+        n += 1
+    name = f"S{n}"
     length = tree.edge_length(u, w)
     edges = [(a, b, ab) for a, b, ab in tree.edge_list if {a, b} != {u, w}]
     edges += [(u, name, length * t), (name, w, length * (1 - t))]
@@ -86,16 +93,24 @@ def project(g: EdgeLinearDensity, tree: MetricTree) -> EdgeLinearDensity:
     return EdgeLinearDensity(tree, {v: g.value(v) for v in tree.vertices})
 
 
-def lift_through_cuts(f: EdgeLinearDensity, refined: MetricTree, cuts):
-    """f on `refined`, the tree that the `Subdivision` records `cuts` made
-    from f.tree: they are applied in order, and the cut at fraction t of
-    edge u-w reads (1 - t) * f(u) + t * f(w)."""
-    values = dict(f.items())
-    zero = Fraction(0)
-    for cut in cuts:
+def paper_sweep(f: EdgeLinearDensity, result):
+    """The paper's cutting sweep of f, rebuilt from `result = sweep(f, v)`.
+
+    Each cut (u, w, t), in order, subdivides edge u-w of f.tree at fraction
+    t from u through `subdivide`. Returns f, h and the remainder on that
+    refinement: at the cut vertex f reads (1 - t) * f(u) + t * f(w) and h
+    reads 0, every other vertex keeps its values, and the remainder is
+    f - h.
+    """
+    tree, values, zero = f.tree, dict(f.items()), Fraction(0)
+    for cut in result.cuts:
+        tree, x = subdivide(tree, cut.u, cut.w, cut.t)
         at_u, at_w = values.get(cut.u, zero), values.get(cut.w, zero)
-        values[cut.vertex] = (1 - cut.t) * at_u + cut.t * at_w
-    return EdgeLinearDensity(refined, values)
+        values[x] = (1 - cut.t) * at_u + cut.t * at_w
+    h = dict(result.h.items())
+    rest = {x: values.get(x, zero) - h.get(x, zero) for x in tree.vertices}
+    lifted = EdgeLinearDensity(tree, values)
+    return lifted, EdgeLinearDensity(tree, h), EdgeLinearDensity(tree, rest)
 
 
 def comb_instance(k: int, spacing: int = 10) -> EdgeLinearDensity:
@@ -142,6 +157,26 @@ def python_calls_during(fn, *args) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def count_builds(monkeypatch, *classes) -> dict:
+    """Each class mapped to the number of its objects built from now on:
+    `monkeypatch` wraps each class's `__init__` to count its calls. Set an
+    entry to 0 to count afresh."""
+    built = dict.fromkeys(classes, 0)
+
+    def wrap(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[cls] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in classes:
+        wrap(cls)
+    return built
 
 
 def normalize(f: EdgeLinearDensity) -> EdgeLinearDensity:

@@ -21,7 +21,7 @@ from treeucat.documents import (
     serialize_instance,
 )
 
-from helpers import dense_decomposition_text, path_instance, star_instance
+from helpers import dense_decomposition_text, paper_sweep, path_instance, star_instance
 
 
 def _write_instance(tmp_path, name, tree, f):
@@ -149,8 +149,8 @@ def test_huge_numerals_exit_2(tmp_path, capsys):
 
 def test_output_past_the_digit_limit_exits_2(tmp_path, capsys):
     # each input numeral fits in the bounds, but the remainder at v4, which
-    # is the second component's mode value and the sweep's value at its
-    # cut, has a denominator of more than 4,300 digits
+    # is the second component's mode value and the sweep's remainder there,
+    # has a denominator of more than 4,300 digits
     big = 10**3000
     names = [f"v{i}" for i in range(1, 6)]
     doc = {
@@ -164,7 +164,7 @@ def test_output_past_the_digit_limit_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     runs = (
         (["decompose", str(path)], "of component 1 at vertex v4"),
-        (["sweep", str(path), "--vertex", "v2"], "of the remainder at vertex _s1"),
+        (["sweep", str(path), "--vertex", "v2"], "of the remainder at vertex v4"),
     )
     for argv, where in runs:
         assert main(argv) == 2
@@ -258,23 +258,23 @@ def test_check_tree_mismatch_with_forged_digest(tmp_path, capsys):
 
 
 def test_check_refuses_a_decomposition_on_a_sweep_refinement(tmp_path, capsys):
-    # h and the remainder of a sweep decompose f on the refinement the
-    # sweep made, and the digest is f's; the cut vertex `_s1` that the
+    # h and the remainder of the paper's sweep decompose f on the refinement
+    # that sweep makes, and the digest is f's; the cut vertex `S1` that the
     # components list is refused where the document meets the instance
     tree, f = path_instance([0, 4, 1, 3, 0])
     instance = _write_instance(tmp_path, "in.json", tree, f)
-    result = sweep(f, "v2")
-    parts = (Component("v2", result.h), Component("v4", result.remainder))
+    _, h, remainder = paper_sweep(f, sweep(f, "v2"))
+    parts = (Component("v2", h), Component("v4", remainder))
     provenance = {"tool": "treeucat", "input_digest": instance_digest(tree, f)}
     out = tmp_path / "d.json"
     out.write_text(
-        serialize_decomposition(Decomposition(result.h.tree, parts), provenance),
+        serialize_decomposition(Decomposition(h.tree, parts), provenance),
         encoding="utf-8",
     )
     assert main(["check", instance, str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: density value for '_s1', not a tree vertex\n"
+    assert captured.err == "error: density value for 'S1', not a tree vertex\n"
 
 
 def test_check_refuses_a_document_with_a_tree_section(tmp_path, capsys):
@@ -490,7 +490,7 @@ def test_sweep_command(tmp_path, capsys):
     assert main(["sweep", path, "--vertex", "P"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["origin"] == "P"
-    assert data["subdivisions"] == [{"vertex": "_s1", "u": "Q", "w": "R", "t": "2/3"}]
+    assert data["cuts"] == [{"u": "Q", "w": "R", "t": "2/3"}]
 
     assert main(["sweep", path, "--vertex", "Z"]) == 2
     assert "'Z'" in capsys.readouterr().err

@@ -36,6 +36,7 @@ from treeucat.documents import (
 )
 from treeucat.errors import (
     DocumentError,
+    InvalidVertexId,
     NegativeValue,
     TreeMismatch,
     UnknownVertex,
@@ -45,6 +46,7 @@ from helpers import (
     comb_instance,
     dense_decomposition_text,
     monotone_arm_instance,
+    paper_sweep,
     path_instance,
     python_calls_during,
 )
@@ -298,20 +300,12 @@ def test_deep_nesting_and_long_literals_are_document_errors():
         parse_decomposition('{"ucat": ' + "9" * 5000 + "}")
 
 
-def test_instance_rejects_synthetic_ids():
-    doc = {
-        "vertices": ["A", "_s1"],
-        "edges": [{"u": "A", "w": "_s1", "length": "1"}],
-        "density": {"A": "1", "_s1": "1"},
-    }
-    with pytest.raises(DocumentError, match="cannot start with '_'"):
-        parse_instance(json.dumps(doc))
-
-
 def test_instance_rejects_non_string_ids():
-    doc = {"vertices": ["A", 7], "edges": [], "density": {}}
-    with pytest.raises(DocumentError, match="not a string"):
+    # the tree's constructor names the first id that is not a string
+    doc = {"vertices": ["A", 7, "_s1"], "edges": [], "density": {}}
+    with pytest.raises(InvalidVertexId) as err:
         parse_instance(json.dumps(doc))
+    assert str(err.value) == "invalid vertex id 7"
 
 
 def test_edge_shape_is_validated():
@@ -535,9 +529,9 @@ def _paper_decomposition():
     refinement that the paper's sweep from v2 makes: its h, and the
     remainder, which is unimodal with mode v4 and equal to 2 at the cut."""
     _, f = path_instance([0, 4, 1, 3, 0])
-    result = sweep(f, "v2")
-    components = (Component("v2", result.h), Component("v4", result.remainder))
-    return f, Decomposition(result.h.tree, components)
+    _, h, remainder = paper_sweep(f, sweep(f, "v2"))
+    components = (Component("v2", h), Component("v4", remainder))
+    return f, Decomposition(h.tree, components)
 
 
 def test_decomposition_tree_may_not_contain_synthetic_ids():
@@ -548,7 +542,7 @@ def test_decomposition_tree_may_not_contain_synthetic_ids():
     doc = parse_decomposition(serialize_decomposition(d, _provenance(f)))
     with pytest.raises(TreeMismatch) as err:
         decomposition_from_document(doc, f)
-    assert str(err.value) == "density value for '_s1', not a tree vertex"
+    assert str(err.value) == "density value for 'S1', not a tree vertex"
 
 
 def test_decomposition_validation_errors():
@@ -625,13 +619,27 @@ def test_sweep_serialization():
     tree = MetricTree(["P", "Q", "R"], [("P", "Q", 1), ("Q", "R", 1)])
     f = EdgeLinearDensity(tree, {"P": 2, "Q": 3, "R": 0})
     data = json.loads(serialize_sweep(sweep(f, "P")))
+    assert data["tree"] == _tree_fields(tree)
     assert data["origin"] == "P"
-    assert data["h"] == {"P": "2", "Q": "2", "_s1": "0", "R": "0"}
-    assert data["remainder"] == {"P": "0", "Q": "1", "_s1": "1", "R": "0"}
-    assert data["subdivisions"] == [{"vertex": "_s1", "u": "Q", "w": "R", "t": "2/3"}]
-    lengths = {(e["u"], e["w"]): e["length"] for e in data["tree"]["edges"]}
-    assert lengths[("Q", "_s1")] == "2/3"
-    assert lengths[("R", "_s1")] == "1/3"
+    assert data["h"] == {"P": "2", "Q": "2", "R": "0"}
+    assert data["remainder"] == {"P": "0", "Q": "1", "R": "0"}
+    assert data["cuts"] == [{"u": "Q", "w": "R", "t": "2/3"}]
+
+
+def test_a_cut_past_the_digit_limit_names_its_edge():
+    # h and the remainder stay short, but the cut's position
+    # t = h(Q) / (f(Q) - f(R)) has a denominator of about 6,000 digits
+    a, c = 10**3000 + 3, 10**3000 + 7
+    tree = MetricTree(["P", "Q", "R"], [("P", "Q", 1), ("Q", "R", 1)])
+    values = {"P": Fraction(1, a), "Q": 1 + Fraction(1, a), "R": Fraction(1, c)}
+    result = sweep(EdgeLinearDensity(tree, values), "P")
+    assert [(cut.u, cut.w) for cut in result.cuts] == [("Q", "R")]
+    with pytest.raises(DocumentError) as err:
+        serialize_sweep(result)
+    assert str(err.value).startswith(
+        "cannot write the position of the cut on edge Q-R: its numerator or"
+        " denominator has more than"
+    )
 
 
 def _tree_fields(tree: MetricTree) -> dict:
@@ -702,20 +710,16 @@ def test_writer_matches_the_stdlib_encoder():
 
         for v in tree.vertices[:3]:
             result = sweep(f, v)
-            refined = result.h.tree
-            cuts = [
-                {"vertex": s.vertex, "u": s.u, "w": s.w, "t": str(s.t)}
-                for s in result.subdivisions
-            ]
+            cuts = [{"u": c.u, "w": c.w, "t": str(c.t)} for c in result.cuts]
             expected = _stdlib_text(
                 {
-                    "tree": _tree_fields(refined),
+                    "tree": _tree_fields(tree),
                     "origin": v,
-                    "h": {u: str(result.h.value(u)) for u in refined.vertices},
+                    "h": {u: str(result.h.value(u)) for u in tree.vertices},
                     "remainder": {
-                        u: str(result.remainder.value(u)) for u in refined.vertices
+                        u: str(result.remainder.value(u)) for u in tree.vertices
                     },
-                    "subdivisions": cuts,
+                    "cuts": cuts,
                 }
             )
             assert serialize_sweep(result) == expected

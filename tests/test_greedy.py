@@ -11,12 +11,12 @@ import pytest
 
 from treeucat import (
     Component,
+    Cut,
     Decomposition,
     EdgeLinearDensity,
     Forced,
     MetricTree,
     ModeWitness,
-    Subdivision,
     TraceEvent,
     Unimodal,
     check_decomposition,
@@ -46,9 +46,10 @@ from treeucat.sweeping import _sweep
 
 from helpers import (
     comb_instance,
-    lift_through_cuts,
+    count_builds,
     many_denominator_instance,
     monotone_arm_instance,
+    paper_sweep,
     path_instance,
     project,
     python_calls_during,
@@ -110,19 +111,19 @@ def test_zero_density_empty_decomposition():
 
 def _paper_greedy(f):
     """The paper's greedy through the public steps: `find_forced_vertex`
-    and the cutting `sweep`, each remainder kept on the refinement its
-    sweep made. Returns the modes, the components, each on the tree of its
-    own sweep, and the subdivisions in order."""
-    modes, components, subdivisions = [], [], []
+    and `sweep`, whose cuts `paper_sweep` turns into vertices, each
+    remainder kept on the refinement its sweep made. Returns the modes, the
+    components, each on the tree of its own sweep, and the cuts in order."""
+    modes, components, cuts = [], [], []
     current = f
     while not support_is_empty(current):
         v = find_forced_vertex(current)
         result = sweep(current, v)
+        _, h, current = paper_sweep(current, result)
         modes.append(v)
-        components.append(result.h)
-        subdivisions += result.subdivisions
-        current = result.remainder
-    return modes, components, subdivisions
+        components.append(h)
+        cuts += result.cuts
+    return modes, components, cuts
 
 
 def _fractions_built_during(fn, *args):
@@ -186,7 +187,8 @@ def test_trace_masses_start_below_the_input_sum():
     masses = [ev.remaining_mass for ev in trace]
     assert masses == [Fraction(15), Fraction(4), Fraction(0)]
     assert masses[0] < sum(f.values.values()) == 22
-    assert sum(sweep(f, "v1").remainder.values.values()) == 24
+    _, _, paper_remainder = paper_sweep(f, sweep(f, "v1"))
+    assert sum(paper_remainder.values.values()) == 24
     assert ucat_oracle(f, 7) == 3
     assert interval_ucat(["5", "1", "10", "1", "5"]) == 3
 
@@ -203,12 +205,13 @@ def test_second_mode_beside_the_paper_cut():
         ("v4", {"v1": 0, "v2": 0, "v3": 0, "v4": 2, "v5": 0}),
     ]
     result = sweep(f, "v2")
-    assert result.subdivisions == (Subdivision("_s1", "v4", "v5", Fraction(1, 3)),)
-    assert result.h.tree.edge_length("v4", "_s1") == Fraction(1, 3)
-    assert result.h.tree.edge_length("_s1", "v5") == Fraction(2, 3)
-    assert lift_through_cuts(f, result.h.tree, result.subdivisions).value("_s1") == 2
-    assert find_forced_vertex(result.remainder) == "_s1"
-    assert result.remainder.value("_s1") == result.remainder.value("v4") == 2
+    assert result.cuts == (Cut("v4", "v5", Fraction(1, 3)),)
+    lifted, h, remainder = paper_sweep(f, result)
+    assert h.tree.edge_length("v4", "S1") == Fraction(1, 3)
+    assert h.tree.edge_length("S1", "v5") == Fraction(2, 3)
+    assert lifted.value("S1") == 2
+    assert find_forced_vertex(remainder) == "S1"
+    assert remainder.value("S1") == remainder.value("v4") == 2
     assert ucat_oracle(f, 7) == 2
 
 
@@ -228,24 +231,20 @@ def test_two_subdivisions_and_lifting():
         Fraction(2),
         Fraction(0),
     ]
-    modes, components, subdivisions = _paper_greedy(f)
-    assert modes == ["v1", "v5", "_s1"]
-    assert subdivisions == [
-        Subdivision("_s1", "v3", "v4", Fraction(1, 3)),
-        Subdivision("_s2", "v3", "v2", Fraction(1, 3)),
-    ]
+    modes, components, cuts = _paper_greedy(f)
+    assert modes == ["v1", "v5", "S1"]
+    assert cuts == [Cut("v3", "v4", Fraction(1, 3)), Cut("v3", "v2", Fraction(1, 3))]
     assert [project(h, f.tree) for h in components] == [
         c.density for c in d.components
     ]
     refined = components[-1].tree
-    assert refined.edge_length("v3", "_s1") == Fraction(1, 3)
-    assert refined.edge_length("_s1", "v4") == Fraction(2, 3)
-    assert refined.edge_length("v3", "_s2") == Fraction(1, 3)
-    assert refined.edge_length("_s2", "v2") == Fraction(2, 3)
+    assert refined.edge_length("v3", "S1") == Fraction(1, 3)
+    assert refined.edge_length("S1", "v4") == Fraction(2, 3)
+    assert refined.edge_length("v3", "S2") == Fraction(1, 3)
+    assert refined.edge_length("S2", "v2") == Fraction(2, 3)
     # the input re-expressed on the refined tree interpolates its own values
-    lifted = lift_through_cuts(f, refined, subdivisions)
-    assert lifted.value("_s1") == 3
-    assert lifted.value("_s2") == 3
+    for cut in cuts:
+        assert (1 - cut.t) * f.value(cut.u) + cut.t * f.value(cut.w) == 3
     assert ucat_oracle(f, 7) == 3
 
 
@@ -296,22 +295,21 @@ def test_modes_are_distinct_vertices():
 
 def _replay(f):
     # decompose spelled out with the public step API on immutable
-    # densities: each cutting sweep's h and remainder are projected back
-    # onto the input tree, which drops its cut vertices; returns the modes,
-    # components and trace, and the clamps, the cuts the sweeps made
+    # densities, each sweep's h and remainder on the input tree; returns
+    # the modes, components and trace, and the number of cuts the sweeps made
     modes, components, trace = [], [], []
     clamps = 0
     current = f
     while not support_is_empty(current):
         v = find_forced_vertex(current)
         result = sweep(current, v)
-        components.append(project(result.h, f.tree))
+        components.append(result.h)
         modes.append(v)
-        current = project(result.remainder, f.tree)
+        current = result.remainder
         trace.append(
             TraceEvent(len(modes), v, sum(current.values.values(), Fraction(0)))
         )
-        clamps += len(result.subdivisions)
+        clamps += len(result.cuts)
     return modes, components, trace, clamps
 
 
@@ -343,7 +341,7 @@ def test_paper_greedy_projects_to_a_decomposition_of_the_same_count():
     instances += [comb_instance(k, spacing=4) for k in range(2, 8)]
     cuts = cut_modes = 0
     for i, f in enumerate(instances):
-        modes, components, subdivisions = _paper_greedy(f)
+        modes, components, made = _paper_greedy(f)
         projected = []
         for v, h in zip(modes, components):
             g = project(h, f.tree)
@@ -355,7 +353,7 @@ def test_paper_greedy_projects_to_a_decomposition_of_the_same_count():
         d = Decomposition(f.tree, tuple(projected))
         assert check_decomposition(f, d).overall, i
         assert len(projected) == ucat(f), i
-        cuts += len(subdivisions)
+        cuts += len(made)
     assert len(instances) >= 40
     assert cuts > 0 and cut_modes > 0
 
@@ -527,19 +525,7 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     # the loop validates nothing: the one tree and one density come from
     # the parse, and k densities, the components, on that tree at the end;
     # each constructor is the only way to build its type
-    built = {MetricTree: 0, EdgeLinearDensity: 0}
-
-    def count_builds(cls):
-        original = cls.__init__
-
-        def init(self, *args, **kwargs):
-            built[cls] += 1
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", init)
-
-    for cls in built:
-        count_builds(cls)
+    built = count_builds(monkeypatch, MetricTree, EdgeLinearDensity)
 
     texts = [serialize_instance(*gen_instance(seed, 30, 6)) for seed in range(20)]
     texts.append(serialize_instance(*path_instance([4, 1, 4, 1, 4])))

@@ -35,7 +35,7 @@ EXPORTED = {
     "greedy": ["TraceEvent", "decompose", "ucat"],
     "instances": ["gen_instance"],
     "interval": ["interval_ucat"],
-    "sweeping": ["Subdivision", "SweepResult", "sweep"],
+    "sweeping": ["Cut", "SweepResult", "sweep"],
     "tree": ["MetricTree", "VertexId"],
     "verify": [
         "CheckReport",

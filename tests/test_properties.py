@@ -33,7 +33,7 @@ def test_decompose_leaves_inputs_untouched():
         assert decompose(f)[0] == d, seed
         if not support_is_empty(f):
             # where the first sweep clamps, the paper's would cut
-            clamps += len(sweep(f, find_forced_vertex(f)).subdivisions)
+            clamps += len(sweep(f, find_forced_vertex(f)).cuts)
     assert clamps > 0
 
 
@@ -43,7 +43,7 @@ def test_sweep_and_prune_leave_their_argument_unchanged():
         tree, f = gen_instance(seed, 12, 5)
         before = _snapshot(f)
         for v in tree.vertices:
-            cuts += len(sweep(f, v).subdivisions)
+            cuts += len(sweep(f, v).cuts)
         if not support_is_empty(f):
             prune_insignificant(f)
         assert _snapshot(f) == before, seed

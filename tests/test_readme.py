@@ -1,6 +1,7 @@
 """The document formats the README shows are the ones the code reads and
 writes: its fenced `json` blocks are an instance and, byte for byte, the
-decomposition that `treeucat decompose` writes for it."""
+decomposition that `treeucat decompose` writes for it and the sweep
+document that `treeucat sweep --vertex v1` writes for it."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ def _json_blocks() -> list[str]:
 
 
 def test_the_readme_documents_round_trip(tmp_path, capsys):
-    instance, decomposition = _json_blocks()
+    instance, decomposition, sweep_document = _json_blocks()
     tree, f = parse_instance(instance)
     d, _ = decompose(f)
     provenance = {
@@ -43,3 +44,5 @@ def test_the_readme_documents_round_trip(tmp_path, capsys):
     path.write_text(instance, encoding="utf-8")
     assert main(["decompose", str(path)]) == 0
     assert capsys.readouterr().out == decomposition
+    assert main(["sweep", str(path), "--vertex", "v1"]) == 0
+    assert capsys.readouterr().out == sweep_document

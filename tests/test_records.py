@@ -20,6 +20,7 @@ from treeucat import (
     CheckReport,
     Component,
     ComponentCheck,
+    Cut,
     Decomposition,
     EdgeLinearDensity,
     FeasibilityCertificate,
@@ -28,7 +29,6 @@ from treeucat import (
     ModeWitness,
     NotUnimodal,
     PruneReport,
-    Subdivision,
     SweepResult,
     TraceEvent,
     Unimodal,
@@ -82,15 +82,15 @@ CASES = [
         "LPResult(status='optimal', x=(Fraction(1, 3),), objective=Fraction(1, 3))",
     ),
     (
-        Subdivision,
-        {"vertex": "_s1", "u": "a", "w": "b", "t": Fraction(1, 2)},
-        "Subdivision(vertex='_s1', u='a', w='b', t=Fraction(1, 2))",
+        Cut,
+        {"u": "a", "w": "b", "t": Fraction(1, 2)},
+        "Cut(u='a', w='b', t=Fraction(1, 2))",
     ),
     (
         SweepResult,
-        {"h": F, "remainder": ZERO, "origin": "b", "subdivisions": ()},
+        {"h": F, "remainder": ZERO, "origin": "b", "cuts": ()},
         "SweepResult(h=EdgeLinearDensity(a=1, b=2), remainder=EdgeLinearDensity(a=0,"
-        " b=0), origin='b', subdivisions=())",
+        " b=0), origin='b', cuts=())",
     ),
     (
         ComponentCheck,

@@ -36,8 +36,8 @@ from treeucat.errors import TreeMismatch
 
 from helpers import (
     comb_instance,
-    lift_through_cuts,
     many_denominator_instance,
+    paper_sweep,
     path_instance,
     python_calls_during,
     recursive_tree_instance,
@@ -109,22 +109,22 @@ def test_check_agrees_with_the_fraction_reference():
 
 
 def test_check_agrees_on_sweep_refinements():
-    # sweep documents live on a refinement with `_s` cut vertices; h and the
-    # remainder, as two components, decompose the input lifted onto it
+    # the paper's sweep puts a vertex at each cut; its h and remainder, as
+    # two components, decompose the input lifted onto that refinement
     cuts = 0
     for seed in range(150):
         tree, f = gen_instance(seed, 10, 5)
         if not f.support:
             continue
         result = sweep(f, f.support[seed % len(f.support)])
-        cuts += len(result.subdivisions)
-        refined = result.h.tree
+        cuts += len(result.cuts)
+        lifted, h, remainder = paper_sweep(f, result)
+        refined = h.tree
         parts = [
-            Component(result.origin, result.h),
-            Component(refined.vertices[0], result.remainder),
+            Component(result.origin, h),
+            Component(refined.vertices[0], remainder),
         ]
-        d = Decomposition(refined, tuple(parts))
-        report = _assert_same(lift_through_cuts(f, refined, result.subdivisions), d)
+        report = _assert_same(lifted, Decomposition(refined, tuple(parts)))
         assert report.sum_ok
     assert cuts > 20
 

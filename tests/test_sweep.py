@@ -8,8 +8,8 @@ import pytest
 from treeucat import (
     EdgeLinearDensity,
     MetricTree,
+    Cut,
     ModeWitness,
-    Subdivision,
     gen_instance,
     is_unimodal,
     sweep,
@@ -18,7 +18,8 @@ from treeucat.errors import UnknownVertex
 from treeucat.sweeping import _sweep, _to_lattice
 
 from helpers import (
-    lift_through_cuts,
+    count_builds,
+    paper_sweep,
     path_instance,
     star_instance,
     subdivide,
@@ -33,7 +34,7 @@ def test_monotone_decreasing_sweeps_clean():
     assert result.h.tree == tree
     assert dict(result.h.values) == {"A": Fraction(3), "B": Fraction(2), "C": Fraction(1)}
     assert all(v == 0 for v in result.remainder.values.values())
-    assert result.subdivisions == ()
+    assert result.cuts == ()
 
 
 def test_rising_edge_copies_height():
@@ -49,51 +50,51 @@ def test_rising_edge_copies_height():
 
 
 def test_zero_crossing_inserts_subdivision():
+    # sweep reports the cut and stays on f.tree; the paper's refinement,
+    # rebuilt from the cut alone, holds h = 0 and the remainder 1 there
     tree = MetricTree(["P", "Q", "R"], [("P", "Q", 1), ("Q", "R", 1)])
     f = EdgeLinearDensity(tree, {"P": 2, "Q": 3, "R": 0})
     result = sweep(f, "P")
 
     assert result.origin == "P"
-    assert result.subdivisions == (Subdivision("_s1", "Q", "R", Fraction(2, 3)),)
-    refined = result.h.tree
-    assert refined.vertices == ("P", "Q", "R", "_s1")
-    assert refined.edge_length("Q", "_s1") == Fraction(2, 3)
-    assert refined.edge_length("_s1", "R") == Fraction(1, 3)
-    assert result.remainder.tree == refined
+    assert result.cuts == (Cut("Q", "R", Fraction(2, 3)),)
+    assert result.h.tree is tree and result.remainder.tree is tree
+    assert dict(result.h.values) == {"P": 2, "Q": 2, "R": 0}
+    assert dict(result.remainder.values) == {"P": 0, "Q": 1, "R": 0}
 
-    assert dict(lift_through_cuts(f, refined, result.subdivisions).values) == {
-        "P": Fraction(2),
-        "Q": Fraction(3),
-        "_s1": Fraction(1),
-        "R": Fraction(0),
-    }
-    assert dict(result.h.values) == {
-        "P": Fraction(2),
-        "Q": Fraction(2),
-        "_s1": Fraction(0),
-        "R": Fraction(0),
-    }
-    assert dict(result.remainder.values) == {
-        "P": Fraction(0),
-        "Q": Fraction(1),
-        "_s1": Fraction(1),
-        "R": Fraction(0),
-    }
+    lifted, h, remainder = paper_sweep(f, result)
+    refined = h.tree
+    assert refined.vertices == ("P", "Q", "R", "S1")
+    assert refined.edge_length("Q", "S1") == Fraction(2, 3)
+    assert refined.edge_length("S1", "R") == Fraction(1, 3)
+    assert dict(lifted.values) == {"P": 2, "Q": 3, "S1": 1, "R": 0}
+    assert dict(h.values) == {"P": 2, "Q": 2, "S1": 0, "R": 0}
+    assert dict(remainder.values) == {"P": 0, "Q": 1, "S1": 1, "R": 0}
+
+
+def test_a_cutting_sweep_builds_no_tree(monkeypatch):
+    # the cut is reported, not placed: one sweep builds its two densities,
+    # h and the remainder, on f.tree, and no tree
+    tree = MetricTree(["P", "Q", "R"], [("P", "Q", 1), ("Q", "R", 1)])
+    f = EdgeLinearDensity(tree, {"P": 2, "Q": 3, "R": 0})
+    built = count_builds(monkeypatch, MetricTree, EdgeLinearDensity)
+    result = sweep(f, "P")
+    assert len(result.cuts) == 1
+    assert built == {MetricTree: 0, EdgeLinearDensity: 2}
 
 
 def test_zero_crossing_dense_samples():
     # swept height along Q->R should be 2 - 3t up to t = 2/3, then 0
     tree = MetricTree(["P", "Q", "R"], [("P", "Q", 1), ("Q", "R", 1)])
     f = EdgeLinearDensity(tree, {"P": 2, "Q": 3, "R": 0})
-    result = sweep(f, "P")
-    h = result.h
+    _, h, _ = paper_sweep(f, sweep(f, "P"))
     for num in range(0, 13):
         t = Fraction(num, 12)
         expected = max(Fraction(0), 2 - 3 * t)
         if t <= Fraction(2, 3):
-            u, w, local = "Q", "_s1", t / Fraction(2, 3)
+            u, w, local = "Q", "S1", t / Fraction(2, 3)
         else:
-            u, w, local = "_s1", "R", (t - Fraction(2, 3)) / Fraction(1, 3)
+            u, w, local = "S1", "R", (t - Fraction(2, 3)) / Fraction(1, 3)
         assert h.tree.has_edge(u, w)
         assert (1 - local) * h.value(u) + local * h.value(w) == expected
 
@@ -108,8 +109,8 @@ def test_height_stays_zero_past_support_gap():
         "B": Fraction(0),
         "C": Fraction(1),
     }
-    # h hit zero exactly at B, so no subdivision is needed
-    assert result.subdivisions == ()
+    # h hit zero exactly at B, so there is no cut
+    assert result.cuts == ()
 
 
 # values scaled far past the small-int cache, so that `is` tells an entry
@@ -189,15 +190,17 @@ def test_branching_cuts_named_in_visit_order():
     )
     f = EdgeLinearDensity(tree, {"A": 1, "B": 5, "C": 0, "D": 0})
     result = sweep(f, "A")
-    assert result.subdivisions == (
-        Subdivision("_s1", "B", "C", Fraction(1, 5)),
-        Subdivision("_s2", "B", "D", Fraction(1, 5)),
+    assert result.cuts == (
+        Cut("B", "C", Fraction(1, 5)),
+        Cut("B", "D", Fraction(1, 5)),
     )
-    lifted = lift_through_cuts(f, result.h.tree, result.subdivisions)
-    assert lifted.value("_s1") == 4
-    assert lifted.value("_s2") == 4
-    assert result.h.value("_s1") == 0
-    assert result.remainder.value("_s2") == 4
+    lifted, h, remainder = paper_sweep(f, result)
+    assert h.tree.edge_length("B", "S1") == Fraction(1, 5)
+    assert h.tree.edge_length("B", "S2") == Fraction(1, 5)
+    assert lifted.value("S1") == 4
+    assert lifted.value("S2") == 4
+    assert h.value("S1") == 0
+    assert remainder.value("S2") == 4
 
 
 def test_zero_origin_gives_zero_height():
@@ -205,7 +208,7 @@ def test_zero_origin_gives_zero_height():
     result = sweep(f, "v1")
     assert all(v == 0 for v in result.h.values.values())
     assert result.remainder == f
-    assert result.subdivisions == ()
+    assert result.cuts == ()
 
 
 def test_unknown_origin_rejected():
@@ -229,14 +232,13 @@ def test_result_invariants_on_random_instances():
         tree, f = gen_instance(seed, 10, 6)
         for v in tree.vertices:
             result = sweep(f, v)
-            fr = lift_through_cuts(f, result.h.tree, result.subdivisions)
-            assert result.remainder.tree == result.h.tree
+            assert result.h.tree is result.remainder.tree is tree
             assert result.h.value(v) == f.value(v)
             assert result.remainder.value(v) == 0
-            for x in result.h.tree.vertices:
+            for x in tree.vertices:
                 hx = result.h.value(x)
-                assert 0 <= hx <= fr.value(x)
-                assert hx + result.remainder.value(x) == fr.value(x)
+                assert 0 <= hx <= f.value(x)
+                assert hx + result.remainder.value(x) == f.value(x)
             if f.value(v) > 0:
                 witness = is_unimodal(result.h)
                 assert isinstance(witness, ModeWitness)
@@ -252,7 +254,7 @@ def test_deterministic_across_calls():
     assert first.h.tree.vertices == second.h.tree.vertices
     assert first.h == second.h
     assert first.remainder == second.remainder
-    assert first.subdivisions == second.subdivisions
+    assert first.cuts == second.cuts
 
 
 def test_invariant_under_prior_subdivision():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeucat import EdgeLinearDensity, MetricTree, sweep
+from treeucat import EdgeLinearDensity, MetricTree
 from treeucat.errors import (
     CycleDetected,
     Disconnected,
@@ -75,21 +75,17 @@ def test_duplicate_and_invalid_ids_rejected():
         MetricTree([""], [])
 
 
-@pytest.mark.parametrize("bad", ["a\nb", "a\n", "", 7, b"ab", "_x", "_s", "x y"])
+@pytest.mark.parametrize(
+    "bad", ["a\nb", "a\n", "", 7, b"ab", "_x", "_s", "_s1", "x y"]
+)
 def test_first_invalid_id_is_named(bad):
     # the ids are matched as one newline-joined text, and a miss names the
     # first bad id with the per-id message; "a\nb" joins as two valid ids,
     # so the newline count must catch it
-    ids = ["A", "_s3", bad, "also bad", "B"]
+    ids = ["A", "s3_b-2", bad, "also bad", "B"]
     with pytest.raises(InvalidVertexId) as err:
         MetricTree(ids, [])
     assert str(err.value) == f"invalid vertex id {bad!r}"
-
-
-def test_synthetic_ids_stand_among_user_ids():
-    ids = ["b", "_s3", "a-1", "Z_9"]
-    edges = [("b", "_s3", 1), ("_s3", "a-1", 2), ("b", "Z_9", 1)]
-    assert MetricTree(ids, edges).vertices == tuple(sorted(ids))
 
 
 def test_unknown_endpoint_named_in_error():
@@ -137,7 +133,7 @@ def test_root_at_children_in_lexicographic_order():
 def test_subdivide_splits_lengths():
     tree = MetricTree(["A", "B"], [("A", "B", 3)])
     refined, s = subdivide(tree, "A", "B", Fraction(2, 3))
-    assert s == "_s1"
+    assert s == "S1"
     assert refined.edge_length("A", s) == 2
     assert refined.edge_length(s, "B") == 1
     assert _total_length(refined) == _total_length(tree)
@@ -150,10 +146,16 @@ def test_subdivide_twice_repeated_halving():
     tree = MetricTree(["A", "B"], [("A", "B", 1)])
     tree, s1 = subdivide(tree, "A", "B", Fraction(1, 2))
     tree, s2 = subdivide(tree, "A", s1, Fraction(1, 2))
-    assert (s1, s2) == ("_s1", "_s2")
+    assert (s1, s2) == ("S1", "S2")
     assert tree.edge_length("A", s2) == Fraction(1, 4)
     assert tree.edge_length(s2, s1) == Fraction(1, 4)
     assert tree.edge_length(s1, "B") == Fraction(1, 2)
+
+
+def test_subdivide_names_the_first_free_id():
+    tree = MetricTree(["S1", "S3"], [("S1", "S3", 1)])
+    _, s = subdivide(tree, "S1", "S3", Fraction(1, 2))
+    assert s == "S2"
 
 
 def test_subdivide_unknown_edge():
@@ -167,18 +169,8 @@ def test_subdivide_orients_t_from_given_endpoint():
     # same point named from either end
     refined1, _ = subdivide(tree, "A", "B", Fraction(1, 4))
     refined2, _ = subdivide(tree, "B", "A", Fraction(3, 4))
-    assert refined1.edge_length("A", "_s1") == 1
-    assert refined2.edge_length("A", "_s1") == 1
-
-
-def test_synthetic_counter_resumes_after_existing_names():
-    # a tree that already holds _s7 names the next cut a sweep makes _s8
-    tree = MetricTree(["A", "B", "_s7"], [("A", "_s7", 1), ("_s7", "B", 1)])
-    f = EdgeLinearDensity(tree, {"A": 1, "_s7": 2})
-    result = sweep(f, "A")
-    assert [s.vertex for s in result.subdivisions] == ["_s8"]
-    assert result.subdivisions[0].u == "_s7"
-    assert result.h.tree.vertices == ("A", "B", "_s7", "_s8")
+    assert refined1.edge_length("A", "S1") == 1
+    assert refined2.edge_length("A", "S1") == 1
 
 
 def test_contract_middle_edge_of_path():

@@ -181,7 +181,7 @@ def test_decomposition_tree_must_be_input_tree():
     refined, s = subdivide(f.tree, "v1", "v2", Fraction(1, 2))
     g = EdgeLinearDensity(refined, {"v1": 1, s: Fraction(3, 2), "v2": 2, "v3": 1})
     d = Decomposition(refined, (Component("v2", g),))
-    with pytest.raises(TreeMismatch, match="adds vertex '_s1'"):
+    with pytest.raises(TreeMismatch, match="adds vertex 'S1'"):
         check_decomposition(f, d)
 
 
@@ -303,13 +303,11 @@ def test_certificates_always_verify():
         k = ucat_oracle(f, 7)
         d, _ = decompose(f)
         modes = [c.mode for c in d.components]
-        # greedy modes may include synthetic vertices; restrict this check
-        # to instances decomposable at original vertices
-        if all(tree.has_vertex(m) for m in modes):
-            certificate = feasible_with_modes(f, modes)
-            assert certificate is not None
-            _assert_certificate_valid(f, certificate)
-            assert len(modes) == k
+        assert all(tree.has_vertex(m) for m in modes)
+        certificate = feasible_with_modes(f, modes)
+        assert certificate is not None
+        _assert_certificate_valid(f, certificate)
+        assert len(modes) == k
 
 
 def test_oracle_fixtures():
