@@ -3,8 +3,14 @@
 Two-phase tableau simplex with Bland's rule, so termination is guaranteed,
 on a fraction-free integer tableau (Bareiss/Edmonds integer-preserving
 pivoting). Every coefficient, right-hand side and objective entry is an
-`int`; anything else raises `TypeError`. Each row's slack has coefficient
-±1, and an artificial column is added only for a row that needs one.
+`int`; anything else raises `TypeError`. A row whose rhs is negative, or
+a ">=" row whose rhs is 0, is negated first, so every rhs is >= 0 and a
+zero-rhs row's slack has coefficient +1 and starts basic at 0. Only a
+row left with a positive rhs and a -1 slack (">=" with rhs > 0, or "<="
+with rhs < 0) gets an artificial column. Most of the oracle's rows are
+monotonicity rows `a.x >= 0`, so they start feasible at 0 instead of
+costing phase 1 a degenerate pivot each.
+
 Every cell holds D times its true value, where D > 0 is the current basis
 determinant, so a pivot on (r, e) with entry p updates row i as
 (row_i * p - row_i[e] * row_r) // D, a division that is always exact, and
@@ -117,9 +123,10 @@ def maximize(
 def _integers(values) -> list[int]:
     """`values` as a list, after checking that each one is an `int`."""
     values = list(values)
-    for a in values:
-        if type(a) is not int:
-            raise TypeError(f"expected an int, got {type(a).__name__} {a!r}")
+    if set(map(type, values)) - {int}:
+        for a in values:
+            if type(a) is not int:
+                raise TypeError(f"expected an int, got {type(a).__name__} {a!r}")
     return values
 
 
@@ -128,6 +135,11 @@ def _tableau(n: int, constraints):
 
     Columns: structural 0..n-1, slack n + i of row i, then one artificial
     per row whose slack cannot start basic, in row order, then the rhs.
+    A row with a negative rhs, or a ">=" row with rhs 0, is negated, so
+    its slack is +1 and starts basic at its rhs, which is >= 0. Only a row
+    left with a positive rhs and a -1 slack needs an artificial: a zero
+    rhs needs none, since the slack starts basic at 0 once the row is
+    turned around.
     """
     m = len(constraints)
     signed = []
@@ -141,7 +153,9 @@ def _tableau(n: int, constraints):
         else:
             raise ValueError(f"unknown relation {relation!r}")
         row = _integers([*coeffs, rhs])
-        if rhs < 0:  # turn the row around, so that every rhs is >= 0
+        if rhs < 0 or (rhs == 0 and slack < 0):
+            # turn the row around, so that every rhs is >= 0 and a zero-rhs
+            # row's slack is +1 and starts basic at 0
             row, slack = [-a for a in row], -slack
         signed.append((row, slack))
 
@@ -221,8 +235,14 @@ def _check_farkas(n: int, constraints, obj, d: int) -> None:
     rows, basis = _tableau(n, constraints)
     real = n + len(rows)
     z = [d - obj[col] if col >= real else -obj[col] for col in basis]
-    for j in range(real):
-        if sum(zi * row[j] for zi, row in zip(z, rows)) > 0:
+    za = [0] * real
+    rhs = 0
+    for zi, row in zip(z, rows):
+        if zi:
+            za = [s + zi * a for s, a in zip(za, row)]
+            rhs += zi * row[-1]
+    for j, s in enumerate(za):
+        if s > 0:
             raise InternalInvariantError(f"Farkas vector fails on column {j}")
-    if sum(zi * row[-1] for zi, row in zip(z, rows)) <= 0:
+    if rhs <= 0:
         raise InternalInvariantError("Farkas vector fails on the rhs")

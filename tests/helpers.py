@@ -17,8 +17,9 @@ time from the tree and the density alone, in any order it is given, and
 decomposition the way documents were written before components listed
 their nonzero values only. `python_calls_during` counts the Python and
 C function calls a call makes, a measure of work that, unlike wall time,
-does not vary from run to run, and `count_builds` counts the objects a
-class's constructor builds. `reference_maximize` is the two-phase
+does not vary from run to run, `count_builds` counts the objects a
+class's constructor builds, and `record_pivots` records the D of each
+simplex pivot. `reference_maximize` is the two-phase
 simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
 must agree with, pivot for pivot. `reference_is_unimodal` and
 `reference_check_decomposition` are the referee's checks as they were
@@ -37,7 +38,7 @@ import sys
 from collections import deque
 from fractions import Fraction
 
-from treeucat import EdgeLinearDensity, MetricTree
+from treeucat import EdgeLinearDensity, MetricTree, simplex
 from treeucat.density import ModeWitness, NotUnimodal
 from treeucat.errors import NegativeValue, TreeMismatch
 from treeucat.rational import as_fraction
@@ -157,6 +158,22 @@ def python_calls_during(fn, *args) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def record_pivots(monkeypatch) -> list:
+    """The list of D values that `simplex._pivot` returns from now on, one
+    per pivot: `monkeypatch` wraps it to record each."""
+    from treeucat import simplex
+
+    dets = []
+    pivot = simplex._pivot
+
+    def recording(*args):
+        dets.append(pivot(*args))
+        return dets[-1]
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return dets
 
 
 def count_builds(monkeypatch, *classes) -> dict:
@@ -361,8 +378,10 @@ def reference_maximize(c, constraints) -> LPResult:
     The same two-phase tableau method as `simplex.maximize`, with Bland's
     rule, every row owning a slack and an artificial slot, and the
     tableau kept in true values: each pivot divides the pivot row by its
-    entry. This is the solver the package used before its integer
-    tableau.
+    entry. As there, a row with a negative rhs or a ">=" row with rhs 0 is
+    negated, so its slack is +1 and starts basic; only a row left with a
+    positive rhs and a -1 slack uses its artificial slot. This is the
+    solver the package used before its integer tableau.
     """
     zero, one = Fraction(0), Fraction(1)
     cost = [as_fraction(ci) for ci in c]
@@ -384,7 +403,7 @@ def reference_maximize(c, constraints) -> LPResult:
         else:
             raise ValueError(f"unknown relation {relation!r}")
         row[-1] = as_fraction(rhs)
-        if row[-1] < 0:
+        if row[-1] < 0 or (row[-1] == 0 and row[n + i] < 0):
             row = [-a for a in row]
         rows.append(row)
 

@@ -29,6 +29,7 @@ from treeucat import (
     is_unimodal,
     simplex,
     sweep,
+    ucat,
     ucat_oracle,
     verify,
 )
@@ -40,6 +41,7 @@ from helpers import (
     paper_sweep,
     path_instance,
     python_calls_during,
+    record_pivots,
     recursive_tree_instance,
     reference_check_decomposition,
     reference_is_unimodal,
@@ -242,12 +244,25 @@ def test_failing_components_cost_their_prefix_not_the_tree():
 def test_oracle_work_is_pinned():
     # a counted gate: the oracle on `Fraction`s made 120,499 profiler calls
     # on these trees, and in integers 60,691; searching reduced pieces
-    # only, with each anchor rooted once per question, it makes 36,515
+    # only, with each anchor rooted once per question, it made 29,574, and
+    # starting a zero-rhs `>=` row from its slack makes it 25,049
     total = 0
     for seed in range(100):
         tree, f = gen_instance(seed, 7, 9)
         total += python_calls_during(ucat_oracle, f, len(tree.vertices))
     assert total <= 45_000
+
+
+def test_oracle_pivots_are_pinned(monkeypatch):
+    # a counted gate: the 35 LPs the oracle solves on these trees took
+    # 1,941 pivots while every zero-rhs `>=` row had an artificial column
+    # for phase 1 to pivot out; starting those rows from their slacks,
+    # they take 741
+    pivots = record_pivots(monkeypatch)
+    for seed in range(20):
+        tree, f = gen_instance(seed, 18, 40)
+        assert ucat_oracle(f, len(tree.vertices)) == ucat(f), seed
+    assert len(pivots) <= 1_000
 
 
 def test_a_broken_certificate_is_refused():

@@ -23,7 +23,7 @@ from treeucat import simplex, verify
 from treeucat.errors import InternalInvariantError
 from treeucat.simplex import GREATER_EQUAL, LESS_EQUAL, maximize
 
-from helpers import reference_maximize
+from helpers import record_pivots, reference_maximize
 
 
 def _same(c, rows):
@@ -125,20 +125,55 @@ def test_redundant_row_keeps_its_artificial_at_zero():
     assert result.objective == 2
 
 
-def test_negative_drive_out_pivot():
-    # phase 1 ends at once with both artificials basic at zero; driving out
-    # the first pivots on x1's +1, after which the second row reads
-    # -s1 - s2 = 0 and is driven out on s1's -1, so D would turn negative
+def test_negative_drive_out_pivot(monkeypatch):
+    # -2x1 - x2 >= -1 turns into 2x1 + x2 <= 1, whose slack starts basic;
+    # 2x1 - x2 <= -1 turns into -2x1 + x2 - s2 >= 1 and keeps an artificial.
+    # Phase 1 brings x2 in on the first row and ends with the artificial
+    # basic at zero; driving it out pivots on x1's -4, so D would turn
+    # negative and the tableau is negated
+    dets = record_pivots(monkeypatch)
+    rows = [([-2, -1], GREATER_EQUAL, -1), ([2, -1], LESS_EQUAL, -1)]
+    result = _same([2, -2], rows)
+    assert result.x == (Fraction(0), Fraction(1))
+    assert result.objective == -2
+    assert any(d < 0 for d in dets)
+
+
+def test_zero_rhs_rows_need_no_phase_1(monkeypatch):
+    # x1 - x2 >= 0 and -x1 + x2 >= 0 start from their slacks, as
+    # -x1 + x2 <= 0 and x1 - x2 <= 0, so no artificial column is made and
+    # every pivot is a phase-2 pivot, on a positive entry
+    dets = record_pivots(monkeypatch)
     rows = [
         ([1, -1], GREATER_EQUAL, 0),
         ([-1, 1], GREATER_EQUAL, 0),
         ([1, 0], LESS_EQUAL, 3),
     ]
+    _, basis = simplex._tableau(2, rows)
+    assert basis == [2, 3, 4]
     result = _same([1, 1], rows)
     assert result.x == (Fraction(3), Fraction(3))
     assert result.objective == 6
     rows[2] = ([4, 0], LESS_EQUAL, 3)
     assert _same([5, 1], rows).x == (Fraction(3, 4), Fraction(3, 4))
+    assert dets and all(d > 0 for d in dets)
+
+
+def test_only_a_positive_rhs_ge_row_gets_an_artificial():
+    # a zero-rhs >= row is turned around: its slack has coefficient +1 and
+    # starts basic at 0, and the tableau has no artificial column
+    rows, basis = simplex._tableau(2, [([1, -1], GREATER_EQUAL, 0)])
+    assert rows == [[-1, 1, 1, 0]]
+    assert basis == [2]
+    # with a positive rhs, the slack has coefficient -1 and cannot start
+    # basic, so the row's artificial column (3) does
+    rows, basis = simplex._tableau(2, [([1, -1], GREATER_EQUAL, 1)])
+    assert rows == [[1, -1, -1, 1, 1]]
+    assert basis == [3]
+    # a <= row with a negative rhs turns around into the same case
+    rows, basis = simplex._tableau(2, [([-1, 1], LESS_EQUAL, -1)])
+    assert rows == [[1, -1, -1, 1, 1]]
+    assert basis == [3]
 
 
 def test_infeasible_and_unbounded():
@@ -153,8 +188,12 @@ def test_a_wrong_farkas_vector_is_refused():
     # x <= 1 and x >= 2: an objective row of zeros reads z = (0, 1), which
     # gives x's column a positive product, so it is no certificate
     rows = [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 2)]
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(InternalInvariantError, match="fails on column 0"):
         simplex._check_farkas(1, rows, [0] * 5, 1)
+    # x <= 1 alone: the same row reads z = (0), which passes every column
+    # but gives the rhs a zero product
+    with pytest.raises(InternalInvariantError, match="fails on the rhs"):
+        simplex._check_farkas(1, rows[:1], [0] * 3, 1)
 
 
 def test_bad_rows_are_refused():
