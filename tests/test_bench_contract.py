@@ -1,0 +1,49 @@
+"""The benchmark's harness still runs on this package.
+
+`perfbench/run.py` times `pipeline` and checks each answer with `judge`,
+reading the package's documents, greedy loop, check and oracle by name
+and field. This test imports the harness as it is, without writing to its
+directory, and runs both on three instances of each workload, so that a
+change in the package that breaks the harness fails here and not only in
+a benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """`perfbench/run.py` as a module, and its `workloads` module; nothing
+    is written under `perfbench/`, not even bytecode."""
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        run = sys.modules["bench_run"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)  # its dataclasses look the module up
+        yield run, sys.modules["workloads"]
+    finally:
+        sys.modules.pop("bench_run", None)
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+
+
+@pytest.mark.parametrize("workload", ["random-trees", "long-arm", "oracle-small"])
+def test_the_harness_judges_every_answer_right(harness, workload):
+    run, workloads = harness
+    program = run.load_program()
+    spec = workloads.WORKLOADS[workload]
+    for inst in spec.corpus(1, 3):
+        raw = run.pipeline(program, inst, run.no_span, spec.oracle)
+        outcome = run.judge(raw, inst.expected_ucat)
+        assert outcome.problem is None, (inst.name, outcome.problem)
+        assert outcome.ucat == len(raw[2].components) > 0
