@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import __version__
 from .documents import (
@@ -131,6 +132,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help formatter, set up on first use. `add_argument` makes
+    one per argument only to check its metavar, which reads no state, but
+    the set-up looks the terminal width up and so imports `shutil`, and
+    with it zlib, bz2, lzma and fnmatch: a command that formats no help
+    text now loads none of them."""
+
+    def __init__(self, prog):
+        self._pending = prog
+
+    def __getattr__(self, name):  # reached only for state the set-up makes
+        if "_pending" not in self.__dict__:
+            raise AttributeError(name)
+        super().__init__(self.__dict__.pop("_pending"))
+        return getattr(self, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeucat",
@@ -138,11 +156,17 @@ def build_parser() -> argparse.ArgumentParser:
             "Minimal unimodal decompositions of nonnegative edge-linear"
             " densities on finite metric trees."
         ),
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        prog=parser.prog,  # what argparse would format a usage line to find
+        parser_class=partial(argparse.ArgumentParser, formatter_class=_HelpFormatter),
+    )
 
     p = sub.add_parser("decompose", help="compute a minimal unimodal decomposition")
     p.add_argument("input", help="instance file, or - for stdin")

@@ -5,13 +5,14 @@ interpolated along edges. The interpolant itself is never stored; every
 algorithm in this package works with vertex values only. A vertex the
 constructor is not given a value for is 0, so a density can be built from
 its support alone; instance documents, which must list every vertex, are
-checked for that in `documents.parse_instance`. Only nonzero values are
-stored, so a density's memory grows with its support, not with the tree.
+checked for that in `documents.parse_instance`. Values come in by id;
+only the nonzero ones are stored, keyed by vertex index (see `tree.py`),
+so a density's memory still grows with its support, not with the tree.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 
 from .errors import InternalInvariantError, NegativeValue, TreeMismatch, UnknownVertex
@@ -28,8 +29,9 @@ class EdgeLinearDensity:
     Mixing a density with a different tree is always a hard error, never a
     silent re-index.
     `values` may omit vertices, which then hold 0; every value it does give
-    is validated. Only the support map, the nonzero values in `tree.vertices`
-    order, is stored; `values` builds the full map, in O(n), on each call.
+    is validated. Only the support map, index -> nonzero value in index
+    order, is stored; values given in id order are kept as they come.
+    `values` builds the full id map, in O(n), on each call.
     `_digest` is where `documents.instance_digest` keeps the digest of the
     instance (f.tree, f) once it is computed; equality, hashing and pickling
     ignore it.
@@ -38,19 +40,26 @@ class EdgeLinearDensity:
     __slots__ = ("_tree", "_values", "_digest")
 
     def __init__(self, tree: MetricTree, values: Mapping[VertexId, object]):
-        vertex_set = tree.vertex_set
+        index = tree.index
         stored = {}
+        ordered, last = True, -1  # whether the stored indices ascend
         for v, raw in values.items():
-            if v not in vertex_set:
+            i = index.get(v)
+            if i is None:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
             val = raw if type(raw) is Fraction else as_fraction(raw)
             sign = val.numerator  # a Fraction's denominator is positive
             if sign:
                 if sign < 0:
                     raise NegativeValue(f"density value {val} at {v!r} is negative")
-                stored[v] = val
+                stored[i] = val
+                if i < last:
+                    ordered = False
+                last = i
+        if not ordered:
+            stored = {i: stored[i] for i in sorted(stored)}
         self._tree = tree
-        self._values = {v: stored[v] for v in sorted(stored)}  # tree.vertices is sorted
+        self._values = stored
         self._digest = None
 
     @property
@@ -60,22 +69,29 @@ class EdgeLinearDensity:
     @property
     def values(self) -> Mapping[VertexId, Fraction]:
         """Every vertex's value, in `tree.vertices` order; O(n) per call."""
-        return {v: self._values.get(v, _ZERO) for v in self._tree.vertices}
+        stored = self._values
+        return {v: stored.get(i, _ZERO) for i, v in enumerate(self._tree.vertices)}
 
     @property
     def support(self) -> tuple[VertexId, ...]:
         """The vertices with a nonzero value, in `tree.vertices` order."""
-        return tuple(self._values)
+        vs = self._tree.vertices
+        return tuple(vs[i] for i in self._values)
 
-    def items(self):
-        """A read-only view of the support map: (vertex, nonzero value)
-        pairs in `tree.vertices` order."""
+    def items(self) -> Iterator[tuple[VertexId, Fraction]]:
+        """The (vertex, nonzero value) pairs, in `tree.vertices` order."""
+        stored = self._values
+        return zip(map(self._tree.vertices.__getitem__, stored), stored.values())
+
+    def index_items(self):
+        """A read-only view of the support map: (index, value) pairs."""
         return self._values.items()
 
     def value(self, v: VertexId) -> Fraction:
-        if v not in self._tree.vertex_set:
+        i = self._tree.index.get(v)
+        if i is None:
             raise UnknownVertex(f"no vertex {v!r}")
-        return self._values.get(v, _ZERO)
+        return self._values.get(i, _ZERO)
 
     def max_value(self) -> Fraction:
         return max(self._values.values(), default=_ZERO)
@@ -95,7 +111,7 @@ class EdgeLinearDensity:
 
     def __reduce__(self):
         # rebuilt through the validating constructor, under every protocol
-        return EdgeLinearDensity, (self._tree, self._values)
+        return EdgeLinearDensity, (self._tree, dict(self.items()))
 
 
 class ModeWitness(Record):
@@ -142,62 +158,47 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     costs the part of that order before the edge.
     """
     return _unimodal_witness(
-        f, {v: val.as_integer_ratio() for v, val in f._values.items()}
+        f, {i: val.as_integer_ratio() for i, val in f._values.items()}
     )
 
 
 def _unimodal_witness(f: EdgeLinearDensity, ratios) -> ModeWitness | NotUnimodal:
     """`is_unimodal(f)`, given `ratios`: the `(numerator, denominator)`
-    pair of each nonzero value of f, in `tree.vertices` order, as
-    `f.items()` lists them. A caller that has read the pairs for its own
-    use passes them here rather than have them read again."""
+    pair of each nonzero value of f, by index, as `f.index_items()` lists
+    them. A caller that has read the pairs passes them here."""
     if not ratios:
         return NotUnimodal(edge=None, zero_density=True)
     top, below = 0, 1  # the largest value so far, top / below
-    for v, (p, q) in ratios.items():  # in id order, so ties keep the first
+    for i, (p, q) in ratios.items():  # in id order, so ties keep the first
         if p * below > top * q:
-            root, top, below = v, p, q
-    adjacency = f.tree.adjacency()
-    if _falls_from_root_on_support(adjacency, ratios, root):
-        return ModeWitness(root, f._values[root])
-    parent = {root: None}
-    frontier = [root]
-    while frontier:  # every vertex, in `root_at` order, to the first rise
-        nxt = []
-        for u in frontier:
-            at_u = ratios.get(u)
-            for w in adjacency[u]:
-                if w == parent[u]:
-                    continue
+            root, top, below = i, p, q
+    vertices, nbrs = f.tree.vertices, f.tree.nbrs
+    if _falls_from_root_on_support(nbrs, ratios, root):
+        return ModeWitness(vertices[root], f._values[root])
+    edges = [(-1, root)]  # (parent, vertex), growing as the search goes on
+    for back, u in edges:  # every vertex, in `root_at` order, to the first rise
+        at_u = ratios.get(u)
+        for w in nbrs[u]:
+            if w != back:
                 at_w = ratios.get(w)
                 if at_w and (not at_u or at_u[0] * at_w[1] < at_w[0] * at_u[1]):
-                    return NotUnimodal(edge=(u, w))
-                parent[w] = u
-                nxt.append(w)
-        frontier = nxt
+                    return NotUnimodal(edge=(vertices[u], vertices[w]))
+                edges.append((u, w))
     # the failed support search left a rise here: its own, or a 0-to-positive edge
     raise InternalInvariantError("support search failed, yet no edge rises")
 
 
-def _falls_from_root_on_support(adjacency, ratios, root: VertexId) -> bool:
+def _falls_from_root_on_support(nbrs, ratios, root: int) -> bool:
     """True iff a breadth-first search from `root` through the positive
     vertices, the keys of `ratios`, meets no rising edge and reaches them
     all."""
-    parent = {root: None}
-    frontier = [root]
-    reached = 1
-    while frontier:
-        nxt = []
-        for u in frontier:
-            p, q = ratios[u]
-            for w in adjacency[u]:
-                if w in ratios and w != parent[u]:
-                    a, b = ratios[w]
-                    if p * b < a * q:
-                        return False
-                    parent[w] = u
-                    nxt.append(w)
-        reached += len(nxt)
-        frontier = nxt
-    return reached == len(ratios)
-
+    edges = [(-1, root)]  # (parent, vertex), growing as the search goes on
+    for back, u in edges:
+        p, q = ratios[u]
+        for w in nbrs[u]:
+            if w in ratios and w != back:
+                a, b = ratios[w]
+                if p * b < a * q:
+                    return False
+                edges.append((u, w))
+    return len(edges) == len(ratios)

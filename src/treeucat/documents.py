@@ -257,15 +257,20 @@ def _tree_sections(tree, pad):
     return _block(vertices, pad, "[]"), _block(edges, pad, "[]")
 
 
-def _values_text(items, pad, what):
-    """The value map of the (vertex, value) pairs `items`."""
+def _values_text(vertices, items, pad, what):
+    """The value map of the (vertex index, value) pairs `items`, each index
+    named by its id in `vertices`."""
     label = "the value of {} at vertex {}"
-    members = [f'"{v}": "{_numeral(x, label, what, v)}"' for v, x in items]
+    members = [
+        f'"{vertices[i]}": "{_numeral(x, label, what, vertices[i])}"' for i, x in items
+    ]
     return _block(members, pad)
 
 
 def serialize_instance(tree: MetricTree, f: EdgeLinearDensity) -> str:
-    density = _values_text(f.values.items(), "  ", "the density")
+    density = _values_text(
+        tree.vertices, enumerate(f.values.values()), "  ", "the density"
+    )
     return _INSTANCE % (*_tree_sections(tree, "  "), density)
 
 
@@ -357,10 +362,10 @@ def decomposition_from_document(
             f" (digest {doc.provenance['input_digest']}, instance has {expected})"
         )
     tree = f.tree
-    vertex_set = tree.vertex_set
+    index = tree.index
     components = []
     for i, (mode, values) in enumerate(doc.components):
-        if mode not in vertex_set:
+        if mode not in index:
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
@@ -373,9 +378,13 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
     tree is not written: d lives on the instance that the provenance's
     `input_digest` names."""
     pad = "      "  # a component's "values" line
+    vertices = d.refined_tree.vertices
     components = [
         _COMPONENT
-        % (_escape(c.mode), _values_text(c.density.items(), pad, f"component {i}"))
+        % (
+            _escape(c.mode),
+            _values_text(vertices, c.density.index_items(), pad, f"component {i}"),
+        )
         for i, c in enumerate(d.components)
     ]
     tool = [_escape(key) + ": " + _escape(text) for key, text in provenance.items()]
@@ -389,13 +398,16 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
 def serialize_sweep(result) -> str:
     """JSON text of a `SweepResult`: the swept density's tree, the origin,
     h and the remainder at every vertex, and the cuts."""
+    vertices = result.h.tree.vertices
     label = "the position of the cut on edge {}-{}"
     cuts = [_CUT % (c.u, c.w, _numeral(c.t, label, c.u, c.w)) for c in result.cuts]
     return _SWEEP % (
         *_tree_sections(result.h.tree, "    "),
         _escape(result.origin),
-        _values_text(result.h.values.items(), "  ", "h"),
-        _values_text(result.remainder.values.items(), "  ", "the remainder"),
+        _values_text(vertices, enumerate(result.h.values.values()), "  ", "h"),
+        _values_text(
+            vertices, enumerate(result.remainder.values.values()), "  ", "the remainder"
+        ),
         _block(cuts, "  ", "[]"),
     )
 

@@ -14,25 +14,25 @@ every anchor set avoiding the branch is infeasible, whatever its size.
 No single vertex is forced in general: on the path (2, 3, 2, 4, 3) every
 vertex is avoided by some minimal decomposition.
 
-`Peel` is the one prune. `prune_insignificant` reads one full peel;
-`decompose` keeps one through its whole loop and, after each sweep h,
-re-examines only the core leaves in supp h. That is complete: a sweep
-lowers values on supp h only, a leaf's prunability reads its own value
-and its core neighbor's, a core leaf whose core neighbor is in supp h is
-in supp h itself, and nothing pruned comes back (fact (b) in
-`greedy.py`). `Peel` proves it.
+`Peel` is the one prune, on vertex indices, whose order is id order.
+`prune_insignificant` reads one full peel; `decompose` keeps one through
+its whole loop and, after each sweep h, re-examines only the core leaves
+in supp h. That is complete: a sweep lowers values on supp h only, a
+leaf's prunability reads its own value and its core neighbor's, a core
+leaf whose core neighbor is in supp h is in supp h itself, and nothing
+pruned comes back (fact (b) in `greedy.py`). `Peel` proves it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heappop, heappush
 
 from .density import EdgeLinearDensity, ModeWitness, is_unimodal, support_is_empty
 from .errors import InternalInvariantError, ZeroDensity
 from .record import Record
-from .tree import VertexId
+from .tree import MetricTree, VertexId
 
 
 class Unimodal(Record):
@@ -73,31 +73,34 @@ def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:
     """
     if support_is_empty(f):
         raise ZeroDensity("cannot prune the identically-zero density")
-    peel = Peel(f.tree.adjacency(), f.values)
-    verdict = peel.verdict
-    if isinstance(verdict, Unimodal):
+    vertices = f.tree.vertices
+    peel = Peel(f.tree, list(f.values.values()))
+    chosen = vertices[peel.chosen]
+    if peel.unimodal:
         witness = is_unimodal(f)
-        if witness != ModeWitness(verdict.mode, f.max_value()):
+        if witness != ModeWitness(chosen, f.max_value()):
             raise InternalInvariantError(
                 f"pruning reached one vertex but density is not unimodal: {witness}"
             )
-        return PruneReport(frozenset({verdict.mode}), (), verdict)
-    core = frozenset(v for v, d in peel.degree.items() if d)
-    forced = tuple(sorted(v for v in core if peel.degree[v] == 1))
-    return PruneReport(core, forced, verdict)
+        return PruneReport(frozenset({chosen}), (), Unimodal(chosen))
+    degree = peel.degree
+    core = [i for i, d in enumerate(degree) if d]  # in index order, id order
+    forced = tuple(vertices[i] for i in core if degree[i] == 1)
+    return PruneReport(frozenset(vertices[i] for i in core), forced, Forced(chosen))
 
 
 class Peel:
     """The prune as a state that outlives a sweep: built by the full peel of
     `values`, which must not all be zero, then resumed by `after_sweep`.
 
-    `degree` counts live neighbors: 0 for a pruned vertex or the last one
-    left, so the core is the vertices of nonzero degree. `values` is the
-    caller's map, read and never written; `decompose` lowers it by each
-    swept component h in place. `heap` holds (-value, id) for every core
-    leaf as it was examined, and `verdict` is the fixpoint's: the top heap
-    entry whose vertex is still a core leaf at that value, or the
-    smallest-id global argmax, found once, when one vertex is left.
+    `values` is the caller's list, aligned with `tree.vertices`, read and
+    never written; `decompose` lowers it by each swept component h in
+    place. `degree` counts live neighbors: 0 for a pruned vertex or the
+    last one left, so the core is the vertices of nonzero degree. `heap`
+    holds (-value, index) for every core leaf as it was examined. The
+    verdict: `unimodal` when one vertex is left, and the index `chosen`,
+    then the smallest-id global argmax, found once, and else the top heap
+    entry whose vertex is still a core leaf at that value.
 
     Fact (a): the fixpoint does not depend on the removal order. A prunable
     leaf x of a live subtree, with neighbor u, is a prunable leaf of every
@@ -122,30 +125,27 @@ class Peel:
     O(n + sum of |supp h| log n).
     """
 
-    def __init__(
-        self,
-        adj: Mapping[VertexId, Sequence[VertexId]],
-        values: Mapping[VertexId, Fraction | int],
-    ):
-        self.adj = adj
+    def __init__(self, tree: MetricTree, values: list[Fraction | int]):
+        self.vertices = tree.vertices  # read by the error message only
+        self.nbrs = tree.nbrs
         self.values = values
-        self.degree = {v: len(nbs) for v, nbs in adj.items()}
-        self.live = len(adj)  # vertices not pruned, the last one included
-        leaves = [v for v, d in self.degree.items() if d == 1]
+        self.degree = list(map(len, self.nbrs))
+        self.live = len(self.degree)  # vertices not pruned, the last one included
+        leaves = [v for v, d in enumerate(self.degree) if d == 1]
         self.leaves = len(leaves)  # vertices of degree 1
-        self.heap: list[tuple[Fraction | int, VertexId]] = []
+        self.heap: list[tuple[Fraction | int, int]] = []
         self._peel(leaves)
 
-    def after_sweep(self, h: Mapping[VertexId, Fraction | int]) -> None:
+    def after_sweep(self, h: Mapping[int, Fraction | int]) -> None:
         """Peel on after the caller lowered `values` by h, a sweep from the
-        verdict's vertex; h may list vertices where it is 0."""
+        chosen vertex keyed by index; h may list vertices where it is 0."""
         degree = self.degree
         self._peel([x for x, hx in h.items() if hx and degree[x] == 1])
 
-    def _peel(self, leaves: list[VertexId]) -> None:
-        adj, values, degree, heap = self.adj, self.values, self.degree, self.heap
+    def _peel(self, leaves: list[int]) -> None:
+        nbrs, values, degree, heap = self.nbrs, self.values, self.degree, self.heap
         for leaf in leaves:  # the list grows as vertices turn into leaves
-            for nb in adj[leaf]:  # its one live neighbour
+            for nb in nbrs[leaf]:  # its one live neighbour
                 if degree[nb]:
                     break
             if values[leaf] > values[nb]:
@@ -161,14 +161,15 @@ class Peel:
             elif not degree[nb]:  # nb is the last vertex
                 self.leaves -= 1
                 break
-        self.verdict = self._verdict()
+        self.unimodal = self.live == 1
+        self.chosen = self._chosen()
 
-    def _verdict(self) -> Unimodal | Forced:
+    def _chosen(self) -> int:
         values = self.values
-        if self.live == 1:
-            return Unimodal(min(values, key=lambda v: (-values[v], v)))
+        if self.unimodal:
+            return values.index(max(values))  # the smallest-index argmax
         if self.leaves < 2:
-            core = sorted(v for v, d in self.degree.items() if d)
+            core = [v for v, d in zip(self.vertices, self.degree) if d]
             raise InternalInvariantError(
                 f"prune fixpoint {core} has fewer than two forced leaves"
             )
@@ -176,7 +177,7 @@ class Peel:
         while True:
             key, v = heap[0]
             if degree[v] == 1 and values[v] == -key:
-                return Forced(v)
+                return v
             heappop(heap)
 
 
@@ -192,8 +193,5 @@ def find_forced_vertex(f: EdgeLinearDensity) -> VertexId:
     mode in every minimal decomposition; decompose relies only on some
     minimal decomposition having a mode there.
     """
-    return _forced_vertex(prune_insignificant(f).verdict)
-
-
-def _forced_vertex(verdict: Unimodal | Forced) -> VertexId:
+    verdict = prune_insignificant(f).verdict
     return verdict.mode if isinstance(verdict, Unimodal) else verdict.chosen

@@ -3,15 +3,15 @@
 Repeat three steps until nothing is left: pick a vertex where some minimal
 decomposition has a mode, sweep a unimodal component off from there, keep
 the remainder. The input is validated once, when its density is built.
-The loop then runs on the input tree's adjacency and on plain integer
-value maps, the input's values times D, the lcm of their denominators:
-the remainder and one row per component, each row holding the
-component's support and its boundary only. A sweep copies h(u), pays an
-integer drop or stops at 0, so every value stays an integer. The
-components' densities, their values divided by D again, are built once,
-after the loop, on the input tree itself, through one memo for the run: a
-component value equal to an input value is the input's own `Fraction`,
-and each other value is built once.
+The loop then runs on vertex indices, on the input tree's index adjacency
+and on plain integers, the input's values times D, the lcm of their
+denominators: the remainder as a list, and one row per component, a map
+holding the component's support and its boundary only. A sweep copies
+h(u), pays an integer drop or stops at 0, so every value stays an
+integer. The components' densities, their values divided by D again and
+keyed by id, are built once, after the loop, on the input tree itself,
+through one memo for the run: a component value equal to an input value
+is the input's own `Fraction`, and each other value is built once.
 
 No cuts. The paper's sweep subdivides an edge u -> w where h reaches 0
 inside it; this loop's sweep sets h(w) = 0 there and places no vertex,
@@ -53,7 +53,7 @@ from fractions import Fraction
 
 from .density import EdgeLinearDensity, support_is_empty
 from .errors import InternalInvariantError
-from .forced import Peel, Unimodal, _forced_vertex
+from .forced import Peel
 from .record import Component, Decomposition, Record
 from .sweeping import _from_lattice, _sweep, _to_lattice
 from .tree import VertexId
@@ -110,37 +110,42 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
     if support_is_empty(f):
         return Decomposition(f.tree, ()), []
 
-    adj = f.tree.adjacency()
+    tree = f.tree
+    ids, nbrs = tree.vertices, tree.nbrs  # the id of each vertex index
     scale, rest, fractions = _to_lattice(f)
-    total = sum(rest.values())  # the remainder is nonnegative
-    rows: list[dict[VertexId, int]] = []
-    modes: list[VertexId] = []
+    total = sum(rest)  # the remainder is nonnegative
+    rows: list[dict[int, int]] = []
+    modes: list[int] = []
     trace: list[TraceEvent] = []
-    peel = Peel(adj, rest)  # reads rest, which each sweep lowers in place
+    peel = Peel(tree, rest)  # reads rest, which each sweep lowers in place
     while True:
         iteration = len(modes) + 1
-        if iteration > len(adj):
-            raise InternalInvariantError(f"decompose exceeded {len(adj)} iterations")
-        verdict = peel.verdict
-        v = _forced_vertex(verdict)
-        h, _ = _sweep(adj, rest, v)
+        if iteration > len(ids):
+            raise InternalInvariantError(f"decompose exceeded {len(ids)} iterations")
+        v = peel.chosen
+        h, _ = _sweep(nbrs, rest, v)
         total -= sum(h.values())
         rows.append(h)
         modes.append(v)
-        trace.append(TraceEvent._on_lattice(iteration, v, total, scale))
+        trace.append(TraceEvent._on_lattice(iteration, ids[v], total, scale))
         if total == 0:
             break
-        if isinstance(verdict, Unimodal):
+        if peel.unimodal:
             raise InternalInvariantError(
-                f"sweeping the unimodal remainder from {v!r} left a nonzero rest"
+                f"sweeping the unimodal remainder from {ids[v]!r} left a nonzero rest"
             )
         peel.after_sweep(h)
 
     components = tuple(
-        Component(m, EdgeLinearDensity(f.tree, _from_lattice(h, scale, fractions)))
+        Component(
+            ids[m],
+            EdgeLinearDensity(
+                tree, _from_lattice(sorted(h.items()), scale, fractions, ids)
+            ),
+        )
         for m, h in zip(modes, rows)
     )
-    return Decomposition(f.tree, components), trace
+    return Decomposition(tree, components), trace
 
 
 def ucat(f: EdgeLinearDensity) -> int:

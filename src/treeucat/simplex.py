@@ -21,7 +21,8 @@ is that of the same method on `Fraction`s, and the result is
 `Fraction(b_i, D)`.
 
 Every "infeasible" comes with a Farkas vector y, read from the final
-phase-1 objective row and checked in integers against the starting rows:
+phase-1 objective row and checked in integers against the starting rows,
+as `_signed` built them for the tableau:
 y.a_j <= 0 on every structural and slack column and y.b > 0, so no
 nonnegative point satisfies them. Intended for the desk-scale systems
 built by the feasibility oracle (tens of variables); no sparsity, no
@@ -68,7 +69,8 @@ def maximize(
     cost = _integers(c)
     n = len(cost)
     real = n + len(constraints)
-    rows, basis = _tableau(n, constraints)
+    signed = _signed(n, constraints)
+    rows, basis = _tableau(n, signed)
     d = 1
 
     if any(col >= real for col in basis):
@@ -81,7 +83,7 @@ def maximize(
         if d is None:
             raise InternalInvariantError("phase 1 ended unbounded below 0")
         if obj[-1] != 0:
-            _check_farkas(n, constraints, obj, d)
+            _check_farkas(n, signed, obj, d)
             return LPResult("infeasible", None, None)
         for i in range(len(rows)):
             if basis[i] < real:
@@ -130,18 +132,14 @@ def _integers(values) -> list[int]:
     return values
 
 
-def _tableau(n: int, constraints):
-    """(rows, basis) of the starting tableau, where D = 1.
-
-    Columns: structural 0..n-1, slack n + i of row i, then one artificial
-    per row whose slack cannot start basic, in row order, then the rhs.
-    A row with a negative rhs, or a ">=" row with rhs 0, is negated, so
-    its slack is +1 and starts basic at its rhs, which is >= 0. Only a row
-    left with a positive rhs and a -1 slack needs an artificial: a zero
-    rhs needs none, since the slack starts basic at 0 once the row is
-    turned around.
+def _signed(n: int, constraints) -> list[tuple[list[int], int]]:
+    """Each row checked and signed: (coefficients and rhs, the slack's
+    coefficient, +1 or -1). A row with a negative rhs, or a ">=" row with
+    rhs 0, is negated, so its slack is +1 and starts basic at its rhs,
+    which is >= 0. Only a row left with a positive rhs and a -1 slack
+    needs an artificial: a zero rhs needs none, since the slack starts
+    basic at 0 once the row is turned around.
     """
-    m = len(constraints)
     signed = []
     for i, (coeffs, relation, rhs) in enumerate(constraints):
         if len(coeffs) != n:
@@ -158,7 +156,14 @@ def _tableau(n: int, constraints):
             # row's slack is +1 and starts basic at 0
             row, slack = [-a for a in row], -slack
         signed.append((row, slack))
+    return signed
 
+
+def _tableau(n: int, signed):
+    """(rows, basis) of the starting tableau of the `signed` rows, which it
+    copies, where D = 1. Columns: structural 0..n-1, slack n + i of row i,
+    then one artificial per row whose slack is -1, then the rhs."""
+    m = len(signed)
     width = n + m + sum(slack < 0 for _, slack in signed)
     rows, basis = [], []
     col = n + m
@@ -221,27 +226,33 @@ def _pivot(rows, basis, obj, leave: int, enter: int, d: int) -> int:
     return p
 
 
-def _check_farkas(n: int, constraints, obj, d: int) -> None:
+def _check_farkas(n: int, signed, obj, d: int) -> None:
     """Check the Farkas vector of an infeasible phase 1, in integers.
 
     z = D * y comes from the final phase-1 objective row, which holds D
     times each column's reduced cost: for a row with an artificial column,
     z_i = D - obj[art(i)]; for any other row, whose slack has
-    coefficient +1, z_i = -obj[slack(i)]. Against the starting rows, every
-    structural and slack column a_j must give z.a_j <= 0, and the rhs
-    z.b > 0, so that no nonnegative point satisfies the rows. A failure is
-    a solver bug, never a property of the input.
+    coefficient +1, z_i = -obj[slack(i)]. Against the `signed` starting
+    rows, every structural and slack column a_j must give z.a_j <= 0, and
+    the rhs z.b > 0, so that no nonnegative point satisfies the rows. A
+    failure is a solver bug, never a property of the input.
     """
-    rows, basis = _tableau(n, constraints)
-    real = n + len(rows)
-    z = [d - obj[col] if col >= real else -obj[col] for col in basis]
-    za = [0] * real
+    real = n + len(signed)
+    structural = [0] * n  # z.a_j on the structural columns
+    slacks = []  # and on each row's slack column, which only that row has
     rhs = 0
-    for zi, row in zip(z, rows):
-        if zi:
-            za = [s + zi * a for s, a in zip(za, row)]
+    art = real  # the next artificial column, in row order
+    for i, (row, slack) in enumerate(signed):
+        if slack > 0:
+            zi = -obj[n + i]
+        else:
+            zi = d - obj[art]
+            art += 1
+        if zi:  # zip stops at structural's n entries, before the rhs
+            structural = [s + zi * a for s, a in zip(structural, row)]
             rhs += zi * row[-1]
-    for j, s in enumerate(za):
+        slacks.append(zi * slack)
+    for j, s in enumerate(structural + slacks):
         if s > 0:
             raise InternalInvariantError(f"Farkas vector fails on column {j}")
     if rhs <= 0:

@@ -9,21 +9,21 @@ remainder f - h on the input tree, and reports each such point as a
 remainder is f(u) - h(u), so nothing else needs storing; `greedy.py`
 proves that the cut vertex is not needed.
 
-`_sweep` is the one sweep core, over adjacency lists and integer values,
-the density scaled by the lcm D of its denominators. It reports each such
-clamp as (u, w, h(u), drop), which `decompose` ignores, and turns the
-value map it is given into the remainder. `_from_lattice` divides by D
-for nonzero values only, since a density reads a vertex it is not given
-as 0; `decompose` builds its final densities the same way. Both divide
-through one memo per run, which `_to_lattice` seeds with the input's own
-values: a value equal to an input value is the input's `Fraction`, and
-each other value is built once per run.
+`_sweep` is the one sweep core, over the tree's index adjacency and a
+list of integers, the density scaled by the lcm D of its denominators.
+It reports each such clamp as (u, w, h(u), drop), which `decompose`
+ignores, and turns the value list it is given into the remainder.
+`_from_lattice` divides by D for nonzero values only, since a density
+reads a vertex it is not given as 0; `decompose` builds its final
+densities the same way. Both divide through one memo per run, which
+`_to_lattice` seeds with the input's own values: a value equal to an
+input value is the input's `Fraction`, and each other value is built
+once per run.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -66,35 +66,39 @@ class SweepResult(Record):
 
 def _to_lattice(
     f: EdgeLinearDensity,
-) -> tuple[int, dict[VertexId, int], dict[int, Fraction]]:
-    """D, the lcm of f's denominators; f's values times D, at every vertex;
-    and the memo `_from_lattice` divides back through, which maps each
-    nonzero D * f(v) to f's own `Fraction` f(v). Each value's
-    `(numerator, denominator)` pair is read once."""
-    support = [(v, val, *val.as_integer_ratio()) for v, val in f.items()]
+) -> tuple[int, list[int], dict[int, Fraction]]:
+    """D, the lcm of f's denominators; f's values times D, as a list aligned
+    with `f.tree.vertices`; and the memo `_from_lattice` divides back
+    through, which maps each nonzero D * f(v) to f's own `Fraction` f(v).
+    Each value's `(numerator, denominator)` pair is read once."""
+    support = [(i, val, *val.as_integer_ratio()) for i, val in f.index_items()]
     scale = lcm(*[q for _, _, _, q in support])
-    lattice = dict.fromkeys(f.tree.vertices, 0)
+    lattice = [0] * len(f.tree.vertices)
     fractions = {}
-    for v, val, p, q in support:
-        x = lattice[v] = p * (scale // q)
+    for i, val, p, q in support:
+        x = lattice[i] = p * (scale // q)
         fractions[x] = val
     return scale, lattice, fractions
 
 
 def _from_lattice(
-    values: Mapping[VertexId, int], scale: int, fractions: dict[int, Fraction]
+    values: Iterable[tuple[int, int]],
+    scale: int,
+    fractions: dict[int, Fraction],
+    vertices: tuple[VertexId, ...],
 ) -> dict[VertexId, Fraction]:
-    """The nonzero values x / D; a vertex missing from the result is 0.
-    `fractions` is the run's memo from x to x / D, seeded by `_to_lattice`:
-    a value equal to an input value is the input's own `Fraction`, and
-    each other value is built once per run, on its first miss."""
+    """The nonzero values x / D of the (index, x) pairs, keyed by id; a
+    vertex missing from the result is 0. `fractions` is the run's memo
+    from x to x / D, seeded by `_to_lattice`: a value equal to an input
+    value is the input's own `Fraction`, and each other value is built
+    once per run, on its first miss."""
     out = {}
-    for v, x in values.items():
+    for i, x in values:
         if x:
             frac = fractions.get(x)
             if frac is None:
                 frac = fractions[x] = Fraction(x, scale)
-            out[v] = frac
+            out[vertices[i]] = frac
     return out
 
 
@@ -107,39 +111,43 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     `Cut(u, w, h(u)/drop)`, in visit order.
     """
     tree = f.tree
-    if not tree.has_vertex(v):
+    origin = tree.index.get(v)
+    if origin is None:
         raise UnknownVertex(f"no vertex {v!r}")
+    vs = tree.vertices
     scale, rest, fractions = _to_lattice(f)
-    h, clamps = _sweep(tree.adjacency(), rest, v)
+    h, clamps = _sweep(tree.nbrs, rest, origin)
     return SweepResult(
-        h=EdgeLinearDensity(tree, _from_lattice(h, scale, fractions)),
-        remainder=EdgeLinearDensity(tree, _from_lattice(rest, scale, fractions)),
+        h=EdgeLinearDensity(tree, _from_lattice(h.items(), scale, fractions, vs)),
+        remainder=EdgeLinearDensity(
+            tree, _from_lattice(enumerate(rest), scale, fractions, vs)
+        ),
         origin=v,
-        cuts=tuple(Cut(u, w, Fraction(hu, drop)) for u, w, hu, drop in clamps),
+        cuts=tuple(Cut(vs[u], vs[w], Fraction(hu, drop)) for u, w, hu, drop in clamps),
     )
 
 
 def _sweep(
-    adj: Mapping[VertexId, Sequence[VertexId]], f: dict[VertexId, int], v: VertexId
-) -> tuple[dict[VertexId, int], list[tuple[VertexId, VertexId, int, int]]]:
-    """Sweep the integer values f from v; returns h and the clamps.
+    nbrs: Sequence[Sequence[int]], f: list[int], v: int
+) -> tuple[dict[int, int], list[tuple[int, int, int, int]]]:
+    """Sweep the integer values f from v, on indices; returns h and the
+    clamps.
 
-    h propagates breadth-first from v, children in id order. A
-    vertex whose h is 0 is not expanded: h stays 0 beyond it, so h is
-    returned on its support and the support's neighbours only, and is 0
+    h propagates breadth-first from v, children in index order. A vertex
+    whose h is 0 is not expanded: h stays 0 beyond it, so h is returned
+    on its support and the support's neighbours only, and is 0
     everywhere else. The work is O(|supp h|), not O(n). Where h(u) is
     positive but below the drop of an edge u -> w, h reaches 0 inside the
     edge: h(w) is set to 0, no vertex is placed, and (u, w, h(u), drop) is
-    recorded, in visit order. On return f holds the remainder f - h on the
-    same vertices; entries outside h are untouched.
+    recorded, in visit order. On return f holds the remainder f - h;
+    entries outside h are untouched.
     """
-    h: dict[VertexId, int] = {v: f[v]}
+    h: dict[int, int] = {v: f[v]}
     clamps = []
-    queue = deque([v] if f[v] else ())
-    while queue:
-        u = queue.popleft()
+    queue = [v] if f[v] else []
+    for u in queue:  # the list grows as the sweep reaches vertices
         fu, hu = f[u], h[u]  # hu > 0
-        for w in adj[u]:
+        for w in nbrs[u]:
             if w in h:
                 continue
             fw = f[w]

@@ -1,10 +1,14 @@
-"""Immutable finite metric trees.
+"""Immutable finite metric trees, stored on vertex indices.
 
 A tree is a set of string vertex ids plus unordered edges with strictly
 positive rational lengths. `MetricTree` is immutable, so values can be
-shared freely across threads; `root_at` lists its edges oriented away
-from a root. There is no mutable tree and no refined one: the greedy loop
-and the public `sweep` both run on the input tree's adjacency.
+shared freely across threads. The constructor sorts the ids once; a
+vertex's index is its position in `vertices`, so index order is id
+order. The tree keeps `index` (id -> index), `nbrs` (each index's
+neighbours, ascending) and its edges as sorted keys i * n + j, i < j,
+with their lengths. The id-level views, `adjacency`, `neighbors`,
+`root_at`, `edge_length` and `edge_list`, are built from that on each
+call. There is no mutable tree and no refined one.
 
 Every vertex id must match ``[A-Za-z0-9][A-Za-z0-9_-]*``; the constructor
 names the first one that does not, or that is not a string.
@@ -13,10 +17,9 @@ names the first one that does not, or that is not a string.
 from __future__ import annotations
 
 import re
-from collections import deque
+from bisect import bisect_left
 from fractions import Fraction
-from collections.abc import Iterable, Mapping
-from types import MappingProxyType
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
@@ -38,11 +41,6 @@ _ID = re.compile(_ID_PATTERN + r"\Z")
 _IDS = re.compile(rf"{_ID_PATTERN}(?:\n{_ID_PATTERN})*\Z")
 
 
-def edge_key(u: VertexId, w: VertexId) -> tuple[VertexId, VertexId]:
-    """Canonical (sorted) form of an unordered edge."""
-    return (u, w) if u <= w else (w, u)
-
-
 def _all_ids(vlist: list) -> bool:
     """True iff every item is a valid id string: one match of the joined
     text, whose newline count also catches an item holding a newline."""
@@ -56,7 +54,7 @@ def _all_ids(vlist: list) -> bool:
 class MetricTree:
     """Validated immutable metric tree."""
 
-    __slots__ = ("_vertex_set", "_vertices", "_lengths", "_edge_list", "_adj")
+    __slots__ = ("_vertices", "_index", "_nbrs", "_keys", "_lengths")
 
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable[tuple] = ()):
         vlist = list(vertices)
@@ -66,133 +64,154 @@ class MetricTree:
             for v in vlist:
                 if not isinstance(v, str) or not _ID.match(v):
                     raise InvalidVertexId(f"invalid vertex id {v!r}")
-        seen = set(vlist)
-        if len(seen) < len(vlist):  # name the first repeat
+        order = sorted(vlist)
+        n = len(order)
+        index = dict(zip(order, range(n)))
+        if len(index) < n:  # name the first repeat
             seen = set()
             for v in vlist:
                 if v in seen:
                     raise DuplicateVertexId(f"duplicate vertex id {v!r}")
                 seen.add(v)
-        lengths: dict[tuple[VertexId, VertexId], Fraction] = {}
+        lengths: dict[int, Fraction] = {}  # i * n + j -> length, for i < j
         for u, w, raw_len in edges:
-            if u not in seen:
+            i = index.get(u)
+            if i is None:
                 raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
-            if w not in seen:
+            j = index.get(w)
+            if j is None:
                 raise UnknownVertex(f"edge endpoint {w!r} is not a vertex")
-            if u == w:
+            if i == j:
                 raise CycleDetected(f"self-loop at {u!r}")
             length = raw_len if type(raw_len) is Fraction else as_fraction(raw_len)
             if length.numerator <= 0:  # a Fraction's denominator is positive
                 raise NonPositiveLength(f"edge {u!r}-{w!r} has length {length}")
-            key = (u, w) if u <= w else (w, u)
+            key = i * n + j if i < j else j * n + i
             if key in lengths:
                 raise CycleDetected(f"parallel edge {u!r}-{w!r}")
             lengths[key] = length
 
-        if len(lengths) > len(seen) - 1:
-            raise CycleDetected(
-                f"{len(lengths)} edges on {len(seen)} vertices imply a cycle"
-            )
+        if len(lengths) > n - 1:
+            raise CycleDetected(f"{len(lengths)} edges on {n} vertices imply a cycle")
 
-        # in (u, w) order, each vertex meets its smaller neighbours first,
-        # then its larger ones, each in ascending order: adjacency is sorted
-        edge_list = tuple((u, w, lengths[u, w]) for u, w in sorted(lengths))
-        adj: dict[VertexId, list[VertexId]] = {v: [] for v in seen}
-        for u, w, _ in edge_list:
-            adj[u].append(w)
-            adj[w].append(u)
+        # in key order, each vertex meets its smaller neighbours first, then
+        # its larger ones, each in ascending order: adjacency is sorted
+        keys = sorted(lengths)
+        nbrs: list[list[int]] = [[] for _ in order]
+        for key in keys:
+            i, j = divmod(key, n)
+            nbrs[i].append(j)
+            nbrs[j].append(i)
 
-        start = vlist[0]
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            for nb in adj[queue.popleft()]:
-                if nb not in reached:
-                    reached.add(nb)
-                    queue.append(nb)
-        if len(reached) != len(seen):
-            missing = sorted(seen - reached)[0]
-            raise Disconnected(f"vertex {missing!r} unreachable from {start!r}")
+        start = index[vlist[0]]
+        reached = [False] * n
+        reached[start] = True
+        queue = [start]
+        for u in queue:  # the list grows as the search reaches vertices
+            for w in nbrs[u]:
+                if not reached[w]:
+                    reached[w] = True
+                    queue.append(w)
+        if len(queue) != n:
+            missing = order[reached.index(False)]
+            raise Disconnected(f"vertex {missing!r} unreachable from {vlist[0]!r}")
         # connected with |E| = |V| - 1 is acyclic; |E| > |V| - 1 was caught above
 
-        self._vertex_set = frozenset(seen)
-        self._vertices = tuple(sorted(seen))
-        self._lengths = lengths
-        self._edge_list = edge_list
-        self._adj = {v: tuple(nbs) for v, nbs in adj.items()}
-
-    # -- queries -------------------------------------------------------------
+        self._vertices = tuple(order)
+        self._index = index
+        self._nbrs = nbrs
+        self._keys = keys
+        self._lengths = [lengths[key] for key in keys]
 
     @property
     def vertices(self) -> tuple[VertexId, ...]:
+        """The ids in sorted order; a vertex's index is its position here."""
         return self._vertices
 
     @property
-    def vertex_set(self) -> frozenset:
-        return self._vertex_set
+    def index(self) -> Mapping[VertexId, int]:
+        """Each id's index; shared, so read it and never write it."""
+        return self._index
+
+    @property
+    def nbrs(self) -> Sequence[Sequence[int]]:
+        """Each index's neighbours, ascending; shared, so read only."""
+        return self._nbrs
 
     @property
     def edge_list(self) -> tuple[tuple[VertexId, VertexId, Fraction], ...]:
-        """(u, w, length) with u < w, sorted by (u, w); sorted once, when
-        the tree is built."""
-        return self._edge_list
+        """(u, w, length) with u < w, sorted by (u, w)."""
+        vs, n = self._vertices, len(self._vertices)
+        return tuple(
+            (vs[key // n], vs[key % n], length)
+            for key, length in zip(self._keys, self._lengths)
+        )
 
     def has_vertex(self, v: VertexId) -> bool:
-        return v in self._vertex_set
+        return v in self._index
+
+    def _edge_at(self, u: VertexId, w: VertexId) -> int:
+        """The position of edge u-w in the sorted keys, or -1."""
+        i, j = self._index.get(u), self._index.get(w)
+        if i is None or j is None:
+            return -1
+        keys, n = self._keys, len(self._vertices)
+        pos = bisect_left(keys, key := i * n + j if i < j else j * n + i)
+        return pos if pos < len(keys) and keys[pos] == key else -1
 
     def has_edge(self, u: VertexId, w: VertexId) -> bool:
-        return edge_key(u, w) in self._lengths
+        return self._edge_at(u, w) >= 0
 
     def edge_length(self, u: VertexId, w: VertexId) -> Fraction:
-        try:
-            return self._lengths[edge_key(u, w)]
-        except KeyError:
-            raise UnknownEdge(f"no edge {u!r}-{w!r}") from None
+        pos = self._edge_at(u, w)
+        if pos < 0:
+            raise UnknownEdge(f"no edge {u!r}-{w!r}")
+        return self._lengths[pos]
 
     def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertex(f"no vertex {v!r}") from None
+        i = self._index.get(v)
+        if i is None:
+            raise UnknownVertex(f"no vertex {v!r}")
+        vs = self._vertices
+        return tuple(vs[j] for j in self._nbrs[i])
 
-    def adjacency(self) -> Mapping[VertexId, tuple[VertexId, ...]]:
-        return MappingProxyType(self._adj)
+    def adjacency(self) -> dict[VertexId, tuple[VertexId, ...]]:
+        """A fresh map of each id's neighbours, in id order."""
+        vs = self._vertices
+        return {v: tuple(vs[j] for j in nb) for v, nb in zip(vs, self._nbrs)}
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, MetricTree):
             return NotImplemented
-        if self._vertex_set != other._vertex_set:
+        if self._vertices != other._vertices:
             return False
-        # lengths compared as integer pairs, not through Fraction.__eq__
-        # and its numbers.Rational check; both pairs are in lowest terms
-        mine = {key: x.as_integer_ratio() for key, x in self._lengths.items()}
-        return mine == {key: x.as_integer_ratio() for key, x in other._lengths.items()}
+        # lengths compared as integer pairs, not through Fraction.__eq__ and
+        # its numbers.Rational check; both pairs are in lowest terms
+        return self._keys == other._keys and all(
+            x.as_integer_ratio() == y.as_integer_ratio()
+            for x, y in zip(self._lengths, other._lengths)
+        )
 
     def __hash__(self) -> int:
-        return hash((self._vertex_set, self._edge_list))
+        return hash((self._vertices, tuple(self._keys), tuple(self._lengths)))
 
     def __repr__(self) -> str:
-        return f"MetricTree({len(self._vertices)} vertices, {len(self._lengths)} edges)"
+        return f"MetricTree({len(self._vertices)} vertices, {len(self._keys)} edges)"
 
     def __reduce__(self):
         # rebuilt through the validating constructor, under every protocol
-        return MetricTree, (self._vertices, self._edge_list)
+        return MetricTree, (self._vertices, self.edge_list)
 
     def root_at(self, root: VertexId) -> tuple[tuple[VertexId, VertexId], ...]:
         """Edges as (parent, child) pairs, oriented away from `root`, in
         breadth-first discovery order with children in id order."""
-        if root not in self._vertex_set:
+        start = self._index.get(root)
+        if start is None:
             raise UnknownVertex(f"no vertex {root!r}")
-        edges = []
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nb in self._adj[cur]:
-                if nb != parent[cur]:
-                    parent[nb] = cur
-                    edges.append((cur, nb))
-                    queue.append(nb)
-        return tuple(edges)
+        vs, nbrs = self._vertices, self._nbrs
+        edges = [(-1, start)]
+        for back, u in edges:  # the list grows as the search reaches vertices
+            edges += [(u, w) for w in nbrs[u] if w != back]
+        return tuple((vs[u], vs[w]) for u, w in edges[1:])

@@ -8,8 +8,10 @@ a path piece, and exhaustive exact linear feasibility over candidate mode
 sets decides every other one. Both stay exact and do their arithmetic on
 integers: the check reads each value as its `(numerator, denominator)`
 pair, and each feasibility question scales f by the lcm of its own
-denominators. The oracle imports `simplex` and `interval` inside the
-functions that use them, so `check` loads neither.
+denominators. Both run their own loops on vertex indices, over the
+tree's `nbrs` and values keyed by index, and name ids only in reports,
+certificates and errors. The oracle imports `simplex` and `interval`
+inside the functions that use them, so `check` loads neither.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     tree = d.refined_tree
     if tree != f.tree:
         raise TreeMismatch(_first_difference(f.tree, tree))
-    totals = {}  # vertex -> (numerator, denominator) of its sum
+    totals = {}  # vertex index -> (numerator, denominator) of its sum
     component_checks = []
     for index, component in enumerate(d.components):
         mode, density = component.mode, component.density
@@ -106,9 +108,9 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
             raise TreeMismatch(
                 f"component with mode {mode!r} lives on a different tree"
             )
-        ratios = {v: value.as_integer_ratio() for v, value in density.items()}
-        for v, pair in ratios.items():
-            totals[v] = _add(totals[v], pair) if v in totals else pair
+        ratios = {i: value.as_integer_ratio() for i, value in density.index_items()}
+        for i, pair in ratios.items():
+            totals[i] = _add(totals[i], pair) if i in totals else pair
         witness = _unimodal_witness(density, ratios)
         detail = ""
         if not isinstance(witness, ModeWitness):
@@ -122,11 +124,11 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
                 f"maximum is {witness.max_value}"
             )
         component_checks.append(ComponentCheck(index, not detail, detail))
-    target = dict(f.items())
+    target = dict(f.index_items())
     mismatches = []
-    for v in tree.vertices:
-        value = target.get(v, _ZERO)
-        total, (p, q) = totals.get(v, (0, 1)), value.as_integer_ratio()
+    for i, v in enumerate(tree.vertices):
+        value = target.get(i, _ZERO)
+        total, (p, q) = totals.get(i, (0, 1)), value.as_integer_ratio()
         if total != (p, q) and total[0] * q != p * total[1]:
             mismatches.append((v, value, Fraction(*total)))
 
@@ -172,12 +174,21 @@ def _add(a, b):
     return p * (s // g) + r * (q // g), q // g * s
 
 
-def _path_minima(scaled, m: VertexId, edges) -> dict[VertexId, int]:
-    """For each vertex, the minimum of `scaled` along its path to m, given
-    the tree's `edges` oriented away from m."""
-    minima = {m: scaled[m]}
+def _oriented(nbrs, root: int) -> list[tuple[int, int]]:
+    """`MetricTree.root_at(root)` on indices, given the tree's `nbrs`: the
+    edges as (closer, farther) pairs, breadth first."""
+    edges = [(-1, root)]
+    for back, u in edges:  # the list grows as the search reaches vertices
+        edges += [(u, w) for w in nbrs[u] if w != back]
+    return edges[1:]
+
+
+def _path_minima(scaled: list[int], m: int, edges) -> list[int]:
+    """For each vertex index, the minimum of `scaled` along its path to m,
+    given the tree's `edges` oriented away from m."""
+    minima = list(scaled)
     for closer, farther in edges:
-        minima[farther] = min(minima[closer], scaled[farther])
+        minima[farther] = min(minima[closer], minima[farther])
     return minima
 
 
@@ -238,41 +249,42 @@ def _feasible(
     component to f itself, and the prefilter has just checked that f never
     rises away from the anchor, so no system is solved.
     """
-    scale = 1
-    for _, value in f.items():
-        scale = lcm(scale, value.denominator)
-    scaled = {v: 0 for v in f.tree.vertices}  # scale * f, in integers
-    for v, value in f.items():
-        scaled[v] = value.numerator * (scale // value.denominator)
-    oriented = {m: f.tree.root_at(m) for m in dict.fromkeys(modes)}
-    if not _mass_prefilter(scaled, modes, oriented):
+    tree, index = f.tree, f.tree.index
+    scale = lcm(*[value.denominator for _, value in f.index_items()])
+    # scale * f, in integers, by index
+    scaled = [x.numerator * (scale // x.denominator) for x in f.values.values()]
+    anchors = [index[m] for m in modes]
+    oriented = {m: _oriented(tree.nbrs, m) for m in dict.fromkeys(anchors)}
+    if not _mass_prefilter(scaled, anchors, oriented):
         return None
     if len(modes) == 1 and avoid is None:
         certificate = FeasibilityCertificate(modes, (dict(f.values),))
     else:
-        certificate = _solve(f.tree, scaled, scale, modes, avoid, oriented)
+        gap = None if avoid is None else index[avoid]
+        certificate = _solve(tree, scaled, scale, modes, anchors, gap, oriented)
     if certificate is not None:
         _validate_certificate(f, certificate, oriented)
     return certificate
 
 
-def _mass_prefilter(scaled, modes: tuple[VertexId, ...], oriented) -> bool:
+def _mass_prefilter(scaled: list[int], anchors: list[int], oriented) -> bool:
     """Necessary condition: a component is capped by the minimum of f along
     the path to its anchor (it is below f everywhere and rises toward the
     anchor), so the caps must cover f at every vertex."""
-    minima = [_path_minima(scaled, m, oriented[m]) for m in modes]
-    for v in scaled:
-        if sum(mn[v] for mn in minima) < scaled[v]:
+    minima = [_path_minima(scaled, m, oriented[m]) for m in anchors]
+    for caps, value in zip(zip(*minima), scaled):
+        if sum(caps) < value:
             return False
     return True
 
 
 def _solve(
     tree: MetricTree,
-    scaled,
+    scaled: list[int],
     scale: int,
     modes: tuple[VertexId, ...],
-    avoid: VertexId | None,
+    anchors: list[int],
+    avoid: int | None,
     oriented,
 ) -> FeasibilityCertificate | None:
     """Set up and solve the anchored-components system.
@@ -283,19 +295,19 @@ def _solve(
     warm start cheap. With `avoid`, a gap variable is maximized subject to
     every component staying that far below its anchor value at `avoid`;
     strict avoidance means a positive optimum. The rows are posed for the
-    integers scale * f, and the solution is divided back by scale.
+    integers scale * f, and the solution is divided back by scale. The
+    rows are on indices, the modes' `anchors` and `avoid`.
     """
     from . import simplex
 
     vertices = tree.vertices
-    position = {v: i for i, v in enumerate(vertices)}
     k = len(modes)
     nv = len(vertices)
     nvars = (k - 1) * nv + (1 if avoid is not None else 0)
     gap = nvars - 1 if avoid is not None else None
 
-    def var(alpha: int, v: VertexId) -> int:
-        return alpha * nv + position[v]
+    def var(alpha: int, v: int) -> int:
+        return alpha * nv + v
 
     rows: list[tuple[list, str, int]] = []
 
@@ -307,24 +319,24 @@ def _solve(
 
     others, ge = range(k - 1), simplex.GREATER_EQUAL
     for alpha in others:
-        for closer, farther in oriented[modes[alpha]]:
+        for closer, farther in oriented[anchors[alpha]]:
             add(ge, 0, (var(alpha, closer), 1), (var(alpha, farther), -1))
-    for closer, farther in oriented[modes[-1]]:
+    for closer, farther in oriented[anchors[-1]]:
         terms = [(var(a, farther), 1) for a in others]
         terms += [(var(a, closer), -1) for a in others]
         add(ge, scaled[farther] - scaled[closer], *terms)
-    for v in vertices:
+    for v in range(nv):
         add(simplex.LESS_EQUAL, scaled[v], *[(var(a, v), 1) for a in others])
 
     objective = [0] * nvars
     if avoid is not None:
         objective[gap] = 1
         for alpha in others:
-            terms = (var(alpha, modes[alpha]), 1), (var(alpha, avoid), -1)
+            terms = (var(alpha, anchors[alpha]), 1), (var(alpha, avoid), -1)
             add(ge, 0, *terms, (gap, -1))
         terms = [(var(a, avoid), 1) for a in others]
-        terms += [(var(a, modes[-1]), -1) for a in others]
-        add(ge, scaled[avoid] - scaled[modes[-1]], *terms, (gap, -1))
+        terms += [(var(a, anchors[-1]), -1) for a in others]
+        add(ge, scaled[avoid] - scaled[anchors[-1]], *terms, (gap, -1))
 
     result = simplex.maximize(objective, rows)
     if result.status == "infeasible":
@@ -334,16 +346,17 @@ def _solve(
     if avoid is not None and result.objective <= 0:
         return None
 
-    components = [
-        {v: result.x[var(alpha, v)] for v in vertices} for alpha in others
-    ]
-    last = {}
-    for v in vertices:
+    x = result.x
+    components = [x[alpha * nv : (alpha + 1) * nv] for alpha in others]
+    last = []
+    for v in range(nv):
         p, q = reduce(_add, [c[v].as_integer_ratio() for c in components], (0, 1))
-        last[v] = Fraction(scaled[v] * q - p, q * scale)
+        last.append(Fraction(scaled[v] * q - p, q * scale))
     if scale != 1:
-        components = [{v: y / scale for v, y in c.items()} for c in components]
-    return FeasibilityCertificate(modes, (*components, last))
+        components = [[y / scale for y in c] for c in components]
+    return FeasibilityCertificate(
+        modes, tuple(dict(zip(vertices, c)) for c in (*components, last))
+    )
 
 
 def _validate_certificate(
@@ -351,30 +364,34 @@ def _validate_certificate(
 ) -> None:
     """Check every constraint of the literal system on the returned values,
     read as integer pairs; a failure is a solver bug, never a property of
-    the input. `oriented` maps each anchor to the tree's edges oriented
-    away from it."""
+    the input. `oriented` maps each anchor's index to the tree's edges
+    oriented away from it, as index pairs."""
+    tree = f.tree
+    vertices = tree.vertices
     ratios = [
-        {v: x.as_integer_ratio() for v, x in c.items()}
-        for c in certificate.components
+        [c[v].as_integer_ratio() for v in vertices] for c in certificate.components
     ]
-    for v in f.tree.vertices:
-        a, b = reduce(_add, [r[v] for r in ratios])
-        p, q = f.value(v).as_integer_ratio()
+    target = [x.as_integer_ratio() for x in f.values.values()]
+    for v, pairs in enumerate(zip(*ratios)):
+        a, b = reduce(_add, pairs)
+        p, q = target[v]
         if a * q != p * b:
             raise InternalInvariantError(
-                f"certificate sums to {Fraction(a, b)} at {v!r}, expected {f.value(v)}"
+                f"certificate sums to {Fraction(a, b)} at {vertices[v]!r},"
+                f" expected {Fraction(p, q)}"
             )
     for m, r in zip(certificate.modes, ratios):
-        for v, (p, _) in r.items():
+        for v, (p, _) in enumerate(r):
             if p < 0:
                 raise InternalInvariantError(
-                    f"certificate negative at {v!r} for anchor {m!r}"
+                    f"certificate negative at {vertices[v]!r} for anchor {m!r}"
                 )
-        for closer, farther in oriented[m]:
+        for closer, farther in oriented[tree.index[m]]:
             (a, b), (p, q) = r[closer], r[farther]
             if a * q < p * b:
                 raise InternalInvariantError(
-                    f"certificate rises along {closer}-{farther} away from {m!r}"
+                    f"certificate rises along {vertices[closer]}-{vertices[farther]}"
+                    f" away from {m!r}"
                 )
 
 
@@ -439,8 +456,8 @@ def oracle_pieces(
     piece in path order, and each other piece, with its monotone degree-2
     vertices contracted until none is left, as a density on a unit-length
     tree. Pieces come in the order of their smallest vertex."""
-    values = dict(f.items())
-    adjacency = f.tree.adjacency()
+    vertices, adjacency = f.tree.vertices, f.tree.nbrs
+    values = dict(f.index_items())  # vertex index -> nonzero value
     nbrs = {v: [w for w in adjacency[v] if w in values] for v in values}
     paths, searched, seen = [], [], set()
     for start in values:
@@ -470,9 +487,11 @@ def oracle_pieces(
                 nbrs[b][nbrs[b].index(x)] = a
                 pending += [w for w in (a, b) if len(nbrs[w]) == 2]
         kept = sorted(v for v in part if v in nbrs)
-        edges = [(u, w, 1) for u in kept for w in nbrs[u] if u < w]
-        tree = MetricTree(kept, edges)
-        searched.append(EdgeLinearDensity(tree, {v: values[v] for v in kept}))
+        edges = [(vertices[u], vertices[w], 1) for u in kept for w in nbrs[u] if u < w]
+        tree = MetricTree([vertices[v] for v in kept], edges)
+        searched.append(
+            EdgeLinearDensity(tree, {vertices[v]: values[v] for v in kept})
+        )
     return paths, searched
 
 
@@ -500,7 +519,7 @@ def _search(f: EdgeLinearDensity, k_max: int) -> int | None:
     """
     vertices = f.tree.vertices
     bits = [1 << i for i in range(len(vertices))]
-    sides = _rising_sides(f, dict(zip(vertices, bits)))
+    sides = _rising_sides(f)
     for k in range(1, min(k_max, len(vertices)) + 1):
         masks = itertools.combinations(bits, k)
         for candidate, chosen in zip(itertools.combinations(vertices, k), masks):
@@ -514,19 +533,19 @@ def _search(f: EdgeLinearDensity, k_max: int) -> int | None:
     return None
 
 
-def _rising_sides(f: EdgeLinearDensity, bit: dict[VertexId, int]) -> list[int]:
-    """The far side of every rising edge as a vertex bitmask, smallest
-    first, since a small side is the one a candidate most likely misses."""
-    tree = f.tree
-    edges = tree.root_at(tree.vertices[0])
-    below = dict(bit)  # each vertex's subtree under the root
+def _rising_sides(f: EdgeLinearDensity) -> list[int]:
+    """The far side of every rising edge as a vertex bitmask, bit i for
+    vertex index i, smallest first, since a small side is the one a
+    candidate most likely misses."""
+    edges = _oriented(f.tree.nbrs, 0)
+    below = [1 << i for i in range(len(f.tree.vertices))]  # subtrees under 0
     for parent, child in reversed(edges):
         below[parent] |= below[child]
-    everything = below[tree.vertices[0]]
+    everything = below[0]
+    ratios = [x.as_integer_ratio() for x in f.values.values()]
     sides = []
     for parent, child in edges:
-        a, b = f.value(parent).as_integer_ratio()
-        p, q = f.value(child).as_integer_ratio()
+        (a, b), (p, q) = ratios[parent], ratios[child]
         rise = p * b - a * q
         if rise:
             sides.append(below[child] if rise > 0 else everything ^ below[child])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -224,10 +225,15 @@ def test_strict_avoidance_feasible_away_from_forced_vertex():
 def test_peel_raises_on_a_core_with_fewer_than_two_leaves():
     # a tree's core of two or more vertices has two leaves or more; an
     # adjacency with a cycle is the way to a core with fewer, and the
-    # running leaf count catches it in O(1)
-    triangle = {"a": ("b", "c"), "b": ("a", "c"), "c": ("a", "b")}
-    with pytest.raises(InternalInvariantError, match="fewer than two forced"):
-        Peel(triangle, {"a": 1, "b": 1, "c": 1})
-    tailed = {**triangle, "a": ("b", "c", "d"), "d": ("a",)}
-    with pytest.raises(InternalInvariantError, match="fewer than two forced"):
-        Peel(tailed, {"a": 1, "b": 1, "c": 1, "d": 5})
+    # running leaf count catches it in O(1). `Peel` reads a tree's index
+    # state only, so a stand-in holding a cyclic index adjacency reaches it
+    triangle = SimpleNamespace(vertices=("a", "b", "c"), nbrs=((1, 2), (0, 2), (0, 1)))
+    message = r"prune fixpoint \['a', 'b', 'c'\] has fewer than two forced leaves"
+    with pytest.raises(InternalInvariantError, match=message):
+        Peel(triangle, [1, 1, 1])
+    tailed = SimpleNamespace(
+        vertices=("a", "b", "c", "d"), nbrs=((1, 2, 3), (0, 2), (0, 1), (0,))
+    )
+    message = r"prune fixpoint \['a', 'b', 'c', 'd'\] has fewer than two forced"
+    with pytest.raises(InternalInvariantError, match=message):
+        Peel(tailed, [1, 1, 1, 5])

@@ -18,7 +18,6 @@ from treeucat import (
     MetricTree,
     ModeWitness,
     TraceEvent,
-    Unimodal,
     check_decomposition,
     decompose,
     find_forced_vertex,
@@ -429,23 +428,29 @@ def test_held_peel_matches_reference_peel_at_every_iteration(monkeypatch):
     peels, checked = [], []
 
     class HeldPeel(Peel):
-        def __init__(self, adj, values):
-            super().__init__(adj, values)
+        def __init__(self, tree, values):
+            super().__init__(tree, values)
             peels.append(self)
 
-    def watched_sweep(adj, rest, v):
+    def watched_sweep(nbrs, rest, v):
+        # the loop runs on vertex indices: `rest` is the remainder as a
+        # list aligned with f.tree.vertices, and v and the peel's state
+        # are indices, named by id here to meet the reference
         (peel,) = peels
-        core = frozenset(x for x, d in peel.degree.items() if d)
-        expected_core, chosen = reference_peel(EdgeLinearDensity(f.tree, rest))
-        assert v == chosen
+        vertices = f.tree.vertices
+        degree = dict(zip(vertices, peel.degree))
+        core = frozenset(x for x, d in degree.items() if d)
+        remainder = EdgeLinearDensity(f.tree, dict(zip(vertices, rest)))
+        expected_core, chosen = reference_peel(remainder)
+        assert vertices[v] == chosen == vertices[peel.chosen]
         if len(expected_core) == 1:
-            assert not core and peel.verdict == Unimodal(chosen)
+            assert not core and peel.unimodal
         else:
-            assert core == expected_core and peel.verdict == Forced(chosen)
-            assert peel.leaves == sum(peel.degree[x] == 1 for x in core)
+            assert core == expected_core and not peel.unimodal
+            assert peel.leaves == sum(degree[x] == 1 for x in core)
             assert not checked or core <= checked[-1]
         checked.append(core)
-        return _sweep(adj, rest, v)
+        return _sweep(nbrs, rest, v)
 
     monkeypatch.setattr(greedy, "Peel", HeldPeel)
     monkeypatch.setattr(greedy, "_sweep", watched_sweep)

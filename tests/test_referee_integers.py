@@ -270,7 +270,12 @@ def test_a_broken_certificate_is_refused():
     # three checks must still fire on a certificate that breaks it
     _, f = path_instance([Fraction(1, 3), Fraction(5, 6), Fraction(1, 2)])
     good = verify.feasible_with_modes(f, ("v2",))
-    oriented = {"v2": f.tree.root_at("v2")}
+    # the oracle roots each anchor on vertex indices, in `root_at` order
+    anchor = f.tree.index["v2"]
+    oriented = {anchor: verify._oriented(f.tree.nbrs, anchor)}
+    vertices = f.tree.vertices
+    named = [(vertices[a], vertices[b]) for a, b in oriented[anchor]]
+    assert named == list(f.tree.root_at("v2"))
     verify._validate_certificate(f, good, oriented)
     broken = {
         "sums to 1 at 'v1', expected 1/3": {"v1": 1},

@@ -153,9 +153,13 @@ def test_each_command_loads_only_its_own_side(tmp_path):
     assert {m for m in loaded if m.startswith("treeucat.")} == set()
     assert {"fractions", "random"}.isdisjoint(loaded)
 
+    # building the parser formats no help, so it looks up no terminal width
+    # and loads no `shutil`, nor the compression modules `shutil` imports
+    width_lookup = {"shutil", "zlib", "bz2", "lzma", "fnmatch"}
     loaded = command("decompose", "in.json", "--output", "d.json")
     assert package("greedy") <= loaded
     assert package("verify", "simplex", "interval", "instances").isdisjoint(loaded)
+    assert width_lookup.isdisjoint(loaded)
 
     producer = package("greedy", "forced", "sweeping", "instances")
     solvers = package("simplex", "interval")  # the oracle's, not check's
@@ -164,3 +168,4 @@ def test_each_command_loads_only_its_own_side(tmp_path):
         assert package("verify") <= loaded, argv
         assert producer.isdisjoint(loaded), argv
         assert loaded & solvers == (solvers if argv[0] == "oracle" else set()), argv
+        assert width_lookup.isdisjoint(loaded), argv

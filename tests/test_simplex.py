@@ -149,7 +149,7 @@ def test_zero_rhs_rows_need_no_phase_1(monkeypatch):
         ([-1, 1], GREATER_EQUAL, 0),
         ([1, 0], LESS_EQUAL, 3),
     ]
-    _, basis = simplex._tableau(2, rows)
+    _, basis = _start(2, rows)
     assert basis == [2, 3, 4]
     result = _same([1, 1], rows)
     assert result.x == (Fraction(3), Fraction(3))
@@ -159,19 +159,24 @@ def test_zero_rhs_rows_need_no_phase_1(monkeypatch):
     assert dets and all(d > 0 for d in dets)
 
 
+def _start(n, constraints):
+    """The starting tableau of `constraints`, as `maximize` builds it."""
+    return simplex._tableau(n, simplex._signed(n, constraints))
+
+
 def test_only_a_positive_rhs_ge_row_gets_an_artificial():
     # a zero-rhs >= row is turned around: its slack has coefficient +1 and
     # starts basic at 0, and the tableau has no artificial column
-    rows, basis = simplex._tableau(2, [([1, -1], GREATER_EQUAL, 0)])
+    rows, basis = _start(2, [([1, -1], GREATER_EQUAL, 0)])
     assert rows == [[-1, 1, 1, 0]]
     assert basis == [2]
     # with a positive rhs, the slack has coefficient -1 and cannot start
     # basic, so the row's artificial column (3) does
-    rows, basis = simplex._tableau(2, [([1, -1], GREATER_EQUAL, 1)])
+    rows, basis = _start(2, [([1, -1], GREATER_EQUAL, 1)])
     assert rows == [[1, -1, -1, 1, 1]]
     assert basis == [3]
     # a <= row with a negative rhs turns around into the same case
-    rows, basis = simplex._tableau(2, [([-1, 1], LESS_EQUAL, -1)])
+    rows, basis = _start(2, [([-1, 1], LESS_EQUAL, -1)])
     assert rows == [[1, -1, -1, 1, 1]]
     assert basis == [3]
 
@@ -189,11 +194,11 @@ def test_a_wrong_farkas_vector_is_refused():
     # gives x's column a positive product, so it is no certificate
     rows = [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 2)]
     with pytest.raises(InternalInvariantError, match="fails on column 0"):
-        simplex._check_farkas(1, rows, [0] * 5, 1)
+        simplex._check_farkas(1, simplex._signed(1, rows), [0] * 5, 1)
     # x <= 1 alone: the same row reads z = (0), which passes every column
     # but gives the rhs a zero product
     with pytest.raises(InternalInvariantError, match="fails on the rhs"):
-        simplex._check_farkas(1, rows[:1], [0] * 3, 1)
+        simplex._check_farkas(1, simplex._signed(1, rows[:1]), [0] * 3, 1)
 
 
 def test_bad_rows_are_refused():

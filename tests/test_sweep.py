@@ -121,12 +121,19 @@ _BIG = 10**30
 def _bounded_sweep(f, v):
     """Run `_sweep` and check that it worked on supp h and its boundary
     only; returns h, the lattice scale and the clamps."""
+    # `_sweep` runs on vertex indices: the lattice values are a list aligned
+    # with f.tree.vertices, and h and the clamps name indices; h and the
+    # clamps are returned by id
     scale, rest, _ = _to_lattice(f)
     scale *= _BIG
-    rest = {x: val * _BIG for x, val in rest.items()}
-    before = dict(rest)
-    h, clamps = _sweep(f.tree.adjacency(), rest, v)
-    assert set(rest) == f.tree.vertex_set
+    rest = [val * _BIG for val in rest]
+    before = list(rest)
+    vertices, nbrs = f.tree.vertices, f.tree.nbrs
+    h, clamps = _sweep(nbrs, rest, f.tree.index[v])
+    assert len(rest) == len(vertices)
+    h = {vertices[x]: hx for x, hx in h.items()}
+    clamps = [(vertices[u], vertices[w], hu, drop) for u, w, hu, drop in clamps]
+    rest, before = dict(zip(vertices, rest)), dict(zip(vertices, before))
     support = {x for x, hx in h.items() if hx > 0}
     frontier = {y for x in support for y in f.tree.neighbors(x)}
     # the origin stays in h when f(v) = 0, with h(v) = 0
@@ -160,7 +167,7 @@ def test_sweep_work_is_bounded_by_the_support():
             expected = sweep_oracle_h(f, v)
             for x in tree.vertices:
                 assert Fraction(h.get(x, 0), scale) == expected[x], (seed, v, x)
-            unvisited += len(tree.vertex_set - set(h))
+            unvisited += len(set(tree.vertices) - set(h))
             clamps += len(made)
     assert unvisited > 0
     assert clamps > 0
