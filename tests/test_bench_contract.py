@@ -5,7 +5,8 @@ reading the package's documents, greedy loop, check and oracle by name
 and field. This test imports the harness as it is, without writing to its
 directory, and runs both on three instances of each workload, so that a
 change in the package that breaks the harness fails here and not only in
-a benchmark run.
+a benchmark run. It also pins the seed-1 output digest each workload's
+ledger gives, so that a change that moves an output fails here too.
 """
 
 from __future__ import annotations
@@ -47,3 +48,37 @@ def test_the_harness_judges_every_answer_right(harness, workload):
         outcome = run.judge(raw, inst.expected_ucat)
         assert outcome.problem is None, (inst.name, outcome.problem)
         assert outcome.ucat == len(raw[2].components) > 0
+
+
+# `Ledger.digest` over the seed-1 corpus: the sha256 of each instance's
+# decomposition document (and, on oracle-small, the oracle's count), as a
+# `--trace 0` run records it; oracle-small over its first 300 instances
+PINNED_OUTPUTS = {
+    "random-trees": (
+        None,
+        "sha256:07f8864b0da919a57b471521e1237d96550987b659644b0e598391514e67bcea",
+    ),
+    "long-arm": (
+        None,
+        "sha256:46207eaad52a20c5c744fb3153085754b492c6cdd98da71c63e07f670d8f9a30",
+    ),
+    "oracle-small": (
+        300,
+        "sha256:0a3174166a8a92ce796b0535d4ef4973b6e22dd6cfbde5c71d5a3a8d947c6330",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_OUTPUTS))
+def test_the_seed_1_outputs_are_pinned(harness, workload):
+    run, workloads = harness
+    program = run.load_program()
+    spec = workloads.WORKLOADS[workload]
+    size, pinned = PINNED_OUTPUTS[workload]
+    corpus = spec.corpus(1, size)
+    ledger = run.Ledger()
+    for inst in corpus:
+        raw = run.pipeline(program, inst, run.no_span, spec.oracle)
+        ledger.record(inst, run.judge(raw, inst.expected_ucat))
+    assert ledger.failures == []
+    assert ledger.digest(corpus) == pinned
