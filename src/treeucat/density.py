@@ -8,19 +8,24 @@ its support alone; instance documents, which must list every vertex, are
 checked for that in `documents.parse_instance`. Values come in by id;
 only the nonzero ones are stored, keyed by vertex index (see `tree.py`),
 so a density's memory still grows with its support, not with the tree.
+
+A value is stored as its reduced `(numerator, denominator)` pair of ints,
+which every algorithm reads; `value`, `values`, `items`, `max_value` and
+`ModeWitness.max_value` build `Fraction`s on read. Never compare pairs
+with `<` or `max`, which order tuples lexicographically, (1, 2) < (2, 5)
+although 1/2 > 2/5: cross-multiply, or scale to common integers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
+from math import gcd
 
 from .errors import InternalInvariantError, NegativeValue, TreeMismatch, UnknownVertex
 from .rational import as_fraction
 from .record import Record
 from .tree import MetricTree, VertexId
-
-_ZERO = Fraction(0)
 
 
 class EdgeLinearDensity:
@@ -29,9 +34,11 @@ class EdgeLinearDensity:
     Mixing a density with a different tree is always a hard error, never a
     silent re-index.
     `values` may omit vertices, which then hold 0; every value it does give
-    is validated. Only the support map, index -> nonzero value in index
-    order, is stored; values given in id order are kept as they come.
-    `values` builds the full id map, in O(n), on each call.
+    is validated: an int, a `Fraction`, an exact string, or a pair of ints
+    (not bools) with a positive denominator, reduced by their gcd. Only
+    the support map, index -> nonzero pair in index order, is stored;
+    values given in id order, and pairs already reduced, are kept as they
+    come. `values` builds the full id map, in O(n), on each call.
     `_digest` is where `documents.instance_digest` keeps the digest of the
     instance (f.tree, f) once it is computed; equality, hashing and pickling
     ignore it.
@@ -47,12 +54,29 @@ class EdgeLinearDensity:
             i = index.get(v)
             if i is None:
                 raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
-            val = raw if type(raw) is Fraction else as_fraction(raw)
-            sign = val.numerator  # a Fraction's denominator is positive
-            if sign:
-                if sign < 0:
-                    raise NegativeValue(f"density value {val} at {v!r} is negative")
-                stored[i] = val
+            if type(raw) is tuple:
+                try:
+                    p, q = raw
+                except ValueError:  # not two items
+                    p = q = None
+                if type(p) is not int or type(q) is not int or q <= 0:
+                    raise TypeError(
+                        f"density value {raw!r} at {v!r} is not a pair of ints"
+                        " with a positive denominator"
+                    )
+                g = gcd(p, q)
+                if g != 1:
+                    raw = p, q = p // g, q // g
+            elif type(raw) is int:
+                raw = p, q = raw, 1
+            else:
+                raw = p, q = as_fraction(raw).as_integer_ratio()
+            if p:
+                if p < 0:
+                    raise NegativeValue(
+                        f"density value {Fraction(p, q)} at {v!r} is negative"
+                    )
+                stored[i] = raw
                 if i < last:
                     ordered = False
                 last = i
@@ -69,8 +93,8 @@ class EdgeLinearDensity:
     @property
     def values(self) -> Mapping[VertexId, Fraction]:
         """Every vertex's value, in `tree.vertices` order; O(n) per call."""
-        stored = self._values
-        return {v: stored.get(i, _ZERO) for i, v in enumerate(self._tree.vertices)}
+        pairs = zip(self._tree.vertices, self.index_values())
+        return {v: Fraction(p, q) for v, (p, q) in pairs}
 
     @property
     def support(self) -> tuple[VertexId, ...]:
@@ -80,21 +104,27 @@ class EdgeLinearDensity:
 
     def items(self) -> Iterator[tuple[VertexId, Fraction]]:
         """The (vertex, nonzero value) pairs, in `tree.vertices` order."""
-        stored = self._values
-        return zip(map(self._tree.vertices.__getitem__, stored), stored.values())
+        vs = self._tree.vertices
+        return ((vs[i], Fraction(p, q)) for i, (p, q) in self._values.items())
 
     def index_items(self):
-        """A read-only view of the support map: (index, value) pairs."""
+        """A read-only view of the support map: (index, (numerator,
+        denominator)) items, each pair reduced, its denominator positive."""
         return self._values.items()
+
+    def index_values(self) -> list[tuple[int, int]]:
+        """Every vertex's value pair, 0 as (0, 1), in index order; O(n)."""
+        stored = self._values
+        return [stored.get(i, (0, 1)) for i in range(len(self._tree.vertices))]
 
     def value(self, v: VertexId) -> Fraction:
         i = self._tree.index.get(v)
         if i is None:
             raise UnknownVertex(f"no vertex {v!r}")
-        return self._values.get(i, _ZERO)
+        return Fraction(*self._values.get(i, (0, 1)))
 
     def max_value(self) -> Fraction:
-        return max(self._values.values(), default=_ZERO)
+        return max([Fraction(*x) for x in self._values.values()], default=Fraction(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeLinearDensity):
@@ -115,11 +145,20 @@ class EdgeLinearDensity:
 
 
 class ModeWitness(Record):
-    __slots__ = ("mode", "max_value")
+    """A mode and the value there; `is_unimodal` gives the density's pair,
+    which `max_value` reads as a `Fraction`."""
 
-    def __init__(self, mode: VertexId, max_value: Fraction):
+    __slots__ = ("mode", "_max")
+    _names = ("mode", "max_value")
+
+    def __init__(self, mode: VertexId, max_value: Fraction | tuple[int, int]):
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "max_value", max_value)
+        object.__setattr__(self, "_max", max_value)
+
+    @property
+    def max_value(self) -> Fraction:
+        top = self._max
+        return Fraction(*top) if type(top) is tuple else top
 
 
 class NotUnimodal(Record):
@@ -148,24 +187,16 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     chosen does not matter: were two maxima separated by a dip, the edge
     climbing back up would be reported from either root.
 
-    Values are compared as integer pairs, each value's `(numerator,
-    denominator)` read once, by cross-multiplication. A breadth-first
-    search from the root expands positive vertices only. If it meets no
-    rising edge and reaches the whole support, every edge it did not look
-    at joins two zeros, so f is unimodal; this costs O(|supp f| + its
-    boundary). Otherwise a second search, over every vertex in `root_at`
-    order, stops at the first rising edge of that order and reports it; it
-    costs the part of that order before the edge.
+    Values are compared as the stored integer pairs, by
+    cross-multiplication. A breadth-first search from the root expands
+    positive vertices only. If it meets no rising edge and reaches the
+    whole support, every edge it did not look at joins two zeros, so f is
+    unimodal; this costs O(|supp f| + its boundary). Otherwise a second
+    search, over every vertex in `root_at` order, stops at the first
+    rising edge of that order and reports it; it costs the part of that
+    order before the edge.
     """
-    return _unimodal_witness(
-        f, {i: val.as_integer_ratio() for i, val in f._values.items()}
-    )
-
-
-def _unimodal_witness(f: EdgeLinearDensity, ratios) -> ModeWitness | NotUnimodal:
-    """`is_unimodal(f)`, given `ratios`: the `(numerator, denominator)`
-    pair of each nonzero value of f, by index, as `f.index_items()` lists
-    them. A caller that has read the pairs passes them here."""
+    ratios = f._values  # index -> (numerator, denominator), in id order
     if not ratios:
         return NotUnimodal(edge=None, zero_density=True)
     top, below = 0, 1  # the largest value so far, top / below
@@ -174,7 +205,7 @@ def _unimodal_witness(f: EdgeLinearDensity, ratios) -> ModeWitness | NotUnimodal
             root, top, below = i, p, q
     vertices, nbrs = f.tree.vertices, f.tree.nbrs
     if _falls_from_root_on_support(nbrs, ratios, root):
-        return ModeWitness(vertices[root], f._values[root])
+        return ModeWitness(vertices[root], ratios[root])
     edges = [(-1, root)]  # (parent, vertex), growing as the search goes on
     for back, u in edges:  # every vertex, in `root_at` order, to the first rise
         at_u = ratios.get(u)

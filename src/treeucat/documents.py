@@ -19,13 +19,15 @@ exponent of at most `MAX_DECIMAL_EXPONENT` in absolute value, so that
 "1e10000000" cannot ask for a 33-million-bit integer.
 
 Each parse converts a numeral string once: numerals equal as strings share
-one `Fraction` within a document, and nothing is kept between documents.
-"p" or "p/q" in ASCII digits is read from its digits; any other spelling
-goes through `Fraction(str)`, with the same values and errors.
+one reduced `(numerator, denominator)` pair within a document, or one
+`Fraction` as edge lengths, and nothing is kept between documents. "p" or
+"p/q" in ASCII digits is read from its digits; any other spelling goes
+through `Fraction(str)`, with the same values and errors.
 
-A numeral is written from its `as_integer_ratio()`. Documents are
-fixed-shape templates, byte for byte the text of `json.dumps(payload,
-indent=2)`; the digest hashes the canonical compact text, written alike.
+A value is written from its pair, a length from its `as_integer_ratio()`
+once per distinct length. Documents are fixed-shape templates, byte for
+byte the text of `json.dumps(payload, indent=2)`; the digest hashes the
+canonical compact text, written alike.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
+from math import gcd
 
 from .density import EdgeLinearDensity
 from .errors import DocumentError, TreeMismatch
@@ -57,16 +60,17 @@ class DecompositionDocument(Record):
     """A decomposition document as parsed, before it meets an instance.
 
     Each component is a `(mode, values)` pair: its mode, a string, and its
-    listed values, in listed order, a listed 0 included. Whether the ids
-    are the instance's and the values nonnegative is decided at binding,
-    where `decomposition_from_document` makes the densities.
+    listed values, in listed order, a listed 0 included, each value its
+    reduced `(numerator, denominator)` pair of ints. Whether the ids are
+    the instance's and the values nonnegative is decided at binding, where
+    `decomposition_from_document` makes the densities.
     """
 
     __slots__ = ("components", "ucat", "provenance")
 
     def __init__(
         self,
-        components: tuple[tuple[VertexId, dict[VertexId, Fraction]], ...],
+        components: tuple[tuple[VertexId, dict[VertexId, tuple[int, int]]], ...],
         ucat: int,
         provenance: Mapping[str, str],
     ):
@@ -97,8 +101,9 @@ def _check_sections(data, required: set, what: str) -> None:
         raise DocumentError(f"{what} has unknown section {key!r}")
 
 
-def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
-    """The value of the numeral `raw`, checked once per distinct string.
+def _number(raw, numerals: dict[str, tuple], label: str, a, b) -> tuple[int, int]:
+    """The value of the numeral `raw` as its reduced `(numerator,
+    denominator)` pair, checked once per distinct string.
 
     `numerals` maps each numeral this document has already read to its
     value. Callers look a string up there first and call this only on a
@@ -122,7 +127,11 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
         if raw.isascii() and (num + den).isdigit():
             # "p" or "p/q" in ASCII digits, read without `Fraction`'s regex;
             # int() refuses an empty part, as it does past its digit limit
-            value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            p, q = int(num), int(den) if slash else 1
+            if not q:
+                raise ZeroDivisionError
+            g = gcd(p, q)
+            value = p // g, q // g
         else:
             exponent = _EXPONENT.search(raw)
             if exponent is not None:
@@ -134,7 +143,7 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
                         f" {reprlib.repr(raw)} exceeds {MAX_DECIMAL_EXPONENT}"
                         " in absolute value"
                     )
-            value = as_fraction(raw)
+            value = as_fraction(raw).as_integer_ratio()
     except (ValueError, ZeroDivisionError, TypeError):
         shown = reprlib.repr(raw)
         raise DocumentError(
@@ -144,10 +153,10 @@ def _number(raw, numerals: dict[str, Fraction], label: str, a, b) -> Fraction:
     return value
 
 
-def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
+def _tree_section(data, numerals: dict[str, tuple]) -> tuple:
     """An instance's listed vertex ids and its listed edges as (u, w,
-    length) triples; the tree, built from them by `MetricTree`, checks the
-    rest, each id included."""
+    length) triples, one `Fraction` per distinct length numeral; the tree,
+    built from them by `MetricTree`, checks the rest, each id included."""
     what = "instance"
     vertices = data["vertices"]
     if not isinstance(vertices, list):
@@ -156,6 +165,7 @@ def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
     if not isinstance(raw_edges, list):
         raise DocumentError(f"{what}: edges must be a list")
     edges = []
+    lengths: dict[str, Fraction] = {}  # numeral -> its Fraction
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
             raise DocumentError(
@@ -168,14 +178,15 @@ def _tree_section(data, numerals: dict[str, Fraction]) -> tuple:
                     " is not a string"
                 )
         raw = entry["length"]
-        length = numerals.get(raw) if type(raw) is str else None
+        length = lengths.get(raw) if type(raw) is str else None
         if length is None:
-            length = _number(raw, numerals, "{}: edge {} length", what, i)
+            pair = _number(raw, numerals, "{}: edge {} length", what, i)
+            length = lengths[raw] = Fraction(*pair)
         edges.append((entry["u"], entry["w"], length))
     return vertices, edges
 
 
-def _values_map(raw, what: str, numerals: dict[str, Fraction]) -> dict:
+def _values_map(raw, what: str, numerals: dict[str, tuple]) -> dict:
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must map vertex ids to value strings")
     values = {}
@@ -196,7 +207,7 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     """
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
-    numerals: dict[str, Fraction] = {}
+    numerals: dict[str, tuple] = {}
     tree = MetricTree(*_tree_section(data, numerals))
     values = _values_map(data["density"], "density", numerals)
     f = EdgeLinearDensity(tree, values)
@@ -207,11 +218,11 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     return tree, f
 
 
-def _numeral(value: Fraction, label: str, a, b=None) -> str:
-    """The text of `value`, "p" or "p/q" as `str` writes it; a value too long
-    for Python to write is a DocumentError, whose message names the value
-    `label.format(a, b)`."""
-    p, q = value.as_integer_ratio()
+def _numeral(pair: tuple[int, int], label: str, a, b=None) -> str:
+    """The text of the reduced pair (p, q), "p" or "p/q" as `str` writes
+    its `Fraction`; a value too long for Python to write is a
+    DocumentError, whose message names the value `label.format(a, b)`."""
+    p, q = pair
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # an integer past the interpreter's digit limit
@@ -246,20 +257,30 @@ def _block(members, pad, brackets="{}"):
     return brackets[0] + inner + body + "\n" + pad + brackets[1]
 
 
+def _edges(tree):
+    """(u, w, the text of the length) for each edge of `tree`, in
+    `edge_list` order; each distinct length is written once."""
+    label = "the length of edge {}-{}"
+    written = {}  # id(length) -> its text; the tree holds every length
+    for u, w, length in tree.iter_edges():
+        text = written.get(id(length))
+        if text is None:
+            pair = length.as_integer_ratio()
+            text = written[id(length)] = _numeral(pair, label, u, w)
+        yield u, w, text
+
+
 def _tree_sections(tree, pad):
     """The "vertices" and "edges" sections of `tree`, opening at `pad`."""
     edge = _EDGE.replace("\n", "\n  " + pad)
-    edges = [
-        edge % (u, w, _numeral(length, "the length of edge {}-{}", u, w))
-        for u, w, length in tree.edge_list
-    ]
+    edges = [edge % triple for triple in _edges(tree)]
     vertices = [f'"{v}"' for v in tree.vertices]
     return _block(vertices, pad, "[]"), _block(edges, pad, "[]")
 
 
 def _values_text(vertices, items, pad, what):
-    """The value map of the (vertex index, value) pairs `items`, each index
-    named by its id in `vertices`."""
+    """The value map of the (vertex index, value pair) items `items`, each
+    index named by its id in `vertices`."""
     label = "the value of {} at vertex {}"
     members = [
         f'"{vertices[i]}": "{_numeral(x, label, what, vertices[i])}"' for i, x in items
@@ -269,7 +290,7 @@ def _values_text(vertices, items, pad, what):
 
 def serialize_instance(tree: MetricTree, f: EdgeLinearDensity) -> str:
     density = _values_text(
-        tree.vertices, enumerate(f.values.values()), "  ", "the density"
+        tree.vertices, enumerate(f.index_values()), "  ", "the density"
     )
     return _INSTANCE % (*_tree_sections(tree, "  "), density)
 
@@ -284,14 +305,14 @@ def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
     own = tree is f.tree
     if own and f._digest is not None:
         return f._digest
+    label = "the value of {} at vertex {}"
     density = [
-        f'"{v}":"{_numeral(x, "the value of {} at vertex {}", "the density", v)}"'
-        for v, x in f.values.items()
+        f'"{v}":"{_numeral(x, label, "the density", v)}"'
+        for v, x in zip(f.tree.vertices, f.index_values())
     ]
     edges = [
-        '{"length":"%s","u":"%s","w":"%s"}'
-        % (_numeral(length, "the length of edge {}-{}", u, w), u, w)
-        for u, w, length in tree.edge_list
+        '{"length":"%s","u":"%s","w":"%s"}' % (text, u, w)
+        for u, w, text in _edges(tree)
     ]
     canonical = '{"density":{%s},"edges":[%s],"vertices":["%s"]}' % (
         ",".join(density), ",".join(edges), '","'.join(tree.vertices)
@@ -307,7 +328,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
     whether its ids are the instance's is decided at binding."""
     data = _load_json(text)
     _check_sections(data, {"components", "ucat", "provenance"}, "decomposition")
-    numerals: dict[str, Fraction] = {}
+    numerals: dict[str, tuple] = {}
 
     raw_components = data["components"]
     if not isinstance(raw_components, list):
@@ -400,13 +421,16 @@ def serialize_sweep(result) -> str:
     h and the remainder at every vertex, and the cuts."""
     vertices = result.h.tree.vertices
     label = "the position of the cut on edge {}-{}"
-    cuts = [_CUT % (c.u, c.w, _numeral(c.t, label, c.u, c.w)) for c in result.cuts]
+    cuts = [
+        _CUT % (c.u, c.w, _numeral(c.t.as_integer_ratio(), label, c.u, c.w))
+        for c in result.cuts
+    ]
     return _SWEEP % (
         *_tree_sections(result.h.tree, "    "),
         _escape(result.origin),
-        _values_text(vertices, enumerate(result.h.values.values()), "  ", "h"),
+        _values_text(vertices, enumerate(result.h.index_values()), "  ", "h"),
         _values_text(
-            vertices, enumerate(result.remainder.values.values()), "  ", "the remainder"
+            vertices, enumerate(result.remainder.index_values()), "  ", "the remainder"
         ),
         _block(cuts, "  ", "[]"),
     )
@@ -446,7 +470,7 @@ def render_dot(d: Decomposition, f: EdgeLinearDensity) -> str:
         if v in modes:
             attrs.append("shape=doublecircle")
         lines.append(f'  "{v}" [{", ".join(attrs)}];')
-    for u, w, length in d.refined_tree.edge_list:
+    for u, w, length in d.refined_tree.iter_edges():
         lines.append(f'  "{u}" -- "{w}" [label="{length}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -26,12 +26,12 @@ pruned comes back (fact (b) in `greedy.py`). `Peel` proves it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from heapq import heappop, heappush
 
 from .density import EdgeLinearDensity, ModeWitness, is_unimodal, support_is_empty
 from .errors import InternalInvariantError, ZeroDensity
 from .record import Record
+from .sweeping import _to_lattice
 from .tree import MetricTree, VertexId
 
 
@@ -74,11 +74,12 @@ def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:
     if support_is_empty(f):
         raise ZeroDensity("cannot prune the identically-zero density")
     vertices = f.tree.vertices
-    peel = Peel(f.tree, list(f.values.values()))
+    _, scaled, _ = _to_lattice(f)
+    peel = Peel(f.tree, scaled)
     chosen = vertices[peel.chosen]
     if peel.unimodal:
-        witness = is_unimodal(f)
-        if witness != ModeWitness(chosen, f.max_value()):
+        witness = is_unimodal(f)  # its mode is a global argmax
+        if not isinstance(witness, ModeWitness) or witness.mode != chosen:
             raise InternalInvariantError(
                 f"pruning reached one vertex but density is not unimodal: {witness}"
             )
@@ -93,14 +94,15 @@ class Peel:
     """The prune as a state that outlives a sweep: built by the full peel of
     `values`, which must not all be zero, then resumed by `after_sweep`.
 
-    `values` is the caller's list, aligned with `tree.vertices`, read and
-    never written; `decompose` lowers it by each swept component h in
-    place. `degree` counts live neighbors: 0 for a pruned vertex or the
-    last one left, so the core is the vertices of nonzero degree. `heap`
-    holds (-value, index) for every core leaf as it was examined. The
-    verdict: `unimodal` when one vertex is left, and the index `chosen`,
-    then the smallest-id global argmax, found once, and else the top heap
-    entry whose vertex is still a core leaf at that value.
+    `values` is the caller's list of integers, aligned with
+    `tree.vertices`, read and never written; `decompose` lowers it by each
+    swept component h in place. `degree` counts live neighbors: 0 for a
+    pruned vertex or the last one left, so the core is the vertices of
+    nonzero degree. `heap` holds (-value, index) for every core leaf as it
+    was examined. The verdict: `unimodal` when one vertex is left, and the
+    index `chosen`, then the smallest-id global argmax, found once, and
+    else the top heap entry whose vertex is still a core leaf at that
+    value.
 
     Fact (a): the fixpoint does not depend on the removal order. A prunable
     leaf x of a live subtree, with neighbor u, is a prunable leaf of every
@@ -125,7 +127,7 @@ class Peel:
     O(n + sum of |supp h| log n).
     """
 
-    def __init__(self, tree: MetricTree, values: list[Fraction | int]):
+    def __init__(self, tree: MetricTree, values: list[int]):
         self.vertices = tree.vertices  # read by the error message only
         self.nbrs = tree.nbrs
         self.values = values
@@ -133,10 +135,10 @@ class Peel:
         self.live = len(self.degree)  # vertices not pruned, the last one included
         leaves = [v for v, d in enumerate(self.degree) if d == 1]
         self.leaves = len(leaves)  # vertices of degree 1
-        self.heap: list[tuple[Fraction | int, int]] = []
+        self.heap: list[tuple[int, int]] = []
         self._peel(leaves)
 
-    def after_sweep(self, h: Mapping[int, Fraction | int]) -> None:
+    def after_sweep(self, h: Mapping[int, int]) -> None:
         """Peel on after the caller lowered `values` by h, a sweep from the
         chosen vertex keyed by index; h may list vertices where it is 0."""
         degree = self.degree

@@ -11,7 +11,8 @@ h(u), pays an integer drop or stops at 0, so every value stays an
 integer. The components' densities, their values divided by D again and
 keyed by id, are built once, after the loop, on the input tree itself,
 through one memo for the run: a component value equal to an input value
-is the input's own `Fraction`, and each other value is built once.
+is the input's own `(numerator, denominator)` pair, and each other value
+is reduced once.
 
 No cuts. The paper's sweep subdivides an edge u -> w where h reaches 0
 inside it; this loop's sweep sets h(w) = 0 there and places no vertex,
@@ -112,7 +113,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
 
     tree = f.tree
     ids, nbrs = tree.vertices, tree.nbrs  # the id of each vertex index
-    scale, rest, fractions = _to_lattice(f)
+    scale, rest, pairs = _to_lattice(f)
     total = sum(rest)  # the remainder is nonnegative
     rows: list[dict[int, int]] = []
     modes: list[int] = []
@@ -140,7 +141,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         Component(
             ids[m],
             EdgeLinearDensity(
-                tree, _from_lattice(sorted(h.items()), scale, fractions, ids)
+                tree, _from_lattice(sorted(h.items()), scale, pairs, ids)
             ),
         )
         for m, h in zip(modes, rows)

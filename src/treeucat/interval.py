@@ -33,7 +33,12 @@ def interval_ucat(values: Sequence) -> int:
         if x < 0:
             raise NegativeValue(f"value {x} at position {i} is negative")
     scale = lcm(*(x.denominator for x in fractions))
-    r = [x.numerator * (scale // x.denominator) for x in fractions]
+    return _passes([x.numerator * (scale // x.denominator) for x in fractions])
+
+
+def _passes(r: list[int]) -> int:
+    """`interval_ucat` of the nonnegative integers r, which it overwrites;
+    the oracle's path pieces, already integers, come here directly."""
     n = len(r)
     count = start = 0
     while True:

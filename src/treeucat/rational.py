@@ -1,7 +1,8 @@
 """Exact rational helpers.
 
-Everything numeric in this package is a `fractions.Fraction`. Floats are
-rejected at the boundary so no rounding can sneak in.
+Values are exact: a density keeps each as its reduced `(numerator,
+denominator)` pair of ints, and edge lengths are `fractions.Fraction`s.
+Floats are rejected at the boundary so no rounding can sneak in.
 """
 
 from __future__ import annotations
@@ -31,3 +32,4 @@ def as_fraction(value) -> Fraction:
             f"floats are not accepted (got {value!r}); pass a string like '1/3'"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+

@@ -15,17 +15,18 @@ It reports each such clamp as (u, w, h(u), drop), which `decompose`
 ignores, and turns the value list it is given into the remainder.
 `_from_lattice` divides by D for nonzero values only, since a density
 reads a vertex it is not given as 0; `decompose` builds its final
-densities the same way. Both divide through one memo per run, which
-`_to_lattice` seeds with the input's own values: a value equal to an
-input value is the input's `Fraction`, and each other value is built
-once per run.
+densities the same way. A value divided by D is its reduced `(numerator,
+denominator)` pair, the form a density stores. Both divide through one
+memo per run, which `_to_lattice` seeds with the input's own pairs: a
+value equal to an input value is the input's own pair, and each other
+value is reduced once per run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .density import EdgeLinearDensity
 from .errors import UnknownVertex
@@ -66,39 +67,39 @@ class SweepResult(Record):
 
 def _to_lattice(
     f: EdgeLinearDensity,
-) -> tuple[int, list[int], dict[int, Fraction]]:
+) -> tuple[int, list[int], dict[int, tuple[int, int]]]:
     """D, the lcm of f's denominators; f's values times D, as a list aligned
     with `f.tree.vertices`; and the memo `_from_lattice` divides back
-    through, which maps each nonzero D * f(v) to f's own `Fraction` f(v).
-    Each value's `(numerator, denominator)` pair is read once."""
-    support = [(i, val, *val.as_integer_ratio()) for i, val in f.index_items()]
-    scale = lcm(*[q for _, _, _, q in support])
+    through, which maps each nonzero D * f(v) to f's own pair for f(v)."""
+    support = f.index_items()
+    scale = lcm(*[q for _, (_, q) in support])
     lattice = [0] * len(f.tree.vertices)
-    fractions = {}
-    for i, val, p, q in support:
-        x = lattice[i] = p * (scale // q)
-        fractions[x] = val
-    return scale, lattice, fractions
+    pairs = {}
+    for i, pair in support:
+        x = lattice[i] = pair[0] * (scale // pair[1])
+        pairs[x] = pair
+    return scale, lattice, pairs
 
 
 def _from_lattice(
     values: Iterable[tuple[int, int]],
     scale: int,
-    fractions: dict[int, Fraction],
+    pairs: dict[int, tuple[int, int]],
     vertices: tuple[VertexId, ...],
-) -> dict[VertexId, Fraction]:
-    """The nonzero values x / D of the (index, x) pairs, keyed by id; a
-    vertex missing from the result is 0. `fractions` is the run's memo
-    from x to x / D, seeded by `_to_lattice`: a value equal to an input
-    value is the input's own `Fraction`, and each other value is built
-    once per run, on its first miss."""
+) -> dict[VertexId, tuple[int, int]]:
+    """The nonzero values x / D of the (index, x) pairs, as reduced pairs
+    keyed by id; a vertex missing from the result is 0. `pairs` is the
+    run's memo from x to x / D, seeded by `_to_lattice`: a value equal to
+    an input value is the input's own pair, and each other value is
+    reduced once per run, on its first miss."""
     out = {}
     for i, x in values:
         if x:
-            frac = fractions.get(x)
-            if frac is None:
-                frac = fractions[x] = Fraction(x, scale)
-            out[vertices[i]] = frac
+            pair = pairs.get(x)
+            if pair is None:
+                g = gcd(x, scale)
+                pair = pairs[x] = x // g, scale // g
+            out[vertices[i]] = pair
     return out
 
 
@@ -115,12 +116,12 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     if origin is None:
         raise UnknownVertex(f"no vertex {v!r}")
     vs = tree.vertices
-    scale, rest, fractions = _to_lattice(f)
+    scale, rest, pairs = _to_lattice(f)
     h, clamps = _sweep(tree.nbrs, rest, origin)
     return SweepResult(
-        h=EdgeLinearDensity(tree, _from_lattice(h.items(), scale, fractions, vs)),
+        h=EdgeLinearDensity(tree, _from_lattice(h.items(), scale, pairs, vs)),
         remainder=EdgeLinearDensity(
-            tree, _from_lattice(enumerate(rest), scale, fractions, vs)
+            tree, _from_lattice(enumerate(rest), scale, pairs, vs)
         ),
         origin=v,
         cuts=tuple(Cut(vs[u], vs[w], Fraction(hu, drop)) for u, w, hu, drop in clamps),

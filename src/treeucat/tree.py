@@ -7,8 +7,8 @@ vertex's index is its position in `vertices`, so index order is id
 order. The tree keeps `index` (id -> index), `nbrs` (each index's
 neighbours, ascending) and its edges as sorted keys i * n + j, i < j,
 with their lengths. The id-level views, `adjacency`, `neighbors`,
-`root_at`, `edge_length` and `edge_list`, are built from that on each
-call. There is no mutable tree and no refined one.
+`root_at`, `edge_length`, `edge_list` and `iter_edges`, are built from
+that on each call. There is no mutable tree and no refined one.
 
 Every vertex id must match ``[A-Za-z0-9][A-Za-z0-9_-]*``; the constructor
 names the first one that does not, or that is not a string.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
@@ -141,11 +141,14 @@ class MetricTree:
     @property
     def edge_list(self) -> tuple[tuple[VertexId, VertexId, Fraction], ...]:
         """(u, w, length) with u < w, sorted by (u, w)."""
+        return tuple(self.iter_edges())
+
+    def iter_edges(self) -> Iterator[tuple[VertexId, VertexId, Fraction]]:
+        """`edge_list` one edge at a time; on a large tree, building the whole
+        tuple spends most of its time in the garbage collector."""
         vs, n = self._vertices, len(self._vertices)
-        return tuple(
-            (vs[key // n], vs[key % n], length)
-            for key, length in zip(self._keys, self._lengths)
-        )
+        for key, length in zip(self._keys, self._lengths):
+            yield vs[key // n], vs[key % n], length
 
     def has_vertex(self, v: VertexId) -> bool:
         return v in self._index

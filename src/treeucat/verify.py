@@ -6,12 +6,13 @@ right. Minimality is decided by reducing f to exact pieces, split at its
 zeros with monotone degree-2 vertices contracted: `interval_ucat` counts
 a path piece, and exhaustive exact linear feasibility over candidate mode
 sets decides every other one. Both stay exact and do their arithmetic on
-integers: the check reads each value as its `(numerator, denominator)`
-pair, and each feasibility question scales f by the lcm of its own
+integers: they read the `(numerator, denominator)` pairs densities store,
+and each feasibility question scales f by the lcm of its own
 denominators. Both run their own loops on vertex indices, over the
-tree's `nbrs` and values keyed by index, and name ids only in reports,
-certificates and errors. The oracle imports `simplex` and `interval`
-inside the functions that use them, so `check` loads neither.
+tree's `nbrs` and values keyed by index, and build `Fraction`s and name
+ids only in reports, certificates and errors. The oracle imports
+`simplex` and `interval` inside the functions that use them, so `check`
+loads neither.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 
-from .density import EdgeLinearDensity, ModeWitness, _unimodal_witness
+from .density import EdgeLinearDensity, ModeWitness, is_unimodal
 from .errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -33,7 +34,8 @@ from .errors import (
 from .record import Decomposition, Record
 from .tree import MetricTree, VertexId
 
-_ZERO = Fraction(0)
+_ZERO = 0, 1  # the pair of a vertex a density does not list
+_UNIT = Fraction(1)  # the length of every edge of a searched piece
 
 
 class ComponentCheck(Record):
@@ -90,16 +92,16 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     are summed, and checked for unimodality, over their supports only, so
     a check whose components all pass costs O(n) plus, per component, its
     support and the edges leaving it. A component that fails adds the
-    breadth-first prefix of the tree up to its first rising edge. Each
-    listed value is read once, as its integer `(numerator, denominator)`
-    pair, which both the unimodality test and the sum use; sums run over
-    a running common denominator and are compared with f by
-    cross-multiplying, and a `Fraction` is built only for a reported
-    mismatch.
+    breadth-first prefix of the tree up to its first rising edge. Values
+    are read as the integer `(numerator, denominator)` pairs the densities
+    store; sums run over a running common denominator and are compared
+    with f by cross-multiplying, and a `Fraction` is built only for a
+    reported mismatch or a low mode.
     """
     tree = d.refined_tree
     if tree != f.tree:
         raise TreeMismatch(_first_difference(f.tree, tree))
+    position = tree.index
     totals = {}  # vertex index -> (numerator, denominator) of its sum
     component_checks = []
     for index, component in enumerate(d.components):
@@ -108,17 +110,17 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
             raise TreeMismatch(
                 f"component with mode {mode!r} lives on a different tree"
             )
-        ratios = {i: value.as_integer_ratio() for i, value in density.index_items()}
-        for i, pair in ratios.items():
+        pairs = dict(density.index_items())
+        for i, pair in pairs.items():
             totals[i] = _add(totals[i], pair) if i in totals else pair
-        witness = _unimodal_witness(density, ratios)
+        witness = is_unimodal(density)
         detail = ""
         if not isinstance(witness, ModeWitness):
             detail = "component is identically zero"
             if not witness.zero_density:
                 u, w = witness.edge
                 detail = f"value rises along edge {u}-{w} away from the maximum"
-        elif density.value(mode) != witness.max_value:
+        elif pairs.get(position.get(mode)) != pairs[position[witness.mode]]:
             detail = (
                 f"recorded mode {mode} carries {density.value(mode)}, "
                 f"maximum is {witness.max_value}"
@@ -127,10 +129,9 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     target = dict(f.index_items())
     mismatches = []
     for i, v in enumerate(tree.vertices):
-        value = target.get(i, _ZERO)
-        total, (p, q) = totals.get(i, (0, 1)), value.as_integer_ratio()
+        total, (p, q) = totals.get(i, _ZERO), target.get(i, _ZERO)
         if total != (p, q) and total[0] * q != p * total[1]:
-            mismatches.append((v, value, Fraction(*total)))
+            mismatches.append((v, Fraction(p, q), Fraction(*total)))
 
     sum_ok = not mismatches
     overall = sum_ok and all(c.ok for c in component_checks)
@@ -153,7 +154,7 @@ def _first_difference(tree: MetricTree, other: MetricTree) -> str:
     for v in other.vertices:
         if not tree.has_vertex(v):
             return f"the decomposition's tree adds vertex {v!r}"
-    for u, w, length in tree.edge_list:
+    for u, w, length in tree.iter_edges():
         if not other.has_edge(u, w):
             return f"the decomposition's tree lacks instance edge {u!r}-{w!r}"
         if other.edge_length(u, w) != length:
@@ -250,9 +251,9 @@ def _feasible(
     rises away from the anchor, so no system is solved.
     """
     tree, index = f.tree, f.tree.index
-    scale = lcm(*[value.denominator for _, value in f.index_items()])
+    scale = lcm(*[q for _, (_, q) in f.index_items()])
     # scale * f, in integers, by index
-    scaled = [x.numerator * (scale // x.denominator) for x in f.values.values()]
+    scaled = [p * (scale // q) for p, q in f.index_values()]
     anchors = [index[m] for m in modes]
     oriented = {m: _oriented(tree.nbrs, m) for m in dict.fromkeys(anchors)}
     if not _mass_prefilter(scaled, anchors, oriented):
@@ -371,7 +372,7 @@ def _validate_certificate(
     ratios = [
         [c[v].as_integer_ratio() for v in vertices] for c in certificate.components
     ]
-    target = [x.as_integer_ratio() for x in f.values.values()]
+    target = f.index_values()
     for v, pairs in enumerate(zip(*ratios)):
         a, b = reduce(_add, pairs)
         p, q = target[v]
@@ -431,14 +432,14 @@ def _check_k_max(k_max: int) -> None:
 
 
 def _count_pieces(
-    paths: list[list[Fraction]], searched: list[EdgeLinearDensity], k_max: int
+    paths: list[list[int]], searched: list[EdgeLinearDensity], k_max: int
 ) -> int:
     """ucat of the pieces `oracle_pieces` gave, if at most k_max, else
     ExceedsKMax(k_max); `treeucat oracle` passes the pieces it sized its
     warning by, so it reduces f once."""
-    from .interval import interval_ucat
+    from .interval import _passes
 
-    total = sum(map(interval_ucat, paths))
+    total = sum(map(_passes, paths))
     for piece in searched:  # a budget below 1 finds nothing
         k = _search(piece, k_max - total)
         if k is None:
@@ -451,13 +452,16 @@ def _count_pieces(
 
 def oracle_pieces(
     f: EdgeLinearDensity,
-) -> tuple[list[list[Fraction]], list[EdgeLinearDensity]]:
+) -> tuple[list[list[int]], list[EdgeLinearDensity]]:
     """The exact pieces `ucat_oracle` counts: the values of each path
-    piece in path order, and each other piece, with its monotone degree-2
-    vertices contracted until none is left, as a density on a unit-length
-    tree. Pieces come in the order of their smallest vertex."""
+    piece in path order, times the lcm of f's denominators, and each other
+    piece, with its monotone degree-2 vertices contracted until none is
+    left, as a density on a unit-length tree. Pieces come in the order of
+    their smallest vertex. Values are compared on those integers."""
     vertices, adjacency = f.tree.vertices, f.tree.nbrs
-    values = dict(f.index_items())  # vertex index -> nonzero value
+    scale = lcm(*[q for _, (_, q) in f.index_items()])
+    # vertex index -> nonzero value times scale
+    values = {v: p * (scale // q) for v, (p, q) in f.index_items()}
     nbrs = {v: [w for w in adjacency[v] if w in values] for v in values}
     paths, searched, seen = [], [], set()
     for start in values:
@@ -487,10 +491,12 @@ def oracle_pieces(
                 nbrs[b][nbrs[b].index(x)] = a
                 pending += [w for w in (a, b) if len(nbrs[w]) == 2]
         kept = sorted(v for v in part if v in nbrs)
-        edges = [(vertices[u], vertices[w], 1) for u in kept for w in nbrs[u] if u < w]
+        edges = [
+            (vertices[u], vertices[w], _UNIT) for u in kept for w in nbrs[u] if u < w
+        ]
         tree = MetricTree([vertices[v] for v in kept], edges)
         searched.append(
-            EdgeLinearDensity(tree, {vertices[v]: values[v] for v in kept})
+            EdgeLinearDensity(tree, {vertices[v]: (values[v], scale) for v in kept})
         )
     return paths, searched
 
@@ -542,7 +548,7 @@ def _rising_sides(f: EdgeLinearDensity) -> list[int]:
     for parent, child in reversed(edges):
         below[parent] |= below[child]
     everything = below[0]
-    ratios = [x.as_integer_ratio() for x in f.values.values()]
+    ratios = f.index_values()
     sides = []
     for parent, child in edges:
         (a, b), (p, q) = ratios[parent], ratios[child]

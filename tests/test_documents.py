@@ -252,15 +252,18 @@ def test_digit_numerals_read_as_fraction_reads_them():
         assert "not an exact number" in _read_as_density(raw)
 
 
-def _parsed_fractions(doc: DecompositionDocument, f) -> list:
-    """The values of the document's components, as bound to f."""
+def _parsed_pairs(doc: DecompositionDocument, f) -> list:
+    """The value pairs of the document's components, as bound to f."""
     values = []
     for c in decomposition_from_document(doc, f).components:
-        values += [c.density.value(v) for v in c.density.support]
+        values += [pair for _, pair in c.density.index_items()]
     return values
 
 
 def test_equal_numerals_share_one_value_within_a_document_only():
+    # a numeral is read once per document: equal value numerals share one
+    # pair, the tuple the density stores, and equal length numerals one
+    # `Fraction`, which the tree stores
     text = json.dumps(
         {
             "vertices": ["A", "B", "C"],
@@ -275,15 +278,17 @@ def test_equal_numerals_share_one_value_within_a_document_only():
     shared = tree.edge_length("A", "B")
     assert shared == Fraction(3, 7)
     assert tree.edge_length("B", "C") is shared
-    assert f.value("A") is shared and f.value("C") is shared
+    pairs = dict(zip(f.support, (pair for _, pair in f.index_items())))
+    assert pairs["A"] == (3, 7) and pairs["B"] == (2, 1)
+    assert pairs["C"] is pairs["A"]
     again, g = parse_instance(text)
     assert again.edge_length("A", "B") is not shared
-    assert g.value("B") is not f.value("B")
+    assert dict(g.index_items())[1] is not pairs["B"]
 
     f, d = _decomposed(5)
     text = serialize_decomposition(d, _provenance(f))
-    first = _parsed_fractions(parse_decomposition(text), f)
-    second = _parsed_fractions(parse_decomposition(text), f)
+    first = _parsed_pairs(parse_decomposition(text), f)
+    second = _parsed_pairs(parse_decomposition(text), f)
     assert len(first) > len(set(first))  # some numeral repeats
     assert len({id(x) for x in first}) == len(set(first))
     # no cache outlives a parse: two parses share no object

@@ -145,20 +145,22 @@ def _fractions_built_during(fn, *args):
 
 def test_trace_masses_stay_on_the_lattice_until_read():
     # each `Fraction(total, D)` runs gcd on integers the size of D, the lcm
-    # of every denominator; decompose builds no trace mass, and of its
-    # components' values only those that are not input values, each once:
-    # a component value equal to an input value is the input's own object
+    # of every denominator; decompose builds no trace mass and no
+    # `Fraction` at all. Of its components' value pairs, those that are not
+    # input values are reduced once each, one tuple per value: a component
+    # value equal to an input value is the input's own pair
     f = many_denominator_instance(1, 20)
     built, (d, trace) = _fractions_built_during(decompose, f)
-    own = {x: x for _, x in f.items()}
-    new = set()
+    own = {pair: pair for _, pair in f.index_items()}
+    new = {}
     for c in d.components:
-        for _, x in c.density.items():
-            if x in own:
-                assert x is own[x], x
+        for _, pair in c.density.index_items():
+            if pair in own:
+                assert pair is own[pair], pair
             else:
-                new.add(id(x))
-    assert built == len(new) > 0, (built, len(new))
+                assert new.setdefault(pair, pair) is pair, pair
+                assert math.gcd(*pair) == 1 and pair[1] > 0, pair
+    assert built == 0 < len(new), (built, len(new))
     assert len(trace) == len(d.components) > 5
     # read, each mass is the input's sum less the components so far
     rest = sum(f.values.values())
@@ -510,11 +512,40 @@ def test_decompose_work_on_combs_grows_no_faster_than_the_output():
 
 def test_decompose_builds_no_fraction_the_input_holds():
     # a counted gate: every component value on a monotone arm equals an
-    # input value, and building each anew made 604 `Fraction`s here
+    # input value, and building each anew made 604 `Fraction`s here; each
+    # component value is now the input's own pair, or one reduced once
     f = monotone_arm_instance(4, 600)
     built, (d, _) = _fractions_built_during(decompose, f)
     assert len(d.components) == 3
-    assert built <= 1, built
+    assert built == 0, built
+    own = {id(pair) for _, pair in f.index_items()}
+    new = {
+        pair
+        for c in d.components
+        for _, pair in c.density.index_items()
+        if id(pair) not in own
+    }
+    assert len(new) <= 1, new
+
+
+def test_a_round_trip_builds_at_most_two_fractions():
+    # a counted gate: parse, decompose, digest, serialize, parse back, bind
+    # and check build a `Fraction` only for a length numeral, the arm's one
+    # "1"; with every value a `Fraction` this made 1,208 of them
+    arm = monotone_arm_instance(4, 600)
+    text = serialize_instance(arm.tree, arm)
+
+    def round_trip():
+        tree, f = parse_instance(text)
+        d, _ = decompose(f)
+        provenance = {"tool": "t", "input_digest": instance_digest(tree, f)}
+        written = serialize_decomposition(d, provenance)
+        bound = decomposition_from_document(parse_decomposition(written), f)
+        return check_decomposition(f, bound)
+
+    built, report = _fractions_built_during(round_trip)
+    assert report.overall and report.count == 3
+    assert built <= 2, built
 
 
 def test_decompose_work_per_vertex_on_a_long_arm():

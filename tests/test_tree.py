@@ -97,6 +97,7 @@ def test_fractional_lengths_exact():
     tree = MetricTree(["A", "B"], [("A", "B", "2/3")])
     assert tree.edge_length("A", "B") == Fraction(2, 3)
     assert tree.edge_list == (("A", "B", Fraction(2, 3)),)
+    assert list(tree.iter_edges()) == list(tree.edge_list)
 
 
 def test_float_length_rejected():
