@@ -6,13 +6,14 @@ right. Minimality is decided by reducing f to exact pieces, split at its
 zeros with monotone degree-2 vertices contracted: `interval_ucat` counts
 a path piece, and exhaustive exact linear feasibility over candidate mode
 sets decides every other one. Both stay exact and do their arithmetic on
-integers: they read the `(numerator, denominator)` pairs densities store,
-and each feasibility question scales f by the lcm of its own
-denominators. Both run their own loops on vertex indices, over the
-tree's `nbrs` and values keyed by index, and build `Fraction`s and name
-ids only in reports, certificates and errors. The oracle imports
-`simplex` and `interval` inside the functions that use them, so `check`
-loads neither.
+integers: they read the `(numerator, denominator)` pairs densities store.
+The search keeps one integer state per piece, f scaled by the lcm of its
+own denominators, and every candidate reuses it: each anchor is rooted
+once, and each certificate is checked in integers. Both run their own
+loops on vertex indices, over the tree's `nbrs` and values keyed by
+index, and build `Fraction`s and name ids only in public results and
+errors. The oracle imports `simplex` and `interval` inside the functions
+that use them, so `check` loads neither.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 
 from .density import EdgeLinearDensity, ModeWitness, is_unimodal
@@ -175,12 +175,29 @@ def _add(a, b):
     return p * (s // g) + r * (q // g), q // g * s
 
 
+class _Piece:
+    """One piece's integer state, shared by every question asked of it:
+    `scale`, the lcm of f's denominators, `scaled`, scale * f by index, the
+    tree's `vertices` and `nbrs`, and `rooted`: each anchor index asked
+    about -> (its `_oriented` edges, its `_path_minima`), built once."""
+
+    __slots__ = ("vertices", "nbrs", "scale", "scaled", "rooted")
+
+    def __init__(self, f: EdgeLinearDensity):
+        self.vertices, self.nbrs = f.tree.vertices, f.tree.nbrs
+        self.scale = lcm(*[q for _, (_, q) in f.index_items()])
+        self.scaled = [p * (self.scale // q) for p, q in f.index_values()]
+        self.rooted = {}
+
+
 def _oriented(nbrs, root: int) -> list[tuple[int, int]]:
     """`MetricTree.root_at(root)` on indices, given the tree's `nbrs`: the
     edges as (closer, farther) pairs, breadth first."""
     edges = [(-1, root)]
     for back, u in edges:  # the list grows as the search reaches vertices
-        edges += [(u, w) for w in nbrs[u] if w != back]
+        for w in nbrs[u]:
+            if w != back:
+                edges.append((u, w))
     return edges[1:]
 
 
@@ -208,7 +225,7 @@ def feasible_with_modes(
     for m in mode_list:
         if not f.tree.has_vertex(m):
             raise UnknownVertex(f"mode {m!r} is not a vertex")
-    return _feasible(f, mode_list, avoid=None)
+    return _certificate(f, mode_list, None)
 
 
 def feasible_avoiding_vertex(
@@ -228,7 +245,7 @@ def feasible_avoiding_vertex(
     for m in (*mode_list, avoid):
         if not f.tree.has_vertex(m):
             raise UnknownVertex(f"{m!r} is not a vertex")
-    certificate = _feasible(f, mode_list, avoid)
+    certificate = _certificate(f, mode_list, avoid)
     if certificate is not None:
         for m, component in zip(certificate.modes, certificate.components):
             if component[avoid] >= component[m]:
@@ -238,56 +255,52 @@ def feasible_avoiding_vertex(
     return certificate
 
 
-def _feasible(
+def _certificate(
     f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
 ) -> FeasibilityCertificate | None:
-    """Prefilter, solve and validate, for f scaled to integers once, by
-    the lcm of its own denominators; a zero f included, whose system
-    forces every component to 0. Each distinct anchor is rooted once, and
-    all three steps read its oriented edges.
-
-    With one anchor and no vertex to avoid, the vertex sums pin the only
-    component to f itself, and the prefilter has just checked that f never
-    rises away from the anchor, so no system is solved.
-    """
-    tree, index = f.tree, f.tree.index
-    scale = lcm(*[q for _, (_, q) in f.index_items()])
-    # scale * f, in integers, by index
-    scaled = [p * (scale // q) for p, q in f.index_values()]
-    anchors = [index[m] for m in modes]
-    oriented = {m: _oriented(tree.nbrs, m) for m in dict.fromkeys(anchors)}
-    if not _mass_prefilter(scaled, anchors, oriented):
+    """`_decide` on a fresh `_Piece` of f, its answer read as `Fraction`s."""
+    piece, index = _Piece(f), f.tree.index
+    gap = None if avoid is None else index[avoid]
+    found = _decide(piece, tuple(index[m] for m in modes), gap)
+    if found is None:
         return None
-    if len(modes) == 1 and avoid is None:
-        certificate = FeasibilityCertificate(modes, (dict(f.values),))
-    else:
-        gap = None if avoid is None else index[avoid]
-        certificate = _solve(tree, scaled, scale, modes, anchors, gap, oriented)
-    if certificate is not None:
-        _validate_certificate(f, certificate, oriented)
-    return certificate
+    components, d = found
+    scale, vertices = d * piece.scale, piece.vertices
+    values = ({v: Fraction(y, scale) for v, y in zip(vertices, c)} for c in components)
+    return FeasibilityCertificate(modes, tuple(values))
 
 
-def _mass_prefilter(scaled: list[int], anchors: list[int], oriented) -> bool:
-    """Necessary condition: a component is capped by the minimum of f along
-    the path to its anchor (it is below f everywhere and rises toward the
-    anchor), so the caps must cover f at every vertex."""
-    minima = [_path_minima(scaled, m, oriented[m]) for m in anchors]
-    for caps, value in zip(zip(*minima), scaled):
+def _decide(piece: _Piece, anchors: tuple[int, ...], gap: int | None = None):
+    """The feasibility question on indices, in integers: components
+    anchored at `anchors`, strictly below their anchor value at `gap` if
+    one is given, as lists of values times d * piece.scale, and d; or None.
+
+    Prefilter, a necessary condition: a component is capped by the
+    minimum of f along the path to its anchor (it is below f everywhere
+    and rises toward the anchor), so the caps must cover f at every
+    vertex. With one anchor and no gap, the vertex sums pin the only
+    component to f itself, and the prefilter has just checked that f never
+    rises away from the anchor, so no system is solved. Every answer is
+    validated before it is returned."""
+    rooted, scaled = piece.rooted, piece.scaled
+    for m in anchors:
+        if m not in rooted:
+            edges = _oriented(piece.nbrs, m)
+            rooted[m] = edges, _path_minima(scaled, m, edges)
+    for caps, value in zip(zip(*[rooted[m][1] for m in anchors]), scaled):
         if sum(caps) < value:
-            return False
-    return True
+            return None
+    if len(anchors) == 1 and gap is None:
+        found = [scaled], 1
+    else:
+        found = _solve(piece, anchors, gap)
+        if found is None:
+            return None
+    _validate(piece, anchors, *found)
+    return found
 
 
-def _solve(
-    tree: MetricTree,
-    scaled: list[int],
-    scale: int,
-    modes: tuple[VertexId, ...],
-    anchors: list[int],
-    avoid: int | None,
-    oriented,
-) -> FeasibilityCertificate | None:
+def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     """Set up and solve the anchored-components system.
 
     The last component is eliminated: it equals f minus the others, which
@@ -296,48 +309,49 @@ def _solve(
     warm start cheap. With `avoid`, a gap variable is maximized subject to
     every component staying that far below its anchor value at `avoid`;
     strict avoidance means a positive optimum. The rows are posed for the
-    integers scale * f, and the solution is divided back by scale. The
-    rows are on indices, the modes' `anchors` and `avoid`.
+    integers scale * f, and the solution is read once into integers over
+    the lcm d of its denominators, as `_decide` returns it.
     """
     from . import simplex
 
-    vertices = tree.vertices
-    k = len(modes)
-    nv = len(vertices)
-    nvars = (k - 1) * nv + (1 if avoid is not None else 0)
-    gap = nvars - 1 if avoid is not None else None
-
-    def var(alpha: int, v: int) -> int:
-        return alpha * nv + v
-
-    rows: list[tuple[list, str, int]] = []
-
-    def add(relation, rhs, *terms):
+    scaled, rooted = piece.scaled, piece.rooted
+    nv, last = len(scaled), anchors[-1]
+    # the other components' columns: component alpha at v is starts[alpha] + v
+    starts = range(0, (len(anchors) - 1) * nv, nv)
+    nvars = len(starts) * nv + (avoid is not None)
+    ge, rows = simplex.GREATER_EQUAL, []
+    for s, m in zip(starts, anchors):
+        for closer, farther in rooted[m][0]:
+            row = [0] * nvars
+            row[s + closer], row[s + farther] = 1, -1
+            rows.append((row, ge, 0))
+    for closer, farther in rooted[last][0]:
         row = [0] * nvars
-        for col, coefficient in terms:
-            row[col] += coefficient
-        rows.append((row, relation, rhs))
-
-    others, ge = range(k - 1), simplex.GREATER_EQUAL
-    for alpha in others:
-        for closer, farther in oriented[anchors[alpha]]:
-            add(ge, 0, (var(alpha, closer), 1), (var(alpha, farther), -1))
-    for closer, farther in oriented[anchors[-1]]:
-        terms = [(var(a, farther), 1) for a in others]
-        terms += [(var(a, closer), -1) for a in others]
-        add(ge, scaled[farther] - scaled[closer], *terms)
+        for s in starts:
+            row[s + farther], row[s + closer] = 1, -1
+        rows.append((row, ge, scaled[farther] - scaled[closer]))
     for v in range(nv):
-        add(simplex.LESS_EQUAL, scaled[v], *[(var(a, v), 1) for a in others])
+        row = [0] * nvars
+        for s in starts:
+            row[s + v] = 1
+        rows.append((row, simplex.LESS_EQUAL, scaled[v]))
 
     objective = [0] * nvars
-    if avoid is not None:
+    if avoid is not None:  # an anchor may be `avoid`, so these rows add up
+        gap = nvars - 1
         objective[gap] = 1
-        for alpha in others:
-            terms = (var(alpha, anchors[alpha]), 1), (var(alpha, avoid), -1)
-            add(ge, 0, *terms, (gap, -1))
-        terms = [(var(a, avoid), 1) for a in others]
-        terms += [(var(a, anchors[-1]), -1) for a in others]
-        add(ge, scaled[avoid] - scaled[anchors[-1]], *terms, (gap, -1))
+        for s, m in zip(starts, anchors):
+            row = [0] * nvars
+            row[s + m] += 1
+            row[s + avoid] -= 1
+            row[gap] = -1
+            rows.append((row, ge, 0))
+        row = [0] * nvars
+        for s in starts:
+            row[s + avoid] += 1
+            row[s + last] -= 1
+        row[gap] = -1
+        rows.append((row, ge, scaled[avoid] - scaled[last]))
 
     result = simplex.maximize(objective, rows)
     if result.status == "infeasible":
@@ -347,52 +361,38 @@ def _solve(
     if avoid is not None and result.objective <= 0:
         return None
 
-    x = result.x
-    components = [x[alpha * nv : (alpha + 1) * nv] for alpha in others]
-    last = []
-    for v in range(nv):
-        p, q = reduce(_add, [c[v].as_integer_ratio() for c in components], (0, 1))
-        last.append(Fraction(scaled[v] * q - p, q * scale))
-    if scale != 1:
-        components = [[y / scale for y in c] for c in components]
-    return FeasibilityCertificate(
-        modes, tuple(dict(zip(vertices, c)) for c in (*components, last))
-    )
+    ratios = [y.as_integer_ratio() for y in result.x[: len(starts) * nv]]
+    d = lcm(*[q for _, q in ratios])
+    x = [p * (d // q) for p, q in ratios]
+    components = [x[s : s + nv] for s in starts]
+    rest = [value * d for value in scaled]  # the eliminated component
+    for c in components:
+        rest = [a - b for a, b in zip(rest, c)]
+    return [*components, rest], d
 
 
-def _validate_certificate(
-    f: EdgeLinearDensity, certificate: FeasibilityCertificate, oriented
-) -> None:
-    """Check every constraint of the literal system on the returned values,
-    read as integer pairs; a failure is a solver bug, never a property of
-    the input. `oriented` maps each anchor's index to the tree's edges
-    oriented away from it, as index pairs."""
-    tree = f.tree
-    vertices = tree.vertices
-    ratios = [
-        [c[v].as_integer_ratio() for v in vertices] for c in certificate.components
-    ]
-    target = f.index_values()
-    for v, pairs in enumerate(zip(*ratios)):
-        a, b = reduce(_add, pairs)
-        p, q = target[v]
-        if a * q != p * b:
+def _validate(piece: _Piece, anchors: tuple[int, ...], components, d: int) -> None:
+    """Check every constraint of the literal system on `components`, in
+    integers over the denominator d * piece.scale; a failure is a solver
+    bug, never a property of the input."""
+    vertices, scale = piece.vertices, piece.scale
+    for v, column in enumerate(zip(*components)):
+        if sum(column) != piece.scaled[v] * d:
             raise InternalInvariantError(
-                f"certificate sums to {Fraction(a, b)} at {vertices[v]!r},"
-                f" expected {Fraction(p, q)}"
+                f"certificate sums to {Fraction(sum(column), d * scale)} at"
+                f" {vertices[v]!r}, expected {Fraction(piece.scaled[v], scale)}"
             )
-    for m, r in zip(certificate.modes, ratios):
-        for v, (p, _) in enumerate(r):
-            if p < 0:
-                raise InternalInvariantError(
-                    f"certificate negative at {vertices[v]!r} for anchor {m!r}"
-                )
-        for closer, farther in oriented[tree.index[m]]:
-            (a, b), (p, q) = r[closer], r[farther]
-            if a * q < p * b:
+    for m, c in zip(anchors, components):
+        if min(c) < 0:
+            v = next(v for v, y in enumerate(c) if y < 0)
+            raise InternalInvariantError(
+                f"certificate negative at {vertices[v]!r} for anchor {vertices[m]!r}"
+            )
+        for closer, farther in piece.rooted[m][0]:
+            if c[closer] < c[farther]:
                 raise InternalInvariantError(
                     f"certificate rises along {vertices[closer]}-{vertices[farther]}"
-                    f" away from {m!r}"
+                    f" away from {vertices[m]!r}"
                 )
 
 
@@ -505,12 +505,13 @@ def _search(f: EdgeLinearDensity, k_max: int) -> int | None:
     """Smallest k <= k_max with a feasible k-anchor set on f, by search,
     or None if there is none; f is not identically zero.
 
-    Candidates are vertex sets in lexicographic order. A multiset with a
-    repeated anchor is feasible exactly when its support set is (merge
-    components sharing an anchor, or pad with zero components), and all
-    smaller sets were already rejected at earlier stages, so sets cover
-    the full multiset search. Sizes beyond the vertex count reduce the
-    same way and need no stage of their own.
+    Candidates are index sets in lexicographic order, each put to
+    `_decide` on one `_Piece` of f. A multiset with a repeated anchor is
+    feasible exactly when its support set is (merge components sharing an
+    anchor, or pad with zero components), and all smaller sets were
+    already rejected at earlier stages, so sets cover the full multiset
+    search. Sizes beyond the vertex count reduce the same way and need no
+    stage of their own.
 
     A candidate that misses the far side of a rising edge is skipped
     without solving anything. Lemma: if f(y) > f(x) on an edge (x, y),
@@ -523,36 +524,35 @@ def _search(f: EdgeLinearDensity, k_max: int) -> int | None:
     the candidates it keeps are tried in the same order, so the first
     feasible one, and k, do not move.
     """
-    vertices = f.tree.vertices
-    bits = [1 << i for i in range(len(vertices))]
-    sides = _rising_sides(f)
-    for k in range(1, min(k_max, len(vertices)) + 1):
+    piece = _Piece(f)
+    n = len(piece.scaled)
+    bits = [1 << i for i in range(n)]
+    sides = _rising_sides(piece)
+    for k in range(1, min(k_max, n) + 1):
         masks = itertools.combinations(bits, k)
-        for candidate, chosen in zip(itertools.combinations(vertices, k), masks):
+        for candidate, chosen in zip(itertools.combinations(range(n), k), masks):
             mask = sum(chosen)
             for side in sides:
                 if not mask & side:
                     break
             else:
-                if feasible_with_modes(f, candidate) is not None:
+                if _decide(piece, candidate) is not None:
                     return k
     return None
 
 
-def _rising_sides(f: EdgeLinearDensity) -> list[int]:
+def _rising_sides(piece: _Piece) -> list[int]:
     """The far side of every rising edge as a vertex bitmask, bit i for
     vertex index i, smallest first, since a small side is the one a
     candidate most likely misses."""
-    edges = _oriented(f.tree.nbrs, 0)
-    below = [1 << i for i in range(len(f.tree.vertices))]  # subtrees under 0
+    edges, scaled = _oriented(piece.nbrs, 0), piece.scaled
+    below = [1 << i for i in range(len(scaled))]  # subtrees under 0
     for parent, child in reversed(edges):
         below[parent] |= below[child]
     everything = below[0]
-    ratios = f.index_values()
     sides = []
     for parent, child in edges:
-        (a, b), (p, q) = ratios[parent], ratios[child]
-        rise = p * b - a * q
+        rise = scaled[child] - scaled[parent]
         if rise:
             sides.append(below[child] if rise > 0 else everything ^ below[child])
     return sorted(sides, key=int.bit_count)

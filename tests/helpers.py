@@ -17,7 +17,8 @@ time from the tree and the density alone, in any order it is given, and
 decomposition the way documents were written before components listed
 their nonzero values only. `python_calls_during` counts the Python and
 C function calls a call makes, a measure of work that, unlike wall time,
-does not vary from run to run, `count_builds` counts the objects a
+does not vary from run to run, `fractions_built_during` counts the
+`Fraction`s a call builds, `count_builds` counts the objects a
 class's constructor builds, and `record_pivots` records the D of each
 simplex pivot. `reference_maximize` is the two-phase
 simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
@@ -158,6 +159,28 @@ def python_calls_during(fn, *args) -> int:
     finally:
         sys.setprofile(None)
     return calls
+
+
+def fractions_built_during(fn, *args):
+    """The calls of `Fraction.__new__` while fn(*args) runs, and its result.
+
+    The profiler that ran before is put back afterwards, so a call counted
+    inside another is left out of the outer count."""
+    code = Fraction.__new__.__code__
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        if event == "call" and frame.f_code is code:
+            built += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(outer)
+    return built, result
 
 
 def record_pivots(monkeypatch) -> list:

@@ -4,7 +4,6 @@ import hashlib
 import math
 import pickle
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -46,6 +45,7 @@ from treeucat.sweeping import _sweep
 from helpers import (
     comb_instance,
     count_builds,
+    fractions_built_during,
     many_denominator_instance,
     monotone_arm_instance,
     paper_sweep,
@@ -125,24 +125,6 @@ def _paper_greedy(f):
     return modes, components, cuts
 
 
-def _fractions_built_during(fn, *args):
-    """The calls of `Fraction.__new__` while fn(*args) runs, and its result."""
-    code = Fraction.__new__.__code__
-    built = 0
-
-    def count(frame, event, arg):
-        nonlocal built
-        if event == "call" and frame.f_code is code:
-            built += 1
-
-    sys.setprofile(count)
-    try:
-        result = fn(*args)
-    finally:
-        sys.setprofile(None)
-    return built, result
-
-
 def test_trace_masses_stay_on_the_lattice_until_read():
     # each `Fraction(total, D)` runs gcd on integers the size of D, the lcm
     # of every denominator; decompose builds no trace mass and no
@@ -150,7 +132,7 @@ def test_trace_masses_stay_on_the_lattice_until_read():
     # input values are reduced once each, one tuple per value: a component
     # value equal to an input value is the input's own pair
     f = many_denominator_instance(1, 20)
-    built, (d, trace) = _fractions_built_during(decompose, f)
+    built, (d, trace) = fractions_built_during(decompose, f)
     own = {pair: pair for _, pair in f.index_items()}
     new = {}
     for c in d.components:
@@ -515,7 +497,7 @@ def test_decompose_builds_no_fraction_the_input_holds():
     # input value, and building each anew made 604 `Fraction`s here; each
     # component value is now the input's own pair, or one reduced once
     f = monotone_arm_instance(4, 600)
-    built, (d, _) = _fractions_built_during(decompose, f)
+    built, (d, _) = fractions_built_during(decompose, f)
     assert len(d.components) == 3
     assert built == 0, built
     own = {id(pair) for _, pair in f.index_items()}
@@ -543,7 +525,7 @@ def test_a_round_trip_builds_at_most_two_fractions():
         bound = decomposition_from_document(parse_decomposition(written), f)
         return check_decomposition(f, bound)
 
-    built, report = _fractions_built_during(round_trip)
+    built, report = fractions_built_during(round_trip)
     assert report.overall and report.count == 3
     assert built <= 2, built
 

@@ -37,6 +37,7 @@ from treeucat.errors import TreeMismatch
 
 from helpers import (
     comb_instance,
+    fractions_built_during,
     many_denominator_instance,
     paper_sweep,
     path_instance,
@@ -245,12 +246,15 @@ def test_oracle_work_is_pinned():
     # a counted gate: the oracle on `Fraction`s made 120,499 profiler calls
     # on these trees, and in integers 60,691; searching reduced pieces
     # only, with each anchor rooted once per question, it made 29,574, and
-    # starting a zero-rhs `>=` row from its slack makes it 25,049
+    # starting a zero-rhs `>=` row from its slack makes it 25,049 (18,486
+    # once values were stored as integer pairs). Keeping one integer state
+    # per piece, each anchor rooted once per piece, and checking each
+    # certificate in integers without building it makes it 14,409
     total = 0
     for seed in range(100):
         tree, f = gen_instance(seed, 7, 9)
         total += python_calls_during(ucat_oracle, f, len(tree.vertices))
-    assert total <= 45_000
+    assert total <= 17_000
 
 
 def test_oracle_pivots_are_pinned(monkeypatch):
@@ -266,17 +270,24 @@ def test_oracle_pivots_are_pinned(monkeypatch):
 
 
 def test_a_broken_certificate_is_refused():
-    # the validation reads the certificate as integer pairs; each of its
-    # three checks must still fire on a certificate that breaks it
+    # the validation reads the components as integers over one common
+    # denominator; each of its three checks must still fire on a
+    # certificate that breaks it
     _, f = path_instance([Fraction(1, 3), Fraction(5, 6), Fraction(1, 2)])
     good = verify.feasible_with_modes(f, ("v2",))
+    piece, index, vertices = verify._Piece(f), f.tree.index, f.tree.vertices
+    anchor = index["v2"]
+    assert verify._decide(piece, (anchor,)) == ([piece.scaled], 1)
     # the oracle roots each anchor on vertex indices, in `root_at` order
-    anchor = f.tree.index["v2"]
-    oriented = {anchor: verify._oriented(f.tree.nbrs, anchor)}
-    vertices = f.tree.vertices
-    named = [(vertices[a], vertices[b]) for a, b in oriented[anchor]]
+    named = [(vertices[a], vertices[b]) for a, b in piece.rooted[anchor][0]]
     assert named == list(f.tree.root_at("v2"))
-    verify._validate_certificate(f, good, oriented)
+
+    def validate(modes, components):
+        d = math.lcm(*[Fraction(y).denominator for c in components for y in c.values()])
+        values = [[int(c[v] * d * piece.scale) for v in vertices] for c in components]
+        verify._validate(piece, tuple(index[m] for m in modes), values, d)
+
+    validate(good.modes, good.components)
     broken = {
         "sums to 1 at 'v1', expected 1/3": {"v1": 1},
         "negative at 'v1' for anchor 'v2'": {"v1": Fraction(-1, 3)},
@@ -286,8 +297,33 @@ def test_a_broken_certificate_is_refused():
         values = {**good.components[0], **change}
         if "sums" not in message:
             other = {v: f.value(v) - values[v] for v in values}
-            certificate = verify.FeasibilityCertificate(("v2", "v2"), (values, other))
+            modes, components = ("v2", "v2"), (values, other)
         else:
-            certificate = verify.FeasibilityCertificate(("v2",), (values,))
+            modes, components = ("v2",), (values,)
         with pytest.raises(verify.InternalInvariantError, match=message):
-            verify._validate_certificate(f, certificate, oriented)
+            validate(modes, components)
+
+
+def test_the_oracle_builds_fractions_only_in_lp_results(monkeypatch):
+    # a counted gate, on oracle-small's family: unit lengths, integer
+    # values 0..9, at most 5 vertices. The search once built a `Fraction`
+    # certificate for every feasible candidate, to read it back as pairs;
+    # now only `simplex.maximize` builds any, for its `LPResult`, and the
+    # count taken inside it is left out of the outer one
+    maximize, inside = simplex.maximize, []
+
+    def counted(c, rows):
+        built, result = fractions_built_during(maximize, c, rows)
+        inside.append(built)
+        return result
+
+    instances = [gen_instance(seed, 5, 9)[1] for seed in range(300)]
+
+    def oracle_runs():
+        for f in instances:
+            ucat_oracle(f, len(f.tree.vertices))
+
+    monkeypatch.setattr(simplex, "maximize", counted)
+    built, _ = fractions_built_during(oracle_runs)
+    assert len(inside) > 10 and sum(inside) > 0, inside
+    assert built == 0, built

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -409,14 +410,15 @@ def _far_side(tree, x, y):
 
 def _tried_candidates(monkeypatch, f):
     """The search step's answer on the whole of f, unreduced, and the
-    candidates it gave to the LP check."""
+    candidates, as vertex ids, it gave to the per-candidate check."""
     tried = []
+    decide = verify._decide
 
-    def recording(g, candidate):
-        tried.append(tuple(candidate))
-        return feasible_with_modes(g, candidate)
+    def recording(piece, anchors, gap=None):
+        tried.append(tuple(piece.vertices[m] for m in anchors))
+        return decide(piece, anchors, gap)
 
-    monkeypatch.setattr(verify, "feasible_with_modes", recording)
+    monkeypatch.setattr(verify, "_decide", recording)
     k = verify._search(f, len(f.tree.vertices))
     monkeypatch.undo()
     return k, tried
@@ -448,6 +450,31 @@ def test_rising_edge_rule_skips_only_infeasible_candidates(monkeypatch):
             if candidate == tried[-1]:
                 break
     assert skipped > 1500
+
+
+def test_the_search_roots_each_anchor_once(monkeypatch):
+    # a counted gate: one search keeps each anchor's oriented edges and
+    # path minima, so `_oriented` runs once per distinct anchor and once
+    # for the rising sides; asking each candidate afresh rooted every
+    # anchor of every candidate that reached the prefilter
+    tree, f = gen_instance(2, 7, 9)
+    roots, asked = [], []
+    oriented, decide = verify._oriented, verify._decide
+
+    def rooting(nbrs, root):
+        roots.append(root)
+        return oriented(nbrs, root)
+
+    def asking(piece, anchors, gap=None):
+        asked.append(anchors)
+        return decide(piece, anchors, gap)
+
+    monkeypatch.setattr(verify, "_oriented", rooting)
+    monkeypatch.setattr(verify, "_decide", asking)
+    assert verify._search(f, len(tree.vertices)) == ucat(f) == 5
+    anchors = [m for candidate in asked for m in candidate]
+    assert len(asked) >= 2 and len(anchors) > len(set(anchors)), asked
+    assert Counter(roots) <= Counter([0, *set(anchors)]), roots
 
 
 def test_rising_edge_rule_does_not_move_the_answer():
