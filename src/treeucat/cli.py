@@ -104,7 +104,7 @@ def cmd_oracle(args) -> int:
     _check_k_max(args.max_k)
     _, f = parse_instance(_read(args.input))
     paths, searched = oracle_pieces(f)
-    largest = max((len(piece.tree.vertices) for piece in searched), default=0)
+    largest = max((len(piece.vertices) for piece in searched), default=0)
     if largest > ORACLE_SIZE_GUIDANCE:
         print(
             f"warning: {largest} vertices in the largest reduced piece; the"

@@ -17,8 +17,8 @@ determinant, so a pivot on (r, e) with entry p updates row i as
 then sets D = p. The phase-1 drive-out step may pivot on a negative
 entry; the tableau is then negated so that D stays positive. Cell signs
 and ratio comparisons are those of the true values, so the pivot sequence
-is that of the same method on `Fraction`s, and the result is
-`Fraction(b_i, D)`.
+is that of the same method on `Fraction`s. The point and the objective
+value are returned as integer numerators over the final D.
 
 Every "infeasible" comes with a Farkas vector y, read from the final
 phase-1 objective row and checked in integers against the starting rows,
@@ -32,29 +32,28 @@ revised simplex.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .errors import InternalInvariantError
 from .record import Record
-
-_ZERO = Fraction(0)
 
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 
 
 class LPResult(Record):
-    __slots__ = ("status", "x", "objective")
+    __slots__ = ("status", "x", "objective", "d")
 
     def __init__(
         self,
         status: str,  # "optimal" | "infeasible" | "unbounded"
-        x: tuple[Fraction, ...] | None,
-        objective: Fraction | None,
+        x: tuple[int, ...] | None,  # numerators over d
+        objective: int | None,  # numerator over d
+        d: int | None,  # the final basis determinant, > 0
     ):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "d", d)
 
 
 def maximize(
@@ -64,7 +63,9 @@ def maximize(
 
     Each constraint is (coefficients, relation, rhs) with relation "<=" or
     ">=", all numbers `int`s. Passing an all-zero objective turns this
-    into a pure feasibility check (phase 2 then exits immediately).
+    into a pure feasibility check (phase 2 then exits immediately). An
+    optimum is the point x_i / d with value objective / d; the other
+    statuses carry None in x, objective and d.
     """
     cost = _integers(c)
     n = len(cost)
@@ -84,7 +85,7 @@ def maximize(
             raise InternalInvariantError("phase 1 ended unbounded below 0")
         if obj[-1] != 0:
             _check_farkas(n, signed, obj, d)
-            return LPResult("infeasible", None, None)
+            return LPResult("infeasible", None, None, None)
         for i in range(len(rows)):
             if basis[i] < real:
                 continue
@@ -111,15 +112,13 @@ def maximize(
             obj = [a + w * b for a, b in zip(obj, row)]
     d = _run(rows, basis, obj, real, d)
     if d is None:
-        return LPResult("unbounded", None, None)
-    x = [_ZERO] * n
-    total = 0
+        return LPResult("unbounded", None, None, None)
+    x, total = [0] * n, 0
     for row, col in zip(rows, basis):
         if col < n:
-            b = row[-1]
-            x[col] = Fraction(b, d)
+            x[col] = b = row[-1]
             total += cost[col] * b
-    return LPResult("optimal", tuple(x), Fraction(total, d))
+    return LPResult("optimal", tuple(x), total, d)
 
 
 def _integers(values) -> list[int]:

@@ -7,13 +7,14 @@ zeros with monotone degree-2 vertices contracted: `interval_ucat` counts
 a path piece, and exhaustive exact linear feasibility over candidate mode
 sets decides every other one. Both stay exact and do their arithmetic on
 integers: they read the `(numerator, denominator)` pairs densities store.
-The search keeps one integer state per piece, f scaled by the lcm of its
-own denominators, and every candidate reuses it: each anchor is rooted
-once, and each certificate is checked in integers. Both run their own
-loops on vertex indices, over the tree's `nbrs` and values keyed by
-index, and build `Fraction`s and name ids only in public results and
-errors. The oracle imports `simplex` and `interval` inside the functions
-that use them, so `check` loads neither.
+A searched piece is its search state, `_Piece`, built by the reduction
+itself; its values stay integers, f's times the lcm of f's denominators,
+from reduction to certificate, and the LP answers in integers too. Every
+candidate reuses the state: each anchor is rooted once, and each
+certificate is checked once, in integers. Both run their own loops on
+vertex indices and build `Fraction`s and name ids only in public results
+and messages. The oracle imports `simplex` and `interval` inside the
+functions that use them, so `check` loads neither.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .record import Decomposition, Record
 from .tree import MetricTree, VertexId
 
 _ZERO = 0, 1  # the pair of a vertex a density does not list
-_UNIT = Fraction(1)  # the length of every edge of a searched piece
 
 
 class ComponentCheck(Record):
@@ -120,7 +120,9 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
             if not witness.zero_density:
                 u, w = witness.edge
                 detail = f"value rises along edge {u}-{w} away from the maximum"
-        elif pairs.get(position.get(mode)) != pairs[position[witness.mode]]:
+        elif (at := position.get(mode)) is None:
+            detail = f"recorded mode {mode} is not a tree vertex"
+        elif pairs.get(at) != pairs[position[witness.mode]]:
             detail = (
                 f"recorded mode {mode} carries {density.value(mode)}, "
                 f"maximum is {witness.max_value}"
@@ -176,18 +178,23 @@ def _add(a, b):
 
 
 class _Piece:
-    """One piece's integer state, shared by every question asked of it:
-    `scale`, the lcm of f's denominators, `scaled`, scale * f by index, the
-    tree's `vertices` and `nbrs`, and `rooted`: each anchor index asked
-    about -> (its `_oriented` edges, its `_path_minima`), built once."""
+    """A piece as the search state every question on it shares: its ids in
+    id order, `vertices`, their neighbours by index, ascending, `nbrs`, its
+    values times `scale` by index, `scaled`, and `rooted`: each anchor index
+    asked about -> (its `_oriented` edges, its `_path_minima`), built once."""
 
     __slots__ = ("vertices", "nbrs", "scale", "scaled", "rooted")
 
-    def __init__(self, f: EdgeLinearDensity):
-        self.vertices, self.nbrs = f.tree.vertices, f.tree.nbrs
-        self.scale = lcm(*[q for _, (_, q) in f.index_items()])
-        self.scaled = [p * (self.scale // q) for p, q in f.index_values()]
-        self.rooted = {}
+    def __init__(self, vertices, nbrs, scale: int, scaled: list[int]):
+        self.vertices, self.nbrs, self.scale = vertices, nbrs, scale
+        self.scaled, self.rooted = scaled, {}
+
+
+def _piece(f: EdgeLinearDensity) -> _Piece:
+    """The whole of f as one piece, scaled by the lcm of its denominators."""
+    scale = lcm(*[q for _, (_, q) in f.index_items()])
+    scaled = [p * (scale // q) for p, q in f.index_values()]
+    return _Piece(f.tree.vertices, f.tree.nbrs, scale, scaled)
 
 
 def _oriented(nbrs, root: int) -> list[tuple[int, int]]:
@@ -245,21 +252,14 @@ def feasible_avoiding_vertex(
     for m in (*mode_list, avoid):
         if not f.tree.has_vertex(m):
             raise UnknownVertex(f"{m!r} is not a vertex")
-    certificate = _certificate(f, mode_list, avoid)
-    if certificate is not None:
-        for m, component in zip(certificate.modes, certificate.components):
-            if component[avoid] >= component[m]:
-                raise InternalInvariantError(
-                    f"certificate not strict at {avoid!r} for anchor {m!r}"
-                )
-    return certificate
+    return _certificate(f, mode_list, avoid)
 
 
 def _certificate(
     f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
 ) -> FeasibilityCertificate | None:
-    """`_decide` on a fresh `_Piece` of f, its answer read as `Fraction`s."""
-    piece, index = _Piece(f), f.tree.index
+    """`_decide` on a fresh `_piece(f)`, its answer read as `Fraction`s."""
+    piece, index = _piece(f), f.tree.index
     gap = None if avoid is None else index[avoid]
     found = _decide(piece, tuple(index[m] for m in modes), gap)
     if found is None:
@@ -281,7 +281,7 @@ def _decide(piece: _Piece, anchors: tuple[int, ...], gap: int | None = None):
     vertex. With one anchor and no gap, the vertex sums pin the only
     component to f itself, and the prefilter has just checked that f never
     rises away from the anchor, so no system is solved. Every answer is
-    validated before it is returned."""
+    validated, strictness at `gap` included, before it is returned."""
     rooted, scaled = piece.rooted, piece.scaled
     for m in anchors:
         if m not in rooted:
@@ -296,7 +296,7 @@ def _decide(piece: _Piece, anchors: tuple[int, ...], gap: int | None = None):
         found = _solve(piece, anchors, gap)
         if found is None:
             return None
-    _validate(piece, anchors, *found)
+    _validate(piece, anchors, *found, gap)
     return found
 
 
@@ -309,8 +309,8 @@ def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     warm start cheap. With `avoid`, a gap variable is maximized subject to
     every component staying that far below its anchor value at `avoid`;
     strict avoidance means a positive optimum. The rows are posed for the
-    integers scale * f, and the solution is read once into integers over
-    the lcm d of its denominators, as `_decide` returns it.
+    integers scale * f, and the solver's integer point over its d is
+    returned as it comes, the eliminated component added.
     """
     from . import simplex
 
@@ -361,9 +361,7 @@ def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     if avoid is not None and result.objective <= 0:
         return None
 
-    ratios = [y.as_integer_ratio() for y in result.x[: len(starts) * nv]]
-    d = lcm(*[q for _, q in ratios])
-    x = [p * (d // q) for p, q in ratios]
+    x, d = result.x, result.d
     components = [x[s : s + nv] for s in starts]
     rest = [value * d for value in scaled]  # the eliminated component
     for c in components:
@@ -371,10 +369,13 @@ def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     return [*components, rest], d
 
 
-def _validate(piece: _Piece, anchors: tuple[int, ...], components, d: int) -> None:
+def _validate(
+    piece: _Piece, anchors: tuple[int, ...], components, d: int, gap: int | None = None
+) -> None:
     """Check every constraint of the literal system on `components`, in
-    integers over the denominator d * piece.scale; a failure is a solver
-    bug, never a property of the input."""
+    integers over the denominator d * piece.scale, and that each stays
+    strictly below its anchor value at `gap`, if one is given; a failure
+    is a solver bug, never a property of the input."""
     vertices, scale = piece.vertices, piece.scale
     for v, column in enumerate(zip(*components)):
         if sum(column) != piece.scaled[v] * d:
@@ -394,6 +395,11 @@ def _validate(piece: _Piece, anchors: tuple[int, ...], components, d: int) -> No
                     f"certificate rises along {vertices[closer]}-{vertices[farther]}"
                     f" away from {vertices[m]!r}"
                 )
+        if gap is not None and c[gap] >= c[m]:
+            raise InternalInvariantError(
+                f"certificate not strict at {vertices[gap]!r} for anchor"
+                f" {vertices[m]!r}"
+            )
 
 
 def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
@@ -420,7 +426,8 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
     between g_i(a) and g_i(b), and together they sum to f(x).
 
     Edge lengths. ucat depends only on the vertex values and the tree's
-    shape, so a piece may carry unit lengths.
+    shape, so a piece carries no lengths: it is a `_Piece`, the search
+    state itself, with values that stay integers from reduction to count.
     """
     _check_k_max(k_max)
     return _count_pieces(*oracle_pieces(f), k_max)
@@ -431,9 +438,7 @@ def _check_k_max(k_max: int) -> None:
         raise ValueError("k_max must be nonnegative")
 
 
-def _count_pieces(
-    paths: list[list[int]], searched: list[EdgeLinearDensity], k_max: int
-) -> int:
+def _count_pieces(paths: list[list[int]], searched: list[_Piece], k_max: int) -> int:
     """ucat of the pieces `oracle_pieces` gave, if at most k_max, else
     ExceedsKMax(k_max); `treeucat oracle` passes the pieces it sized its
     warning by, so it reduces f once."""
@@ -450,14 +455,13 @@ def _count_pieces(
     return total
 
 
-def oracle_pieces(
-    f: EdgeLinearDensity,
-) -> tuple[list[list[int]], list[EdgeLinearDensity]]:
-    """The exact pieces `ucat_oracle` counts: the values of each path
-    piece in path order, times the lcm of f's denominators, and each other
-    piece, with its monotone degree-2 vertices contracted until none is
-    left, as a density on a unit-length tree. Pieces come in the order of
-    their smallest vertex. Values are compared on those integers."""
+def oracle_pieces(f: EdgeLinearDensity) -> tuple[list[list[int]], list[_Piece]]:
+    """The exact pieces `ucat_oracle` counts, on f's values times the lcm
+    of f's denominators, which every comparison reads: the values of each
+    path piece in path order, and each other piece, with its monotone
+    degree-2 vertices contracted until none is left, as the `_Piece` its
+    search starts from, built from the reduction directly. Pieces come in
+    the order of their smallest vertex."""
     vertices, adjacency = f.tree.vertices, f.tree.nbrs
     scale = lcm(*[q for _, (_, q) in f.index_items()])
     # vertex index -> nonzero value times scale
@@ -491,22 +495,19 @@ def oracle_pieces(
                 nbrs[b][nbrs[b].index(x)] = a
                 pending += [w for w in (a, b) if len(nbrs[w]) == 2]
         kept = sorted(v for v in part if v in nbrs)
-        edges = [
-            (vertices[u], vertices[w], _UNIT) for u in kept for w in nbrs[u] if u < w
-        ]
-        tree = MetricTree([vertices[v] for v in kept], edges)
-        searched.append(
-            EdgeLinearDensity(tree, {vertices[v]: (values[v], scale) for v in kept})
-        )
+        position = {v: i for i, v in enumerate(kept)}  # id order, as in f
+        ids = tuple(vertices[v] for v in kept)
+        kept_nbrs = [sorted(position[w] for w in nbrs[v]) for v in kept]
+        searched.append(_Piece(ids, kept_nbrs, scale, [values[v] for v in kept]))
     return paths, searched
 
 
-def _search(f: EdgeLinearDensity, k_max: int) -> int | None:
-    """Smallest k <= k_max with a feasible k-anchor set on f, by search,
-    or None if there is none; f is not identically zero.
+def _search(piece: _Piece, k_max: int) -> int | None:
+    """Smallest k <= k_max with a feasible k-anchor set on the piece, by
+    search, or None if there is none; the piece is not identically zero.
 
     Candidates are index sets in lexicographic order, each put to
-    `_decide` on one `_Piece` of f. A multiset with a repeated anchor is
+    `_decide` on this one state. A multiset with a repeated anchor is
     feasible exactly when its support set is (merge components sharing an
     anchor, or pad with zero components), and all smaller sets were
     already rejected at earlier stages, so sets cover the full multiset
@@ -524,7 +525,6 @@ def _search(f: EdgeLinearDensity, k_max: int) -> int | None:
     the candidates it keeps are tried in the same order, so the first
     feasible one, and k, do not move.
     """
-    piece = _Piece(f)
     n = len(piece.scaled)
     bits = [1 << i for i in range(n)]
     sides = _rising_sides(piece)

@@ -22,7 +22,9 @@ does not vary from run to run, `fractions_built_during` counts the
 class's constructor builds, and `record_pivots` records the D of each
 simplex pivot. `reference_maximize` is the two-phase
 simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
-must agree with, pivot for pivot. `reference_is_unimodal` and
+must agree with, pivot for pivot; `lp_rationals` reads an `LPResult`'s
+integer numerators over d as the rationals the reference gives.
+`reference_is_unimodal` and
 `reference_check_decomposition` are the referee's checks as they were
 written on `Fraction` arithmetic, before values were read as integer
 pairs; the package's must give equal answers. `reference_interval_ucat`
@@ -404,7 +406,8 @@ def reference_maximize(c, constraints) -> LPResult:
     entry. As there, a row with a negative rhs or a ">=" row with rhs 0 is
     negated, so its slack is +1 and starts basic; only a row left with a
     positive rhs and a -1 slack uses its artificial slot. This is the
-    solver the package used before its integer tableau.
+    solver the package used before its integer tableau. Its point and
+    objective are `Fraction`s, over d = 1.
     """
     zero, one = Fraction(0), Fraction(1)
     cost = [as_fraction(ci) for ci in c]
@@ -496,7 +499,7 @@ def reference_maximize(c, constraints) -> LPResult:
         obj = reduced(phase1)
         run(obj, real_cols + artificials)
         if obj[-1] != 0:
-            return LPResult("infeasible", None, None)
+            return LPResult("infeasible", None, None, None)
         for i in range(m):
             if basis[i] >= n + m:
                 enter = next((j for j in real_cols if rows[i][j] != 0), None)
@@ -505,12 +508,23 @@ def reference_maximize(c, constraints) -> LPResult:
 
     obj = reduced([-ci for ci in cost] + [zero] * (width + 1 - n))
     if run(obj, real_cols) == "unbounded":
-        return LPResult("unbounded", None, None)
+        return LPResult("unbounded", None, None, None)
     x = [zero] * width
     for i, col in enumerate(basis):
         x[col] = rows[i][-1]
     solution = tuple(x[:n])
-    return LPResult("optimal", solution, sum((a * b for a, b in zip(cost, solution)), zero))
+    objective = sum((a * b for a, b in zip(cost, solution)), zero)
+    return LPResult("optimal", solution, objective, 1)
+
+
+def lp_rationals(result: LPResult) -> LPResult:
+    """`result` with its point and objective read as the rationals they
+    stand for, numerator / d, over d = 1, as `reference_maximize` gives
+    them; a result without a point is returned as it is."""
+    if result.d is None:
+        return result
+    x = tuple(Fraction(a, result.d) for a in result.x)
+    return LPResult(result.status, x, Fraction(result.objective, result.d), 1)
 
 
 def many_denominator_instance(seed: int, n: int, digits: int = 1000):

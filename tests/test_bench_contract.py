@@ -6,7 +6,9 @@ and field. This test imports the harness as it is, without writing to its
 directory, and runs both on three instances of each workload, so that a
 change in the package that breaks the harness fails here and not only in
 a benchmark run. It also pins the seed-1 output digest each workload's
-ledger gives, so that a change that moves an output fails here too.
+ledger gives, so that a change that moves an output fails here too, and
+the set of `tracing.py` hooks that find no target, so that a rename in
+the package cannot silently zero one more traced layer.
 """
 
 from __future__ import annotations
@@ -82,3 +84,27 @@ def test_the_seed_1_outputs_are_pinned(harness, workload):
         ledger.record(inst, run.judge(raw, inst.expected_ucat))
     assert ledger.failures == []
     assert ledger.digest(corpus) == pinned
+
+
+# the hooks of `perfbench/tracing.py` whose targets are gone, so that their
+# layers read 0; a rename in the package adds one here and fails this test
+ABSENT_HOOKS = {
+    "treeucat.documents.extend_to_refinement",
+    "treeucat.greedy.extend_to_refinement",
+    "treeucat.verify.extend_to_refinement",
+    "treeucat.greedy.find_forced_vertex",
+    "treeucat.greedy.sweep",
+    "treeucat.simplex.as_fraction",
+    "treeucat.sweep.subdivide_all",
+}
+
+
+def test_the_tracing_hooks_find_their_targets(harness):
+    run, _ = harness
+    run.load_program()
+    tracer = run.Tracer()
+    try:
+        tracer.install()
+        assert set(tracer.absent) == ABSENT_HOOKS
+    finally:
+        tracer.uninstall()

@@ -78,8 +78,8 @@ CASES = [
     ),
     (
         LPResult,
-        {"status": "optimal", "x": (Fraction(1, 3),), "objective": Fraction(1, 3)},
-        "LPResult(status='optimal', x=(Fraction(1, 3),), objective=Fraction(1, 3))",
+        {"status": "optimal", "x": (1,), "objective": 1, "d": 3},
+        "LPResult(status='optimal', x=(1,), objective=1, d=3)",
     ),
     (
         Cut,

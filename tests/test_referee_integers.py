@@ -37,7 +37,9 @@ from treeucat.errors import TreeMismatch
 
 from helpers import (
     comb_instance,
+    count_builds,
     fractions_built_during,
+    lp_rationals,
     many_denominator_instance,
     paper_sweep,
     path_instance,
@@ -176,10 +178,11 @@ def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
         result = solve(c, rows)
         unscaled = [(row, rel, Fraction(rhs, scale)) for row, rel, rhs in rows]
         expected = reference_maximize(c, unscaled)
-        assert result.status == expected.status
-        if result.status == "optimal":
-            assert result.x == tuple(scale * x for x in expected.x)
-            assert result.objective == scale * expected.objective
+        got = lp_rationals(result)  # the point and objective over d
+        assert got.status == expected.status
+        if got.status == "optimal":
+            assert got.x == tuple(scale * x for x in expected.x)
+            assert got.objective == scale * expected.objective
         solved.append(result.status)
         return result
 
@@ -249,12 +252,15 @@ def test_oracle_work_is_pinned():
     # starting a zero-rhs `>=` row from its slack makes it 25,049 (18,486
     # once values were stored as integer pairs). Keeping one integer state
     # per piece, each anchor rooted once per piece, and checking each
-    # certificate in integers without building it makes it 14,409
+    # certificate in integers without building it makes it 14,409. Building
+    # each searched piece as its search state directly, with no tree or
+    # density in between, and reading the LP's answer as integers over its
+    # basis determinant makes it 12,740
     total = 0
     for seed in range(100):
         tree, f = gen_instance(seed, 7, 9)
         total += python_calls_during(ucat_oracle, f, len(tree.vertices))
-    assert total <= 17_000
+    assert total <= 14_000
 
 
 def test_oracle_pivots_are_pinned(monkeypatch):
@@ -275,7 +281,7 @@ def test_a_broken_certificate_is_refused():
     # certificate that breaks it
     _, f = path_instance([Fraction(1, 3), Fraction(5, 6), Fraction(1, 2)])
     good = verify.feasible_with_modes(f, ("v2",))
-    piece, index, vertices = verify._Piece(f), f.tree.index, f.tree.vertices
+    piece, index, vertices = verify._piece(f), f.tree.index, f.tree.vertices
     anchor = index["v2"]
     assert verify._decide(piece, (anchor,)) == ([piece.scaled], 1)
     # the oracle roots each anchor on vertex indices, in `root_at` order
@@ -304,18 +310,46 @@ def test_a_broken_certificate_is_refused():
             validate(modes, components)
 
 
+def test_a_certificate_not_strict_at_the_gap_is_refused():
+    # the validation also checks the strict gap of `feasible_avoiding_vertex`,
+    # in integers: a component as large at the gap as at its anchor fails
+    _, f = path_instance([1, 3, 3])
+    piece = verify._piece(f)
+    found = verify._decide(piece, (1,))  # roots v2; the one component is f
+    assert found == ([piece.scaled], 1)
+    verify._validate(piece, (1,), *found, 0)
+    with pytest.raises(
+        verify.InternalInvariantError,
+        match="^certificate not strict at 'v3' for anchor 'v2'$",
+    ):
+        verify._validate(piece, (1,), *found, 2)
+
+
+def test_the_oracle_builds_no_tree_and_no_density(monkeypatch):
+    # a counted gate, on oracle-small's family: each searched piece once
+    # became a validated `MetricTree` and `EdgeLinearDensity`, only to be
+    # taken apart into the search state (32 of each here); now
+    # `oracle_pieces` builds the state directly
+    instances = [gen_instance(seed, 5, 9)[1] for seed in range(300)]
+    built = count_builds(monkeypatch, MetricTree, EdgeLinearDensity)
+    counted = sum(ucat_oracle(f, len(f.tree.vertices)) for f in instances)
+    assert counted > 300
+    assert built == {MetricTree: 0, EdgeLinearDensity: 0}, built
+
+
 def test_the_oracle_builds_fractions_only_in_lp_results(monkeypatch):
     # a counted gate, on oracle-small's family: unit lengths, integer
     # values 0..9, at most 5 vertices. The search once built a `Fraction`
-    # certificate for every feasible candidate, to read it back as pairs;
-    # now only `simplex.maximize` builds any, for its `LPResult`, and the
-    # count taken inside it is left out of the outer one
-    maximize, inside = simplex.maximize, []
+    # certificate for every feasible candidate, to read it back as pairs,
+    # and then 61 in `simplex.maximize`'s `LPResult`s, which the search
+    # turned straight back into integers. Now the LP answers in integer
+    # numerators over d, and the oracle builds no `Fraction` at all,
+    # inside `maximize` included
+    maximize, solves = simplex.maximize, []
 
     def counted(c, rows):
-        built, result = fractions_built_during(maximize, c, rows)
-        inside.append(built)
-        return result
+        solves.append(c)
+        return maximize(c, rows)
 
     instances = [gen_instance(seed, 5, 9)[1] for seed in range(300)]
 
@@ -325,5 +359,5 @@ def test_the_oracle_builds_fractions_only_in_lp_results(monkeypatch):
 
     monkeypatch.setattr(simplex, "maximize", counted)
     built, _ = fractions_built_during(oracle_runs)
-    assert len(inside) > 10 and sum(inside) > 0, inside
+    assert len(solves) > 10, solves
     assert built == 0, built

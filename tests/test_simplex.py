@@ -23,18 +23,14 @@ from treeucat import simplex, verify
 from treeucat.errors import InternalInvariantError
 from treeucat.simplex import GREATER_EQUAL, LESS_EQUAL, maximize
 
-from helpers import record_pivots, reference_maximize
+from helpers import lp_rationals, record_pivots, reference_maximize
 
 
 def _same(c, rows):
-    """maximize(c, rows), after checking it against the reference."""
-    result = maximize(c, rows)
-    expected = reference_maximize(c, rows)
-    assert (result.status, result.x, result.objective) == (
-        expected.status,
-        expected.x,
-        expected.objective,
-    ), (c, rows)
+    """maximize(c, rows) read as rationals, after checking it against the
+    reference."""
+    result = lp_rationals(maximize(c, rows))
+    assert result == reference_maximize(c, rows), (c, rows)
     return result
 
 
@@ -46,7 +42,7 @@ def _oracle_calls(monkeypatch, solver):
 
     def recording(c, rows):
         result = solver(c, rows)
-        solved.append((c, rows, (result.status, result.x, result.objective)))
+        solved.append((c, rows, lp_rationals(result)))
         return result
 
     monkeypatch.setattr(simplex, "maximize", recording)
@@ -71,7 +67,7 @@ def test_oracle_systems_match_the_reference(monkeypatch):
     expected_certificates, expected = _oracle_calls(monkeypatch, reference_maximize)
     assert len(solved) > 150
     assert solved == expected
-    assert {status for _, _, (status, _, _) in solved} == {"optimal", "infeasible"}
+    assert {result.status for _, _, result in solved} == {"optimal", "infeasible"}
     assert certificates == expected_certificates
     assert any(c is not None for c in certificates)
 

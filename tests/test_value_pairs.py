@@ -28,7 +28,7 @@ from treeucat import (
     ucat_oracle,
 )
 from treeucat.errors import NegativeValue
-from treeucat.verify import oracle_pieces
+from treeucat.verify import _search, oracle_pieces
 
 from helpers import path_instance, star_instance
 
@@ -130,11 +130,11 @@ def test_the_expected_answers_on_the_trap_instances():
     paths, searched = oracle_pieces(f)
     assert paths == [[140, 135, 180]] == oracle_pieces(_scaled(f))[0]
     (piece,) = searched
-    assert piece.tree.vertices == ("a1", "a2", "b2", "c", "d2")
-    assert dict(piece.items()) == {
+    assert piece.vertices == ("a1", "a2", "b2", "c", "d2")
+    assert dict(zip(piece.vertices, (F(y, piece.scale) for y in piece.scaled))) == {
         "a1": F(2, 5), "a2": F(1, 2), "b2": F(7, 3), "c": F(3), "d2": F(1, 2)
     }
-    assert ucat_oracle(piece, 5) == 2
+    assert _search(piece, 5) == 2
 
 
 def test_a_pair_is_checked_and_reduced():

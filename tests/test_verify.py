@@ -114,6 +114,18 @@ def test_mode_must_attain_the_maximum():
     assert "maximum" in report.components[0].detail
 
 
+def test_a_mode_off_the_tree_is_a_failed_component():
+    # documents refuse such a mode when they bind it, but the library check
+    # is handed records directly: it reports the mode, and never raises
+    # from inside the message it writes
+    _, f = path_instance([1, 2, 1])
+    report = check_decomposition(f, Decomposition(f.tree, (Component("zz", f),)))
+    assert report.components == (
+        verify.ComponentCheck(0, False, "recorded mode zz is not a tree vertex"),
+    )
+    assert report.sum_ok and not report.overall
+
+
 def test_zero_component_is_flagged():
     _, f = path_instance([1, 1])
     d = _hand_decomposition(
@@ -365,7 +377,7 @@ def test_oracle_agrees_with_interval_on_paths():
             assert support_is_empty(f)
             continue
         assert ucat_oracle(f, 6) == expected
-        assert verify._search(f, 6) == expected
+        assert verify._search(verify._piece(f), 6) == expected
         assert ucat(f) == expected
 
 
@@ -419,7 +431,7 @@ def _tried_candidates(monkeypatch, f):
         return decide(piece, anchors, gap)
 
     monkeypatch.setattr(verify, "_decide", recording)
-    k = verify._search(f, len(f.tree.vertices))
+    k = verify._search(verify._piece(f), len(f.tree.vertices))
     monkeypatch.undo()
     return k, tried
 
@@ -471,7 +483,7 @@ def test_the_search_roots_each_anchor_once(monkeypatch):
 
     monkeypatch.setattr(verify, "_oriented", rooting)
     monkeypatch.setattr(verify, "_decide", asking)
-    assert verify._search(f, len(tree.vertices)) == ucat(f) == 5
+    assert verify._search(verify._piece(f), len(tree.vertices)) == ucat(f) == 5
     anchors = [m for candidate in asked for m in candidate]
     assert len(asked) >= 2 and len(anchors) > len(set(anchors)), asked
     assert Counter(roots) <= Counter([0, *set(anchors)]), roots
@@ -512,7 +524,7 @@ def test_oracle_solves_few_lps(monkeypatch):
 
 def _largest_searched(f):
     _, searched = verify.oracle_pieces(f)
-    return max((len(piece.tree.vertices) for piece in searched), default=0)
+    return max((len(piece.vertices) for piece in searched), default=0)
 
 
 def test_oracle_pieces_split_at_zeros_and_contract_monotone_vertices():
@@ -528,8 +540,10 @@ def test_oracle_pieces_split_at_zeros_and_contract_monotone_vertices():
     paths, searched = verify.oracle_pieces(f)
     assert paths == [[1, 2]]
     (piece,) = searched
-    assert piece.tree.edge_list == (("a", "c", 1), ("b", "c", 1), ("c", "d3", 1))
-    assert dict(piece.items()) == {"a": 2, "b": 2, "c": 1, "d3": 5}
+    assert piece.vertices == ("a", "b", "c", "d3")
+    assert piece.nbrs == [[2], [2], [0, 1, 3], [2]]  # edges a-c, b-c, c-d3
+    values = [Fraction(y, piece.scale) for y in piece.scaled]
+    assert dict(zip(piece.vertices, values)) == {"a": 2, "b": 2, "c": 1, "d3": 5}
     assert ucat_oracle(f, 4) == ucat(f) == 4
 
 
@@ -539,7 +553,7 @@ def test_reduced_oracle_equals_the_unreduced_search():
         if support_is_empty(f):
             assert ucat_oracle(f, 7) == 0
         else:
-            assert ucat_oracle(f, 7) == verify._search(f, 7), seed
+            assert ucat_oracle(f, 7) == verify._search(verify._piece(f), 7), seed
 
 
 def test_reduced_oracle_agrees_with_decompose_on_larger_trees():
@@ -608,16 +622,16 @@ def test_reduced_oracle_raises_below_ucat():
 
 def test_each_anchor_is_rooted_once_per_question(monkeypatch):
     # the prefilter, the system and the certificate check all read one
-    # orientation of each distinct anchor
+    # orientation of each distinct anchor, which `_oriented` builds
     calls = 0
-    root_at = MetricTree.root_at
+    oriented = verify._oriented
 
-    def counting(tree, root):
+    def counting(nbrs, root):
         nonlocal calls
         calls += 1
-        return root_at(tree, root)
+        return oriented(nbrs, root)
 
-    monkeypatch.setattr(MetricTree, "root_at", counting)
+    monkeypatch.setattr(verify, "_oriented", counting)
     answered = 0
     for seed in range(60):
         tree, f = gen_instance(seed, 7, 9)
