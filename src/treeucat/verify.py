@@ -3,9 +3,10 @@
 Nothing here reuses the greedy machinery. Decompositions are re-checked
 from first principles, so producer and checker can only agree by being
 right. Minimality is decided by reducing f to exact pieces, split at its
-zeros with monotone degree-2 vertices contracted: `interval_ucat` counts
-a path piece, and exhaustive exact linear feasibility over candidate mode
-sets decides every other one. Both stay exact and do their arithmetic on
+zeros, with leaves no higher than their neighbour pruned and monotone
+degree-2 vertices contracted: `interval_ucat` counts a path piece, and
+exhaustive exact linear feasibility over candidate mode sets decides
+every other one. Both stay exact and do their arithmetic on
 integers: they read the `(numerator, denominator)` pairs densities store.
 A searched piece is its search state, `_Piece`, built by the reduction
 itself; its values stay integers, f's times the lcm of f's denominators,
@@ -425,6 +426,16 @@ def ucat_oracle(f: EdgeLinearDensity, k_max: int) -> int:
     s*g_i(b) for each component of the merged piece: each g_i(x) lies
     between g_i(a) and g_i(b), and together they sum to f(x).
 
+    Pruning. Let x be a leaf of a piece with more than one vertex, u its
+    one neighbour, and f(x) <= f(u); deleting x keeps the count. (>=)
+    Restrict a decomposition to T - x: a path in T - x is a path in T, so
+    each component stays unimodal, and one whose mode was x has its
+    maximum at u too, since every path from u in T - x extends a path
+    from x through u; a component left zero is dropped. (<=) f(u) > 0 in a
+    piece, so extend each component of a decomposition of T - x by g_i(x)
+    = g_i(u)*f(x)/f(u). These sum to f(x), and each g_i(x) <= g_i(u), so
+    every component falls from u to x and keeps its mode.
+
     Edge lengths. ucat depends only on the vertex values and the tree's
     shape, so a piece carries no lengths: it is a `_Piece`, the search
     state itself, with values that stay integers from reduction to count.
@@ -457,11 +468,15 @@ def _count_pieces(paths: list[list[int]], searched: list[_Piece], k_max: int) ->
 
 def oracle_pieces(f: EdgeLinearDensity) -> tuple[list[list[int]], list[_Piece]]:
     """The exact pieces `ucat_oracle` counts, on f's values times the lcm
-    of f's denominators, which every comparison reads: the values of each
-    path piece in path order, and each other piece, with its monotone
-    degree-2 vertices contracted until none is left, as the `_Piece` its
-    search starts from, built from the reduction directly. Pieces come in
-    the order of their smallest vertex."""
+    of f's denominators, which every comparison reads. Each connected part
+    of {f > 0} that is a path is a path piece as it stands. Every other
+    part is reduced by `_reduce` to its core: a leaf valued at most its
+    neighbour is pruned and a monotone degree-2 vertex contracted, until
+    neither applies (the proofs are in `ucat_oracle`). A core that is a
+    path, a single vertex included, is a path piece too, and any other is
+    the `_Piece` its search starts from, built from the reduction
+    directly. A path piece lists its values in path order, and pieces come
+    in the order of their smallest vertex."""
     vertices, adjacency = f.tree.vertices, f.tree.nbrs
     scale = lcm(*[q for _, (_, q) in f.index_items()])
     # vertex index -> nonzero value times scale
@@ -476,30 +491,51 @@ def oracle_pieces(f: EdgeLinearDensity) -> tuple[list[list[int]], list[_Piece]]:
         for v in part:
             part += [w for w in nbrs[v] if w not in seen]
             seen.update(nbrs[v])
+        if any(len(nbrs[v]) > 2 for v in part):
+            _reduce(part, values, nbrs)
+            part = [v for v in part if v in nbrs]
         if all(len(nbrs[v]) <= 2 for v in part):
             order = [next(v for v in part if len(nbrs[v]) < 2)]
             while len(order) < len(part):
                 order += [w for w in nbrs[order[-1]] if w not in order[-2:]]
             paths.append([values[v] for v in order])
             continue
-        pending = [v for v in part if len(nbrs[v]) == 2]
-        while pending:  # a survivor's degree never changes
-            x = pending.pop()
-            if x not in nbrs:
-                continue
-            a, b = nbrs[x]
-            fa, fx, fb = values[a], values[x], values[b]
-            if fa <= fx <= fb or fa >= fx >= fb:
-                del nbrs[x]
-                nbrs[a][nbrs[a].index(x)] = b
-                nbrs[b][nbrs[b].index(x)] = a
-                pending += [w for w in (a, b) if len(nbrs[w]) == 2]
-        kept = sorted(v for v in part if v in nbrs)
+        kept = sorted(part)
         position = {v: i for i, v in enumerate(kept)}  # id order, as in f
         ids = tuple(vertices[v] for v in kept)
         kept_nbrs = [sorted(position[w] for w in nbrs[v]) for v in kept]
         searched.append(_Piece(ids, kept_nbrs, scale, [values[v] for v in kept]))
     return paths, searched
+
+
+def _reduce(
+    part: list[int], values: dict[int, int], nbrs: dict[int, list[int]]
+) -> None:
+    """Reduce `part` in `nbrs`, in place, to a fixpoint of two steps: prune
+    a leaf valued at most its one neighbour, and contract a degree-2 vertex
+    valued between its two. Each neighbour a step leaves at degree <= 2 is
+    asked again; the last vertex has degree 0 and stays."""
+    pending = [v for v in part if len(nbrs[v]) <= 2]
+    while pending:  # degrees only fall, so every pending vertex has <= 2
+        x = pending.pop()
+        if x not in nbrs:
+            continue
+        around, fx = nbrs[x], values[x]
+        if len(around) == 1:
+            (u,) = around
+            if fx > values[u]:
+                continue
+            nbrs[u].remove(x)
+        elif len(around) == 2:
+            a, b = around
+            if not (values[a] <= fx <= values[b] or values[a] >= fx >= values[b]):
+                continue
+            nbrs[a][nbrs[a].index(x)] = b
+            nbrs[b][nbrs[b].index(x)] = a
+        else:  # the last vertex
+            continue
+        del nbrs[x]
+        pending += [w for w in around if len(nbrs[w]) <= 2]
 
 
 def _search(piece: _Piece, k_max: int) -> int | None:

@@ -637,6 +637,10 @@ def reference_check_decomposition(f: EdgeLinearDensity, d) -> CheckReport:
                 detail = f"value rises along edge {u}-{w} away from the maximum"
             checks.append(ComponentCheck(index, False, detail))
             continue
+        if not d.refined_tree.has_vertex(component.mode):
+            detail = f"recorded mode {component.mode} is not a tree vertex"
+            checks.append(ComponentCheck(index, False, detail))
+            continue
         at_mode = component.density.value(component.mode)
         if at_mode != witness.max_value:
             detail = (

@@ -28,7 +28,8 @@ from treeucat import (
     ucat_oracle,
 )
 from treeucat.errors import NegativeValue
-from treeucat.verify import _search, oracle_pieces
+from treeucat.interval import _passes
+from treeucat.verify import oracle_pieces
 
 from helpers import path_instance, star_instance
 
@@ -38,8 +39,9 @@ F = Fraction
 def _monotone_tree():
     """A center of degree 3 at 3: a valley 2/5 below a leaf 1/2, a falling
     arm 5/2, 7/3, and an arm 9/4, 1/2 whose 9/4 falls monotonely, then a
-    zero and a path 7/3, 9/4, 3 of two bumps. The oracle contracts 5/2 and
-    9/4 and must keep the valley 2/5, which tuples would order as a fall."""
+    zero and a path 7/3, 9/4, 3 of two bumps. The oracle prunes both arms
+    of falling leaves and must keep the leaf 1/2 above the valley 2/5,
+    which tuples would order as a fall."""
     values = {
         "c": F(3), "a1": F(2, 5), "a2": F(1, 2), "b1": F(5, 2), "b2": F(7, 3),
         "d1": F(9, 4), "d2": F(1, 2), "z": F(0),
@@ -123,18 +125,15 @@ def test_the_expected_answers_on_the_trap_instances():
     assert instances["star"].max_value() == 3
     assert instances["path"].max_value() == 3
 
-    # the oracle: one path piece, on the lattice of f's denominators, and
-    # one searched piece, with the monotone 5/2 and 9/4 contracted and the
-    # valley 2/5 kept
+    # the oracle: two path pieces, on the lattice of f's denominators. The
+    # centre's part prunes its arms 7/3, 5/2 and 1/2, 9/4 leaf by leaf and
+    # keeps the leaf 1/2 above the valley 2/5, so its core is the path
+    # 1/2, 2/5, 3 of two bumps
     f = instances["monotone tree"]
     paths, searched = oracle_pieces(f)
-    assert paths == [[140, 135, 180]] == oracle_pieces(_scaled(f))[0]
-    (piece,) = searched
-    assert piece.vertices == ("a1", "a2", "b2", "c", "d2")
-    assert dict(zip(piece.vertices, (F(y, piece.scale) for y in piece.scaled))) == {
-        "a1": F(2, 5), "a2": F(1, 2), "b2": F(7, 3), "c": F(3), "d2": F(1, 2)
-    }
-    assert _search(piece, 5) == 2
+    assert paths == [[30, 24, 180], [140, 135, 180]] == oracle_pieces(_scaled(f))[0]
+    assert searched == []
+    assert _passes(paths[0]) == 2
 
 
 def test_a_pair_is_checked_and_reduced():

@@ -503,23 +503,40 @@ def test_rising_edge_rule_does_not_move_the_answer():
             assert ucat_oracle(f, 7) == unfiltered(f), seed
 
 
-def test_oracle_solves_few_lps(monkeypatch):
-    # a counted gate: without the rising-edge rule these 100 trees took 180
-    # LP solves; with it they took 49, and searching reduced pieces only
-    # they take 19
-    solves = 0
+def _count_solves(monkeypatch) -> list:
+    """The list that each `simplex.maximize` call appends to from now on."""
+    solves = []
     solve = simplex.maximize
 
     def counting(c, rows):
-        nonlocal solves
-        solves += 1
+        solves.append(c)
         return solve(c, rows)
 
     monkeypatch.setattr(simplex, "maximize", counting)
+    return solves
+
+
+def test_oracle_solves_few_lps(monkeypatch):
+    # a counted gate: without the rising-edge rule these 100 trees took 180
+    # LP solves; with it they took 49, searching reduced pieces only they
+    # took 19, and pruning leaves no higher than their neighbour before the
+    # search they take 11
+    solves = _count_solves(monkeypatch)
     for seed in range(100):
         tree, f = gen_instance(seed, 7, 9)
         ucat_oracle(f, len(tree.vertices))
-    assert 0 < solves <= 25
+    assert 0 < len(solves) <= 11
+
+
+def test_pruning_leaves_brings_seed_6_at_30_vertices_under_30_lps(monkeypatch):
+    # a counted gate: this tree's one searched piece had 22 vertices and
+    # took 324 LPs, 323 of them infeasible; pruned, it has 11 and takes 29
+    tree, f = gen_instance(6, 30, 40)
+    _, searched = verify.oracle_pieces(f)
+    assert [len(piece.vertices) for piece in searched] == [11]
+    solves = _count_solves(monkeypatch)
+    assert ucat_oracle(f, len(tree.vertices)) == ucat(f) == 7
+    assert len(solves) <= 30
 
 
 def _largest_searched(f):
@@ -545,6 +562,82 @@ def test_oracle_pieces_split_at_zeros_and_contract_monotone_vertices():
     values = [Fraction(y, piece.scale) for y in piece.scaled]
     assert dict(zip(piece.vertices, values)) == {"a": 2, "b": 2, "c": 1, "d3": 5}
     assert ucat_oracle(f, 4) == ucat(f) == 4
+
+
+def _unit_tree_density(values, edges):
+    tree = MetricTree(values, [(u, w, 1) for u, w in edges])
+    return EdgeLinearDensity(tree, values)
+
+
+def _counted_alike(f):
+    """ucat(f), which the oracle and the search on the whole of f,
+    unreduced, must both give; the oracle must raise one below it."""
+    k = ucat(f)
+    assert ucat_oracle(f, k) == k == verify._search(verify._piece(f), k)
+    with pytest.raises(ExceedsKMax):
+        ucat_oracle(f, k - 1)
+    return k
+
+
+def test_pruning_cascades_up_a_branch():
+    # w carries the rising leaves p, q and r, and a branch whose every leaf
+    # is no higher than its neighbour: pruning x1 and x2 leaves y a leaf
+    # below u, then t and y leave u a leaf below w, so the branch goes
+    values = {"w": 5, "p": 6, "q": 6, "r": 7, "u": 4, "t": 1, "y": 3}
+    values |= {"x1": 1, "x2": 2}
+    edges = [("w", "p"), ("w", "q"), ("w", "r"), ("w", "u"), ("u", "t")]
+    edges += [("u", "y"), ("y", "x1"), ("y", "x2")]
+    f = _unit_tree_density(values, edges)
+    paths, searched = verify.oracle_pieces(f)
+    assert paths == []
+    (piece,) = searched
+    assert piece.vertices == ("p", "q", "r", "w")
+    assert piece.nbrs == [[3], [3], [3], [0, 1, 2]]
+    assert piece.scaled == [6, 6, 7, 5]
+    assert _counted_alike(f) == 3
+
+
+def test_a_leaf_level_with_its_neighbour_is_pruned():
+    # x ties with the centre, so it is pruned; the rising leaves stay
+    _, f = star_instance(2, {"a": 3, "b": 3, "d": 3, "x": 2})
+    (piece,) = verify.oracle_pieces(f)[1]
+    assert piece.vertices == ("a", "b", "c", "d")
+    assert piece.scaled == [3, 3, 2, 3]
+    assert _counted_alike(f) == 3
+
+
+def test_a_part_pruned_to_a_path_is_a_path_piece():
+    # the branch at u prunes away and leaves the path p-w-q
+    values = {"w": 5, "p": 6, "q": 6, "u": 4, "x1": 1, "x2": 2}
+    edges = [("w", "p"), ("w", "q"), ("w", "u"), ("u", "x1"), ("u", "x2")]
+    f = _unit_tree_density(values, edges)
+    assert verify.oracle_pieces(f) == ([[6, 5, 6]], [])
+    assert _counted_alike(f) == 2
+
+
+def test_a_part_pruned_to_one_vertex_counts_one_with_no_lp(monkeypatch):
+    # every leaf falls to c, the tie d2 = d1 included
+    values = {"c": 9, "a": 1, "b": 2, "d1": 8, "d2": 8}
+    f = _unit_tree_density(values, [("c", "a"), ("c", "b"), ("c", "d1"), ("d1", "d2")])
+    assert verify.oracle_pieces(f) == ([[9]], [])
+    solves = _count_solves(monkeypatch)
+    assert ucat_oracle(f, 5) == 1
+    assert solves == []
+    monkeypatch.undo()
+    assert _counted_alike(f) == 1
+
+
+@pytest.mark.parametrize("n", [24, 30])
+def test_pruned_oracle_agrees_with_decompose_on_larger_trees(n):
+    # unpruned, the largest searched piece here has 22 vertices (seed 6 at
+    # n = 30) and takes seconds; pruned, the largest has 16
+    for seed in range(20):
+        tree, f = gen_instance(seed, n, 40)
+        k = ucat(f)
+        assert ucat_oracle(f, len(tree.vertices)) == k, seed
+        if k:
+            with pytest.raises(ExceedsKMax):
+                ucat_oracle(f, k - 1)
 
 
 def test_reduced_oracle_equals_the_unreduced_search():
