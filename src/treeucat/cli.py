@@ -28,7 +28,7 @@ from .documents import (
 )
 from .errors import ExceedsKMax, InternalInvariantError, TreeUcatError
 
-ORACLE_SIZE_GUIDANCE = 8
+ORACLE_SIZE_GUIDANCE = 16
 
 
 def _read(path: str) -> str:

@@ -199,12 +199,9 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     ratios = f._values  # index -> (numerator, denominator), in id order
     if not ratios:
         return NotUnimodal(edge=None, zero_density=True)
-    top, below = 0, 1  # the largest value so far, top / below
-    for i, (p, q) in ratios.items():  # in id order, so ties keep the first
-        if p * below > top * q:
-            root, top, below = i, p, q
     vertices, nbrs = f.tree.vertices, f.tree.nbrs
-    if _falls_from_root_on_support(nbrs, ratios, root):
+    root, falls = _peak(nbrs, ratios)
+    if falls:
         return ModeWitness(vertices[root], ratios[root])
     edges = [(-1, root)]  # (parent, vertex), growing as the search goes on
     for back, u in edges:  # every vertex, in `root_at` order, to the first rise
@@ -217,6 +214,18 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
                 edges.append((u, w))
     # the failed support search left a rise here: its own, or a 0-to-positive edge
     raise InternalInvariantError("support search failed, yet no edge rises")
+
+
+def _peak(nbrs, ratios) -> tuple[int, bool]:
+    """The root `is_unimodal` chooses for the nonempty support map
+    `ratios`, index -> nonzero pair in index order: the first index of a
+    largest value; and whether the values fall away from it, which holds
+    iff they are unimodal."""
+    top, below = 0, 1  # the largest value so far, top / below
+    for i, (p, q) in ratios.items():  # in id order, so ties keep the first
+        if p * below > top * q:
+            root, top, below = i, p, q
+    return root, _falls_from_root_on_support(nbrs, ratios, root)
 
 
 def _falls_from_root_on_support(nbrs, ratios, root: int) -> bool:

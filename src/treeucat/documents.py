@@ -8,9 +8,11 @@ document repeats it and reports each cut as an edge and a position on it.
 A decomposition document holds no tree. It names the instance it was made
 for by the digest of that instance, which covers the instance's vertices
 and edges, and `decomposition_from_document` binds it to an instance only
-when the digests match. Binding builds each component on the instance's
-tree through `EdgeLinearDensity`, which refuses an id that is not a vertex
-of that tree and a negative value.
+when the digests match. Binding checks each listed value once, as
+`EdgeLinearDensity` would: it refuses an id that is not a vertex of the
+instance's tree and a negative value. It keeps each component as rows on
+that tree, (index, value pair) in index order, and builds no density; the
+writers read the rows too.
 
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
@@ -43,7 +45,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 
 from .density import EdgeLinearDensity
-from .errors import DocumentError, TreeMismatch
+from .errors import DocumentError, NegativeValue, TreeMismatch
 from .rational import as_fraction
 from .record import Component, Decomposition, Record
 from .tree import MetricTree, VertexId
@@ -63,7 +65,7 @@ class DecompositionDocument(Record):
     listed values, in listed order, a listed 0 included, each value its
     reduced `(numerator, denominator)` pair of ints. Whether the ids are
     the instance's and the values nonnegative is decided at binding, where
-    `decomposition_from_document` makes the densities.
+    `decomposition_from_document` makes the components' rows.
     """
 
     __slots__ = ("components", "ucat", "provenance")
@@ -370,11 +372,13 @@ def decomposition_from_document(
     """Bind a parsed decomposition to the instance it claims to decompose.
 
     A document whose `input_digest` is not f's is refused; so is a mode
-    that is not a vertex of f.tree. Each component is then built on f.tree
-    itself by `EdgeLinearDensity`, which refuses a listed id that is not a
-    vertex of f.tree and a negative value. Whether the components are
-    unimodal and sum to f is not checked here, that is
-    `check_decomposition`'s job.
+    that is not a vertex of f.tree. Each component's listed values are then
+    checked once, in listed order, with the errors `EdgeLinearDensity`
+    raises: a listed id that is not a vertex of f.tree is a TreeMismatch,
+    a negative value a NegativeValue. The nonzero values become the
+    component's rows on f.tree itself, sorted by index; no density is
+    built. Whether the components are unimodal and sum to f is not
+    checked here, that is `check_decomposition`'s job.
     """
     expected = instance_digest(f.tree, f)
     if doc.provenance["input_digest"] != expected:
@@ -390,21 +394,40 @@ def decomposition_from_document(
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        components.append(Component(mode, EdgeLinearDensity(tree, values)))
+        components.append(Component._from_rows(mode, tree, _rows(index, values)))
     return Decomposition(tree, tuple(components))
 
 
+def _rows(index: Mapping[VertexId, int], values: dict) -> tuple:
+    """The (index, pair) rows of the nonzero listed values, by index; each
+    value is a reduced pair with a positive denominator, as `_number`
+    gives it, so only its id and its sign are left to check."""
+    rows = []
+    for v, pair in values.items():
+        i = index.get(v)
+        if i is None:
+            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
+        if pair[0]:
+            if pair[0] < 0:
+                raise NegativeValue(
+                    f"density value {Fraction(*pair)} at {v!r} is negative"
+                )
+            rows.append((i, pair))
+    rows.sort()  # no index repeats, so only indices are compared
+    return tuple(rows)
+
+
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:
-    """JSON text of `d`; each component lists its nonzero values only. The
-    tree is not written: d lives on the instance that the provenance's
-    `input_digest` names."""
+    """JSON text of `d`; each component lists its nonzero values only, read
+    from its rows. The tree is not written: d lives on the instance that
+    the provenance's `input_digest` names."""
     pad = "      "  # a component's "values" line
     vertices = d.refined_tree.vertices
     components = [
         _COMPONENT
         % (
             _escape(c.mode),
-            _values_text(vertices, c.density.index_items(), pad, f"component {i}"),
+            _values_text(vertices, c.rows, pad, f"component {i}"),
         )
         for i, c in enumerate(d.components)
     ]
@@ -454,13 +477,15 @@ def render_dot(d: Decomposition, f: EdgeLinearDensity) -> str:
     doubled.
 
     A vertex in several supports takes the color of the earliest component,
-    matching the greedy peel order.
+    matching the greedy peel order. Supports are read from the components'
+    rows, so no component density is built.
     """
     color: dict[VertexId, str] = {}
     for i, component in enumerate(d.components):
         shade = _PALETTE[i % len(_PALETTE)]
-        for v in component.density.support:
-            color.setdefault(v, shade)
+        vertices = component.tree.vertices
+        for at, _ in component.rows:
+            color.setdefault(vertices[at], shade)
     modes = {c.mode for c in d.components}
     lines = ["graph decomposition {", "  node [style=filled, fillcolor=white];"]
     for v in d.refined_tree.vertices:

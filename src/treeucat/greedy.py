@@ -5,14 +5,16 @@ decomposition has a mode, sweep a unimodal component off from there, keep
 the remainder. The input is validated once, when its density is built.
 The loop then runs on vertex indices, on the input tree's index adjacency
 and on plain integers, the input's values times D, the lcm of their
-denominators: the remainder as a list, and one row per component, a map
-holding the component's support and its boundary only. A sweep copies
-h(u), pays an integer drop or stops at 0, so every value stays an
-integer. The components' densities, their values divided by D again and
-keyed by id, are built once, after the loop, on the input tree itself,
-through one memo for the run: a component value equal to an input value
-is the input's own `(numerator, denominator)` pair, and each other value
-is reduced once.
+denominators: the remainder as a list, and each sweep's h as a map
+holding its support and its boundary only. A sweep copies h(u), pays an
+integer drop or stops at 0, so every value stays an integer. Each h is
+divided by D again as soon as it is swept, through one memo for the
+run, into its component's rows: (index, reduced pair) in index order,
+nonzero values only, on the input tree itself. A component value equal
+to an input value is the input's own `(numerator, denominator)` pair,
+and each other value is reduced once. `decompose` builds no density: a
+component's is built when something first reads it, and the writers and
+`check_decomposition` read the rows.
 
 No cuts. The paper's sweep subdivides an edge u -> w where h reaches 0
 inside it; this loop's sweep sets h(w) = 0 there and places no vertex,
@@ -115,19 +117,18 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
     ids, nbrs = tree.vertices, tree.nbrs  # the id of each vertex index
     scale, rest, pairs = _to_lattice(f)
     total = sum(rest)  # the remainder is nonnegative
-    rows: list[dict[int, int]] = []
-    modes: list[int] = []
+    components: list[Component] = []
     trace: list[TraceEvent] = []
     peel = Peel(tree, rest)  # reads rest, which each sweep lowers in place
     while True:
-        iteration = len(modes) + 1
+        iteration = len(components) + 1
         if iteration > len(ids):
             raise InternalInvariantError(f"decompose exceeded {len(ids)} iterations")
         v = peel.chosen
         h, _ = _sweep(nbrs, rest, v)
         total -= sum(h.values())
-        rows.append(h)
-        modes.append(v)
+        rows = _from_lattice(sorted(h.items()), scale, pairs)
+        components.append(Component._from_rows(ids[v], tree, rows))
         trace.append(TraceEvent._on_lattice(iteration, ids[v], total, scale))
         if total == 0:
             break
@@ -136,17 +137,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
                 f"sweeping the unimodal remainder from {ids[v]!r} left a nonzero rest"
             )
         peel.after_sweep(h)
-
-    components = tuple(
-        Component(
-            ids[m],
-            EdgeLinearDensity(
-                tree, _from_lattice(sorted(h.items()), scale, pairs, ids)
-            ),
-        )
-        for m, h in zip(modes, rows)
-    )
-    return Decomposition(tree, components), trace
+    return Decomposition(tree, tuple(components)), trace
 
 
 def ucat(f: EdgeLinearDensity) -> int:

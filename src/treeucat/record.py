@@ -11,9 +11,11 @@ refuses every write. A record that stores a field in another form
 lists its field names in `_names` instead, and reads each one as an
 attribute of that name.
 
-The module imports nothing and generates no code, so the records cost
-the command line's start-up nothing beyond their class bodies. Referees
-read `Component` and `Decomposition` here, not from their producer.
+The module imports nothing at load time and generates no code, so the
+records cost the command line's start-up nothing beyond their class
+bodies; a `Component` imports `density` when it first builds a density
+view. Referees read `Component` and `Decomposition` here, not from their
+producer.
 """
 
 
@@ -50,11 +52,58 @@ class Record:
 
 
 class Component(Record):
-    __slots__ = ("mode", "density")
+    """One summand of a decomposition: its mode id and its density.
+
+    `decompose` and `decomposition_from_document` build a component from
+    its rows instead: a tuple of `(index, (numerator, denominator))`
+    tuples in index order, nonzero reduced values only, indexing `tree`.
+    Its `density` is then a view, built through `EdgeLinearDensity` on
+    its first read and kept. `rows` and `tree` read either kind, which is
+    how the writers and `check_decomposition` read every component; the
+    fields, and so equality, hashing, the repr and pickling, are the mode
+    and the density, whichever way the component was built.
+    """
+
+    __slots__ = ("mode", "_density", "_rows")  # _rows: None, or (tree, rows)
+    _names = ("mode", "density")
 
     def __init__(self, mode, density):
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "_density", density)
+        object.__setattr__(self, "_rows", None)
+
+    @classmethod
+    def _from_rows(cls, mode, tree, rows: tuple):
+        """The component of mode `mode` whose values are `rows` on `tree`,
+        its density not yet built; the caller vouches for the rows."""
+        component = cls(mode, None)
+        object.__setattr__(component, "_rows", (tree, rows))
+        return component
+
+    @property
+    def density(self):
+        density = self._density
+        if density is None and self._rows is not None:  # built once, here
+            from .density import EdgeLinearDensity
+
+            tree, rows = self._rows
+            vertices = tree.vertices
+            density = EdgeLinearDensity(tree, {vertices[i]: x for i, x in rows})
+            object.__setattr__(self, "_density", density)
+        return density
+
+    @property
+    def tree(self):
+        """The tree the rows index: the density's tree."""
+        on = self._rows
+        return self._density.tree if on is None else on[0]
+
+    @property
+    def rows(self) -> tuple:
+        """The (index, value pair) rows of the nonzero values, in index
+        order; O(|support|) for a component built from a density."""
+        on = self._rows
+        return tuple(self._density.index_items()) if on is None else on[1]
 
 
 class Decomposition(Record):

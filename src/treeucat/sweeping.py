@@ -14,12 +14,12 @@ list of integers, the density scaled by the lcm D of its denominators.
 It reports each such clamp as (u, w, h(u), drop), which `decompose`
 ignores, and turns the value list it is given into the remainder.
 `_from_lattice` divides by D for nonzero values only, since a density
-reads a vertex it is not given as 0; `decompose` builds its final
-densities the same way. A value divided by D is its reduced `(numerator,
-denominator)` pair, the form a density stores. Both divide through one
-memo per run, which `_to_lattice` seeds with the input's own pairs: a
-value equal to an input value is the input's own pair, and each other
-value is reduced once per run.
+reads a vertex it is not given as 0, and gives (index, value) rows;
+`decompose` keeps its components' values as such rows. A value divided
+by D is its reduced `(numerator, denominator)` pair, the form a density
+stores. Both divide through one memo per run, which `_to_lattice` seeds
+with the input's own pairs: a value equal to an input value is the
+input's own pair, and each other value is reduced once per run.
 """
 
 from __future__ import annotations
@@ -85,22 +85,21 @@ def _from_lattice(
     values: Iterable[tuple[int, int]],
     scale: int,
     pairs: dict[int, tuple[int, int]],
-    vertices: tuple[VertexId, ...],
-) -> dict[VertexId, tuple[int, int]]:
-    """The nonzero values x / D of the (index, x) pairs, as reduced pairs
-    keyed by id; a vertex missing from the result is 0. `pairs` is the
-    run's memo from x to x / D, seeded by `_to_lattice`: a value equal to
-    an input value is the input's own pair, and each other value is
-    reduced once per run, on its first miss."""
-    out = {}
+) -> tuple[tuple[int, tuple[int, int]], ...]:
+    """The nonzero values x / D of the (index, x) pairs, as (index, reduced
+    pair) rows in the order given; an index missing from the result is 0.
+    `pairs` is the run's memo from x to x / D, seeded by `_to_lattice`: a
+    value equal to an input value is the input's own pair, and each other
+    value is reduced once per run, on its first miss."""
+    out = []
     for i, x in values:
         if x:
             pair = pairs.get(x)
             if pair is None:
                 g = gcd(x, scale)
                 pair = pairs[x] = x // g, scale // g
-            out[vertices[i]] = pair
-    return out
+            out.append((i, pair))
+    return tuple(out)
 
 
 def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
@@ -118,11 +117,14 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     vs = tree.vertices
     scale, rest, pairs = _to_lattice(f)
     h, clamps = _sweep(tree.nbrs, rest, origin)
+
+    def density(values):
+        rows = _from_lattice(values, scale, pairs)
+        return EdgeLinearDensity(tree, {vs[i]: pair for i, pair in rows})
+
     return SweepResult(
-        h=EdgeLinearDensity(tree, _from_lattice(h.items(), scale, pairs, vs)),
-        remainder=EdgeLinearDensity(
-            tree, _from_lattice(enumerate(rest), scale, pairs, vs)
-        ),
+        h=density(h.items()),
+        remainder=density(enumerate(rest)),
         origin=v,
         cuts=tuple(Cut(vs[u], vs[w], Fraction(hu, drop)) for u, w, hu, drop in clamps),
     )

@@ -25,7 +25,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .density import EdgeLinearDensity, ModeWitness, is_unimodal
+from .density import EdgeLinearDensity, _peak, is_unimodal
 from .errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -89,45 +89,49 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
 
     A decomposition of f lives on f.tree: any other tree, a refinement of
     it included, is a TreeMismatch that names the first difference, and so
-    is a component on a tree other than the decomposition's. Components
-    are summed, and checked for unimodality, over their supports only, so
-    a check whose components all pass costs O(n) plus, per component, its
-    support and the edges leaving it. A component that fails adds the
-    breadth-first prefix of the tree up to its first rising edge. Values
-    are read as the integer `(numerator, denominator)` pairs the densities
-    store; sums run over a running common denominator and are compared
-    with f by cross-multiplying, and a `Fraction` is built only for a
-    reported mismatch or a low mode.
+    is a component on a tree other than the decomposition's. Every
+    component is read as its rows, the integer `(numerator, denominator)`
+    pairs of its nonzero values by index, whether it was built from rows
+    or from a density: the sums, unimodality and the mode are all decided
+    on them, over each support only, so a check whose components all pass
+    costs O(n) plus, per component, its support and the edges leaving it,
+    and builds no density. A component that rises builds its density once,
+    for `is_unimodal` to name the first rising edge; that adds the
+    breadth-first prefix of the tree up to the edge. Sums run over a
+    running common denominator and are compared with f by
+    cross-multiplying, and a `Fraction` is built only for a reported
+    mismatch or a low mode.
     """
     tree = d.refined_tree
     if tree != f.tree:
         raise TreeMismatch(_first_difference(f.tree, tree))
-    position = tree.index
+    position, nbrs = tree.index, tree.nbrs
     totals = {}  # vertex index -> (numerator, denominator) of its sum
     component_checks = []
     for index, component in enumerate(d.components):
-        mode, density = component.mode, component.density
-        if density.tree != tree:
+        mode, home = component.mode, component.tree
+        if home is not tree and home != tree:
             raise TreeMismatch(
                 f"component with mode {mode!r} lives on a different tree"
             )
-        pairs = dict(density.index_items())
+        pairs = dict(component.rows)
         for i, pair in pairs.items():
             totals[i] = _add(totals[i], pair) if i in totals else pair
-        witness = is_unimodal(density)
         detail = ""
-        if not isinstance(witness, ModeWitness):
+        if not pairs:
             detail = "component is identically zero"
-            if not witness.zero_density:
-                u, w = witness.edge
+        else:
+            root, falls = _peak(nbrs, pairs)
+            if not falls:
+                u, w = is_unimodal(component.density).edge
                 detail = f"value rises along edge {u}-{w} away from the maximum"
-        elif (at := position.get(mode)) is None:
-            detail = f"recorded mode {mode} is not a tree vertex"
-        elif pairs.get(at) != pairs[position[witness.mode]]:
-            detail = (
-                f"recorded mode {mode} carries {density.value(mode)}, "
-                f"maximum is {witness.max_value}"
-            )
+            elif (at := position.get(mode)) is None:
+                detail = f"recorded mode {mode} is not a tree vertex"
+            elif pairs.get(at) != pairs[root]:
+                detail = (
+                    f"recorded mode {mode} carries {Fraction(*pairs.get(at, _ZERO))},"
+                    f" maximum is {Fraction(*pairs[root])}"
+                )
         component_checks.append(ComponentCheck(index, not detail, detail))
     target = dict(f.index_items())
     mismatches = []

@@ -21,7 +21,14 @@ from treeucat.documents import (
     serialize_instance,
 )
 
-from helpers import dense_decomposition_text, paper_sweep, path_instance, star_instance
+from helpers import (
+    count_builds,
+    dense_decomposition_text,
+    paper_sweep,
+    path_instance,
+    recursive_tree_instance,
+    star_instance,
+)
 
 
 def _write_instance(tmp_path, name, tree, f):
@@ -58,6 +65,36 @@ def test_decompose_output_and_render_files(tmp_path, capsys):
     dot = dot_path.read_text(encoding="utf-8")
     assert dot.startswith("graph decomposition {")
     assert "doublecircle" in dot
+
+
+def test_decompose_render_builds_no_component_density(tmp_path, monkeypatch):
+    # the document and the rendering read the components' rows: the one
+    # tree and the one density built are the instance's, and both texts
+    # are those of the same components built from their densities
+    from treeucat import EdgeLinearDensity, MetricTree
+    from treeucat.documents import render_dot
+
+    f = recursive_tree_instance(1, 60)
+    tree = f.tree
+    path = _write_instance(tmp_path, "in.json", tree, f)
+    out_path, dot_path = tmp_path / "out.json", tmp_path / "out.dot"
+    built = count_builds(monkeypatch, MetricTree, EdgeLinearDensity)
+    argv = ["decompose", path, "--output", str(out_path), "--render", str(dot_path)]
+    assert main(argv) == 0
+    assert built == {MetricTree: 1, EdgeLinearDensity: 1}, built
+
+    d, _ = decompose(f)
+    assert len(d.components) > 8  # the palette's colors come round again
+    twins = [Component(c.mode, c.density) for c in d.components]
+    twin = Decomposition(d.refined_tree, tuple(twins))
+    provenance = {
+        "tool": f"treeucat {treeucat.__version__}",
+        "input_digest": instance_digest(tree, f),
+    }
+    assert out_path.read_text(encoding="utf-8") == serialize_decomposition(
+        twin, provenance
+    )
+    assert dot_path.read_text(encoding="utf-8") == render_dot(twin, f)
 
 
 def test_decompose_trace_goes_to_stderr(tmp_path, capsys):
@@ -468,16 +505,26 @@ def test_oracle_warns_on_large_instances(tmp_path, capsys):
     assert captured.out == "1\n"
     assert captured.err == ""
 
-    # a star whose leaves rise above the centre reduces to nothing smaller
+    # a star whose leaves rise above the centre reduces to nothing smaller;
+    # at 9 vertices it is within the guidance
     tree, f = star_instance(1, {f"a{i}": 2 for i in range(8)})
     star = _write_instance(tmp_path, "star.json", tree, f)
     assert main(["oracle", star, "--max-k", "8"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "8\n"
-    assert "warning: 9 vertices in the largest reduced piece" in captured.err
+    assert captured.err == ""
+
+    # at 17 vertices it is past it, and the search still answers
+    tree, f = star_instance(1, {f"a{i}": 2 for i in range(16)})
+    star = _write_instance(tmp_path, "star17.json", tree, f)
+    assert main(["oracle", star, "--max-k", "16"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "16\n"
+    assert "warning: 17 vertices in the largest reduced piece" in captured.err
+    assert "meant for at most 16" in captured.err
     assert main(["oracle", star, "--max-k", "2"]) == 3
     captured = capsys.readouterr()
-    assert "warning: 9 vertices" in captured.err
+    assert "warning: 17 vertices" in captured.err
     assert "no feasible mode multiset" in captured.err
 
 

@@ -44,11 +44,13 @@ from treeucat.errors import (
 
 from helpers import (
     comb_instance,
+    count_builds,
     dense_decomposition_text,
     monotone_arm_instance,
     paper_sweep,
     path_instance,
     python_calls_during,
+    recursive_tree_instance,
 )
 
 PROVENANCE = {"tool": "treeucat test", "input_digest": "sha256:0"}
@@ -381,6 +383,25 @@ def test_decomposition_round_trip():
         for parsed, original in zip(bound.components, d.components):
             assert parsed.mode == original.mode
             assert dict(parsed.density.values) == dict(original.density.values)
+
+
+def test_a_round_trip_builds_only_the_instance_tree_and_density(monkeypatch):
+    # a counted gate: parse, decompose, serialize, parse back, bind and
+    # check keep every component as index rows, so the one tree and the
+    # one density built are the instance's; each component's density was
+    # once built by decompose and again at binding, 2k + 1 in all
+    f = recursive_tree_instance(1, 200)
+    text = serialize_instance(f.tree, f)
+    built = count_builds(monkeypatch, MetricTree, EdgeLinearDensity)
+    tree, g = parse_instance(text)
+    d, _ = decompose(g)
+    written = serialize_decomposition(d, _provenance(g))
+    bound = decomposition_from_document(parse_decomposition(written), g)
+    assert check_decomposition(g, bound).overall
+    assert len(bound.components) > 20
+    assert built == {MetricTree: 1, EdgeLinearDensity: 1}, built
+    assert bound.refined_tree is tree
+    assert bound.components == d.components
 
 
 def test_document_size_depends_on_the_supports_not_on_the_tree():

@@ -541,8 +541,9 @@ def test_decompose_work_per_vertex_on_a_long_arm():
 
 def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     # the loop validates nothing: the one tree and one density come from
-    # the parse, and k densities, the components, on that tree at the end;
-    # each constructor is the only way to build its type
+    # the parse, and the components are rows on that tree, whose densities
+    # are built only when read, once each; each constructor is the only
+    # way to build its type
     built = count_builds(monkeypatch, MetricTree, EdgeLinearDensity)
 
     texts = [serialize_instance(*gen_instance(seed, 30, 6)) for seed in range(20)]
@@ -553,16 +554,16 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
             built[cls] = 0
         _, f = parse_instance(text)
         d, _ = decompose(f)
-        k = len(d.components)
-        assert built[MetricTree] == 1, text
-        assert built[EdgeLinearDensity] == k + 1, text
+        assert (built[MetricTree], built[EdgeLinearDensity]) == (1, 1), text
+        first = d.components[0]
+        assert first.density is first.density
+        assert (built[MetricTree], built[EdgeLinearDensity]) == (1, 2), text
         clamps += _replay(f)[-1]
     assert clamps > 0
 
-    # a whole round trip, down to check, builds one tree, the instance's,
-    # one density per component on each side, and hashes the canonical text
-    # once: binding puts the components on f.tree and reuses the digest
-    # kept on f
+    # a whole round trip, down to check, builds one tree and one density,
+    # the instance's, and hashes the canonical text once: binding puts the
+    # components' rows on f.tree and reuses the digest kept on f
     arm = monotone_arm_instance(4, 600)
     text = serialize_instance(arm.tree, arm)
     hashed = 0
@@ -582,8 +583,7 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     written = serialize_decomposition(d, {"tool": "test", "input_digest": digest})
     bound = decomposition_from_document(parse_decomposition(written), f)
     assert check_decomposition(f, bound).overall
-    k = len(d.components)
-    assert (built[MetricTree], built[EdgeLinearDensity], hashed) == (1, 1 + 2 * k, 1)
+    assert (built[MetricTree], built[EdgeLinearDensity], hashed) == (1, 1, 1)
     assert bound.refined_tree is f.tree
 
     # the digest kept on f is f's: a pickled copy, which keeps none,

@@ -36,6 +36,8 @@ from treeucat import (
 from treeucat.documents import DecompositionDocument
 from treeucat.simplex import LPResult
 
+from helpers import count_builds
+
 TREE = MetricTree(["a", "b"], [("a", "b", 1)])
 F = EdgeLinearDensity(TREE, {"a": 1, "b": 2})
 ZERO = EdgeLinearDensity(TREE, {})
@@ -213,3 +215,45 @@ def test_pickle_and_copy_round_trips(cls, fields, text):
         assert type(other) is cls
         assert other == record
         assert repr(other) == text
+
+
+def test_a_component_built_from_rows_is_its_density_twin(monkeypatch):
+    # `decompose` and binding build a component from its index rows, and
+    # its density only when it is read: the record is still the one its
+    # density gives, with the same fields, and the density is built once
+    rows = ((0, (1, 1)), (1, (2, 1)))
+    twin = Component("b", F)
+    built = count_builds(monkeypatch, EdgeLinearDensity)
+
+    def fresh():
+        return Component._from_rows("b", TREE, rows)
+
+    component = fresh()
+    assert component.rows is rows and component.tree is TREE
+    assert twin.rows == rows and twin.tree is TREE
+    assert built[EdgeLinearDensity] == 0
+    assert fresh() == twin and twin == fresh() and not fresh() != twin
+    assert fresh() != Component("a", F) and fresh() != ("b", F)
+    assert hash(fresh()) == hash(twin) == hash(("b", F))
+    assert repr(fresh()) == repr(twin) == (
+        "Component(mode='b', density=EdgeLinearDensity(a=1, b=2))"
+    )
+    for other in [copy.copy(fresh()), copy.deepcopy(fresh())] + [
+        pickle.loads(pickle.dumps(fresh(), protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]:
+        assert type(other) is Component
+        assert other == twin and repr(other) == repr(twin)
+
+    built[EdgeLinearDensity] = 0
+    density = component.density
+    assert component.density is density
+    assert built[EdgeLinearDensity] == 1
+    assert density == F
+    # a reduced pair is stored as the very tuple given
+    for (_, stored), (_, given) in zip(density.index_items(), rows):
+        assert stored is given
+    with pytest.raises(AttributeError):
+        component.density = F
+    with pytest.raises(AttributeError):
+        component.rows = rows

@@ -55,6 +55,13 @@ from helpers import (
 def _assert_same(f, d):
     got = check_decomposition(f, d)
     assert got == reference_check_decomposition(f, d)
+    # components built from rows, as `decompose` and binding build them,
+    # are checked alike, with no density built for those that pass
+    rows = [Component._from_rows(c.mode, c.tree, c.rows) for c in d.components]
+    assert check_decomposition(f, Decomposition(d.refined_tree, tuple(rows))) == got
+    assert sum(c._density is not None for c in rows) == sum(
+        "rises" in c.detail for c in got.components
+    )
     for component in d.components:
         density = component.density
         assert is_unimodal(density) == reference_is_unimodal(density)
