@@ -185,24 +185,41 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     Rooting at the lexicographically smallest global-argmax vertex, f is
     unimodal iff no edge oriented away from the root rises. Which argmax is
     chosen does not matter: were two maxima separated by a dip, the edge
-    climbing back up would be reported from either root.
-
-    Values are compared as the stored integer pairs, by
-    cross-multiplication. A breadth-first search from the root expands
-    positive vertices only. If it meets no rising edge and reaches the
-    whole support, every edge it did not look at joins two zeros, so f is
-    unimodal; this costs O(|supp f| + its boundary). Otherwise a second
-    search, over every vertex in `root_at` order, stops at the first
-    rising edge of that order and reports it; it costs the part of that
-    order before the edge.
+    climbing back up would be reported from either root. The root, and
+    the first rising edge of `root_at` order when there is one, are
+    `_peak`'s, read from f's stored support map.
     """
     ratios = f._values  # index -> (numerator, denominator), in id order
     if not ratios:
         return NotUnimodal(edge=None, zero_density=True)
-    vertices, nbrs = f.tree.vertices, f.tree.nbrs
-    root, falls = _peak(nbrs, ratios)
-    if falls:
+    vertices = f.tree.vertices
+    root, rise = _peak(f.tree.nbrs, ratios)
+    if rise is None:
         return ModeWitness(vertices[root], ratios[root])
+    return NotUnimodal(edge=(vertices[rise[0]], vertices[rise[1]]))
+
+
+def _peak(nbrs, ratios) -> tuple[int, tuple[int, int] | None]:
+    """The root `is_unimodal` chooses for the nonempty support map
+    `ratios`, index -> nonzero pair in index order: the first index of a
+    largest value; and the first rising `(closer, farther)` index edge
+    in `root_at` order from it, or None when the values fall away from
+    it, which holds iff they are unimodal.
+
+    Values are compared as integer pairs, by cross-multiplication. A
+    breadth-first search from the root expands positive vertices only.
+    If it meets no rising edge and reaches the whole support, every edge
+    it did not look at joins two zeros, so the values are unimodal; this
+    costs O(|support| + its boundary). Otherwise a second search, over
+    every vertex in `root_at` order, stops at the first rising edge of
+    that order; it costs the part of that order before the edge.
+    """
+    top, below = 0, 1  # the largest value so far, top / below
+    for i, (p, q) in ratios.items():  # in id order, so ties keep the first
+        if p * below > top * q:
+            root, top, below = i, p, q
+    if _falls_from_root_on_support(nbrs, ratios, root):
+        return root, None
     edges = [(-1, root)]  # (parent, vertex), growing as the search goes on
     for back, u in edges:  # every vertex, in `root_at` order, to the first rise
         at_u = ratios.get(u)
@@ -210,22 +227,10 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
             if w != back:
                 at_w = ratios.get(w)
                 if at_w and (not at_u or at_u[0] * at_w[1] < at_w[0] * at_u[1]):
-                    return NotUnimodal(edge=(vertices[u], vertices[w]))
+                    return root, (u, w)
                 edges.append((u, w))
     # the failed support search left a rise here: its own, or a 0-to-positive edge
     raise InternalInvariantError("support search failed, yet no edge rises")
-
-
-def _peak(nbrs, ratios) -> tuple[int, bool]:
-    """The root `is_unimodal` chooses for the nonempty support map
-    `ratios`, index -> nonzero pair in index order: the first index of a
-    largest value; and whether the values fall away from it, which holds
-    iff they are unimodal."""
-    top, below = 0, 1  # the largest value so far, top / below
-    for i, (p, q) in ratios.items():  # in id order, so ties keep the first
-        if p * below > top * q:
-            root, top, below = i, p, q
-    return root, _falls_from_root_on_support(nbrs, ratios, root)
 
 
 def _falls_from_root_on_support(nbrs, ratios, root: int) -> bool:

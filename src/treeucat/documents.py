@@ -61,24 +61,17 @@ _COMPONENT_KEYS = frozenset({"mode", "values"})
 class DecompositionDocument(Record):
     """A decomposition document as parsed, before it meets an instance.
 
-    Each component is a `(mode, values)` pair: its mode, a string, and its
-    listed values, in listed order, a listed 0 included, each value its
-    reduced `(numerator, denominator)` pair of ints. Whether the ids are
-    the instance's and the values nonnegative is decided at binding, where
-    `decomposition_from_document` makes the components' rows.
+    Each of the `components`, a tuple, is a `(mode, values)` pair: its
+    mode, a string, and its listed values, a dict from id to value, in
+    listed order, a listed 0 included, each value its reduced
+    `(numerator, denominator)` pair of ints. `ucat` is the int the
+    document states, and `provenance` its mapping of strings to strings.
+    Whether the ids are the instance's and the values nonnegative is
+    decided at binding, where `decomposition_from_document` makes the
+    components' rows.
     """
 
     __slots__ = ("components", "ucat", "provenance")
-
-    def __init__(
-        self,
-        components: tuple[tuple[VertexId, dict[VertexId, tuple[int, int]]], ...],
-        ucat: int,
-        provenance: Mapping[str, str],
-    ):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "ucat", ucat)
-        object.__setattr__(self, "provenance", provenance)
 
 
 def _load_json(text: str):

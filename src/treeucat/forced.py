@@ -36,31 +36,24 @@ from .tree import MetricTree, VertexId
 
 
 class Unimodal(Record):
-    __slots__ = ("mode",)
+    """The verdict on a unimodal density: its `mode`, a vertex id."""
 
-    def __init__(self, mode: VertexId):
-        object.__setattr__(self, "mode", mode)
+    __slots__ = ("mode",)
 
 
 class Forced(Record):
-    __slots__ = ("chosen",)
+    """The verdict on a density that is not unimodal: the forced vertex,
+    `chosen`, a vertex id."""
 
-    def __init__(self, chosen: VertexId):
-        object.__setattr__(self, "chosen", chosen)
+    __slots__ = ("chosen",)
 
 
 class PruneReport(Record):
-    __slots__ = ("surviving", "forced_leaves", "verdict")
+    """What pruning left: the `surviving` vertex ids, a frozenset; the
+    `forced_leaves`, a tuple of vertex ids; and the `verdict`, `Unimodal`
+    or `Forced`."""
 
-    def __init__(
-        self,
-        surviving: frozenset,
-        forced_leaves: tuple[VertexId, ...],
-        verdict: Unimodal | Forced,
-    ):
-        object.__setattr__(self, "surviving", surviving)
-        object.__setattr__(self, "forced_leaves", forced_leaves)
-        object.__setattr__(self, "verdict", verdict)
+    __slots__ = ("surviving", "forced_leaves", "verdict")
 
 
 def prune_insignificant(f: EdgeLinearDensity) -> PruneReport:

@@ -66,30 +66,25 @@ class TraceEvent(Record):
     """One iteration of `decompose`: its number, its forced vertex, and the
     remainder's vertex sum after its sweep.
 
-    `decompose` records the mass on its lattice, as the integer total / D,
-    and the `Fraction` is built on the first read of `remaining_mass`: its
-    gcd runs on integers the size of D, which on many large denominators
-    would cost more than the rest of the iteration.
+    `remaining_mass` is a `Fraction`, or a `(total, scale)` pair of ints
+    for total / scale, as `decompose` records it on its lattice; the
+    `Fraction` is then built on the first read of `remaining_mass`: its
+    gcd runs on integers the size of scale, which on many large
+    denominators would cost more than the rest of the iteration.
     """
 
     __slots__ = ("iteration", "forced_vertex", "_mass")
     _names = ("iteration", "forced_vertex", "remaining_mass")
 
     def __init__(
-        self, iteration: int, forced_vertex: VertexId, remaining_mass: Fraction
+        self,
+        iteration: int,
+        forced_vertex: VertexId,
+        remaining_mass: Fraction | tuple[int, int],
     ):
         object.__setattr__(self, "iteration", iteration)
         object.__setattr__(self, "forced_vertex", forced_vertex)
         object.__setattr__(self, "_mass", remaining_mass)
-
-    @classmethod
-    def _on_lattice(
-        cls, iteration: int, forced_vertex: VertexId, total: int, scale: int
-    ) -> TraceEvent:
-        """The event whose remaining mass is total / scale, not yet built."""
-        event = cls(iteration, forced_vertex, None)
-        object.__setattr__(event, "_mass", (total, scale))
-        return event
 
     @property
     def remaining_mass(self) -> Fraction:
@@ -129,7 +124,7 @@ def decompose(f: EdgeLinearDensity) -> tuple[Decomposition, list[TraceEvent]]:
         total -= sum(h.values())
         rows = _from_lattice(sorted(h.items()), scale, pairs)
         components.append(Component._from_rows(ids[v], tree, rows))
-        trace.append(TraceEvent._on_lattice(iteration, ids[v], total, scale))
+        trace.append(TraceEvent(iteration, ids[v], (total, scale)))
         if total == 0:
             break
         if peel.unimodal:

@@ -1,15 +1,20 @@
 """Immutable records: the small result types the package returns.
 
-A `Record` subclass names its fields in `__slots__`, in order, and sets
-them in its own `__init__` through `object.__setattr__`. The base gives
-every record the same semantics: equality with records of the same class
-only (never with a tuple, nor with another class's record holding the
-same fields), a hash of the fields, the repr `Name(field=value, ...)`, and
-no assignment or deletion after construction. `__reduce__` rebuilds a
-record from its fields, so `pickle` and `copy` work although `__setattr__`
-refuses every write. A record that stores a field in another form
-lists its field names in `_names` instead, and reads each one as an
-attribute of that name.
+A `Record` subclass names its fields in `__slots__`, in order, and the
+base's `__init__` binds them, by position or by keyword; a missing,
+extra, unknown or repeated field is a `TypeError` that names the
+record's fields. A record writes its own `__init__` only when it stores
+a field in another form than it is given (`Component`, and `TraceEvent`
+and `ModeWitness` in their modules), or when a field has a default
+(`NotUnimodal`).
+The base gives every record the same semantics: equality with records of
+the same class only (never with a tuple, nor with another class's record
+holding the same fields), a hash of the fields, the repr
+`Name(field=value, ...)`, and no assignment or deletion after
+construction. `__reduce__` rebuilds a record from its fields, so
+`pickle` and `copy` work although `__setattr__` refuses every write. A
+record that stores a field in another form lists its field names in
+`_names` instead, and reads each one as an attribute of that name.
 
 The module imports nothing at load time and generates no code, so the
 records cost the command line's start-up nothing beyond their class
@@ -19,8 +24,24 @@ producer.
 """
 
 
+_set = object.__setattr__  # past `Record.__setattr__`, which refuses every write
+
+
 class Record:
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:  # the fields after those given by position, by keyword
+            rest = names[len(values) :]
+            values += tuple([named.pop(name) for name in rest if name in named])
+        if named or len(values) != len(names):  # one left over or missing
+            raise TypeError(
+                f"{type(self).__qualname__} takes its fields ({', '.join(names)}),"
+                " each once, by position or keyword"
+            )
+        for name, value in zip(names, values):
+            _set(self, name, value)
 
     @property
     def _names(self) -> tuple:
@@ -107,11 +128,8 @@ class Component(Record):
 
 
 class Decomposition(Record):
-    """The components and the tree they live on, which for a decomposition
-    of f is f.tree: `check_decomposition` refuses any other tree."""
+    """The components, a tuple of `Component`s, and the tree they live on,
+    `refined_tree`, a `MetricTree`, which for a decomposition of f is
+    f.tree: `check_decomposition` refuses any other tree."""
 
     __slots__ = ("refined_tree", "components")
-
-    def __init__(self, refined_tree, components):
-        object.__setattr__(self, "refined_tree", refined_tree)
-        object.__setattr__(self, "components", components)

@@ -41,19 +41,12 @@ GREATER_EQUAL = ">="
 
 
 class LPResult(Record):
-    __slots__ = ("status", "x", "objective", "d")
+    """An LP's answer: its `status`, "optimal", "infeasible" or
+    "unbounded"; and when optimal, the solution `x`, a tuple of int
+    numerators over d, the `objective`, an int numerator over d, and `d`,
+    the final basis determinant, an int > 0; otherwise each is None."""
 
-    def __init__(
-        self,
-        status: str,  # "optimal" | "infeasible" | "unbounded"
-        x: tuple[int, ...] | None,  # numerators over d
-        objective: int | None,  # numerator over d
-        d: int | None,  # the final basis determinant, > 0
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "d", d)
+    __slots__ = ("status", "x", "objective", "d")
 
 
 def maximize(

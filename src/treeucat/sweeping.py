@@ -36,33 +36,17 @@ from .tree import VertexId
 
 class Cut(Record):
     """Where a sweep's h reaches 0 strictly inside edge (u, w), u the
-    origin side: at fraction t of the edge length from u, 0 < t < 1."""
+    origin side, both vertex ids: at fraction t, a `Fraction`, of the edge
+    length from u, 0 < t < 1."""
 
     __slots__ = ("u", "w", "t")
 
-    def __init__(self, u: VertexId, w: VertexId, t: Fraction):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "t", t)
-
 
 class SweepResult(Record):
-    """h and the remainder f - h, both on f.tree, and the cuts in visit
-    order."""
+    """h and the remainder f - h, both `EdgeLinearDensity`s on f.tree; the
+    `origin`, a vertex id; and the `Cut`s, a tuple, in visit order."""
 
     __slots__ = ("h", "remainder", "origin", "cuts")
-
-    def __init__(
-        self,
-        h: EdgeLinearDensity,
-        remainder: EdgeLinearDensity,
-        origin: VertexId,
-        cuts: tuple[Cut, ...],
-    ):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "remainder", remainder)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "cuts", cuts)
 
 
 def _to_lattice(

@@ -21,11 +21,11 @@ functions that use them, so `check` loads neither.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .density import EdgeLinearDensity, _peak, is_unimodal
+from .density import EdgeLinearDensity, _peak
 from .errors import (
     EmptyModeSet,
     ExceedsKMax,
@@ -40,48 +40,31 @@ _ZERO = 0, 1  # the pair of a vertex a density does not list
 
 
 class ComponentCheck(Record):
-    __slots__ = ("index", "ok", "detail")
+    """Whether component `index`, an int, passed, `ok`, and if not, why:
+    `detail`, a string, empty when it passed."""
 
-    def __init__(self, index: int, ok: bool, detail: str):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+    __slots__ = ("index", "ok", "detail")
 
 
 class CheckReport(Record):
-    __slots__ = ("sum_ok", "sum_mismatches", "components", "count", "overall")
+    """What `check_decomposition` found: whether the components sum to f,
+    `sum_ok`, and the vertices where they do not, `sum_mismatches`, a
+    tuple of `(vertex, f's value, the components' sum)` with `Fraction`
+    values; a `ComponentCheck` per component, `components`; the component
+    count, `count`; and the verdict, `overall`."""
 
-    def __init__(
-        self,
-        sum_ok: bool,
-        sum_mismatches: tuple[tuple[VertexId, Fraction, Fraction], ...],
-        components: tuple[ComponentCheck, ...],
-        count: int,
-        overall: bool,
-    ):
-        object.__setattr__(self, "sum_ok", sum_ok)
-        object.__setattr__(self, "sum_mismatches", sum_mismatches)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "overall", overall)
+    __slots__ = ("sum_ok", "sum_mismatches", "components", "count", "overall")
 
 
 class FeasibilityCertificate(Record):
     """Explicit component values witnessing that the given anchors suffice.
 
-    components[i] is anchored at modes[i] and non-increasing away from it;
-    all components sum to the density vertex by vertex.
+    components[i], a mapping of vertex ids to `Fraction`s, is anchored at
+    modes[i] and non-increasing away from it; all components sum to the
+    density vertex by vertex.
     """
 
     __slots__ = ("modes", "components")
-
-    def __init__(
-        self,
-        modes: tuple[VertexId, ...],
-        components: tuple[Mapping[VertexId, Fraction], ...],
-    ):
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "components", components)
 
 
 def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
@@ -94,10 +77,10 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     pairs of its nonzero values by index, whether it was built from rows
     or from a density: the sums, unimodality and the mode are all decided
     on them, over each support only, so a check whose components all pass
-    costs O(n) plus, per component, its support and the edges leaving it,
-    and builds no density. A component that rises builds its density once,
-    for `is_unimodal` to name the first rising edge; that adds the
-    breadth-first prefix of the tree up to the edge. Sums run over a
+    costs O(n) plus, per component, its support and the edges leaving it.
+    A component that rises is named by `_peak`'s first rising edge, found
+    on the same rows; that adds the breadth-first prefix of the tree up to
+    the edge. No density is built, whatever the components. Sums run over a
     running common denominator and are compared with f by
     cross-multiplying, and a `Fraction` is built only for a reported
     mismatch or a low mode.
@@ -105,7 +88,7 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     tree = d.refined_tree
     if tree != f.tree:
         raise TreeMismatch(_first_difference(f.tree, tree))
-    position, nbrs = tree.index, tree.nbrs
+    position, nbrs, vertices = tree.index, tree.nbrs, tree.vertices
     totals = {}  # vertex index -> (numerator, denominator) of its sum
     component_checks = []
     for index, component in enumerate(d.components):
@@ -121,9 +104,9 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
         if not pairs:
             detail = "component is identically zero"
         else:
-            root, falls = _peak(nbrs, pairs)
-            if not falls:
-                u, w = is_unimodal(component.density).edge
+            root, rise = _peak(nbrs, pairs)
+            if rise is not None:
+                u, w = vertices[rise[0]], vertices[rise[1]]
                 detail = f"value rises along edge {u}-{w} away from the maximum"
             elif (at := position.get(mode)) is None:
                 detail = f"recorded mode {mode} is not a tree vertex"
@@ -135,20 +118,15 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
         component_checks.append(ComponentCheck(index, not detail, detail))
     target = dict(f.index_items())
     mismatches = []
-    for i, v in enumerate(tree.vertices):
+    for i, v in enumerate(vertices):
         total, (p, q) = totals.get(i, _ZERO), target.get(i, _ZERO)
         if total != (p, q) and total[0] * q != p * total[1]:
             mismatches.append((v, Fraction(p, q), Fraction(*total)))
 
     sum_ok = not mismatches
     overall = sum_ok and all(c.ok for c in component_checks)
-    return CheckReport(
-        sum_ok=sum_ok,
-        sum_mismatches=tuple(mismatches),
-        components=tuple(component_checks),
-        count=len(d.components),
-        overall=overall,
-    )
+    checks, count = tuple(component_checks), len(d.components)
+    return CheckReport(sum_ok, tuple(mismatches), checks, count, overall)
 
 
 def _first_difference(tree: MetricTree, other: MetricTree) -> str:

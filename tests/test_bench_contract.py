@@ -92,6 +92,7 @@ ABSENT_HOOKS = {
     "treeucat.documents.extend_to_refinement",
     "treeucat.greedy.extend_to_refinement",
     "treeucat.verify.extend_to_refinement",
+    "treeucat.verify.is_unimodal",
     "treeucat.greedy.find_forced_vertex",
     "treeucat.greedy.sweep",
     "treeucat.simplex.as_fraction",

@@ -3,8 +3,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from treeucat.documents import (
 from helpers import (
     count_builds,
     dense_decomposition_text,
+    many_denominator_instance,
     paper_sweep,
     path_instance,
     recursive_tree_instance,
@@ -213,6 +216,62 @@ def test_output_past_the_digit_limit_exits_2(tmp_path, capsys):
         assert "Traceback" not in captured.err
     assert main(["ucat", str(path)]) == 0
     assert capsys.readouterr().out == "2\n"
+
+
+def test_trace_past_the_digit_limit_prints_every_line(tmp_path, capsys):
+    # the remaining masses of this path have denominators of up to 20,000
+    # digits: the trace prints a stand-in for each such mass, and the
+    # document is the one written without the trace
+    f = many_denominator_instance(1, 20)
+    path = _write_instance(tmp_path, "in.json", f.tree, f)
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert main(["decompose", path, "--output", str(plain)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["decompose", path, "--output", str(traced), "--trace"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    ucat = parse_decomposition(plain.read_text(encoding="utf-8")).ucat
+    assert len(lines) == ucat > 1
+    for iteration, line in enumerate(lines, 1):
+        assert line.startswith(f"iteration {iteration}: mode v"), line
+    stand_in = "remaining mass a number with more than 4,300 digits"
+    assert sum(line.endswith(stand_in) for line in lines) > 0
+    assert lines[-1].endswith("remaining mass 0")
+    assert traced.read_text(encoding="utf-8") == plain.read_text(encoding="utf-8")
+
+
+def test_check_prints_a_sum_past_the_digit_limit(tmp_path, capsys):
+    # six components list a: 1/q, each q its own odd 1,000-digit number,
+    # so their sum at a, which the mismatch line reports, is too long for
+    # `str`; the check still prints every line and fails with exit 1
+    from treeucat import EdgeLinearDensity, MetricTree
+
+    tree = MetricTree(["a"])
+    f = EdgeLinearDensity(tree, {"a": 1})
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    rng = random.Random(7)
+    qs = set()
+    while len(qs) < 6:
+        qs.add(rng.randrange(10**999, 10**1000) | 1)
+    parts = tuple(
+        Component("a", EdgeLinearDensity(tree, {"a": Fraction(1, q)}))
+        for q in sorted(qs)
+    )
+    provenance = {"tool": "treeucat", "input_digest": instance_digest(tree, f)}
+    out = tmp_path / "d.json"
+    out.write_text(
+        serialize_decomposition(Decomposition(tree, parts), provenance),
+        encoding="utf-8",
+    )
+    assert main(["check", instance, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "sum: MISMATCH at a: expected 1, components give a number with more"
+        " than 4,300 digits",
+        *[f"component {i}: ok" for i in range(6)],
+        "count: 6",
+        "overall: FAIL",
+    ]
 
 
 def test_ucat_command(tmp_path, capsys):

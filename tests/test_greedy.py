@@ -152,12 +152,12 @@ def test_trace_masses_stay_on_the_lattice_until_read():
         assert event.remaining_mass is event.remaining_mass  # built once
     # an event still on the lattice is the event built from its Fraction
     direct = TraceEvent(2, "B", Fraction(3, 2))
-    assert repr(TraceEvent._on_lattice(2, "B", 6, 4)) == repr(direct) == (
+    assert repr(TraceEvent(2, "B", (6, 4))) == repr(direct) == (
         "TraceEvent(iteration=2, forced_vertex='B', remaining_mass=Fraction(3, 2))"
     )
-    unread = TraceEvent._on_lattice(2, "B", 6, 4)
+    unread = TraceEvent(2, "B", (6, 4))
     assert unread == direct and hash(unread) == hash(direct)
-    assert pickle.loads(pickle.dumps(TraceEvent._on_lattice(2, "B", 6, 4))) == direct
+    assert pickle.loads(pickle.dumps(TraceEvent(2, "B", (6, 4)))) == direct
 
 
 def test_trace_masses_start_below_the_input_sum():

@@ -173,6 +173,27 @@ def test_hash_is_the_hash_of_the_fields(cls, fields, text):
     assert hash(record) == expected == hash(cls(**copy.deepcopy(fields)))
 
 
+@pytest.mark.parametrize("cls, fields, text", CASES, ids=IDS)
+def test_construction_refuses_a_field_not_given_once(cls, fields, text):
+    # each field is given once, by position or by keyword; `Record`'s own
+    # constructor names the record's fields in its error
+    values, first = tuple(fields.values()), next(iter(fields))
+    misfits = {
+        "missing": ((), {k: v for k, v in fields.items() if k != first}),
+        "extra": ((*values, 0), {}),
+        "unknown": ((), {**fields, "colour": 0}),
+        "repeated": (values[:1], fields),
+    }
+    if "__init__" not in vars(cls):
+        misfits["too few"] = (values[:-1], {})
+    for what, (args, named) in misfits.items():
+        with pytest.raises(TypeError) as err:
+            cls(*args, **named)
+        if "__init__" not in vars(cls):
+            message = f"{cls.__name__} takes its fields ({', '.join(fields)}),"
+            assert str(err.value).startswith(message), (what, str(err.value))
+
+
 def test_records_of_different_classes_are_never_equal():
     assert Forced("v") != Unimodal("v")
     assert Forced("v").__eq__(Unimodal("v")) is NotImplemented

@@ -56,12 +56,10 @@ def _assert_same(f, d):
     got = check_decomposition(f, d)
     assert got == reference_check_decomposition(f, d)
     # components built from rows, as `decompose` and binding build them,
-    # are checked alike, with no density built for those that pass
+    # are checked alike, with no density built, for those that rise too
     rows = [Component._from_rows(c.mode, c.tree, c.rows) for c in d.components]
     assert check_decomposition(f, Decomposition(d.refined_tree, tuple(rows))) == got
-    assert sum(c._density is not None for c in rows) == sum(
-        "rises" in c.detail for c in got.components
-    )
+    assert sum(c._density is not None for c in rows) == 0
     for component in d.components:
         density = component.density
         assert is_unimodal(density) == reference_is_unimodal(density)
@@ -255,6 +253,22 @@ def test_failing_components_cost_their_prefix_not_the_tree():
     short = calls(200, 40) - calls(200, 20)
     long = calls(800, 40) - calls(800, 20)
     assert long <= 1.1 * short
+
+
+def test_check_builds_no_density_for_a_rising_component(monkeypatch):
+    # a counted gate: naming the rising edge of a component built from
+    # rows once built its density (1 here); `_peak` now finds the edge on
+    # the rows the check already holds
+    tree, f = path_instance([1, 1, 1, 1, 1])
+    rising = Component._from_rows("v1", tree, ((0, (1, 1)), (2, (1, 1))))
+    rest = Component._from_rows("v1", tree, ((0, (1, 1)), (1, (1, 1))))
+    built = count_builds(monkeypatch, EdgeLinearDensity)
+    report = check_decomposition(f, Decomposition(tree, (rising, rest)))
+    assert [c.detail for c in report.components] == [
+        "value rises along edge v2-v3 away from the maximum",
+        "",
+    ]
+    assert built == {EdgeLinearDensity: 0}, built
 
 
 def test_oracle_work_is_pinned():

@@ -118,6 +118,48 @@ def test_value_types_are_built_by_their_constructor_only():
                 assert "classmethod" not in names, f"{path.name}: {node.name}"
 
 
+def _field_binding_inits(source: str) -> list[str]:
+    """The `Record` subclasses in `source` whose `__init__` takes no
+    default and only stores each parameter into the slot of its name,
+    through `object.__setattr__`: the work `Record.__init__` does."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if "Record" not in {b.id for b in node.bases if isinstance(b, ast.Name)}:
+            continue
+        for init in node.body:
+            if not isinstance(init, ast.FunctionDef) or init.name != "__init__":
+                continue
+            arguments = init.args
+            if arguments.defaults or any(arguments.kw_defaults):
+                continue
+            params = [a.arg for a in arguments.args[1:] + arguments.kwonlyargs]
+            stores = {f"object.__setattr__(self, {p!r}, {p})" for p in params}
+            body = {ast.unparse(statement) for statement in init.body}
+            if params and body == stores:
+                found.append(node.name)
+    return found
+
+
+def test_plain_records_are_built_by_the_record_constructor():
+    # a record whose fields are its slots takes `Record.__init__`; only one
+    # that stores a field in another form, or gives one a default, writes
+    # its own
+    sample = (
+        "class Pair(Record):\n"
+        "    __slots__ = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "        object.__setattr__(self, 'b', b)\n"
+    )
+    assert _field_binding_inits(sample) == ["Pair"]
+    assert _field_binding_inits(sample.replace("b):", "b=0):")) == []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = _field_binding_inits(path.read_text(encoding="utf-8"))
+        assert found == [], f"{path.name}: {found}"
+
+
 def _modules_after(statements: str, cwd: Path) -> set[str]:
     """The modules loaded after a fresh interpreter runs `statements`.
     `-S` skips `site`, whose `.pth` files may import modules themselves and
