@@ -5,17 +5,22 @@ from first principles, so producer and checker can only agree by being
 right. Minimality is decided by reducing f to exact pieces, split at its
 zeros, with leaves no higher than their neighbour pruned and monotone
 degree-2 vertices contracted: `interval_ucat` counts a path piece, and
-exhaustive exact linear feasibility over candidate mode sets decides
-every other one. Both stay exact and do their arithmetic on
-integers: they read the `(numerator, denominator)` pairs densities store.
+an exhaustive search over candidate mode sets, from the piece's rising
+leaves up, decides every other one. A candidate is certified feasible
+by `_fill`, a construction on path minima, where it can, and otherwise
+by exact linear feasibility, which also gives every "infeasible". Both
+stay exact and do their arithmetic on integers: they read the
+`(numerator, denominator)` pairs densities store.
 A searched piece is its search state, `_Piece`, built by the reduction
 itself; its values stay integers, f's times the lcm of f's denominators,
 from reduction to certificate, and the LP answers in integers too. Every
 candidate reuses the state: each anchor is rooted once, and each
-certificate is checked once, in integers. Both run their own loops on
-vertex indices and build `Fraction`s and name ids only in public results
-and messages. The oracle imports `simplex` and `interval` inside the
-functions that use them, so `check` loads neither.
+certificate, built or solved, is checked once, in integers. Both run
+their own loops on vertex indices and build `Fraction`s and name ids
+only in public results and messages. The oracle imports `simplex` and
+`interval` inside the functions that use them, so `check` loads
+neither, and a search that `_fill` answers throughout loads no
+`simplex`.
 """
 
 from __future__ import annotations
@@ -241,10 +246,11 @@ def feasible_avoiding_vertex(
 def _certificate(
     f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
 ) -> FeasibilityCertificate | None:
-    """`_decide` on a fresh `_piece(f)`, its answer read as `Fraction`s."""
+    """`_decide` on a fresh `_piece(f)`, its answer read as `Fraction`s;
+    the answer is the LP's, not `_fill`'s, except for a single anchor."""
     piece, index = _piece(f), f.tree.index
     gap = None if avoid is None else index[avoid]
-    found = _decide(piece, tuple(index[m] for m in modes), gap)
+    found = _decide(piece, tuple(index[m] for m in modes), gap, fill=False)
     if found is None:
         return None
     components, d = found
@@ -253,7 +259,9 @@ def _certificate(
     return FeasibilityCertificate(modes, tuple(values))
 
 
-def _decide(piece: _Piece, anchors: tuple[int, ...], gap: int | None = None):
+def _decide(
+    piece: _Piece, anchors: tuple[int, ...], gap: int | None = None, fill: bool = True
+):
     """The feasibility question on indices, in integers: components
     anchored at `anchors`, strictly below their anchor value at `gap` if
     one is given, as lists of values times d * piece.scale, and d; or None.
@@ -261,10 +269,12 @@ def _decide(piece: _Piece, anchors: tuple[int, ...], gap: int | None = None):
     Prefilter, a necessary condition: a component is capped by the
     minimum of f along the path to its anchor (it is below f everywhere
     and rises toward the anchor), so the caps must cover f at every
-    vertex. With one anchor and no gap, the vertex sums pin the only
-    component to f itself, and the prefilter has just checked that f never
-    rises away from the anchor, so no system is solved. Every answer is
-    validated, strictness at `gap` included, before it is returned."""
+    vertex. With no gap, `_fill` then tries to build an answer without
+    solving anything. The public certificates pass `fill=False`, so any
+    answer they give for two or more anchors stays the LP's; a single
+    anchor's is f itself, which `_fill` gives. Every other candidate is
+    solved as a system, so every "infeasible" is the LP's. Every answer
+    is validated, strictness at `gap` included, before it is returned."""
     rooted, scaled = piece.rooted, piece.scaled
     for m in anchors:
         if m not in rooted:
@@ -273,14 +283,36 @@ def _decide(piece: _Piece, anchors: tuple[int, ...], gap: int | None = None):
     for caps, value in zip(zip(*[rooted[m][1] for m in anchors]), scaled):
         if sum(caps) < value:
             return None
-    if len(anchors) == 1 and gap is None:
-        found = [scaled], 1
-    else:
+    found = None
+    if gap is None and (fill or len(anchors) == 1):
+        found = _fill(piece, anchors)
+    if found is None:
         found = _solve(piece, anchors, gap)
         if found is None:
             return None
     _validate(piece, anchors, *found, gap)
     return found
+
+
+def _fill(piece: _Piece, anchors: tuple[int, ...]):
+    """A certificate built without an LP, as `_decide` returns one with
+    d = 1, or None if this construction fails; None proves nothing.
+
+    Each anchor but the last, in candidate order, takes the minimum of
+    what is left along the path to it, the largest component anchored
+    there that fits under it, and leaves the rest. The last anchor takes
+    all that is left, if it never rises away from that anchor. With one
+    anchor, the one component is f, which the prefilter has checked."""
+    rooted, rest = piece.rooted, piece.scaled  # `rest` is rebound, never mutated
+    components = []
+    for m in anchors[:-1]:
+        taken = _path_minima(rest, m, rooted[m][0])
+        components.append(taken)
+        rest = [a - b for a, b in zip(rest, taken)]
+    for closer, farther in rooted[anchors[-1]][0]:
+        if rest[closer] < rest[farther]:
+            return None
+    return [*components, rest], 1
 
 
 def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
@@ -542,19 +574,35 @@ def _search(piece: _Piece, k_max: int) -> int | None:
     is a bitmask over the vertices, so the test is a few integer ANDs, and
     the candidates it keeps are tried in the same order, so the first
     feasible one, and k, do not move.
+
+    The floor. A leaf x above its one neighbour is the far side of a
+    rising edge, and that side is {x} alone, so the rule puts x in every
+    feasible set: with L such leaves, k >= L. Every candidate holds them
+    all, the search starts at k = max(L, 1), and only the other vertices
+    are enumerated, leaving the sides that hold none of the leaves to
+    test. For a fixed set of leaves, sorted unions come in the
+    lexicographic order of the other vertices they add (the smallest
+    vertex in which two unions differ is the smallest in which the added
+    vertices differ), so the candidates reach `_decide` as before. Every
+    leaf of a reduced core rises, so there L is the core's leaf count.
     """
     n = len(piece.scaled)
-    bits = [1 << i for i in range(n)]
     sides = _rising_sides(piece)
-    for k in range(1, min(k_max, n) + 1):
-        masks = itertools.combinations(bits, k)
-        for candidate, chosen in zip(itertools.combinations(range(n), k), masks):
+    floor = sum(side for side in sides if side.bit_count() == 1)  # leaf bits
+    sides = [side for side in sides if not side & floor]  # the rest to test
+    leaves = [i for i in range(n) if floor >> i & 1]
+    others = [i for i in range(n) if not floor >> i & 1]
+    bits = [1 << i for i in others]
+    for k in range(max(len(leaves), 1), min(k_max, n) + 1):
+        size = k - len(leaves)
+        masks = itertools.combinations(bits, size)
+        for added, chosen in zip(itertools.combinations(others, size), masks):
             mask = sum(chosen)
             for side in sides:
                 if not mask & side:
                     break
             else:
-                if _decide(piece, candidate) is not None:
+                if _decide(piece, tuple(sorted((*leaves, *added)))) is not None:
                     return k
     return None
 

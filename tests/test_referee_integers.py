@@ -282,7 +282,8 @@ def test_oracle_work_is_pinned():
     # each searched piece as its search state directly, with no tree or
     # density in between, and reading the LP's answer as integers over its
     # basis determinant makes it 12,740. Pruning leaves no higher than their
-    # neighbour before the search makes it 10,886
+    # neighbour before the search makes it 10,886, and starting from the
+    # rising leaves and building feasible sets by `_fill` makes it 9,427
     total = 0
     for seed in range(100):
         tree, f = gen_instance(seed, 7, 9)
@@ -295,12 +296,14 @@ def test_oracle_pivots_are_pinned(monkeypatch):
     # 1,941 pivots while every zero-rhs `>=` row had an artificial column
     # for phase 1 to pivot out; starting those rows from their slacks,
     # they took 741, and pruning leaves no higher than their neighbour
-    # before the search leaves 22 of the 35 LPs, which take 481
+    # before the search leaves 22 of the 35 LPs, which take 481. Building
+    # a feasible set's certificate by `_fill` first leaves 17, which take
+    # 408
     pivots = record_pivots(monkeypatch)
     for seed in range(20):
         tree, f = gen_instance(seed, 18, 40)
         assert ucat_oracle(f, len(tree.vertices)) == ucat(f), seed
-    assert len(pivots) <= 481
+    assert len(pivots) <= 408
 
 
 def test_a_broken_certificate_is_refused():
@@ -372,20 +375,24 @@ def test_the_oracle_builds_fractions_only_in_lp_results(monkeypatch):
     # and then 61 in `simplex.maximize`'s `LPResult`s, which the search
     # turned straight back into integers. Now the LP answers in integer
     # numerators over d, and the oracle builds no `Fraction` at all,
-    # inside `maximize` included
+    # inside `maximize` included. Since `_fill` builds every feasible set
+    # on this family, it solves no LP, so the LPs are counted on
+    # gen_instance(s, 18, 40), s = 0..19, which solves 17
     maximize, solves = simplex.maximize, []
 
     def counted(c, rows):
         solves.append(c)
         return maximize(c, rows)
 
-    instances = [gen_instance(seed, 5, 9)[1] for seed in range(300)]
-
-    def oracle_runs():
+    def oracle_runs(instances):
         for f in instances:
             ucat_oracle(f, len(f.tree.vertices))
 
     monkeypatch.setattr(simplex, "maximize", counted)
-    built, _ = fractions_built_during(oracle_runs)
+    small = [gen_instance(seed, 5, 9)[1] for seed in range(300)]
+    built, _ = fractions_built_during(oracle_runs, small)
+    assert built == 0, built
+    larger = [gen_instance(seed, 18, 40)[1] for seed in range(20)]
+    built, _ = fractions_built_during(oracle_runs, larger)
     assert len(solves) > 10, solves
     assert built == 0, built

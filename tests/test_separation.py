@@ -21,6 +21,7 @@ from pathlib import Path
 
 import treeucat
 from treeucat.documents import serialize_instance
+from treeucat.instances import gen_instance
 
 from helpers import star_instance
 
@@ -203,11 +204,20 @@ def test_each_command_loads_only_its_own_side(tmp_path):
     assert package("verify", "simplex", "interval", "instances").isdisjoint(loaded)
     assert width_lookup.isdisjoint(loaded)
 
+    # the star's core is its three rising leaves, which `_fill` answers
+    # with no LP; the search on gen_instance(0, 7, 9) meets a feasible set
+    # that `_fill` cannot build, so only there is `simplex` loaded
+    tree, f = gen_instance(0, 7, 9)
+    (tmp_path / "lp.json").write_text(serialize_instance(tree, f), encoding="utf-8")
     producer = package("greedy", "forced", "sweeping", "instances")
-    solvers = package("simplex", "interval")  # the oracle's, not check's
-    for argv in (("check", "in.json", "d.json"), ("oracle", "in.json")):
+    solvers = {
+        ("check", "in.json", "d.json"): set(),
+        ("oracle", "in.json"): package("interval"),
+        ("oracle", "lp.json"): package("interval", "simplex"),
+    }
+    for argv, loads in solvers.items():
         loaded = command(*argv)
         assert package("verify") <= loaded, argv
         assert producer.isdisjoint(loaded), argv
-        assert loaded & solvers == (solvers if argv[0] == "oracle" else set()), argv
+        assert loaded & package("simplex", "interval") == loads, argv
         assert width_lookup.isdisjoint(loaded), argv

@@ -39,6 +39,7 @@ from helpers import (
     monotone_arm_instance,
     path_between,
     path_instance,
+    python_calls_during,
     random_path_values,
     star_instance,
     subdivide,
@@ -420,20 +421,26 @@ def _far_side(tree, x, y):
     return {v for v in tree.vertices if y in path_between(tree, x, v)}
 
 
-def _tried_candidates(monkeypatch, f):
-    """The search step's answer on the whole of f, unreduced, and the
-    candidates, as vertex ids, it gave to the per-candidate check."""
+def _searched(monkeypatch, piece):
+    """`_search`'s answer on `piece` and the candidates it gave `_decide`."""
     tried = []
     decide = verify._decide
 
     def recording(piece, anchors, gap=None):
-        tried.append(tuple(piece.vertices[m] for m in anchors))
+        tried.append(anchors)
         return decide(piece, anchors, gap)
 
     monkeypatch.setattr(verify, "_decide", recording)
-    k = verify._search(verify._piece(f), len(f.tree.vertices))
+    k = verify._search(piece, len(piece.scaled))
     monkeypatch.undo()
     return k, tried
+
+
+def _tried_candidates(monkeypatch, f):
+    """The search step's answer on the whole of f, unreduced, and the
+    candidates, as vertex ids, it gave to the per-candidate check."""
+    k, tried = _searched(monkeypatch, verify._piece(f))
+    return k, [tuple(f.tree.vertices[m] for m in anchors) for anchors in tried]
 
 
 def test_rising_edge_rule_skips_only_infeasible_candidates(monkeypatch):
@@ -519,24 +526,94 @@ def _count_solves(monkeypatch) -> list:
 def test_oracle_solves_few_lps(monkeypatch):
     # a counted gate: without the rising-edge rule these 100 trees took 180
     # LP solves; with it they took 49, searching reduced pieces only they
-    # took 19, and pruning leaves no higher than their neighbour before the
-    # search they take 11
+    # took 19, pruning leaves no higher than their neighbour before the
+    # search they took 11, and building feasible sets by `_fill` before
+    # any LP they take 4; the rest are feasible sets `_fill` cannot build
     solves = _count_solves(monkeypatch)
     for seed in range(100):
         tree, f = gen_instance(seed, 7, 9)
         ucat_oracle(f, len(tree.vertices))
-    assert 0 < len(solves) <= 11
+    assert 0 < len(solves) <= 4
+
+
+def test_oracle_small_family_solves_no_lp(monkeypatch):
+    # a counted gate, on oracle-small's family: every LP solved here (11
+    # before `_fill`) was a feasible set of a core's leaves, which `_fill`
+    # now builds and `_validate` checks
+    solves = _count_solves(monkeypatch)
+    for seed in range(300):
+        tree, f = gen_instance(seed, 5, 9)
+        ucat_oracle(f, len(tree.vertices))
+    assert solves == []
 
 
 def test_pruning_leaves_brings_seed_6_at_30_vertices_under_30_lps(monkeypatch):
     # a counted gate: this tree's one searched piece had 22 vertices and
-    # took 324 LPs, 323 of them infeasible; pruned, it has 11 and takes 29
+    # took 324 LPs, 323 of them infeasible; pruned, it has 11 and took 29,
+    # and with `_fill` building the feasible set it takes 28
     tree, f = gen_instance(6, 30, 40)
     _, searched = verify.oracle_pieces(f)
     assert [len(piece.vertices) for piece in searched] == [11]
     solves = _count_solves(monkeypatch)
     assert ucat_oracle(f, len(tree.vertices)) == ucat(f) == 7
-    assert len(solves) <= 30
+    assert len(solves) <= 28
+
+
+def test_a_corrupted_fill_is_refused(monkeypatch):
+    # `_fill`'s answer goes through the check the LP's does: one unit added
+    # at one vertex breaks the sums, and one unit moved there from one
+    # component to another breaks monotonicity
+    _, f = star_instance(1, {"a": 2, "b": 2, "d": 2})
+    piece, anchors = verify._piece(f), (0, 1, 3)  # a, b, c, d; c the centre
+    good = [[2, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
+    assert verify._decide(piece, anchors) == (good, 1)
+    added = [[3, 1, 1, 1], *good[1:]]
+    moved = [[2, 1, 0, 1], [0, 1, 1, 0], good[2]]
+    broken = {
+        "^certificate sums to 3 at 'a', expected 2$": added,
+        "^certificate rises along c-b away from 'a'$": moved,
+    }
+    for message, components in broken.items():
+        monkeypatch.setattr(verify, "_fill", lambda piece, anchors: (components, 1))
+        with pytest.raises(verify.InternalInvariantError, match=message):
+            verify._decide(piece, anchors)
+
+
+def test_the_lp_decides_a_feasible_set_the_fill_cannot_build(monkeypatch):
+    # on these trees the search stops at a feasible set that `_fill` cannot
+    # build, so the LP finds it; a search that asks the LP for every set of
+    # two or more anchors gives the same k
+    fill = verify._fill
+    for seed in (2, 5, 9, 10, 17, 19):
+        tree, f = gen_instance(seed, 30, 40)
+        assert ucat_oracle(f, len(tree.vertices)) == ucat(f), seed
+        stopped = []
+        for piece in verify.oracle_pieces(f)[1]:
+            k, tried = _searched(monkeypatch, piece)
+            assert k is not None, seed
+            stopped.append(fill(piece, tried[-1]))
+            monkeypatch.setattr(
+                verify, "_fill", lambda p, a: fill(p, a) if len(a) == 1 else None
+            )
+            assert verify._search(piece, len(piece.scaled)) == k, seed
+            monkeypatch.undo()
+        assert None in stopped, seed
+
+
+def test_seed_5_at_40_vertices_decides_one_candidate(monkeypatch):
+    # a counted gate: the searched piece has 27 vertices, 12 of them rising
+    # leaves, and k = 12. Enumerating sets of all 27 vertices took 17.3 s,
+    # at least one profiler call for each of the 29,666,703 sets of 11 or
+    # fewer, before the one feasible set came up; the floor makes that set
+    # the first asked, and the search makes 5,687 calls, most of them its
+    # one LP
+    tree, f = gen_instance(5, 40, 40)
+    (piece,) = verify.oracle_pieces(f)[1]
+    assert len(piece.scaled) == 27
+    assert python_calls_during(verify._search, piece, 27) <= 6_000
+    k, tried = _searched(monkeypatch, piece)
+    assert k == 12 and len(tried) == 1
+    assert ucat_oracle(f, len(tree.vertices)) == ucat(f)
 
 
 def _largest_searched(f):
