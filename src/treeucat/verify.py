@@ -246,11 +246,10 @@ def feasible_avoiding_vertex(
 def _certificate(
     f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
 ) -> FeasibilityCertificate | None:
-    """`_decide` on a fresh `_piece(f)`, its answer read as `Fraction`s;
-    the answer is the LP's, not `_fill`'s, except for a single anchor."""
+    """`_decide` on a fresh `_piece(f)`, its answer read as `Fraction`s."""
     piece, index = _piece(f), f.tree.index
     gap = None if avoid is None else index[avoid]
-    found = _decide(piece, tuple(index[m] for m in modes), gap, fill=False)
+    found = _decide(piece, tuple(index[m] for m in modes), gap)
     if found is None:
         return None
     components, d = found
@@ -259,9 +258,7 @@ def _certificate(
     return FeasibilityCertificate(modes, tuple(values))
 
 
-def _decide(
-    piece: _Piece, anchors: tuple[int, ...], gap: int | None = None, fill: bool = True
-):
+def _decide(piece: _Piece, anchors: tuple[int, ...], gap: int | None = None):
     """The feasibility question on indices, in integers: components
     anchored at `anchors`, strictly below their anchor value at `gap` if
     one is given, as lists of values times d * piece.scale, and d; or None.
@@ -270,11 +267,9 @@ def _decide(
     minimum of f along the path to its anchor (it is below f everywhere
     and rises toward the anchor), so the caps must cover f at every
     vertex. With no gap, `_fill` then tries to build an answer without
-    solving anything. The public certificates pass `fill=False`, so any
-    answer they give for two or more anchors stays the LP's; a single
-    anchor's is f itself, which `_fill` gives. Every other candidate is
-    solved as a system, so every "infeasible" is the LP's. Every answer
-    is validated, strictness at `gap` included, before it is returned."""
+    solving anything. Every other candidate is solved as a system, so
+    every "infeasible" is the LP's. Every answer is validated, strictness
+    at `gap` included, before it is returned."""
     rooted, scaled = piece.rooted, piece.scaled
     for m in anchors:
         if m not in rooted:
@@ -284,7 +279,7 @@ def _decide(
         if sum(caps) < value:
             return None
     found = None
-    if gap is None and (fill or len(anchors) == 1):
+    if gap is None:
         found = _fill(piece, anchors)
     if found is None:
         found = _solve(piece, anchors, gap)
@@ -590,19 +585,18 @@ def _search(piece: _Piece, k_max: int) -> int | None:
     sides = _rising_sides(piece)
     floor = sum(side for side in sides if side.bit_count() == 1)  # leaf bits
     sides = [side for side in sides if not side & floor]  # the rest to test
-    leaves = [i for i in range(n) if floor >> i & 1]
-    others = [i for i in range(n) if not floor >> i & 1]
-    bits = [1 << i for i in others]
-    for k in range(max(len(leaves), 1), min(k_max, n) + 1):
-        size = k - len(leaves)
-        masks = itertools.combinations(bits, size)
-        for added, chosen in zip(itertools.combinations(others, size), masks):
-            mask = sum(chosen)
+    others = [1 << i for i in range(n) if not floor >> i & 1]
+    leaves = floor.bit_count()
+    for k in range(max(leaves, 1), min(k_max, n) + 1):
+        for added in itertools.combinations(others, k - leaves):
+            mask = sum(added)
             for side in sides:
                 if not mask & side:
                     break
             else:
-                if _decide(piece, tuple(sorted((*leaves, *added)))) is not None:
+                mask |= floor
+                candidate = tuple(i for i in range(n) if mask >> i & 1)
+                if _decide(piece, candidate) is not None:
                     return k
     return None
 

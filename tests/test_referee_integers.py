@@ -179,7 +179,9 @@ def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
     # each system the oracle solves is posed for scale * f, scale the lcm of
     # f's denominators; solving it with the rhs divided back by scale, on
     # the `Fraction` reference, must give the same status, and exactly
-    # 1/scale times the point and the objective
+    # 1/scale times the point and the objective. Seeds 0..29 solved 172
+    # systems optimal; since `_fill` builds feasible sets before any LP
+    # they solve 98, so the family runs to seed 39, which solves 125
     rng = random.Random(3)
     solve = simplex.maximize
     solved = []
@@ -198,7 +200,7 @@ def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
 
     monkeypatch.setattr(simplex, "maximize", compared)
     scales = set()
-    for seed in range(30):
+    for seed in range(40):
         tree, g = gen_instance(seed, 6, 6)
         values = {v: g.value(v) / rng.randint(1, 9) for v in tree.vertices}
         f = EdgeLinearDensity(tree, values)
