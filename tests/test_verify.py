@@ -579,6 +579,22 @@ def test_a_corrupted_fill_is_refused(monkeypatch):
             verify._decide(piece, anchors)
 
 
+def test_a_public_certificate_is_built_by_the_fill_where_it_can_be(monkeypatch):
+    # `feasible_with_modes` asks `_fill` before the LP, as the search does;
+    # with a vertex to avoid, the LP answers
+    _, f = star_instance(1, {"a": 2, "b": 2, "d": 2})
+    solves = _count_solves(monkeypatch)
+    certificate = feasible_with_modes(f, ["a", "b", "d"])
+    assert solves == []
+    assert certificate.components == (
+        {"a": 2, "b": 1, "c": 1, "d": 1},
+        {"a": 0, "b": 1, "c": 0, "d": 0},
+        {"a": 0, "b": 0, "c": 0, "d": 1},
+    )
+    verify.feasible_avoiding_vertex(f, ["a", "b", "d"], "c")
+    assert len(solves) == 1
+
+
 def test_the_lp_decides_a_feasible_set_the_fill_cannot_build(monkeypatch):
     # on these trees the search stops at a feasible set that `_fill` cannot
     # build, so the LP finds it; a search that asks the LP for every set of
