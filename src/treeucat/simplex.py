@@ -1,28 +1,30 @@
-"""Exact linear programming, small scale, on integer rows.
+"""Exact linear feasibility, small scale, on integer rows.
 
-Two-phase tableau simplex with Bland's rule, so termination is guaranteed,
-on a fraction-free integer tableau (Bareiss/Edmonds integer-preserving
-pivoting). Every coefficient, right-hand side and objective entry is an
-`int`; anything else raises `TypeError`. A row whose rhs is negative, or
-a ">=" row whose rhs is 0, is negated first, so every rhs is >= 0 and a
-zero-rhs row's slack has coefficient +1 and starts basic at 0. Only a
-row left with a positive rhs and a -1 slack (">=" with rhs > 0, or "<="
-with rhs < 0) gets an artificial column. Most of the oracle's rows are
-monotonicity rows `a.x >= 0`, so they start feasible at 0 instead of
-costing phase 1 a degenerate pivot each.
+Phase 1 of the tableau simplex, with Bland's rule, so termination is
+guaranteed, on a fraction-free integer tableau (Bareiss/Edmonds
+integer-preserving pivoting). There is no objective: a caller with an
+optimization question poses it as feasibility (`verify._solve` does).
+Every coefficient and right-hand side is an `int`; anything else raises
+`TypeError`. A row whose rhs is negative, or a ">=" row whose rhs is 0,
+is negated first, so every rhs is >= 0 and a zero-rhs row's slack has
+coefficient +1 and starts basic at 0. Only a row left with a positive
+rhs and a -1 slack (">=" with rhs > 0, or "<=" with rhs < 0) gets an
+artificial column. Most of the oracle's rows are monotonicity rows
+`a.x >= 0`, so they start feasible at 0 instead of costing phase 1 a
+degenerate pivot each.
 
 Every cell holds D times its true value, where D > 0 is the current basis
-determinant, so a pivot on (r, e) with entry p updates row i as
+determinant, so a pivot on (r, e) with entry p > 0 updates row i as
 (row_i * p - row_i[e] * row_r) // D, a division that is always exact, and
-then sets D = p. The phase-1 drive-out step may pivot on a negative
-entry; the tableau is then negated so that D stays positive. Cell signs
-and ratio comparisons are those of the true values, so the pivot sequence
-is that of the same method on `Fraction`s. The point and the objective
-value are returned as integer numerators over the final D.
+then sets D = p. Cell signs and ratio comparisons are those of the true
+values, so the pivot sequence is that of the same method on `Fraction`s.
 
-Every "infeasible" comes with a Farkas vector y, read from the final
-phase-1 objective row and checked in integers against the starting rows,
-as `_signed` built them for the tableau:
+Phase 1 minimizes the sum of the artificials. If it reaches 0, the basic
+point is feasible and is returned as integer numerators over the final
+D; an artificial still basic sits at level 0, so it moves no variable.
+Otherwise the answer is "infeasible", and it comes with a Farkas vector
+y, read from the final phase-1 objective row and checked in integers
+against the starting rows, as `_signed` built them for the tableau:
 y.a_j <= 0 on every structural and slack column and y.b > 0, so no
 nonnegative point satisfies them. Intended for the desk-scale systems
 built by the feasibility oracle (tens of variables); no sparsity, no
@@ -41,77 +43,41 @@ GREATER_EQUAL = ">="
 
 
 class LPResult(Record):
-    """An LP's answer: its `status`, "optimal", "infeasible" or
-    "unbounded"; and when optimal, the solution `x`, a tuple of int
-    numerators over d, the `objective`, an int numerator over d, and `d`,
-    the final basis determinant, an int > 0; otherwise each is None."""
+    """A feasibility answer: its `status`, "feasible" or "infeasible"; and
+    when feasible, the point `x`, a tuple of int numerators over d, and
+    `d`, the final basis determinant, an int > 0; otherwise both are None."""
 
-    __slots__ = ("status", "x", "objective", "d")
+    __slots__ = ("status", "x", "d")
 
 
-def maximize(
-    c: Sequence[int], constraints: Sequence[tuple[Sequence[int], str, int]]
+def feasible(
+    n: int, constraints: Sequence[tuple[Sequence[int], str, int]]
 ) -> LPResult:
-    """Maximize c.x subject to the given rows; all variables are >= 0.
+    """Find a point of n variables, all >= 0, that satisfies the rows.
 
     Each constraint is (coefficients, relation, rhs) with relation "<=" or
-    ">=", all numbers `int`s. Passing an all-zero objective turns this
-    into a pure feasibility check (phase 2 then exits immediately). An
-    optimum is the point x_i / d with value objective / d; the other
-    statuses carry None in x, objective and d.
+    ">=", all numbers `int`s. A feasible answer is the point x_i / d; an
+    infeasible one, whose Farkas vector has been checked, carries None in
+    x and d.
     """
-    cost = _integers(c)
-    n = len(cost)
-    real = n + len(constraints)
     signed = _signed(n, constraints)
     rows, basis = _tableau(n, signed)
-    d = 1
-
+    real, d = n + len(signed), 1
     if any(col >= real for col in basis):
         # phase 1: minimize the sum of the artificials
         obj = [0] * real + [1] * (len(rows[0]) - 1 - real) + [0]
         for row, col in zip(rows, basis):
             if col >= real:
                 obj = [a - b for a, b in zip(obj, row)]
-        d = _run(rows, basis, obj, len(obj) - 1, d)
-        if d is None:
-            raise InternalInvariantError("phase 1 ended unbounded below 0")
+        d = _run(rows, basis, obj, d)
         if obj[-1] != 0:
             _check_farkas(n, signed, obj, d)
-            return LPResult("infeasible", None, None, None)
-        for i in range(len(rows)):
-            if basis[i] < real:
-                continue
-            # basic artificial at level zero: pivot it out on the row's
-            # first real entry, which exists because the slack block is D
-            # times the basis inverse up to column signs, and no row of an
-            # inverse is zero
-            enter = next(j for j in range(real) if rows[i][j])
-            d = _pivot(rows, basis, obj, i, enter, d)
-            if d < 0:
-                rows[:] = [[-a for a in row] for row in rows]
-                obj[:] = [-a for a in obj]
-                d = -d
-        # the artificials never enter again
-        for row in rows:
-            del row[real:-1]
-
-    # phase 2: minimize -c over the real columns
-    obj = [-d * a for a in cost]
-    obj += [0] * (real + 1 - n)
-    for row, col in zip(rows, basis):
-        if col < n and cost[col]:
-            w = cost[col]
-            obj = [a + w * b for a, b in zip(obj, row)]
-    d = _run(rows, basis, obj, real, d)
-    if d is None:
-        return LPResult("unbounded", None, None, None)
-    x, total = [0] * n, 0
+            return LPResult("infeasible", None, None)
+    x = [0] * n
     for row, col in zip(rows, basis):
         if col < n:
-            x[col] = b = row[-1]
-            total += cost[col] * b
-    return LPResult("optimal", tuple(x), total, d)
+            x[col] = row[-1]
+    return LPResult("feasible", tuple(x), d)
 
 
 def _integers(values) -> list[int]:
@@ -174,12 +140,12 @@ def _tableau(n: int, signed):
     return rows, basis
 
 
-def _run(rows, basis, obj, allowed: int, d: int) -> int | None:
-    """Pivot by Bland's rule over the columns below `allowed` until the
-    objective row has no negative cell; returns the final D, or None when
-    the entering column has no positive entry (unbounded)."""
+def _run(rows, basis, obj, d: int) -> int:
+    """Pivot by Bland's rule until the objective row has no negative cell;
+    returns the final D. Phase 1 is bounded below by 0, so an entering
+    column always has a positive entry."""
     while True:
-        for enter in range(allowed):
+        for enter in range(len(obj) - 1):
             if obj[enter] < 0:
                 break
         else:
@@ -196,7 +162,7 @@ def _run(rows, basis, obj, allowed: int, d: int) -> int | None:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, b, p = i, row[-1], a
         if leave < 0:
-            return None
+            raise InternalInvariantError("phase 1 ended unbounded below 0")
         d = _pivot(rows, basis, obj, leave, enter, d)
 
 

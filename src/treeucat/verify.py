@@ -214,13 +214,7 @@ def feasible_with_modes(
     along every edge away from the anchor, summing to f at each vertex.
     Repeated anchors are allowed. Returns an exact certificate or None.
     """
-    mode_list = tuple(modes)
-    if not mode_list:
-        raise EmptyModeSet("at least one mode is required")
-    for m in mode_list:
-        if not f.tree.has_vertex(m):
-            raise UnknownVertex(f"mode {m!r} is not a vertex")
-    return _certificate(f, mode_list, None)
+    return _certificate(f, modes, None)
 
 
 def feasible_avoiding_vertex(
@@ -234,20 +228,23 @@ def feasible_avoiding_vertex(
     equals ucat(f) a None here means every minimal decomposition with
     these anchors places a mode at `avoid`.
     """
-    mode_list = tuple(modes)
-    if not mode_list:
-        raise EmptyModeSet("at least one mode is required")
-    for m in (*mode_list, avoid):
-        if not f.tree.has_vertex(m):
-            raise UnknownVertex(f"{m!r} is not a vertex")
-    return _certificate(f, mode_list, avoid)
+    return _certificate(f, modes, avoid)
 
 
 def _certificate(
-    f: EdgeLinearDensity, modes: tuple[VertexId, ...], avoid: VertexId | None
+    f: EdgeLinearDensity, modes: Sequence[VertexId], avoid: VertexId | None
 ) -> FeasibilityCertificate | None:
-    """`_decide` on a fresh `_piece(f)`, its answer read as `Fraction`s."""
-    piece, index = _piece(f), f.tree.index
+    """The public question's arguments checked, then `_decide` on a fresh
+    `_piece(f)`, its answer read as `Fraction`s."""
+    modes, tree = tuple(modes), f.tree
+    if not modes:
+        raise EmptyModeSet("at least one mode is required")
+    for m in modes:
+        if not tree.has_vertex(m):
+            raise UnknownVertex(f"mode {m!r} is not a vertex")
+    if avoid is not None and not tree.has_vertex(avoid):
+        raise UnknownVertex(f"avoided vertex {avoid!r} is not a vertex")
+    piece, index = _piece(f), tree.index
     gap = None if avoid is None else index[avoid]
     found = _decide(piece, tuple(index[m] for m in modes), gap)
     if found is None:
@@ -316,11 +313,22 @@ def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     The last component is eliminated: it equals f minus the others, which
     turns all vertex-sum equalities into inequalities and leaves a system
     that is feasible at zero except for a few rows, keeping the simplex
-    warm start cheap. With `avoid`, a gap variable is maximized subject to
-    every component staying that far below its anchor value at `avoid`;
-    strict avoidance means a positive optimum. The rows are posed for the
-    integers scale * f, and the solver's integer point over its d is
-    returned as it comes, the eliminated component added.
+    warm start cheap. The rows are posed for the integers scale * f, and
+    the solver's integer point over its d is returned as it comes, the
+    eliminated component added.
+
+    With `avoid`, the system is made homogeneous (Charnes and Cooper): a
+    scale column t takes f's part of every row, as -value * t, so every
+    right-hand side is 0, and each component must stay at least 1 below
+    its anchor value at `avoid`. Lemma: this system is feasible exactly
+    when some decomposition anchored at `anchors` keeps every component
+    strictly below its anchor value at `avoid`. A feasible point has
+    t > 0: t = 0 caps each vertex sum of the components at 0, so every
+    component is 0 and no gap row holds. Divided by t, the point is such
+    a decomposition. Conversely, such a decomposition whose least gap is
+    g > 0, divided by g, with t = 1 / g, satisfies every row. So the
+    certificate is the point over t's numerator: the components are
+    x[s : s + nv] over d = x[-1].
     """
     from . import simplex
 
@@ -328,7 +336,7 @@ def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     nv, last = len(scaled), anchors[-1]
     # the other components' columns: component alpha at v is starts[alpha] + v
     starts = range(0, (len(anchors) - 1) * nv, nv)
-    nvars = len(starts) * nv + (avoid is not None)
+    nvars = len(starts) * nv + (avoid is not None)  # t is the last column
     ge, rows = simplex.GREATER_EQUAL, []
     for s, m in zip(starts, anchors):
         for closer, farther in rooted[m][0]:
@@ -346,32 +354,29 @@ def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
             row[s + v] = 1
         rows.append((row, simplex.LESS_EQUAL, scaled[v]))
 
-    objective = [0] * nvars
-    if avoid is not None:  # an anchor may be `avoid`, so these rows add up
-        gap = nvars - 1
-        objective[gap] = 1
+    if avoid is not None:  # f's part of each row, its rhs, moves to t
+        for row, _, rhs in rows:
+            row[-1] = -rhs
+        rows = [(row, relation, 0) for row, relation, _ in rows]
+        # the gap rows; an anchor may be `avoid`, so these entries add up
         for s, m in zip(starts, anchors):
             row = [0] * nvars
             row[s + m] += 1
             row[s + avoid] -= 1
-            row[gap] = -1
-            rows.append((row, ge, 0))
+            rows.append((row, ge, 1))
         row = [0] * nvars
         for s in starts:
             row[s + avoid] += 1
             row[s + last] -= 1
-        row[gap] = -1
-        rows.append((row, ge, scaled[avoid] - scaled[last]))
+        row[-1] = scaled[last] - scaled[avoid]
+        rows.append((row, ge, 1))
 
-    result = simplex.maximize(objective, rows)
+    result = simplex.feasible(nvars, rows)
     if result.status == "infeasible":
         return None
-    if result.status != "optimal":
-        raise InternalInvariantError(f"feasibility solve ended {result.status}")
-    if avoid is not None and result.objective <= 0:
-        return None
-
     x, d = result.x, result.d
+    if avoid is not None:
+        d = x[-1]  # the point over t's numerator
     components = [x[s : s + nv] for s in starts]
     rest = [value * d for value in scaled]  # the eliminated component
     for c in components:
@@ -385,8 +390,11 @@ def _validate(
     """Check every constraint of the literal system on `components`, in
     integers over the denominator d * piece.scale, and that each stays
     strictly below its anchor value at `gap`, if one is given; a failure
-    is a solver bug, never a property of the input."""
+    is a solver bug, never a property of the input. d must be positive:
+    with d = 0, the sums would hold at any zero certificate."""
     vertices, scale = piece.vertices, piece.scale
+    if d <= 0:
+        raise InternalInvariantError(f"certificate denominator {d} is not positive")
     for v, column in enumerate(zip(*components)):
         if sum(column) != piece.scaled[v] * d:
             raise InternalInvariantError(

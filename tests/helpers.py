@@ -21,9 +21,11 @@ does not vary from run to run, `fractions_built_during` counts the
 `Fraction`s a call builds, `count_builds` counts the objects a
 class's constructor builds, and `record_pivots` records the D of each
 simplex pivot. `reference_maximize` is the two-phase
-simplex on a `Fraction` tableau that `simplex.maximize`'s integer tableau
-must agree with, pivot for pivot; `lp_rationals` reads an `LPResult`'s
-integer numerators over d as the rationals the reference gives.
+simplex on a `Fraction` tableau, and `reference_feasible` runs it on a
+zero objective, whose optimum is the point that `simplex.feasible`'s
+integer tableau must reach by the same phase-1 pivots; `lp_rationals`
+reads an `LPResult`'s integer numerators over d as the rationals the
+reference gives.
 `reference_is_unimodal` and
 `reference_check_decomposition` are the referee's checks as they were
 written on `Fraction` arithmetic, before values were read as integer
@@ -400,14 +402,16 @@ def dense_decomposition_text(d, provenance) -> str:
 def reference_maximize(c, constraints) -> LPResult:
     """Maximize c.x over the rows, all variables >= 0, on `Fraction`s.
 
-    The same two-phase tableau method as `simplex.maximize`, with Bland's
-    rule, every row owning a slack and an artificial slot, and the
-    tableau kept in true values: each pivot divides the pivot row by its
-    entry. As there, a row with a negative rhs or a ">=" row with rhs 0 is
-    negated, so its slack is +1 and starts basic; only a row left with a
-    positive rhs and a -1 slack uses its artificial slot. This is the
-    solver the package used before its integer tableau. Its point and
-    objective are `Fraction`s, over d = 1.
+    A two-phase tableau method whose phase 1 is `simplex.feasible`'s,
+    with Bland's rule, every row owning a slack and an artificial slot,
+    and the tableau kept in true values: each pivot divides the pivot row
+    by its entry. As there, a row with a negative rhs or a ">=" row with
+    rhs 0 is negated, so its slack is +1 and starts basic; only a row left
+    with a positive rhs and a -1 slack uses its artificial slot. Phase 1
+    then pivots each artificial left basic, at level 0, out of the basis,
+    and phase 2 maximizes c. This is the solver the package used before
+    its integer tableau. Its status is "optimal", "infeasible" or
+    "unbounded", and its point, at an optimum, is `Fraction`s over d = 1.
     """
     zero, one = Fraction(0), Fraction(1)
     cost = [as_fraction(ci) for ci in c]
@@ -499,7 +503,7 @@ def reference_maximize(c, constraints) -> LPResult:
         obj = reduced(phase1)
         run(obj, real_cols + artificials)
         if obj[-1] != 0:
-            return LPResult("infeasible", None, None, None)
+            return LPResult("infeasible", None, None)
         for i in range(m):
             if basis[i] >= n + m:
                 enter = next((j for j in real_cols if rows[i][j] != 0), None)
@@ -508,23 +512,31 @@ def reference_maximize(c, constraints) -> LPResult:
 
     obj = reduced([-ci for ci in cost] + [zero] * (width + 1 - n))
     if run(obj, real_cols) == "unbounded":
-        return LPResult("unbounded", None, None, None)
+        return LPResult("unbounded", None, None)
     x = [zero] * width
     for i, col in enumerate(basis):
         x[col] = rows[i][-1]
-    solution = tuple(x[:n])
-    objective = sum((a * b for a, b in zip(cost, solution)), zero)
-    return LPResult("optimal", solution, objective, 1)
+    return LPResult("optimal", tuple(x[:n]), 1)
+
+
+def reference_feasible(n, constraints) -> LPResult:
+    """`reference_maximize` on a zero objective, answered as
+    `simplex.feasible` answers. Phase 2 then makes no pivot, and the
+    pivots that drive artificials out are degenerate, so the optimum is
+    the point where phase 1 ends."""
+    result = reference_maximize([0] * n, constraints)
+    if result.status == "infeasible":
+        return result
+    return LPResult("feasible", result.x, 1)
 
 
 def lp_rationals(result: LPResult) -> LPResult:
-    """`result` with its point and objective read as the rationals they
-    stand for, numerator / d, over d = 1, as `reference_maximize` gives
-    them; a result without a point is returned as it is."""
+    """`result` with its point read as the rationals it stands for,
+    numerator / d, over d = 1, as `reference_maximize` gives them; a
+    result without a point is returned as it is."""
     if result.d is None:
         return result
-    x = tuple(Fraction(a, result.d) for a in result.x)
-    return LPResult(result.status, x, Fraction(result.objective, result.d), 1)
+    return LPResult(result.status, tuple(Fraction(a, result.d) for a in result.x), 1)
 
 
 def many_denominator_instance(seed: int, n: int, digits: int = 1000):

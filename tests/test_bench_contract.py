@@ -96,6 +96,7 @@ ABSENT_HOOKS = {
     "treeucat.greedy.find_forced_vertex",
     "treeucat.greedy.sweep",
     "treeucat.simplex.as_fraction",
+    "treeucat.simplex.maximize",
     "treeucat.sweep.subdivide_all",
 }
 

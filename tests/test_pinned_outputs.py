@@ -275,7 +275,7 @@ def test_binding_errors_are_pinned(i):
 
 
 def test_query_errors_are_pinned():
-    from treeucat import feasible_with_modes, sweep
+    from treeucat import feasible_avoiding_vertex, feasible_with_modes, sweep
 
     tree = MetricTree(_ABC, [("a", "b", 1), ("b", "c", 1)])
     f = EdgeLinearDensity(tree, {"a": 1, "b": 2, "c": 1})
@@ -290,6 +290,11 @@ def test_query_errors_are_pinned():
             lambda: feasible_with_modes(f, ["a", "z"]),
             "UnknownVertex",
             "mode 'z' is not a vertex",
+        ),
+        (
+            lambda: feasible_avoiding_vertex(f, ["a"], "z"),
+            "UnknownVertex",
+            "avoided vertex 'z' is not a vertex",
         ),
     ]
     for query, kind, message in queries:

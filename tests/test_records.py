@@ -80,8 +80,8 @@ CASES = [
     ),
     (
         LPResult,
-        {"status": "optimal", "x": (1,), "objective": 1, "d": 3},
-        "LPResult(status='optimal', x=(1,), objective=1, d=3)",
+        {"status": "feasible", "x": (1,), "d": 3},
+        "LPResult(status='feasible', x=(1,), d=3)",
     ),
     (
         Cut,

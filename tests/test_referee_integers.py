@@ -48,7 +48,7 @@ from helpers import (
     recursive_tree_instance,
     reference_check_decomposition,
     reference_is_unimodal,
-    reference_maximize,
+    reference_feasible,
 )
 
 
@@ -177,30 +177,45 @@ def test_a_component_off_the_tree_is_refused_alike():
 
 def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
     # each system the oracle solves is posed for scale * f, scale the lcm of
-    # f's denominators; solving it with the rhs divided back by scale, on
-    # the `Fraction` reference, must give the same status, and exactly
-    # 1/scale times the point and the objective. Seeds 0..29 solved 172
-    # systems optimal; since `_fill` builds feasible sets before any LP
-    # they solve 98, so the family runs to seed 39, which solves 125
+    # f's denominators; solving it with f's part divided back by scale, on
+    # the `Fraction` reference, must give the same status and the point
+    # that maps to it. With no avoided vertex, f's part is the rhs, and the
+    # point is scale times the unscaled one; with one, it is the column of
+    # the scale variable t, the last, and only t differs, 1/scale times the
+    # unscaled t. Seeds 0..29 solved 172 systems optimal; since `_fill`
+    # builds feasible sets before any LP they solved 98, and seeds 0..39
+    # 125. An avoided vertex's "no" is now an infeasible system, not an
+    # optimum with no gap, so seeds 0..39 solve 43 feasible, and the family
+    # runs to seed 109, which solves 110
     rng = random.Random(3)
-    solve = simplex.maximize
+    solve = simplex.feasible
     solved = []
+    avoiding = False
 
-    def compared(c, rows):
-        result = solve(c, rows)
-        unscaled = [(row, rel, Fraction(rhs, scale)) for row, rel, rhs in rows]
-        expected = reference_maximize(c, unscaled)
-        got = lp_rationals(result)  # the point and objective over d
+    def compared(n, rows):
+        result = solve(n, rows)
+        if avoiding:
+            unscaled = [
+                ((*row[:-1], Fraction(row[-1], scale)), rel, rhs)
+                for row, rel, rhs in rows
+            ]
+        else:
+            unscaled = [(row, rel, Fraction(rhs, scale)) for row, rel, rhs in rows]
+        expected = reference_feasible(n, unscaled)
+        got = lp_rationals(result)  # the point over d
         assert got.status == expected.status
-        if got.status == "optimal":
-            assert got.x == tuple(scale * x for x in expected.x)
-            assert got.objective == scale * expected.objective
+        if got.status == "feasible":
+            if avoiding:
+                *y, t = expected.x
+                assert got.x == (*y, t / scale)
+            else:
+                assert got.x == tuple(scale * x for x in expected.x)
         solved.append(result.status)
         return result
 
-    monkeypatch.setattr(simplex, "maximize", compared)
+    monkeypatch.setattr(simplex, "feasible", compared)
     scales = set()
-    for seed in range(40):
+    for seed in range(110):
         tree, g = gen_instance(seed, 6, 6)
         values = {v: g.value(v) / rng.randint(1, 9) for v in tree.vertices}
         f = EdgeLinearDensity(tree, values)
@@ -211,9 +226,11 @@ def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
         avoid = tree.vertices[seed % len(tree.vertices)]
         for k in (1, 2, 3):
             for candidate in itertools.combinations(tree.vertices, k):
+                avoiding = False
                 verify.feasible_with_modes(f, candidate)
+                avoiding = True
                 verify.feasible_avoiding_vertex(f, candidate, avoid)
-    assert solved.count("optimal") > 100 and solved.count("infeasible") > 30
+    assert solved.count("feasible") > 100 and solved.count("infeasible") > 30
     assert len(scales) > 5
 
 
@@ -358,6 +375,21 @@ def test_a_certificate_not_strict_at_the_gap_is_refused():
         verify._validate(piece, (1,), *found, 2)
 
 
+def test_a_certificate_over_a_zero_denominator_is_refused():
+    # with d = 0 every sum reads 0 = f * 0, so an all-zero certificate
+    # would pass every other check; an avoided vertex's certificate takes
+    # its d from the LP's point, so a d <= 0 is refused before the sums
+    _, f = path_instance([1, 3, 3])
+    piece = verify._piece(f)
+    verify._decide(piece, (1,))  # roots v2
+    zero = [0] * len(piece.scaled)
+    with pytest.raises(
+        verify.InternalInvariantError,
+        match="^certificate denominator 0 is not positive$",
+    ):
+        verify._validate(piece, (1,), [zero], 0)
+
+
 def test_the_oracle_builds_no_tree_and_no_density(monkeypatch):
     # a counted gate, on oracle-small's family: each searched piece once
     # became a validated `MetricTree` and `EdgeLinearDensity`, only to be
@@ -374,23 +406,23 @@ def test_the_oracle_builds_fractions_only_in_lp_results(monkeypatch):
     # a counted gate, on oracle-small's family: unit lengths, integer
     # values 0..9, at most 5 vertices. The search once built a `Fraction`
     # certificate for every feasible candidate, to read it back as pairs,
-    # and then 61 in `simplex.maximize`'s `LPResult`s, which the search
-    # turned straight back into integers. Now the LP answers in integer
-    # numerators over d, and the oracle builds no `Fraction` at all,
-    # inside `maximize` included. Since `_fill` builds every feasible set
-    # on this family, it solves no LP, so the LPs are counted on
-    # gen_instance(s, 18, 40), s = 0..19, which solves 17
-    maximize, solves = simplex.maximize, []
+    # and then 61 in the LP solver's `LPResult`s, which the search turned
+    # straight back into integers. Now the LP answers in integer numerators
+    # over d, and the oracle builds no `Fraction` at all, inside the solver
+    # included. Since `_fill` builds every feasible set on this family, it
+    # solves no LP, so the LPs are counted on gen_instance(s, 18, 40),
+    # s = 0..19, which solves 17
+    feasible, solves = simplex.feasible, []
 
-    def counted(c, rows):
-        solves.append(c)
-        return maximize(c, rows)
+    def counted(n, rows):
+        solves.append(n)
+        return feasible(n, rows)
 
     def oracle_runs(instances):
         for f in instances:
             ucat_oracle(f, len(f.tree.vertices))
 
-    monkeypatch.setattr(simplex, "maximize", counted)
+    monkeypatch.setattr(simplex, "feasible", counted)
     small = [gen_instance(seed, 5, 9)[1] for seed in range(300)]
     built, _ = fractions_built_during(oracle_runs, small)
     assert built == 0, built

@@ -292,6 +292,10 @@ def test_feasibility_errors():
         feasible_with_modes(f, [])
     with pytest.raises(UnknownVertex):
         feasible_with_modes(f, ["v1", "nope"])
+    with pytest.raises(EmptyModeSet):
+        verify.feasible_avoiding_vertex(f, [], "v1")
+    with pytest.raises(UnknownVertex, match="^mode 'nope' is not a vertex$"):
+        verify.feasible_avoiding_vertex(f, ["nope"], "v1")
 
 
 def test_feasibility_monotone_in_anchor_set():
@@ -307,6 +311,59 @@ def test_feasibility_monotone_in_anchor_set():
             bigger = feasible_with_modes(f, [*anchors, extra])
             assert bigger is not None, (seed, anchors, extra)
             _assert_certificate_valid(f, bigger)
+
+
+def _path_minima(f, m):
+    """The minimum of f along the path from m to each vertex."""
+    minima, reached = {m: f.value(m)}, [m]
+    for u in reached:  # the list grows as the search reaches vertices
+        for w in f.tree.neighbors(u):
+            if w not in minima:
+                minima[w] = min(minima[u], f.value(w))
+                reached.append(w)
+    return minima
+
+
+def test_every_no_past_the_prefilter_is_farkas_checked(monkeypatch):
+    # both questions on gen_instance(seed, 7, 5), seeds 0..399, with six
+    # random (modes, avoid) queries each. A candidate whose path-minimum
+    # caps cover f passes the prefilter, and then a "no" can only be the
+    # LP's: each must come with one checked Farkas vector. An avoided
+    # vertex's "no" was once an optimum gap <= 0, which nothing certified:
+    # 1,224 of the 1,375 avoided-vertex questions the LP answered here.
+    # Every "yes" with an avoided vertex is strict there
+    checked, solves = [], _count_solves(monkeypatch)
+    check_farkas = simplex._check_farkas
+
+    def counting(*args):
+        checked.append(args)
+        return check_farkas(*args)
+
+    monkeypatch.setattr(simplex, "_check_farkas", counting)
+    lp_noes = lp_yeses = 0
+    for seed in range(400):
+        tree, f = gen_instance(seed, 7, 5)
+        rng, vertices = random.Random(seed), tree.vertices
+        for _ in range(6):
+            modes = rng.sample(vertices, rng.randint(1, min(3, len(vertices))))
+            avoid = rng.choice(vertices)
+            minima = [_path_minima(f, m) for m in modes]
+            capped = any(sum(c[v] for c in minima) < f.value(v) for v in vertices)
+            for gap in (None, avoid):
+                before = len(checked), len(solves)
+                if gap is None:
+                    certificate = feasible_with_modes(f, modes)
+                else:
+                    certificate = verify.feasible_avoiding_vertex(f, modes, gap)
+                asked = len(checked) - before[0], len(solves) - before[1]
+                if certificate is None and not capped:
+                    assert asked == (1, 1), (seed, modes, gap)
+                    lp_noes += 1
+                elif certificate is not None and gap is not None:
+                    for m, component in zip(modes, certificate.components):
+                        assert component[gap] < component[m], (seed, modes, gap)
+                    lp_yeses += asked[1]
+    assert lp_noes > 1000 and lp_yeses > 100, (lp_noes, lp_yeses)
 
 
 def test_certificates_always_verify():
@@ -511,15 +568,15 @@ def test_rising_edge_rule_does_not_move_the_answer():
 
 
 def _count_solves(monkeypatch) -> list:
-    """The list that each `simplex.maximize` call appends to from now on."""
+    """The list that each `simplex.feasible` call appends to from now on."""
     solves = []
-    solve = simplex.maximize
+    solve = simplex.feasible
 
-    def counting(c, rows):
-        solves.append(c)
-        return solve(c, rows)
+    def counting(n, rows):
+        solves.append(n)
+        return solve(n, rows)
 
-    monkeypatch.setattr(simplex, "maximize", counting)
+    monkeypatch.setattr(simplex, "feasible", counting)
     return solves
 
 
