@@ -10,10 +10,15 @@ only the nonzero ones are stored, keyed by vertex index (see `tree.py`),
 so a density's memory still grows with its support, not with the tree.
 
 A value is stored as its reduced `(numerator, denominator)` pair of ints,
-which every algorithm reads; `value`, `values`, `items`, `max_value` and
-`ModeWitness.max_value` build `Fraction`s on read. Never compare pairs
-with `<` or `max`, which order tuples lexicographically, (1, 2) < (2, 5)
-although 1/2 > 2/5: cross-multiply, or scale to common integers.
+which every algorithm reads; `value`, `values`, `items` and `max_value`
+build `Fraction`s on read. Never compare pairs with `<` or `max`, which
+order tuples lexicographically, (1, 2) < (2, 5) although 1/2 > 2/5:
+cross-multiply, or scale to common integers.
+
+`_support` is the one check of listed values and builds the one form a
+support map takes, index -> pair, in index order: the constructor runs
+it, and so does binding a decomposition document, whose components keep
+the map as their rows.
 """
 
 from __future__ import annotations
@@ -47,43 +52,8 @@ class EdgeLinearDensity:
     __slots__ = ("_tree", "_values", "_digest")
 
     def __init__(self, tree: MetricTree, values: Mapping[VertexId, object]):
-        index = tree.index
-        stored = {}
-        ordered, last = True, -1  # whether the stored indices ascend
-        for v, raw in values.items():
-            i = index.get(v)
-            if i is None:
-                raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
-            if type(raw) is tuple:
-                try:
-                    p, q = raw
-                except ValueError:  # not two items
-                    p = q = None
-                if type(p) is not int or type(q) is not int or q <= 0:
-                    raise TypeError(
-                        f"density value {raw!r} at {v!r} is not a pair of ints"
-                        " with a positive denominator"
-                    )
-                g = gcd(p, q)
-                if g != 1:
-                    raw = p, q = p // g, q // g
-            elif type(raw) is int:
-                raw = p, q = raw, 1
-            else:
-                raw = p, q = as_fraction(raw).as_integer_ratio()
-            if p:
-                if p < 0:
-                    raise NegativeValue(
-                        f"density value {Fraction(p, q)} at {v!r} is negative"
-                    )
-                stored[i] = raw
-                if i < last:
-                    ordered = False
-                last = i
-        if not ordered:
-            stored = {i: stored[i] for i in sorted(stored)}
         self._tree = tree
-        self._values = stored
+        self._values = _support(tree.index, values)
         self._digest = None
 
     @property
@@ -144,21 +114,55 @@ class EdgeLinearDensity:
         return EdgeLinearDensity, (self._tree, dict(self.items()))
 
 
+def _support(
+    index: Mapping[VertexId, int], values: Mapping[VertexId, object]
+) -> dict[int, tuple[int, int]]:
+    """The support map of the id -> value map `values` on the tree whose
+    id -> index map is `index`: index -> reduced nonzero pair, in index
+    order. Values are checked in the order given, as the density's
+    docstring says; the constructor and `decomposition_from_document` both
+    run this check."""
+    stored = {}
+    ordered, last = True, -1  # whether the stored indices ascend
+    for v, raw in values.items():
+        i = index.get(v)
+        if i is None:
+            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
+        if type(raw) is tuple:
+            try:
+                p, q = raw
+            except ValueError:  # not two items
+                p = q = None
+            if type(p) is not int or type(q) is not int or q <= 0:
+                raise TypeError(
+                    f"density value {raw!r} at {v!r} is not a pair of ints"
+                    " with a positive denominator"
+                )
+            g = gcd(p, q)
+            if g != 1:
+                raw = p, q = p // g, q // g
+        elif type(raw) is int:
+            raw = p, q = raw, 1
+        else:
+            raw = p, q = as_fraction(raw).as_integer_ratio()
+        if p:
+            if p < 0:
+                raise NegativeValue(
+                    f"density value {Fraction(p, q)} at {v!r} is negative"
+                )
+            stored[i] = raw
+            if i < last:
+                ordered = False
+            last = i
+    if not ordered:
+        stored = {i: stored[i] for i in sorted(stored)}
+    return stored
+
+
 class ModeWitness(Record):
-    """A mode and the value there; `is_unimodal` gives the density's pair,
-    which `max_value` reads as a `Fraction`."""
+    """A mode, a vertex id, and the value there, `max_value`, a `Fraction`."""
 
-    __slots__ = ("mode", "_max")
-    _names = ("mode", "max_value")
-
-    def __init__(self, mode: VertexId, max_value: Fraction | tuple[int, int]):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_max", max_value)
-
-    @property
-    def max_value(self) -> Fraction:
-        top = self._max
-        return Fraction(*top) if type(top) is tuple else top
+    __slots__ = ("mode", "max_value")
 
 
 class NotUnimodal(Record):
@@ -195,7 +199,7 @@ def is_unimodal(f: EdgeLinearDensity) -> ModeWitness | NotUnimodal:
     vertices = f.tree.vertices
     root, rise = _peak(f.tree.nbrs, ratios)
     if rise is None:
-        return ModeWitness(vertices[root], ratios[root])
+        return ModeWitness(vertices[root], Fraction(*ratios[root]))
     return NotUnimodal(edge=(vertices[rise[0]], vertices[rise[1]]))
 
 

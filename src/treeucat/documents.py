@@ -8,11 +8,15 @@ document repeats it and reports each cut as an edge and a position on it.
 A decomposition document holds no tree. It names the instance it was made
 for by the digest of that instance, which covers the instance's vertices
 and edges, and `decomposition_from_document` binds it to an instance only
-when the digests match. Binding checks each listed value once, as
-`EdgeLinearDensity` would: it refuses an id that is not a vertex of the
-instance's tree and a negative value. It keeps each component as rows on
-that tree, (index, value pair) in index order, and builds no density; the
-writers read the rows too.
+when the digests match. Binding checks each listed value once, with
+`EdgeLinearDensity`'s own check: it refuses an id that is not a vertex
+of the instance's tree and a negative value. It keeps each component as
+the support map that check returns, index -> value pair on that tree,
+and builds no density; the writers read that map too.
+
+The instance writers take the tree and the density apart, as the reader
+returns them, but refuse a tree that is neither f.tree nor equal to it:
+written with another tree, a density would be keyed by the wrong ids.
 
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
@@ -44,8 +48,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 
-from .density import EdgeLinearDensity
-from .errors import DocumentError, NegativeValue, TreeMismatch
+from .density import EdgeLinearDensity, _support
+from .errors import DocumentError, TreeMismatch
 from .rational import as_fraction
 from .record import Component, Decomposition, Record
 from .tree import MetricTree, VertexId
@@ -283,7 +287,15 @@ def _values_text(vertices, items, pad, what):
     return _block(members, pad)
 
 
+def _own_tree(tree: MetricTree, f: EdgeLinearDensity) -> MetricTree:
+    """f.tree, which `tree` must be or equal; any other is a TreeMismatch."""
+    if tree is not f.tree and tree != f.tree:
+        raise TreeMismatch("the instance's tree is not its density's tree")
+    return f.tree
+
+
 def serialize_instance(tree: MetricTree, f: EdgeLinearDensity) -> str:
+    tree = _own_tree(tree, f)
     density = _values_text(
         tree.vertices, enumerate(f.index_values()), "  ", "the density"
     )
@@ -295,15 +307,15 @@ def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
     of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`, written
     directly, with `tree.vertices` already in sorted order.
 
-    The digest of (f.tree, f) is computed once per density and kept on f,
-    which is immutable; a digest for any other tree is not kept."""
-    own = tree is f.tree
-    if own and f._digest is not None:
+    `tree` is f.tree or equal to it, so the digest is computed once per
+    density and kept on f, which is immutable."""
+    tree = _own_tree(tree, f)
+    if f._digest is not None:
         return f._digest
     label = "the value of {} at vertex {}"
     density = [
         f'"{v}":"{_numeral(x, label, "the density", v)}"'
-        for v, x in zip(f.tree.vertices, f.index_values())
+        for v, x in zip(tree.vertices, f.index_values())
     ]
     edges = [
         '{"length":"%s","u":"%s","w":"%s"}' % (text, u, w)
@@ -313,8 +325,7 @@ def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
         ",".join(density), ",".join(edges), '","'.join(tree.vertices)
     )
     digest = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
-    if own:
-        f._digest = digest
+    f._digest = digest
     return digest
 
 
@@ -366,10 +377,10 @@ def decomposition_from_document(
 
     A document whose `input_digest` is not f's is refused; so is a mode
     that is not a vertex of f.tree. Each component's listed values are then
-    checked once, in listed order, with the errors `EdgeLinearDensity`
-    raises: a listed id that is not a vertex of f.tree is a TreeMismatch,
-    a negative value a NegativeValue. The nonzero values become the
-    component's rows on f.tree itself, sorted by index; no density is
+    checked once, in listed order, by `EdgeLinearDensity`'s own check,
+    `density._support`: a listed id that is not a vertex of f.tree is a
+    TreeMismatch, a negative value a NegativeValue. The support map it
+    returns, on f.tree itself, is the component's rows; no density is
     built. Whether the components are unimodal and sum to f is not
     checked here, that is `check_decomposition`'s job.
     """
@@ -387,27 +398,8 @@ def decomposition_from_document(
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        components.append(Component._from_rows(mode, tree, _rows(index, values)))
+        components.append(Component._from_rows(mode, tree, _support(index, values)))
     return Decomposition(tree, tuple(components))
-
-
-def _rows(index: Mapping[VertexId, int], values: dict) -> tuple:
-    """The (index, pair) rows of the nonzero listed values, by index; each
-    value is a reduced pair with a positive denominator, as `_number`
-    gives it, so only its id and its sign are left to check."""
-    rows = []
-    for v, pair in values.items():
-        i = index.get(v)
-        if i is None:
-            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
-        if pair[0]:
-            if pair[0] < 0:
-                raise NegativeValue(
-                    f"density value {Fraction(*pair)} at {v!r} is negative"
-                )
-            rows.append((i, pair))
-    rows.sort()  # no index repeats, so only indices are compared
-    return tuple(rows)
 
 
 def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> str:
@@ -420,7 +412,7 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
         _COMPONENT
         % (
             _escape(c.mode),
-            _values_text(vertices, c.rows, pad, f"component {i}"),
+            _values_text(vertices, c.rows.items(), pad, f"component {i}"),
         )
         for i, c in enumerate(d.components)
     ]
@@ -477,7 +469,7 @@ def render_dot(d: Decomposition, f: EdgeLinearDensity) -> str:
     for i, component in enumerate(d.components):
         shade = _PALETTE[i % len(_PALETTE)]
         vertices = component.tree.vertices
-        for at, _ in component.rows:
+        for at in component.rows:
             color.setdefault(vertices[at], shade)
     modes = {c.mode for c in d.components}
     lines = ["graph decomposition {", "  node [style=filled, fillcolor=white];"]

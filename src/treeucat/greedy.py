@@ -9,12 +9,12 @@ denominators: the remainder as a list, and each sweep's h as a map
 holding its support and its boundary only. A sweep copies h(u), pays an
 integer drop or stops at 0, so every value stays an integer. Each h is
 divided by D again as soon as it is swept, through one memo for the
-run, into its component's rows: (index, reduced pair) in index order,
-nonzero values only, on the input tree itself. A component value equal
-to an input value is the input's own `(numerator, denominator)` pair,
-and each other value is reduced once. `decompose` builds no density: a
-component's is built when something first reads it, and the writers and
-`check_decomposition` read the rows.
+run, into its component's rows: the support map a density stores, index
+-> reduced pair in index order, nonzero values only, on the input tree
+itself. A component value equal to an input value is the input's own
+`(numerator, denominator)` pair, and each other value is reduced once.
+`decompose` builds no density: a component's is built when something
+first reads it, and the writers and `check_decomposition` read the rows.
 
 No cuts. The paper's sweep subdivides an edge u -> w where h reaches 0
 inside it; this loop's sweep sets h(w) = 0 there and places no vertex,

@@ -5,8 +5,7 @@ base's `__init__` binds them, by position or by keyword; a missing,
 extra, unknown or repeated field is a `TypeError` that names the
 record's fields. A record writes its own `__init__` only when it stores
 a field in another form than it is given (`Component`, and `TraceEvent`
-and `ModeWitness` in their modules), or when a field has a default
-(`NotUnimodal`).
+in `greedy`), or when a field has a default (`NotUnimodal`).
 The base gives every record the same semantics: equality with records of
 the same class only (never with a tuple, nor with another class's record
 holding the same fields), a hash of the fields, the repr
@@ -76,13 +75,14 @@ class Component(Record):
     """One summand of a decomposition: its mode id and its density.
 
     `decompose` and `decomposition_from_document` build a component from
-    its rows instead: a tuple of `(index, (numerator, denominator))`
-    tuples in index order, nonzero reduced values only, indexing `tree`.
-    Its `density` is then a view, built through `EdgeLinearDensity` on
-    its first read and kept. `rows` and `tree` read either kind, which is
-    how the writers and `check_decomposition` read every component; the
-    fields, and so equality, hashing, the repr and pickling, are the mode
-    and the density, whichever way the component was built.
+    its rows instead: the support map a density stores, a dict from each
+    vertex index of `tree` with a nonzero value to its reduced
+    `(numerator, denominator)` pair, in index order. Its `density` is then
+    a view, built through `EdgeLinearDensity` on its first read and kept.
+    `rows` and `tree` read either kind, which is how the writers and
+    `check_decomposition` read every component; the fields, and so
+    equality, hashing, the repr and pickling, are the mode and the
+    density, whichever way the component was built.
     """
 
     __slots__ = ("mode", "_density", "_rows")  # _rows: None, or (tree, rows)
@@ -94,7 +94,7 @@ class Component(Record):
         object.__setattr__(self, "_rows", None)
 
     @classmethod
-    def _from_rows(cls, mode, tree, rows: tuple):
+    def _from_rows(cls, mode, tree, rows: dict):
         """The component of mode `mode` whose values are `rows` on `tree`,
         its density not yet built; the caller vouches for the rows."""
         component = cls(mode, None)
@@ -109,7 +109,7 @@ class Component(Record):
 
             tree, rows = self._rows
             vertices = tree.vertices
-            density = EdgeLinearDensity(tree, {vertices[i]: x for i, x in rows})
+            density = EdgeLinearDensity(tree, {vertices[i]: x for i, x in rows.items()})
             object.__setattr__(self, "_density", density)
         return density
 
@@ -120,11 +120,12 @@ class Component(Record):
         return self._density.tree if on is None else on[0]
 
     @property
-    def rows(self) -> tuple:
-        """The (index, value pair) rows of the nonzero values, in index
-        order; O(|support|) for a component built from a density."""
+    def rows(self):
+        """The support map, index -> value pair: the dict the component was
+        built from, shared, so read it and never write it; or a read-only
+        view of its density's own."""
         on = self._rows
-        return tuple(self._density.index_items()) if on is None else on[1]
+        return self._density.index_items().mapping if on is None else on[1]
 
 
 class Decomposition(Record):

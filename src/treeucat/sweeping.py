@@ -14,12 +14,13 @@ list of integers, the density scaled by the lcm D of its denominators.
 It reports each such clamp as (u, w, h(u), drop), which `decompose`
 ignores, and turns the value list it is given into the remainder.
 `_from_lattice` divides by D for nonzero values only, since a density
-reads a vertex it is not given as 0, and gives (index, value) rows;
-`decompose` keeps its components' values as such rows. A value divided
-by D is its reduced `(numerator, denominator)` pair, the form a density
-stores. Both divide through one memo per run, which `_to_lattice` seeds
-with the input's own pairs: a value equal to an input value is the
-input's own pair, and each other value is reduced once per run.
+reads a vertex it is not given as 0, and gives a support map, index ->
+value, the form a density stores; `decompose` keeps it as each
+component's rows. A value divided by D is its reduced `(numerator,
+denominator)` pair. Both divide through one memo per run, which
+`_to_lattice` seeds with the input's own pairs: a value equal to an
+input value is the input's own pair, and each other value is reduced
+once per run.
 """
 
 from __future__ import annotations
@@ -69,21 +70,21 @@ def _from_lattice(
     values: Iterable[tuple[int, int]],
     scale: int,
     pairs: dict[int, tuple[int, int]],
-) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """The nonzero values x / D of the (index, x) pairs, as (index, reduced
-    pair) rows in the order given; an index missing from the result is 0.
-    `pairs` is the run's memo from x to x / D, seeded by `_to_lattice`: a
+) -> dict[int, tuple[int, int]]:
+    """The nonzero values x / D of the (index, x) pairs, as a map from
+    index to reduced pair in the order given; an index missing from it is
+    0. `pairs` is the run's memo from x to x / D, seeded by `_to_lattice`: a
     value equal to an input value is the input's own pair, and each other
     value is reduced once per run, on its first miss."""
-    out = []
+    out = {}
     for i, x in values:
         if x:
             pair = pairs.get(x)
             if pair is None:
                 g = gcd(x, scale)
                 pair = pairs[x] = x // g, scale // g
-            out.append((i, pair))
-    return tuple(out)
+            out[i] = pair
+    return out
 
 
 def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
@@ -104,7 +105,7 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
 
     def density(values):
         rows = _from_lattice(values, scale, pairs)
-        return EdgeLinearDensity(tree, {vs[i]: pair for i, pair in rows})
+        return EdgeLinearDensity(tree, {vs[i]: pair for i, pair in rows.items()})
 
     return SweepResult(
         h=density(h.items()),

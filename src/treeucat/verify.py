@@ -78,11 +78,12 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
     A decomposition of f lives on f.tree: any other tree, a refinement of
     it included, is a TreeMismatch that names the first difference, and so
     is a component on a tree other than the decomposition's. Every
-    component is read as its rows, the integer `(numerator, denominator)`
-    pairs of its nonzero values by index, whether it was built from rows
-    or from a density: the sums, unimodality and the mode are all decided
-    on them, over each support only, so a check whose components all pass
-    costs O(n) plus, per component, its support and the edges leaving it.
+    component is read as its rows, the support map of its nonzero values,
+    index -> integer `(numerator, denominator)` pair, whether it was built
+    from rows or from a density, and is not copied: the sums, unimodality
+    and the mode are all decided on them, over each support only, so a
+    check whose components all pass costs O(n) plus, per component, its
+    support and the edges leaving it.
     A component that rises is named by `_peak`'s first rising edge, found
     on the same rows; that adds the breadth-first prefix of the tree up to
     the edge. No density is built, whatever the components. Sums run over a
@@ -102,7 +103,7 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
             raise TreeMismatch(
                 f"component with mode {mode!r} lives on a different tree"
             )
-        pairs = dict(component.rows)
+        pairs = component.rows
         for i, pair in pairs.items():
             totals[i] = _add(totals[i], pair) if i in totals else pair
         detail = ""

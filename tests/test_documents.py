@@ -104,6 +104,24 @@ def test_digest_distinguishes_instances():
     assert instance_digest(t1, f1) != instance_digest(t2, f2)
 
 
+def test_the_instance_writers_refuse_a_tree_that_is_not_the_densitys():
+    # written with a longer tree, f would miss a vertex and give a document
+    # that `parse_instance` refuses; with a shorter one, an IndexError
+    tree, f = path_instance([1, 2])
+    for other in (path_instance([1, 2, 1])[0], path_instance([1])[0]):
+        for writer in (serialize_instance, instance_digest):
+            with pytest.raises(TreeMismatch) as err:
+                writer(other, f)
+            assert str(err.value) == "the instance's tree is not its density's tree"
+    # an equal copy of f.tree writes the same text and digest, cached or not
+    copy = MetricTree(tree.vertices, list(tree.iter_edges()))
+    assert copy is not tree and copy == tree
+    assert serialize_instance(copy, f) == serialize_instance(tree, f)
+    fresh = EdgeLinearDensity(tree, dict(f.items()))
+    assert instance_digest(copy, fresh) == instance_digest(tree, f)
+    assert instance_digest(copy, f) == instance_digest(tree, fresh)
+
+
 def test_invalid_json_reports_position():
     with pytest.raises(DocumentError, match=r"line \d+, column \d+"):
         parse_instance("{\n  \"vertices\": [,]\n}")

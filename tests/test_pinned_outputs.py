@@ -8,10 +8,10 @@ tampered copy drops the first component, lifts a far vertex of the next,
 zeroes the one after and lowers the mode of the third, so that the report
 holds sum mismatches, a rising edge found away from the support, an
 identically zero component and a mode below its component's maximum.
-Each check of `MetricTree`, of `EdgeLinearDensity` and of binding is
-pinned by the class and exact message of the error one bad document
-raises, and so is which error comes first in documents with several
-faults.
+Each check of `MetricTree`, of `EdgeLinearDensity`, of a document's shape
+and of binding is pinned by the class and exact message of the error one
+bad document or value raises, and so is which error comes first in
+documents with several faults.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ _ONES = {"a": "1", "b": "1"}
 _ABC = ["a", "b", "c"]
 
 # (instance document, error class, message); one check fails in each of
-# the first fifteen, several in each of the last four
+# the first fifteen and the last two, several in each of the four between
 BAD_INSTANCES = [
     (_instance([], [], {}), "InvalidTree", "a tree needs at least one vertex"),
     (_instance(["a", "b c"], [], {}), "InvalidVertexId", "invalid vertex id 'b c'"),
@@ -217,6 +217,16 @@ BAD_INSTANCES = [
         "NegativeValue",
         "density value -1 at 'a' is negative",
     ),
+    (
+        json.dumps({"vertices": ["a"], "edges": {}, "density": {"a": "1"}}),
+        "DocumentError",
+        "instance: edges must be a list",
+    ),
+    (
+        _instance(["a"], [], ["1"]),
+        "DocumentError",
+        "density must map vertex ids to value strings",
+    ),
 ]
 
 
@@ -238,7 +248,8 @@ def _components(*components) -> str:
     )
 
 
-# (decomposition document on the path a-b-c, error class, message)
+# (decomposition document on the path a-b-c, error class, message); the
+# last three fail in `parse_decomposition`, before binding
 BAD_BINDINGS = [
     (
         _components(("a", {"a": "1"}), ("z", {"a": "1"})),
@@ -260,6 +271,21 @@ BAD_BINDINGS = [
         "NegativeValue",
         "density value -1 at 'b' is negative",
     ),
+    (
+        _components(("a", {"a": "1"}), ("b", ["1"])),
+        "DocumentError",
+        "component 1 values must map vertex ids to value strings",
+    ),
+    (
+        _components().replace('"components": []', '"components": {}'),
+        "DocumentError",
+        "components must be a list",
+    ),
+    (
+        _components().replace('"tool": "t"', '"tool": 1'),
+        "DocumentError",
+        "provenance tool must be a string",
+    ),
 ]
 
 
@@ -271,6 +297,34 @@ def test_binding_errors_are_pinned(i):
     text = text.replace("{digest}", instance_digest(f.tree, f))
     with pytest.raises(TreeUcatError) as caught:
         decomposition_from_document(parse_decomposition(text), f)
+    assert (type(caught.value).__name__, str(caught.value)) == (kind, message)
+
+
+# (a value given to `EdgeLinearDensity` at 'a', error class, message)
+BAD_VALUES = [
+    (True, "TypeError", "expected a rational, got bool True"),
+    ([1], "TypeError", "cannot interpret list as a rational"),
+    (
+        (1, 0),
+        "TypeError",
+        "density value (1, 0) at 'a' is not a pair of ints with a positive"
+        " denominator",
+    ),
+    (
+        (1, 2, 3),
+        "TypeError",
+        "density value (1, 2, 3) at 'a' is not a pair of ints with a positive"
+        " denominator",
+    ),
+]
+
+
+@pytest.mark.parametrize("i", range(len(BAD_VALUES)))
+def test_value_errors_are_pinned(i):
+    tree = MetricTree(["a"], [])
+    value, kind, message = BAD_VALUES[i]
+    with pytest.raises(TypeError) as caught:
+        EdgeLinearDensity(tree, {"a": value})
     assert (type(caught.value).__name__, str(caught.value)) == (kind, message)
 
 

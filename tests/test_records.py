@@ -239,10 +239,11 @@ def test_pickle_and_copy_round_trips(cls, fields, text):
 
 
 def test_a_component_built_from_rows_is_its_density_twin(monkeypatch):
-    # `decompose` and binding build a component from its index rows, and
-    # its density only when it is read: the record is still the one its
-    # density gives, with the same fields, and the density is built once
-    rows = ((0, (1, 1)), (1, (2, 1)))
+    # `decompose` and binding build a component from its rows, the support
+    # map a density stores, and its density only when it is read: the
+    # record is still the one its density gives, with the same fields, and
+    # the density is built once
+    rows = {0: (1, 1), 1: (2, 1)}
     twin = Component("b", F)
     built = count_builds(monkeypatch, EdgeLinearDensity)
 
@@ -272,7 +273,7 @@ def test_a_component_built_from_rows_is_its_density_twin(monkeypatch):
     assert built[EdgeLinearDensity] == 1
     assert density == F
     # a reduced pair is stored as the very tuple given
-    for (_, stored), (_, given) in zip(density.index_items(), rows):
+    for (_, stored), (_, given) in zip(density.index_items(), rows.items()):
         assert stored is given
     with pytest.raises(AttributeError):
         component.density = F

@@ -279,8 +279,8 @@ def test_check_builds_no_density_for_a_rising_component(monkeypatch):
     # rows once built its density (1 here); `_peak` now finds the edge on
     # the rows the check already holds
     tree, f = path_instance([1, 1, 1, 1, 1])
-    rising = Component._from_rows("v1", tree, ((0, (1, 1)), (2, (1, 1))))
-    rest = Component._from_rows("v1", tree, ((0, (1, 1)), (1, (1, 1))))
+    rising = Component._from_rows("v1", tree, {0: (1, 1), 2: (1, 1)})
+    rest = Component._from_rows("v1", tree, {0: (1, 1), 1: (1, 1)})
     built = count_builds(monkeypatch, EdgeLinearDensity)
     report = check_decomposition(f, Decomposition(tree, (rising, rest)))
     assert [c.detail for c in report.components] == [

@@ -106,6 +106,29 @@ def test_only_the_density_module_reads_its_storage():
                 assert node.attr not in {"_values", "_support"}, what
 
 
+def _raised_texts(source: str) -> list[str]:
+    """The string constants, f-string parts included, of each exception
+    that `source` raises."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for part in ast.walk(node.exc):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    found.append(part.value)
+    return found
+
+
+def test_listed_values_are_checked_by_the_density_module_only():
+    # one check of listed values: binding a decomposition runs the density
+    # constructor's own, so no other module restates its messages
+    sample = 'raise TreeMismatch(f"density value for {v!r}, not a tree vertex")'
+    assert _raised_texts(sample) == ["density value for ", ", not a tree vertex"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "density.py":
+            for text in _raised_texts(path.read_text(encoding="utf-8")):
+                assert not text.startswith("density value"), f"{path.name}: {text}"
+
+
 def test_value_types_are_built_by_their_constructor_only():
     # a second, trusted way to build a tree or a density would skip its
     # checks: no module calls `__new__`, and neither class defines a
