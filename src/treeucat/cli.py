@@ -27,6 +27,7 @@ from .documents import (
     serialize_sweep,
 )
 from .errors import ExceedsKMax, InternalInvariantError, TreeUcatError
+from .rational import shown
 
 ORACLE_SIZE_GUIDANCE = 16
 
@@ -43,16 +44,6 @@ def _write(path: str, text: str) -> None:
         file.write(text)
 
 
-def _shown(value) -> str:
-    """`str(value)`, or for a number whose numerator or denominator is too
-    long for `str`, a fixed stand-in: raising the interpreter's limit would
-    make printing quadratic in the length of a document."""
-    try:
-        return str(value)
-    except ValueError:  # an integer past the interpreter's digit limit
-        return f"a number with more than {sys.get_int_max_str_digits():,} digits"
-
-
 def cmd_decompose(args) -> int:
     from .greedy import decompose
 
@@ -62,7 +53,7 @@ def cmd_decompose(args) -> int:
         for event in trace:
             print(
                 f"iteration {event.iteration}: mode {event.forced_vertex},"
-                f" remaining mass {_shown(event.remaining_mass)}",
+                f" remaining mass {shown(event.remaining_mass)}",
                 file=sys.stderr,
             )
     provenance = {
@@ -97,7 +88,7 @@ def cmd_check(args) -> int:
         print("sum: ok")
     else:
         for vertex, want, got in report.sum_mismatches:
-            got = _shown(got)  # a sum may be too long for `str`; f's values never are
+            got = shown(got)  # a sum may be too long for `str`; f's values never are
             print(f"sum: MISMATCH at {vertex}: expected {want}, components give {got}")
     for check in report.components:
         if check.ok:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InternalInvariantError, NegativeValue, TreeMismatch, UnknownVertex
-from .rational import as_fraction
+from .rational import as_fraction, shown
 from .record import Record
 from .tree import MetricTree, VertexId
 
@@ -148,7 +148,7 @@ def _support(
         if p:
             if p < 0:
                 raise NegativeValue(
-                    f"density value {Fraction(p, q)} at {v!r} is negative"
+                    f"density value {shown(Fraction(p, q))} at {v!r} is negative"
                 )
             stored[i] = raw
             if i < last:

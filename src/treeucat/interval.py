@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from math import lcm
 
 from .errors import NegativeValue
-from .rational import as_fraction
+from .rational import as_fraction, shown
 
 
 def interval_ucat(values: Sequence) -> int:
@@ -31,7 +31,7 @@ def interval_ucat(values: Sequence) -> int:
     fractions = [as_fraction(x) for x in values]
     for i, x in enumerate(fractions):
         if x < 0:
-            raise NegativeValue(f"value {x} at position {i} is negative")
+            raise NegativeValue(f"value {shown(x)} at position {i} is negative")
     scale = lcm(*(x.denominator for x in fractions))
     return _passes([x.numerator * (scale // x.denominator) for x in fractions])
 

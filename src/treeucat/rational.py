@@ -3,10 +3,13 @@
 Values are exact: a density keeps each as its reduced `(numerator,
 denominator)` pair of ints, and edge lengths are `fractions.Fraction`s.
 Floats are rejected at the boundary so no rounding can sneak in.
+`shown` writes a value into a message or report, with a stand-in for one
+too long for `str`.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -33,3 +36,12 @@ def as_fraction(value) -> Fraction:
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
+
+def shown(value) -> str:
+    """`str(value)`, or for a number whose numerator or denominator is too
+    long for `str`, a fixed stand-in: raising the interpreter's limit would
+    make printing quadratic in the length of a document."""
+    try:
+        return str(value)
+    except ValueError:  # an integer past the interpreter's digit limit
+        return f"a number with more than {sys.get_int_max_str_digits():,} digits"

@@ -4,14 +4,13 @@ Phase 1 of the tableau simplex, with Bland's rule, so termination is
 guaranteed, on a fraction-free integer tableau (Bareiss/Edmonds
 integer-preserving pivoting). There is no objective: a caller with an
 optimization question poses it as feasibility (`verify._solve` does).
-Every coefficient and right-hand side is an `int`; anything else raises
-`TypeError`. A row whose rhs is negative, or a ">=" row whose rhs is 0,
-is negated first, so every rhs is >= 0 and a zero-rhs row's slack has
-coefficient +1 and starts basic at 0. Only a row left with a positive
-rhs and a -1 slack (">=" with rhs > 0, or "<=" with rhs < 0) gets an
-artificial column. Most of the oracle's rows are monotonicity rows
-`a.x >= 0`, so they start feasible at 0 instead of costing phase 1 a
-degenerate pivot each.
+Every row is `a.x >= b`, its coefficients and right-hand side all `int`s;
+anything else raises `TypeError`. A row with b <= 0 is negated, to
+`-a.x + s = -b`, so its slack has coefficient +1 and starts basic at
+-b >= 0. Any other row, b > 0, keeps a -1 slack and gets an artificial
+column. Most of the oracle's rows are monotonicity rows `a.x >= 0`, so
+they start feasible at 0 instead of costing phase 1 a degenerate pivot
+each.
 
 Every cell holds D times its true value, where D > 0 is the current basis
 determinant, so a pivot on (r, e) with entry p > 0 updates row i as
@@ -38,9 +37,6 @@ from collections.abc import Sequence
 from .errors import InternalInvariantError
 from .record import Record
 
-LESS_EQUAL = "<="
-GREATER_EQUAL = ">="
-
 
 class LPResult(Record):
     """A feasibility answer: its `status`, "feasible" or "infeasible"; and
@@ -50,13 +46,11 @@ class LPResult(Record):
     __slots__ = ("status", "x", "d")
 
 
-def feasible(
-    n: int, constraints: Sequence[tuple[Sequence[int], str, int]]
-) -> LPResult:
+def feasible(n: int, constraints: Sequence[tuple[Sequence[int], int]]) -> LPResult:
     """Find a point of n variables, all >= 0, that satisfies the rows.
 
-    Each constraint is (coefficients, relation, rhs) with relation "<=" or
-    ">=", all numbers `int`s. A feasible answer is the point x_i / d; an
+    Each constraint is (coefficients, rhs), meaning coefficients.x >= rhs,
+    all numbers `int`s. A feasible answer is the point x_i / d; an
     infeasible one, whose Farkas vector has been checked, carries None in
     x and d.
     """
@@ -92,28 +86,16 @@ def _integers(values) -> list[int]:
 
 def _signed(n: int, constraints) -> list[tuple[list[int], int]]:
     """Each row checked and signed: (coefficients and rhs, the slack's
-    coefficient, +1 or -1). A row with a negative rhs, or a ">=" row with
-    rhs 0, is negated, so its slack is +1 and starts basic at its rhs,
-    which is >= 0. Only a row left with a positive rhs and a -1 slack
-    needs an artificial: a zero rhs needs none, since the slack starts
-    basic at 0 once the row is turned around.
+    coefficient, +1 or -1). A row a.x >= b with b <= 0 is negated, so its
+    slack is +1 and starts basic at -b >= 0; any other row keeps its -1
+    slack and needs an artificial.
     """
     signed = []
-    for i, (coeffs, relation, rhs) in enumerate(constraints):
+    for i, (coeffs, rhs) in enumerate(constraints):
         if len(coeffs) != n:
             raise ValueError(f"row {i}: {len(coeffs)} coefficients, expected {n}")
-        if relation == LESS_EQUAL:
-            slack = 1
-        elif relation == GREATER_EQUAL:
-            slack = -1
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
         row = _integers([*coeffs, rhs])
-        if rhs < 0 or (rhs == 0 and slack < 0):
-            # turn the row around, so that every rhs is >= 0 and a zero-rhs
-            # row's slack is +1 and starts basic at 0
-            row, slack = [-a for a in row], -slack
-        signed.append((row, slack))
+        signed.append(([-a for a in row], 1) if rhs <= 0 else (row, -1))
     return signed
 
 

@@ -31,7 +31,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .rational import as_fraction
+from .rational import as_fraction, shown
 
 VertexId = str
 
@@ -85,7 +85,7 @@ class MetricTree:
                 raise CycleDetected(f"self-loop at {u!r}")
             length = raw_len if type(raw_len) is Fraction else as_fraction(raw_len)
             if length.numerator <= 0:  # a Fraction's denominator is positive
-                raise NonPositiveLength(f"edge {u!r}-{w!r} has length {length}")
+                raise NonPositiveLength(f"edge {u!r}-{w!r} has length {shown(length)}")
             key = i * n + j if i < j else j * n + i
             if key in lengths:
                 raise CycleDetected(f"parallel edge {u!r}-{w!r}")

@@ -38,6 +38,7 @@ from .errors import (
     TreeMismatch,
     UnknownVertex,
 )
+from .rational import shown
 from .record import Decomposition, Record
 from .tree import MetricTree, VertexId
 
@@ -118,8 +119,9 @@ def check_decomposition(f: EdgeLinearDensity, d: Decomposition) -> CheckReport:
                 detail = f"recorded mode {mode} is not a tree vertex"
             elif pairs.get(at) != pairs[root]:
                 detail = (
-                    f"recorded mode {mode} carries {Fraction(*pairs.get(at, _ZERO))},"
-                    f" maximum is {Fraction(*pairs[root])}"
+                    f"recorded mode {mode} carries"
+                    f" {shown(Fraction(*pairs.get(at, _ZERO)))},"
+                    f" maximum is {shown(Fraction(*pairs[root]))}"
                 )
         component_checks.append(ComponentCheck(index, not detail, detail))
     target = dict(f.index_items())
@@ -150,8 +152,8 @@ def _first_difference(tree: MetricTree, other: MetricTree) -> str:
             return f"the decomposition's tree lacks instance edge {u!r}-{w!r}"
         if other.edge_length(u, w) != length:
             return (
-                f"edge {u!r}-{w!r} has length {other.edge_length(u, w)} in the"
-                f" decomposition's tree, {length} in the instance"
+                f"edge {u!r}-{w!r} has length {shown(other.edge_length(u, w))} in"
+                f" the decomposition's tree, {shown(length)} in the instance"
             )
     raise InternalInvariantError("trees differ, yet no difference was found")
 
@@ -311,12 +313,13 @@ def _fill(piece: _Piece, anchors: tuple[int, ...]):
 def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     """Set up and solve the anchored-components system.
 
-    The last component is eliminated: it equals f minus the others, which
-    turns all vertex-sum equalities into inequalities and leaves a system
-    that is feasible at zero except for a few rows, keeping the simplex
-    warm start cheap. The rows are posed for the integers scale * f, and
-    the solver's integer point over its d is returned as it comes, the
-    eliminated component added.
+    Every row is `a.x >= b`, as `simplex.feasible` takes it. The last
+    component is eliminated: it equals f minus the others, so the sum at
+    each vertex v becomes the row -sum_s x_s(v) >= -f(v), which keeps the
+    eliminated component >= 0 there. The system is then feasible at zero
+    except for a few rows, keeping the simplex warm start cheap. The rows
+    are posed for the integers scale * f, and the solver's integer point
+    over its d is returned as it comes, the eliminated component added.
 
     With `avoid`, the system is made homogeneous (Charnes and Cooper): a
     scale column t takes f's part of every row, as -value * t, so every
@@ -338,39 +341,39 @@ def _solve(piece: _Piece, anchors: tuple[int, ...], avoid: int | None):
     # the other components' columns: component alpha at v is starts[alpha] + v
     starts = range(0, (len(anchors) - 1) * nv, nv)
     nvars = len(starts) * nv + (avoid is not None)  # t is the last column
-    ge, rows = simplex.GREATER_EQUAL, []
+    rows = []
     for s, m in zip(starts, anchors):
         for closer, farther in rooted[m][0]:
             row = [0] * nvars
             row[s + closer], row[s + farther] = 1, -1
-            rows.append((row, ge, 0))
+            rows.append((row, 0))
     for closer, farther in rooted[last][0]:
         row = [0] * nvars
         for s in starts:
             row[s + farther], row[s + closer] = 1, -1
-        rows.append((row, ge, scaled[farther] - scaled[closer]))
+        rows.append((row, scaled[farther] - scaled[closer]))
     for v in range(nv):
         row = [0] * nvars
         for s in starts:
-            row[s + v] = 1
-        rows.append((row, simplex.LESS_EQUAL, scaled[v]))
+            row[s + v] = -1
+        rows.append((row, -scaled[v]))
 
     if avoid is not None:  # f's part of each row, its rhs, moves to t
-        for row, _, rhs in rows:
+        for row, rhs in rows:
             row[-1] = -rhs
-        rows = [(row, relation, 0) for row, relation, _ in rows]
+        rows = [(row, 0) for row, _ in rows]
         # the gap rows; an anchor may be `avoid`, so these entries add up
         for s, m in zip(starts, anchors):
             row = [0] * nvars
             row[s + m] += 1
             row[s + avoid] -= 1
-            rows.append((row, ge, 1))
+            rows.append((row, 1))
         row = [0] * nvars
         for s in starts:
             row[s + avoid] += 1
             row[s + last] -= 1
         row[-1] = scaled[last] - scaled[avoid]
-        rows.append((row, ge, 1))
+        rows.append((row, 1))
 
     result = simplex.feasible(nvars, rows)
     if result.status == "infeasible":

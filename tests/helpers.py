@@ -47,7 +47,7 @@ from treeucat import EdgeLinearDensity, MetricTree, simplex
 from treeucat.density import ModeWitness, NotUnimodal
 from treeucat.errors import NegativeValue, TreeMismatch
 from treeucat.rational import as_fraction
-from treeucat.simplex import LESS_EQUAL, GREATER_EQUAL, LPResult
+from treeucat.simplex import LPResult
 from treeucat.verify import CheckReport, ComponentCheck
 
 
@@ -405,11 +405,12 @@ def reference_maximize(c, constraints) -> LPResult:
     A two-phase tableau method whose phase 1 is `simplex.feasible`'s,
     with Bland's rule, every row owning a slack and an artificial slot,
     and the tableau kept in true values: each pivot divides the pivot row
-    by its entry. As there, a row with a negative rhs or a ">=" row with
-    rhs 0 is negated, so its slack is +1 and starts basic; only a row left
-    with a positive rhs and a -1 slack uses its artificial slot. Phase 1
-    then pivots each artificial left basic, at level 0, out of the basis,
-    and phase 2 maximizes c. This is the solver the package used before
+    by its entry. As there, each row (coefficients, rhs) means
+    coefficients.x >= rhs, and a row with rhs <= 0 is negated, so its
+    slack is +1 and starts basic; only a row with a positive rhs, whose
+    slack stays -1, uses its artificial slot. Phase 1 then pivots each
+    artificial left basic, at level 0, out of the basis, and phase 2
+    maximizes c. This is the solver the package used before
     its integer tableau. Its status is "optimal", "infeasible" or
     "unbounded", and its point, at an optimum, is `Fraction`s over d = 1.
     """
@@ -420,20 +421,15 @@ def reference_maximize(c, constraints) -> LPResult:
     # columns: structural 0..n-1, slacks n..n+m-1, artificials n+m.., rhs
     width = n + 2 * m
     rows = []
-    for i, (coeffs, relation, rhs) in enumerate(constraints):
+    for i, (coeffs, rhs) in enumerate(constraints):
         if len(coeffs) != n:
             raise ValueError(f"row {i}: {len(coeffs)} coefficients, expected {n}")
         row = [zero] * (width + 1)
         for j, a in enumerate(coeffs):
             row[j] = as_fraction(a)
-        if relation == LESS_EQUAL:
-            row[n + i] = one
-        elif relation == GREATER_EQUAL:
-            row[n + i] = -one
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
+        row[n + i] = -one
         row[-1] = as_fraction(rhs)
-        if row[-1] < 0 or (row[-1] == 0 and row[n + i] < 0):
+        if row[-1] <= 0:
             row = [-a for a in row]
         rows.append(row)
 

@@ -644,6 +644,36 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
 
+def test_an_internal_error_exits_1(tmp_path, capsys, monkeypatch):
+    # a broken invariant is the program's fault, not the input's: exit 1
+    # with an `internal error:` line, not the usage error's exit 2
+    from treeucat import greedy
+    from treeucat.errors import InternalInvariantError
+
+    def broken(f):
+        raise InternalInvariantError("a broken invariant")
+
+    monkeypatch.setattr(greedy, "ucat", broken)
+    tree, f = path_instance([1, 2, 1])
+    path = _write_instance(tmp_path, "in.json", tree, f)
+    assert main(["ucat", path]) == 1
+    assert capsys.readouterr() == ("", "internal error: a broken invariant\n")
+
+
+def test_the_help_formatter_has_only_what_its_set_up_makes():
+    # the formatter sets itself up on the first attribute it lacks; after
+    # that, a name the set-up did not make is an `AttributeError`, as on
+    # any object, whether or not the set-up has run
+    from treeucat.cli import _HelpFormatter
+
+    formatter = _HelpFormatter("treeucat")
+    with pytest.raises(AttributeError, match="no_such_state"):
+        formatter.no_such_state
+    assert formatter._prog == "treeucat"
+    with pytest.raises(AttributeError, match="no_such_state"):
+        formatter.no_such_state
+
+
 def test_cli_import_leaves_out_start_up_heavy_modules():
     # `-S` skips `site`, whose `.pth` files may import `typing` or
     # `pathlib` themselves and so hide an import the package makes

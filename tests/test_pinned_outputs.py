@@ -11,7 +11,9 @@ identically zero component and a mode below its component's maximum.
 Each check of `MetricTree`, of `EdgeLinearDensity`, of a document's shape
 and of binding is pinned by the class and exact message of the error one
 bad document or value raises, and so is which error comes first in
-documents with several faults.
+documents with several faults. A number too long for `str` is written as
+a stand-in, and the messages and the check report that name one are
+pinned too.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ import json
 
 import pytest
 
-from treeucat import EdgeLinearDensity, MetricTree
+from treeucat import (
+    Component,
+    Decomposition,
+    EdgeLinearDensity,
+    MetricTree,
+    interval_ucat,
+)
 from treeucat.documents import (
     decomposition_from_document,
     instance_digest,
@@ -126,9 +134,13 @@ def _instance(vertices, edges, density) -> str:
 _AB = [("a", "b", "1")]
 _ONES = {"a": "1", "b": "1"}
 _ABC = ["a", "b", "c"]
+# a numeral within the document limits whose reduced denominator has 4,401
+# digits, too many for `str`; messages and reports write a stand-in for it
+_LONG = "5" * 3400 + "." + "3" * 3400 + "e-1000"
+_LONG_SHOWN = "a number with more than 4,300 digits"
 
 # (instance document, error class, message); one check fails in each of
-# the first fifteen and the last two, several in each of the four between
+# the first fifteen and the last four, several in each of the four between
 BAD_INSTANCES = [
     (_instance([], [], {}), "InvalidTree", "a tree needs at least one vertex"),
     (_instance(["a", "b c"], [], {}), "InvalidVertexId", "invalid vertex id 'b c'"),
@@ -226,6 +238,16 @@ BAD_INSTANCES = [
         _instance(["a"], [], ["1"]),
         "DocumentError",
         "density must map vertex ids to value strings",
+    ),
+    (
+        _instance(["a", "b"], _AB, {"a": "1", "b": "-" + _LONG}),
+        "NegativeValue",
+        f"density value {_LONG_SHOWN} at 'b' is negative",
+    ),
+    (
+        _instance(["a", "b"], [("a", "b", "-" + _LONG)], _ONES),
+        "NonPositiveLength",
+        f"edge 'a'-'b' has length {_LONG_SHOWN}",
     ),
 ]
 
@@ -333,6 +355,8 @@ def test_query_errors_are_pinned():
 
     tree = MetricTree(_ABC, [("a", "b", 1), ("b", "c", 1)])
     f = EdgeLinearDensity(tree, {"a": 1, "b": 2, "c": 1})
+    long_tree = MetricTree(_ABC, [("a", "b", _LONG), ("b", "c", 1)])
+    on_long_tree = Component("a", EdgeLinearDensity(long_tree, {"a": 1}))
     queries = [
         (lambda: tree.neighbors("z"), "UnknownVertex", "no vertex 'z'"),
         (lambda: tree.edge_length("a", "c"), "UnknownEdge", "no edge 'a'-'c'"),
@@ -350,8 +374,42 @@ def test_query_errors_are_pinned():
             "UnknownVertex",
             "avoided vertex 'z' is not a vertex",
         ),
+        (
+            lambda: interval_ucat(["-" + _LONG]),
+            "NegativeValue",
+            f"value {_LONG_SHOWN} at position 0 is negative",
+        ),
+        (
+            lambda: check_decomposition(f, Decomposition(long_tree, (on_long_tree,))),
+            "TreeMismatch",
+            f"edge 'a'-'b' has length {_LONG_SHOWN} in the decomposition's tree,"
+            " 1 in the instance",
+        ),
     ]
     for query, kind, message in queries:
         with pytest.raises(TreeUcatError) as caught:
             query()
         assert (type(caught.value).__name__, str(caught.value)) == (kind, message)
+
+
+def test_a_check_report_naming_a_long_number_is_pinned(tmp_path, capsys):
+    # a component value too long for `str`: `check` prints its whole
+    # report, with the stand-in, and exits 1
+    from treeucat.cli import main
+
+    instance = tmp_path / "ab.json"
+    instance.write_text(_instance(["a", "b"], _AB, _ONES), encoding="utf-8")
+    tree, f = parse_instance(instance.read_text(encoding="utf-8"))
+    document = tmp_path / "d.json"
+    text = _components(("a", {"a": "1/2", "b": _LONG}))
+    document.write_text(text.replace("{digest}", instance_digest(tree, f)))
+    assert main(["check", str(instance), str(document)]) == 1
+    assert capsys.readouterr() == (
+        "sum: MISMATCH at a: expected 1, components give 1/2\n"
+        f"sum: MISMATCH at b: expected 1, components give {_LONG_SHOWN}\n"
+        "component 0: FAIL (recorded mode a carries 1/2, maximum is"
+        f" {_LONG_SHOWN})\n"
+        "count: 1\n"
+        "overall: FAIL\n",
+        "",
+    )

@@ -196,11 +196,10 @@ def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
         result = solve(n, rows)
         if avoiding:
             unscaled = [
-                ((*row[:-1], Fraction(row[-1], scale)), rel, rhs)
-                for row, rel, rhs in rows
+                ((*row[:-1], Fraction(row[-1], scale)), rhs) for row, rhs in rows
             ]
         else:
-            unscaled = [(row, rel, Fraction(rhs, scale)) for row, rel, rhs in rows]
+            unscaled = [(row, Fraction(rhs, scale)) for row, rhs in rows]
         expected = reference_feasible(n, unscaled)
         got = lp_rationals(result)  # the point over d
         assert got.status == expected.status

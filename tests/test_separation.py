@@ -129,6 +129,62 @@ def test_listed_values_are_checked_by_the_density_module_only():
                 assert not text.startswith("density value"), f"{path.name}: {text}"
 
 
+# the functions of `math` that take and give integers only; every other
+# one computes in floats
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm"}
+
+
+def _float_uses(source: str) -> list[tuple[str | None, str]]:
+    """(top-level function or class, what) for each place in `source` that
+    may compute in floats: a float or complex literal, a `/` or `/=`, a
+    mention of `float`, or a `math` function outside `INTEGER_MATH`."""
+    found = []
+    for top in ast.parse(source).body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant):
+                if isinstance(node.value, (float, complex)):
+                    found.append((name, repr(node.value)))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                if isinstance(node.op, ast.Div):
+                    found.append((name, "/"))
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append((name, "float"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                for alias in node.names:
+                    if alias.name not in INTEGER_MATH:
+                        found.append((name, f"math.{alias.name}"))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == "math" and node.attr not in INTEGER_MATH:
+                    found.append((name, f"math.{node.attr}"))
+    return found
+
+
+def test_no_floats_anywhere():
+    # exact arithmetic throughout: the one mention of `float` in the
+    # package is the refusal of one in `rational.as_fraction`
+    sample = (
+        "from math import gcd, sqrt\n"
+        "x = 1.5\n"
+        "def f(a, b):\n"
+        "    a /= 2\n"
+        "    return float(a / b) + math.log(2) + math.lcm(a, b) + a // b\n"
+    )
+    assert _float_uses(sample) == [
+        (None, "math.sqrt"),
+        (None, "1.5"),
+        ("f", "/"),
+        ("f", "float"),
+        ("f", "/"),
+        ("f", "math.log"),
+    ]
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, what in _float_uses(path.read_text(encoding="utf-8")):
+            found.append((path.name, name, what))
+    assert found == [("rational.py", "as_fraction", "float")]
+
+
 def test_value_types_are_built_by_their_constructor_only():
     # a second, trusted way to build a tree or a density would skip its
     # checks: no module calls `__new__`, and neither class defines a

@@ -22,7 +22,7 @@ import pytest
 import treeucat
 from treeucat import simplex, verify
 from treeucat.errors import InternalInvariantError
-from treeucat.simplex import GREATER_EQUAL, LESS_EQUAL, feasible
+from treeucat.simplex import feasible
 
 from helpers import lp_rationals, record_pivots, reference_feasible
 
@@ -83,7 +83,9 @@ def _integer_row(values):
 
 def _random_lp(rng):
     """A random system with rational data, each row scaled to integers by
-    the lcm of its own denominators: (n, rows)."""
+    the lcm of its own denominators, then multiplied by a random sign,
+    so that rows a.x >= b and -a.x >= -b, that is a.x <= b, are both
+    drawn: (n, rows)."""
     n, m = rng.randint(1, 5), rng.randint(1, 6)
 
     def value():
@@ -94,9 +96,9 @@ def _random_lp(rng):
     rows = []
     for _ in range(m):
         coeffs = [value() for _ in range(n)]
-        relation, rhs = rng.choice([LESS_EQUAL, GREATER_EQUAL]), value()
+        sign, rhs = rng.choice([-1, 1]), value()
         *coeffs, rhs = _integer_row([*coeffs, rhs])
-        rows.append((coeffs, relation, rhs))
+        rows.append(([sign * a for a in coeffs], sign * rhs))
     if rng.random() < 0.3:  # a repeated row, so one artificial may stay basic
         rows.append(rows[0])
     return n, rows
@@ -108,29 +110,26 @@ def test_random_rational_lps_match_the_reference():
     for _ in range(1500):
         status = _same(*_random_lp(rng)).status
         statuses[status] = statuses.get(status, 0) + 1
-    # negative right-hand sides, >= rows and degenerate cases
+    # negative and positive right-hand sides and degenerate cases
     assert set(statuses) == {"feasible", "infeasible"}
     assert min(statuses.values()) > 100
 
 
 def test_redundant_row_keeps_its_artificial_at_zero():
-    # x1 + x2 >= 1 twice and x1 + x2 <= 1: phase 1 ends with both
+    # x1 + x2 >= 1 twice and -x1 - x2 >= -1: phase 1 ends with both
     # artificials basic at zero, where they stay, and x1 brought in on the
     # third row
-    rows = [([1, 1], GREATER_EQUAL, 1), ([1, 1], GREATER_EQUAL, 1), ([1, 1], LESS_EQUAL, 1)]
+    rows = [([1, 1], 1), ([1, 1], 1), ([-1, -1], -1)]
     assert _same(2, rows).x == (Fraction(1), Fraction(0))
 
 
 def test_zero_rhs_rows_need_no_phase_1(monkeypatch):
-    # x1 - x2 >= 0 and -x1 + x2 >= 0 start from their slacks, as
-    # -x1 + x2 <= 0 and x1 - x2 <= 0, so no artificial column is made, the
-    # starting basis is feasible, and the answer takes no pivot
+    # x1 - x2 >= 0, -x1 + x2 >= 0 and -x1 >= -3 start from their slacks,
+    # as -x1 + x2 + s = 0, x1 - x2 + s = 0 and x1 + s = 3, so no
+    # artificial column is made, the starting basis is feasible, and the
+    # answer takes no pivot
     dets = record_pivots(monkeypatch)
-    rows = [
-        ([1, -1], GREATER_EQUAL, 0),
-        ([-1, 1], GREATER_EQUAL, 0),
-        ([1, 0], LESS_EQUAL, 3),
-    ]
+    rows = [([1, -1], 0), ([-1, 1], 0), ([-1, 0], -3)]
     _, basis = _start(2, rows)
     assert basis == [2, 3, 4]
     assert _same(2, rows).x == (0, 0)
@@ -143,36 +142,35 @@ def _start(n, constraints):
 
 
 def test_only_a_positive_rhs_ge_row_gets_an_artificial():
-    # a zero-rhs >= row is turned around: its slack has coefficient +1 and
+    # a zero-rhs row is turned around: its slack has coefficient +1 and
     # starts basic at 0, and the tableau has no artificial column
-    rows, basis = _start(2, [([1, -1], GREATER_EQUAL, 0)])
+    rows, basis = _start(2, [([1, -1], 0)])
     assert rows == [[-1, 1, 1, 0]]
     assert basis == [2]
     # with a positive rhs, the slack has coefficient -1 and cannot start
     # basic, so the row's artificial column (3) does
-    rows, basis = _start(2, [([1, -1], GREATER_EQUAL, 1)])
+    rows, basis = _start(2, [([1, -1], 1)])
     assert rows == [[1, -1, -1, 1, 1]]
     assert basis == [3]
-    # a <= row with a negative rhs turns around into the same case
-    rows, basis = _start(2, [([-1, 1], LESS_EQUAL, -1)])
-    assert rows == [[1, -1, -1, 1, 1]]
-    assert basis == [3]
+    # a negative-rhs row is turned around too, and its slack starts basic
+    # at -rhs > 0
+    rows, basis = _start(2, [([-1, 1], -1)])
+    assert rows == [[1, -1, 1, 1]]
+    assert basis == [2]
 
 
 def test_infeasible_and_feasible_answers():
-    assert _same(1, [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 2)]).status == (
-        "infeasible"
-    )
-    assert _same(2, [([1, -1], LESS_EQUAL, -1)]).x == (0, 1)
+    assert _same(1, [([-1], -1), ([1], 2)]).status == "infeasible"
+    assert _same(2, [([-1, 1], 1)]).x == (0, 1)
 
 
 def test_a_wrong_farkas_vector_is_refused():
-    # x <= 1 and x >= 2: an objective row of zeros reads z = (0, 1), which
-    # gives x's column a positive product, so it is no certificate
-    rows = [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 2)]
+    # -x >= -1 and x >= 2: an objective row of zeros reads z = (0, 1),
+    # which gives x's column a positive product, so it is no certificate
+    rows = [([-1], -1), ([1], 2)]
     with pytest.raises(InternalInvariantError, match="fails on column 0"):
         simplex._check_farkas(1, simplex._signed(1, rows), [0] * 5, 1)
-    # x <= 1 alone: the same row reads z = (0), which passes every column
+    # -x >= -1 alone: the same row reads z = (0), which passes every column
     # but gives the rhs a zero product
     with pytest.raises(InternalInvariantError, match="fails on the rhs"):
         simplex._check_farkas(1, simplex._signed(1, rows[:1]), [0] * 3, 1)
@@ -180,10 +178,8 @@ def test_a_wrong_farkas_vector_is_refused():
 
 def test_bad_rows_are_refused():
     with pytest.raises(ValueError):
-        feasible(2, [([1], LESS_EQUAL, 1)])
-    with pytest.raises(ValueError):
-        feasible(1, [([1], "==", 1)])
+        feasible(2, [([-1], -1)])
     with pytest.raises(TypeError):
-        feasible(1, [([0.5], LESS_EQUAL, 1)])
+        feasible(1, [([-0.5], -1)])
     with pytest.raises(TypeError):
-        feasible(1, [([Fraction(1, 2)], LESS_EQUAL, 1)])
+        feasible(1, [([Fraction(-1, 2)], -1)])
