@@ -42,11 +42,11 @@ _HOME = {
     "VertexId": "tree",
     "CheckReport": "verify",
     "ComponentCheck": "verify",
-    "FeasibilityCertificate": "verify",
     "check_decomposition": "verify",
-    "feasible_avoiding_vertex": "verify",
-    "feasible_with_modes": "verify",
-    "ucat_oracle": "verify",
+    "FeasibilityCertificate": "oracle",
+    "feasible_avoiding_vertex": "oracle",
+    "feasible_with_modes": "oracle",
+    "ucat_oracle": "oracle",
 }
 
 __all__ = list(_HOME)

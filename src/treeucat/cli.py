@@ -3,10 +3,13 @@
 Exit codes are a stable contract: 0 success, 1 failed check or internal
 invariant, 2 parse or validation problem, 3 oracle bound exceeded.
 
-Each command imports the modules it runs inside its `cmd_*` function, so
-`check` and `oracle` load no producer code, `decompose` no referee code
-and `check` no oracle code; only the document layer and the errors, which
-every command uses, are imported here.
+Each command imports the modules it runs inside its `cmd_*` function;
+only the document layer and the errors, which every command uses, are
+imported here. `decompose` and `ucat` load the producer, `greedy`;
+`sweep` loads `sweeping` and `gen` loads `instances`. `check` loads
+`verify` and `oracle` loads `oracle`, the two referees, and neither
+loads the other or any producer code; `oracle` loads `interval` too,
+and `simplex` only when `_fill` cannot answer a candidate.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .verify import _check_k_max, _count_pieces, oracle_pieces
+    from .oracle import _check_k_max, _count_pieces, oracle_pieces
 
     _check_k_max(args.max_k)
     _, f = parse_instance(_read(args.input))

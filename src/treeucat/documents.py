@@ -22,7 +22,10 @@ Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
 numeral may have at most `MAX_NUMERAL_CHARS` characters and a decimal
 exponent of at most `MAX_DECIMAL_EXPONENT` in absolute value, so that
-"1e10000000" cannot ask for a 33-million-bit integer.
+"1e10000000" cannot ask for a 33-million-bit integer. An instance's
+positive value or edge length that could not be written back, its
+numerator or denominator past the interpreter's digit limit, is refused
+as it is read, not by the writer after the work.
 
 Each parse converts a numeral string once: numerals equal as strings share
 one reduced `(numerator, denominator)` pair within a document, or one
@@ -100,7 +103,9 @@ def _check_sections(data, required: set, what: str) -> None:
         raise DocumentError(f"{what} has unknown section {key!r}")
 
 
-def _number(raw, numerals: dict[str, tuple], label: str, a, b) -> tuple[int, int]:
+def _number(
+    raw, numerals: dict[str, tuple], label: str, a, b, written: bool
+) -> tuple[int, int]:
     """The value of the numeral `raw` as its reduced `(numerator,
     denominator)` pair, checked once per distinct string.
 
@@ -110,6 +115,14 @@ def _number(raw, numerals: dict[str, tuple], label: str, a, b) -> tuple[int, int
     passed every check enters the map, so a repeat of a bad one fails at
     its first position, with the same message. An error message names the
     numeral `label.format(a, b)`, formatted only when the numeral fails.
+
+    If `written`, as for an instance, which `decompose`, `check` and
+    `sweep` write back, a positive value must also be writable:
+    `_numeral`'s refusal of a numerator or denominator past the
+    interpreter's digit limit comes here, at parse, and not after the
+    work. Only a non-digit spelling can reach that limit, since `int()`
+    refuses longer digit strings; a negative value is left to the sign
+    check that refuses it.
     """
     if not isinstance(raw, str):
         raise DocumentError(
@@ -143,6 +156,8 @@ def _number(raw, numerals: dict[str, tuple], label: str, a, b) -> tuple[int, int
                         " in absolute value"
                     )
             value = as_fraction(raw).as_integer_ratio()
+            if written and value[0] > 0:
+                _numeral(value, "{}", label.format(a, b))
     except (ValueError, ZeroDivisionError, TypeError):
         shown = reprlib.repr(raw)
         raise DocumentError(
@@ -179,20 +194,20 @@ def _tree_section(data, numerals: dict[str, tuple]) -> tuple:
         raw = entry["length"]
         length = lengths.get(raw) if type(raw) is str else None
         if length is None:
-            pair = _number(raw, numerals, "{}: edge {} length", what, i)
+            pair = _number(raw, numerals, "{}: edge {} length", what, i, True)
             length = lengths[raw] = Fraction(*pair)
         edges.append((entry["u"], entry["w"], length))
     return vertices, edges
 
 
-def _values_map(raw, what: str, numerals: dict[str, tuple]) -> dict:
+def _values_map(raw, what: str, numerals: dict[str, tuple], written: bool) -> dict:
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must map vertex ids to value strings")
     values = {}
     for v, x in raw.items():
         value = numerals.get(x) if type(x) is str else None
         if value is None:
-            value = _number(x, numerals, "{}[{}]", what, v)
+            value = _number(x, numerals, "{}[{}]", what, v, written)
         values[v] = value
     return values
 
@@ -208,7 +223,7 @@ def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
     numerals: dict[str, tuple] = {}
     tree = MetricTree(*_tree_section(data, numerals))
-    values = _values_map(data["density"], "density", numerals)
+    values = _values_map(data["density"], "density", numerals, True)
     f = EdgeLinearDensity(tree, values)
     if len(values) < len(tree.vertices):  # every listed id is a vertex
         for v in tree.vertices:  # name the first missing one
@@ -351,7 +366,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
         what = f"component {i} values"
-        components.append((mode, _values_map(entry["values"], what, numerals)))
+        components.append((mode, _values_map(entry["values"], what, numerals, False)))
 
     count = data["ucat"]
     if not isinstance(count, int) or isinstance(count, bool):

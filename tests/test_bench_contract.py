@@ -93,6 +93,7 @@ ABSENT_HOOKS = {
     "treeucat.greedy.extend_to_refinement",
     "treeucat.verify.extend_to_refinement",
     "treeucat.verify.is_unimodal",
+    "treeucat.verify.feasible_with_modes",
     "treeucat.greedy.find_forced_vertex",
     "treeucat.greedy.sweep",
     "treeucat.simplex.as_fraction",

@@ -526,16 +526,16 @@ def test_oracle_negative_max_k_is_a_usage_error(tmp_path, capsys):
 
 def test_oracle_command_reduces_once(tmp_path, capsys, monkeypatch):
     # the size warning and the count share one reduction of f
-    from treeucat import verify
+    from treeucat import oracle
 
     calls = []
-    reduce_f = verify.oracle_pieces
+    reduce_f = oracle.oracle_pieces
 
     def counted(f):
         calls.append(f)
         return reduce_f(f)
 
-    monkeypatch.setattr(verify, "oracle_pieces", counted)
+    monkeypatch.setattr(oracle, "oracle_pieces", counted)
     tree, f = star_instance(1, {f"a{i}": 2 for i in range(8)})
     star = _write_instance(tmp_path, "star.json", tree, f)
     tree, f = path_instance([1, 2, 1, 2, 1])

@@ -37,11 +37,9 @@ EXPORTED = {
     "interval": ["interval_ucat"],
     "sweeping": ["Cut", "SweepResult", "sweep"],
     "tree": ["MetricTree", "VertexId"],
-    "verify": [
-        "CheckReport",
-        "ComponentCheck",
+    "verify": ["CheckReport", "ComponentCheck", "check_decomposition"],
+    "oracle": [
         "FeasibilityCertificate",
-        "check_decomposition",
         "feasible_avoiding_vertex",
         "feasible_with_modes",
         "ucat_oracle",

@@ -135,12 +135,16 @@ _AB = [("a", "b", "1")]
 _ONES = {"a": "1", "b": "1"}
 _ABC = ["a", "b", "c"]
 # a numeral within the document limits whose reduced denominator has 4,401
-# digits, too many for `str`; messages and reports write a stand-in for it
+# digits, too many for `str`; messages and reports write a stand-in for it,
+# and an instance refuses it as a positive value, which it could not write
 _LONG = "5" * 3400 + "." + "3" * 3400 + "e-1000"
 _LONG_SHOWN = "a number with more than 4,300 digits"
+_UNWRITABLE = (
+    ": its numerator or denominator has more than 4,300 digits, the output limit"
+)
 
 # (instance document, error class, message); one check fails in each of
-# the first fifteen and the last four, several in each of the four between
+# the first fifteen and the last six, several in each of the four between
 BAD_INSTANCES = [
     (_instance([], [], {}), "InvalidTree", "a tree needs at least one vertex"),
     (_instance(["a", "b c"], [], {}), "InvalidVertexId", "invalid vertex id 'b c'"),
@@ -248,6 +252,16 @@ BAD_INSTANCES = [
         _instance(["a", "b"], [("a", "b", "-" + _LONG)], _ONES),
         "NonPositiveLength",
         f"edge 'a'-'b' has length {_LONG_SHOWN}",
+    ),
+    (
+        _instance(["a", "b"], _AB, {"a": "1", "b": _LONG}),
+        "DocumentError",
+        f"cannot write density[b]{_UNWRITABLE}",
+    ),
+    (
+        _instance(["a", "b"], [("a", "b", _LONG)], _ONES),
+        "DocumentError",
+        f"cannot write instance: edge 0 length{_UNWRITABLE}",
     ),
 ]
 
@@ -390,6 +404,27 @@ def test_query_errors_are_pinned():
         with pytest.raises(TreeUcatError) as caught:
             query()
         assert (type(caught.value).__name__, str(caught.value)) == (kind, message)
+
+
+def test_an_unwritable_instance_value_is_refused_at_parse(tmp_path, capsys):
+    # `ucat` and `oracle` could count it, but `decompose` and `check` could
+    # not write the instance's digest: every command refuses it as it reads
+    from treeucat.cli import main
+
+    instance = tmp_path / "ab.json"
+    text = _instance(["a", "b"], _AB, {"a": "1", "b": _LONG})
+    instance.write_text(text, encoding="utf-8")
+    document = tmp_path / "d.json"
+    document.write_text(_components(("a", {"a": "1"})), encoding="utf-8")
+    for argv in (
+        ["decompose", str(instance)],
+        ["check", str(instance), str(document)],
+        ["ucat", str(instance)],
+        ["oracle", str(instance)],
+    ):
+        assert main(argv) == 2, argv
+        error = f"error: cannot write density[b]{_UNWRITABLE}\n"
+        assert capsys.readouterr() == ("", error), argv
 
 
 def test_a_check_report_naming_a_long_number_is_pinned(tmp_path, capsys):

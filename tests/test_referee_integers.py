@@ -27,11 +27,11 @@ from treeucat import (
     decompose,
     gen_instance,
     is_unimodal,
+    oracle,
     simplex,
     sweep,
     ucat,
     ucat_oracle,
-    verify,
 )
 from treeucat.errors import TreeMismatch
 
@@ -226,9 +226,9 @@ def test_scaled_systems_solve_as_the_unscaled_ones(monkeypatch):
         for k in (1, 2, 3):
             for candidate in itertools.combinations(tree.vertices, k):
                 avoiding = False
-                verify.feasible_with_modes(f, candidate)
+                oracle.feasible_with_modes(f, candidate)
                 avoiding = True
-                verify.feasible_avoiding_vertex(f, candidate, avoid)
+                oracle.feasible_avoiding_vertex(f, candidate, avoid)
     assert solved.count("feasible") > 100 and solved.count("infeasible") > 30
     assert len(scales) > 5
 
@@ -329,10 +329,10 @@ def test_a_broken_certificate_is_refused():
     # denominator; each of its three checks must still fire on a
     # certificate that breaks it
     _, f = path_instance([Fraction(1, 3), Fraction(5, 6), Fraction(1, 2)])
-    good = verify.feasible_with_modes(f, ("v2",))
-    piece, index, vertices = verify._piece(f), f.tree.index, f.tree.vertices
+    good = oracle.feasible_with_modes(f, ("v2",))
+    piece, index, vertices = oracle._piece(f), f.tree.index, f.tree.vertices
     anchor = index["v2"]
-    assert verify._decide(piece, (anchor,)) == ([piece.scaled], 1)
+    assert oracle._decide(piece, (anchor,)) == ([piece.scaled], 1)
     # the oracle roots each anchor on vertex indices, in `root_at` order
     named = [(vertices[a], vertices[b]) for a, b in piece.rooted[anchor][0]]
     assert named == list(f.tree.root_at("v2"))
@@ -340,7 +340,7 @@ def test_a_broken_certificate_is_refused():
     def validate(modes, components):
         d = math.lcm(*[Fraction(y).denominator for c in components for y in c.values()])
         values = [[int(c[v] * d * piece.scale) for v in vertices] for c in components]
-        verify._validate(piece, tuple(index[m] for m in modes), values, d)
+        oracle._validate(piece, tuple(index[m] for m in modes), values, d)
 
     validate(good.modes, good.components)
     broken = {
@@ -355,7 +355,7 @@ def test_a_broken_certificate_is_refused():
             modes, components = ("v2", "v2"), (values, other)
         else:
             modes, components = ("v2",), (values,)
-        with pytest.raises(verify.InternalInvariantError, match=message):
+        with pytest.raises(oracle.InternalInvariantError, match=message):
             validate(modes, components)
 
 
@@ -363,15 +363,15 @@ def test_a_certificate_not_strict_at_the_gap_is_refused():
     # the validation also checks the strict gap of `feasible_avoiding_vertex`,
     # in integers: a component as large at the gap as at its anchor fails
     _, f = path_instance([1, 3, 3])
-    piece = verify._piece(f)
-    found = verify._decide(piece, (1,))  # roots v2; the one component is f
+    piece = oracle._piece(f)
+    found = oracle._decide(piece, (1,))  # roots v2; the one component is f
     assert found == ([piece.scaled], 1)
-    verify._validate(piece, (1,), *found, 0)
+    oracle._validate(piece, (1,), *found, 0)
     with pytest.raises(
-        verify.InternalInvariantError,
+        oracle.InternalInvariantError,
         match="^certificate not strict at 'v3' for anchor 'v2'$",
     ):
-        verify._validate(piece, (1,), *found, 2)
+        oracle._validate(piece, (1,), *found, 2)
 
 
 def test_a_certificate_over_a_zero_denominator_is_refused():
@@ -379,14 +379,14 @@ def test_a_certificate_over_a_zero_denominator_is_refused():
     # would pass every other check; an avoided vertex's certificate takes
     # its d from the LP's point, so a d <= 0 is refused before the sums
     _, f = path_instance([1, 3, 3])
-    piece = verify._piece(f)
-    verify._decide(piece, (1,))  # roots v2
+    piece = oracle._piece(f)
+    oracle._decide(piece, (1,))  # roots v2
     zero = [0] * len(piece.scaled)
     with pytest.raises(
-        verify.InternalInvariantError,
+        oracle.InternalInvariantError,
         match="^certificate denominator 0 is not positive$",
     ):
-        verify._validate(piece, (1,), [zero], 0)
+        oracle._validate(piece, (1,), [zero], 0)
 
 
 def test_the_oracle_builds_no_tree_and_no_density(monkeypatch):

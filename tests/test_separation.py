@@ -7,9 +7,11 @@ that build referee inputs, so that a shared import fails here instead of
 passing unnoticed. The document layer, which the referees' inputs pass
 through, is held to the same rule. In the other direction, the producer
 modules import no referee or document code. A name imported from the
-package counts as an import of the module that defines it. The last
-test makes the separation a runtime fact: each CLI command, run in a
-fresh interpreter, loads only its own side.
+package counts as an import of the module that defines it. The two
+referees of a decomposition, `verify`'s check and `oracle`'s minimality
+search, are kept apart as well. The last tests make the separation a
+runtime fact: each CLI command, run in a fresh interpreter, loads only
+its own side, and `check` no oracle code.
 """
 
 from __future__ import annotations
@@ -26,10 +28,17 @@ from treeucat.instances import gen_instance
 from helpers import star_instance
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treeucat"
-REFEREES = ("verify.py", "interval.py", "simplex.py", "density.py", "documents.py")
+REFEREES = (
+    "verify.py",
+    "oracle.py",
+    "interval.py",
+    "simplex.py",
+    "density.py",
+    "documents.py",
+)
 PRODUCER = {"forced", "sweeping", "greedy"}
 PRODUCER_FILES = ("greedy.py", "sweeping.py", "forced.py")
-REFEREE_SIDE = {"verify", "interval", "simplex", "documents"}
+REFEREE_SIDE = {"verify", "oracle", "interval", "simplex", "documents"}
 ALLOWED = {"tree": {"MetricTree", "VertexId"}}
 VALUE_TYPES = {"MetricTree", "EdgeLinearDensity"}
 
@@ -66,6 +75,13 @@ def test_referees_import_no_producer_code():
             assert module.split(".")[0] not in PRODUCER, what
             if module in ALLOWED:
                 assert name in ALLOWED[module], what
+
+
+def test_the_oracle_imports_nothing_from_the_check():
+    # the two referees are independent of each other too: `verify` reaches
+    # the oracle only through its lazy forward (tested below)
+    for module, name in _package_imports(PACKAGE / "oracle.py"):
+        assert module != "verify", f"oracle.py imports {name or module} from verify"
 
 
 def test_producer_imports_no_referee_code():
@@ -280,7 +296,8 @@ def test_each_command_loads_only_its_own_side(tmp_path):
     width_lookup = {"shutil", "zlib", "bz2", "lzma", "fnmatch"}
     loaded = command("decompose", "in.json", "--output", "d.json")
     assert package("greedy") <= loaded
-    assert package("verify", "simplex", "interval", "instances").isdisjoint(loaded)
+    unused = package("verify", "oracle", "simplex", "interval", "instances")
+    assert unused.isdisjoint(loaded)
     assert width_lookup.isdisjoint(loaded)
 
     # the star's core is its three rising leaves, which `_fill` answers
@@ -289,14 +306,28 @@ def test_each_command_loads_only_its_own_side(tmp_path):
     tree, f = gen_instance(0, 7, 9)
     (tmp_path / "lp.json").write_text(serialize_instance(tree, f), encoding="utf-8")
     producer = package("greedy", "forced", "sweeping", "instances")
+    # `check` and `oracle` each load their own referee and not the other's
     solvers = {
-        ("check", "in.json", "d.json"): set(),
-        ("oracle", "in.json"): package("interval"),
-        ("oracle", "lp.json"): package("interval", "simplex"),
+        ("check", "in.json", "d.json"): package("verify"),
+        ("oracle", "in.json"): package("oracle", "interval"),
+        ("oracle", "lp.json"): package("oracle", "interval", "simplex"),
     }
+    referees = package("verify", "oracle", "simplex", "interval")
     for argv, loads in solvers.items():
         loaded = command(*argv)
-        assert package("verify") <= loaded, argv
         assert producer.isdisjoint(loaded), argv
-        assert loaded & package("simplex", "interval") == loads, argv
+        assert loaded & referees == loads, argv
         assert width_lookup.isdisjoint(loaded), argv
+
+
+def test_the_check_module_forwards_only_the_oracle_entry_point(tmp_path):
+    # `treeucat.verify.ucat_oracle` stays readable, but importing `verify`
+    # compiles no oracle code; the name loads `oracle` on its first read
+    loaded = _modules_after("import treeucat.verify", tmp_path)
+    assert "treeucat.verify" in loaded
+    assert "treeucat.oracle" not in loaded
+    from treeucat import oracle, verify
+
+    assert verify.ucat_oracle is oracle.ucat_oracle is treeucat.ucat_oracle
+    assert vars(verify)["ucat_oracle"] is oracle.ucat_oracle
+    assert not hasattr(verify, "feasible_with_modes")

@@ -20,7 +20,7 @@ from math import lcm
 import pytest
 
 import treeucat
-from treeucat import simplex, verify
+from treeucat import oracle, simplex
 from treeucat.errors import InternalInvariantError
 from treeucat.simplex import feasible
 
@@ -58,9 +58,9 @@ def _oracle_calls(monkeypatch, solver):
         avoid = vertices[seed % len(vertices)]
         for k in (2, 3):
             for candidate in itertools.combinations(vertices, k):
-                certificates.append(verify.feasible_with_modes(f, candidate))
+                certificates.append(oracle.feasible_with_modes(f, candidate))
                 certificates.append(
-                    verify.feasible_avoiding_vertex(f, candidate, avoid)
+                    oracle.feasible_avoiding_vertex(f, candidate, avoid)
                 )
     return certificates, solved
 

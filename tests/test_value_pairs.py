@@ -29,7 +29,7 @@ from treeucat import (
 )
 from treeucat.errors import NegativeValue
 from treeucat.interval import _passes
-from treeucat.verify import oracle_pieces
+from treeucat.oracle import oracle_pieces
 
 from helpers import path_instance, star_instance
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeucat import simplex, verify
+from treeucat import oracle, simplex, verify
 from treeucat import (
     Component,
     Decomposition,
@@ -276,14 +276,14 @@ def test_zero_density_takes_the_general_path():
         zeros = {v: Fraction(0) for v in tree.vertices}
         for k in (1, 2, 3):
             for modes in itertools.product(tree.vertices, repeat=k):
-                certificate = verify.feasible_with_modes(f, modes)
-                assert certificate == verify.FeasibilityCertificate(
+                certificate = oracle.feasible_with_modes(f, modes)
+                assert certificate == oracle.FeasibilityCertificate(
                     modes, tuple(zeros for _ in modes)
                 )
                 for component in certificate.components:
                     assert {type(x) for x in component.values()} == {Fraction}
                 for avoid in tree.vertices:
-                    assert verify.feasible_avoiding_vertex(f, modes, avoid) is None
+                    assert oracle.feasible_avoiding_vertex(f, modes, avoid) is None
 
 
 def test_feasibility_errors():
@@ -293,9 +293,9 @@ def test_feasibility_errors():
     with pytest.raises(UnknownVertex):
         feasible_with_modes(f, ["v1", "nope"])
     with pytest.raises(EmptyModeSet):
-        verify.feasible_avoiding_vertex(f, [], "v1")
+        oracle.feasible_avoiding_vertex(f, [], "v1")
     with pytest.raises(UnknownVertex, match="^mode 'nope' is not a vertex$"):
-        verify.feasible_avoiding_vertex(f, ["nope"], "v1")
+        oracle.feasible_avoiding_vertex(f, ["nope"], "v1")
 
 
 def test_feasibility_monotone_in_anchor_set():
@@ -354,7 +354,7 @@ def test_every_no_past_the_prefilter_is_farkas_checked(monkeypatch):
                 if gap is None:
                     certificate = feasible_with_modes(f, modes)
                 else:
-                    certificate = verify.feasible_avoiding_vertex(f, modes, gap)
+                    certificate = oracle.feasible_avoiding_vertex(f, modes, gap)
                 asked = len(checked) - before[0], len(solves) - before[1]
                 if certificate is None and not capped:
                     assert asked == (1, 1), (seed, modes, gap)
@@ -405,7 +405,7 @@ def test_oracle_refuses_a_negative_k_max_before_any_work(monkeypatch):
     def no_work(f):
         raise AssertionError("ucat_oracle reduced f before checking k_max")
 
-    monkeypatch.setattr(verify, "oracle_pieces", no_work)
+    monkeypatch.setattr(oracle, "oracle_pieces", no_work)
     _, star = star_instance(1, {"a": 2, "b": 2, "d": 2})
     for k_max in (-1, -5):
         with pytest.raises(ValueError, match="^k_max must be nonnegative$"):
@@ -435,7 +435,7 @@ def test_oracle_agrees_with_interval_on_paths():
             assert support_is_empty(f)
             continue
         assert ucat_oracle(f, 6) == expected
-        assert verify._search(verify._piece(f), 6) == expected
+        assert oracle._search(oracle._piece(f), 6) == expected
         assert ucat(f) == expected
 
 
@@ -481,14 +481,14 @@ def _far_side(tree, x, y):
 def _searched(monkeypatch, piece):
     """`_search`'s answer on `piece` and the candidates it gave `_decide`."""
     tried = []
-    decide = verify._decide
+    decide = oracle._decide
 
     def recording(piece, anchors, gap=None):
         tried.append(anchors)
         return decide(piece, anchors, gap)
 
-    monkeypatch.setattr(verify, "_decide", recording)
-    k = verify._search(piece, len(piece.scaled))
+    monkeypatch.setattr(oracle, "_decide", recording)
+    k = oracle._search(piece, len(piece.scaled))
     monkeypatch.undo()
     return k, tried
 
@@ -496,7 +496,7 @@ def _searched(monkeypatch, piece):
 def _tried_candidates(monkeypatch, f):
     """The search step's answer on the whole of f, unreduced, and the
     candidates, as vertex ids, it gave to the per-candidate check."""
-    k, tried = _searched(monkeypatch, verify._piece(f))
+    k, tried = _searched(monkeypatch, oracle._piece(f))
     return k, [tuple(f.tree.vertices[m] for m in anchors) for anchors in tried]
 
 
@@ -535,7 +535,7 @@ def test_the_search_roots_each_anchor_once(monkeypatch):
     # anchor of every candidate that reached the prefilter
     tree, f = gen_instance(2, 7, 9)
     roots, asked = [], []
-    oriented, decide = verify._oriented, verify._decide
+    oriented, decide = oracle._oriented, oracle._decide
 
     def rooting(nbrs, root):
         roots.append(root)
@@ -545,9 +545,9 @@ def test_the_search_roots_each_anchor_once(monkeypatch):
         asked.append(anchors)
         return decide(piece, anchors, gap)
 
-    monkeypatch.setattr(verify, "_oriented", rooting)
-    monkeypatch.setattr(verify, "_decide", asking)
-    assert verify._search(verify._piece(f), len(tree.vertices)) == ucat(f) == 5
+    monkeypatch.setattr(oracle, "_oriented", rooting)
+    monkeypatch.setattr(oracle, "_decide", asking)
+    assert oracle._search(oracle._piece(f), len(tree.vertices)) == ucat(f) == 5
     anchors = [m for candidate in asked for m in candidate]
     assert len(asked) >= 2 and len(anchors) > len(set(anchors)), asked
     assert Counter(roots) <= Counter([0, *set(anchors)]), roots
@@ -609,7 +609,7 @@ def test_pruning_leaves_brings_seed_6_at_30_vertices_under_30_lps(monkeypatch):
     # took 324 LPs, 323 of them infeasible; pruned, it has 11 and took 29,
     # and with `_fill` building the feasible set it takes 28
     tree, f = gen_instance(6, 30, 40)
-    _, searched = verify.oracle_pieces(f)
+    _, searched = oracle.oracle_pieces(f)
     assert [len(piece.vertices) for piece in searched] == [11]
     solves = _count_solves(monkeypatch)
     assert ucat_oracle(f, len(tree.vertices)) == ucat(f) == 7
@@ -621,9 +621,9 @@ def test_a_corrupted_fill_is_refused(monkeypatch):
     # at one vertex breaks the sums, and one unit moved there from one
     # component to another breaks monotonicity
     _, f = star_instance(1, {"a": 2, "b": 2, "d": 2})
-    piece, anchors = verify._piece(f), (0, 1, 3)  # a, b, c, d; c the centre
+    piece, anchors = oracle._piece(f), (0, 1, 3)  # a, b, c, d; c the centre
     good = [[2, 1, 1, 1], [0, 1, 0, 0], [0, 0, 0, 1]]
-    assert verify._decide(piece, anchors) == (good, 1)
+    assert oracle._decide(piece, anchors) == (good, 1)
     added = [[3, 1, 1, 1], *good[1:]]
     moved = [[2, 1, 0, 1], [0, 1, 1, 0], good[2]]
     broken = {
@@ -631,9 +631,9 @@ def test_a_corrupted_fill_is_refused(monkeypatch):
         "^certificate rises along c-b away from 'a'$": moved,
     }
     for message, components in broken.items():
-        monkeypatch.setattr(verify, "_fill", lambda piece, anchors: (components, 1))
-        with pytest.raises(verify.InternalInvariantError, match=message):
-            verify._decide(piece, anchors)
+        monkeypatch.setattr(oracle, "_fill", lambda piece, anchors: (components, 1))
+        with pytest.raises(oracle.InternalInvariantError, match=message):
+            oracle._decide(piece, anchors)
 
 
 def test_a_public_certificate_is_built_by_the_fill_where_it_can_be(monkeypatch):
@@ -648,7 +648,7 @@ def test_a_public_certificate_is_built_by_the_fill_where_it_can_be(monkeypatch):
         {"a": 0, "b": 1, "c": 0, "d": 0},
         {"a": 0, "b": 0, "c": 0, "d": 1},
     )
-    verify.feasible_avoiding_vertex(f, ["a", "b", "d"], "c")
+    oracle.feasible_avoiding_vertex(f, ["a", "b", "d"], "c")
     assert len(solves) == 1
 
 
@@ -656,19 +656,19 @@ def test_the_lp_decides_a_feasible_set_the_fill_cannot_build(monkeypatch):
     # on these trees the search stops at a feasible set that `_fill` cannot
     # build, so the LP finds it; a search that asks the LP for every set of
     # two or more anchors gives the same k
-    fill = verify._fill
+    fill = oracle._fill
     for seed in (2, 5, 9, 10, 17, 19):
         tree, f = gen_instance(seed, 30, 40)
         assert ucat_oracle(f, len(tree.vertices)) == ucat(f), seed
         stopped = []
-        for piece in verify.oracle_pieces(f)[1]:
+        for piece in oracle.oracle_pieces(f)[1]:
             k, tried = _searched(monkeypatch, piece)
             assert k is not None, seed
             stopped.append(fill(piece, tried[-1]))
             monkeypatch.setattr(
-                verify, "_fill", lambda p, a: fill(p, a) if len(a) == 1 else None
+                oracle, "_fill", lambda p, a: fill(p, a) if len(a) == 1 else None
             )
-            assert verify._search(piece, len(piece.scaled)) == k, seed
+            assert oracle._search(piece, len(piece.scaled)) == k, seed
             monkeypatch.undo()
         assert None in stopped, seed
 
@@ -681,16 +681,16 @@ def test_seed_5_at_40_vertices_decides_one_candidate(monkeypatch):
     # the first asked, and the search makes 5,687 calls, most of them its
     # one LP
     tree, f = gen_instance(5, 40, 40)
-    (piece,) = verify.oracle_pieces(f)[1]
+    (piece,) = oracle.oracle_pieces(f)[1]
     assert len(piece.scaled) == 27
-    assert python_calls_during(verify._search, piece, 27) <= 6_000
+    assert python_calls_during(oracle._search, piece, 27) <= 6_000
     k, tried = _searched(monkeypatch, piece)
     assert k == 12 and len(tried) == 1
     assert ucat_oracle(f, len(tree.vertices)) == ucat(f)
 
 
 def _largest_searched(f):
-    _, searched = verify.oracle_pieces(f)
+    _, searched = oracle.oracle_pieces(f)
     return max((len(piece.vertices) for piece in searched), default=0)
 
 
@@ -704,7 +704,7 @@ def test_oracle_pieces_split_at_zeros_and_contract_monotone_vertices():
     edges += [("d3", "z"), ("z", "p2"), ("p2", "p1")]
     tree = MetricTree(values, [(u, w, 3) for u, w in edges])
     f = EdgeLinearDensity(tree, values)
-    paths, searched = verify.oracle_pieces(f)
+    paths, searched = oracle.oracle_pieces(f)
     assert paths == [[1, 2]]
     (piece,) = searched
     assert piece.vertices == ("a", "b", "c", "d3")
@@ -723,7 +723,7 @@ def _counted_alike(f):
     """ucat(f), which the oracle and the search on the whole of f,
     unreduced, must both give; the oracle must raise one below it."""
     k = ucat(f)
-    assert ucat_oracle(f, k) == k == verify._search(verify._piece(f), k)
+    assert ucat_oracle(f, k) == k == oracle._search(oracle._piece(f), k)
     with pytest.raises(ExceedsKMax):
         ucat_oracle(f, k - 1)
     return k
@@ -738,7 +738,7 @@ def test_pruning_cascades_up_a_branch():
     edges = [("w", "p"), ("w", "q"), ("w", "r"), ("w", "u"), ("u", "t")]
     edges += [("u", "y"), ("y", "x1"), ("y", "x2")]
     f = _unit_tree_density(values, edges)
-    paths, searched = verify.oracle_pieces(f)
+    paths, searched = oracle.oracle_pieces(f)
     assert paths == []
     (piece,) = searched
     assert piece.vertices == ("p", "q", "r", "w")
@@ -750,7 +750,7 @@ def test_pruning_cascades_up_a_branch():
 def test_a_leaf_level_with_its_neighbour_is_pruned():
     # x ties with the centre, so it is pruned; the rising leaves stay
     _, f = star_instance(2, {"a": 3, "b": 3, "d": 3, "x": 2})
-    (piece,) = verify.oracle_pieces(f)[1]
+    (piece,) = oracle.oracle_pieces(f)[1]
     assert piece.vertices == ("a", "b", "c", "d")
     assert piece.scaled == [3, 3, 2, 3]
     assert _counted_alike(f) == 3
@@ -761,7 +761,7 @@ def test_a_part_pruned_to_a_path_is_a_path_piece():
     values = {"w": 5, "p": 6, "q": 6, "u": 4, "x1": 1, "x2": 2}
     edges = [("w", "p"), ("w", "q"), ("w", "u"), ("u", "x1"), ("u", "x2")]
     f = _unit_tree_density(values, edges)
-    assert verify.oracle_pieces(f) == ([[6, 5, 6]], [])
+    assert oracle.oracle_pieces(f) == ([[6, 5, 6]], [])
     assert _counted_alike(f) == 2
 
 
@@ -769,7 +769,7 @@ def test_a_part_pruned_to_one_vertex_counts_one_with_no_lp(monkeypatch):
     # every leaf falls to c, the tie d2 = d1 included
     values = {"c": 9, "a": 1, "b": 2, "d1": 8, "d2": 8}
     f = _unit_tree_density(values, [("c", "a"), ("c", "b"), ("c", "d1"), ("d1", "d2")])
-    assert verify.oracle_pieces(f) == ([[9]], [])
+    assert oracle.oracle_pieces(f) == ([[9]], [])
     solves = _count_solves(monkeypatch)
     assert ucat_oracle(f, 5) == 1
     assert solves == []
@@ -796,7 +796,7 @@ def test_reduced_oracle_equals_the_unreduced_search():
         if support_is_empty(f):
             assert ucat_oracle(f, 7) == 0
         else:
-            assert ucat_oracle(f, 7) == verify._search(verify._piece(f), 7), seed
+            assert ucat_oracle(f, 7) == oracle._search(oracle._piece(f), 7), seed
 
 
 def test_reduced_oracle_agrees_with_decompose_on_larger_trees():
@@ -822,7 +822,7 @@ def test_reduced_oracle_on_arms():
     # its monotone run contracts away and the searched piece stays small
     for seed in range(10):
         f = monotone_arm_instance(seed, 200)
-        assert verify.oracle_pieces(f)[1] == []
+        assert oracle.oracle_pieces(f)[1] == []
         assert ucat_oracle(f, 3) == ucat(f) == 3
         branched = _with_leaves(f, "v3", {"x1": 1, "x2": Fraction(21, 2)})
         assert _largest_searched(branched) <= 8
@@ -839,7 +839,7 @@ def test_reduced_oracle_on_forests_of_zeros():
         rng = random.Random(seed)
         zeroed = {v: 0 if rng.random() < 0.3 else x for v, x in f.values.items()}
         f = EdgeLinearDensity(tree, zeroed)
-        paths, searched = verify.oracle_pieces(f)
+        paths, searched = oracle.oracle_pieces(f)
         if len(paths) + len(searched) > 1:
             split += 1
         if _largest_searched(f) <= 8:
@@ -867,14 +867,14 @@ def test_each_anchor_is_rooted_once_per_question(monkeypatch):
     # the prefilter, the system and the certificate check all read one
     # orientation of each distinct anchor, which `_oriented` builds
     calls = 0
-    oriented = verify._oriented
+    oriented = oracle._oriented
 
     def counting(nbrs, root):
         nonlocal calls
         calls += 1
         return oriented(nbrs, root)
 
-    monkeypatch.setattr(verify, "_oriented", counting)
+    monkeypatch.setattr(oracle, "_oriented", counting)
     answered = 0
     for seed in range(60):
         tree, f = gen_instance(seed, 7, 9)
@@ -888,6 +888,6 @@ def test_each_anchor_is_rooted_once_per_question(monkeypatch):
                 answered += 1
             assert calls <= len(set(anchors)), (seed, anchors, calls)
             calls = 0
-            verify.feasible_avoiding_vertex(f, anchors, rng.choice(tree.vertices))
+            oracle.feasible_avoiding_vertex(f, anchors, rng.choice(tree.vertices))
             assert calls <= len(set(anchors)), (seed, anchors, calls)
     assert answered >= 50
