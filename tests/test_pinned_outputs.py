@@ -263,6 +263,27 @@ BAD_INSTANCES = [
         "DocumentError",
         f"cannot write instance: edge 0 length{_UNWRITABLE}",
     ),
+    # two faults each, one of them a numeral: which one is reported
+    (
+        _instance(["a", "b"], [("a", "q", "1"), ("a", "b", "abc")], _ONES),
+        "DocumentError",
+        "instance: edge 1 length: not an exact number: 'abc'",
+    ),
+    (
+        _instance(["a", "b"], _AB, {"z": "1", "a": "abc", "b": "1"}),
+        "DocumentError",
+        "density[a]: not an exact number: 'abc'",
+    ),
+    (
+        _instance(["a", "b c"], [("a", "b c", "abc")], {}),
+        "DocumentError",
+        "instance: edge 0 length: not an exact number: 'abc'",
+    ),
+    (
+        _instance(["a", "b"], [("a", "a", "1"), ("a", "b", "1/0")], _ONES),
+        "DocumentError",
+        "instance: edge 1 length: not an exact number: '1/0'",
+    ),
 ]
 
 
