@@ -15,9 +15,12 @@ build `Fraction`s on read. Never compare pairs with `<` or `max`, which
 order tuples lexicographically, (1, 2) < (2, 5) although 1/2 > 2/5:
 cross-multiply, or scale to common integers.
 
-`_support` is the one check of listed values and builds the one form a
-support map takes, index -> pair, in index order: the constructor runs
-it, and so does binding a decomposition document, whose components keep
+`_indexed` is the one check of listed ids and signs and builds the one
+form a support map takes, index -> pair, in index order. The constructor
+runs it on each value as `_pair` checks and reduces it. The document
+parser runs it on the pairs it reads, which its numeral reader has
+already checked and reduced, and keeps the map through `_with_support`;
+binding a decomposition document runs it too, and its components keep
 the map as their rows.
 """
 
@@ -27,8 +30,9 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import gcd
 
-from .errors import InternalInvariantError, NegativeValue, TreeMismatch, UnknownVertex
-from .rational import as_fraction, shown
+from .errors import DensityError, InternalInvariantError, NegativeValue
+from .errors import TreeMismatch, UnknownVertex
+from .rational import as_fraction, shown, unwritable
 from .record import Record
 from .tree import MetricTree, VertexId
 
@@ -40,7 +44,11 @@ class EdgeLinearDensity:
     silent re-index.
     `values` may omit vertices, which then hold 0; every value it does give
     is validated: an int, a `Fraction`, an exact string, or a pair of ints
-    (not bools) with a positive denominator, reduced by their gcd. Only
+    (not bools) with a positive denominator, reduced by their gcd. A
+    positive int, `Fraction` or string that `str` could not write, its
+    numerator or denominator past the interpreter's digit limit, is
+    refused; a pair is the package's own form, which the writers refuse
+    if they must. Only
     the support map, index -> nonzero pair in index order, is stored;
     values given in id order, and pairs already reduced, are kept as they
     come. `values` builds the full id map, in O(n), on each call.
@@ -53,7 +61,8 @@ class EdgeLinearDensity:
 
     def __init__(self, tree: MetricTree, values: Mapping[VertexId, object]):
         self._tree = tree
-        self._values = _support(tree.index, values)
+        pairs = ((v, _pair(v, raw)) for v, raw in values.items())
+        self._values = _indexed(tree.index, pairs)
         self._digest = None
 
     @property
@@ -110,47 +119,64 @@ class EdgeLinearDensity:
         return f"EdgeLinearDensity({shown}{more})"
 
     def __reduce__(self):
-        # rebuilt through the validating constructor, under every protocol
-        return EdgeLinearDensity, (self._tree, dict(self.items()))
+        # rebuilt through the validating constructor, under every protocol,
+        # from its pairs, which it takes whatever their length
+        pairs = dict(zip(self.support, self._values.values()))
+        return EdgeLinearDensity, (self._tree, pairs)
 
 
-def _support(
-    index: Mapping[VertexId, int], values: Mapping[VertexId, object]
-) -> dict[int, tuple[int, int]]:
-    """The support map of the id -> value map `values` on the tree whose
-    id -> index map is `index`: index -> reduced nonzero pair, in index
-    order. Values are checked in the order given, as the density's
-    docstring says; the constructor and `decomposition_from_document` both
-    run this check."""
+def _with_support(tree: MetricTree, support: dict) -> EdgeLinearDensity:
+    """The density on `tree` whose support map is `support`, as `_indexed`
+    returns it, kept and not copied: built by the constructor on no
+    values, then given the map, whose checks the caller ran."""
+    f = EdgeLinearDensity(tree, {})
+    f._values = support
+    return f
+
+
+def _pair(v: VertexId, raw) -> tuple[int, int]:
+    """The reduced pair of the value `raw` given at `v`, as the density's
+    docstring says. A pair of ints is the package's own form and is taken
+    as it is; a positive int, `Fraction` or string that `str` could not
+    write is refused, in the document parser's words."""
+    if type(raw) is tuple:
+        try:
+            p, q = raw
+        except ValueError:  # not two items
+            p = q = None
+        if type(p) is not int or type(q) is not int or q <= 0:
+            raise TypeError(
+                f"density value {raw!r} at {v!r} is not a pair of ints"
+                " with a positive denominator"
+            )
+        g = gcd(p, q)
+        return raw if g == 1 else (p // g, q // g)
+    p, q = pair = (raw, 1) if type(raw) is int else as_fraction(raw).as_integer_ratio()
+    if p > 0 and (refused := unwritable(p, q, "density[{}]", v)):
+        raise DensityError(refused)
+    return pair
+
+
+def _indexed(index: Mapping[VertexId, int], items) -> dict[int, tuple[int, int]]:
+    """The support map of the (id, value) `items`, each value a reduced
+    pair with a positive denominator: index -> nonzero pair, in index
+    order. Items are checked in the order given, each id a vertex of the
+    tree whose id -> index map is `index` and each value nonnegative; the
+    document parser and binding hand it the pairs they read, which are
+    checked no further."""
     stored = {}
     ordered, last = True, -1  # whether the stored indices ascend
-    for v, raw in values.items():
-        i = index.get(v)
-        if i is None:
-            raise TreeMismatch(f"density value for {v!r}, not a tree vertex")
-        if type(raw) is tuple:
-            try:
-                p, q = raw
-            except ValueError:  # not two items
-                p = q = None
-            if type(p) is not int or type(q) is not int or q <= 0:
-                raise TypeError(
-                    f"density value {raw!r} at {v!r} is not a pair of ints"
-                    " with a positive denominator"
-                )
-            g = gcd(p, q)
-            if g != 1:
-                raw = p, q = p // g, q // g
-        elif type(raw) is int:
-            raw = p, q = raw, 1
-        else:
-            raw = p, q = as_fraction(raw).as_integer_ratio()
-        if p:
-            if p < 0:
+    for v, pair in items:
+        try:
+            i = index[v]
+        except KeyError:
+            raise TreeMismatch(f"density value for {v!r}, not a tree vertex") from None
+        if pair[0]:
+            if pair[0] < 0:
                 raise NegativeValue(
-                    f"density value {shown(Fraction(p, q))} at {v!r} is negative"
+                    f"density value {shown(Fraction(*pair))} at {v!r} is negative"
                 )
-            stored[i] = raw
+            stored[i] = pair
             if i < last:
                 ordered = False
             last = i

@@ -8,11 +8,23 @@ document repeats it and reports each cut as an edge and a position on it.
 A decomposition document holds no tree. It names the instance it was made
 for by the digest of that instance, which covers the instance's vertices
 and edges, and `decomposition_from_document` binds it to an instance only
-when the digests match. Binding checks each listed value once, with
-`EdgeLinearDensity`'s own check: it refuses an id that is not a vertex
-of the instance's tree and a negative value. It keeps each component as
+when the digests match. Binding checks each listed id and sign once,
+with the density's own check, `density._indexed`: it refuses an id that
+is not a vertex of the instance's tree and a negative value, and does
+not check again the pairs the parse has read. It keeps each component as
 the support map that check returns, index -> value pair on that tree,
 and builds no density; the writers read that map too.
+
+An instance is read in one pass per section, each item checked once,
+straight into the state the tree and the density keep: the edges are
+handed to `MetricTree` one at a time as they are read, and the density's
+entries to `density._indexed`, which keys each by its vertex index. So
+the fault reported is the first in document order: the vertices, then
+the edges, then the density. Within an edge, the document's own checks
+come first, its shape, then its endpoints being strings, then its length
+numeral, and then the tree's: each endpoint a vertex, no self-loop, a
+positive length, no parallel edge. Within a density entry, its numeral
+is read before its id is checked, and then its sign.
 
 The instance writers take the tree and the density apart, as the reader
 returns them, but refuse a tree that is neither f.tree nor equal to it:
@@ -33,10 +45,12 @@ one reduced `(numerator, denominator)` pair within a document, or one
 "p/q" in ASCII digits is read from its digits; any other spelling goes
 through `Fraction(str)`, with the same values and errors.
 
-A value is written from its pair, a length from its `as_integer_ratio()`
-once per distinct length. Documents are fixed-shape templates, byte for
-byte the text of `json.dumps(payload, indent=2)`; the digest hashes the
-canonical compact text, written alike.
+Each value is written inline from its pair, "p" or "p/q", and each
+distinct length object once, with no Python function call per value or
+edge; only when `str` refuses a value is `_numeral` called, to name it.
+Documents are fixed-shape templates, byte for byte the text of
+`json.dumps(payload, indent=2)`; the digest hashes the canonical compact
+text, written alike.
 """
 
 from __future__ import annotations
@@ -45,15 +59,14 @@ import hashlib
 import json
 import re
 import reprlib
-import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 
-from .density import EdgeLinearDensity, _support
+from .density import EdgeLinearDensity, _indexed, _with_support
 from .errors import DocumentError, TreeMismatch
-from .rational import as_fraction
+from .rational import as_fraction, unwritable
 from .record import Component, Decomposition, Record
 from .tree import MetricTree, VertexId
 
@@ -61,7 +74,6 @@ MAX_NUMERAL_CHARS = 10_000
 MAX_DECIMAL_EXPONENT = 1_000
 # the exponent's digits after leading zeros; underscores group digits
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
-_EDGE_KEYS = frozenset({"u", "w", "length"})
 _COMPONENT_KEYS = frozenset({"mode", "values"})
 
 
@@ -142,8 +154,8 @@ def _number(
             p, q = int(num), int(den) if slash else 1
             if not q:
                 raise ZeroDivisionError
-            g = gcd(p, q)
-            value = p // g, q // g
+            g = gcd(p, q) if slash else 1
+            value = (p, q) if g == 1 else (p // g, q // g)
         else:
             exponent = _EXPONENT.search(raw)
             if exponent is not None:
@@ -167,67 +179,83 @@ def _number(
     return value
 
 
-def _tree_section(data, numerals: dict[str, tuple]) -> tuple:
-    """An instance's listed vertex ids and its listed edges as (u, w,
-    length) triples, one `Fraction` per distinct length numeral; the tree,
-    built from them by `MetricTree`, checks the rest, each id included."""
+def _edge_items(raw_edges, numerals: dict[str, tuple]):
+    """(u, w, length) for each edge object of `raw_edges`, read as
+    `MetricTree` takes it: its shape and its endpoints' type checked, and
+    one `Fraction` per distinct length numeral. The tree checks the rest,
+    each id included."""
     what = "instance"
-    vertices = data["vertices"]
-    if not isinstance(vertices, list):
-        raise DocumentError(f"{what}: vertices must be a list of id strings")
-    raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise DocumentError(f"{what}: edges must be a list")
-    edges = []
     lengths: dict[str, Fraction] = {}  # numeral -> its Fraction
     for i, entry in enumerate(raw_edges):
-        if not isinstance(entry, dict) or entry.keys() != _EDGE_KEYS:
+        try:  # three keys, each of them one of u, w and length
+            if type(entry) is not dict or len(entry) != 3:
+                raise KeyError
+            u, w, raw = entry["u"], entry["w"], entry["length"]
+        except KeyError:
             raise DocumentError(
                 f"{what}: edge {i} must be an object with keys u, w, length"
+            ) from None
+        if type(u) is not str or type(w) is not str:
+            end = w if type(u) is str else u
+            raise DocumentError(
+                f"{what}: edge {i} endpoint {reprlib.repr(end)} is not a string"
             )
-        for end in ("u", "w"):
-            if not isinstance(entry[end], str):
-                raise DocumentError(
-                    f"{what}: edge {i} endpoint {reprlib.repr(entry[end])}"
-                    " is not a string"
-                )
-        raw = entry["length"]
         length = lengths.get(raw) if type(raw) is str else None
         if length is None:
             pair = _number(raw, numerals, "{}: edge {} length", what, i, True)
             length = lengths[raw] = Fraction(*pair)
-        edges.append((entry["u"], entry["w"], length))
-    return vertices, edges
+        yield u, w, length
 
 
-def _values_map(raw, what: str, numerals: dict[str, tuple], written: bool) -> dict:
+def _values_map(raw, what: str, numerals: dict[str, tuple]) -> dict:
+    """A decomposition's value map `raw` read: each id mapped to its value
+    pair."""
     if not isinstance(raw, dict):
         raise DocumentError(f"{what} must map vertex ids to value strings")
     values = {}
     for v, x in raw.items():
         value = numerals.get(x) if type(x) is str else None
         if value is None:
-            value = _number(x, numerals, "{}[{}]", what, v, written)
+            value = _number(x, numerals, "{}[{}]", what, v, False)
         values[v] = value
     return values
+
+
+def _density_items(raw, numerals: dict[str, tuple]):
+    """(id, value pair) for each entry of an instance's density section,
+    read as `_indexed` takes it."""
+    what = "density"
+    if not isinstance(raw, dict):
+        raise DocumentError(f"{what} must map vertex ids to value strings")
+    for v, x in raw.items():
+        value = numerals.get(x) if type(x) is str else None
+        if value is None:
+            value = _number(x, numerals, "{}[{}]", what, v, True)
+        yield v, value
 
 
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:
     """Parse an instance document; tree and density errors propagate.
 
     An instance's density must list every vertex: unlike a decomposition's
-    components, an absent vertex here is an error, not a 0. The listed
-    values are validated first, by the density's constructor.
+    components, an absent vertex here is an error, not a 0. Each section
+    is read in one pass, in document order, straight into the tree and the
+    density's support map.
     """
     data = _load_json(text)
     _check_sections(data, {"vertices", "edges", "density"}, "instance")
+    vertices = data["vertices"]
+    if not isinstance(vertices, list):
+        raise DocumentError("instance: vertices must be a list of id strings")
     numerals: dict[str, tuple] = {}
-    tree = MetricTree(*_tree_section(data, numerals))
-    values = _values_map(data["density"], "density", numerals, True)
-    f = EdgeLinearDensity(tree, values)
-    if len(values) < len(tree.vertices):  # every listed id is a vertex
+    tree = MetricTree(vertices, _edge_items(data["edges"], numerals))
+    listed = data["density"]
+    f = _with_support(tree, _indexed(tree.index, _density_items(listed, numerals)))
+    if len(listed) < len(tree.vertices):  # every listed id is a vertex
         for v in tree.vertices:  # name the first missing one
-            if v not in values:
+            if v not in listed:
                 raise TreeMismatch(f"no density value for vertex {v!r}")
     return tree, f
 
@@ -240,11 +268,7 @@ def _numeral(pair: tuple[int, int], label: str, a, b=None) -> str:
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # an integer past the interpreter's digit limit
-        raise DocumentError(
-            f"cannot write {label.format(a, b)}: its numerator or denominator"
-            f" has more than {sys.get_int_max_str_digits():,} digits, the output"
-            " limit"
-        ) from None
+        raise DocumentError(unwritable(p, q, label, a, b)) from None
 
 
 # The writers fill fixed-shape templates with the text `json.dumps(payload,
@@ -271,35 +295,54 @@ def _block(members, pad, brackets="{}"):
     return brackets[0] + inner + body + "\n" + pad + brackets[1]
 
 
-def _edges(tree):
-    """(u, w, the text of the length) for each edge of `tree`, in
-    `edge_list` order; each distinct length is written once."""
-    label = "the length of edge {}-{}"
-    written = {}  # id(length) -> its text; the tree holds every length
-    for u, w, length in tree.iter_edges():
-        text = written.get(id(length))
-        if text is None:
-            pair = length.as_integer_ratio()
-            text = written[id(length)] = _numeral(pair, label, u, w)
-        yield u, w, text
+def _length_texts(tree) -> list[str]:
+    """The text of each edge's length, "p" or "p/q", in key order; each
+    distinct length object is written once."""
+    texts, written = [], {}  # id(length) -> its text; the tree holds every length
+    try:
+        for x in tree.key_lengths()[1]:
+            text = written.get(id(x))
+            if text is None:
+                text = written[id(x)] = str(x)
+            texts.append(text)
+    except ValueError:  # an integer past the interpreter's digit limit
+        for u, w, x in tree.iter_edges():  # name the first such edge
+            _numeral(x.as_integer_ratio(), "the length of edge {}-{}", u, w)
+        raise
+    return texts
 
 
 def _tree_sections(tree, pad):
     """The "vertices" and "edges" sections of `tree`, opening at `pad`."""
     edge = _EDGE.replace("\n", "\n  " + pad)
-    edges = [edge % triple for triple in _edges(tree)]
-    vertices = [f'"{v}"' for v in tree.vertices]
+    vs, n, keys = tree.vertices, len(tree.vertices), tree.key_lengths()[0]
+    texts = _length_texts(tree)
+    edges = [edge % (vs[k // n], vs[k % n], t) for k, t in zip(keys, texts)]
+    vertices = [f'"{v}"' for v in vs]
     return _block(vertices, pad, "[]"), _block(edges, pad, "[]")
 
 
-def _values_text(vertices, items, pad, what):
-    """The value map of the (vertex index, value pair) items `items`, each
-    index named by its id in `vertices`."""
-    label = "the value of {} at vertex {}"
-    members = [
-        f'"{vertices[i]}": "{_numeral(x, label, what, vertices[i])}"' for i, x in items
-    ]
-    return _block(members, pad)
+def _members(vertices, values: dict, what: str, colon: str = ": ") -> list[str]:
+    """'"id": "p"' or '"id": "p/q"' for each (vertex index, value pair) item
+    of `values`, the index named by its id in `vertices`."""
+    try:
+        return [
+            f'"{vertices[i]}"{colon}"{p}"'
+            if q == 1
+            else f'"{vertices[i]}"{colon}"{p}/{q}"'
+            for i, (p, q) in values.items()
+        ]
+    except ValueError:  # an integer past the interpreter's digit limit
+        for i, x in values.items():  # name the first such value
+            _numeral(x, "the value of {} at vertex {}", what, vertices[i])
+        raise
+
+
+def _all_values(f: EdgeLinearDensity) -> dict:
+    """Every vertex's value pair, 0 as (0, 1), index -> pair in index order."""
+    values = dict.fromkeys(range(len(f.tree.vertices)), (0, 1))
+    values.update(f.index_items())
+    return values
 
 
 def _own_tree(tree: MetricTree, f: EdgeLinearDensity) -> MetricTree:
@@ -311,10 +354,8 @@ def _own_tree(tree: MetricTree, f: EdgeLinearDensity) -> MetricTree:
 
 def serialize_instance(tree: MetricTree, f: EdgeLinearDensity) -> str:
     tree = _own_tree(tree, f)
-    density = _values_text(
-        tree.vertices, enumerate(f.index_values()), "  ", "the density"
-    )
-    return _INSTANCE % (*_tree_sections(tree, "  "), density)
+    density = _members(tree.vertices, _all_values(f), "the density")
+    return _INSTANCE % (*_tree_sections(tree, "  "), _block(density, "  "))
 
 
 def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
@@ -327,17 +368,14 @@ def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
     tree = _own_tree(tree, f)
     if f._digest is not None:
         return f._digest
-    label = "the value of {} at vertex {}"
-    density = [
-        f'"{v}":"{_numeral(x, label, "the density", v)}"'
-        for v, x in zip(tree.vertices, f.index_values())
-    ]
+    vs, n, keys = tree.vertices, len(tree.vertices), tree.key_lengths()[0]
+    density = _members(vs, _all_values(f), "the density", ":")
     edges = [
-        '{"length":"%s","u":"%s","w":"%s"}' % (text, u, w)
-        for u, w, text in _edges(tree)
+        '{"length":"%s","u":"%s","w":"%s"}' % (t, vs[k // n], vs[k % n])
+        for k, t in zip(keys, _length_texts(tree))
     ]
     canonical = '{"density":{%s},"edges":[%s],"vertices":["%s"]}' % (
-        ",".join(density), ",".join(edges), '","'.join(tree.vertices)
+        ",".join(density), ",".join(edges), '","'.join(vs)
     )
     digest = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
     f._digest = digest
@@ -366,7 +404,7 @@ def parse_decomposition(text: str) -> DecompositionDocument:
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
         what = f"component {i} values"
-        components.append((mode, _values_map(entry["values"], what, numerals, False)))
+        components.append((mode, _values_map(entry["values"], what, numerals)))
 
     count = data["ucat"]
     if not isinstance(count, int) or isinstance(count, bool):
@@ -391,13 +429,14 @@ def decomposition_from_document(
     """Bind a parsed decomposition to the instance it claims to decompose.
 
     A document whose `input_digest` is not f's is refused; so is a mode
-    that is not a vertex of f.tree. Each component's listed values are then
-    checked once, in listed order, by `EdgeLinearDensity`'s own check,
-    `density._support`: a listed id that is not a vertex of f.tree is a
-    TreeMismatch, a negative value a NegativeValue. The support map it
-    returns, on f.tree itself, is the component's rows; no density is
-    built. Whether the components are unimodal and sum to f is not
-    checked here, that is `check_decomposition`'s job.
+    that is not a vertex of f.tree. Each component's listed pairs, which
+    the parse has already checked and reduced, are then keyed by vertex
+    index in listed order by the density's own check, `density._indexed`:
+    a listed id that is not a vertex of f.tree is a TreeMismatch, a
+    negative value a NegativeValue. The support map it returns, on f.tree
+    itself, is the component's rows; no density is built. Whether the
+    components are unimodal and sum to f is not checked here, that is
+    `check_decomposition`'s job.
     """
     expected = instance_digest(f.tree, f)
     if doc.provenance["input_digest"] != expected:
@@ -413,7 +452,8 @@ def decomposition_from_document(
             raise DocumentError(
                 f"component {i}: mode {reprlib.repr(mode)} is not a tree vertex"
             )
-        components.append(Component._from_rows(mode, tree, _support(index, values)))
+        rows = _indexed(index, values.items())
+        components.append(Component._from_rows(mode, tree, rows))
     return Decomposition(tree, tuple(components))
 
 
@@ -427,7 +467,7 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
         _COMPONENT
         % (
             _escape(c.mode),
-            _values_text(vertices, c.rows.items(), pad, f"component {i}"),
+            _block(_members(vertices, c.rows, f"component {i}"), pad),
         )
         for i, c in enumerate(d.components)
     ]
@@ -443,6 +483,8 @@ def serialize_sweep(result) -> str:
     """JSON text of a `SweepResult`: the swept density's tree, the origin,
     h and the remainder at every vertex, and the cuts."""
     vertices = result.h.tree.vertices
+    h = _members(vertices, _all_values(result.h), "h")
+    remainder = _members(vertices, _all_values(result.remainder), "the remainder")
     label = "the position of the cut on edge {}-{}"
     cuts = [
         _CUT % (c.u, c.w, _numeral(c.t.as_integer_ratio(), label, c.u, c.w))
@@ -451,10 +493,8 @@ def serialize_sweep(result) -> str:
     return _SWEEP % (
         *_tree_sections(result.h.tree, "    "),
         _escape(result.origin),
-        _values_text(vertices, enumerate(result.h.index_values()), "  ", "h"),
-        _values_text(
-            vertices, enumerate(result.remainder.index_values()), "  ", "the remainder"
-        ),
+        _block(h, "  "),
+        _block(remainder, "  "),
         _block(cuts, "  ", "[]"),
     )
 

@@ -4,7 +4,8 @@ Values are exact: a density keeps each as its reduced `(numerator,
 denominator)` pair of ints, and edge lengths are `fractions.Fraction`s.
 Floats are rejected at the boundary so no rounding can sneak in.
 `shown` writes a value into a message or report, with a stand-in for one
-too long for `str`.
+too long for `str`, and `unwritable` words the refusal of a value that
+`str` cannot write at all.
 """
 
 from __future__ import annotations
@@ -45,3 +46,19 @@ def shown(value) -> str:
         return str(value)
     except ValueError:  # an integer past the interpreter's digit limit
         return f"a number with more than {sys.get_int_max_str_digits():,} digits"
+
+
+def unwritable(p: int, q: int, what: str, *args) -> str | None:
+    """The message refusing the value p/q, named `what.format(*args)`, if
+    `str` cannot write p or q, past the interpreter's digit limit; None if
+    it can. `str` reads the limit, `sys.get_int_max_str_digits()`, where 0
+    means no limit."""
+    try:
+        str(p), str(q)
+    except ValueError:
+        return (
+            f"cannot write {what.format(*args)}: its numerator or denominator"
+            f" has more than {sys.get_int_max_str_digits():,} digits, the output"
+            " limit"
+        )
+    return None

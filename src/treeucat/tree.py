@@ -12,6 +12,13 @@ that on each call. There is no mutable tree and no refined one.
 
 Every vertex id must match ``[A-Za-z0-9][A-Za-z0-9_-]*``; the constructor
 names the first one that does not, or that is not a string.
+
+The constructor reads `edges` once, in one pass: a document parser can
+hand it a generator that reads each edge as the tree takes it, so the
+first fault in the document is the one reported. It checks each distinct
+length object once: that it is positive, and that `str` can write it,
+for a tree whose lengths no writer could write is refused here, not by
+a writer after the work.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .rational import as_fraction, shown
+from .rational import as_fraction, shown, unwritable
 
 VertexId = str
 
@@ -74,18 +81,25 @@ class MetricTree:
                     raise DuplicateVertexId(f"duplicate vertex id {v!r}")
                 seen.add(v)
         lengths: dict[int, Fraction] = {}  # i * n + j -> length, for i < j
-        for u, w, raw_len in edges:
-            i = index.get(u)
-            if i is None:
-                raise UnknownVertex(f"edge endpoint {u!r} is not a vertex")
-            j = index.get(w)
-            if j is None:
-                raise UnknownVertex(f"edge endpoint {w!r} is not a vertex")
+        checked = set()  # the id of each length checked; `lengths` holds it
+        for u, w, given in edges:
+            try:
+                i, j = index[u], index[w]
+            except KeyError:
+                end = w if u in index else u
+                raise UnknownVertex(f"edge endpoint {end!r} is not a vertex") from None
             if i == j:
                 raise CycleDetected(f"self-loop at {u!r}")
-            length = raw_len if type(raw_len) is Fraction else as_fraction(raw_len)
-            if length.numerator <= 0:  # a Fraction's denominator is positive
-                raise NonPositiveLength(f"edge {u!r}-{w!r} has length {shown(length)}")
+            length = given if type(given) is Fraction else as_fraction(given)
+            if id(length) not in checked:  # each distinct length object once
+                p, q = length.as_integer_ratio()  # q > 0
+                if p <= 0:
+                    raise NonPositiveLength(
+                        f"edge {u!r}-{w!r} has length {shown(length)}"
+                    )
+                if refused := unwritable(p, q, "edge {!r}-{!r} length", u, w):
+                    raise InvalidTree(refused)
+                checked.add(id(length))
             key = i * n + j if i < j else j * n + i
             if key in lengths:
                 raise CycleDetected(f"parallel edge {u!r}-{w!r}")
@@ -99,7 +113,7 @@ class MetricTree:
         keys = sorted(lengths)
         nbrs: list[list[int]] = [[] for _ in order]
         for key in keys:
-            i, j = divmod(key, n)
+            i, j = key // n, key % n
             nbrs[i].append(j)
             nbrs[j].append(i)
 
@@ -142,6 +156,11 @@ class MetricTree:
     def edge_list(self) -> tuple[tuple[VertexId, VertexId, Fraction], ...]:
         """(u, w, length) with u < w, sorted by (u, w)."""
         return tuple(self.iter_edges())
+
+    def key_lengths(self) -> tuple[Sequence[int], Sequence[Fraction]]:
+        """The sorted edge keys i * n + j, i < j, and their lengths in the
+        same order; shared, so read only."""
+        return self._keys, self._lengths
 
     def iter_edges(self) -> Iterator[tuple[VertexId, VertexId, Fraction]]:
         """`edge_list` one edge at a time; on a large tree, building the whole

@@ -20,7 +20,8 @@ C function calls a call makes, a measure of work that, unlike wall time,
 does not vary from run to run, `fractions_built_during` counts the
 `Fraction`s a call builds, `count_builds` counts the objects a
 class's constructor builds, and `record_pivots` records the D of each
-simplex pivot. `reference_maximize` is the two-phase
+simplex pivot. `built_without_digit_limit` builds a tree or a density
+holding a value too long for `str`, which their constructors refuse. `reference_maximize` is the two-phase
 simplex on a `Fraction` tableau, and `reference_feasible` runs it on a
 zero objective, whose optimum is the point that `simplex.feasible`'s
 integer tableau must reach by the same phase-1 pivots; `lp_rationals`
@@ -221,6 +222,19 @@ def count_builds(monkeypatch, *classes) -> dict:
     for cls in classes:
         wrap(cls)
     return built
+
+
+def built_without_digit_limit(build, *args):
+    """build(*args) with the interpreter's digit limit lifted, then put
+    back. A tree or a density refuses a value too long for `str` as it is
+    built, so a test of what a reader or writer does with one builds it
+    this way."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return build(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def normalize(f: EdgeLinearDensity) -> EdgeLinearDensity:

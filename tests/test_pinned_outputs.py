@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +44,7 @@ from treeucat.greedy import decompose
 from treeucat.verify import check_decomposition
 
 from helpers import (
+    built_without_digit_limit,
     comb_instance,
     many_denominator_instance,
     monotone_arm_instance,
@@ -143,8 +146,9 @@ _UNWRITABLE = (
     ": its numerator or denominator has more than 4,300 digits, the output limit"
 )
 
-# (instance document, error class, message); one check fails in each of
-# the first fifteen and the last six, several in each of the four between
+# (instance document, error class, message); several checks fail in each
+# of the four after the first fifteen and of the last four, one in each of
+# the others
 BAD_INSTANCES = [
     (_instance([], [], {}), "InvalidTree", "a tree needs at least one vertex"),
     (_instance(["a", "b c"], [], {}), "InvalidVertexId", "invalid vertex id 'b c'"),
@@ -263,26 +267,27 @@ BAD_INSTANCES = [
         "DocumentError",
         f"cannot write instance: edge 0 length{_UNWRITABLE}",
     ),
-    # two faults each, one of them a numeral: which one is reported
+    # two faults each, one of them a numeral: the first in document order
+    # is reported, so the numeral loses to a fault before it
     (
         _instance(["a", "b"], [("a", "q", "1"), ("a", "b", "abc")], _ONES),
-        "DocumentError",
-        "instance: edge 1 length: not an exact number: 'abc'",
+        "UnknownVertex",
+        "edge endpoint 'q' is not a vertex",
     ),
     (
         _instance(["a", "b"], _AB, {"z": "1", "a": "abc", "b": "1"}),
-        "DocumentError",
-        "density[a]: not an exact number: 'abc'",
+        "TreeMismatch",
+        "density value for 'z', not a tree vertex",
     ),
     (
         _instance(["a", "b c"], [("a", "b c", "abc")], {}),
-        "DocumentError",
-        "instance: edge 0 length: not an exact number: 'abc'",
+        "InvalidVertexId",
+        "invalid vertex id 'b c'",
     ),
     (
         _instance(["a", "b"], [("a", "a", "1"), ("a", "b", "1/0")], _ONES),
-        "DocumentError",
-        "instance: edge 1 length: not an exact number: '1/0'",
+        "CycleDetected",
+        "self-loop at 'a'",
     ),
 ]
 
@@ -390,7 +395,9 @@ def test_query_errors_are_pinned():
 
     tree = MetricTree(_ABC, [("a", "b", 1), ("b", "c", 1)])
     f = EdgeLinearDensity(tree, {"a": 1, "b": 2, "c": 1})
-    long_tree = MetricTree(_ABC, [("a", "b", _LONG), ("b", "c", 1)])
+    long_tree = built_without_digit_limit(
+        MetricTree, _ABC, [("a", "b", _LONG), ("b", "c", 1)]
+    )
     on_long_tree = Component("a", EdgeLinearDensity(long_tree, {"a": 1}))
     queries = [
         (lambda: tree.neighbors("z"), "UnknownVertex", "no vertex 'z'"),
@@ -425,6 +432,45 @@ def test_query_errors_are_pinned():
         with pytest.raises(TreeUcatError) as caught:
             query()
         assert (type(caught.value).__name__, str(caught.value)) == (kind, message)
+
+
+def test_an_unwritable_value_is_refused_at_construction():
+    # a tree or a density built in process refuses, in the parser's words,
+    # a positive value that no writer could write, before any work is done
+    # on it; a negative one keeps its own message, a pair is the package's
+    # own form, and with the digit limit lifted every value is writable
+    tree = MetricTree(["a", "b"], [("a", "b", 1)])
+    big = Fraction(_LONG)
+    cases = [
+        (
+            lambda: EdgeLinearDensity(tree, {"a": 1, "b": big}),
+            "DensityError",
+            f"cannot write density[b]{_UNWRITABLE}",
+        ),
+        (
+            lambda: EdgeLinearDensity(tree, {"a": _LONG}),
+            "DensityError",
+            f"cannot write density[a]{_UNWRITABLE}",
+        ),
+        (
+            lambda: MetricTree(["a", "b"], [("a", "b", big)]),
+            "InvalidTree",
+            f"cannot write edge 'a'-'b' length{_UNWRITABLE}",
+        ),
+        (
+            lambda: EdgeLinearDensity(tree, {"b": -big}),
+            "NegativeValue",
+            f"density value {_LONG_SHOWN} at 'b' is negative",
+        ),
+    ]
+    for build, kind, message in cases:
+        with pytest.raises(TreeUcatError) as caught:
+            build()
+        assert (type(caught.value).__name__, str(caught.value)) == (kind, message)
+    as_pair = EdgeLinearDensity(tree, {"b": big.as_integer_ratio()})
+    assert as_pair.support == ("b",) and pickle.loads(pickle.dumps(as_pair)) == as_pair
+    assert built_without_digit_limit(EdgeLinearDensity, tree, {"b": big}).support
+    assert built_without_digit_limit(MetricTree, ["a", "b"], [("a", "b", big)])
 
 
 def test_an_unwritable_instance_value_is_refused_at_parse(tmp_path, capsys):
