@@ -12,7 +12,8 @@ No module may have the name of a public name. Importing a submodule
 binds it as an attribute of the package, so once any code had imported a
 module `treeucat.sweep`, `from treeucat import sweep` would give that
 module and not the function, and which one it gave would depend on what
-ran before. This is why the sweep lives in `sweeping.py`.
+ran before. This is why no module is named `sweep`: the sweep lives in
+`greedy.py`, with the rest of the producer.
 """
 
 __version__ = "0.1.0"
@@ -23,21 +24,21 @@ _HOME = {
     "NotUnimodal": "density",
     "is_unimodal": "density",
     "support_is_empty": "density",
-    "Forced": "forced",
-    "PruneReport": "forced",
-    "Unimodal": "forced",
-    "find_forced_vertex": "forced",
-    "prune_insignificant": "forced",
-    "Component": "record",
-    "Decomposition": "record",
+    "Forced": "greedy",
+    "PruneReport": "greedy",
+    "Unimodal": "greedy",
+    "find_forced_vertex": "greedy",
+    "prune_insignificant": "greedy",
+    "Cut": "greedy",
+    "SweepResult": "greedy",
+    "sweep": "greedy",
     "TraceEvent": "greedy",
     "decompose": "greedy",
     "ucat": "greedy",
+    "Component": "record",
+    "Decomposition": "record",
     "gen_instance": "instances",
     "interval_ucat": "interval",
-    "Cut": "sweeping",
-    "SweepResult": "sweeping",
-    "sweep": "sweeping",
     "MetricTree": "tree",
     "VertexId": "tree",
     "CheckReport": "verify",

@@ -5,11 +5,11 @@ invariant, 2 parse or validation problem, 3 oracle bound exceeded.
 
 Each command imports the modules it runs inside its `cmd_*` function;
 only the document layer and the errors, which every command uses, are
-imported here. `decompose` and `ucat` load the producer, `greedy`;
-`sweep` loads `sweeping` and `gen` loads `instances`. `check` loads
-`verify` and `oracle` loads `oracle`, the two referees, and neither
-loads the other or any producer code; `oracle` loads `interval` too,
-and `simplex` only when `_fill` cannot answer a candidate.
+imported here. `decompose`, `ucat` and `sweep` load the producer,
+`greedy`, and `gen` loads `instances`. `check` loads `verify` and
+`oracle` loads `oracle`, the two referees, and neither loads the other
+or any producer code; `oracle` loads `interval` too, and `simplex` only
+when `_fill` cannot answer a candidate.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .sweeping import sweep
+    from .greedy import sweep
 
     _, f = parse_instance(_read(args.input))
     sys.stdout.write(serialize_sweep(sweep(f, args.vertex)))

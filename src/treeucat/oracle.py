@@ -19,8 +19,7 @@ their own loops on vertex indices and build `Fraction`s and name ids
 only in public results and messages. The oracle imports `simplex` inside
 `_solve`, the one function that uses it, so a search that `_fill`
 answers throughout loads no `simplex`. It imports nothing from `verify`
-or from the producer (`forced`, `sweeping`, `greedy`), and `check`
-loads none of it.
+or from the producer, `greedy`, and `check` loads none of it.
 """
 
 from __future__ import annotations

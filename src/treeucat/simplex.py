@@ -3,7 +3,7 @@
 Phase 1 of the tableau simplex, with Bland's rule, so termination is
 guaranteed, on a fraction-free integer tableau (Bareiss/Edmonds
 integer-preserving pivoting). There is no objective: a caller with an
-optimization question poses it as feasibility (`verify._solve` does).
+optimization question poses it as feasibility (`oracle._solve` does).
 Every row is `a.x >= b`, its coefficients and right-hand side all `int`s;
 anything else raises `TypeError`. A row with b <= 0 is negated, to
 `-a.x + s = -b`, so its slack has coefficient +1 and starts basic at

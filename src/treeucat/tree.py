@@ -15,10 +15,12 @@ names the first one that does not, or that is not a string.
 
 The constructor reads `edges` once, in one pass: a document parser can
 hand it a generator that reads each edge as the tree takes it, so the
-first fault in the document is the one reported. It checks each distinct
-length object once: that it is positive, and that `str` can write it,
-for a tree whose lengths no writer could write is refused here, not by
-a writer after the work.
+first fault in the document is the one reported. It converts and checks
+each distinct given length once, an int or a string by type and value
+and any other object by identity, so equal int or string lengths share
+one `Fraction`. It checks that a length is positive, and that `str` can
+write it, for a tree whose lengths no writer could write is refused
+here, not by a writer after the work.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class MetricTree:
                     raise DuplicateVertexId(f"duplicate vertex id {v!r}")
                 seen.add(v)
         lengths: dict[int, Fraction] = {}  # i * n + j -> length, for i < j
-        checked = set()  # the id of each length checked; `lengths` holds it
+        checked = {}  # each distinct length given -> (its Fraction, itself)
         for u, w, given in edges:
             try:
                 i, j = index[u], index[w]
@@ -90,8 +92,13 @@ class MetricTree:
                 raise UnknownVertex(f"edge endpoint {end!r} is not a vertex") from None
             if i == j:
                 raise CycleDetected(f"self-loop at {u!r}")
-            length = given if type(given) is Fraction else as_fraction(given)
-            if id(length) not in checked:  # each distinct length object once
+            # an int or a string by type and value, so no bool passes for an
+            # int; any other length by identity, kept alive by its entry
+            which = (type(given), given) if type(given) in (int, str) else id(given)
+            if which in checked:
+                length = checked[which][0]
+            else:
+                length = given if type(given) is Fraction else as_fraction(given)
                 p, q = length.as_integer_ratio()  # q > 0
                 if p <= 0:
                     raise NonPositiveLength(
@@ -99,7 +106,7 @@ class MetricTree:
                     )
                 if refused := unwritable(p, q, "edge {!r}-{!r} length", u, w):
                     raise InvalidTree(refused)
-                checked.add(id(length))
+                checked[which] = length, given
             key = i * n + j if i < j else j * n + i
             if key in lengths:
                 raise CycleDetected(f"parallel edge {u!r}-{w!r}")

@@ -94,8 +94,7 @@ ABSENT_HOOKS = {
     "treeucat.verify.extend_to_refinement",
     "treeucat.verify.is_unimodal",
     "treeucat.verify.feasible_with_modes",
-    "treeucat.greedy.find_forced_vertex",
-    "treeucat.greedy.sweep",
+    "treeucat.forced.is_unimodal",
     "treeucat.simplex.as_fraction",
     "treeucat.simplex.maximize",
     "treeucat.sweep.subdivide_all",

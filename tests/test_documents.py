@@ -838,6 +838,26 @@ def test_the_digest_makes_no_python_call_per_vertex_or_edge():
     assert digest == instance_digest(f.tree, f)
 
 
+def test_the_digest_writes_an_in_process_trees_one_length_once():
+    # built in process from 604 int lengths of 1, the tree holds one
+    # `Fraction` for them, so the digest writes one length, as it does for
+    # the same tree parsed from its document
+    f = monotone_arm_instance(1, 600)
+    code = Fraction.__str__.__code__
+    written = 0
+
+    def count(frame, event, arg):
+        nonlocal written
+        written += event == "call" and frame.f_code is code
+
+    sys.setprofile(count)
+    try:
+        instance_digest(f.tree, f)
+    finally:
+        sys.setprofile(None)
+    assert written == 1, written
+
+
 def test_parse_makes_a_bounded_number_of_calls_per_distinct_numeral(monkeypatch):
     # counted calls, not wall time: a path whose n values are all "7", and
     # the same path with n distinct values, differ by the reading of n - 1

@@ -23,7 +23,7 @@ from treeucat import (
     ucat_oracle,
 )
 from treeucat.errors import InternalInvariantError, ZeroDensity
-from treeucat.forced import Peel
+from treeucat.greedy import Peel
 
 from helpers import forced_region, path_instance, reference_peel, star_instance
 

@@ -39,8 +39,7 @@ from treeucat.documents import (
     serialize_instance,
 )
 from treeucat.errors import InternalInvariantError
-from treeucat.forced import Peel
-from treeucat.sweeping import _sweep
+from treeucat.greedy import Peel, _sweep
 
 from helpers import (
     comb_instance,

@@ -24,18 +24,22 @@ EXPORTED = {
         "is_unimodal",
         "support_is_empty",
     ],
-    "forced": [
+    "greedy": [
         "Forced",
         "PruneReport",
         "Unimodal",
         "find_forced_vertex",
         "prune_insignificant",
+        "Cut",
+        "SweepResult",
+        "sweep",
+        "TraceEvent",
+        "decompose",
+        "ucat",
     ],
     "record": ["Component", "Decomposition"],
-    "greedy": ["TraceEvent", "decompose", "ucat"],
     "instances": ["gen_instance"],
     "interval": ["interval_ucat"],
-    "sweeping": ["Cut", "SweepResult", "sweep"],
     "tree": ["MetricTree", "VertexId"],
     "verify": ["CheckReport", "ComponentCheck", "check_decomposition"],
     "oracle": [
@@ -94,7 +98,7 @@ def test_sweep_is_the_function_after_its_module_is_imported():
     src = str(PACKAGE.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r});"
-        " import treeucat.greedy, treeucat.sweeping;"
+        " import treeucat.greedy;"
         " from treeucat import sweep;"
         " print(type(sweep).__name__, sweep.__module__, sweep.__name__)"
     )
@@ -105,4 +109,4 @@ def test_sweep_is_the_function_after_its_module_is_imported():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "function treeucat.sweeping sweep\n"
+    assert proc.stdout == "function treeucat.greedy sweep\n"

@@ -46,3 +46,17 @@ def test_the_readme_documents_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == decomposition
     assert main(["sweep", str(path), "--vertex", "v1"]) == 0
     assert capsys.readouterr().out == sweep_document
+
+
+def test_the_module_table_names_each_module_once():
+    # the "modules, by role" table lists every module file of the package,
+    # `__init__` and `__main__` aside, once each, and nothing else
+    text = README.read_text(encoding="utf-8")
+    table = text.split("The modules, by role:\n\n", 1)[1].split("\n\n", 1)[0]
+    named = []
+    for row in table.splitlines()[2:]:  # past the header and its rule
+        cell = re.sub(r"\([^)]*\)", "", row.split("|")[2])  # drop the notes
+        named += re.findall(r"`(\w+)`", cell)
+    package = README.parent / "src" / "treeucat"
+    files = [p.stem for p in package.glob("*.py")]
+    assert sorted(named) == sorted(set(files) - {"__init__", "__main__"})

@@ -36,8 +36,8 @@ REFEREES = (
     "density.py",
     "documents.py",
 )
-PRODUCER = {"forced", "sweeping", "greedy"}
-PRODUCER_FILES = ("greedy.py", "sweeping.py", "forced.py")
+PRODUCER = {"greedy"}
+PRODUCER_FILES = ("greedy.py",)
 REFEREE_SIDE = {"verify", "oracle", "interval", "simplex", "documents"}
 ALLOWED = {"tree": {"MetricTree", "VertexId"}}
 VALUE_TYPES = {"MetricTree", "EdgeLinearDensity"}
@@ -95,8 +95,8 @@ def test_reference_helpers_use_no_producer_state():
     # the reference peel checks the package's prune, so it may not route
     # through it, by import or by name
     helpers = Path(__file__).resolve().parent / "helpers.py"
-    banned = {"sweep", "sweeping", "_sweep"}
-    banned |= {"forced", "prune_insignificant", "find_forced_vertex", "_prune"}
+    banned = {"greedy", "sweep", "sweeping", "_sweep"}
+    banned |= {"forced", "prune_insignificant", "find_forced_vertex", "_prune", "Peel"}
     tree = ast.parse(helpers.read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -300,19 +300,32 @@ def test_each_command_loads_only_its_own_side(tmp_path):
     assert unused.isdisjoint(loaded)
     assert width_lookup.isdisjoint(loaded)
 
+    # `ucat` and `sweep` run the producer, and `gen` only the generator;
+    # none of them loads a referee
+    producer = package("greedy", "instances")
+    referees = package("verify", "oracle", "simplex", "interval")
+    producing = {
+        ("ucat", "in.json"): package("greedy"),
+        ("sweep", "in.json", "--vertex", "c"): package("greedy"),
+        ("gen", "--seed", "1"): package("instances"),
+    }
+    for argv, loads in producing.items():
+        loaded = command(*argv)
+        assert loaded & producer == loads, argv
+        assert referees.isdisjoint(loaded), argv
+        assert width_lookup.isdisjoint(loaded), argv
+
     # the star's core is its three rising leaves, which `_fill` answers
     # with no LP; the search on gen_instance(0, 7, 9) meets a feasible set
     # that `_fill` cannot build, so only there is `simplex` loaded
     tree, f = gen_instance(0, 7, 9)
     (tmp_path / "lp.json").write_text(serialize_instance(tree, f), encoding="utf-8")
-    producer = package("greedy", "forced", "sweeping", "instances")
     # `check` and `oracle` each load their own referee and not the other's
     solvers = {
         ("check", "in.json", "d.json"): package("verify"),
         ("oracle", "in.json"): package("oracle", "interval"),
         ("oracle", "lp.json"): package("oracle", "interval", "simplex"),
     }
-    referees = package("verify", "oracle", "simplex", "interval")
     for argv, loads in solvers.items():
         loaded = command(*argv)
         assert producer.isdisjoint(loaded), argv

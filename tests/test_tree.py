@@ -105,6 +105,31 @@ def test_float_length_rejected():
         MetricTree(["A", "B"], [("A", "B", 0.5)])
 
 
+def test_equal_given_lengths_share_one_fraction_but_a_bool_is_refused():
+    # each distinct int or str length is converted once per tree, and a
+    # bool is never taken for the int it equals
+    edges = [("A", "B", 1), ("B", "C", 1), ("C", "D", "1"), ("D", "E", "1")]
+    ab, bc, cd, de = MetricTree(["A", "B", "C", "D", "E"], edges).key_lengths()[1]
+    assert ab is bc and cd is de and ab == cd == 1
+    message = "^expected a rational, got bool True$"
+    with pytest.raises(TypeError, match=message):
+        MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", True)])
+
+
+def test_lengths_from_a_generator_keep_their_own_values():
+    # a length that is neither an int, a string nor a Fraction is converted
+    # and checked by identity; a generator frees each one after its edge,
+    # so its id may be reused, and the tree must still read each anew
+    class Length(int):
+        pass
+
+    names = [f"v{i}" for i in range(60)]
+    edges = ((u, w, Length(k)) for k, (u, w) in enumerate(zip(names, names[1:]), 1))
+    tree = MetricTree(names, edges)
+    lengths = [tree.edge_length(u, w) for u, w in zip(names, names[1:])]
+    assert lengths == list(range(1, 60))
+
+
 def test_root_at_center_of_path():
     tree = MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", 1)])
     assert tree.root_at("B") == (("B", "A"), ("B", "C"))
