@@ -9,7 +9,8 @@ imported here. `decompose`, `ucat` and `sweep` load the producer,
 `greedy`, and `gen` loads `instances`. `check` loads `verify` and
 `oracle` loads `oracle`, the two referees, and neither loads the other
 or any producer code; `oracle` loads `interval` too, and `simplex` only
-when `_fill` cannot answer a candidate.
+when `_fill` cannot answer a candidate. Only `decompose` and `check`,
+which compute an instance's digest, load `hashlib`, and with it OpenSSL.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ only the nonzero ones are stored, keyed by vertex index (see `tree.py`),
 so a density's memory still grows with its support, not with the tree.
 
 A value is stored as its reduced `(numerator, denominator)` pair of ints,
-which every algorithm reads; `value`, `values`, `items` and `max_value`
-build `Fraction`s on read. Never compare pairs with `<` or `max`, which
-order tuples lexicographically, (1, 2) < (2, 5) although 1/2 > 2/5:
-cross-multiply, or scale to common integers.
+as a tree stores an edge length, and every algorithm reads the pairs;
+`value`, `values`, `items` and `max_value` build `Fraction`s on read.
+Never compare pairs with `<` or `max`, which order tuples
+lexicographically, (1, 2) < (2, 5) although 1/2 > 2/5: cross-multiply,
+or scale to common integers.
 
 `_indexed` is the one check of listed ids and signs and builds the one
 form a support map takes, index -> pair, in index order. The constructor
@@ -21,18 +22,19 @@ runs it on each value as `_pair` checks and reduces it. The document
 parser runs it on the pairs it reads, which its numeral reader has
 already checked and reduced, and keeps the map through `_with_support`;
 binding a decomposition document runs it too, and its components keep
-the map as their rows.
+the map as their rows. A map the package builds itself from pairs it
+made, a sweep's h and remainder and a component's rows, is kept through
+`_with_support` unchecked.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from math import gcd
 
 from .errors import DensityError, InternalInvariantError, NegativeValue
 from .errors import TreeMismatch, UnknownVertex
-from .rational import as_fraction, shown, unwritable
+from .rational import as_fraction, reduced_pair, shown, unwritable
 from .record import Record
 from .tree import MetricTree, VertexId
 
@@ -126,9 +128,10 @@ class EdgeLinearDensity:
 
 
 def _with_support(tree: MetricTree, support: dict) -> EdgeLinearDensity:
-    """The density on `tree` whose support map is `support`, as `_indexed`
-    returns it, kept and not copied: built by the constructor on no
-    values, then given the map, whose checks the caller ran."""
+    """The density on `tree` whose support map is `support`, index ->
+    nonzero reduced pair in index order, as `_indexed` returns it, kept and
+    not copied: built by the constructor on no values, then given the map,
+    whose checks the caller ran or whose values the package made itself."""
     f = EdgeLinearDensity(tree, {})
     f._values = support
     return f
@@ -140,17 +143,7 @@ def _pair(v: VertexId, raw) -> tuple[int, int]:
     as it is; a positive int, `Fraction` or string that `str` could not
     write is refused, in the document parser's words."""
     if type(raw) is tuple:
-        try:
-            p, q = raw
-        except ValueError:  # not two items
-            p = q = None
-        if type(p) is not int or type(q) is not int or q <= 0:
-            raise TypeError(
-                f"density value {raw!r} at {v!r} is not a pair of ints"
-                " with a positive denominator"
-            )
-        g = gcd(p, q)
-        return raw if g == 1 else (p // g, q // g)
+        return reduced_pair(raw, "density value {!r} at {!r}", raw, v)
     p, q = pair = (raw, 1) if type(raw) is int else as_fraction(raw).as_integer_ratio()
     if p > 0 and (refused := unwritable(p, q, "density[{}]", v)):
         raise DensityError(refused)

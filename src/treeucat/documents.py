@@ -40,27 +40,24 @@ numerator or denominator past the interpreter's digit limit, is refused
 as it is read, not by the writer after the work.
 
 Each parse converts a numeral string once: numerals equal as strings share
-one reduced `(numerator, denominator)` pair within a document, or one
-`Fraction` as edge lengths, and nothing is kept between documents. "p" or
-"p/q" in ASCII digits is read from its digits; any other spelling goes
-through `Fraction(str)`, with the same values and errors.
+one reduced `(numerator, denominator)` pair within a document, a value's
+or an edge length's, and nothing is kept between documents. "p" or "p/q"
+in ASCII digits is read from its digits; any other spelling goes through
+`Fraction(str)`, with the same values and errors.
 
-Each value is written inline from its pair, "p" or "p/q", and each
-distinct length object once, with no Python function call per value or
-edge; only when `str` refuses a value is `_numeral` called, to name it.
-Documents are fixed-shape templates, byte for byte the text of
-`json.dumps(payload, indent=2)`; the digest hashes the canonical compact
-text, written alike.
+Each value and each edge length is written inline from its pair, "p" or
+"p/q", with no Python function call per value or edge; only when `str`
+refuses one is `_numeral` called, to name it. Documents are fixed-shape
+templates, byte for byte the text of `json.dumps(payload, indent=2)`;
+the digest hashes the canonical compact text, written alike.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import reprlib
 from collections.abc import Mapping
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
 from math import gcd
 
@@ -182,12 +179,11 @@ def _number(
 def _edge_items(raw_edges, numerals: dict[str, tuple]):
     """(u, w, length) for each edge object of `raw_edges`, read as
     `MetricTree` takes it: its shape and its endpoints' type checked, and
-    one `Fraction` per distinct length numeral. The tree checks the rest,
-    each id included."""
+    its length numeral's reduced pair, read once per distinct numeral. The
+    tree checks the rest, each id included."""
     what = "instance"
     if not isinstance(raw_edges, list):
         raise DocumentError(f"{what}: edges must be a list")
-    lengths: dict[str, Fraction] = {}  # numeral -> its Fraction
     for i, entry in enumerate(raw_edges):
         try:  # three keys, each of them one of u, w and length
             if type(entry) is not dict or len(entry) != 3:
@@ -202,10 +198,9 @@ def _edge_items(raw_edges, numerals: dict[str, tuple]):
             raise DocumentError(
                 f"{what}: edge {i} endpoint {reprlib.repr(end)} is not a string"
             )
-        length = lengths.get(raw) if type(raw) is str else None
+        length = numerals.get(raw) if type(raw) is str else None
         if length is None:
-            pair = _number(raw, numerals, "{}: edge {} length", what, i, True)
-            length = lengths[raw] = Fraction(*pair)
+            length = _number(raw, numerals, "{}: edge {} length", what, i, True)
         yield u, w, length
 
 
@@ -275,7 +270,6 @@ def _numeral(pair: tuple[int, int], label: str, a, b=None) -> str:
 # indent=2)` gives each section; `pad` is the indent of the line a section
 # opens on. Vertex ids go unescaped: a tree admits only ids of ASCII
 # letters, digits, "_" and "-".
-_EDGE = '{\n  "u": "%s",\n  "w": "%s",\n  "length": "%s"\n}'
 _INSTANCE = '{\n  "vertices": %s,\n  "edges": %s,\n  "density": %s\n}\n'
 _DECOMPOSITION = '{\n  "components": %s,\n  "ucat": %d,\n  "provenance": %s\n}\n'
 _COMPONENT = '{\n      "mode": %s,\n      "values": %s\n    }'
@@ -295,31 +289,20 @@ def _block(members, pad, brackets="{}"):
     return brackets[0] + inner + body + "\n" + pad + brackets[1]
 
 
-def _length_texts(tree) -> list[str]:
-    """The text of each edge's length, "p" or "p/q", in key order; each
-    distinct length object is written once."""
-    texts, written = [], {}  # id(length) -> its text; the tree holds every length
+def _tree_sections(tree, pad):
+    """The "vertices" and "edges" sections of `tree`, opening at `pad`."""
+    vs, n = tree.vertices, len(tree.vertices)
     try:
-        for x in tree.key_lengths()[1]:
-            text = written.get(id(x))
-            if text is None:
-                text = written[id(x)] = str(x)
-            texts.append(text)
+        edges = [
+            f'{{\n    {pad}"u": "{vs[k // n]}",\n    {pad}"w": "{vs[k % n]}",'
+            f'\n    {pad}"length": "{p if q == 1 else f"{p}/{q}"}"\n  {pad}}}'
+            for k, (p, q) in zip(*tree.key_lengths())
+        ]
     except ValueError:  # an integer past the interpreter's digit limit
         for u, w, x in tree.iter_edges():  # name the first such edge
             _numeral(x.as_integer_ratio(), "the length of edge {}-{}", u, w)
         raise
-    return texts
-
-
-def _tree_sections(tree, pad):
-    """The "vertices" and "edges" sections of `tree`, opening at `pad`."""
-    edge = _EDGE.replace("\n", "\n  " + pad)
-    vs, n, keys = tree.vertices, len(tree.vertices), tree.key_lengths()[0]
-    texts = _length_texts(tree)
-    edges = [edge % (vs[k // n], vs[k % n], t) for k, t in zip(keys, texts)]
-    vertices = [f'"{v}"' for v in vs]
-    return _block(vertices, pad, "[]"), _block(edges, pad, "[]")
+    return _block([f'"{v}"' for v in vs], pad, "[]"), _block(edges, pad, "[]")
 
 
 def _members(vertices, values: dict, what: str, colon: str = ": ") -> list[str]:
@@ -364,16 +347,25 @@ def instance_digest(tree: MetricTree, f: EdgeLinearDensity) -> str:
     directly, with `tree.vertices` already in sorted order.
 
     `tree` is f.tree or equal to it, so the digest is computed once per
-    density and kept on f, which is immutable."""
+    density and kept on f, which is immutable. `hashlib` is imported here,
+    so that a command that computes no digest does not load OpenSSL."""
     tree = _own_tree(tree, f)
     if f._digest is not None:
         return f._digest
-    vs, n, keys = tree.vertices, len(tree.vertices), tree.key_lengths()[0]
+    import hashlib
+
+    vs, n = tree.vertices, len(tree.vertices)
     density = _members(vs, _all_values(f), "the density", ":")
-    edges = [
-        '{"length":"%s","u":"%s","w":"%s"}' % (t, vs[k // n], vs[k % n])
-        for k, t in zip(keys, _length_texts(tree))
-    ]
+    try:
+        edges = [
+            f'{{"length":"{p if q == 1 else f"{p}/{q}"}",'
+            f'"u":"{vs[k // n]}","w":"{vs[k % n]}"}}'
+            for k, (p, q) in zip(*tree.key_lengths())
+        ]
+    except ValueError:  # an integer past the interpreter's digit limit
+        for u, w, x in tree.iter_edges():  # name the first such edge
+            _numeral(x.as_integer_ratio(), "the length of edge {}-{}", u, w)
+        raise
     canonical = '{"density":{%s},"edges":[%s],"vertices":["%s"]}' % (
         ",".join(density), ",".join(edges), '","'.join(vs)
     )

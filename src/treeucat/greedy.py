@@ -101,7 +101,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
-from .density import EdgeLinearDensity, ModeWitness, is_unimodal, support_is_empty
+from .density import EdgeLinearDensity, ModeWitness, _with_support, is_unimodal
+from .density import support_is_empty
 from .errors import InternalInvariantError, UnknownVertex, ZeroDensity
 from .record import Component, Decomposition, Record
 from .tree import MetricTree, VertexId
@@ -323,12 +324,11 @@ def sweep(f: EdgeLinearDensity, v: VertexId) -> SweepResult:
     scale, rest, pairs = _to_lattice(f)
     h, clamps = _sweep(tree.nbrs, rest, origin)
 
-    def density(values):
-        rows = _from_lattice(values, scale, pairs)
-        return EdgeLinearDensity(tree, {vs[i]: pair for i, pair in rows.items()})
+    def density(values):  # the sweep's own (index, x) items, in index order
+        return _with_support(tree, _from_lattice(values, scale, pairs))
 
     return SweepResult(
-        h=density(h.items()),
+        h=density(sorted(h.items())),
         remainder=density(enumerate(rest)),
         origin=v,
         cuts=tuple(Cut(vs[u], vs[w], Fraction(hu, drop)) for u, w, hu, drop in clamps),

@@ -1,17 +1,21 @@
 """Exact rational helpers.
 
-Values are exact: a density keeps each as its reduced `(numerator,
-denominator)` pair of ints, and edge lengths are `fractions.Fraction`s.
-Floats are rejected at the boundary so no rounding can sneak in.
-`shown` writes a value into a message or report, with a stand-in for one
-too long for `str`, and `unwritable` words the refusal of a value that
-`str` cannot write at all.
+Numbers are exact: inside the package each is its reduced `(numerator,
+denominator)` pair of ints, a density's values and a tree's edge lengths
+alike, and `fractions.Fraction`s appear only in id-level views and
+reports. Floats are rejected at the boundary so no rounding can sneak
+in. `as_fraction` reads an int, a string or a `Fraction`, and
+`reduced_pair` checks and reduces a given pair. `shown` writes a value
+into a message or report, with a stand-in for one too long for `str`,
+and `unwritable` words the refusal of a value that `str` cannot write
+at all.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import gcd
 
 
 def as_fraction(value) -> Fraction:
@@ -36,6 +40,19 @@ def as_fraction(value) -> Fraction:
             f"floats are not accepted (got {value!r}); pass a string like '1/3'"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def reduced_pair(raw: tuple, what: str, *args) -> tuple[int, int]:
+    """The tuple `raw`, a pair of ints (not bools) with a positive
+    denominator, reduced by their gcd, and itself if already reduced;
+    anything else is a TypeError naming it `what.format(*args)`."""
+    p, q = raw if len(raw) == 2 else (None, None)
+    if type(p) is not int or type(q) is not int or q <= 0:
+        raise TypeError(
+            f"{what.format(*args)} is not a pair of ints with a positive denominator"
+        )
+    g = gcd(p, q)
+    return raw if g == 1 else (p // g, q // g)
 
 
 def shown(value) -> str:

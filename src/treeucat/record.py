@@ -78,7 +78,8 @@ class Component(Record):
     its rows instead: the support map a density stores, a dict from each
     vertex index of `tree` with a nonzero value to its reduced
     `(numerator, denominator)` pair, in index order. Its `density` is then
-    a view, built through `EdgeLinearDensity` on its first read and kept.
+    a view, built by `density._with_support` on its first read, which
+    keeps the rows as its support map and does not check them again.
     `rows` and `tree` read either kind, which is how the writers and
     `check_decomposition` read every component; the fields, and so
     equality, hashing, the repr and pickling, are the mode and the
@@ -105,11 +106,9 @@ class Component(Record):
     def density(self):
         density = self._density
         if density is None and self._rows is not None:  # built once, here
-            from .density import EdgeLinearDensity
+            from .density import _with_support
 
-            tree, rows = self._rows
-            vertices = tree.vertices
-            density = EdgeLinearDensity(tree, {vertices[i]: x for i, x in rows.items()})
+            density = _with_support(*self._rows)
             object.__setattr__(self, "_density", density)
         return density
 

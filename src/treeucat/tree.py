@@ -15,12 +15,15 @@ names the first one that does not, or that is not a string.
 
 The constructor reads `edges` once, in one pass: a document parser can
 hand it a generator that reads each edge as the tree takes it, so the
-first fault in the document is the one reported. It converts and checks
-each distinct given length once, an int or a string by type and value
-and any other object by identity, so equal int or string lengths share
-one `Fraction`. It checks that a length is positive, and that `str` can
-write it, for a tree whose lengths no writer could write is refused
-here, not by a writer after the work.
+first fault in the document is the one reported. A length may be an int,
+an exact string, a `Fraction` or a `(numerator, denominator)` pair of
+ints, and the tree stores it as its reduced pair, as a density stores a
+value; the id-level views build `Fraction`s on read. Each distinct int,
+string or pair given is converted and checked once, keyed by type and
+value, so equal ones share one pair; any other length is read on each
+edge. A length must be positive, and `str` must be able to write it,
+for a tree whose lengths no writer could write is refused here, not by a
+writer after the work.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertex,
 )
-from .rational import as_fraction, shown, unwritable
+from .rational import as_fraction, reduced_pair, shown, unwritable
 
 VertexId = str
 
@@ -82,8 +85,8 @@ class MetricTree:
                 if v in seen:
                     raise DuplicateVertexId(f"duplicate vertex id {v!r}")
                 seen.add(v)
-        lengths: dict[int, Fraction] = {}  # i * n + j -> length, for i < j
-        checked = {}  # each distinct length given -> (its Fraction, itself)
+        lengths: dict[int, tuple[int, int]] = {}  # i * n + j -> length, for i < j
+        checked = {}  # each distinct int, string or int pair given -> its pair
         for u, w, given in edges:
             try:
                 i, j = index[u], index[w]
@@ -92,21 +95,30 @@ class MetricTree:
                 raise UnknownVertex(f"edge endpoint {end!r} is not a vertex") from None
             if i == j:
                 raise CycleDetected(f"self-loop at {u!r}")
-            # an int or a string by type and value, so no bool passes for an
-            # int; any other length by identity, kept alive by its entry
-            which = (type(given), given) if type(given) in (int, str) else id(given)
-            if which in checked:
-                length = checked[which][0]
+            kind = type(given)
+            if kind is tuple:  # a pair of ints, keyed by value: no bool in it
+                ints = len(given) == 2 and type(given[0]) is type(given[1]) is int
+                which = given if ints else None
+            else:  # an int or a string by type and value: no bool for an int
+                which = (kind, given) if kind is int or kind is str else None
+            if which is not None and which in checked:
+                length = checked[which]
             else:
-                length = given if type(given) is Fraction else as_fraction(given)
-                p, q = length.as_integer_ratio()  # q > 0
+                if kind is tuple:
+                    label = "edge {!r}-{!r} length {!r}"
+                    length = reduced_pair(given, label, u, w, given)
+                else:  # an int is read as its own ratio, with no Fraction
+                    x = given if kind is int else as_fraction(given)
+                    length = x.as_integer_ratio()
+                p, q = length  # q > 0
                 if p <= 0:
                     raise NonPositiveLength(
-                        f"edge {u!r}-{w!r} has length {shown(length)}"
+                        f"edge {u!r}-{w!r} has length {shown(Fraction(p, q))}"
                     )
                 if refused := unwritable(p, q, "edge {!r}-{!r} length", u, w):
                     raise InvalidTree(refused)
-                checked[which] = length, given
+                if which is not None:
+                    checked[which] = length
             key = i * n + j if i < j else j * n + i
             if key in lengths:
                 raise CycleDetected(f"parallel edge {u!r}-{w!r}")
@@ -164,17 +176,18 @@ class MetricTree:
         """(u, w, length) with u < w, sorted by (u, w)."""
         return tuple(self.iter_edges())
 
-    def key_lengths(self) -> tuple[Sequence[int], Sequence[Fraction]]:
+    def key_lengths(self) -> tuple[Sequence[int], Sequence[tuple[int, int]]]:
         """The sorted edge keys i * n + j, i < j, and their lengths in the
-        same order; shared, so read only."""
+        same order, each its reduced `(numerator, denominator)` pair;
+        shared, so read only."""
         return self._keys, self._lengths
 
     def iter_edges(self) -> Iterator[tuple[VertexId, VertexId, Fraction]]:
         """`edge_list` one edge at a time; on a large tree, building the whole
         tuple spends most of its time in the garbage collector."""
         vs, n = self._vertices, len(self._vertices)
-        for key, length in zip(self._keys, self._lengths):
-            yield vs[key // n], vs[key % n], length
+        for key, (p, q) in zip(self._keys, self._lengths):
+            yield vs[key // n], vs[key % n], Fraction(p, q)
 
     def has_vertex(self, v: VertexId) -> bool:
         return v in self._index
@@ -195,7 +208,7 @@ class MetricTree:
         pos = self._edge_at(u, w)
         if pos < 0:
             raise UnknownEdge(f"no edge {u!r}-{w!r}")
-        return self._lengths[pos]
+        return Fraction(*self._lengths[pos])
 
     def neighbors(self, v: VertexId) -> tuple[VertexId, ...]:
         i = self._index.get(v)
@@ -216,12 +229,7 @@ class MetricTree:
             return NotImplemented
         if self._vertices != other._vertices:
             return False
-        # lengths compared as integer pairs, not through Fraction.__eq__ and
-        # its numbers.Rational check; both pairs are in lowest terms
-        return self._keys == other._keys and all(
-            x.as_integer_ratio() == y.as_integer_ratio()
-            for x, y in zip(self._lengths, other._lengths)
-        )
+        return self._keys == other._keys and self._lengths == other._lengths
 
     def __hash__(self) -> int:
         return hash((self._vertices, tuple(self._keys), tuple(self._lengths)))

@@ -18,9 +18,9 @@ decomposition the way documents were written before components listed
 their nonzero values only. `python_calls_during` counts the Python and
 C function calls a call makes, a measure of work that, unlike wall time,
 does not vary from run to run, `fractions_built_during` counts the
-`Fraction`s a call builds, `count_builds` counts the objects a
-class's constructor builds, and `record_pivots` records the D of each
-simplex pivot. `built_without_digit_limit` builds a tree or a density
+`Fraction`s a call builds, and if asked those it writes, `count_builds`
+counts the objects a class's constructor builds, and `record_pivots`
+records the D of each simplex pivot. `built_without_digit_limit` builds a tree or a density
 holding a value too long for `str`, which their constructors refuse. `reference_maximize` is the two-phase
 simplex on a `Fraction` tableau, and `reference_feasible` runs it on a
 zero objective, whose optimum is the point that `simplex.feasible`'s
@@ -166,17 +166,20 @@ def python_calls_during(fn, *args) -> int:
     return calls
 
 
-def fractions_built_during(fn, *args):
-    """The calls of `Fraction.__new__` while fn(*args) runs, and its result.
+def fractions_built_during(fn, *args, written=False):
+    """The calls of `Fraction.__new__`, and if `written` of `Fraction.__str__`
+    too, while fn(*args) runs, and its result.
 
     The profiler that ran before is put back afterwards, so a call counted
     inside another is left out of the outer count."""
-    code = Fraction.__new__.__code__
+    codes = {Fraction.__new__.__code__}
+    if written:
+        codes.add(Fraction.__str__.__code__)
     built = 0
 
     def count(frame, event, arg):
         nonlocal built
-        if event == "call" and frame.f_code is code:
+        if event == "call" and frame.f_code in codes:
             built += 1
 
     outer = sys.getprofile()

@@ -49,6 +49,7 @@ from helpers import (
     comb_instance,
     count_builds,
     dense_decomposition_text,
+    fractions_built_during,
     monotone_arm_instance,
     paper_sweep,
     path_instance,
@@ -284,9 +285,8 @@ def _parsed_pairs(doc: DecompositionDocument, f) -> list:
 
 
 def test_equal_numerals_share_one_value_within_a_document_only():
-    # a numeral is read once per document: equal value numerals share one
-    # pair, the tuple the density stores, and equal length numerals one
-    # `Fraction`, which the tree stores
+    # a numeral is read once per document: equal numerals share one pair,
+    # the tuple the density stores as a value and the tree as a length
     text = json.dumps(
         {
             "vertices": ["A", "B", "C"],
@@ -298,14 +298,13 @@ def test_equal_numerals_share_one_value_within_a_document_only():
         }
     )
     tree, f = parse_instance(text)
-    shared = tree.edge_length("A", "B")
-    assert shared == Fraction(3, 7)
-    assert tree.edge_length("B", "C") is shared
+    ab, bc = tree.key_lengths()[1]
+    assert ab == (3, 7) and bc is ab
     pairs = dict(zip(f.support, (pair for _, pair in f.index_items())))
     assert pairs["A"] == (3, 7) and pairs["B"] == (2, 1)
     assert pairs["C"] is pairs["A"]
     again, g = parse_instance(text)
-    assert again.edge_length("A", "B") is not shared
+    assert again.key_lengths()[1][0] is not ab
     assert dict(g.index_items())[1] is not pairs["B"]
 
     f, d = _decomposed(5)
@@ -839,23 +838,14 @@ def test_the_digest_makes_no_python_call_per_vertex_or_edge():
 
 
 def test_the_digest_writes_an_in_process_trees_one_length_once():
-    # built in process from 604 int lengths of 1, the tree holds one
-    # `Fraction` for them, so the digest writes one length, as it does for
-    # the same tree parsed from its document
+    # built in process from 604 int lengths of 1, the tree holds one pair
+    # for them, and the digest writes each length inline from its pair: it
+    # builds and formats no `Fraction`
     f = monotone_arm_instance(1, 600)
-    code = Fraction.__str__.__code__
-    written = 0
-
-    def count(frame, event, arg):
-        nonlocal written
-        written += event == "call" and frame.f_code is code
-
-    sys.setprofile(count)
-    try:
-        instance_digest(f.tree, f)
-    finally:
-        sys.setprofile(None)
-    assert written == 1, written
+    lengths = f.tree.key_lengths()[1]
+    assert len(lengths) == 604 and {id(x) for x in lengths} == {id(lengths[0])}
+    called, _ = fractions_built_during(instance_digest, f.tree, f, written=True)
+    assert called == 0, called
 
 
 def test_parse_makes_a_bounded_number_of_calls_per_distinct_numeral(monkeypatch):

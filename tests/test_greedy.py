@@ -509,14 +509,24 @@ def test_decompose_builds_no_fraction_the_input_holds():
     assert len(new) <= 1, new
 
 
-def test_a_round_trip_builds_at_most_two_fractions():
+def test_a_round_trip_builds_and_writes_no_fraction():
     # a counted gate: parse, decompose, digest, serialize, parse back, bind
-    # and check build a `Fraction` only for a length numeral, the arm's one
-    # "1"; with every value a `Fraction` this made 1,208 of them
+    # and check read values and edge lengths as pairs, so no step calls
+    # `Fraction.__new__` or `Fraction.__str__`. With every value a
+    # `Fraction` the arm's round trip made 1,208 of them; with lengths
+    # `Fraction`s, one per distinct length numeral, and the digest wrote
+    # each. The random tree's lengths k/3, in part reducible, are written
+    # as "p/q" and as "p"
     arm = monotone_arm_instance(4, 600)
-    text = serialize_instance(arm.tree, arm)
+    f = recursive_tree_instance(5, 60)
+    lengths = [Fraction(k % 5 + 1, 3) for k in range(len(f.tree.edge_list))]
+    edges = [(u, w, x) for (u, w, _), x in zip(f.tree.edge_list, lengths)]
+    tree = MetricTree(f.tree.vertices, edges)
+    thirds = EdgeLinearDensity(tree, dict(f.items()))
+    texts = [serialize_instance(g.tree, g) for g in (arm, thirds)]
+    texts.append(serialize_instance(*gen_instance(3, 40, 9)))
 
-    def round_trip():
+    def round_trip(text):
         tree, f = parse_instance(text)
         d, _ = decompose(f)
         provenance = {"tool": "t", "input_digest": instance_digest(tree, f)}
@@ -524,9 +534,12 @@ def test_a_round_trip_builds_at_most_two_fractions():
         bound = decomposition_from_document(parse_decomposition(written), f)
         return check_decomposition(f, bound)
 
-    built, report = fractions_built_during(round_trip)
-    assert report.overall and report.count == 3
-    assert built <= 2, built
+    counts = []
+    for text in texts:
+        called, report = fractions_built_during(round_trip, text, written=True)
+        assert called == 0 and report.overall, (text[:60], called)
+        counts.append(report.count)
+    assert counts[0] == 3 and min(counts) > 1, counts
 
 
 def test_decompose_work_per_vertex_on_a_long_arm():
@@ -595,6 +608,27 @@ def test_parse_and_decompose_build_each_tree_and_density_once(monkeypatch):
     assert instance_digest(f.tree, f) == digest
     assert instance_digest(f.tree, flat) == other
     assert hashed == 3
+
+
+def test_sweep_results_and_component_views_keep_the_maps_they_are_built_from(
+    monkeypatch,
+):
+    # a sweep's h and remainder, and a component's density view, keep the
+    # support maps the package made, checked no further: one density per
+    # build, each equal to its constructor-built twin, support in index order
+    built = count_builds(monkeypatch, EdgeLinearDensity)
+    for seed in range(12):
+        tree, f = gen_instance(seed, 30, 6)
+        v = tree.vertices[seed % len(tree.vertices)]
+        built[EdgeLinearDensity] = 0
+        result = sweep(f, v)
+        assert built[EdgeLinearDensity] == 2
+        d, _ = decompose(f)
+        views = [c.density for c in d.components]
+        assert built[EdgeLinearDensity] == 2 + len(views)
+        for g in [result.h, result.remainder, *views]:
+            twin = EdgeLinearDensity(tree, dict(g.items()))
+            assert g == twin and list(g.index_items()) == list(twin.index_items())
 
 
 def _lattice_instances():

@@ -292,10 +292,13 @@ def test_each_command_loads_only_its_own_side(tmp_path):
     assert {"fractions", "random"}.isdisjoint(loaded)
 
     # building the parser formats no help, so it looks up no terminal width
-    # and loads no `shutil`, nor the compression modules `shutil` imports
+    # and loads no `shutil`, nor the compression modules `shutil` imports;
+    # only a command that computes a digest, `decompose` or `check`, loads
+    # `hashlib`, and with it OpenSSL
     width_lookup = {"shutil", "zlib", "bz2", "lzma", "fnmatch"}
     loaded = command("decompose", "in.json", "--output", "d.json")
     assert package("greedy") <= loaded
+    assert "hashlib" in loaded
     unused = package("verify", "oracle", "simplex", "interval", "instances")
     assert unused.isdisjoint(loaded)
     assert width_lookup.isdisjoint(loaded)
@@ -314,6 +317,7 @@ def test_each_command_loads_only_its_own_side(tmp_path):
         assert loaded & producer == loads, argv
         assert referees.isdisjoint(loaded), argv
         assert width_lookup.isdisjoint(loaded), argv
+        assert "hashlib" not in loaded, argv
 
     # the star's core is its three rising leaves, which `_fill` answers
     # with no LP; the search on gen_instance(0, 7, 9) meets a feasible set
@@ -331,6 +335,7 @@ def test_each_command_loads_only_its_own_side(tmp_path):
         assert producer.isdisjoint(loaded), argv
         assert loaded & referees == loads, argv
         assert width_lookup.isdisjoint(loaded), argv
+        assert ("hashlib" in loaded) == (argv[0] == "check"), argv
 
 
 def test_the_check_module_forwards_only_the_oracle_entry_point(tmp_path):

@@ -4,11 +4,13 @@ invariance tests and the referee tests build their inputs with."""
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from treeucat import EdgeLinearDensity, MetricTree
+from treeucat.documents import instance_digest
 from treeucat.errors import (
     CycleDetected,
     Disconnected,
@@ -106,14 +108,61 @@ def test_float_length_rejected():
 
 
 def test_equal_given_lengths_share_one_fraction_but_a_bool_is_refused():
-    # each distinct int or str length is converted once per tree, and a
-    # bool is never taken for the int it equals
+    # each distinct int or str length is converted once per tree, to one
+    # pair, and a bool is never taken for the int it equals
     edges = [("A", "B", 1), ("B", "C", 1), ("C", "D", "1"), ("D", "E", "1")]
     ab, bc, cd, de = MetricTree(["A", "B", "C", "D", "E"], edges).key_lengths()[1]
-    assert ab is bc and cd is de and ab == cd == 1
+    assert ab is bc and cd is de and ab == cd == (1, 1)
     message = "^expected a rational, got bool True$"
     with pytest.raises(TypeError, match=message):
         MetricTree(["A", "B", "C"], [("A", "B", 1), ("B", "C", True)])
+
+
+def test_a_length_in_every_form_builds_one_tree_and_reads_as_a_fraction():
+    # an int, a string, a Fraction and a pair of ints are one length: the
+    # trees are equal and their instances have one digest, the views read
+    # `Fraction`s, and a pickled tree comes back equal
+    forms = [(2, "4/3"), ("2", "8/6"), (Fraction(2), Fraction(4, 3)), ((2, 1), (8, 6))]
+    trees = [MetricTree("ABC", [("A", "B", ab), ("C", "B", bc)]) for ab, bc in forms]
+    digests = set()
+    for tree in trees:
+        assert tree.key_lengths()[1] == [(2, 1), (4, 3)]
+        assert tree == trees[0] and hash(tree) == hash(trees[0])
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        digests.add(instance_digest(tree, EdgeLinearDensity(tree, {"B": 1})))
+        assert type(tree.edge_length("C", "B")) is Fraction
+        assert tree.edge_length("C", "B") == Fraction(4, 3)
+        edges = (("A", "B", Fraction(2)), ("B", "C", Fraction(4, 3)))
+        assert tree.edge_list == edges and tuple(tree.iter_edges()) == edges
+        assert {type(x) for _, _, x in tree.edge_list} == {Fraction}
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(1, 0), (1, -2), (True, 1), (1, True), (1.0, 1), (1, Fraction(1)), ([1], 1)]
+    + [(1,), (1, 1, 1), ()],
+)
+def test_a_length_pair_must_be_two_ints_with_a_positive_denominator(bad):
+    # refused with the tree's own message, also where it equals a pair the
+    # tree has already taken
+    message = f"edge 'B'-'C' length {bad!r} is not a pair of ints with a positive"
+    for first in (1, (1, 1)):
+        with pytest.raises(TypeError) as refused:
+            MetricTree(["A", "B", "C"], [("A", "B", first), ("B", "C", bad)])
+        assert str(refused.value) == message + " denominator"
+
+
+def test_a_length_pair_is_checked_for_its_sign_before_its_text():
+    with pytest.raises(NonPositiveLength, match="^edge 'A'-'B' has length -1/2$"):
+        MetricTree(["A", "B"], [("A", "B", (-2, 4))])
+    with pytest.raises(NonPositiveLength, match="^edge 'A'-'B' has length 0$"):
+        MetricTree(["A", "B"], [("A", "B", (0, 3))])
+    huge = 10**5000  # past the interpreter's 4,300-digit limit
+    with pytest.raises(NonPositiveLength, match="has length a number with more"):
+        MetricTree(["A", "B"], [("A", "B", (-huge, 1))])
+    with pytest.raises(InvalidTree, match="^cannot write edge 'A'-'B' length: "):
+        MetricTree(["A", "B"], [("A", "B", (huge, 1))])
 
 
 def test_lengths_from_a_generator_keep_their_own_values():
