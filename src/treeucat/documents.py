@@ -32,18 +32,24 @@ written with another tree, a density would be keyed by the wrong ids.
 
 Hostile input ends in `DocumentError`, in bounded time: nesting too deep
 for the JSON parser is reported, not raised as `RecursionError`, and a
-numeral may have at most `MAX_NUMERAL_CHARS` characters and a decimal
-exponent of at most `MAX_DECIMAL_EXPONENT` in absolute value, so that
-"1e10000000" cannot ask for a 33-million-bit integer. An instance's
-positive value or edge length that could not be written back, its
-numerator or denominator past the interpreter's digit limit, is refused
-as it is read, not by the writer after the work.
+numeral is read by `rational.as_fraction`, whose grammar and bounds
+(`MAX_NUMERAL_CHARS` characters, a decimal exponent of at most
+`MAX_DECIMAL_EXPONENT`, both imported here from `rational`) hold on every
+CPython; its refusal is reported in its words, after the numeral's name.
+An instance's positive value or edge length that could not be written
+back, its numerator or denominator past the interpreter's digit limit, is
+refused as it is read, not by the writer after the work.
 
 Each parse converts a numeral string once: numerals equal as strings share
 one reduced `(numerator, denominator)` pair within a document, a value's
 or an edge length's, and nothing is kept between documents. "p" or "p/q"
-in ASCII digits is read from its digits; any other spelling goes through
-`Fraction(str)`, with the same values and errors.
+in ASCII digits, every numeral the writers make, is read from its digits;
+any other spelling, and such a one that int() refuses or whose
+denominator is 0, goes to `as_fraction`, with the same values and errors.
+The digit read is bounded by the interpreter's digit limit, as
+`json.loads` is for a number literal, and not by `MAX_NUMERAL_CHARS`:
+with the limit lifted (0), neither is bounded, and a digit numeral
+longer than `MAX_NUMERAL_CHARS` is read.
 
 Each value and each edge length is written inline from its pair, "p" or
 "p/q", with no Python function call per value or edge; only when `str`
@@ -55,7 +61,6 @@ the digest hashes the canonical compact text, written alike.
 from __future__ import annotations
 
 import json
-import re
 import reprlib
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _escape
@@ -63,14 +68,10 @@ from math import gcd
 
 from .density import EdgeLinearDensity, _indexed, _with_support
 from .errors import DocumentError, TreeMismatch
-from .rational import as_fraction, unwritable
+from .rational import MAX_DECIMAL_EXPONENT, MAX_NUMERAL_CHARS, as_fraction, unwritable
 from .record import Component, Decomposition, Record
 from .tree import MetricTree, VertexId
 
-MAX_NUMERAL_CHARS = 10_000
-MAX_DECIMAL_EXPONENT = 1_000
-# the exponent's digits after leading zeros; underscores group digits
-_EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)")
 _COMPONENT_KEYS = frozenset({"mode", "values"})
 
 
@@ -120,10 +121,12 @@ def _number(
 
     `numerals` maps each numeral this document has already read to its
     value. Callers look a string up there first and call this only on a
-    miss, so each distinct numeral costs one call; only a numeral that
-    passed every check enters the map, so a repeat of a bad one fails at
-    its first position, with the same message. An error message names the
-    numeral `label.format(a, b)`, formatted only when the numeral fails.
+    miss (a pair is a 2-tuple, never false, so their `or` calls this only
+    when the lookup gives None), so each distinct numeral costs one call;
+    only a numeral that passed every check enters the map, so a repeat of
+    a bad one fails at its first position, with the same message. An
+    error message names the numeral `label.format(a, b)`, formatted only
+    when the numeral fails, and then gives `as_fraction`'s own words.
 
     If `written`, as for an instance, which `decompose`, `check` and
     `sweep` write back, a positive value must also be writable:
@@ -138,40 +141,25 @@ def _number(
             f"{label.format(a, b)}: numbers must be exact strings like \"3\","
             f" \"1/3\" or \"0.25\", got {reprlib.repr(raw)}"
         )
-    if len(raw) > MAX_NUMERAL_CHARS:
-        raise DocumentError(
-            f"{label.format(a, b)}: numeral has {len(raw)} characters, at most"
-            f" {MAX_NUMERAL_CHARS} are allowed"
-        )
     num, slash, den = raw.partition("/")
-    try:
-        if raw.isascii() and (num + den).isdigit():
-            # "p" or "p/q" in ASCII digits, read without `Fraction`'s regex;
-            # int() refuses an empty part, as it does past its digit limit
+    if raw.isascii() and (num + den).isdigit():
+        # "p" or "p/q" in ASCII digits, read without the grammar's regex; a
+        # part int() refuses, empty or past its digit limit, and a zero
+        # denominator are left to `as_fraction` to word
+        try:
             p, q = int(num), int(den) if slash else 1
-            if not q:
-                raise ZeroDivisionError
+        except ValueError:
+            q = 0
+        if q:
             g = gcd(p, q) if slash else 1
-            value = (p, q) if g == 1 else (p // g, q // g)
-        else:
-            exponent = _EXPONENT.search(raw)
-            if exponent is not None:
-                digits = exponent[1].replace("_", "")
-                too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-                if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-                    raise DocumentError(
-                        f"{label.format(a, b)}: decimal exponent of"
-                        f" {reprlib.repr(raw)} exceeds {MAX_DECIMAL_EXPONENT}"
-                        " in absolute value"
-                    )
-            value = as_fraction(raw).as_integer_ratio()
-            if written and value[0] > 0:
-                _numeral(value, "{}", label.format(a, b))
-    except (ValueError, ZeroDivisionError, TypeError):
-        shown = reprlib.repr(raw)
-        raise DocumentError(
-            f"{label.format(a, b)}: not an exact number: {shown}"
-        ) from None
+            numerals[raw] = value = (p, q) if g == 1 else (p // g, q // g)
+            return value
+    try:
+        value = as_fraction(raw).as_integer_ratio()
+    except ValueError as err:
+        raise DocumentError(f"{label.format(a, b)}: {err}") from None
+    if written and value[0] > 0:
+        _numeral(value, "{}", label.format(a, b))
     numerals[raw] = value
     return value
 
@@ -199,9 +187,9 @@ def _edge_items(raw_edges, numerals: dict[str, tuple]):
                 f"{what}: edge {i} endpoint {reprlib.repr(end)} is not a string"
             )
         length = numerals.get(raw) if type(raw) is str else None
-        if length is None:
-            length = _number(raw, numerals, "{}: edge {} length", what, i, True)
-        yield u, w, length
+        yield u, w, length or _number(
+            raw, numerals, "{}: edge {} length", what, i, True
+        )
 
 
 def _values_map(raw, what: str, numerals: dict[str, tuple]) -> dict:
@@ -212,9 +200,7 @@ def _values_map(raw, what: str, numerals: dict[str, tuple]) -> dict:
     values = {}
     for v, x in raw.items():
         value = numerals.get(x) if type(x) is str else None
-        if value is None:
-            value = _number(x, numerals, "{}[{}]", what, v, False)
-        values[v] = value
+        values[v] = value or _number(x, numerals, "{}[{}]", what, v, False)
     return values
 
 
@@ -226,9 +212,7 @@ def _density_items(raw, numerals: dict[str, tuple]):
         raise DocumentError(f"{what} must map vertex ids to value strings")
     for v, x in raw.items():
         value = numerals.get(x) if type(x) is str else None
-        if value is None:
-            value = _number(x, numerals, "{}[{}]", what, v, True)
-        yield v, value
+        yield v, value or _number(x, numerals, "{}[{}]", what, v, True)
 
 
 def parse_instance(text: str) -> tuple[MetricTree, EdgeLinearDensity]:

@@ -9,18 +9,48 @@ in. `as_fraction` reads an int, a string or a `Fraction`, and
 into a message or report, with a stand-in for one too long for `str`,
 and `unwritable` words the refusal of a value that `str` cannot write
 at all.
+
+`as_fraction` is the one place a numeral string is matched, against one
+grammar that holds on every CPython: CPython 3.11's `Fraction(str)`
+spellings, in ASCII. Inside optional whitespace come an optional sign
+and then either "p/q", digits p and q with no space around the "/", or a
+decimal: digits, an optional "." and digits after it, and an optional
+exponent, "e" or "E" with an optional sign and digits; either side of
+the point may be empty, but not both. Digits may be grouped by single
+underscores. So "3", " -1_000/3 ", "0.25", ".5", "1." and "2.5E-3" are
+numerals, and "3 /4", "1__0", "3/-4" and any non-ASCII digit or space
+are not. A numeral has at most `MAX_NUMERAL_CHARS` characters and an
+exponent of at most `MAX_DECIMAL_EXPONENT` in absolute value, both
+checked before any power of ten is taken, so that "1e10000000" cannot
+ask for a 33-million-bit integer; only then is the value built, by
+`Fraction` from the numeral with its underscores removed, which every
+CPython reads alike.
 """
 
 from __future__ import annotations
 
+import re
+import reprlib
 import sys
 from fractions import Fraction
 from math import gcd
+
+MAX_NUMERAL_CHARS = 10_000
+MAX_DECIMAL_EXPONENT = 1_000
+# the module docstring's grammar; "(?a)" makes its whitespace ASCII too
+_DIGITS = "[0-9]+(?:_[0-9]+)*"
+_NUMERAL = re.compile(
+    rf"(?a)\s*[-+]?(?=\.?[0-9])(?:{_DIGITS})?"
+    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE](?P<exp>[-+]?{_DIGITS}))?)\s*"
+)
 
 
 def as_fraction(value) -> Fraction:
     """Convert an int, exact string ("3", "2/3", "0.25") or Fraction.
 
+    A string must be a numeral within the bounds, as the module docstring
+    says; any other, or one with a zero denominator or a part past the
+    interpreter's digit limit, is a ValueError whose message names it.
     Floats are refused: they carry binary rounding and would make exact
     zero detection meaningless.
     """
@@ -31,10 +61,25 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact rational: {value!r}") from exc
+        if len(value) > MAX_NUMERAL_CHARS:
+            raise ValueError(
+                f"numeral has {len(value)} characters, at most"
+                f" {MAX_NUMERAL_CHARS} are allowed"
+            )
+        if (numeral := _NUMERAL.fullmatch(value)) is not None:
+            # the exponent's digits after its sign and leading zeros
+            digits = (numeral["exp"] or "").lstrip("+-0_").replace("_", "")
+            too_long = len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+            if too_long or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent of {reprlib.repr(value)} exceeds"
+                    f" {MAX_DECIMAL_EXPONENT} in absolute value"
+                )
+            try:
+                return Fraction(value.replace("_", ""))
+            except (ValueError, ZeroDivisionError):
+                pass  # a zero denominator, or a part past the digit limit
+        raise ValueError(f"not an exact number: {reprlib.repr(value)}")
     if isinstance(value, float):
         raise TypeError(
             f"floats are not accepted (got {value!r}); pass a string like '1/3'"

@@ -21,6 +21,7 @@ from treeucat import (
     check_decomposition,
     decompose,
     gen_instance,
+    interval_ucat,
     sweep,
 )
 from treeucat.documents import (
@@ -43,6 +44,7 @@ from treeucat.errors import (
     TreeMismatch,
     UnknownVertex,
 )
+from treeucat.rational import as_fraction
 
 from helpers import (
     built_without_digit_limit,
@@ -196,6 +198,24 @@ def test_numerals_past_the_bounds_rejected():
         assert f.value("A") == value
 
 
+def test_hostile_numerals_are_refused_before_any_power():
+    # an exponent in non-ASCII digits is no numeral, and an exponent past
+    # the bound is refused before 10**e is taken, in a document and in
+    # process alike
+    for bad in ["1e" + "\uff17" * 7, "1e" + "\u0663" * 7]:
+        assert _read_as_density(bad) == f"density[A]: not an exact number: {bad!r}"
+    tree = MetricTree(["a", "b"], [("a", "b", "1")])
+    message = "decimal exponent of '1e8000000' exceeds 1000 in absolute value"
+    for build, args in [
+        (MetricTree, (["a", "b"], [("a", "b", "1e8000000")])),
+        (EdgeLinearDensity, (tree, {"a": "1e8000000"})),
+        (interval_ucat, (["1e8000000"],)),
+    ]:
+        with pytest.raises(ValueError) as err:
+            build(*args)
+        assert str(err.value) == message, build
+
+
 def test_a_repeated_bad_numeral_fails_at_its_first_position():
     # a numeral enters the document's memo only once it passed every check
     for bad, message in [
@@ -243,34 +263,70 @@ def _read_as_density(raw):
         return str(err)
 
 
-def _read_by_fraction(raw):
-    """What `Fraction(raw)`, the reader for every spelling before digit
-    numerals had their own path, makes of `raw`, in the same form."""
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        return f"density[A]: not an exact number: {reprlib.repr(raw)}"
+def _refused(raw):
+    """The grammar's refusal of `raw`, without the numeral's name."""
+    return f"not an exact number: {reprlib.repr(raw)}"
+
+
+# each spelling and its value, or the message refusing it, on every CPython
+NUMERAL_TABLE = [
+    ("7", Fraction(7)),
+    ("007", Fraction(7)),
+    ("0", Fraction(0)),
+    ("0/5", Fraction(0)),
+    ("00/0005", Fraction(0)),
+    ("6/4", Fraction(3, 2)),
+    ("12345/678901234", Fraction(12345, 678901234)),
+    ("+3", Fraction(3)),
+    (" 3 ", Fraction(3)),
+    ("3\n", Fraction(3)),
+    ("\u00a03", _refused("\u00a03")),
+    ("-0", Fraction(0)),
+    ("1_000", Fraction(1000)),
+    ("1_000/3", Fraction(1000, 3)),
+    ("1__0", _refused("1__0")),
+    ("\u0661\u0662", _refused("\u0661\u0662")),
+    ("\u0661\u0662/\u0663", _refused("\u0661\u0662/\u0663")),
+    ("\uff11\uff12", _refused("\uff11\uff12")),
+    ("\u00b2", _refused("\u00b2")),
+    ("1\u00b2", _refused("1\u00b2")),
+    ("1/0", _refused("1/0")),
+    ("0/0", _refused("0/0")),
+    (" 1/0", _refused(" 1/0")),
+    ("1.5", Fraction(3, 2)),
+    (".5", Fraction(1, 2)),
+    ("1.", Fraction(1)),
+    ("1e5", Fraction(10**5)),
+    ("1E-3", Fraction(1, 1000)),
+    ("5/", _refused("5/")),
+    ("/5", _refused("/5")),
+    ("1//2", _refused("1//2")),
+    ("3/-4", _refused("3/-4")),
+    ("3/+4", _refused("3/+4")),
+    ("3 /4", _refused("3 /4")),
+    ("", _refused("")),
+    ("/", _refused("/")),
+    ("7" * 4300, Fraction(int("7" * 4300))),
+    ("7" * 4301, _refused("7" * 4301)),
+    ("1/" + "9" * 4300, Fraction(1, int("9" * 4300))),
+    ("1/" + "9" * 4301, _refused("1/" + "9" * 4301)),
+    ("7" * 4300 + "/" + "9" * 4300, Fraction(int("7" * 4300), int("9" * 4300))),
+]
 
 
 def test_digit_numerals_read_as_fraction_reads_them():
-    # "p" and "p/q" in ASCII digits skip Fraction's regex; every spelling
-    # must still give Fraction(raw)'s value, or its error at the same place
-    spellings = [
-        "7", "007", "0", "0/5", "00/0005", "6/4", "12345/678901234",
-        "+3", " 3 ", "3\n", "-0", "1_000", "1_000/3", "1__0",
-        "\u0661\u0662", "\u0661\u0662/\u0663", "\uff11\uff12", "\u00b2", "1\u00b2",
-        "1/0", "0/0", "1.5", "1e5", "1E-3", "5/", "/5", "1//2", "3/-4", "3/+4",
-        "3 /4", "", "/",
-        "7" * 4300, "7" * 4301, "1/" + "9" * 4300, "1/" + "9" * 4301,
-        "7" * 4300 + "/" + "9" * 4300,
-    ]
-    outcomes = set()
-    for raw in spellings:
-        got, expected = _read_as_density(raw), _read_by_fraction(raw)
-        assert got == expected, raw[:20]
-        assert type(got) is type(expected), raw[:20]
-        outcomes.add(type(got))
-    assert outcomes == {Fraction, str}
+    # "p" and "p/q" in ASCII digits skip the grammar's regex; every spelling
+    # must still give the value or the refusal the table writes, in a
+    # document and from `as_fraction` alike
+    for raw, expected in NUMERAL_TABLE:
+        if isinstance(expected, Fraction):
+            assert _read_as_density(raw) == expected, raw[:20]
+            assert as_fraction(raw) == expected, raw[:20]
+        else:
+            assert _read_as_density(raw) == f"density[A]: {expected}", raw[:20]
+            with pytest.raises(ValueError) as err:
+                as_fraction(raw)
+            assert str(err.value) == expected, raw[:20]
     # the four refusals the digit path itself must still make
     for raw in ("1/0", "7" * 4301, "1/" + "9" * 4301, "5/"):
         assert "not an exact number" in _read_as_density(raw)
