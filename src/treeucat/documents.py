@@ -36,6 +36,8 @@ numeral is read by `rational.as_fraction`, whose grammar and bounds
 (`MAX_NUMERAL_CHARS` characters, a decimal exponent of at most
 `MAX_DECIMAL_EXPONENT`, both imported here from `rational`) hold on every
 CPython; its refusal is reported in its words, after the numeral's name.
+An integer literal, such as "ucat"'s, is refused past `MAX_NUMERAL_CHARS`
+characters with the same words, before `int()` converts it.
 An instance's positive value or edge length that could not be written
 back, its numerator or denominator past the interpreter's digit limit, is
 refused as it is read, not by the writer after the work.
@@ -46,16 +48,22 @@ or an edge length's, and nothing is kept between documents. "p" or "p/q"
 in ASCII digits, every numeral the writers make, is read from its digits;
 any other spelling, and such a one that int() refuses or whose
 denominator is 0, goes to `as_fraction`, with the same values and errors.
-The digit read is bounded by the interpreter's digit limit, as
-`json.loads` is for a number literal, and not by `MAX_NUMERAL_CHARS`:
-with the limit lifted (0), neither is bounded, and a digit numeral
-longer than `MAX_NUMERAL_CHARS` is read.
+So does a digit numeral longer than `MAX_NUMERAL_CHARS`, which
+`as_fraction` refuses by its length: the digit read converts nothing
+longer, so a document is read in bounded time even with the
+interpreter's digit limit lifted (0). Earlier versions read such a
+numeral when the limit was lifted, and refused it only under the limit.
 
 Each value and each edge length is written inline from its pair, "p" or
 "p/q", with no Python function call per value or edge; only when `str`
 refuses one is `_numeral` called, to name it. Documents are fixed-shape
-templates, byte for byte the text of `json.dumps(payload, indent=2)`;
-the digest hashes the canonical compact text, written alike.
+templates. An instance or a sweep document is byte for byte the text of
+`json.dumps(payload, indent=2)`, and a decomposition document that of
+`json.dumps(payload, separators=(",", ":"))`, each with a final newline;
+the digest hashes the canonical compact text with sorted keys, written
+alike. The reader takes any JSON whitespace, so a decomposition document
+written with two-space indentation, as earlier versions wrote it, reads
+and binds as the compact one does.
 """
 
 from __future__ import annotations
@@ -68,7 +76,13 @@ from math import gcd
 
 from .density import EdgeLinearDensity, _indexed, _with_support
 from .errors import DocumentError, TreeMismatch
-from .rational import MAX_DECIMAL_EXPONENT, MAX_NUMERAL_CHARS, as_fraction, unwritable
+from .rational import (
+    MAX_DECIMAL_EXPONENT,
+    MAX_NUMERAL_CHARS,
+    as_fraction,
+    overlong,
+    unwritable,
+)
 from .record import Component, Decomposition, Record
 from .tree import MetricTree, VertexId
 
@@ -91,16 +105,26 @@ class DecompositionDocument(Record):
     __slots__ = ("components", "ucat", "provenance")
 
 
+def _int_literal(literal: str) -> int:
+    """The int of a JSON integer literal, refused past `MAX_NUMERAL_CHARS`
+    characters before `int()` converts it, as a numeral string is: with
+    the interpreter's digit limit lifted, the conversion alone takes time
+    that grows faster than the literal."""
+    if (message := overlong(literal)) is not None:
+        raise ValueError(message)
+    return int(literal)
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_int_literal)
     except json.JSONDecodeError as err:
         raise DocumentError(
             f"line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
     except RecursionError:
         raise DocumentError("document is nested too deeply") from None
-    except ValueError as err:  # e.g. an integer literal past int's digit limit
+    except ValueError as err:  # an integer literal too long, or past int's limit
         raise DocumentError(str(err)) from None
 
 
@@ -142,10 +166,11 @@ def _number(
             f" \"1/3\" or \"0.25\", got {reprlib.repr(raw)}"
         )
     num, slash, den = raw.partition("/")
-    if raw.isascii() and (num + den).isdigit():
+    if len(raw) <= MAX_NUMERAL_CHARS and raw.isascii() and (num + den).isdigit():
         # "p" or "p/q" in ASCII digits, read without the grammar's regex; a
         # part int() refuses, empty or past its digit limit, and a zero
-        # denominator are left to `as_fraction` to word
+        # denominator are left to `as_fraction` to word, as is a numeral
+        # past the length bound, before any int() could convert it
         try:
             p, q = int(num), int(den) if slash else 1
         except ValueError:
@@ -250,13 +275,16 @@ def _numeral(pair: tuple[int, int], label: str, a, b=None) -> str:
         raise DocumentError(unwritable(p, q, label, a, b)) from None
 
 
-# The writers fill fixed-shape templates with the text `json.dumps(payload,
-# indent=2)` gives each section; `pad` is the indent of the line a section
-# opens on. Vertex ids go unescaped: a tree admits only ids of ASCII
-# letters, digits, "_" and "-".
+# The writers fill fixed-shape templates. An instance's and a sweep's are
+# the text `json.dumps(payload, indent=2)` gives each section, and `pad` is
+# the indent of the line a section opens on. A decomposition's are one
+# line, the text of `json.dumps(payload, separators=(",", ":"))`: it lists
+# the values of every component's support, a program reads it, and
+# indentation would be about half its bytes. Vertex ids go unescaped: a
+# tree admits only ids of ASCII letters, digits, "_" and "-".
 _INSTANCE = '{\n  "vertices": %s,\n  "edges": %s,\n  "density": %s\n}\n'
-_DECOMPOSITION = '{\n  "components": %s,\n  "ucat": %d,\n  "provenance": %s\n}\n'
-_COMPONENT = '{\n      "mode": %s,\n      "values": %s\n    }'
+_DECOMPOSITION = '{"components":[%s],"ucat":%d,"provenance":{%s}}\n'
+_COMPONENT = '{"mode":%s,"values":{%s}}'
 _SWEEP = (
     '{\n  "tree": {\n    "vertices": %s,\n    "edges": %s\n  },\n  "origin": %s,\n'
     '  "h": %s,\n  "remainder": %s,\n  "cuts": %s\n}\n'
@@ -437,22 +465,17 @@ def serialize_decomposition(d: Decomposition, provenance: Mapping[str, str]) -> 
     """JSON text of `d`; each component lists its nonzero values only, read
     from its rows. The tree is not written: d lives on the instance that
     the provenance's `input_digest` names."""
-    pad = "      "  # a component's "values" line
     vertices = d.refined_tree.vertices
     components = [
         _COMPONENT
         % (
             _escape(c.mode),
-            _block(_members(vertices, c.rows, f"component {i}"), pad),
+            ",".join(_members(vertices, c.rows, f"component {i}", ":")),
         )
         for i, c in enumerate(d.components)
     ]
-    tool = [_escape(key) + ": " + _escape(text) for key, text in provenance.items()]
-    return _DECOMPOSITION % (
-        _block(components, "  ", "[]"),
-        len(components),
-        _block(tool, "  "),
-    )
+    tool = [_escape(key) + ":" + _escape(text) for key, text in provenance.items()]
+    return _DECOMPOSITION % (",".join(components), len(components), ",".join(tool))
 
 
 def serialize_sweep(result) -> str:

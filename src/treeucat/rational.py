@@ -5,10 +5,11 @@ denominator)` pair of ints, a density's values and a tree's edge lengths
 alike, and `fractions.Fraction`s appear only in id-level views and
 reports. Floats are rejected at the boundary so no rounding can sneak
 in. `as_fraction` reads an int, a string or a `Fraction`, and
-`reduced_pair` checks and reduces a given pair. `shown` writes a value
-into a message or report, with a stand-in for one too long for `str`,
-and `unwritable` words the refusal of a value that `str` cannot write
-at all.
+`reduced_pair` checks and reduces a given pair. `overlong` words the
+refusal of a numeral past the length bound, for `as_fraction` and for a
+document's integer literals alike. `shown` writes a value into a message
+or report, with a stand-in for one too long for `str`, and `unwritable`
+words the refusal of a value that `str` cannot write at all.
 
 `as_fraction` is the one place a numeral string is matched, against one
 grammar that holds on every CPython: CPython 3.11's `Fraction(str)`
@@ -61,11 +62,8 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if len(value) > MAX_NUMERAL_CHARS:
-            raise ValueError(
-                f"numeral has {len(value)} characters, at most"
-                f" {MAX_NUMERAL_CHARS} are allowed"
-            )
+        if (message := overlong(value)) is not None:
+            raise ValueError(message)
         if (numeral := _NUMERAL.fullmatch(value)) is not None:
             # the exponent's digits after its sign and leading zeros
             digits = (numeral["exp"] or "").lstrip("+-0_").replace("_", "")
@@ -85,6 +83,18 @@ def as_fraction(value) -> Fraction:
             f"floats are not accepted (got {value!r}); pass a string like '1/3'"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def overlong(text: str) -> str | None:
+    """The message refusing the numeral `text` if it has more than
+    `MAX_NUMERAL_CHARS` characters, a bound checked before any conversion;
+    None if it has not."""
+    if len(text) > MAX_NUMERAL_CHARS:
+        return (
+            f"numeral has {len(text)} characters, at most"
+            f" {MAX_NUMERAL_CHARS} are allowed"
+        )
+    return None
 
 
 def reduced_pair(raw: tuple, what: str, *args) -> tuple[int, int]:

@@ -58,15 +58,15 @@ def test_the_harness_judges_every_answer_right(harness, workload):
 PINNED_OUTPUTS = {
     "random-trees": (
         None,
-        "sha256:07f8864b0da919a57b471521e1237d96550987b659644b0e598391514e67bcea",
+        "sha256:a9cf40628cc8d659690eaf2ba24ebf3a0002944e25cacd5bf8cd0233cd679a29",
     ),
     "long-arm": (
         None,
-        "sha256:46207eaad52a20c5c744fb3153085754b492c6cdd98da71c63e07f670d8f9a30",
+        "sha256:2d63a103881782871ecc68458626a782a1f23ae3a99355e14ef6561b424520d9",
     ),
     "oracle-small": (
         300,
-        "sha256:0a3174166a8a92ce796b0535d4ef4973b6e22dd6cfbde5c71d5a3a8d947c6330",
+        "sha256:866e8d5a462b11c854cb95ec5917b1516c9f9ada8cd0e02c79f6d089cd9ac10e",
     ),
 }
 

@@ -300,6 +300,21 @@ def test_check_round_trip(tmp_path, capsys):
     assert "overall: ok" in text
 
 
+def test_check_reads_an_indented_decomposition(tmp_path, capsys):
+    # decompose writes compact JSON; a document written with two-space
+    # indentation, as earlier versions wrote it, still checks
+    tree, f = path_instance([1, 2, 1, 2, 1])
+    instance = _write_instance(tmp_path, "in.json", tree, f)
+    out = tmp_path / "d.json"
+    assert main(["decompose", instance, "--output", str(out)]) == 0
+    compact = out.read_text(encoding="utf-8")
+    assert compact.count("\n") == 1 and compact.endswith("\n")
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(json.loads(compact), indent=2) + "\n", encoding="utf-8")
+    assert main(["check", instance, str(old)]) == 0
+    assert "overall: ok" in capsys.readouterr().out
+
+
 def test_check_accepts_dense_documents(tmp_path, capsys):
     for seed in range(10):
         tree, f = gen_instance(seed, 10, 4)

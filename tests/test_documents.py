@@ -378,9 +378,46 @@ def test_deep_nesting_and_long_literals_are_document_errors():
         parse_instance("[" * 100000)
     with pytest.raises(DocumentError, match="nested too deeply"):
         parse_decomposition('{"components": ' * 100000)
-    # an integer literal past Python's digit limit for int conversion
-    with pytest.raises(DocumentError):
-        parse_decomposition('{"ucat": ' + "9" * 5000 + "}")
+    # an integer literal past Python's digit limit for int conversion, and
+    # within the length bound, is refused in int()'s own words
+    literal = "9" * 5000
+    with pytest.raises(ValueError) as refused:
+        int(literal)
+    with pytest.raises(DocumentError) as err:
+        parse_decomposition('{"ucat": ' + literal + "}")
+    assert str(err.value) == str(refused.value)
+
+
+def test_long_digit_runs_are_refused_by_length_without_the_digit_limit():
+    # with the interpreter's digit limit lifted (0), int() converts a digit
+    # run of any length, in time that grows faster than the run; a numeral
+    # string and an integer literal are each refused by their length first
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * 200_000
+    message = (
+        f"numeral has {len(digits)} characters, at most"
+        f" {MAX_NUMERAL_CHARS} are allowed"
+    )
+    instance = {"vertices": ["A"], "edges": [], "density": {"A": digits}}
+    component = {"mode": "A", "values": {"A": digits}}
+    decomposition = {"components": [component], "ucat": 1, "provenance": PROVENANCE}
+    for read, text, expected in [
+        (parse_instance, json.dumps(instance), f"density[A]: {message}"),
+        (
+            parse_decomposition,
+            json.dumps(decomposition),
+            f"component 0 values[A]: {message}",
+        ),
+        (
+            parse_decomposition,
+            '{"components": [], "ucat": ' + digits + ', "provenance": {}}',
+            message,
+        ),
+    ]:
+        with pytest.raises(DocumentError) as err:
+            built_without_digit_limit(read, text)
+        assert str(err.value) == expected
+    assert sys.get_int_max_str_digits() == limit  # put back
 
 
 def test_instance_rejects_non_string_ids():
@@ -754,7 +791,13 @@ def _tree_fields(tree: MetricTree) -> dict:
 
 
 def _stdlib_text(payload) -> str:
+    """An instance or a sweep document as the stdlib writes it."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _stdlib_compact(payload) -> str:
+    """A decomposition document as the stdlib writes it."""
+    return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def _fractional_tree_instance(seed: int, n: int = 40):
@@ -800,7 +843,7 @@ def test_writer_matches_the_stdlib_encoder():
             }
             for c in d.components
         ]
-        expected = _stdlib_text(
+        expected = _stdlib_compact(
             {
                 "components": components,
                 "ucat": len(components),
@@ -861,13 +904,17 @@ def test_serialize_makes_a_bounded_number_of_calls_per_listed_item():
     # counted calls, not wall time: json.dumps with indent runs the
     # pure-Python encoder, about 25 calls per listed value; the fixed-shape
     # writer made about 2, one `_numeral` and the builtins it calls, and
-    # now formats each value inline, with no call: 36 calls in all for
-    # these 3 components and their 604 listed values
-    f = monotone_arm_instance(1, 600)
-    d, _ = decompose(f)
-    listed = sum(len(c.density.support) for c in d.components)
-    calls = python_calls_during(serialize_decomposition, d, PROVENANCE)
-    assert listed > 600 and calls <= 15 * len(d.components), (calls, listed)
+    # now formats each value inline, with no call, and joins each
+    # component's members on one line: 6 calls per component and 13 more.
+    # The arm's 3 components and 604 values take 31 calls, and the 136
+    # components and 588 values of the random tree 829; written indented,
+    # with a `_block` per component, they took 36 and 967
+    for f in (monotone_arm_instance(1, 600), recursive_tree_instance(1, 400)):
+        d, _ = decompose(f)
+        listed = sum(len(c.density.support) for c in d.components)
+        calls = python_calls_during(serialize_decomposition, d, PROVENANCE)
+        k = len(d.components)
+        assert listed > 500 and calls <= 6 * k + 15, (calls, k, listed)
 
 
 def test_the_digest_makes_no_python_call_per_vertex_or_edge():

@@ -63,27 +63,27 @@ FAMILIES = {
 # family -> sha256 of (document, report, report on the tampered document)
 PINNED = {
     "alternating path, n = 400": (
-        "88042ad054e6bdf99d9a894b99f641cf60a0a8205e01c3b6ff70b0aa75f23155",
+        "13627f8aeb99e17274c0ccf197829a8dcf1778fcbff6d2459adf755c9ca12338",
         "b728d7cc455d8f17c6530ef7a0f9219643e56dd2fc8e3daf15a48a0c9ded9246",
         "04167e8dc541c6a5b6820c5a8b68a8faee216e255887d0936698f61bf21b754b",
     ),
     "recursive_tree_instance(1, 400)": (
-        "c6a84a49686e3f74944c8c1ae33fe39eb11b84349a9501a4dc198cc7a8f6c175",
+        "f74168b9911dae6e35ff09e7c0f7e0829c4c8935c4922d3ae215802d4edd4fec",
         "f57ded9d9019c01948d46ed6e34f37442f090ee18873c7008b1e2c70bd8b2ae8",
         "7d6855482c83a5f1f6ee16e39fc2bb5379045ef24d600c4c1e04c381010f0154",
     ),
     "comb_instance(10)": (
-        "67c3d28d3f3f9c135ba95406c67bd888eaa6d754f08c7e89c062566130516c3f",
+        "7dd3e00976ac5eb5d51a523d44d6096d320c7efd9f1f869f61255e24a8e1c69a",
         "4b45e3f09bff2c9a978c7acadb1ff506fee0777835cee75e418d3d9068434ce7",
         "d458181cd292838b977ec2535e47cf52d512ea8027af1a068456b9a9b33bf18a",
     ),
     "many_denominator_instance(1, 20)": (
-        "15ada6a90a161b5d6f1145f44610a03ca5d8d7c0b9d2cf9ede2f513614dc8a89",
+        "bd8302330f5e050162453a8efbf21ce37e5a5af05321e743335c603fa68a7436",
         "4b45e3f09bff2c9a978c7acadb1ff506fee0777835cee75e418d3d9068434ce7",
         "e199f42b820b1a7f76c00bc82f56751105cf6ca5769855598bd19eff860fd6cc",
     ),
     "monotone arm, n = 600": (
-        "a47c38161fcda0f61e4804cdcb15164b53fcaf1bf1fdf0caf66d4672d2d77d93",
+        "1b00f4470e7fa5f2301717614be4f510096959e714c72660d2c93150aefa6532",
         "dba167a9c264f37ac716e4b57e4eda8f616bf276b8afad5f67d9c45c0763a871",
         "a0776784d1ccc1208176160a7c59d3930badb2b92b36d08da9b4fa179e7a8cdd",
     ),
@@ -122,6 +122,32 @@ def test_documents_and_reports_are_pinned(family):
         reports.append(repr(check_decomposition(f, bound)))
     got = (_sha(text), *map(_sha, reports))
     assert got == PINNED[family]
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_compact_and_indented_documents_read_alike(family):
+    # a decomposition document is written compact; the same payload with
+    # two-space indentation, as earlier versions wrote it, parses to an
+    # equal document and gets an equal report, a passing and a failing one
+    f = FAMILIES[family]()
+    decomposition, _ = decompose(f)
+    provenance = {"tool": "treeucat", "input_digest": instance_digest(f.tree, f)}
+    text = serialize_decomposition(decomposition, provenance)
+    assert text.count("\n") == 1
+    reports = []
+    for compact in (text, _compact(_tampered(text, f))):
+        indented = json.dumps(json.loads(compact), indent=2) + "\n"
+        doc = parse_decomposition(compact)
+        assert parse_decomposition(indented) == doc
+        report = check_decomposition(f, decomposition_from_document(doc, f))
+        old = decomposition_from_document(parse_decomposition(indented), f)
+        assert check_decomposition(f, old) == report
+        reports.append(report.overall)
+    assert reports == [True, False]
+
+
+def _compact(text: str) -> str:
+    return json.dumps(json.loads(text), separators=(",", ":")) + "\n"
 
 
 def _instance(vertices, edges, density) -> str:
